@@ -32,9 +32,7 @@
 
 #include "bench_common.h"
 #include "bench_json.h"
-#include "core/quant_profile.h"
 #include "cost/serving_estimator.h"
-#include "tensor/kernels/kernel_registry.h"
 #include "serve/serving_runtime.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
@@ -55,9 +53,6 @@ constexpr double kDeadlineMs = 1e9;
 
 struct ScenarioResult {
   size_t max_batch = 0;
-  Precision precision = Precision::kFp32;         // requested
-  Precision active_precision = Precision::kFp32;  // after any fallback
-  size_t resident_weight_bytes = 0;               // per-shard model footprint
   size_t requests = 0;
   double elapsed_s = 0.0;
   double qps = 0.0;
@@ -80,8 +75,7 @@ struct ProducerOutcome {
 ProducerOutcome RunProducer(serve::ServingRuntime& runtime,
                             const std::vector<const plan::PlanNode*>& plans,
                             const std::vector<double>& reference,
-                            std::atomic<size_t>& next, size_t total_requests,
-                            double tol_abs, double tol_rel) {
+                            std::atomic<size_t>& next, size_t total_requests) {
   ProducerOutcome outcome;
   std::deque<std::pair<size_t, std::future<cost::ServingEstimate>>> window;
   auto settle = [&](size_t plan_index,
@@ -90,9 +84,7 @@ ProducerOutcome RunProducer(serve::ServingRuntime& runtime,
     if (estimate.tier != cost::ServingTier::kModel) return;
     const double err = std::abs(estimate.cpu_minutes - reference[plan_index]);
     outcome.max_abs_err = std::max(outcome.max_abs_err, err);
-    if (err > tol_abs + tol_rel * std::abs(reference[plan_index])) {
-      ++outcome.parity_violations;
-    }
+    if (err > 1e-5) ++outcome.parity_violations;
   };
   for (;;) {
     const size_t i = next.fetch_add(1);
@@ -124,25 +116,16 @@ ProducerOutcome RunProducer(serve::ServingRuntime& runtime,
   return outcome;
 }
 
-/// `precision`/`profile` configure the shard's model-tier precision; the
-/// default runs the exact fp32 path. `tol_abs`/`tol_rel` are the parity gate
-/// against the fp32 single-query reference — strict for fp32 scenarios,
-/// relaxed (the §5.8 envelope) for low-precision ones.
-ScenarioResult RunScenario(
-    cost::ServingEstimator& estimator,
-    const std::vector<const plan::PlanNode*>& plans,
-    const std::vector<double>& reference, size_t max_batch,
-    size_t total_requests, Precision precision = Precision::kFp32,
-    std::shared_ptr<const core::QuantizationProfile> profile = nullptr,
-    double tol_abs = 1e-5, double tol_rel = 0.0) {
+ScenarioResult RunScenario(cost::ServingEstimator& estimator,
+                           const std::vector<const plan::PlanNode*>& plans,
+                           const std::vector<double>& reference,
+                           size_t max_batch, size_t total_requests) {
   estimator.ResetStats();
   serve::ServingRuntimeConfig config;
   config.max_batch = max_batch;
   config.queue_depth = std::max<size_t>(256, 4 * max_batch);
   config.batch_window_us = 100;
   config.cache_entries = 2 * plans.size();
-  config.precision = precision;
-  config.quant_profile = std::move(profile);
   serve::ServingRuntime runtime(&estimator, config);
   PRESTROID_CHECK(runtime.Start().ok());
 
@@ -153,8 +136,8 @@ ScenarioResult RunScenario(
   producers.reserve(kProducers);
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      outcomes[p] = RunProducer(runtime, plans, reference, next,
-                                total_requests, tol_abs, tol_rel);
+      outcomes[p] =
+          RunProducer(runtime, plans, reference, next, total_requests);
     });
   }
   for (std::thread& t : producers) t.join();
@@ -164,9 +147,6 @@ ScenarioResult RunScenario(
 
   ScenarioResult result;
   result.max_batch = max_batch;
-  result.precision = precision;
-  result.active_precision = runtime.shard().active_precision();
-  result.resident_weight_bytes = runtime.shard().resident_weight_bytes();
   result.requests = total_requests;
   result.elapsed_s = elapsed_s;
   result.qps = static_cast<double>(total_requests) / elapsed_s;
@@ -439,46 +419,6 @@ int Run(const std::string& out_path, size_t max_shards) {
   std::cout << StrFormat("qps speedup (max-batch 32 over 1): %.2fx\n",
                          speedup_32_over_1);
 
-  // Phase A2: precision axis. fp32 vs int8 through the same closed loop at
-  // max-batch {1, 8, 32} — the serving shapes the quantized kernel tier
-  // targets. int8 uses a profile calibrated over the same plan pool the
-  // producers cycle, and its parity gate is the §5.8 relaxed envelope
-  // (10% + 10% of reference) instead of the fp32 1e-5.
-  auto quant_profile = std::make_shared<core::QuantizationProfile>();
-  {
-    std::vector<core::PlanFeatures> features;
-    features.reserve(plans.size());
-    for (const plan::PlanNode* p : plans) {
-      auto featurized = estimator.pipeline()->FeaturizePlan(*p);
-      if (featurized.ok()) features.push_back(std::move(*featurized));
-    }
-    std::vector<const core::PlanFeatures*> sample;
-    sample.reserve(features.size());
-    for (const auto& f : features) sample.push_back(&f);
-    auto calibrated = estimator.pipeline()->CalibrateQuantization(sample, 99.0);
-    PRESTROID_CHECK(calibrated.ok());
-    *quant_profile = std::move(*calibrated);
-  }
-  std::vector<ScenarioResult> precision_results;
-  for (size_t max_batch : {size_t{1}, size_t{8}, size_t{32}}) {
-    for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
-      const bool int8 = precision == Precision::kInt8;
-      precision_results.push_back(RunScenario(
-          estimator, plans, reference, max_batch, total_requests, precision,
-          int8 ? quant_profile : nullptr,
-          /*tol_abs=*/int8 ? 0.1 : 1e-5, /*tol_rel=*/int8 ? 0.1 : 0.0));
-      const ScenarioResult& r = precision_results.back();
-      std::cout << StrFormat(
-          "precision %s max-batch %zu: %.0f qps, p95=%.3fms, "
-          "resident-weights=%zuB, quantized-batches=%zu fallbacks=%zu "
-          "parity-violations=%zu\n",
-          KernelRegistry::PrecisionName(r.active_precision), r.max_batch,
-          r.qps, r.p95_ms, r.resident_weight_bytes,
-          r.stats.quantized_batches, r.stats.precision_fallbacks,
-          r.parity_violations);
-    }
-  }
-
   // Phase B: shard-scaling curve. Same closed loop and plan pool against the
   // fingerprint-routed tier at 1/2/4/8 shards (clipped by --shards). On a
   // multi-core runner QPS should rise monotonically 1 -> 4; on a single
@@ -575,27 +515,6 @@ int Run(const std::string& out_path, size_t max_shards) {
   }
   json.EndArray();
 
-  json.Key("precision_axis");
-  json.BeginArray();
-  for (const ScenarioResult& r : precision_results) {
-    json.BeginObject();
-    json.Field("precision", KernelRegistry::PrecisionName(r.precision));
-    json.Field("active_precision",
-               KernelRegistry::PrecisionName(r.active_precision));
-    json.Field("max_batch", r.max_batch);
-    json.FieldDouble("qps", r.qps, "%.1f");
-    json.FieldDouble("p50_ms", r.p50_ms);
-    json.FieldDouble("p95_ms", r.p95_ms);
-    json.FieldDouble("p99_ms", r.p99_ms);
-    json.Field("resident_weight_bytes", r.resident_weight_bytes);
-    json.Field("quantized_batches", r.stats.quantized_batches);
-    json.Field("precision_fallbacks", r.stats.precision_fallbacks);
-    json.Field("parity_violations", r.parity_violations);
-    json.FieldDouble("max_abs_err_minutes", r.max_abs_err, "%.8f");
-    json.EndObject();
-  }
-  json.EndArray();
-
   json.Key("shard_scaling");
   json.BeginArray();
   for (const ShardScenarioResult& r : scaling) {
@@ -638,44 +557,12 @@ int Run(const std::string& out_path, size_t max_shards) {
     json.FieldDouble("qps_speedup_max_shards_over_1",
                      scaling.back().qps / scaling.front().qps);
   }
-  {
-    size_t fp32_resident = 0, int8_resident = 0;
-    for (const ScenarioResult& r : precision_results) {
-      if (r.active_precision == Precision::kFp32 && fp32_resident == 0) {
-        fp32_resident = r.resident_weight_bytes;
-      }
-      if (r.active_precision == Precision::kInt8 && int8_resident == 0) {
-        int8_resident = r.resident_weight_bytes;
-      }
-    }
-    if (int8_resident > 0) {
-      json.FieldDouble("int8_weight_memory_reduction",
-                       static_cast<double>(fp32_resident) /
-                           static_cast<double>(int8_resident));
-    }
-    for (size_t max_batch : {size_t{1}, size_t{8}, size_t{32}}) {
-      double fp32_p95 = 0.0, int8_p95 = 0.0;
-      for (const ScenarioResult& r : precision_results) {
-        if (r.max_batch != max_batch) continue;
-        if (r.precision == Precision::kFp32) fp32_p95 = r.p95_ms;
-        if (r.precision == Precision::kInt8) int8_p95 = r.p95_ms;
-      }
-      if (int8_p95 > 0.0) {
-        json.FieldDouble(
-            StrFormat("int8_p95_speedup_batch%zu", max_batch),
-            fp32_p95 / int8_p95);
-      }
-    }
-  }
   json.EndObject();
   json.EndObject();
   std::cout << "wrote " << out_path << "\n";
 
   size_t total_violations = 0;
   for (const ScenarioResult& r : results) total_violations += r.parity_violations;
-  for (const ScenarioResult& r : precision_results) {
-    total_violations += r.parity_violations;
-  }
   for (const ShardScenarioResult& r : scaling) {
     total_violations += r.parity_violations;
   }

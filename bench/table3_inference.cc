@@ -14,7 +14,7 @@
 #include "bench_common.h"
 #include "cloud/epoch_time_model.h"
 #include "cost/serving_estimator.h"
-#include "tensor/kernels/kernel_registry.h"
+#include "tensor/kernels/kernel_backend.h"
 #include "util/histogram.h"
 #include "util/table_printer.h"
 
@@ -142,7 +142,7 @@ int Run() {
     ExecutionContext* ctx = serving_pipeline->execution_context();
     std::cout << StrFormat(
         "active kernel backend: %s, threads: %zu\n",
-        KernelRegistry::BackendName(ctx->kernels().backend(KernelOp::kGemm)),
+        KernelBackendName(ctx->kernel()),
         ctx->num_threads());
 
     std::vector<LatencyHistogram> latencies_ms(cost::kNumServingTiers);

@@ -43,7 +43,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -52,7 +51,6 @@
 
 #include "core/continual_trainer.h"
 #include "core/pipeline.h"
-#include "core/quant_profile.h"
 #include "cost/serving_estimator.h"
 #include "net/estimate_service.h"
 #include "net/http_server.h"
@@ -220,10 +218,6 @@ int Train(const Flags& flags) {
   // --threads 1 (default) reproduces the single-threaded results exactly;
   // --threads 0 uses all hardware threads.
   config.threads = static_cast<size_t>(flags.GetInt("threads", 1));
-  // --kernel scalar|blocked selects the numeric backend (default: blocked,
-  // or env PRESTROID_KERNEL). `--kernel scalar --threads 1` reproduces the
-  // historical results bit-for-bit.
-  config.kernel = flags.Get("kernel", "");
   config.plan_limits = PlanLimitsFromFlags(flags);
   auto pipeline = core::PrestroidPipeline::Fit(records, splits.train, config);
   if (!pipeline.ok()) return Fail(pipeline.status());
@@ -263,7 +257,7 @@ int Train(const Flags& flags) {
       "exec: threads=%zu kernel=%s flops=%llu op_invocations=%llu "
       "peak_scratch_bytes=%llu\n",
       exec_ctx->num_threads(),
-      KernelRegistry::BackendName(exec_ctx->kernels().backend(KernelOp::kGemm)),
+      KernelBackendName(exec_ctx->kernel()),
       static_cast<unsigned long long>(exec_stats.flops),
       static_cast<unsigned long long>(exec_stats.op_invocations),
       static_cast<unsigned long long>(exec_stats.peak_scratch_bytes));
@@ -273,45 +267,6 @@ int Train(const Flags& flags) {
   if (!saved.ok()) return Fail(saved);
   std::cout << "saved pipeline to " << out << "\n";
 
-  // --calibrate N (default 64, 0=skip): one-pass int8 activation-range
-  // calibration over the first N usable training plans, written as the
-  // model's sibling quantization profile so `serve --precision int8` picks
-  // up calibrated scales. Calibration failure never fails the train run —
-  // int8 serving falls back to dynamic scales without a profile.
-  const size_t calibrate =
-      static_cast<size_t>(std::max(0L, flags.GetInt("calibrate", 64)));
-  if (calibrate > 0) {
-    std::vector<core::PlanFeatures> features;
-    features.reserve(calibrate);
-    for (size_t i = 0; i < records.size() && features.size() < calibrate;
-         ++i) {
-      auto featurized = (*pipeline)->FeaturizePlan(*records[i].plan);
-      if (featurized.ok()) features.push_back(std::move(*featurized));
-    }
-    std::vector<const core::PlanFeatures*> sample;
-    sample.reserve(features.size());
-    for (const core::PlanFeatures& f : features) sample.push_back(&f);
-    auto profile = (*pipeline)->CalibrateQuantization(
-        sample, flags.GetDouble("clip-pct", 99.0));
-    if (!profile.ok()) {
-      std::cerr << "warning: calibration failed ("
-                << profile.status().ToString()
-                << "); int8 serving will use dynamic scales\n";
-    } else {
-      const std::string qprof_path = core::QuantProfilePathFor(out);
-      Status qprof_saved = core::SaveQuantizationProfile(qprof_path, *profile);
-      if (!qprof_saved.ok()) {
-        std::cerr << "warning: could not write " << qprof_path << " ("
-                  << qprof_saved.ToString() << ")\n";
-      } else {
-        std::cout << StrFormat(
-            "calibrated int8 profile over %zu plans (clip p%.1f, %zu "
-            "layers) -> %s\n",
-            profile->samples, profile->clip_percentile,
-            profile->layers.size(), qprof_path.c_str());
-      }
-    }
-  }
   std::cout << StrFormat("summary: trained=%zu quarantined=%zu\n",
                          records.size(), ingested->stats.quarantined);
   return 0;
@@ -384,61 +339,6 @@ bool ApplyTenantQuotas(const std::string& spec,
   return true;
 }
 
-/// Resolves --precision / --quant-profile into the shard runtime config
-/// (DESIGN.md §5.8). Returns false on a usage error (unknown precision
-/// name). Fallback ladder for --precision int8:
-///   profile loads        -> calibrated static activation scales
-///   profile missing      -> dynamic per-batch absmax scales (note printed)
-///   profile corrupt      -> fp32 (warning printed; serving never crashes
-///                           or refuses over a bad sibling artifact)
-bool ApplyPrecisionFlags(const Flags& flags, const std::string& model_path,
-                         serve::ServingRuntimeConfig* config) {
-  const std::string name = flags.Get("precision", "fp32");
-  const std::optional<Precision> precision =
-      KernelRegistry::ParsePrecision(name);
-  if (!precision.has_value()) {
-    std::cerr << "invalid --precision '" << name
-              << "' (want fp32|bf16|int8)\n";
-    return false;
-  }
-  config->precision = *precision;
-  if (*precision != Precision::kInt8) return true;
-  const std::string profile_path = flags.Get(
-      "quant-profile",
-      model_path.empty() ? "" : core::QuantProfilePathFor(model_path));
-  if (profile_path.empty()) return true;  // dynamic scales
-  auto profile = core::LoadQuantizationProfile(profile_path);
-  if (profile.ok()) {
-    std::cout << StrFormat(
-        "int8 profile: %s (%zu layers, clip p%.1f over %zu plans)\n",
-        profile_path.c_str(), profile->layers.size(), profile->clip_percentile,
-        profile->samples);
-    config->quant_profile =
-        std::make_shared<core::QuantizationProfile>(std::move(*profile));
-  } else if (profile.status().code() == StatusCode::kDataCorruption) {
-    std::cerr << "warning: quantization profile corrupt ("
-              << profile.status().ToString() << "); serving fp32\n";
-    config->precision = Precision::kFp32;
-  } else {
-    std::cerr << "note: no quantization profile at " << profile_path
-              << "; int8 uses dynamic per-batch activation scales\n";
-  }
-  return true;
-}
-
-/// One-line precision summary printed after a serve run when a non-fp32
-/// tier was requested.
-void PrintPrecisionSummary(Precision requested, Precision active,
-                           const cost::ServingStats& stats,
-                           size_t resident_bytes) {
-  std::cout << StrFormat(
-      "precision: requested=%s active=%s quantized-batches=%zu "
-      "fallbacks=%zu resident-weights=%zuB\n",
-      KernelRegistry::PrecisionName(requested),
-      KernelRegistry::PrecisionName(active), stats.quantized_batches,
-      stats.precision_fallbacks, resident_bytes);
-}
-
 /// Multi-shard serve path (--shards N, N > 1): one estimator + model
 /// instance per shard behind the fingerprint-routed, tenant-quota'd
 /// ShardedServingRuntime. Queries are spread round-robin over --tenants K
@@ -486,7 +386,6 @@ int ServeSharded(const Flags& flags, size_t shards) {
   config.shard.cache_entries =
       static_cast<size_t>(flags.GetInt("cache-entries", 1024));
   config.shard.plan_limits = PlanLimitsFromFlags(flags);
-  if (!ApplyPrecisionFlags(flags, model_path, &config.shard)) return 2;
   config.memory_budget_bytes =
       static_cast<size_t>(flags.GetInt("memory-budget", 0));
   serve::ShardedServingRuntime runtime(raw_estimators, config);
@@ -594,21 +493,12 @@ int ServeSharded(const Flags& flags, size_t shards) {
         "  tenant %u: admitted=%zu quota-sheds=%zu\n",
         static_cast<unsigned>(t.tenant), t.admitted, t.quota_sheds);
   }
-  if (config.shard.precision != Precision::kFp32) {
-    size_t resident_bytes = 0;
-    for (size_t s = 0; s < runtime.ShardCount(); ++s) {
-      resident_bytes += runtime.shard(s).resident_weight_bytes();
-    }
-    PrintPrecisionSummary(config.shard.precision,
-                          runtime.shard(0).active_precision(), stats,
-                          resident_bytes);
-  }
   return 0;
 }
 
 /// Network serve path (serve --listen HOST:PORT): the sharded serving tier
 /// behind the poll-based HTTP front end (DESIGN.md §5.9). Composes with
-/// --shards/--tenants/--tenant-quota/--memory-budget/--precision and, via
+/// --shards/--tenants/--tenant-quota/--memory-budget and, via
 /// --retrain-interval, the continual-learning loop — served queries that
 /// arrive with an X-Actual-Cpu-Minutes label feed a background retrain
 /// thread that shadow-trains and hot-swaps candidates while the server keeps
@@ -662,7 +552,6 @@ int ServeHttp(const Flags& flags) {
   config.shard.cache_entries =
       static_cast<size_t>(flags.GetInt("cache-entries", 1024));
   config.shard.plan_limits = PlanLimitsFromFlags(flags);
-  if (!ApplyPrecisionFlags(flags, model_path, &config.shard)) return 2;
   config.memory_budget_bytes =
       static_cast<size_t>(flags.GetInt("memory-budget", 0));
   serve::ShardedServingRuntime runtime(raw_estimators, config);
@@ -853,15 +742,6 @@ int ServeHttp(const Flags& flags) {
       "latency: p50=%.3fms p95=%.3fms p99=%.3fms (n=%zu)\n",
       latency.Percentile(50.0), latency.Percentile(95.0),
       latency.Percentile(99.0), latency.count());
-  if (config.shard.precision != Precision::kFp32) {
-    size_t resident_bytes = 0;
-    for (size_t s = 0; s < runtime.ShardCount(); ++s) {
-      resident_bytes += runtime.shard(s).resident_weight_bytes();
-    }
-    PrintPrecisionSummary(config.shard.precision,
-                          runtime.shard(0).active_precision(), stats,
-                          resident_bytes);
-  }
   return 0;
 }
 
@@ -916,7 +796,6 @@ int Serve(const Flags& flags) {
   runtime_config.cache_entries =
       static_cast<size_t>(flags.GetInt("cache-entries", 1024));
   runtime_config.plan_limits = PlanLimitsFromFlags(flags);
-  if (!ApplyPrecisionFlags(flags, model_path, &runtime_config)) return 2;
   serve::ServingRuntime runtime(&estimator, runtime_config);
   Status started = runtime.Start();
   if (!started.ok()) return Fail(started);
@@ -1099,11 +978,6 @@ int Serve(const Flags& flags) {
         stats.drift_flags, stats.drift_qerr_p50, stats.drift_qerr_p95,
         stats.drift_baseline_p95);
   }
-  if (runtime_config.precision != Precision::kFp32) {
-    PrintPrecisionSummary(runtime_config.precision,
-                          runtime.shard().active_precision(), stats,
-                          runtime.shard().resident_weight_bytes());
-  }
   return 0;
 }
 
@@ -1252,14 +1126,9 @@ int Usage() {
          "  train     --trace FILE --out FILE [--full] [--n N] [--k K]\n"
          "            [--pf P] [--conv C] [--epochs E] [--batch B]\n"
          "            [--threads T (1=serial, 0=all cores)]\n"
-         "            [--kernel scalar|blocked (default blocked; scalar\n"
-         "             reproduces historical bits at --threads 1)]\n"
          "            [--snapshot-every N] [--snapshot FILE] [--resume]\n"
          "            [--max-plan-nodes N] [--max-plan-depth D]\n"
          "            [--quarantine-file FILE]\n"
-         "            [--calibrate N (int8 activation calibration over N\n"
-         "             training plans -> OUT.qprof; default 64, 0=skip)]\n"
-         "            [--clip-pct P (calibration absmax percentile, 99.0)]\n"
          "  predict   --model FILE --trace FILE [--limit N]\n"
          "  serve     --model FILE --trace FILE [--deadline-ms MS]\n"
          "            [--no-model] [--limit N] [--batch-window-us US]\n"
@@ -1271,11 +1140,6 @@ int Usage() {
          "            [--retrain-epochs E] [--candidate FILE]\n"
          "            [--drift-threshold X] [--probation-window N]\n"
          "            [--rollback-qerr X]\n"
-         "            [--precision fp32|bf16|int8 (inference kernel tier;\n"
-         "             fp32 = exact historical path)]\n"
-         "            [--quant-profile FILE (int8 activation scales;\n"
-         "             default MODEL.qprof; missing -> dynamic scales,\n"
-         "             corrupt -> fp32 fallback)]\n"
          "            [--shards S (default 1 = single-runtime path)]\n"
          "            [--tenants K (spread queries over K tenants)]\n"
          "            [--tenant-quota T:INFLIGHT[:BYTES][,T:...]]\n"
@@ -1306,13 +1170,6 @@ int Usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  // Fail fast on a typo'd PRESTROID_KERNEL instead of silently serving the
-  // default backend (the pre-PR-8 behavior).
-  Status kernel_env = KernelRegistry::ValidateEnv();
-  if (!kernel_env.ok()) {
-    std::cerr << "error: " << kernel_env.message() << "\n";
-    return 2;
-  }
   const std::string command = argv[1];
   Flags flags(argc, argv, 2);
   if (command == "gen-trace") return GenTrace(flags);

@@ -9,7 +9,6 @@
 #include "core/full_tree_model.h"
 #include "core/label_transform.h"
 #include "core/metrics.h"
-#include "core/quant_profile.h"
 #include "core/subtree_model.h"
 #include "embed/word2vec.h"
 #include "nn/trainer.h"
@@ -45,11 +44,6 @@ struct PipelineConfig {
   /// 0 means all hardware threads. Runtime knob only — never serialized, so
   /// a loaded pipeline always starts at the serving default of 1.
   size_t threads = 1;
-  /// Kernel backend for the numeric ops ("scalar" | "blocked"). Empty picks
-  /// the process default (env PRESTROID_KERNEL, else blocked). "scalar" with
-  /// threads=1 reproduces the pre-kernel-layer results bit-for-bit. Runtime
-  /// knob only — never serialized.
-  std::string kernel;
   /// Resource budget for plans entering FeaturizePlan/PredictPlan (the
   /// deployment path, which sees plans the trainer never vetted). Over-limit
   /// plans get kResourceExhausted before any recast/encode work. Runtime
@@ -108,31 +102,19 @@ class PrestroidPipeline {
   std::vector<double> PredictFeaturized(
       const std::vector<const PlanFeatures*>& batch);
 
-  // --- Low-precision inference (the resident kernel tier; DESIGN.md §5.8) --
+  // --- Resident serving weights (DESIGN.md §5.8) --------------------------
 
-  /// Freezes the model's eval-mode GEMM weights at `precision`. kFp32
-  /// clears any resident state and restores the exact historical path.
-  /// For kInt8, `profile` supplies the calibrated per-layer activation
-  /// scales; null falls back to dynamic per-batch absmax. A profile whose
-  /// layer count does not match the model is kInvalidArgument and leaves
-  /// the pipeline at fp32. Training a frozen pipeline is forbidden (layer
-  /// Backward CHECK-fails); call SetInferencePrecision(kFp32, null) first.
-  Status SetInferencePrecision(Precision precision,
-                               const QuantizationProfile* profile);
-  Precision inference_precision() const { return inference_precision_; }
+  /// Freezes every GEMM layer's eval-mode weights into resident fp32 panels,
+  /// so forwards stop repacking weights on every call. Predictions stay
+  /// bit-identical to the blocked backend; the frozen tree-conv forward
+  /// always takes the blocked im2col path, whatever the context's backend.
+  /// Training a frozen pipeline is forbidden (layer Backward CHECK-fails);
+  /// ThawInferenceWeights() first. Calling it again repacks.
+  void FreezeInferenceWeights();
+  void ThawInferenceWeights();
 
-  /// One-pass post-training calibration: records every quantizable layer's
-  /// GEMM-input range over fp32 eval forwards of `sample`, then resolves
-  /// percentile-clipped symmetric scales (nn/quantize.h). The pipeline must
-  /// be at fp32. The returned profile pairs with SetInferencePrecision and
-  /// Save/LoadQuantizationProfile.
-  Result<QuantizationProfile> CalibrateQuantization(
-      const std::vector<const PlanFeatures*>& sample, double clip_percentile);
-
-  /// Bytes of the model's GEMM weight operands as served at the active
-  /// precision (resident layouts when frozen, fp32 otherwise) — the
-  /// weight-memory term of the Fig 6-style serving footprint report.
-  size_t InferenceWeightBytes();
+  /// Bytes of the resident panels; 0 while thawed.
+  size_t ResidentWeightBytes();
 
   CostModel* model();
   /// The pipeline-owned execution context (thread pool + scratch arena +
@@ -179,7 +161,6 @@ class PrestroidPipeline {
   std::unique_ptr<FullTreeModel> full_model_;
   std::vector<float> targets_;
   std::vector<double> cpu_minutes_;
-  Precision inference_precision_ = Precision::kFp32;
 };
 
 }  // namespace prestroid::core

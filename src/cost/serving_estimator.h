@@ -75,13 +75,6 @@ struct ServingStats {
   size_t quota_sheds = 0;     // requests shed over a TenantQuota budget
   size_t memory_denied = 0;   // requests shed by the MemoryTracker budget
 
-  // --- low-precision inference counters (serve shards; DESIGN.md §5.8);
-  // zero on fp32-only deployments and the direct single-query path ---------
-  size_t quantized_batches = 0;     // fused forwards served by a bf16/int8
-                                    // resident-kernel pipeline
-  size_t precision_fallbacks = 0;   // shards that requested bf16/int8 but had
-                                    // to serve fp32 (bad/mismatched profile)
-
   // --- model-lifecycle counters (serve::ServingRuntime::SwapPipeline and
   // serve::ModelManager snapshots); zero on the direct single-query path ---
   size_t model_swaps = 0;         // successful hot-swap promotions
@@ -115,8 +108,6 @@ struct ServingStats {
     cache_evictions += other.cache_evictions;
     quota_sheds += other.quota_sheds;
     memory_denied += other.memory_denied;
-    quantized_batches += other.quantized_batches;
-    precision_fallbacks += other.precision_fallbacks;
     model_swaps += other.model_swaps;
     model_rollbacks += other.model_rollbacks;
     rejected_candidates += other.rejected_candidates;

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "nn/layer.h"
-#include "nn/quantize.h"
 #include "tensor/kernels/resident_weights.h"
 #include "util/random.h"
 
@@ -12,12 +11,11 @@ namespace prestroid {
 
 /// Fully-connected layer: y = x W + b, x is [batch, in], W is [in, out].
 ///
-/// Quantizable (nn/quantize.h): PrepareInferencePrecision freezes W into a
-/// ResidentWeights; subsequent eval-mode Forwards run the resident kernel
-/// (pre-packed fp32 / bf16 / int8 fused dequant+bias) instead of the
+/// Freezable (nn/layer.h): FreezeWeights packs W into a ResidentWeights;
+/// subsequent eval-mode Forwards run the pre-packed kernel instead of the
 /// per-call-packing MatMulBiasInto path. Backward while frozen is a
 /// programming error and CHECK-fails.
-class Dense : public Layer, public QuantizableLayer {
+class Dense : public Layer, public FreezableLayer {
  public:
   Dense(size_t in_features, size_t out_features, Rng* rng);
 
@@ -25,22 +23,11 @@ class Dense : public Layer, public QuantizableLayer {
   Tensor& Backward(const Tensor& grad_output) override;
   std::vector<ParamRef> Params() override;
 
-  // QuantizableLayer:
-  Status PrepareInferencePrecision(Precision precision,
-                                   float act_scale) override;
-  void ClearInferencePrecision() override { resident_.reset(); }
-  Precision inference_precision() const override {
-    return resident_ != nullptr ? resident_->precision() : Precision::kFp32;
-  }
-  void set_calibration_sink(QuantCalibration* sink) override {
-    calibration_ = sink;
-  }
+  // FreezableLayer:
+  void FreezeWeights() override;
+  void ThawWeights() override { resident_.reset(); }
   size_t resident_weight_bytes() const override {
-    return resident_ != nullptr ? resident_->resident_bytes()
-                                : weight_.size() * sizeof(float);
-  }
-  size_t fp32_weight_bytes() const override {
-    return weight_.size() * sizeof(float);
+    return resident_ != nullptr ? resident_->resident_bytes() : 0;
   }
 
   size_t in_features() const { return in_features_; }
@@ -63,9 +50,8 @@ class Dense : public Layer, public QuantizableLayer {
   Tensor grad_input_;       // [batch, in]
   Tensor weight_grad_tmp_;  // [in, out] per-batch term, then += into grads
   Tensor bias_grad_tmp_;    // [out]
-  // Low-precision inference state (nn/quantize.h).
+  // Frozen serving weights (null while thawed).
   std::unique_ptr<ResidentWeights> resident_;
-  QuantCalibration* calibration_ = nullptr;
 };
 
 }  // namespace prestroid

@@ -76,6 +76,25 @@ class Layer {
   ExecutionContext* ctx_ = ExecutionContext::Serial();
 };
 
+/// A layer whose eval-mode GEMM weights can be frozen into resident fp32
+/// panels (tensor/kernels/resident_weights.h) for serving: Dense and
+/// TreeConvLayer. Models expose them through CostModel::CollectFreezableLayers.
+class FreezableLayer {
+ public:
+  virtual ~FreezableLayer() = default;
+
+  /// Packs the current weights once; eval-mode forwards then run the
+  /// resident GEMM, bit-identical to the blocked backend. Training must not
+  /// run while frozen — Backward() CHECK-fails. Calling it again repacks.
+  virtual void FreezeWeights() = 0;
+
+  /// Drops the resident panels; forwards follow the context's backend again.
+  virtual void ThawWeights() = 0;
+
+  /// Bytes of the resident panels; 0 while thawed.
+  virtual size_t resident_weight_bytes() const = 0;
+};
+
 /// Sums parameter counts across a set of layers.
 size_t TotalParameters(const std::vector<Layer*>& layers);
 

@@ -12,8 +12,6 @@
 
 namespace prestroid {
 
-class QuantizableLayer;  // nn/quantize.h
-
 /// Abstract interface every query-cost regressor implements (Prestroid
 /// sub-tree / full-tree models and the M-MSCN / WCNN baselines). Each model
 /// owns its featurized copy of the dataset; sample indices select rows.
@@ -62,12 +60,10 @@ class CostModel {
   /// uses it to report per-epoch flop counts in verbose logs.
   virtual ExecutionContext* execution_context() { return nullptr; }
 
-  /// Appends the model's quantizable GEMM layers (nn/quantize.h) in stable
-  /// forward order — convolution trunk first, then the dense head. This is
-  /// the order quantization-profile entries are matched by, so it must not
-  /// change between calibration and serving. Default: none (models without
-  /// quantizable layers, e.g. SVR).
-  virtual void CollectQuantLayers(std::vector<QuantizableLayer*>* out) {
+  /// Appends the model's freezable GEMM layers (nn/layer.h) — convolution
+  /// trunk first, then the dense head. Default: none (models without
+  /// freezable layers, e.g. the baselines).
+  virtual void CollectFreezableLayers(std::vector<FreezableLayer*>* out) {
     (void)out;
   }
 

@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "tensor/kernels/kernel_registry.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -35,11 +34,8 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
   structure_cache_ = &structure;
 
   // Frozen inference always takes the im2col lowering — that is the operand
-  // layout the resident weights were built for. Calibration does too, so the
-  // recorded activation ranges cover exactly the operand the int8 path will
-  // quantize, independent of the kTreeConv backend choice.
-  if (resident_ != nullptr || calibration_ != nullptr ||
-      ctx_->kernels().backend(KernelOp::kTreeConv) == KernelBackend::kBlocked) {
+  // layout the resident weights were built for.
+  if (resident_ != nullptr || ctx_->kernel() == KernelBackend::kBlocked) {
     return ForwardBlocked(structure);
   }
 
@@ -93,7 +89,7 @@ Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
   PRESTROID_CHECK_EQ(grad_output.dim(1), nodes);
   PRESTROID_CHECK_EQ(grad_output.dim(2), out_features_);
 
-  if (ctx_->kernels().backend(KernelOp::kTreeConv) == KernelBackend::kBlocked) {
+  if (ctx_->kernel() == KernelBackend::kBlocked) {
     return BackwardBlocked(grad_output, structure);
   }
 
@@ -227,12 +223,6 @@ Tensor& TreeConvLayer::ForwardBlocked(const TreeStructure& structure) {
   const size_t batch = input_cache_.dim(0);
   const size_t nodes = input_cache_.dim(1);
   GatherWindows(structure);
-  if (calibration_ != nullptr && resident_ == nullptr) {
-    // Calibration records the actual GEMM operand — the gathered windows —
-    // so the resolved scale covers exactly what the int8 path quantizes.
-    calibration_->RecordRows(packed_input_.data(), batch * nodes,
-                             3 * in_features_);
-  }
   if (resident_ != nullptr) {
     resident_->Gemm(&output_, packed_input_, &bias_, GemmEpilogue::kBias,
                     ctx_);
@@ -248,13 +238,9 @@ Tensor& TreeConvLayer::ForwardBlocked(const TreeStructure& structure) {
   return output_;
 }
 
-Status TreeConvLayer::PrepareInferencePrecision(Precision precision,
-                                                float act_scale) {
+void TreeConvLayer::FreezeWeights() {
   StackWeights();
-  resident_ = std::make_unique<ResidentWeights>(
-      ResidentWeights::Build(wcat_, precision));
-  resident_->set_activation_scale(act_scale);
-  return Status::OK();
+  resident_ = std::make_unique<ResidentWeights>(ResidentWeights::Build(wcat_));
 }
 
 Tensor& TreeConvLayer::BackwardBlocked(const Tensor& grad_output,

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/layer.h"
-#include "nn/quantize.h"
 #include "tensor/kernels/resident_weights.h"
 #include "util/random.h"
 
@@ -40,7 +39,7 @@ struct TreeStructure {
 /// output [batch, max_nodes, out]. The structure is passed per batch and must
 /// stay alive until Backward() completes.
 ///
-/// Two implementations, selected by the context's KernelRegistry (kTreeConv):
+/// Two implementations, selected by the context's kernel backend:
 ///
 ///  - scalar: the historical per-node loops, kept verbatim as the bit-exact
 ///    reproducibility baseline. Forward parallelizes over trees (disjoint
@@ -55,12 +54,12 @@ struct TreeStructure {
 ///    gradients via A^T B over the packed windows, input gradients via
 ///    g W^T scattered back through the window map). Agrees with scalar to
 ///    ~1e-5 relative (DESIGN.md §5.3).
-/// Quantizable (nn/quantize.h): PrepareInferencePrecision stacks the three
-/// position kernels into the im2col operand [3*in, out] and freezes it into
-/// a ResidentWeights, after which Forward always takes the im2col lowering
-/// (gather + resident GEMM) regardless of the kTreeConv backend choice.
-/// Backward while frozen CHECK-fails.
-class TreeConvLayer : public QuantizableLayer {
+/// Freezable (nn/layer.h): FreezeWeights stacks the three position kernels
+/// into the im2col operand [3*in, out] and packs it into a ResidentWeights,
+/// after which Forward always takes the im2col lowering (gather + resident
+/// GEMM) regardless of the context's backend. Backward while frozen
+/// CHECK-fails.
+class TreeConvLayer : public FreezableLayer {
  public:
   TreeConvLayer(size_t in_features, size_t out_features, Rng* rng);
 
@@ -79,23 +78,11 @@ class TreeConvLayer : public QuantizableLayer {
   std::vector<ParamRef> Params();
   size_t NumParameters();
 
-  // QuantizableLayer:
-  Status PrepareInferencePrecision(Precision precision,
-                                   float act_scale) override;
-  void ClearInferencePrecision() override { resident_.reset(); }
-  Precision inference_precision() const override {
-    return resident_ != nullptr ? resident_->precision() : Precision::kFp32;
-  }
-  void set_calibration_sink(QuantCalibration* sink) override {
-    calibration_ = sink;
-  }
+  // FreezableLayer:
+  void FreezeWeights() override;
+  void ThawWeights() override { resident_.reset(); }
   size_t resident_weight_bytes() const override {
-    return resident_ != nullptr
-               ? resident_->resident_bytes()
-               : 3 * in_features_ * out_features_ * sizeof(float);
-  }
-  size_t fp32_weight_bytes() const override {
-    return 3 * in_features_ * out_features_ * sizeof(float);
+    return resident_ != nullptr ? resident_->resident_bytes() : 0;
   }
 
   size_t in_features() const { return in_features_; }
@@ -130,9 +117,8 @@ class TreeConvLayer : public QuantizableLayer {
   Tensor wgcat_;         // [3*in, out] stacked weight gradients
   Tensor gxp_;           // [batch*nodes, 3*in] window-space input gradients
   Tensor bias_tmp_;      // [out] per-call bias-gradient accumulator
-  // Low-precision inference state (nn/quantize.h): frozen wcat_ operand.
+  // Frozen serving weights: the packed wcat_ operand (null while thawed).
   std::unique_ptr<ResidentWeights> resident_;
-  QuantCalibration* calibration_ = nullptr;
 };
 
 /// One-way dynamic pooling with vote bit-masking (paper Section 4.1):

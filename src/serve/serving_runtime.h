@@ -91,8 +91,8 @@ class ServingRuntime : public ServingHost {
 
   const ServingRuntimeConfig& config() const { return shard_.config(); }
 
-  /// Direct shard access for tests and per-shard observability (precision,
-  /// resident weight bytes, arena counters).
+  /// Direct shard access for tests and per-shard observability (resident
+  /// weight bytes, arena counters).
   ServingShard& shard() { return shard_; }
   const ServingShard& shard() const { return shard_; }
 

@@ -26,7 +26,6 @@ ServingShard::ServingShard(cost::ServingEstimator* estimator,
                            ServingRuntimeConfig config, MemoryTracker* memory)
     : estimator_(estimator),
       config_(config),
-      memory_(memory),
       cache_(config.cache_entries),
       arena_(memory) {
   if (config_.max_batch == 0) config_.max_batch = 1;
@@ -48,11 +47,9 @@ Status ServingShard::Start() {
     queue_high_watermark_ = 0;
   }
   {
-    // Freeze the attached pipeline at the configured serving precision
-    // before the worker can run a batch. Failure degrades to fp32 (counted)
-    // rather than failing Start — the shard must serve regardless.
+    // Freeze before the worker can run a batch.
     std::lock_guard<std::mutex> serve_lock(serve_mu_);
-    ApplyPrecisionLocked();
+    FreezePipelineLocked();
   }
   worker_ = std::thread([this] { WorkerLoop(); });
   return Status::OK();
@@ -233,46 +230,13 @@ std::unique_ptr<core::PrestroidPipeline> ServingShard::SwapPipelineLocked(
   } else {
     ++model_swaps_;
   }
-  // The incoming pipeline arrives fp32 (swap candidates are validated at
-  // fp32); re-freeze it at the shard's configured precision so a hot-swap
-  // never silently downgrades a quantized deployment.
-  ApplyPrecisionLocked();
+  FreezePipelineLocked();
   return previous;
 }
 
-void ServingShard::ApplyPrecisionLocked() {
-  if (memory_ != nullptr && resident_charged_bytes_ > 0) {
-    memory_->Release(resident_charged_bytes_);
-    resident_charged_bytes_ = 0;
-  }
-  active_precision_ = Precision::kFp32;
-  resident_weight_bytes_ = 0;
+void ServingShard::FreezePipelineLocked() {
   core::PrestroidPipeline* pipeline = estimator_->pipeline();
-  if (pipeline == nullptr) return;
-  if (config_.precision == Precision::kFp32) {
-    // Make the exact historical path explicit: clear any resident state a
-    // previous owner of this pipeline may have left behind. Clearing to
-    // fp32 cannot fail.
-    pipeline->SetInferencePrecision(Precision::kFp32, nullptr);
-    resident_weight_bytes_ = pipeline->InferenceWeightBytes();
-    return;
-  }
-  Status frozen = pipeline->SetInferencePrecision(config_.precision,
-                                                  config_.quant_profile.get());
-  if (!frozen.ok()) {
-    // SetInferencePrecision leaves the pipeline fp32 on failure; serve that.
-    ++precision_fallbacks_;
-    resident_weight_bytes_ = pipeline->InferenceWeightBytes();
-    return;
-  }
-  active_precision_ = config_.precision;
-  resident_weight_bytes_ = pipeline->InferenceWeightBytes();
-  if (memory_ != nullptr && resident_weight_bytes_ > 0) {
-    // Unconditional charge: the weights are already resident — this records
-    // the footprint for the box-level budget rather than gating it.
-    memory_->Charge(resident_weight_bytes_);
-    resident_charged_bytes_ = resident_weight_bytes_;
-  }
+  if (pipeline != nullptr) pipeline->FreezeInferenceWeights();
 }
 
 cost::ServingStats ServingShard::StatsSnapshot() const {
@@ -285,8 +249,6 @@ cost::ServingStats ServingShard::StatsSnapshot() const {
     stats.cache_evictions = cache_.stats().evictions;
     stats.model_swaps = model_swaps_;
     stats.model_rollbacks = model_rollbacks_;
-    stats.quantized_batches = quantized_batches_;
-    stats.precision_fallbacks = precision_fallbacks_;
   }
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -312,14 +274,10 @@ size_t ServingShard::arena_capacity_bytes() const {
   return arena_.capacity_bytes();
 }
 
-Precision ServingShard::active_precision() const {
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  return active_precision_;
-}
-
 size_t ServingShard::resident_weight_bytes() const {
   std::lock_guard<std::mutex> lock(serve_mu_);
-  return resident_weight_bytes_;
+  core::PrestroidPipeline* pipeline = estimator_->pipeline();
+  return pipeline != nullptr ? pipeline->ResidentWeightBytes() : 0;
 }
 
 void ServingShard::WorkerLoop() {
@@ -366,41 +324,6 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
     batch[i].ticket.Release();
     batch[i].promise.set_value(std::move(estimate));
   };
-
-  // max_batch == 1 preserves the legacy single-query serving path verbatim:
-  // per-request recast + featurize through EstimateWithFallback, no
-  // fingerprint cache, no fused staging. This keeps the degenerate
-  // configuration bit-compatible with pre-runtime serving and makes the
-  // batch-size sweep in bench/serving_throughput a true before/after
-  // comparison. Caching and batch fusion engage for max_batch >= 2.
-  if (config_.max_batch == 1) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      PendingRequest& request = batch[i];
-      const double deadline = request.deadline_ms > 0.0
-                                  ? request.deadline_ms
-                                  : estimator_->limits().default_deadline_ms;
-      const double remaining = deadline - ElapsedMs(request.enqueue_time);
-      cost::ServingEstimate estimate;
-      if (remaining <= 0.0) {
-        // Expired while queued: EstimateWithFallback would read a
-        // non-positive deadline as "use the default", so degrade explicitly.
-        estimator_->CountRequest();
-        const plan::PlanStats stats = plan::ComputePlanStats(*request.plan);
-        Status expired = estimator_->AdmitModelTier(stats, remaining);
-        estimate = estimator_->EstimateFallback(stats, std::move(expired),
-                                                request.enqueue_time);
-      } else {
-        estimate = estimator_->EstimateWithFallback(*request.plan, remaining);
-        estimate.latency_ms = ElapsedMs(request.enqueue_time);
-        if (estimate.tier == cost::ServingTier::kModel &&
-            active_precision_ != Precision::kFp32) {
-          ++quantized_batches_;  // per model answer on the unfused path
-        }
-      }
-      resolve(i, std::move(estimate));
-    }
-    return;
-  }
 
   // Trivially-destructible staging arrays live in the per-batch scratch
   // arena (rewound, not freed, between batches); the feature handles keep
@@ -458,7 +381,6 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
   if (admitted == 0) return;
 
   // One fused eval-mode forward pass for every admitted request.
-  if (active_precision_ != Precision::kFp32) ++quantized_batches_;
   const auto forward_start = std::chrono::steady_clock::now();
   const std::vector<double> predicted = pipeline->PredictFeaturized(
       std::vector<const core::PlanFeatures*>(feature_ptrs,

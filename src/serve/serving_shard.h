@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/quant_profile.h"
 #include "cost/serving_estimator.h"
 #include "plan/plan_limits.h"
 #include "plan/plan_node.h"
@@ -29,9 +28,8 @@ struct ServingRuntimeConfig {
   /// Bounded request queue; a Submit beyond this depth is rejected with
   /// kResourceExhausted instead of blocking the producer.
   size_t queue_depth = 256;
-  /// Largest fused forward pass. 1 degenerates to the legacy single-query
-  /// serving path (per-request EstimateWithFallback, no fingerprint cache,
-  /// no fused staging); caching and batch fusion engage at >= 2.
+  /// Largest fused forward pass. Every batch size, 1 included, takes the
+  /// same path: fingerprint cache, then one fused forward.
   size_t max_batch = 32;
   /// After the first request of a batch arrives, how long the worker waits
   /// for the batch to fill before running a partial one. 0 = never wait
@@ -44,17 +42,6 @@ struct ServingRuntimeConfig {
   /// (kInvalidArgument, counted in ServingStats::limit_rejects) so a hostile
   /// plan never reaches the hashing/encoding machinery.
   plan::PlanLimits plan_limits;
-  /// Inference precision for the shard's model tier (DESIGN.md §5.8). kFp32
-  /// is the exact historical path; kBf16/kInt8 freeze the attached
-  /// pipeline's weights into the resident kernel tier at Start() and after
-  /// every pipeline swap. If freezing fails (e.g. a profile/model layer
-  /// mismatch) the shard serves fp32 and counts a precision_fallback — the
-  /// degradation-chain contract: never crash, never refuse to serve.
-  Precision precision = Precision::kFp32;
-  /// Calibrated activation scales for kInt8 (null = dynamic per-batch
-  /// absmax). Shared because every shard of a sharded runtime applies the
-  /// same profile to its own pipeline replica.
-  std::shared_ptr<const core::QuantizationProfile> quant_profile;
 };
 
 /// Admission charges riding along with one routed request: the tenant's
@@ -120,8 +107,10 @@ class ServingShard {
   ServingShard(const ServingShard&) = delete;
   ServingShard& operator=(const ServingShard&) = delete;
 
-  /// Spawns the batch worker. Submissions made before Start() sit in the
-  /// queue (admission control applies) and are served once it runs.
+  /// Freezes the attached pipeline's weights into resident fp32 panels
+  /// (DESIGN.md §5.8) and spawns the batch worker. Submissions made before
+  /// Start() sit in the queue (admission control applies) and are served
+  /// once it runs.
   /// Restartable: Start() after Shutdown() reopens admission and resets the
   /// queue high-watermark, so each run reports its own peak.
   Status Start();
@@ -171,9 +160,11 @@ class ServingShard {
   /// reach the new model), and returns the previous pipeline so the caller
   /// can retain it for instant rollback. Queued requests are never dropped:
   /// they simply run on whichever model is attached when their batch is
-  /// served. Passing nullptr detaches the model tier (the degradation chain
-  /// keeps answering). `is_rollback` only selects which ServingStats counter
-  /// (model_swaps vs model_rollbacks) the transition increments.
+  /// served. The incoming pipeline is frozen into resident fp32 panels before
+  /// the next batch can reach it. Passing nullptr detaches the model tier
+  /// (the degradation chain keeps answering). `is_rollback` only selects
+  /// which ServingStats counter (model_swaps vs model_rollbacks) the
+  /// transition increments.
   ///
   /// Instrumented with FaultSite::kModelSwap: an injected fault aborts the
   /// swap before any state is touched, proving a crashed swap leaves the
@@ -215,14 +206,8 @@ class ServingShard {
   /// memory footprint, not a leak.
   size_t arena_capacity_bytes() const;
 
-  /// Precision the model tier is actually serving at: config().precision
-  /// when the freeze succeeded, kFp32 after a precision fallback or when no
-  /// pipeline is attached.
-  Precision active_precision() const;
-
-  /// Bytes of the attached pipeline's GEMM weights as served (resident
-  /// low-precision layouts when frozen, fp32 otherwise); 0 with no pipeline.
-  /// Charged against the box MemoryTracker while resident.
+  /// Bytes of the attached pipeline's resident weight panels; 0 with no
+  /// pipeline.
   size_t resident_weight_bytes() const;
 
  private:
@@ -249,16 +234,12 @@ class ServingShard {
   /// forward pass for the admitted items, per-item fallback for the rest.
   void ServeBatch(std::vector<PendingRequest>& batch);
 
-  /// Applies config_.precision to the attached pipeline (serve_mu_ held):
-  /// releases any prior resident-weight memory charge, freezes the weights
-  /// at the configured precision, and charges the new resident footprint.
-  /// On failure the pipeline stays fp32 and precision_fallbacks_ ticks.
-  /// Called from Start() and after every SwapPipelineLocked.
-  void ApplyPrecisionLocked();
+  /// Freezes the attached pipeline, if any (serve_mu_ held). Called from
+  /// Start() and SwapPipelineLocked, which covers swaps and rollbacks.
+  void FreezePipelineLocked();
 
   cost::ServingEstimator* estimator_;
   ServingRuntimeConfig config_;
-  MemoryTracker* memory_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;  // worker waits: work available / stop
@@ -277,11 +258,6 @@ class ServingShard {
   LatencyHistogram latency_hist_;
   size_t model_swaps_ = 0;
   size_t model_rollbacks_ = 0;
-  Precision active_precision_ = Precision::kFp32;
-  size_t resident_weight_bytes_ = 0;  // as-served weight footprint
-  size_t resident_charged_bytes_ = 0; // portion charged to memory_
-  size_t quantized_batches_ = 0;
-  size_t precision_fallbacks_ = 0;
   /// Per-batch staging storage (deadline/pointer arrays), reset per batch and
   /// charged against the box-level tracker. Worker-confined under serve_mu_.
   ScratchArena arena_;

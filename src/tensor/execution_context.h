@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "tensor/kernels/kernel_registry.h"
+#include "tensor/kernels/kernel_backend.h"
 #include "tensor/tensor.h"
 #include "util/thread_pool.h"
 
@@ -70,11 +70,13 @@ class ExecutionContext {
   /// Returns a scratch tensor to the arena for reuse.
   void ReleaseScratch(Tensor tensor);
 
-  /// Per-op kernel-backend choices for ops routed through this context
-  /// (scalar reference vs blocked SIMD; see tensor/kernels/). Ops called
-  /// with a null context always take the scalar path.
-  const KernelRegistry& kernels() const { return kernels_; }
-  KernelRegistry* mutable_kernels() { return &kernels_; }
+  /// Kernel backend for every op routed through this context (scalar
+  /// reference vs blocked SIMD; see tensor/kernels/). Starts at
+  /// DefaultKernelBackend(); the setter exists for tests and benches that
+  /// compare the two. Ops called with a null context always take the scalar
+  /// path.
+  KernelBackend kernel() const { return kernel_; }
+  void set_kernel(KernelBackend kernel) { kernel_ = kernel; }
 
   const ExecStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ExecStats{}; }
@@ -88,7 +90,7 @@ class ExecutionContext {
 
  private:
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
-  KernelRegistry kernels_;
+  KernelBackend kernel_ = DefaultKernelBackend();
   std::vector<Tensor> free_scratch_;
   uint64_t live_scratch_bytes_ = 0;
   ExecStats stats_;

@@ -2,59 +2,36 @@
 #define PRESTROID_TENSOR_KERNELS_RESIDENT_WEIGHTS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "tensor/execution_context.h"
 #include "tensor/kernels/gemm_kernels.h"
-#include "tensor/kernels/kernel_registry.h"
 #include "tensor/tensor.h"
 
 namespace prestroid {
 
-/// A layer's GEMM weight operand frozen into a serving-resident layout.
+/// A layer's GEMM weight operand frozen into the blocked backend's packed
+/// panel layout.
 ///
 /// The training path re-packs B panels on every MatMul*Into call — correct
 /// for training-sized batches where packing amortizes over many rows, but
 /// the serving hot path is m <= 32, where per-call packing dominates the
 /// GEMM itself. Building a ResidentWeights once per layer moves that work to
-/// model-attach time, so serving never repacks per request:
+/// model-attach time, so serving never repacks per request. The image is
+/// exactly the GemmPackB panel set the blocked backend would build per call,
+/// so Gemm() output is bit-identical to the blocked MatMul*Into path (same
+/// kernel, same pack, same ISA).
 ///
-///  - kFp32: the exact GemmPackB panel image the blocked backend would build
-///    per call, reused forever. Gemm() output is bit-identical to the
-///    blocked MatMul*Into path (same kernel, same pack, same ISA).
-///  - kBf16: weights stored row-major as bfloat16 (half the bandwidth),
-///    expanded on the fly, fp32 accumulate.
-///  - kInt8: weights quantized symmetrically per output channel
-///    (w_scale[j] = maxabs(W[:, j]) / 127, an all-zero channel gets scale 0
-///    and dequantizes to exactly bias[j]); activations quantized per tensor,
-///    either with the calibrated scale from a QuantizationProfile
-///    (set_activation_scale) or a dynamic per-batch absmax when none is set.
-///    int32 accumulate with a fused dequant+bias(+ReLU) epilogue.
-///
-/// Instances are immutable after Build() apart from the activation scale, so
-/// one ResidentWeights may be shared by concurrent readers as long as the
-/// scale is not mutated concurrently (serving freezes it at attach time).
+/// Immutable after Build(), so one ResidentWeights may be shared by
+/// concurrent readers.
 class ResidentWeights {
  public:
   /// Builds from row-major fp32 weights [k, n]. The source tensor is not
   /// retained.
-  static ResidentWeights Build(const Tensor& weights, Precision precision);
+  static ResidentWeights Build(const Tensor& weights);
 
-  Precision precision() const { return precision_; }
-  size_t rows() const { return rows_; }  // k
-  size_t cols() const { return cols_; }  // n
-
-  /// Bytes held by the resident representation (panels / int8 + per-channel
-  /// scales / bf16) — the per-request weight stream MemoryTracker charges.
-  size_t resident_bytes() const;
-  /// Bytes the fp32 weights stream per GEMM call on the legacy path.
-  size_t fp32_bytes() const { return rows_ * cols_ * sizeof(float); }
-
-  /// Calibrated per-tensor activation scale for the int8 path; <= 0 reverts
-  /// to dynamic per-batch absmax. Ignored by fp32/bf16.
-  void set_activation_scale(float scale) { act_scale_ = scale; }
-  float activation_scale() const { return act_scale_; }
+  /// Bytes held by the packed panel image.
+  size_t resident_bytes() const { return packed_.size() * sizeof(float); }
 
   /// out = a @ W (+ bias)(+ ReLU); a is [m, k] row-major, out [m, n].
   /// Deterministic at any thread count (k-ascending accumulation, disjoint
@@ -66,14 +43,9 @@ class ResidentWeights {
  private:
   ResidentWeights() = default;
 
-  Precision precision_ = Precision::kFp32;
-  size_t rows_ = 0;
-  size_t cols_ = 0;
-  std::vector<float> packed_fp32_;      // kFp32: GemmPackB panel image
-  std::vector<uint16_t> bf16_;          // kBf16: [k, n] row-major
-  std::vector<int8_t> int8_;            // kInt8: pair-interleaved [k/2][2n]
-  std::vector<float> channel_scale_;    // kInt8: [n] per-output-channel
-  float act_scale_ = 0.0f;              // kInt8: <= 0 -> dynamic
+  size_t rows_ = 0;  // k
+  size_t cols_ = 0;  // n
+  std::vector<float> packed_;  // GemmPackB panel image
 };
 
 }  // namespace prestroid

@@ -20,15 +20,14 @@ size_t RowGrain(size_t row_cost_flops) {
 
 constexpr size_t kTransposeBlock = 64;
 
-/// True when `ctx` routes this op family to the blocked kernel backend.
-/// Ops invoked without a context always take the scalar reference path.
-bool UseBlocked(const ExecutionContext* ctx, KernelOp op) {
-  return ctx != nullptr &&
-         ctx->kernels().backend(op) == KernelBackend::kBlocked;
+/// True when `ctx` routes its ops to the blocked kernel backend. Ops
+/// invoked without a context always take the scalar reference path.
+bool UseBlocked(const ExecutionContext* ctx) {
+  return ctx != nullptr && ctx->kernel() == KernelBackend::kBlocked;
 }
 
 /// Shared body of MatMul / MatMulBias / MatMulBiasRelu: out = a @ b with the
-/// requested fused epilogue, routed to the backend `ctx` selects for kGemm.
+/// requested fused epilogue, routed to the backend `ctx` selects.
 void MatMulEpilogueInto(Tensor* out, const Tensor& a, const Tensor& b,
                         const Tensor* bias, GemmEpilogue epilogue,
                         ExecutionContext* ctx) {
@@ -51,7 +50,7 @@ void MatMulEpilogueInto(Tensor* out, const Tensor& a, const Tensor& b,
     ctx->AddFlops(flops);
   }
   const size_t grain = RowGrain(2 * k * n);
-  if (UseBlocked(ctx, KernelOp::kGemm)) {
+  if (UseBlocked(ctx)) {
     Tensor packed = ctx->AcquireScratch({GemmPackedBSize(k, n)});
     GemmPackB(k, n, bp, /*rsb=*/n, /*csb=*/1, packed.data());
     const float* pb = packed.data();
@@ -108,7 +107,7 @@ void MatMulTransposeAAccumulate(Tensor* out, const Tensor& a, const Tensor& b,
     ctx->AddFlops(2ull * k * m * n);
   }
   const size_t grain = RowGrain(2 * k * n);
-  if (UseBlocked(ctx, KernelOp::kGemmTransposeA)) {
+  if (UseBlocked(ctx)) {
     // a is [k, m]; logical operand row i is column i of a, i.e. strides
     // (rsa=1, csa=m). The k-complete register block is added onto out in one
     // pass, so parallel chunks stay deterministic at any thread count.
@@ -159,7 +158,7 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b,
     ctx->AddFlops(2ull * m * k * n);
   }
   const size_t grain = RowGrain(2 * k * n);
-  if (UseBlocked(ctx, KernelOp::kGemmTransposeB)) {
+  if (UseBlocked(ctx)) {
     // b is [n, k]; the packed image of the logical [k, n] right operand
     // reads element (kk, j) from b[j * k + kk], i.e. strides (rsb=1, csb=k).
     Tensor packed = ctx->AcquireScratch({GemmPackedBSize(k, n)});

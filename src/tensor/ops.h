@@ -53,7 +53,7 @@ Tensor TanhT(const Tensor& a);
 // ParallelFor, and the context's flop/op counters are updated. `ctx` may be
 // null, which means serial execution with no counters.
 //
-// The GEMM-family ops dispatch through the context's KernelRegistry to one
+// The GEMM-family ops dispatch on the context's kernel backend to one
 // of two backends (tensor/kernels/): the historical `scalar` loops or the
 // register-tiled `blocked` micro-kernels. A null ctx always runs scalar.
 //

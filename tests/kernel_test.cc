@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "nn/dense.h"
@@ -9,7 +11,8 @@
 #include "tensor/aligned_buffer.h"
 #include "tensor/execution_context.h"
 #include "tensor/kernels/gemm_kernels.h"
-#include "tensor/kernels/kernel_registry.h"
+#include "tensor/kernels/kernel_backend.h"
+#include "tensor/kernels/resident_weights.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
@@ -34,38 +37,57 @@ void ExpectAllClose(const Tensor& got, const Tensor& want,
 }
 
 void Pin(ExecutionContext* ctx, KernelBackend backend) {
-  ctx->mutable_kernels()->SetAllBackends(backend);
+  ctx->set_kernel(backend);
 }
 
 // ---------------------------------------------------------------------------
-// KernelRegistry
+// Kernel backend selection
 // ---------------------------------------------------------------------------
 
-TEST(KernelRegistryTest, ParseAndNameRoundTrip) {
-  EXPECT_EQ(KernelRegistry::ParseBackend("scalar"), KernelBackend::kScalar);
-  EXPECT_EQ(KernelRegistry::ParseBackend("blocked"), KernelBackend::kBlocked);
-  EXPECT_FALSE(KernelRegistry::ParseBackend("avx9000").has_value());
-  EXPECT_FALSE(KernelRegistry::ParseBackend("").has_value());
-  EXPECT_STREQ(KernelRegistry::BackendName(KernelBackend::kScalar), "scalar");
-  EXPECT_STREQ(KernelRegistry::BackendName(KernelBackend::kBlocked),
-               "blocked");
+TEST(KernelBackendTest, ParseAndNameRoundTrip) {
+  EXPECT_EQ(ParseKernelBackend("scalar"), KernelBackend::kScalar);
+  EXPECT_EQ(ParseKernelBackend("blocked"), KernelBackend::kBlocked);
+  EXPECT_FALSE(ParseKernelBackend("avx9000").has_value());
+  EXPECT_FALSE(ParseKernelBackend("").has_value());
+  EXPECT_STREQ(KernelBackendName(KernelBackend::kScalar), "scalar");
+  EXPECT_STREQ(KernelBackendName(KernelBackend::kBlocked), "blocked");
 }
 
-TEST(KernelRegistryTest, PerOpOverridesAreIndependent) {
-  KernelRegistry reg;
-  reg.SetAllBackends(KernelBackend::kBlocked);
-  reg.SetBackend(KernelOp::kTreeConv, KernelBackend::kScalar);
-  EXPECT_EQ(reg.backend(KernelOp::kGemm), KernelBackend::kBlocked);
-  EXPECT_EQ(reg.backend(KernelOp::kGemmTransposeA), KernelBackend::kBlocked);
-  EXPECT_EQ(reg.backend(KernelOp::kTreeConv), KernelBackend::kScalar);
-}
-
-TEST(KernelRegistryTest, ContextCarriesItsOwnRegistry) {
+TEST(KernelBackendTest, ContextCarriesItsOwnBackend) {
   ExecutionContext a(1), b(1);
-  a.mutable_kernels()->SetAllBackends(KernelBackend::kScalar);
-  b.mutable_kernels()->SetAllBackends(KernelBackend::kBlocked);
-  EXPECT_EQ(a.kernels().backend(KernelOp::kGemm), KernelBackend::kScalar);
-  EXPECT_EQ(b.kernels().backend(KernelOp::kGemm), KernelBackend::kBlocked);
+  EXPECT_EQ(a.kernel(), DefaultKernelBackend());
+  a.set_kernel(KernelBackend::kScalar);
+  b.set_kernel(KernelBackend::kBlocked);
+  EXPECT_EQ(a.kernel(), KernelBackend::kScalar);
+  EXPECT_EQ(b.kernel(), KernelBackend::kBlocked);
+}
+
+TEST(KernelEnvTest, ParseKernelEnvAcceptsKnownAndUnsetValues) {
+  EXPECT_EQ(ParseKernelEnv(nullptr).ValueOrDie(), KernelBackend::kBlocked);
+  EXPECT_EQ(ParseKernelEnv("scalar").ValueOrDie(), KernelBackend::kScalar);
+  EXPECT_EQ(ParseKernelEnv("blocked").ValueOrDie(), KernelBackend::kBlocked);
+}
+
+TEST(KernelEnvTest, ParseKernelEnvRejectsTyposListingAcceptedSet) {
+  const Result<KernelBackend> parsed = ParseKernelEnv("blokced");
+  ASSERT_FALSE(parsed.ok());
+  const Status& status = parsed.status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("blokced"), std::string::npos);
+  EXPECT_NE(status.message().find("scalar"), std::string::npos);
+  EXPECT_NE(status.message().find("blocked"), std::string::npos);
+}
+
+TEST(KernelEnvDeathTest, DefaultBackendFailsOnATypo) {
+  // DefaultKernelBackend() resolves once per process; the threadsafe style
+  // re-executes the binary, so the child resolves it fresh, after the typo.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        setenv("PRESTROID_KERNEL", "blokced", 1);
+        ExecutionContext ctx(1);
+      },
+      "accepted values: scalar, blocked");
 }
 
 // ---------------------------------------------------------------------------
@@ -345,6 +367,103 @@ TEST(LayerParityTest, TreeConvBlockedBitIdenticalAcrossThreadCounts) {
     const Tensor& g4 = *p4[p].grad;
     for (size_t i = 0; i < g1.size(); ++i) ASSERT_EQ(g4[i], g1[i]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Resident (frozen) fp32 weights: bit-identical to the blocked backend
+// ---------------------------------------------------------------------------
+
+TEST(ResidentWeightsTest, Fp32IsBitIdenticalToBlockedPath) {
+  Rng rng(21);
+  ExecutionContext ctx(1);
+  Pin(&ctx, KernelBackend::kBlocked);
+  for (size_t m : {1, 8, 32}) {
+    for (size_t k : {7, 64}) {
+      for (size_t n : {5, 65}) {
+        const Tensor a = Tensor::Random({m, k}, &rng);
+        const Tensor b = Tensor::Random({k, n}, &rng);
+        const Tensor bias = Tensor::Random({n}, &rng);
+        Tensor want, got;
+        MatMulBiasInto(&want, a, b, bias, &ctx);
+        const ResidentWeights rw = ResidentWeights::Build(b);
+        EXPECT_EQ(rw.resident_bytes(), GemmPackedBSize(k, n) * sizeof(float));
+        rw.Gemm(&got, a, &bias, GemmEpilogue::kBias, &ctx);
+        ASSERT_EQ(got.shape(), want.shape());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i], want[i]) << "element " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ResidentWeightsTest, FrozenLayersMatchTheBlockedForwardOnEitherBackend) {
+  const size_t batch = 5, nodes = 9, in_dim = 7, out_dim = 11;
+  const TreeStructure structure = MakeTreeStructure(batch, nodes);
+  Rng data_rng(321);
+  const Tensor features = Tensor::Random({batch, nodes, in_dim}, &data_rng);
+  const Tensor rows = Tensor::Random({batch, in_dim}, &data_rng);
+  ExecutionContext blocked(1);
+  Pin(&blocked, KernelBackend::kBlocked);
+  Rng rng_ref(322);
+  TreeConvLayer conv_ref(in_dim, out_dim, &rng_ref);
+  Dense dense_ref(in_dim, out_dim, &rng_ref);
+  conv_ref.set_context(&blocked);
+  dense_ref.set_context(&blocked);
+  dense_ref.SetTraining(false);
+  const Tensor conv_want = conv_ref.Forward(features, structure);
+  const Tensor dense_want = dense_ref.Forward(rows);
+
+  // The frozen forward takes the blocked im2col path with pre-packed panels
+  // even on a scalar context, so it matches the blocked reference bit for
+  // bit on both backends.
+  for (KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kBlocked}) {
+    ExecutionContext ctx(1);
+    Pin(&ctx, backend);
+    Rng rng(322);
+    TreeConvLayer conv(in_dim, out_dim, &rng);
+    Dense dense(in_dim, out_dim, &rng);
+    conv.set_context(&ctx);
+    dense.set_context(&ctx);
+    dense.SetTraining(false);
+    EXPECT_EQ(conv.resident_weight_bytes(), 0u);
+    conv.FreezeWeights();
+    dense.FreezeWeights();
+    EXPECT_GT(conv.resident_weight_bytes(), 0u);
+    EXPECT_GT(dense.resident_weight_bytes(), 0u);
+    const Tensor& conv_got = conv.Forward(features, structure);
+    for (size_t i = 0; i < conv_want.size(); ++i) {
+      ASSERT_EQ(conv_got[i], conv_want[i]) << "tree conv element " << i;
+    }
+    const Tensor& dense_got = dense.Forward(rows);
+    for (size_t i = 0; i < dense_want.size(); ++i) {
+      ASSERT_EQ(dense_got[i], dense_want[i]) << "dense element " << i;
+    }
+    conv.ThawWeights();
+    dense.ThawWeights();
+    EXPECT_EQ(conv.resident_weight_bytes(), 0u);
+    EXPECT_EQ(dense.resident_weight_bytes(), 0u);
+  }
+}
+
+TEST(ResidentWeightsDeathTest, BackwardOnAFrozenLayerFails) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const TreeStructure structure = MakeTreeStructure(2, 3);
+  Rng rng(331);
+  const Tensor features = Tensor::Random({2, 3, 4}, &rng);
+  const Tensor grad = Tensor::Random({2, 3, 5}, &rng);
+  TreeConvLayer conv(4, 5, &rng);
+  conv.FreezeWeights();
+  conv.Forward(features, structure);
+  EXPECT_DEATH(conv.Backward(grad), "resident_");
+
+  const Tensor rows = Tensor::Random({2, 4}, &rng);
+  const Tensor dense_grad = Tensor::Random({2, 5}, &rng);
+  Dense dense(4, 5, &rng);
+  dense.Forward(rows);  // training-mode forward fills the input cache
+  dense.FreezeWeights();
+  EXPECT_DEATH(dense.Backward(dense_grad), "resident_");
 }
 
 // ---------------------------------------------------------------------------

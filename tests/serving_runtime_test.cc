@@ -4,6 +4,9 @@
 ///     generations on invalidation;
 ///   - batched serving matches single-query serving to 1e-5;
 ///   - deadline expiry while queued degrades per item instead of failing;
+///   - max_batch = 1 takes the same cached, fused path as larger batches;
+///   - every attached pipeline serves from frozen resident fp32 weights,
+///     bit-identical to an unfrozen copy on the blocked backend;
 ///   - queue overflow rejects with kResourceExhausted without blocking;
 ///   - multi-producer submission is safe (run under TSan in CI).
 #include <gtest/gtest.h>
@@ -390,20 +393,104 @@ TEST_F(ServingRuntimeFixture, CacheReusesFeaturesUntilInvalidated) {
   runtime.Shutdown();
 }
 
-TEST_F(ServingRuntimeFixture, LegacySingleQueryPathSkipsTheCache) {
+TEST_F(ServingRuntimeFixture, BatchOfOneTakesTheBatchedPathAndTheCache) {
+  // max_batch = 1 is not a separate serving path: it goes through the
+  // fingerprint cache and the fused forward like any other batch size, so it
+  // answers bit-identically to max_batch = 4, and a deadline that expires
+  // while queued still degrades through AdmitModelTier.
+  constexpr size_t kPlans = 6;
+  std::vector<std::vector<double>> answers;
+  for (size_t max_batch : {size_t{1}, size_t{4}}) {
+    auto estimator = MakeEstimator();
+    ServingRuntimeConfig config;
+    config.max_batch = max_batch;
+    ServingRuntime runtime(estimator.get(), config);
+
+    // Enqueued before Start, so the deadline deterministically expires while
+    // the request is still queued.
+    auto expired = runtime.Submit(SamplePlan(0), /*deadline_ms=*/1e-6);
+    ASSERT_TRUE(expired.ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(runtime.Start().ok());
+    const cost::ServingEstimate degraded = expired->get();
+    EXPECT_NE(degraded.tier, cost::ServingTier::kModel);
+    EXPECT_EQ(degraded.degradation_reason.code(), StatusCode::kOutOfRange);
+    EXPECT_TRUE(std::isfinite(degraded.cpu_minutes));
+
+    // Two passes over the same plans: the first featurizes, the second is
+    // served from the cache with bit-identical answers.
+    std::vector<double> served;
+    for (size_t pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < kPlans; ++i) {
+        const cost::ServingEstimate estimate =
+            runtime.Estimate(SamplePlan(i), 1e9).ValueOrDie();
+        ASSERT_EQ(estimate.tier, cost::ServingTier::kModel);
+        if (pass == 0) {
+          served.push_back(estimate.cpu_minutes);
+        } else {
+          EXPECT_EQ(estimate.cpu_minutes, served[i]) << "plan " << i;
+        }
+      }
+    }
+    runtime.Shutdown();
+    const cost::ServingStats stats = runtime.StatsSnapshot();
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, 2 * kPlans);
+    EXPECT_GE(stats.cache_hits, kPlans) << "max_batch " << max_batch;
+    EXPECT_GE(stats.deadline_skips, 1u);
+    EXPECT_EQ(stats.requests, 2 * kPlans + 1);
+    answers.push_back(std::move(served));
+  }
+  for (size_t i = 0; i < kPlans; ++i) {
+    EXPECT_EQ(answers[0][i], answers[1][i]) << "plan " << i;
+  }
+}
+
+TEST_F(ServingRuntimeFixture, ShardServesFrozenWeightsAfterStartSwapAndRollback) {
+  // Resident fp32 serving weights (DESIGN.md §5.8): the shard freezes its
+  // pipeline at Start(), on every swap and on every rollback, and the frozen
+  // forward answers bit for bit like an unfrozen copy of the artifact on the
+  // blocked backend.
+  auto reference_pipeline =
+      core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
+  reference_pipeline->execution_context()->set_kernel(KernelBackend::kBlocked);
+  constexpr size_t kPlans = 8;
+  std::vector<double> reference;
+  for (size_t i = 0; i < kPlans; ++i) {
+    const core::PlanFeatures features =
+        reference_pipeline->FeaturizePlan(SamplePlan(i)).ValueOrDie();
+    reference.push_back(reference_pipeline->PredictFeaturized({&features})[0]);
+  }
+  ASSERT_EQ(reference_pipeline->ResidentWeightBytes(), 0u);
+
   auto estimator = MakeEstimator();
   ServingRuntimeConfig config;
-  config.max_batch = 1;  // legacy per-request path
+  config.max_batch = 4;
   ServingRuntime runtime(estimator.get(), config);
+  EXPECT_EQ(runtime.shard().resident_weight_bytes(), 0u);  // not yet frozen
+  auto expect_frozen_and_identical = [&](const char* stage) {
+    EXPECT_GT(runtime.shard().resident_weight_bytes(), 0u) << stage;
+    for (size_t i = 0; i < kPlans; ++i) {
+      const cost::ServingEstimate estimate =
+          runtime.Estimate(SamplePlan(i), 1e9).ValueOrDie();
+      ASSERT_EQ(estimate.tier, cost::ServingTier::kModel) << stage;
+      EXPECT_EQ(estimate.cpu_minutes, reference[i]) << stage << " plan " << i;
+    }
+  };
+
   ASSERT_TRUE(runtime.Start().ok());
-  const cost::ServingEstimate a =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
-  const cost::ServingEstimate b =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
-  EXPECT_EQ(a.tier, cost::ServingTier::kModel);
-  EXPECT_EQ(a.cpu_minutes, b.cpu_minutes);
-  const cost::ServingStats stats = runtime.StatsSnapshot();
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
+  expect_frozen_and_identical("after Start");
+
+  auto previous = runtime.SwapPipeline(
+      core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie());
+  ASSERT_TRUE(previous.ok()) << previous.status().ToString();
+  expect_frozen_and_identical("after SwapPipeline");
+
+  // Thaw the retained pipeline so the rollback has to freeze it again.
+  (*previous)->ThawInferenceWeights();
+  ASSERT_EQ((*previous)->ResidentWeightBytes(), 0u);
+  auto rolled = runtime.SwapPipeline(std::move(*previous), /*is_rollback=*/true);
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+  expect_frozen_and_identical("after rollback");
   runtime.Shutdown();
 }
 

@@ -191,7 +191,7 @@ TEST(ParallelParityTest, MatMulBitIdenticalAcrossThreadCounts) {
     // The serial reference (null ctx) runs the scalar backend; pin the
     // context to scalar too so the comparison isolates thread-count effects
     // from backend choice.
-    ctx.mutable_kernels()->SetAllBackends(KernelBackend::kScalar);
+    ctx.set_kernel(KernelBackend::kScalar);
     Tensor parallel;
     MatMulInto(&parallel, a, b, &ctx);
     ASSERT_EQ(parallel.size(), serial.size());
@@ -378,7 +378,7 @@ TEST(GoldenRegressionTest, SingleThreadTrainingMatchesPreRefactorBitForBit) {
   // Explicit 1-thread context pinned to the scalar backend: must be
   // indistinguishable from the historical serial substrate.
   ExecutionContext ctx(1);
-  ctx.mutable_kernels()->SetAllBackends(KernelBackend::kScalar);
+  ctx.set_kernel(KernelBackend::kScalar);
   double losses[3];
   float pred0 = 0.0f, pred11 = 0.0f;
   RunGoldenWorkload(&ctx, losses, &pred0, &pred11);
@@ -394,7 +394,7 @@ TEST(GoldenRegressionTest, SingleThreadTrainingMatchesPreRefactorBitForBit) {
 
 TEST(GoldenRegressionTest, BlockedBackendReproducesGoldenWithin1e5Relative) {
   ExecutionContext ctx(1);
-  ctx.mutable_kernels()->SetAllBackends(KernelBackend::kBlocked);
+  ctx.set_kernel(KernelBackend::kBlocked);
   double losses[3];
   float pred0 = 0.0f, pred11 = 0.0f;
   RunGoldenWorkload(&ctx, losses, &pred0, &pred11);
