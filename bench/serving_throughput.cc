@@ -1,13 +1,14 @@
-// serving_throughput — closed-loop load generator for the concurrent batched
-// serving runtime (serve/ServingRuntime).
+// serving_throughput — closed-loop load generator for the batched serving
+// tier (serve/ShardedServingRuntime).
 //
 // Fits a Prestroid pipeline over a generated Grab-like trace, then drives the
-// runtime with multiple producer threads cycling a fixed pool of distinct
-// plans (a recurring workload, so the plan-fingerprint cache converges to a
-// high hit rate). One scenario per max-batch in {1, 8, 32, 128}; each reports
-// QPS, end-to-end latency percentiles, cache hit rate, and per-tier counts,
-// and every model-tier answer is checked against the single-query
-// PredictPlan reference (batched-vs-single parity).
+// tier with multiple producer threads cycling a fixed pool of distinct plans
+// (a recurring workload, so the plan-fingerprint cache converges to a high
+// hit rate). Three phases share one closed loop: a max-batch sweep over
+// {1, 8, 32, 128} on one shard, a shard-scaling curve, and a skewed-tenant
+// isolation mix. Each scenario reports QPS, end-to-end latency percentiles,
+// cache hit rate, and per-tier counts, and every model-tier answer is checked
+// against the single-query PredictPlan reference (batched-vs-single parity).
 //
 // Writes BENCH_serving.json (path = argv[1], default ./BENCH_serving.json)
 // via the shared bench JSON writer. PRESTROID_BENCH_SCALE=full scales up the
@@ -33,7 +34,6 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "cost/serving_estimator.h"
-#include "serve/serving_runtime.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
 #include "util/histogram.h"
@@ -51,129 +51,6 @@ constexpr size_t kWindow = 64;
 /// deadline-induced degradation, so queue wait must not trigger skips.
 constexpr double kDeadlineMs = 1e9;
 
-struct ScenarioResult {
-  size_t max_batch = 0;
-  size_t requests = 0;
-  double elapsed_s = 0.0;
-  double qps = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double cache_hit_rate = 0.0;
-  cost::ServingStats stats;
-  size_t parity_violations = 0;
-  double max_abs_err = 0.0;
-};
-
-/// One producer's share of the closed loop: claim global request indices,
-/// submit with overflow backpressure, and parity-check resolved answers.
-struct ProducerOutcome {
-  size_t parity_violations = 0;
-  double max_abs_err = 0.0;
-};
-
-ProducerOutcome RunProducer(serve::ServingRuntime& runtime,
-                            const std::vector<const plan::PlanNode*>& plans,
-                            const std::vector<double>& reference,
-                            std::atomic<size_t>& next, size_t total_requests) {
-  ProducerOutcome outcome;
-  std::deque<std::pair<size_t, std::future<cost::ServingEstimate>>> window;
-  auto settle = [&](size_t plan_index,
-                    std::future<cost::ServingEstimate> future) {
-    const cost::ServingEstimate estimate = future.get();
-    if (estimate.tier != cost::ServingTier::kModel) return;
-    const double err = std::abs(estimate.cpu_minutes - reference[plan_index]);
-    outcome.max_abs_err = std::max(outcome.max_abs_err, err);
-    if (err > 1e-5) ++outcome.parity_violations;
-  };
-  for (;;) {
-    const size_t i = next.fetch_add(1);
-    if (i >= total_requests) break;
-    const size_t plan_index = i % plans.size();
-    for (;;) {
-      auto submitted = runtime.Submit(*plans[plan_index], kDeadlineMs);
-      if (submitted.ok()) {
-        window.emplace_back(plan_index, std::move(*submitted));
-        break;
-      }
-      if (submitted.status().code() != StatusCode::kResourceExhausted ||
-          window.empty()) {
-        std::cerr << "submit failed: " << submitted.status().ToString() << "\n";
-        std::abort();
-      }
-      settle(window.front().first, std::move(window.front().second));
-      window.pop_front();
-    }
-    while (window.size() >= kWindow) {
-      settle(window.front().first, std::move(window.front().second));
-      window.pop_front();
-    }
-  }
-  while (!window.empty()) {
-    settle(window.front().first, std::move(window.front().second));
-    window.pop_front();
-  }
-  return outcome;
-}
-
-ScenarioResult RunScenario(cost::ServingEstimator& estimator,
-                           const std::vector<const plan::PlanNode*>& plans,
-                           const std::vector<double>& reference,
-                           size_t max_batch, size_t total_requests) {
-  estimator.ResetStats();
-  serve::ServingRuntimeConfig config;
-  config.max_batch = max_batch;
-  config.queue_depth = std::max<size_t>(256, 4 * max_batch);
-  config.batch_window_us = 100;
-  config.cache_entries = 2 * plans.size();
-  serve::ServingRuntime runtime(&estimator, config);
-  PRESTROID_CHECK(runtime.Start().ok());
-
-  std::atomic<size_t> next{0};
-  std::vector<ProducerOutcome> outcomes(kProducers);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      outcomes[p] =
-          RunProducer(runtime, plans, reference, next, total_requests);
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  ScenarioResult result;
-  result.max_batch = max_batch;
-  result.requests = total_requests;
-  result.elapsed_s = elapsed_s;
-  result.qps = static_cast<double>(total_requests) / elapsed_s;
-  const LatencyHistogram latency = runtime.LatencySnapshot();
-  result.p50_ms = latency.Percentile(50.0);
-  result.p95_ms = latency.Percentile(95.0);
-  result.p99_ms = latency.Percentile(99.0);
-  result.stats = runtime.StatsSnapshot();
-  const size_t lookups = result.stats.cache_hits + result.stats.cache_misses;
-  result.cache_hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(result.stats.cache_hits) /
-                         static_cast<double>(lookups);
-  for (const ProducerOutcome& outcome : outcomes) {
-    result.parity_violations += outcome.parity_violations;
-    result.max_abs_err = std::max(result.max_abs_err, outcome.max_abs_err);
-  }
-  runtime.Shutdown();
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-tier phases: shard-scaling curve and tenant isolation. The
-// max-batch sweep above is untouched; everything below drives the
-// fingerprint-routed ShardedServingRuntime instead.
-// ---------------------------------------------------------------------------
-
 struct ShardOutcome {
   size_t parity_violations = 0;
   double max_abs_err = 0.0;
@@ -186,6 +63,7 @@ struct ShardOutcome {
 
 struct ShardScenarioResult {
   size_t shards = 0;
+  size_t max_batch = 0;
   size_t requests = 0;
   double elapsed_s = 0.0;
   double qps = 0.0;
@@ -276,7 +154,8 @@ ShardScenarioResult RunShardScenario(
     const std::vector<workload::QueryRecord>& records,
     const std::string& artifact_path,
     const std::vector<const plan::PlanNode*>& plans,
-    const std::vector<double>& reference, size_t shards, size_t total_requests,
+    const std::vector<double>& reference, size_t shards, size_t max_batch,
+    size_t total_requests,
     const std::function<serve::TenantId(size_t)>& tenant_of,
     const std::vector<std::pair<serve::TenantId, serve::TenantQuota>>&
         quotas = {}) {
@@ -287,8 +166,8 @@ ShardScenarioResult RunShardScenario(
 
   serve::ShardedRuntimeConfig config;
   config.shards = shards;
-  config.shard.max_batch = 32;
-  config.shard.queue_depth = 256;
+  config.shard.max_batch = max_batch;
+  config.shard.queue_depth = std::max<size_t>(256, 4 * max_batch);
   config.shard.batch_window_us = 100;
   config.shard.cache_entries = 2 * plans.size();
   serve::ShardedServingRuntime runtime(raw, config);
@@ -315,6 +194,7 @@ ShardScenarioResult RunShardScenario(
 
   ShardScenarioResult result;
   result.shards = shards;
+  result.max_batch = max_batch;
   result.requests = total_requests;
   result.elapsed_s = elapsed_s;
   result.qps = static_cast<double>(total_requests) / elapsed_s;
@@ -370,10 +250,6 @@ int Run(const std::string& out_path, size_t max_shards) {
   const std::string artifact_path = out_path + ".model.tmp";
   PRESTROID_CHECK((*pipeline)->SaveFile(artifact_path).ok());
 
-  cost::ServingEstimator estimator;
-  PRESTROID_CHECK(estimator.FitFallbacks(data.records).ok());
-  estimator.AttachPipeline(std::move(*pipeline));
-
   // Recurring workload: a fixed pool of distinct plans, cycled by every
   // producer. The first cycle populates the cache; the steady state is hits.
   // The pool is the trace's LARGEST plans — recurring heavy analytic queries
@@ -392,17 +268,19 @@ int Run(const std::string& out_path, size_t max_shards) {
   reference.reserve(num_distinct);
   for (size_t i = 0; i < num_distinct; ++i) {
     plans.push_back(data.records[by_size[i]].plan.get());
-    auto single = estimator.pipeline()->PredictPlan(*plans.back());
+    auto single = (*pipeline)->PredictPlan(*plans.back());
     PRESTROID_CHECK(single.ok());
     reference.push_back(*single);
   }
 
-  const size_t batch_sizes[] = {1, 8, 32, 128};
-  std::vector<ScenarioResult> results;
-  for (size_t max_batch : batch_sizes) {
-    results.push_back(RunScenario(estimator, plans, reference, max_batch,
-                                  total_requests));
-    const ScenarioResult& r = results.back();
+  // Phase A: max-batch sweep on one shard.
+  const auto single_tenant = [](size_t) { return serve::TenantId{0}; };
+  std::vector<ShardScenarioResult> results;
+  for (size_t max_batch : {size_t{1}, size_t{8}, size_t{32}, size_t{128}}) {
+    results.push_back(RunShardScenario(data.records, artifact_path, plans,
+                                       reference, /*shards=*/1, max_batch,
+                                       total_requests, single_tenant));
+    const ShardScenarioResult& r = results.back();
     std::cout << StrFormat(
         "max-batch %zu: %.0f qps, p50=%.3fms p95=%.3fms p99=%.3fms, "
         "cache-hit=%.1f%%, model=%zu parity-violations=%zu\n",
@@ -411,7 +289,7 @@ int Run(const std::string& out_path, size_t max_shards) {
   }
 
   double speedup_32_over_1 = 0.0;
-  for (const ScenarioResult& r : results) {
+  for (const ShardScenarioResult& r : results) {
     if (r.max_batch == 32 && results.front().max_batch == 1) {
       speedup_32_over_1 = r.qps / results.front().qps;
     }
@@ -425,12 +303,11 @@ int Run(const std::string& out_path, size_t max_shards) {
   // hardware thread the curve is flat — the JSON records hardware_threads so
   // consumers can tell which regime produced it.
   std::vector<ShardScenarioResult> scaling;
-  const auto single_tenant = [](size_t) { return serve::TenantId{0}; };
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     if (shards > max_shards) continue;
     scaling.push_back(RunShardScenario(data.records, artifact_path, plans,
-                                       reference, shards, total_requests,
-                                       single_tenant));
+                                       reference, shards, /*max_batch=*/32,
+                                       total_requests, single_tenant));
     const ShardScenarioResult& r = scaling.back();
     std::cout << StrFormat(
         "shards %zu: %.0f qps, p50=%.3fms p95=%.3fms p99=%.3fms, "
@@ -450,13 +327,13 @@ int Run(const std::string& out_path, size_t max_shards) {
   const size_t light_requests = total_requests * 3 / 10;
   ShardScenarioResult isolated = RunShardScenario(
       data.records, artifact_path, plans, reference, isolation_shards,
-      light_requests, [](size_t) { return kLight; });
+      /*max_batch=*/32, light_requests, [](size_t) { return kLight; });
   const std::vector<std::pair<serve::TenantId, serve::TenantQuota>> quotas = {
       {kHeavy, serve::TenantQuota{/*max_in_flight=*/8,
                                   /*max_scratch_bytes=*/0}}};
   ShardScenarioResult mixed = RunShardScenario(
       data.records, artifact_path, plans, reference, isolation_shards,
-      total_requests,
+      /*max_batch=*/32, total_requests,
       [](size_t i) { return i % 10 < 7 ? kHeavy : kLight; }, quotas);
   const double isolated_p95 = TenantP95(isolated.outcomes, kLight);
   const double mixed_light_p95 = TenantP95(mixed.outcomes, kLight);
@@ -489,7 +366,7 @@ int Run(const std::string& out_path, size_t max_shards) {
   json.Field("requests_per_scenario", total_requests);
   json.Key("scenarios");
   json.BeginArray();
-  for (const ScenarioResult& r : results) {
+  for (const ShardScenarioResult& r : results) {
     json.BeginObject();
     json.Field("max_batch", r.max_batch);
     json.FieldDouble("elapsed_s", r.elapsed_s);
@@ -562,7 +439,9 @@ int Run(const std::string& out_path, size_t max_shards) {
   std::cout << "wrote " << out_path << "\n";
 
   size_t total_violations = 0;
-  for (const ScenarioResult& r : results) total_violations += r.parity_violations;
+  for (const ShardScenarioResult& r : results) {
+    total_violations += r.parity_violations;
+  }
   for (const ShardScenarioResult& r : scaling) {
     total_violations += r.parity_violations;
   }

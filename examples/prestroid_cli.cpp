@@ -14,7 +14,9 @@
 //                 [--queue-depth 256] [--cache-entries 1024]
 //                 [--shards 1] [--tenants 1]
 //                 [--tenant-quota T:INFLIGHT[:BYTES][,T:...]]
-//                 [--memory-budget BYTES]
+//                 [--memory-budget BYTES] [--retrain-interval N]
+//                 [--listen HOST:PORT]
+//   prestroid_cli estimate  --connect HOST:PORT --trace /tmp/new.txt
 //   prestroid_cli explain   --trace /tmp/trace.txt [--index 0]
 //
 // gen-trace writes the on-disk trace format (SQL + EXPLAIN text + profiler
@@ -22,14 +24,18 @@
 // model artifact and the periodic training snapshots are written atomically,
 // and --resume continues an interrupted run from the last snapshot); predict
 // loads a saved pipeline and scores a trace's plans without retraining;
-// serve runs the concurrent batched ServingRuntime over the fault-tolerant
-// ServingEstimator — bounded admission queue, dynamic micro-batching,
-// plan-fingerprint feature caching, plan validation, per-request deadline,
-// and the model -> log-binning -> global-mean degradation chain — and
-// reports which tier answered each query; with --retrain-interval it also
-// runs the continual-learning loop (shadow retraining, drift detection,
-// shadow-validated zero-downtime hot-swap with automatic rollback); explain
-// pretty-prints one record's logical plan and O-T-P statistics.
+// serve runs the batched serving tier (serve::ShardedServingRuntime, one
+// shard by default) over the fault-tolerant ServingEstimator — governor,
+// tenant-quota and memory admission, bounded shard queues, dynamic
+// micro-batching, plan-fingerprint feature caching, per-request deadline,
+// and the model -> log-binning -> global-mean degradation chain. Without
+// --listen it replays the trace and reports which tier answered each query;
+// with --listen it answers POST /estimate over HTTP until SIGTERM. In either
+// mode --retrain-interval runs the continual-learning loop (shadow
+// retraining, drift detection, shadow-validated zero-downtime hot-swap with
+// automatic rollback). estimate is the resilient client for a --listen
+// server; explain pretty-prints one record's logical plan and O-T-P
+// statistics.
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -58,7 +64,6 @@
 #include "net/resilient_client.h"
 #include "net/signal_handler.h"
 #include "serve/model_manager.h"
-#include "serve/serving_runtime.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
 #include "util/histogram.h"
@@ -339,332 +344,218 @@ bool ApplyTenantQuotas(const std::string& spec,
   return true;
 }
 
-/// Multi-shard serve path (--shards N, N > 1): one estimator + model
-/// instance per shard behind the fingerprint-routed, tenant-quota'd
-/// ShardedServingRuntime. Queries are spread round-robin over --tenants K
-/// synthetic tenants so the quota/admission path is exercised. --shards 1
-/// stays on the original single-runtime code path in Serve(), preserving its
-/// behavior bit for bit.
-int ServeSharded(const Flags& flags, size_t shards) {
-  const std::string model_path = flags.Get("model", "");
-  const std::string trace_path = flags.Get("trace", "");
-  auto ingested = IngestTrace(flags, trace_path);
-  if (!ingested.ok()) return Fail(ingested.status());
-  std::vector<workload::QueryRecord>& records = ingested->records;
+/// The continual-learning loop behind --retrain-interval N: served queries
+/// become labeled observations, a shadow trainer periodically retrains a
+/// candidate on the freshest window, and the model manager shadow-validates
+/// and hot-swaps it into the running tier — with drift detection, probation,
+/// and automatic rollback. Driven from one thread at a time.
+class ContinualLoop {
+ public:
+  /// One served query with its measured cost (record.metrics).
+  struct Observation {
+    const workload::QueryRecord* record;
+    cost::ServingEstimate estimate;
+  };
 
-  cost::ServingLimits limits;
-  limits.default_deadline_ms =
-      static_cast<double>(flags.GetInt("deadline-ms", 50));
-  std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
-  std::vector<cost::ServingEstimator*> raw_estimators;
-  for (size_t s = 0; s < shards; ++s) {
-    auto estimator = std::make_unique<cost::ServingEstimator>(limits);
-    Status fitted = estimator->FitFallbacks(records);
-    if (!fitted.ok()) return Fail(fitted);
-    if (!model_path.empty() && !flags.Has("no-model")) {
-      auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
-      if (pipeline.ok()) {
-        estimator->AttachPipeline(std::move(*pipeline));
-      } else if (pipeline.status().code() == StatusCode::kDataCorruption) {
-        return Fail(pipeline.status());
-      } else if (s == 0) {
-        std::cerr << "warning: model tier unavailable ("
-                  << pipeline.status().ToString() << "); serving degraded\n";
-      }
-    }
-    raw_estimators.push_back(estimator.get());
-    estimators.push_back(std::move(estimator));
+  ContinualLoop(const Flags& flags, size_t retrain_interval,
+                serve::ShardedServingRuntime* runtime)
+      : manager_(runtime, ManagerConfig(flags)),
+        trainer_(TrainerConfig(flags, retrain_interval,
+                               runtime->config().shard.plan_limits)) {}
+
+  size_t retrain_interval() const {
+    return trainer_.config().retrain_interval;
   }
 
-  serve::ShardedRuntimeConfig config;
-  config.shards = shards;
-  config.shard.queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 256));
-  config.shard.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
-  config.shard.batch_window_us =
-      static_cast<size_t>(flags.GetInt("batch-window-us", 200));
-  config.shard.cache_entries =
-      static_cast<size_t>(flags.GetInt("cache-entries", 1024));
-  config.shard.plan_limits = PlanLimitsFromFlags(flags);
-  config.memory_budget_bytes =
-      static_cast<size_t>(flags.GetInt("memory-budget", 0));
-  serve::ShardedServingRuntime runtime(raw_estimators, config);
-  if (!ApplyTenantQuotas(flags.Get("tenant-quota", ""), runtime)) return 2;
-  Status started = runtime.Start();
-  if (!started.ok()) return Fail(started);
+  /// Observes each labeled query and buffers it for retraining; then, if a
+  /// retrain is due, trains a candidate and tries to promote it.
+  void Feed(const std::vector<Observation>& observations) {
+    for (const Observation& obs : observations) {
+      manager_.ObserveLabeled(*obs.record->plan, obs.estimate.cpu_minutes,
+                              obs.record->metrics.total_cpu_minutes,
+                              obs.estimate.tier);
+      trainer_.AddRecord(*obs.record);
+    }
+    if (!trainer_.RetrainDue()) return;
+    auto candidate = trainer_.RetrainCandidate();
+    if (!candidate.ok()) {
+      std::cerr << "retrain failed (active model keeps serving): "
+                << candidate.status().ToString() << "\n";
+      return;
+    }
+    auto report = manager_.TryPromote(candidate->artifact_path);
+    if (!report.ok()) {
+      std::cerr << "promotion failed (active model keeps serving): "
+                << report.status().ToString() << "\n";
+      return;
+    }
+    std::cout << StrFormat(
+        "candidate %s: %s (q-error p95 candidate=%.2f active=%.2f over "
+        "%zu replayed, version=%llu)\n",
+        candidate->artifact_path.c_str(),
+        serve::ModelLifecycleToString(report->outcome), report->candidate_p95,
+        report->active_p95, report->replay_size,
+        static_cast<unsigned long long>(report->version));
+  }
 
+  cost::ServingStats MergedStats() const { return manager_.MergedStats(); }
+
+ private:
+  static serve::ModelManagerConfig ManagerConfig(const Flags& flags) {
+    serve::ModelManagerConfig config;
+    config.drift_threshold = flags.GetDouble("drift-threshold", 2.0);
+    config.probation_window =
+        static_cast<size_t>(flags.GetInt("probation-window", 64));
+    config.rollback_qerr = flags.GetDouble("rollback-qerr", 2.0);
+    return config;
+  }
+
+  static core::ContinualTrainerConfig TrainerConfig(
+      const Flags& flags, size_t retrain_interval,
+      const plan::PlanLimits& plan_limits) {
+    core::ContinualTrainerConfig config;
+    config.pipeline.use_subtrees = !flags.Has("full");
+    config.pipeline.sampler.node_limit =
+        static_cast<size_t>(flags.GetInt("n", 15));
+    config.pipeline.num_subtrees = static_cast<size_t>(flags.GetInt("k", 9));
+    config.pipeline.word2vec.dim = static_cast<size_t>(flags.GetInt("pf", 32));
+    config.pipeline.word2vec.min_count = 2;
+    config.pipeline.conv_channels.assign(
+        3, static_cast<size_t>(flags.GetInt("conv", 32)));
+    config.pipeline.dense_units = {
+        static_cast<size_t>(flags.GetInt("conv", 32)), 16};
+    config.pipeline.learning_rate = 3e-3f;
+    config.pipeline.plan_limits = plan_limits;
+    config.train.batch_size = 32;
+    config.train.max_epochs =
+        static_cast<size_t>(flags.GetInt("retrain-epochs", 10));
+    config.train.patience = 4;
+    config.retrain_interval = retrain_interval;
+    const std::string model_path = flags.Get("model", "");
+    config.candidate_path = flags.Get(
+        "candidate",
+        (model_path.empty() ? std::string("model.ppl") : model_path) +
+            ".candidate");
+    // Interrupted retrains resume from their last snapshot instead of
+    // restarting (the existing crash-safe training machinery).
+    config.train.snapshot_path = config.candidate_path + ".ckpt";
+    config.train.snapshot_every = 5;
+    config.train.resume = true;
+    return config;
+  }
+
+  serve::ModelManager manager_;
+  core::ContinualTrainer trainer_;
+};
+
+/// Offline replay (serve without --listen): submits the trace's first
+/// --limit plans, spread round-robin over --tenants synthetic tenants, and
+/// prints one row per query.
+///
+/// Plans go in a window at a time so the micro-batcher sees batches. On
+/// kResourceExhausted (full queue, tenant quota, or memory budget) the
+/// oldest outstanding request is drained and the submit retried —
+/// closed-loop backpressure. A shed with nothing outstanding is terminal for
+/// that query (its quota cannot free itself): the row is marked "shed" and
+/// the run continues. A governor reject (kInvalidArgument) marks the row
+/// "rejected". With a continual loop the window is the retrain interval, and
+/// each window's answers are fed back as labeled observations — the trace's
+/// measured cost is the ground truth that in production arrives once the
+/// query finishes executing.
+int ReplayTrace(const Flags& flags,
+                const std::vector<workload::QueryRecord>& records,
+                serve::ShardedServingRuntime& runtime, ContinualLoop* loop) {
   const size_t tenants =
       std::max<size_t>(1, static_cast<size_t>(flags.GetInt("tenants", 1)));
   const size_t limit = std::min<size_t>(
       records.size(), static_cast<size_t>(flags.GetInt("limit", 20)));
-
-  // Same closed-loop backpressure as the single-runtime path: on
-  // kResourceExhausted (queue, quota, or memory budget), drain the oldest
-  // outstanding request and retry; with nothing outstanding the shed is
-  // terminal for that query (its quota cannot free itself).
+  const size_t window = loop != nullptr ? loop->retrain_interval() : limit;
   std::vector<cost::ServingEstimate> estimates(limit);
-  std::vector<std::string> rejected(limit);
-  std::deque<std::pair<size_t, std::future<cost::ServingEstimate>>> in_flight;
-  for (size_t i = 0; i < limit; ++i) {
-    const auto tenant = static_cast<serve::TenantId>(i % tenants);
-    for (;;) {
-      auto submitted = runtime.Submit(*records[i].plan, 0.0, tenant);
-      if (submitted.ok()) {
-        in_flight.emplace_back(i, std::move(*submitted));
-        break;
-      }
-      if (submitted.status().code() == StatusCode::kInvalidArgument) {
-        std::cerr << "q" << i << " rejected: " << submitted.status().message()
-                  << "\n";
-        rejected[i] = "rejected";
-        break;
-      }
-      if (submitted.status().code() != StatusCode::kResourceExhausted) {
-        return Fail(submitted.status());
-      }
-      if (in_flight.empty()) {
-        std::cerr << "q" << i << " shed: " << submitted.status().message()
-                  << "\n";
-        rejected[i] = "shed";
-        break;
-      }
+  std::vector<std::string> refused(limit);
+  for (size_t window_start = 0; window_start < limit;
+       window_start += window) {
+    const size_t window_end = std::min(limit, window_start + window);
+    std::deque<std::pair<size_t, std::future<cost::ServingEstimate>>> in_flight;
+    auto settle_oldest = [&] {
       estimates[in_flight.front().first] = in_flight.front().second.get();
       in_flight.pop_front();
+    };
+    for (size_t i = window_start; i < window_end; ++i) {
+      const auto tenant = static_cast<serve::TenantId>(i % tenants);
+      for (;;) {
+        auto submitted = runtime.Submit(*records[i].plan, 0.0, tenant);
+        if (submitted.ok()) {
+          in_flight.emplace_back(i, std::move(*submitted));
+          break;
+        }
+        const StatusCode code = submitted.status().code();
+        if (code == StatusCode::kResourceExhausted && !in_flight.empty()) {
+          settle_oldest();
+          continue;
+        }
+        if (code == StatusCode::kInvalidArgument) {
+          refused[i] = "rejected";
+        } else if (code == StatusCode::kResourceExhausted) {
+          refused[i] = "shed";
+        } else {
+          return Fail(submitted.status());
+        }
+        std::cerr << "q" << i << " " << refused[i] << ": "
+                  << submitted.status().message() << "\n";
+        break;
+      }
     }
-  }
-  while (!in_flight.empty()) {
-    estimates[in_flight.front().first] = in_flight.front().second.get();
-    in_flight.pop_front();
+    while (!in_flight.empty()) settle_oldest();
+    if (loop == nullptr) continue;
+    std::vector<ContinualLoop::Observation> observations;
+    for (size_t i = window_start; i < window_end; ++i) {
+      if (refused[i].empty()) {
+        observations.push_back({&records[i], estimates[i]});
+      }
+    }
+    loop->Feed(observations);
   }
 
   TablePrinter table({"query", "tenant", "estimate (min)", "actual (min)",
                       "tier", "latency (ms)"});
   for (size_t i = 0; i < limit; ++i) {
+    const std::string query = StrFormat("q%zu", i);
     const std::string tenant = StrFormat("%zu", i % tenants);
-    if (!rejected[i].empty()) {
-      table.AddRow({StrFormat("q%zu", i), tenant, "-",
-                    StrFormat("%.2f", records[i].metrics.total_cpu_minutes),
-                    rejected[i], "-"});
+    const std::string actual =
+        StrFormat("%.2f", records[i].metrics.total_cpu_minutes);
+    if (!refused[i].empty()) {
+      table.AddRow({query, tenant, "-", actual, refused[i], "-"});
       continue;
     }
-    table.AddRow({StrFormat("q%zu", i), tenant,
-                  StrFormat("%.2f", estimates[i].cpu_minutes),
-                  StrFormat("%.2f", records[i].metrics.total_cpu_minutes),
-                  cost::ServingTierToString(estimates[i].tier),
+    table.AddRow({query, tenant, StrFormat("%.2f", estimates[i].cpu_minutes),
+                  actual, cost::ServingTierToString(estimates[i].tier),
                   StrFormat("%.3f", estimates[i].latency_ms)});
   }
   table.Print(std::cout);
-
-  const cost::ServingStats stats = runtime.StatsSnapshot();
-  const LatencyHistogram latency = runtime.LatencySnapshot();
-  const MemoryTrackerStats memory = runtime.MemorySnapshot();
-  const std::vector<serve::TenantCounters> tenant_counters =
-      runtime.TenantSnapshot();
   runtime.Shutdown();
-
-  std::cout << StrFormat(
-      "tiers: model=%zu log-binning=%zu global-mean=%zu | "
-      "rejects=%zu deadline-skips=%zu deadline-misses=%zu model-errors=%zu\n",
-      stats.by_tier[0], stats.by_tier[1], stats.by_tier[2],
-      stats.validation_rejects, stats.deadline_skips, stats.deadline_misses,
-      stats.model_errors);
-  const size_t cache_lookups = stats.cache_hits + stats.cache_misses;
-  std::cout << StrFormat(
-      "queue: rejected=%zu limit-rejects=%zu quarantined=%zu | cache: "
-      "hits=%zu misses=%zu evictions=%zu hit-rate=%.1f%%\n",
-      stats.rejected_requests, stats.limit_rejects,
-      ingested->stats.quarantined, stats.cache_hits, stats.cache_misses,
-      stats.cache_evictions,
-      cache_lookups == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(stats.cache_hits) /
-                static_cast<double>(cache_lookups));
-  std::cout << StrFormat(
-      "latency: p50=%.3fms p95=%.3fms p99=%.3fms (n=%zu)\n",
-      latency.Percentile(50.0), latency.Percentile(95.0),
-      latency.Percentile(99.0), latency.count());
-  std::cout << StrFormat(
-      "shards: %zu | tenants: %zu quota-sheds=%zu memory-denied=%zu | "
-      "memory: in-use=%zuB peak=%zuB\n",
-      shards, tenants, stats.quota_sheds, stats.memory_denied,
-      memory.in_use_bytes, memory.peak_bytes);
-  for (const serve::TenantCounters& t : tenant_counters) {
-    std::cout << StrFormat(
-        "  tenant %u: admitted=%zu quota-sheds=%zu\n",
-        static_cast<unsigned>(t.tenant), t.admitted, t.quota_sheds);
-  }
   return 0;
 }
 
-/// Network serve path (serve --listen HOST:PORT): the sharded serving tier
-/// behind the poll-based HTTP front end (DESIGN.md §5.9). Composes with
-/// --shards/--tenants/--tenant-quota/--memory-budget and, via
-/// --retrain-interval, the continual-learning loop — served queries that
-/// arrive with an X-Actual-Cpu-Minutes label feed a background retrain
-/// thread that shadow-trains and hot-swaps candidates while the server keeps
-/// answering. SIGTERM/SIGINT triggers a graceful drain: stop accepting,
-/// flush in-flight batches, print the final stats summary, exit 0.
-int ServeHttp(const Flags& flags) {
-  const std::string model_path = flags.Get("model", "");
-  const std::string trace_path = flags.Get("trace", "");
-  std::string host;
-  uint16_t port = 0;
-  Status listen_spec = net::ParseHostPort(flags.Get("listen", ""), &host, &port);
-  if (!listen_spec.ok()) return Fail(listen_spec);
-
-  auto ingested = IngestTrace(flags, trace_path);
-  if (!ingested.ok()) return Fail(ingested.status());
-  std::vector<workload::QueryRecord>& records = ingested->records;
-
-  const size_t shards =
-      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("shards", 1)));
-  cost::ServingLimits limits;
-  limits.default_deadline_ms =
-      static_cast<double>(flags.GetInt("deadline-ms", 50));
-  std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
-  std::vector<cost::ServingEstimator*> raw_estimators;
-  for (size_t s = 0; s < shards; ++s) {
-    auto estimator = std::make_unique<cost::ServingEstimator>(limits);
-    Status fitted = estimator->FitFallbacks(records);
-    if (!fitted.ok()) return Fail(fitted);
-    if (!model_path.empty() && !flags.Has("no-model")) {
-      auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
-      if (pipeline.ok()) {
-        estimator->AttachPipeline(std::move(*pipeline));
-      } else if (pipeline.status().code() == StatusCode::kDataCorruption) {
-        return Fail(pipeline.status());
-      } else if (s == 0) {
-        std::cerr << "warning: model tier unavailable ("
-                  << pipeline.status().ToString() << "); serving degraded\n";
-      }
-    }
-    raw_estimators.push_back(estimator.get());
-    estimators.push_back(std::move(estimator));
-  }
-
-  serve::ShardedRuntimeConfig config;
-  config.shards = shards;
-  config.shard.queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 256));
-  config.shard.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
-  config.shard.batch_window_us =
-      static_cast<size_t>(flags.GetInt("batch-window-us", 200));
-  config.shard.cache_entries =
-      static_cast<size_t>(flags.GetInt("cache-entries", 1024));
-  config.shard.plan_limits = PlanLimitsFromFlags(flags);
-  config.memory_budget_bytes =
-      static_cast<size_t>(flags.GetInt("memory-budget", 0));
-  serve::ShardedServingRuntime runtime(raw_estimators, config);
-  if (!ApplyTenantQuotas(flags.Get("tenant-quota", ""), runtime)) return 2;
-  Status started = runtime.Start();
-  if (!started.ok()) return Fail(started);
-
-  // Continual mode over the wire: labeled completions (requests carrying
-  // X-Actual-Cpu-Minutes) flow through a queue into a single background
-  // thread that owns the ModelManager + ContinualTrainer — keeping all
-  // lifecycle machinery single-threaded while the event loop keeps serving.
-  const size_t retrain_interval =
-      static_cast<size_t>(flags.GetInt("retrain-interval", 0));
-  std::unique_ptr<serve::ModelManager> manager;
-  std::unique_ptr<core::ContinualTrainer> trainer;
-  struct LabeledObs {
-    plan::PlanNodePtr plan;
-    cost::ServingEstimate estimate;
-    double actual = 0.0;
-  };
-  std::mutex obs_mu;
-  std::condition_variable obs_cv;
-  std::deque<LabeledObs> obs_queue;
-  bool obs_stop = false;
-  std::thread retrain_thread;
-  if (retrain_interval > 0) {
-    serve::ModelManagerConfig mm_config;
-    mm_config.drift_threshold = flags.GetDouble("drift-threshold", 2.0);
-    mm_config.probation_window =
-        static_cast<size_t>(flags.GetInt("probation-window", 64));
-    mm_config.rollback_qerr = flags.GetDouble("rollback-qerr", 2.0);
-    manager = std::make_unique<serve::ModelManager>(&runtime, mm_config);
-
-    core::ContinualTrainerConfig ct_config;
-    ct_config.pipeline.use_subtrees = !flags.Has("full");
-    ct_config.pipeline.sampler.node_limit =
-        static_cast<size_t>(flags.GetInt("n", 15));
-    ct_config.pipeline.num_subtrees =
-        static_cast<size_t>(flags.GetInt("k", 9));
-    ct_config.pipeline.word2vec.dim =
-        static_cast<size_t>(flags.GetInt("pf", 32));
-    ct_config.pipeline.word2vec.min_count = 2;
-    ct_config.pipeline.conv_channels.assign(
-        3, static_cast<size_t>(flags.GetInt("conv", 32)));
-    ct_config.pipeline.dense_units = {
-        static_cast<size_t>(flags.GetInt("conv", 32)), 16};
-    ct_config.pipeline.learning_rate = 3e-3f;
-    ct_config.pipeline.plan_limits = config.shard.plan_limits;
-    ct_config.train.batch_size = 32;
-    ct_config.train.max_epochs =
-        static_cast<size_t>(flags.GetInt("retrain-epochs", 10));
-    ct_config.train.patience = 4;
-    ct_config.retrain_interval = retrain_interval;
-    ct_config.candidate_path = flags.Get(
-        "candidate",
-        (model_path.empty() ? std::string("model.ppl") : model_path) +
-            ".candidate");
-    ct_config.train.snapshot_path = ct_config.candidate_path + ".ckpt";
-    ct_config.train.snapshot_every = 5;
-    ct_config.train.resume = true;
-    trainer = std::make_unique<core::ContinualTrainer>(ct_config);
-
-    retrain_thread = std::thread([&]() {
-      for (;;) {
-        LabeledObs obs;
-        {
-          std::unique_lock<std::mutex> lock(obs_mu);
-          obs_cv.wait(lock,
-                      [&]() { return obs_stop || !obs_queue.empty(); });
-          if (obs_queue.empty()) return;  // stop and drained
-          obs = std::move(obs_queue.front());
-          obs_queue.pop_front();
-        }
-        manager->ObserveLabeled(*obs.plan, obs.estimate.cpu_minutes,
-                                obs.actual, obs.estimate.tier);
-        workload::QueryRecord record;
-        record.plan = std::move(obs.plan);
-        record.metrics.total_cpu_minutes = obs.actual;
-        trainer->AddRecord(record);
-        if (!trainer->RetrainDue()) continue;
-        auto candidate = trainer->RetrainCandidate();
-        if (!candidate.ok()) {
-          std::cerr << "retrain failed (active model keeps serving): "
-                    << candidate.status().ToString() << "\n";
-          continue;
-        }
-        auto report = manager->TryPromote(candidate->artifact_path);
-        if (!report.ok()) {
-          std::cerr << "promotion failed (active model keeps serving): "
-                    << report.status().ToString() << "\n";
-          continue;
-        }
-        std::cout << StrFormat(
-            "candidate %s: %s (q-error p95 candidate=%.2f active=%.2f over "
-            "%zu replayed, version=%llu)\n",
-            candidate->artifact_path.c_str(),
-            serve::ModelLifecycleToString(report->outcome),
-            report->candidate_p95, report->active_p95, report->replay_size,
-            static_cast<unsigned long long>(report->version));
-      }
-    });
-  }
-
+/// Network mode (serve --listen HOST:PORT): the serving tier behind the
+/// poll-based HTTP front end (DESIGN.md §5.9). With a continual loop, served
+/// queries that arrive with an X-Actual-Cpu-Minutes label flow through a
+/// queue into one background thread that feeds the loop — keeping all
+/// lifecycle machinery single-threaded while the event loop keeps answering.
+/// SIGTERM/SIGINT triggers a graceful drain: stop accepting, flush in-flight
+/// batches, then return so the caller prints the summary and exits 0.
+int ListenAndServe(const Flags& flags, const std::string& host, uint16_t port,
+                   serve::ShardedServingRuntime& runtime, ContinualLoop* loop) {
   net::SignalHandler signals;
   Status installed = signals.Install();
   if (!installed.ok()) return Fail(installed);
 
+  const plan::PlanLimits& plan_limits = runtime.config().shard.plan_limits;
   net::HttpServerConfig server_config;
   server_config.host = host;
   server_config.port = port;
   server_config.max_connections =
       static_cast<size_t>(flags.GetInt("max-connections", 256));
-  server_config.max_body_bytes = config.shard.plan_limits.max_plan_bytes;
+  server_config.max_body_bytes = plan_limits.max_plan_bytes;
   server_config.drain_timeout_ms =
       static_cast<size_t>(flags.GetInt("drain-timeout-ms", 5000));
   server_config.header_timeout_ms =
@@ -676,32 +567,52 @@ int ServeHttp(const Flags& flags) {
   if (!bound.ok()) return Fail(bound);
 
   net::EstimateServiceConfig service_config;
-  service_config.plan_limits = config.shard.plan_limits;
+  service_config.plan_limits = plan_limits;
   net::EstimateService service(&runtime, service_config);
-  if (retrain_interval > 0) {
+
+  std::mutex obs_mu;
+  std::condition_variable obs_cv;
+  std::deque<std::pair<workload::QueryRecord, cost::ServingEstimate>> obs_queue;
+  bool obs_stop = false;
+  std::thread retrain_thread;
+  if (loop != nullptr) {
     service.SetLabeledObservationHook(
         [&](plan::PlanNodePtr plan, const cost::ServingEstimate& estimate,
             double actual) {
+          workload::QueryRecord record;
+          record.plan = std::move(plan);
+          record.metrics.total_cpu_minutes = actual;
           {
             std::lock_guard<std::mutex> lock(obs_mu);
-            obs_queue.push_back(
-                LabeledObs{std::move(plan), estimate, actual});
+            obs_queue.emplace_back(std::move(record), estimate);
           }
           obs_cv.notify_one();
         });
+    retrain_thread = std::thread([&]() {
+      for (;;) {
+        std::pair<workload::QueryRecord, cost::ServingEstimate> obs;
+        {
+          std::unique_lock<std::mutex> lock(obs_mu);
+          obs_cv.wait(lock, [&]() { return obs_stop || !obs_queue.empty(); });
+          if (obs_queue.empty()) return;  // stop and drained
+          obs = std::move(obs_queue.front());
+          obs_queue.pop_front();
+        }
+        loop->Feed({{&obs.first, obs.second}});
+      }
+    });
   }
   service.RegisterRoutes(&server);
 
   std::cout << StrFormat(
       "serving on %s:%u (shards=%zu, max-connections=%zu%s)\n", host.c_str(),
-      static_cast<unsigned>(server.port()), shards,
+      static_cast<unsigned>(server.port()), runtime.ShardCount(),
       server_config.max_connections,
-      retrain_interval > 0 ? ", continual retraining on" : "");
+      loop != nullptr ? ", continual retraining on" : "");
   std::cout << "POST /estimate | GET /healthz | GET /metrics | "
                "SIGTERM drains\n";
 
   Status ran = server.Run(signals.drain_fd());
-  if (!ran.ok()) return Fail(ran);
 
   // Shutdown order matters: stop the retrain thread (it borrows nothing from
   // the runtime), then Shutdown() the runtime (resolves every queued
@@ -714,13 +625,11 @@ int ServeHttp(const Flags& flags) {
     obs_cv.notify_one();
     retrain_thread.join();
   }
-  const cost::ServingStats stats =
-      manager == nullptr ? runtime.StatsSnapshot() : manager->MergedStats();
-  const LatencyHistogram latency = runtime.LatencySnapshot();
-  const net::HttpServerStats http = server.StatsSnapshot();
   runtime.Shutdown();
   service.Shutdown();
+  if (!ran.ok()) return Fail(ran);
 
+  const net::HttpServerStats http = server.StatsSnapshot();
   std::cout << StrFormat(
       "drained in %.1fms (forced closes: %zu)\n", server.drain_latency_ms(),
       static_cast<size_t>(http.forced_drain_closes));
@@ -732,222 +641,18 @@ int ServeHttp(const Flags& flags) {
       static_cast<size_t>(http.connections_rejected),
       static_cast<size_t>(http.connections_aborted),
       static_cast<size_t>(http.draining_rejects));
-  std::cout << StrFormat(
-      "tiers: model=%zu log-binning=%zu global-mean=%zu | "
-      "rejects=%zu deadline-skips=%zu deadline-misses=%zu model-errors=%zu\n",
-      stats.by_tier[0], stats.by_tier[1], stats.by_tier[2],
-      stats.validation_rejects, stats.deadline_skips, stats.deadline_misses,
-      stats.model_errors);
-  std::cout << StrFormat(
-      "latency: p50=%.3fms p95=%.3fms p99=%.3fms (n=%zu)\n",
-      latency.Percentile(50.0), latency.Percentile(95.0),
-      latency.Percentile(99.0), latency.count());
   return 0;
 }
 
-int Serve(const Flags& flags) {
-  const std::string model_path = flags.Get("model", "");
-  const std::string trace_path = flags.Get("trace", "");
-  if (trace_path.empty()) {
-    std::cerr << "serve requires --trace <file> (and ideally --model <file>)\n";
-    return 2;
-  }
-  // --listen turns the command into a long-running network service over the
-  // sharded tier; without it, serve stays the offline replay it always was.
-  if (flags.Has("listen")) return ServeHttp(flags);
-  // Multi-shard tier behind the same command; the default --shards 1 never
-  // enters it, so single-shard serving keeps today's code path untouched.
-  const size_t shards =
-      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("shards", 1)));
-  if (shards > 1) return ServeSharded(flags, shards);
-  auto ingested = IngestTrace(flags, trace_path);
-  if (!ingested.ok()) return Fail(ingested.status());
-  std::vector<workload::QueryRecord>& records = ingested->records;
-
-  cost::ServingLimits limits;
-  limits.default_deadline_ms =
-      static_cast<double>(flags.GetInt("deadline-ms", 50));
-  cost::ServingEstimator estimator(limits);
-  Status fitted = estimator.FitFallbacks(records);
-  if (!fitted.ok()) return Fail(fitted);
-
-  // A *missing* model artifact degrades serving instead of killing it (the
-  // estimator keeps answering from the fallback tiers), but a *corrupt* one
-  // fails fast: LoadFile CRC-validates the container, and serving a process
-  // whose artifact store is corrupting data would hide real damage.
-  if (!model_path.empty() && !flags.Has("no-model")) {
-    auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
-    if (pipeline.ok()) {
-      estimator.AttachPipeline(std::move(*pipeline));
-    } else if (pipeline.status().code() == StatusCode::kDataCorruption) {
-      return Fail(pipeline.status());
-    } else {
-      std::cerr << "warning: model tier unavailable ("
-                << pipeline.status().ToString() << "); serving degraded\n";
-    }
-  }
-
-  serve::ServingRuntimeConfig runtime_config;
-  runtime_config.queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 256));
-  runtime_config.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
-  runtime_config.batch_window_us =
-      static_cast<size_t>(flags.GetInt("batch-window-us", 200));
-  runtime_config.cache_entries =
-      static_cast<size_t>(flags.GetInt("cache-entries", 1024));
-  runtime_config.plan_limits = PlanLimitsFromFlags(flags);
-  serve::ServingRuntime runtime(&estimator, runtime_config);
-  Status started = runtime.Start();
-  if (!started.ok()) return Fail(started);
-
-  // --retrain-interval N > 0 turns on the continual-learning loop: served
-  // queries become labeled observations (their measured cost is in the
-  // trace), a shadow trainer periodically retrains a candidate on the
-  // freshest window, and the model manager shadow-validates and hot-swaps it
-  // into the running runtime — with drift detection, probation, and
-  // automatic rollback.
-  const size_t retrain_interval =
-      static_cast<size_t>(flags.GetInt("retrain-interval", 0));
-  std::unique_ptr<serve::ModelManager> manager;
-  std::unique_ptr<core::ContinualTrainer> trainer;
-  if (retrain_interval > 0) {
-    serve::ModelManagerConfig mm_config;
-    mm_config.drift_threshold = flags.GetDouble("drift-threshold", 2.0);
-    mm_config.probation_window =
-        static_cast<size_t>(flags.GetInt("probation-window", 64));
-    mm_config.rollback_qerr = flags.GetDouble("rollback-qerr", 2.0);
-    manager = std::make_unique<serve::ModelManager>(&runtime, mm_config);
-
-    core::ContinualTrainerConfig ct_config;
-    ct_config.pipeline.use_subtrees = !flags.Has("full");
-    ct_config.pipeline.sampler.node_limit =
-        static_cast<size_t>(flags.GetInt("n", 15));
-    ct_config.pipeline.num_subtrees =
-        static_cast<size_t>(flags.GetInt("k", 9));
-    ct_config.pipeline.word2vec.dim =
-        static_cast<size_t>(flags.GetInt("pf", 32));
-    ct_config.pipeline.word2vec.min_count = 2;
-    ct_config.pipeline.conv_channels.assign(
-        3, static_cast<size_t>(flags.GetInt("conv", 32)));
-    ct_config.pipeline.dense_units = {
-        static_cast<size_t>(flags.GetInt("conv", 32)), 16};
-    ct_config.pipeline.learning_rate = 3e-3f;
-    ct_config.pipeline.plan_limits = runtime_config.plan_limits;
-    ct_config.train.batch_size = 32;
-    ct_config.train.max_epochs =
-        static_cast<size_t>(flags.GetInt("retrain-epochs", 10));
-    ct_config.train.patience = 4;
-    ct_config.retrain_interval = retrain_interval;
-    ct_config.candidate_path = flags.Get(
-        "candidate",
-        (model_path.empty() ? std::string("model.ppl") : model_path) +
-            ".candidate");
-    // Interrupted retrains resume from their last snapshot instead of
-    // restarting (the existing crash-safe training machinery).
-    ct_config.train.snapshot_path = ct_config.candidate_path + ".ckpt";
-    ct_config.train.snapshot_every = 5;
-    ct_config.train.resume = true;
-    trainer = std::make_unique<core::ContinualTrainer>(ct_config);
-  }
-
-  const size_t limit = std::min<size_t>(
-      records.size(), static_cast<size_t>(flags.GetInt("limit", 20)));
-  // Submit a window at a time so the micro-batcher actually sees batches; on
-  // queue overflow, wait for the oldest outstanding request to resolve and
-  // retry (closed-loop backpressure instead of dropping queries). Governor
-  // rejects (kInvalidArgument) are terminal for that query, not for the run:
-  // the row is skipped and shows up in the limit-rejects counter. In
-  // continual mode each window's results are fed back as labeled
-  // observations before the retrain/promote step runs between windows.
-  const size_t window =
-      retrain_interval > 0 ? std::max<size_t>(retrain_interval, 1) : limit;
-  std::vector<cost::ServingEstimate> estimates(limit);
-  std::vector<bool> rejected(limit, false);
-  for (size_t window_start = 0; window_start < limit;
-       window_start += window) {
-    const size_t window_end = std::min(limit, window_start + window);
-    std::deque<std::pair<size_t, std::future<cost::ServingEstimate>>> in_flight;
-    for (size_t i = window_start; i < window_end; ++i) {
-      for (;;) {
-        auto submitted = runtime.Submit(*records[i].plan);
-        if (submitted.ok()) {
-          in_flight.emplace_back(i, std::move(*submitted));
-          break;
-        }
-        if (submitted.status().code() == StatusCode::kInvalidArgument) {
-          std::cerr << "q" << i << " rejected: "
-                    << submitted.status().message() << "\n";
-          rejected[i] = true;
-          break;
-        }
-        if (submitted.status().code() != StatusCode::kResourceExhausted ||
-            in_flight.empty()) {
-          return Fail(submitted.status());
-        }
-        estimates[in_flight.front().first] = in_flight.front().second.get();
-        in_flight.pop_front();
-      }
-    }
-    while (!in_flight.empty()) {
-      estimates[in_flight.front().first] = in_flight.front().second.get();
-      in_flight.pop_front();
-    }
-    if (manager == nullptr) continue;
-
-    // Feed the window back: in this offline replay the trace's measured
-    // cost is the ground truth that in production arrives once the query
-    // finishes executing.
-    for (size_t i = window_start; i < window_end; ++i) {
-      if (rejected[i]) continue;
-      manager->ObserveLabeled(*records[i].plan, estimates[i].cpu_minutes,
-                              records[i].metrics.total_cpu_minutes,
-                              estimates[i].tier);
-      trainer->AddRecord(records[i]);
-    }
-    if (trainer->RetrainDue()) {
-      auto candidate = trainer->RetrainCandidate();
-      if (!candidate.ok()) {
-        std::cerr << "retrain failed (active model keeps serving): "
-                  << candidate.status().ToString() << "\n";
-        continue;
-      }
-      auto report = manager->TryPromote(candidate->artifact_path);
-      if (!report.ok()) {
-        std::cerr << "promotion failed (active model keeps serving): "
-                  << report.status().ToString() << "\n";
-        continue;
-      }
-      std::cout << StrFormat(
-          "candidate %s: %s (q-error p95 candidate=%.2f active=%.2f over "
-          "%zu replayed, version=%llu)\n",
-          candidate->artifact_path.c_str(),
-          serve::ModelLifecycleToString(report->outcome),
-          report->candidate_p95, report->active_p95, report->replay_size,
-          static_cast<unsigned long long>(report->version));
-    }
-  }
-
-  TablePrinter table({"query", "estimate (min)", "actual (min)", "tier",
-                      "latency (ms)"});
-  for (size_t i = 0; i < limit; ++i) {
-    if (rejected[i]) {
-      table.AddRow({StrFormat("q%zu", i), "-",
-                    StrFormat("%.2f", records[i].metrics.total_cpu_minutes),
-                    "rejected", "-"});
-      continue;
-    }
-    table.AddRow({StrFormat("q%zu", i),
-                  StrFormat("%.2f", estimates[i].cpu_minutes),
-                  StrFormat("%.2f", records[i].metrics.total_cpu_minutes),
-                  cost::ServingTierToString(estimates[i].tier),
-                  StrFormat("%.3f", estimates[i].latency_ms)});
-  }
-  table.Print(std::cout);
-
+/// Exit summary shared by both serve modes: tiers, queue/cache, latency,
+/// shards/tenants/memory, and — with a continual loop — the lifecycle line.
+void PrintServeSummary(const serve::ShardedServingRuntime& runtime,
+                       const ContinualLoop* loop, size_t quarantined) {
   const cost::ServingStats stats =
-      manager == nullptr ? runtime.StatsSnapshot() : manager->MergedStats();
+      loop == nullptr ? runtime.StatsSnapshot() : loop->MergedStats();
   const LatencyHistogram latency = runtime.LatencySnapshot();
-  runtime.Shutdown();
+  const MemoryTrackerStats memory = runtime.MemorySnapshot();
+  const std::vector<serve::TenantCounters> tenants = runtime.TenantSnapshot();
   std::cout << StrFormat(
       "tiers: model=%zu log-binning=%zu global-mean=%zu | "
       "rejects=%zu deadline-skips=%zu deadline-misses=%zu model-errors=%zu\n",
@@ -960,8 +665,7 @@ int Serve(const Flags& flags) {
       "quarantined=%zu | cache: hits=%zu misses=%zu "
       "evictions=%zu hit-rate=%.1f%%\n",
       stats.queue_high_watermark, stats.rejected_requests, stats.limit_rejects,
-      ingested->stats.quarantined, stats.cache_hits,
-      stats.cache_misses, stats.cache_evictions,
+      quarantined, stats.cache_hits, stats.cache_misses, stats.cache_evictions,
       cache_lookups == 0
           ? 0.0
           : 100.0 * static_cast<double>(stats.cache_hits) /
@@ -970,7 +674,17 @@ int Serve(const Flags& flags) {
       "latency: p50=%.3fms p95=%.3fms p99=%.3fms (n=%zu)\n",
       latency.Percentile(50.0), latency.Percentile(95.0),
       latency.Percentile(99.0), latency.count());
-  if (manager != nullptr) {
+  std::cout << StrFormat(
+      "shards: %zu | tenants: %zu quota-sheds=%zu memory-denied=%zu | "
+      "memory: in-use=%zuB peak=%zuB\n",
+      runtime.ShardCount(), tenants.size(), stats.quota_sheds,
+      stats.memory_denied, memory.in_use_bytes, memory.peak_bytes);
+  for (const serve::TenantCounters& t : tenants) {
+    std::cout << StrFormat(
+        "  tenant %u: admitted=%zu quota-sheds=%zu\n",
+        static_cast<unsigned>(t.tenant), t.admitted, t.quota_sheds);
+  }
+  if (loop != nullptr) {
     std::cout << StrFormat(
         "lifecycle: swaps=%zu rollbacks=%zu rejected-candidates=%zu "
         "drift-flags=%zu | q-error p50=%.2f p95=%.2f baseline-p95=%.2f\n",
@@ -978,6 +692,92 @@ int Serve(const Flags& flags) {
         stats.drift_flags, stats.drift_qerr_p50, stats.drift_qerr_p95,
         stats.drift_baseline_p95);
   }
+}
+
+/// serve: one estimator and model instance per --shards shard behind the
+/// fingerprint-routed, tenant-quota'd ShardedServingRuntime, the optional
+/// continual loop, then either the HTTP service (--listen) or the offline
+/// replay of the trace, and one exit summary.
+int Serve(const Flags& flags) {
+  const std::string model_path = flags.Get("model", "");
+  const std::string trace_path = flags.Get("trace", "");
+  if (trace_path.empty()) {
+    std::cerr << "serve requires --trace <file> (and ideally --model <file>)\n";
+    return 2;
+  }
+  const bool listen = flags.Has("listen");
+  std::string host;
+  uint16_t port = 0;
+  if (listen) {
+    Status listen_spec =
+        net::ParseHostPort(flags.Get("listen", ""), &host, &port);
+    if (!listen_spec.ok()) return Fail(listen_spec);
+  }
+
+  auto ingested = IngestTrace(flags, trace_path);
+  if (!ingested.ok()) return Fail(ingested.status());
+  const std::vector<workload::QueryRecord>& records = ingested->records;
+
+  // One estimator per shard: fitted fallbacks plus an independent model
+  // instance. A *missing* model artifact degrades serving instead of killing
+  // it (the fallback tiers keep answering), but a *corrupt* one fails fast:
+  // LoadFile CRC-validates the container, and serving from an artifact store
+  // that corrupts data would hide real damage.
+  const size_t shards =
+      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("shards", 1)));
+  cost::ServingLimits limits;
+  limits.default_deadline_ms =
+      static_cast<double>(flags.GetInt("deadline-ms", 50));
+  std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
+  std::vector<cost::ServingEstimator*> raw_estimators;
+  for (size_t s = 0; s < shards; ++s) {
+    auto estimator = std::make_unique<cost::ServingEstimator>(limits);
+    Status fitted = estimator->FitFallbacks(records);
+    if (!fitted.ok()) return Fail(fitted);
+    if (!model_path.empty() && !flags.Has("no-model")) {
+      auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
+      if (pipeline.ok()) {
+        estimator->AttachPipeline(std::move(*pipeline));
+      } else if (pipeline.status().code() == StatusCode::kDataCorruption) {
+        return Fail(pipeline.status());
+      } else if (s == 0) {
+        std::cerr << "warning: model tier unavailable ("
+                  << pipeline.status().ToString() << "); serving degraded\n";
+      }
+    }
+    raw_estimators.push_back(estimator.get());
+    estimators.push_back(std::move(estimator));
+  }
+
+  serve::ShardedRuntimeConfig config;
+  config.shards = shards;
+  config.shard.queue_depth =
+      static_cast<size_t>(flags.GetInt("queue-depth", 256));
+  config.shard.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
+  config.shard.batch_window_us =
+      static_cast<size_t>(flags.GetInt("batch-window-us", 200));
+  config.shard.cache_entries =
+      static_cast<size_t>(flags.GetInt("cache-entries", 1024));
+  config.shard.plan_limits = PlanLimitsFromFlags(flags);
+  config.memory_budget_bytes =
+      static_cast<size_t>(flags.GetInt("memory-budget", 0));
+  serve::ShardedServingRuntime runtime(raw_estimators, config);
+  if (!ApplyTenantQuotas(flags.Get("tenant-quota", ""), runtime)) return 2;
+  Status started = runtime.Start();
+  if (!started.ok()) return Fail(started);
+
+  const size_t retrain_interval =
+      static_cast<size_t>(flags.GetInt("retrain-interval", 0));
+  std::unique_ptr<ContinualLoop> loop;
+  if (retrain_interval > 0) {
+    loop = std::make_unique<ContinualLoop>(flags, retrain_interval, &runtime);
+  }
+
+  const int code =
+      listen ? ListenAndServe(flags, host, port, runtime, loop.get())
+             : ReplayTrace(flags, records, runtime, loop.get());
+  if (code != 0) return code;
+  PrintServeSummary(runtime, loop.get(), ingested->stats.quarantined);
   return 0;
 }
 
@@ -1140,8 +940,8 @@ int Usage() {
          "            [--retrain-epochs E] [--candidate FILE]\n"
          "            [--drift-threshold X] [--probation-window N]\n"
          "            [--rollback-qerr X]\n"
-         "            [--shards S (default 1 = single-runtime path)]\n"
-         "            [--tenants K (spread queries over K tenants)]\n"
+         "            [--shards S (default 1)]\n"
+         "            [--tenants K (offline: spread queries over K tenants)]\n"
          "            [--tenant-quota T:INFLIGHT[:BYTES][,T:...]]\n"
          "            [--memory-budget BYTES (0=account only)]\n"
          "            [--listen HOST:PORT (HTTP service: POST /estimate,\n"

@@ -50,9 +50,10 @@ struct ServingEstimate {
 };
 
 /// Monotonic per-process serving counters. The estimator itself maintains
-/// the request/tier/degradation counters; the queue and cache fields are
-/// filled in by the batched serving runtime's snapshots (serve/
-/// serving_runtime.h) and stay zero on the direct single-query path.
+/// the request/tier/degradation counters; the queue, cache, tenant and
+/// lifecycle fields are filled in by the serving tier's snapshots (serve/
+/// sharded_runtime.h, serve/model_manager.h) and stay zero on the
+/// single-query EstimateWithFallback path.
 struct ServingStats {
   size_t requests = 0;
   size_t by_tier[kNumServingTiers] = {0, 0, 0};
@@ -62,7 +63,7 @@ struct ServingStats {
   size_t deadline_misses = 0;     // model answered but blew the deadline
   size_t model_errors = 0;        // model tier failed or returned non-finite
 
-  // --- batched-runtime counters (serve::ServingRuntime snapshots) ---------
+  // --- queue and cache counters (serve::ShardedServingRuntime snapshots) --
   size_t rejected_requests = 0;     // queue-overflow admission rejections
   size_t limit_rejects = 0;         // plans over the PlanLimits governor
   size_t queue_high_watermark = 0;  // max simultaneously queued requests
@@ -70,13 +71,12 @@ struct ServingStats {
   size_t cache_misses = 0;          // featurization re-runs
   size_t cache_evictions = 0;       // LRU evictions
 
-  // --- multi-tenant sharded-tier counters (serve::ShardedServingRuntime
-  // snapshots); zero on single-runtime and direct paths ---------------------
+  // --- admission counters (serve::ShardedServingRuntime snapshots) -------
   size_t quota_sheds = 0;     // requests shed over a TenantQuota budget
   size_t memory_denied = 0;   // requests shed by the MemoryTracker budget
 
-  // --- model-lifecycle counters (serve::ServingRuntime::SwapPipeline and
-  // serve::ModelManager snapshots); zero on the direct single-query path ---
+  // --- model-lifecycle counters (serve::ShardedServingRuntime::SwapPipelines
+  // and serve::ModelManager snapshots) -------------------------------------
   size_t model_swaps = 0;         // successful hot-swap promotions
   size_t model_rollbacks = 0;     // post-swap regressions rolled back
   size_t rejected_candidates = 0; // candidates failing load/shadow validation
@@ -167,16 +167,18 @@ class ServingEstimator {
 
   /// Walks the degradation chain and returns the first finite estimate,
   /// recording which tier answered. deadline_ms <= 0 uses the configured
-  /// default. Never fails.
+  /// default. Never fails. Serving goes through serve::ShardedServingRuntime;
+  /// this unbatched walk is the single-query reference its answers are
+  /// tested against.
   ServingEstimate EstimateWithFallback(const plan::PlanNode& plan,
                                        double deadline_ms = 0.0);
 
-  // --- decomposed pieces for the batched serving runtime ------------------
-  // serve::ServingRuntime reuses the exact chain EstimateWithFallback walks,
+  // --- decomposed pieces for the batched serving tier --------------------
+  // serve::ServingShard reuses the exact chain EstimateWithFallback walks,
   // but needs the stages separately: the admission gate before batch
   // assembly, the model-answer bookkeeping after one fused forward pass, and
   // the fallback tiers per degraded item. None of these are thread-safe; the
-  // runtime serializes every call on its batch-worker thread.
+  // shard serializes every call on its batch-worker thread.
 
   /// The attached model pipeline (nullptr when detached). The batched
   /// runtime featurizes and runs fused forward passes through it directly.

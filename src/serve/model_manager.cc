@@ -73,11 +73,12 @@ void DriftDetector::ClearBaseline() {
   has_baseline_ = false;
 }
 
-ModelManager::ModelManager(ServingHost* host, ModelManagerConfig config)
-    : host_(host),
+ModelManager::ModelManager(ShardedServingRuntime* runtime,
+                           ModelManagerConfig config)
+    : runtime_(runtime),
       config_(config),
       drift_(std::max<size_t>(config.drift_window, 1)) {
-  PRESTROID_CHECK(host_ != nullptr);
+  PRESTROID_CHECK(runtime_ != nullptr);
 }
 
 void ModelManager::ObserveLabeled(const plan::PlanNode& plan,
@@ -195,7 +196,7 @@ Result<SwapReport> ModelManager::TryPromote(const std::string& candidate_path) {
         // already validated) and aborts before any shard is touched.
         std::vector<std::unique_ptr<core::PrestroidPipeline>> candidates;
         candidates.push_back(std::move(candidate));
-        for (size_t i = 1; i < host_->ShardCount(); ++i) {
+        for (size_t i = 1; i < runtime_->ShardCount(); ++i) {
           auto extra = core::PrestroidPipeline::LoadFile(candidate_path);
           if (!extra.ok()) {
             ++stats_.swap_failures;
@@ -203,8 +204,8 @@ Result<SwapReport> ModelManager::TryPromote(const std::string& candidate_path) {
           }
           candidates.push_back(std::move(*extra));
         }
-        auto swapped =
-            host_->SwapPipelines(std::move(candidates), /*is_rollback=*/false);
+        auto swapped = runtime_->SwapPipelines(std::move(candidates),
+                                               /*is_rollback=*/false);
         if (!swapped.ok()) {
           ++stats_.swap_failures;
           return swapped.status();
@@ -250,7 +251,7 @@ Status ModelManager::RollbackLocked(const std::string& reason) {
                                    reason + ")");
   }
   auto swapped =
-      host_->SwapPipelines(std::move(previous_), /*is_rollback=*/true);
+      runtime_->SwapPipelines(std::move(previous_), /*is_rollback=*/true);
   previous_.clear();
   if (!swapped.ok()) {
     ++stats_.swap_failures;
@@ -284,10 +285,10 @@ ModelManagerStats ModelManager::StatsSnapshot() const {
 }
 
 cost::ServingStats ModelManager::MergedStats() const {
-  // Lock-order discipline: the host snapshot takes each shard's
+  // Lock-order discipline: the runtime snapshot takes each shard's
   // serve_mu_/queue_mu_, and promotion paths hold mu_ -> serve locks — so
-  // take the host snapshot BEFORE locking mu_.
-  cost::ServingStats stats = host_->StatsSnapshot();
+  // take the runtime snapshot BEFORE locking mu_.
+  cost::ServingStats stats = runtime_->StatsSnapshot();
   std::lock_guard<std::mutex> lock(mu_);
   stats.rejected_candidates = stats_.rejected_candidates;
   stats.drift_flags = stats_.drift_flags;

@@ -11,7 +11,7 @@
 
 #include "cost/serving_estimator.h"
 #include "plan/plan_node.h"
-#include "serve/serving_host.h"
+#include "serve/sharded_runtime.h"
 #include "util/status.h"
 
 namespace prestroid::serve {
@@ -137,22 +137,22 @@ struct ModelManagerStats {
   bool drift_detected = false;     // sticky until the next promotion
 };
 
-/// Zero-downtime model lifecycle manager over a ServingHost (a single
-/// ServingRuntime or an N-shard ShardedServingRuntime): drift detection on
-/// rolling prediction-error quantiles, shadow validation of candidate
-/// artifacts against a held-out replay buffer, atomic promotion through
-/// ServingHost::SwapPipelines (one pipeline instance loaded per shard,
-/// exchanged all-or-nothing), and automatic rollback on post-swap regression
-/// (the previous ACTIVE models are retained in memory, so rollback needs no
-/// disk I/O).
+/// Zero-downtime model lifecycle manager over the serving tier
+/// (ShardedServingRuntime, one or more shards): drift detection on rolling
+/// prediction-error quantiles, shadow validation of candidate artifacts
+/// against a held-out replay buffer, atomic promotion through
+/// ShardedServingRuntime::SwapPipelines (one pipeline instance loaded per
+/// shard, exchanged all-or-nothing), and automatic rollback on post-swap
+/// regression (the previous ACTIVE models are retained in memory, so rollback
+/// needs no disk I/O).
 ///
 /// Thread-safety: all public methods may be called from any thread; the
-/// manager serializes itself and only ever takes the host's locks while
+/// manager serializes itself and only ever takes the runtime's locks while
 /// holding its own (never the reverse), so it composes with concurrent
-/// Submit/Estimate/StatsSnapshot traffic.
+/// Submit/StatsSnapshot traffic.
 class ModelManager {
  public:
-  ModelManager(ServingHost* host, ModelManagerConfig config = {});
+  ModelManager(ShardedServingRuntime* runtime, ModelManagerConfig config = {});
 
   /// Feeds one labeled observation: the estimate previously served for
   /// `plan` (prediction + tier) and the ground-truth cost that later became
@@ -174,11 +174,11 @@ class ModelManager {
   ///      untouched);
   ///   2. shadow validation on the replay buffer (a regressing candidate is
   ///      reported as kRejected, never swapped);
-  ///   3. atomic swap via ServingHost::SwapPipelines — one pipeline instance
-  ///      is loaded from the artifact per shard (instance 0 is the one that
-  ///      shadow-validated) and every shard switches in one all-or-nothing
-  ///      transaction — retaining the previous models for rollback and
-  ///      entering the probation window.
+  ///   3. atomic swap via ShardedServingRuntime::SwapPipelines — one pipeline
+  ///      instance is loaded from the artifact per shard (instance 0 is the
+  ///      one that shadow-validated) and every shard switches in one
+  ///      all-or-nothing transaction — retaining the previous models for
+  ///      rollback and entering the probation window.
   /// Only environmental/load failures surface as an error Status; a
   /// validation rejection is a normal outcome (SwapReport::kRejected).
   Result<SwapReport> TryPromote(const std::string& candidate_path);
@@ -189,7 +189,7 @@ class ModelManager {
 
   ModelManagerStats StatsSnapshot() const;
 
-  /// The host's (cross-shard merged) ServingStats with the manager's
+  /// The runtime's (cross-shard merged) ServingStats with the manager's
   /// lifecycle/drift fields merged in — the one-call summary the CLI and
   /// tests print.
   cost::ServingStats MergedStats() const;
@@ -211,7 +211,7 @@ class ModelManager {
     return !previous_.empty() && previous_[0] != nullptr;
   }
 
-  ServingHost* host_;
+  ShardedServingRuntime* runtime_;
   ModelManagerConfig config_;
 
   mutable std::mutex mu_;

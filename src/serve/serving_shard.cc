@@ -5,10 +5,8 @@
 #include <memory>
 #include <utility>
 
-#include "plan/plan_limits.h"
 #include "plan/plan_stats.h"
 #include "serve/plan_fingerprint.h"
-#include "util/fault_injection.h"
 
 namespace prestroid::serve {
 
@@ -70,7 +68,6 @@ void ServingShard::Shutdown() {
     }
   }
   queue_cv_.notify_all();
-  space_cv_.notify_all();
   if (worker_.joinable()) worker_.join();
   {
     // The worker is gone and stop_ still rejects submissions; clearing
@@ -90,35 +87,11 @@ void ServingShard::Shutdown() {
   }
 }
 
-Result<std::future<cost::ServingEstimate>> ServingShard::Submit(
-    const plan::PlanNode& plan, double deadline_ms) {
-  // Governor check before anything touches the plan: a rejected plan is
-  // never fingerprinted, featurized, or queued. The walk is checked outside
-  // the queue lock — it early-exits at the limit, so its cost is bounded by
-  // the limits themselves, not by the hostile plan's size.
-  Status within_limits = plan::CheckPlanLimits(plan, config_.plan_limits);
-  if (!within_limits.ok()) {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    ++limit_rejects_;
-    return Status::InvalidArgument("plan rejected by resource governor: " +
-                                   within_limits.message());
-  }
-  return Enqueue(plan, deadline_ms, /*fingerprint=*/0,
-                 /*has_fingerprint=*/false, ShardTicket{});
-}
-
 Result<std::future<cost::ServingEstimate>> ServingShard::SubmitRouted(
     const plan::PlanNode& plan, double deadline_ms, uint64_t fingerprint,
     ShardTicket ticket) {
-  // The facade already ran the governor (before fingerprinting — the PR5
-  // invariant) and charged the ticket; this path must not double-count.
-  return Enqueue(plan, deadline_ms, fingerprint, /*has_fingerprint=*/true,
-                 ticket);
-}
-
-Result<std::future<cost::ServingEstimate>> ServingShard::Enqueue(
-    const plan::PlanNode& plan, double deadline_ms, uint64_t fingerprint,
-    bool has_fingerprint, ShardTicket ticket) {
+  // The facade already ran the governor (before fingerprinting) and charged
+  // the ticket; this path must not double-count.
   std::future<cost::ServingEstimate> future;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -138,7 +111,6 @@ Result<std::future<cost::ServingEstimate>> ServingShard::Enqueue(
     request.deadline_ms = deadline_ms;
     request.enqueue_time = std::chrono::steady_clock::now();
     request.fingerprint = fingerprint;
-    request.has_fingerprint = has_fingerprint;
     request.ticket = ticket;
     future = request.promise.get_future();
     queue_.push_back(std::move(request));
@@ -148,73 +120,10 @@ Result<std::future<cost::ServingEstimate>> ServingShard::Enqueue(
   return future;
 }
 
-Result<cost::ServingEstimate> ServingShard::EstimateBlocking(
-    const plan::PlanNode& plan, double deadline_ms) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (!started_ && !stop_) {
-      // No worker will ever drain the queue: blocking here would park the
-      // caller forever once the queue fills. Fail fast instead.
-      return Status::FailedPrecondition(
-          "EstimateBlocking requires a running worker: call Start() first");
-    }
-  }
-  // The blocking wrapper never sheds, so a governor reject degrades through
-  // the estimator's fallback chain instead of surfacing a status.
-  Status within_limits = plan::CheckPlanLimits(plan, config_.plan_limits);
-  if (!within_limits.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      ++limit_rejects_;
-    }
-    std::lock_guard<std::mutex> serve_lock(serve_mu_);
-    estimator_->CountRequest();
-    const plan::PlanStats stats = plan::ComputePlanStats(plan);
-    return estimator_->EstimateFallback(stats, std::move(within_limits),
-                                        std::chrono::steady_clock::now());
-  }
-  std::future<cost::ServingEstimate> future;
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    space_cv_.wait(lock, [this] {
-      return stop_ || queue_.size() < config_.queue_depth;
-    });
-    if (stop_) {
-      // The worker is gone (or going), so serving inline is race-free.
-      lock.unlock();
-      std::lock_guard<std::mutex> serve_lock(serve_mu_);
-      return estimator_->EstimateWithFallback(plan, deadline_ms);
-    }
-    PendingRequest request;
-    request.plan = &plan;
-    request.deadline_ms = deadline_ms;
-    request.enqueue_time = std::chrono::steady_clock::now();
-    future = request.promise.get_future();
-    queue_.push_back(std::move(request));
-    queue_high_watermark_ = std::max(queue_high_watermark_, queue_.size());
-  }
-  queue_cv_.notify_one();
-  return future.get();
-}
-
 void ServingShard::InvalidateCache() {
   std::lock_guard<std::mutex> lock(serve_mu_);
   ++cache_generation_;
   cache_.Clear();
-}
-
-Result<std::unique_ptr<core::PrestroidPipeline>> ServingShard::SwapPipeline(
-    std::unique_ptr<core::PrestroidPipeline> pipeline, bool is_rollback) {
-  // serve_mu_ serializes against the batch worker: an in-flight batch
-  // finishes on the old model before the exchange below, and the next batch
-  // can only observe the fully swapped state (new pipeline + new cache
-  // generation). The admission queue is untouched, so no request is dropped.
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  if (FaultInjector::Global().ShouldFail(FaultSite::kModelSwap)) {
-    return Status::IoError(
-        "injected crash mid-swap; previous model left serving");
-  }
-  return SwapPipelineLocked(std::move(pipeline), is_rollback);
 }
 
 std::unique_ptr<core::PrestroidPipeline> ServingShard::SwapPipelineLocked(
@@ -253,7 +162,6 @@ cost::ServingStats ServingShard::StatsSnapshot() const {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stats.rejected_requests = rejected_requests_;
-    stats.limit_rejects = limit_rejects_;
     stats.queue_high_watermark = queue_high_watermark_;
   }
   return stats;
@@ -307,7 +215,6 @@ void ServingShard::WorkerLoop() {
         queue_.pop_front();
       }
     }
-    space_cv_.notify_all();
     std::lock_guard<std::mutex> serve_lock(serve_mu_);
     ServeBatch(batch);
   }
@@ -353,13 +260,10 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
                                               request.enqueue_time));
       continue;
     }
-    // Routed requests carry the facade's fingerprint (identical plans land
-    // on the same shard, so reusing it keeps the cache key stable across the
-    // tier); direct submissions hash here.
-    const uint64_t plan_fp = request.has_fingerprint
-                                 ? request.fingerprint
-                                 : FingerprintPlan(*request.plan);
-    const uint64_t key = CombineFingerprint(plan_fp, cache_generation_);
+    // The facade's fingerprint is the cache key (identical plans land on the
+    // same shard, so the key is stable across the tier).
+    const uint64_t key =
+        CombineFingerprint(request.fingerprint, cache_generation_);
     std::shared_ptr<const core::PlanFeatures> features = cache_.Lookup(key);
     if (features == nullptr) {
       Result<core::PlanFeatures> fresh = pipeline->FeaturizePlan(*request.plan);

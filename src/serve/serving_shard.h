@@ -22,8 +22,8 @@
 
 namespace prestroid::serve {
 
-/// Admission-queue and batching policy for one serving shard (and, via the
-/// single-shard ServingRuntime wrapper, for the whole legacy runtime).
+/// Admission-queue and batching policy for one serving shard, applied
+/// uniformly to every shard of a ShardedServingRuntime.
 struct ServingRuntimeConfig {
   /// Bounded request queue; a Submit beyond this depth is rejected with
   /// kResourceExhausted instead of blocking the producer.
@@ -37,18 +37,19 @@ struct ServingRuntimeConfig {
   size_t batch_window_us = 200;
   /// Plan-fingerprint cache entries; 0 disables the cache.
   size_t cache_entries = 1024;
-  /// Resource governor applied to every submitted plan *before* it is
-  /// fingerprinted or featurized. Over-limit plans are rejected at admission
-  /// (kInvalidArgument, counted in ServingStats::limit_rejects) so a hostile
-  /// plan never reaches the hashing/encoding machinery.
+  /// Resource governor ShardedServingRuntime::Submit applies to every plan
+  /// *before* it is fingerprinted or featurized. Over-limit plans are
+  /// rejected at admission (kInvalidArgument, counted in
+  /// ServingStats::limit_rejects) so a hostile plan never reaches the
+  /// hashing/encoding machinery.
   plan::PlanLimits plan_limits;
 };
 
 /// Admission charges riding along with one routed request: the tenant's
 /// in-flight/scratch-quota slot and the box-level memory-tracker charge.
 /// Released exactly once — when the request's promise resolves, or
-/// immediately if the shard rejects the submission. Default-constructed
-/// tickets (direct single-shard submissions) release nothing.
+/// immediately if the shard rejects the submission. A default-constructed
+/// ticket releases nothing.
 struct ShardTicket {
   TenantQuotaTable* quotas = nullptr;
   TenantId tenant = 0;
@@ -69,27 +70,26 @@ struct ShardTicket {
 
 /// One shard of the batched serving tier: a bounded MPMC admission queue, a
 /// single batch-worker thread, a plan-fingerprint feature cache, and a
-/// dedicated ServingEstimator — the complete single-runtime serving engine,
-/// packaged so ShardedServingRuntime can own N of them.
+/// dedicated ServingEstimator. ShardedServingRuntime owns N >= 1 of them and
+/// is the only caller of SubmitRouted and SwapPipelineLocked.
 ///
-/// Producers Submit() plans into the queue and receive futures; the worker
-/// drains under the batch-window / max-batch policy, featurizes each
-/// distinct plan once (fingerprint LRU cache), runs ONE fused eval-mode
-/// forward pass per batch, and resolves the futures. Requests that cannot
-/// take the model tier degrade per item through the estimator's fallback
-/// chain, so a batch never fails wholesale.
+/// The facade SubmitRouted()s admitted plans into the queue and hands the
+/// futures back to its producers; the worker drains under the batch-window /
+/// max-batch policy, featurizes each distinct plan once (fingerprint LRU
+/// cache), runs ONE fused eval-mode forward pass per batch, and resolves the
+/// futures. Requests that cannot take the model tier degrade per item through
+/// the estimator's fallback chain, so a batch never fails wholesale.
 ///
 /// The fused forward runs in eval mode (dropout off, batch-norm running
 /// statistics, masked per-tree pooling), so each row's prediction is
 /// independent of what else shares the batch: batched results equal
 /// single-query EstimateWithFallback results regardless of arrival order.
 ///
-/// Thread-safety: Submit/SubmitRouted/EstimateBlocking/StatsSnapshot/
-/// LatencySnapshot/InvalidateCache may be called from any thread. The
-/// estimator, cache, and scratch arena are confined to the worker thread
-/// (snapshot readers take the same lock the worker holds while serving a
-/// batch). The estimator must not be used directly by other threads while
-/// the shard is running.
+/// Thread-safety: SubmitRouted/StatsSnapshot/LatencySnapshot/InvalidateCache
+/// may be called from any thread. The estimator, cache, and scratch arena are
+/// confined to the worker thread (snapshot readers take the same lock the
+/// worker holds while serving a batch). The estimator must not be used
+/// directly by other threads while the shard is running.
 ///
 /// Lifetime: submitted plans are borrowed, not copied — the caller must keep
 /// a plan alive until its future resolves. The estimator (and the tracker, if
@@ -121,69 +121,39 @@ class ServingShard {
   /// again afterwards.
   void Shutdown();
 
-  /// Enqueues one estimate request, running the PlanLimits governor first (a
-  /// rejected plan is never fingerprinted). Returns kResourceExhausted
-  /// immediately when the queue is full (the request was never admitted),
-  /// kInvalidArgument when the plan fails the governor (counted in
-  /// limit_rejects), and kInvalidArgument after Shutdown(). deadline_ms <= 0
-  /// uses the estimator's configured default; the deadline covers queue wait
-  /// + compute.
-  Result<std::future<cost::ServingEstimate>> Submit(const plan::PlanNode& plan,
-                                                    double deadline_ms = 0.0);
-
-  /// Sharded-tier entry point: the facade has already run the governor,
-  /// computed `fingerprint` (used verbatim for the cache key, so identical
-  /// plans routed to this shard share one featurization), and charged the
-  /// admission `ticket`. Takes ownership of the ticket unconditionally — it
-  /// is released when the promise resolves, or immediately on rejection.
+  /// Enqueues one request the facade has already admitted: it ran the
+  /// governor, computed `fingerprint` (used verbatim for the cache key, so
+  /// identical plans routed to this shard share one featurization), and
+  /// charged the admission `ticket`. Takes ownership of the ticket
+  /// unconditionally — it is released when the promise resolves, or
+  /// immediately on rejection. Returns kResourceExhausted when the queue is
+  /// full (the request was never admitted) and kInvalidArgument after
+  /// Shutdown().
   Result<std::future<cost::ServingEstimate>> SubmitRouted(
       const plan::PlanNode& plan, double deadline_ms, uint64_t fingerprint,
       ShardTicket ticket);
-
-  /// Blocking convenience wrapper: waits for queue space if necessary (so it
-  /// never sheds load), then waits for the result. Requires a running
-  /// worker — called between construction and Start() it returns
-  /// kFailedPrecondition instead of deadlocking once the queue fills. After
-  /// Shutdown() it serves inline on the calling thread (the worker is gone,
-  /// so this is race-free).
-  Result<cost::ServingEstimate> EstimateBlocking(const plan::PlanNode& plan,
-                                                 double deadline_ms = 0.0);
 
   /// Retires every cached plan encoding (e.g. after catalog churn or a
   /// pipeline swap made old featurizations stale).
   void InvalidateCache();
 
-  /// Atomically replaces the estimator's model tier while the shard keeps
-  /// serving (RCU-style): blocks until the in-flight batch (if any) finishes
-  /// on the old model, attaches `pipeline`, resets the model-latency EWMA,
-  /// bumps the feature-cache generation (stale featurizations can never
-  /// reach the new model), and returns the previous pipeline so the caller
-  /// can retain it for instant rollback. Queued requests are never dropped:
-  /// they simply run on whichever model is attached when their batch is
-  /// served. The incoming pipeline is frozen into resident fp32 panels before
-  /// the next batch can reach it. Passing nullptr detaches the model tier
-  /// (the degradation chain keeps answering). `is_rollback` only selects
-  /// which ServingStats counter (model_swaps vs model_rollbacks) the
-  /// transition increments.
-  ///
-  /// Instrumented with FaultSite::kModelSwap: an injected fault aborts the
-  /// swap before any state is touched, proving a crashed swap leaves the
-  /// active model, cache, and generation fully intact.
-  Result<std::unique_ptr<core::PrestroidPipeline>> SwapPipeline(
-      std::unique_ptr<core::PrestroidPipeline> pipeline,
-      bool is_rollback = false);
-
   /// Acquires this shard's serving lock, blocking until the in-flight batch
-  /// (if any) completes. The cross-shard swap path locks every shard this
-  /// way (in shard order — the only multi-shard lock site, so no deadlock),
-  /// then exchanges pipelines via SwapPipelineLocked.
+  /// (if any) completes. ShardedServingRuntime::SwapPipelines locks every
+  /// shard this way (in shard order — the only multi-shard lock site, so no
+  /// deadlock), then exchanges pipelines via SwapPipelineLocked.
   std::unique_lock<std::mutex> LockServing() const {
     return std::unique_lock<std::mutex>(serve_mu_);
   }
 
-  /// The mutation body of SwapPipeline, for callers already holding
-  /// LockServing() (no fault-injection check — the caller performs one check
-  /// for the whole multi-shard transaction).
+  /// Replaces the estimator's model tier; the caller holds LockServing(), so
+  /// the in-flight batch (if any) has finished on the old model. Attaches
+  /// `pipeline`, resets the model-latency EWMA, bumps the feature-cache
+  /// generation (stale featurizations can never reach the new model), freezes
+  /// the incoming pipeline into resident fp32 panels before the next batch
+  /// can reach it, and returns the previous pipeline. Queued requests are
+  /// never dropped: they run on whichever model is attached when their batch
+  /// is served. `is_rollback` only selects which ServingStats counter
+  /// (model_swaps vs model_rollbacks) the transition increments.
   std::unique_ptr<core::PrestroidPipeline> SwapPipelineLocked(
       std::unique_ptr<core::PrestroidPipeline> pipeline, bool is_rollback);
 
@@ -215,19 +185,11 @@ class ServingShard {
     const plan::PlanNode* plan;
     double deadline_ms;
     std::chrono::steady_clock::time_point enqueue_time;
-    /// Facade-precomputed plan fingerprint (SubmitRouted); when absent the
-    /// worker hashes the plan itself (direct Submit path).
+    /// Facade-computed plan fingerprint, the cache key's plan half.
     uint64_t fingerprint = 0;
-    bool has_fingerprint = false;
     ShardTicket ticket;
     std::promise<cost::ServingEstimate> promise;
   };
-
-  Result<std::future<cost::ServingEstimate>> Enqueue(const plan::PlanNode& plan,
-                                                     double deadline_ms,
-                                                     uint64_t fingerprint,
-                                                     bool has_fingerprint,
-                                                     ShardTicket ticket);
 
   void WorkerLoop();
   /// Serves one drained batch: per-item admission + cache lookup, one fused
@@ -243,11 +205,9 @@ class ServingShard {
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;  // worker waits: work available / stop
-  std::condition_variable space_cv_;  // EstimateBlocking waits: queue has room
   std::deque<PendingRequest> queue_;
   bool stop_ = false;
   size_t rejected_requests_ = 0;
-  size_t limit_rejects_ = 0;
   size_t queue_high_watermark_ = 0;
 
   /// Serializes worker access to the estimator + cache + histogram + arena

@@ -9,7 +9,6 @@
 
 #include "cost/serving_estimator.h"
 #include "plan/plan_node.h"
-#include "serve/serving_host.h"
 #include "serve/serving_shard.h"
 #include "serve/tenant_quota.h"
 #include "util/histogram.h"
@@ -21,12 +20,12 @@ namespace prestroid::serve {
 /// Topology and admission policy of the sharded serving tier.
 struct ShardedRuntimeConfig {
   /// Number of shards (each an independent queue + batch worker + feature
-  /// cache + estimator). 1 reproduces the single-runtime behavior.
+  /// cache + estimator). 1 is the default: one batch worker, one cache.
   size_t shards = 1;
   /// Per-shard queue/batch/cache policy, applied uniformly.
   ServingRuntimeConfig shard;
   /// Quota applied to tenants without an explicit SetTenantQuota (zeros =
-  /// unlimited, the single-tenant parity configuration).
+  /// unlimited).
   TenantQuota default_tenant_quota;
   /// Box-level cap on admitted scratch bytes across every tenant and shard;
   /// 0 accounts without refusing.
@@ -36,47 +35,50 @@ struct ShardedRuntimeConfig {
   size_t per_node_scratch_bytes = 512;
 };
 
-/// Multi-core, multi-tenant serving tier: N ServingShards behind one
-/// admission front door.
+/// The serving tier: N >= 1 ServingShards behind one admission front door.
+/// Submit is the only way a request enters a shard and SwapPipelines is the
+/// only way a shard's model changes.
 ///
 /// Every Submit runs the PlanLimits governor FIRST (a rejected plan is never
 /// fingerprinted — the ingestion-hardening invariant), then tenant-quota and
 /// memory-budget admission, then hashes the plan once and routes it to shard
 /// `fingerprint % shards`. Identical plans therefore always land on the same
 /// shard and share one cached featurization — the tier-wide hit rate matches
-/// the single-runtime cache instead of splitting N ways.
+/// a one-shard cache instead of splitting N ways.
 ///
 /// Each admitted request carries a ShardTicket holding its tenant-quota slot
 /// and memory charge; the owning shard releases the ticket when the request
 /// resolves (or immediately if its queue rejects), so admission state can
 /// never leak.
 ///
-/// Implements ServingHost: SwapPipelines locks every shard in shard order
-/// (the only multi-shard lock site), performs one fault-injection check, and
-/// exchanges all pipelines before any shard resumes — no request anywhere
-/// observes a half-swapped tier, preserving the single-runtime swap contract
-/// across the fleet.
+/// SwapPipelines locks every shard in shard order (the only multi-shard lock
+/// site), performs one fault-injection check, and exchanges all pipelines
+/// before any shard resumes — no request anywhere observes a half-swapped
+/// tier. ModelManager promotes and rolls back through it.
 ///
 /// Lifetime: the estimators (one per shard — each owns its model-tier
 /// pipeline and fallback tiers) must outlive the runtime. Submitted plans
 /// are borrowed until their future resolves.
-class ShardedServingRuntime : public ServingHost {
+class ShardedServingRuntime {
  public:
   /// `estimators.size()` must equal `config.shards` (checked). Each shard
   /// serializes access to its own estimator; estimators must not be shared
   /// between shards or used directly while the tier is running.
   ShardedServingRuntime(std::vector<cost::ServingEstimator*> estimators,
                         ShardedRuntimeConfig config = {});
-  ~ShardedServingRuntime() override;
+  ~ShardedServingRuntime();
 
   ShardedServingRuntime(const ShardedServingRuntime&) = delete;
   ShardedServingRuntime& operator=(const ShardedServingRuntime&) = delete;
 
-  /// Starts every shard's batch worker. On failure, already-started shards
-  /// keep running (Shutdown stops them).
+  /// Freezes every shard's pipeline and starts its batch worker. Submissions
+  /// made before Start() sit in the shard queues (admission control applies)
+  /// and are served once it runs. Restartable after Shutdown(). On failure,
+  /// already-started shards keep running (Shutdown stops them).
   Status Start();
 
-  /// Stops and drains every shard. Idempotent.
+  /// Stops and drains every shard, resolving every queued future (inline on
+  /// the calling thread for a shard that was never started). Idempotent.
   void Shutdown();
 
   /// Installs (or replaces) one tenant's admission quota.
@@ -87,6 +89,8 @@ class ShardedServingRuntime : public ServingHost {
   /// reject (limit_rejects), kResourceExhausted for a quota shed (per-tenant
   /// quota_sheds), a memory-budget denial (memory_denied), or a full shard
   /// queue (rejected_requests), and kInvalidArgument after Shutdown().
+  /// deadline_ms <= 0 uses the estimator's configured default; the deadline
+  /// covers queue wait + compute.
   Result<std::future<cost::ServingEstimate>> Submit(const plan::PlanNode& plan,
                                                     double deadline_ms = 0.0,
                                                     TenantId tenant = 0);
@@ -96,7 +100,7 @@ class ShardedServingRuntime : public ServingHost {
 
   /// Counters merged across shards (sums; see ServingStats::MergeFrom) plus
   /// the facade's own governor/quota/memory admission counters.
-  cost::ServingStats StatsSnapshot() const override;
+  cost::ServingStats StatsSnapshot() const;
 
   /// Tier-wide latency distribution: every shard's histogram merged.
   LatencyHistogram LatencySnapshot() const;
@@ -118,24 +122,26 @@ class ShardedServingRuntime : public ServingHost {
   ServingShard& shard(size_t index) { return *shards_[index]; }
   const ServingShard& shard(size_t index) const { return *shards_[index]; }
 
-  // --- ServingHost ---------------------------------------------------------
+  size_t ShardCount() const { return shards_.size(); }
 
-  size_t ShardCount() const override { return shards_.size(); }
-
-  /// All-or-nothing cross-shard swap; see the class comment. Expects exactly
-  /// ShardCount() pipelines (entry i -> shard i) and returns the previous
-  /// pipelines in shard order.
+  /// Atomically replaces every shard's model tier while the tier keeps
+  /// serving (RCU-style; see the class comment). Expects exactly ShardCount()
+  /// pipelines (entry i -> shard i; nullptr detaches that shard's model tier,
+  /// the degradation chain keeps answering) and returns the previous
+  /// pipelines in shard order for rollback retention. `is_rollback` selects
+  /// which ServingStats counter (model_swaps vs model_rollbacks) each shard
+  /// increments. Instrumented with FaultSite::kModelSwap: an injected fault
+  /// aborts before any shard is touched.
   Result<std::vector<std::unique_ptr<core::PrestroidPipeline>>> SwapPipelines(
       std::vector<std::unique_ptr<core::PrestroidPipeline>> pipelines,
-      bool is_rollback) override;
+      bool is_rollback);
 
  private:
   ShardedRuntimeConfig config_;
   MemoryTracker memory_;
   TenantQuotaTable quotas_;
   std::vector<std::unique_ptr<ServingShard>> shards_;
-  /// Facade-level governor rejections (shards count their own direct-path
-  /// rejects; routed requests are governed here exactly once).
+  /// Governor rejections; every request is governed here exactly once.
   std::atomic<size_t> limit_rejects_{0};
 };
 

@@ -24,10 +24,10 @@ enum class FaultSite {
   /// failure here makes that syscall report EINTR, exercising the bounded
   /// retry-with-backoff path; arming with repeat exhausts the retry budget.
   kArtifactEintr,
-  /// The critical section of ServingRuntime::SwapPipeline. Arming a failure
-  /// here aborts the swap before any state is touched (simulates a crash
-  /// mid-swap): the previously active model, feature cache, and generation
-  /// are all left intact.
+  /// The critical section of ShardedServingRuntime::SwapPipelines. Arming a
+  /// failure here aborts the swap before any shard is touched (simulates a
+  /// crash mid-swap): every shard's active model, feature cache, and
+  /// generation are left intact.
   kModelSwap,
   /// The connect(2) performed by net::FaultConnectTcp (used by HttpClient).
   /// Arming a failure here refuses the connection (ECONNREFUSED) without

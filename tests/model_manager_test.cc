@@ -27,7 +27,7 @@
 #include "core/pipeline.h"
 #include "cost/serving_estimator.h"
 #include "serve/model_manager.h"
-#include "serve/serving_runtime.h"
+#include "serve/sharded_runtime.h"
 #include "util/artifact_io.h"
 #include "util/fault_injection.h"
 #include "workload/dataset.h"
@@ -177,7 +177,7 @@ std::string* ModelManagerFixture::artifact_path_ = nullptr;
 
 TEST_F(ModelManagerFixture, BootstrapPromotionActivatesACandidate) {
   auto estimator = MakeEstimator(/*with_model=*/false);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManager manager(&runtime);
   ASSERT_FALSE(estimator->has_pipeline());
 
@@ -199,7 +199,7 @@ TEST_F(ModelManagerFixture, BootstrapPromotionActivatesACandidate) {
 
 TEST_F(ModelManagerFixture, CorruptCandidateIsRejectedWithOldModelServing) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManager manager(&runtime);
   const double before =
       estimator->EstimateWithFallback(SamplePlan(0), 1e9).cpu_minutes;
@@ -246,7 +246,7 @@ TEST_F(ModelManagerFixture, CorruptCandidateIsRejectedWithOldModelServing) {
 
 TEST_F(ModelManagerFixture, ShadowValidationRejectsARegressingCandidate) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.min_replay = 8;
   ModelManager manager(&runtime, config);
@@ -272,7 +272,7 @@ TEST_F(ModelManagerFixture, ShadowValidationRejectsARegressingCandidate) {
 
 TEST_F(ModelManagerFixture, ShadowValidationPromotesWhenTheActiveIsWorse) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.min_replay = 8;
   ModelManager manager(&runtime, config);
@@ -298,7 +298,7 @@ TEST_F(ModelManagerFixture, ShadowValidationPromotesWhenTheActiveIsWorse) {
 TEST_F(ModelManagerFixture, InjectedCrashMidSwapLeavesTheActiveModelIntact) {
   ScopedFaultInjection faults;
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManager manager(&runtime);
   const double before =
       estimator->EstimateWithFallback(SamplePlan(0), 1e9).cpu_minutes;
@@ -327,7 +327,7 @@ TEST_F(ModelManagerFixture, InjectedCrashMidSwapLeavesTheActiveModelIntact) {
 
 TEST_F(ModelManagerFixture, PostSwapRegressionRollsBackAutomatically) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.drift_window = 8;
   config.min_probation = 4;
@@ -374,7 +374,7 @@ TEST_F(ModelManagerFixture, PostSwapRegressionRollsBackAutomatically) {
 
 TEST_F(ModelManagerFixture, SurvivingProbationConfirmsTheNewModel) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.drift_window = 8;
   config.min_probation = 2;
@@ -409,7 +409,7 @@ TEST_F(ModelManagerFixture, SurvivingProbationConfirmsTheNewModel) {
 
 TEST_F(ModelManagerFixture, DriftGateFlagsASustainedRegression) {
   auto estimator = MakeEstimator(/*with_model=*/true);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManagerConfig config;
   config.drift_window = 8;
   config.drift_threshold = 2.0;
@@ -483,7 +483,7 @@ TEST_F(ModelManagerFixture, DivergingRetrainPublishesNoCandidate) {
   EXPECT_TRUE(ValidateArtifactFile(config.candidate_path).ok());
 
   auto estimator = MakeEstimator(/*with_model=*/false);
-  ServingRuntime runtime(estimator.get());
+  ShardedServingRuntime runtime({estimator.get()});
   ModelManager manager(&runtime);
   auto promoted = manager.TryPromote(config.candidate_path);
   ASSERT_TRUE(promoted.ok());

@@ -1,4 +1,4 @@
-/// Tests for the concurrent batched serving runtime (serve/):
+/// Tests for the batched serving tier (serve/) on one shard:
 ///   - plan fingerprints cover exactly the recast-consumed fields;
 ///   - the LRU feature cache counts hits/misses/evictions and retires
 ///     generations on invalidation;
@@ -25,7 +25,7 @@
 #include "plan/plan_node.h"
 #include "serve/plan_cache.h"
 #include "serve/plan_fingerprint.h"
-#include "serve/serving_runtime.h"
+#include "serve/sharded_runtime.h"
 #include "sql/ast.h"
 #include "workload/dataset.h"
 
@@ -213,6 +213,18 @@ class ServingRuntimeFixture : public ::testing::Test {
     return *(*records_)[i % records_->size()].plan;
   }
 
+  /// Swaps the single shard's model tier, returning the previous pipeline.
+  static Result<std::unique_ptr<core::PrestroidPipeline>> SwapPipeline(
+      ShardedServingRuntime& runtime,
+      std::unique_ptr<core::PrestroidPipeline> pipeline,
+      bool is_rollback = false) {
+    std::vector<std::unique_ptr<core::PrestroidPipeline>> pipelines;
+    pipelines.push_back(std::move(pipeline));
+    auto previous = runtime.SwapPipelines(std::move(pipelines), is_rollback);
+    if (!previous.ok()) return previous.status();
+    return std::move((*previous)[0]);
+  }
+
   static std::vector<workload::QueryRecord>* records_;
   static std::string* artifact_path_;
 };
@@ -233,10 +245,10 @@ TEST_F(ServingRuntimeFixture, BatchedMatchesSingleQueryServing) {
                             .ValueOrDie());
   }
 
-  ServingRuntimeConfig config;
-  config.max_batch = 8;
-  config.batch_window_us = 100;
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedRuntimeConfig config;
+  config.shard.max_batch = 8;
+  config.shard.batch_window_us = 100;
+  ShardedServingRuntime runtime({estimator.get()}, config);
   ASSERT_TRUE(runtime.Start().ok());
 
   std::vector<std::future<cost::ServingEstimate>> futures;
@@ -262,9 +274,9 @@ TEST_F(ServingRuntimeFixture, BatchedMatchesSingleQueryServing) {
 
 TEST_F(ServingRuntimeFixture, DeadlineExpiredWhileQueuedDegradesPerItem) {
   auto estimator = MakeEstimator();
-  ServingRuntimeConfig config;
-  config.max_batch = 4;
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedRuntimeConfig config;
+  config.shard.max_batch = 4;
+  ShardedServingRuntime runtime({estimator.get()}, config);
 
   // Enqueue before Start so the deadline deterministically expires while the
   // request is still queued.
@@ -292,13 +304,13 @@ TEST_F(ServingRuntimeFixture, DeadlineExpiredWhileQueuedDegradesPerItem) {
 TEST_F(ServingRuntimeFixture, QueueOverflowRejectsWithoutBlocking) {
   // No Start(): nothing drains, so the overflow point is deterministic.
   cost::ServingEstimator estimator;  // fallbacks only — plenty for a drain
-  ServingRuntimeConfig config;
-  config.queue_depth = 4;
-  config.max_batch = 2;
-  ServingRuntime runtime(&estimator, config);
+  ShardedRuntimeConfig config;
+  config.shard.queue_depth = 4;
+  config.shard.max_batch = 2;
+  ShardedServingRuntime runtime({&estimator}, config);
 
   std::vector<std::future<cost::ServingEstimate>> accepted;
-  for (size_t i = 0; i < config.queue_depth; ++i) {
+  for (size_t i = 0; i < config.shard.queue_depth; ++i) {
     auto submitted = runtime.Submit(SamplePlan(i));
     ASSERT_TRUE(submitted.ok());
     accepted.push_back(std::move(*submitted));
@@ -309,7 +321,7 @@ TEST_F(ServingRuntimeFixture, QueueOverflowRejectsWithoutBlocking) {
 
   cost::ServingStats stats = runtime.StatsSnapshot();
   EXPECT_EQ(stats.rejected_requests, 1u);
-  EXPECT_EQ(stats.queue_high_watermark, config.queue_depth);
+  EXPECT_EQ(stats.queue_high_watermark, config.shard.queue_depth);
 
   // Shutdown without Start drains inline: every accepted future resolves.
   runtime.Shutdown();
@@ -322,32 +334,21 @@ TEST_F(ServingRuntimeFixture, QueueOverflowRejectsWithoutBlocking) {
   EXPECT_EQ(after.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(ServingRuntimeFixture, EstimateWithoutStartFailsFastInsteadOfHanging) {
-  // Regression: the blocking wrapper used to deadlock when called against a
-  // runtime whose worker was never started — the future can never resolve.
-  // It must fail fast with kFailedPrecondition instead.
-  cost::ServingEstimator estimator;
-  ServingRuntime runtime(&estimator, {});
-  auto blocked = runtime.Estimate(SamplePlan(0), 1e9);
-  ASSERT_FALSE(blocked.ok());
-  EXPECT_EQ(blocked.status().code(), StatusCode::kFailedPrecondition);
-  runtime.Shutdown();
-}
-
 TEST_F(ServingRuntimeFixture, RestartResetsTheQueueHighWatermark) {
   cost::ServingEstimator estimator;  // fallbacks only — plenty for a drain
-  ServingRuntimeConfig config;
-  config.queue_depth = 4;
-  config.max_batch = 2;
-  ServingRuntime runtime(&estimator, config);
+  ShardedRuntimeConfig config;
+  config.shard.queue_depth = 4;
+  config.shard.max_batch = 2;
+  ShardedServingRuntime runtime({&estimator}, config);
 
   // First run: fill the queue before Start so the watermark deterministically
   // reaches the full depth.
   std::vector<std::future<cost::ServingEstimate>> first_run;
-  for (size_t i = 0; i < config.queue_depth; ++i) {
+  for (size_t i = 0; i < config.shard.queue_depth; ++i) {
     first_run.push_back(runtime.Submit(SamplePlan(i)).ValueOrDie());
   }
-  EXPECT_EQ(runtime.StatsSnapshot().queue_high_watermark, config.queue_depth);
+  EXPECT_EQ(runtime.StatsSnapshot().queue_high_watermark,
+            config.shard.queue_depth);
   runtime.Shutdown();
   for (auto& future : first_run) future.get();
 
@@ -363,15 +364,15 @@ TEST_F(ServingRuntimeFixture, RestartResetsTheQueueHighWatermark) {
 
 TEST_F(ServingRuntimeFixture, CacheReusesFeaturesUntilInvalidated) {
   auto estimator = MakeEstimator();
-  ServingRuntimeConfig config;
-  config.max_batch = 4;  // >= 2 so the fingerprint cache engages
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedRuntimeConfig config;
+  config.shard.max_batch = 4;  // >= 2 so the fingerprint cache engages
+  ShardedServingRuntime runtime({estimator.get()}, config);
   ASSERT_TRUE(runtime.Start().ok());
 
   const cost::ServingEstimate first =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+      runtime.Submit(SamplePlan(0), 1e9)->get();
   const cost::ServingEstimate second =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+      runtime.Submit(SamplePlan(0), 1e9)->get();
   ASSERT_EQ(first.tier, cost::ServingTier::kModel);
   ASSERT_EQ(second.tier, cost::ServingTier::kModel);
   // Identical plan, identical features: bitwise-equal model answers.
@@ -384,7 +385,7 @@ TEST_F(ServingRuntimeFixture, CacheReusesFeaturesUntilInvalidated) {
   // so the same plan featurizes again under the new generation.
   runtime.InvalidateCache();
   const cost::ServingEstimate third =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+      runtime.Submit(SamplePlan(0), 1e9)->get();
   ASSERT_EQ(third.tier, cost::ServingTier::kModel);
   EXPECT_EQ(third.cpu_minutes, first.cpu_minutes);  // same pipeline, same answer
   stats = runtime.StatsSnapshot();
@@ -402,9 +403,9 @@ TEST_F(ServingRuntimeFixture, BatchOfOneTakesTheBatchedPathAndTheCache) {
   std::vector<std::vector<double>> answers;
   for (size_t max_batch : {size_t{1}, size_t{4}}) {
     auto estimator = MakeEstimator();
-    ServingRuntimeConfig config;
-    config.max_batch = max_batch;
-    ServingRuntime runtime(estimator.get(), config);
+    ShardedRuntimeConfig config;
+    config.shard.max_batch = max_batch;
+    ShardedServingRuntime runtime({estimator.get()}, config);
 
     // Enqueued before Start, so the deadline deterministically expires while
     // the request is still queued.
@@ -423,7 +424,7 @@ TEST_F(ServingRuntimeFixture, BatchOfOneTakesTheBatchedPathAndTheCache) {
     for (size_t pass = 0; pass < 2; ++pass) {
       for (size_t i = 0; i < kPlans; ++i) {
         const cost::ServingEstimate estimate =
-            runtime.Estimate(SamplePlan(i), 1e9).ValueOrDie();
+            runtime.Submit(SamplePlan(i), 1e9)->get();
         ASSERT_EQ(estimate.tier, cost::ServingTier::kModel);
         if (pass == 0) {
           served.push_back(estimate.cpu_minutes);
@@ -463,15 +464,15 @@ TEST_F(ServingRuntimeFixture, ShardServesFrozenWeightsAfterStartSwapAndRollback)
   ASSERT_EQ(reference_pipeline->ResidentWeightBytes(), 0u);
 
   auto estimator = MakeEstimator();
-  ServingRuntimeConfig config;
-  config.max_batch = 4;
-  ServingRuntime runtime(estimator.get(), config);
-  EXPECT_EQ(runtime.shard().resident_weight_bytes(), 0u);  // not yet frozen
+  ShardedRuntimeConfig config;
+  config.shard.max_batch = 4;
+  ShardedServingRuntime runtime({estimator.get()}, config);
+  EXPECT_EQ(runtime.shard(0).resident_weight_bytes(), 0u);  // not yet frozen
   auto expect_frozen_and_identical = [&](const char* stage) {
-    EXPECT_GT(runtime.shard().resident_weight_bytes(), 0u) << stage;
+    EXPECT_GT(runtime.shard(0).resident_weight_bytes(), 0u) << stage;
     for (size_t i = 0; i < kPlans; ++i) {
       const cost::ServingEstimate estimate =
-          runtime.Estimate(SamplePlan(i), 1e9).ValueOrDie();
+          runtime.Submit(SamplePlan(i), 1e9)->get();
       ASSERT_EQ(estimate.tier, cost::ServingTier::kModel) << stage;
       EXPECT_EQ(estimate.cpu_minutes, reference[i]) << stage << " plan " << i;
     }
@@ -480,15 +481,16 @@ TEST_F(ServingRuntimeFixture, ShardServesFrozenWeightsAfterStartSwapAndRollback)
   ASSERT_TRUE(runtime.Start().ok());
   expect_frozen_and_identical("after Start");
 
-  auto previous = runtime.SwapPipeline(
-      core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie());
+  auto previous = SwapPipeline(
+      runtime, core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie());
   ASSERT_TRUE(previous.ok()) << previous.status().ToString();
   expect_frozen_and_identical("after SwapPipeline");
 
   // Thaw the retained pipeline so the rollback has to freeze it again.
   (*previous)->ThawInferenceWeights();
   ASSERT_EQ((*previous)->ResidentWeightBytes(), 0u);
-  auto rolled = runtime.SwapPipeline(std::move(*previous), /*is_rollback=*/true);
+  auto rolled =
+      SwapPipeline(runtime, std::move(*previous), /*is_rollback=*/true);
   ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
   expect_frozen_and_identical("after rollback");
   runtime.Shutdown();
@@ -496,13 +498,13 @@ TEST_F(ServingRuntimeFixture, ShardServesFrozenWeightsAfterStartSwapAndRollback)
 
 TEST_F(ServingRuntimeFixture, SwapPipelineIsAtomicAndBumpsTheCacheGeneration) {
   auto estimator = MakeEstimator();
-  ServingRuntimeConfig config;
-  config.max_batch = 4;
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedRuntimeConfig config;
+  config.shard.max_batch = 4;
+  ShardedServingRuntime runtime({estimator.get()}, config);
   ASSERT_TRUE(runtime.Start().ok());
 
   const cost::ServingEstimate before =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+      runtime.Submit(SamplePlan(0), 1e9)->get();
   ASSERT_EQ(before.tier, cost::ServingTier::kModel);
   cost::ServingStats stats = runtime.StatsSnapshot();
   EXPECT_EQ(stats.cache_misses, 1u);
@@ -514,12 +516,12 @@ TEST_F(ServingRuntimeFixture, SwapPipelineIsAtomicAndBumpsTheCacheGeneration) {
   // model — with a bit-identical answer, since the weights are identical.
   auto replacement =
       core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
-  auto previous = runtime.SwapPipeline(std::move(replacement));
+  auto previous = SwapPipeline(runtime, std::move(replacement));
   ASSERT_TRUE(previous.ok()) << previous.status().ToString();
   EXPECT_NE(*previous, nullptr);
 
   const cost::ServingEstimate after =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+      runtime.Submit(SamplePlan(0), 1e9)->get();
   ASSERT_EQ(after.tier, cost::ServingTier::kModel);
   EXPECT_EQ(after.cpu_minutes, before.cpu_minutes);
   stats = runtime.StatsSnapshot();
@@ -528,17 +530,18 @@ TEST_F(ServingRuntimeFixture, SwapPipelineIsAtomicAndBumpsTheCacheGeneration) {
   EXPECT_EQ(stats.model_rollbacks, 0u);
 
   // Rolling the retained pipeline back counts on the rollback counter.
-  auto rolled = runtime.SwapPipeline(std::move(*previous), /*is_rollback=*/true);
+  auto rolled =
+      SwapPipeline(runtime, std::move(*previous), /*is_rollback=*/true);
   ASSERT_TRUE(rolled.ok());
   stats = runtime.StatsSnapshot();
   EXPECT_EQ(stats.model_swaps, 1u);
   EXPECT_EQ(stats.model_rollbacks, 1u);
 
   // Detaching (nullptr) degrades to the fallback chain instead of failing.
-  auto detached = runtime.SwapPipeline(nullptr);
+  auto detached = SwapPipeline(runtime, nullptr);
   ASSERT_TRUE(detached.ok());
   const cost::ServingEstimate degraded =
-      runtime.Estimate(SamplePlan(0), 1e9).ValueOrDie();
+      runtime.Submit(SamplePlan(0), 1e9)->get();
   EXPECT_NE(degraded.tier, cost::ServingTier::kModel);
   EXPECT_TRUE(std::isfinite(degraded.cpu_minutes));
   runtime.Shutdown();
@@ -561,12 +564,12 @@ TEST_F(ServingRuntimeFixture, HotSwapUnderConcurrentLoadKeepsParity) {
         reference_pipeline->PredictPlan(SamplePlan(i)).ValueOrDie());
   }
 
-  ServingRuntimeConfig config;
-  config.queue_depth = 16;
-  config.max_batch = 4;
-  config.batch_window_us = 50;
-  config.cache_entries = 8;
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedRuntimeConfig config;
+  config.shard.queue_depth = 16;
+  config.shard.max_batch = 4;
+  config.shard.batch_window_us = 50;
+  config.shard.cache_entries = 8;
+  ShardedServingRuntime runtime({estimator.get()}, config);
   ASSERT_TRUE(runtime.Start().ok());
 
   std::atomic<size_t> served{0};
@@ -618,7 +621,7 @@ TEST_F(ServingRuntimeFixture, HotSwapUnderConcurrentLoadKeepsParity) {
     auto next = core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
     for (size_t s = 0; s < kSwaps; ++s) {
       auto swapped =
-          runtime.SwapPipeline(std::move(next), /*is_rollback=*/s % 2 == 1);
+          SwapPipeline(runtime, std::move(next), /*is_rollback=*/s % 2 == 1);
       if (!swapped.ok() || *swapped == nullptr) {
         ++swap_failures;
         next = core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
@@ -647,12 +650,13 @@ TEST_F(ServingRuntimeFixture, HotSwapUnderConcurrentLoadKeepsParity) {
 
 TEST_F(ServingRuntimeFixture, MultiProducerStressIsSafe) {
   auto estimator = MakeEstimator();
-  ServingRuntimeConfig config;
-  config.queue_depth = 16;  // small: exercises overflow + backpressure
-  config.max_batch = 4;
-  config.batch_window_us = 50;
-  config.cache_entries = 8;  // smaller than the plan pool: exercises eviction
-  ServingRuntime runtime(estimator.get(), config);
+  ShardedRuntimeConfig config;
+  config.shard.queue_depth = 16;  // small: exercises overflow + backpressure
+  config.shard.max_batch = 4;
+  config.shard.batch_window_us = 50;
+  // Smaller than the plan pool: exercises eviction.
+  config.shard.cache_entries = 8;
+  ShardedServingRuntime runtime({estimator.get()}, config);
   ASSERT_TRUE(runtime.Start().ok());
 
   constexpr size_t kThreads = 4;
@@ -715,7 +719,7 @@ TEST_F(ServingRuntimeFixture, MultiProducerStressIsSafe) {
   EXPECT_EQ(non_finite.load(), 0u);
   const cost::ServingStats stats = runtime.StatsSnapshot();
   EXPECT_EQ(stats.requests, kThreads * kPerThread);
-  EXPECT_LE(stats.queue_high_watermark, config.queue_depth);
+  EXPECT_LE(stats.queue_high_watermark, config.shard.queue_depth);
   EXPECT_EQ(runtime.LatencySnapshot().count(), kThreads * kPerThread);
 }
 

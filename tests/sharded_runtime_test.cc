@@ -1,7 +1,8 @@
 /// Tests for the sharded multi-tenant serving tier (serve/sharded_runtime.h):
 ///   - fingerprint routing sends identical plans to one shard's cache;
-///   - --shards 1 parity: the sharded tier reproduces single-runtime answers;
-///   - sharded answers match single-query references across shards;
+///   - a seeded sweep over shards x max_batch x batch window x producers:
+///     every model-tier answer is bit-equal to the single-query
+///     EstimateWithFallback reference;
 ///   - tenant quotas shed with kResourceExhausted + per-tenant counters while
 ///     other tenants keep serving;
 ///   - the box memory budget denies admission and releases the quota charge;
@@ -24,10 +25,10 @@
 #include "plan/plan_node.h"
 #include "serve/model_manager.h"
 #include "serve/plan_fingerprint.h"
-#include "serve/serving_runtime.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
 #include "util/fault_injection.h"
+#include "util/random.h"
 #include "workload/dataset.h"
 
 namespace prestroid::serve {
@@ -93,7 +94,7 @@ TEST(TenantQuotaTableTest, SnapshotAllOrdersByTenant) {
 
 // --------------------------------------------------------------------------
 // Sharded runtime (fixture with a fitted pipeline, mirroring
-// serving_runtime_test)
+// serving_runtime_test's one-shard fixture)
 // --------------------------------------------------------------------------
 
 class ShardedRuntimeFixture : public ::testing::Test {
@@ -216,65 +217,82 @@ TEST_F(ShardedRuntimeFixture, RoutingSendsIdenticalPlansToOneShardsCache) {
   EXPECT_EQ(tier.runtime->LatencySnapshot().count(), kRepeats);
 }
 
-TEST_F(ShardedRuntimeFixture, OneShardReproducesSingleRuntimeAnswers) {
-  // --shards 1 must preserve today's single-runtime behavior: identical
-  // plans, identical configuration => bit-identical model answers.
-  auto single_estimator = MakeEstimator();
-  ServingRuntimeConfig shard_config;
-  shard_config.max_batch = 8;
-  shard_config.batch_window_us = 100;
-  ServingRuntime single(single_estimator.get(), shard_config);
-  ASSERT_TRUE(single.Start().ok());
-
-  ShardedRuntimeConfig sharded_config;
-  sharded_config.shard = shard_config;
-  Tier tier = MakeTier(1, sharded_config);
-  ASSERT_TRUE(tier.runtime->Start().ok());
-
-  constexpr size_t kPlans = 16;
-  std::vector<std::future<cost::ServingEstimate>> single_futures;
-  std::vector<std::future<cost::ServingEstimate>> sharded_futures;
-  for (size_t i = 0; i < kPlans; ++i) {
-    single_futures.push_back(single.Submit(SamplePlan(i), 1e9).ValueOrDie());
-    sharded_futures.push_back(
-        tier.runtime->Submit(SamplePlan(i), 1e9).ValueOrDie());
-  }
-  for (size_t i = 0; i < kPlans; ++i) {
-    const cost::ServingEstimate a = single_futures[i].get();
-    const cost::ServingEstimate b = sharded_futures[i].get();
-    EXPECT_EQ(a.tier, b.tier);
-    EXPECT_EQ(a.cpu_minutes, b.cpu_minutes);  // bit-for-bit
-  }
-  single.Shutdown();
-  tier.runtime->Shutdown();
-}
-
 TEST_F(ShardedRuntimeFixture, ShardedAnswersMatchSingleQueryReferences) {
-  auto reference_pipeline =
-      core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
-  constexpr size_t kPlans = 24;
+  // Seeded sweep over topology and batching policy: shards x max_batch x
+  // batch window x producer count, each case serving a random mix of plans
+  // with repeats. Every model-tier answer must be bit-equal to the
+  // single-query EstimateWithFallback reference, whatever else shares its
+  // batch, its shard or its cache entry. The reference runs on the blocked
+  // backend, which the shards' frozen resident weights match bit for bit.
+  cost::ServingEstimator reference_estimator;
+  ASSERT_TRUE(reference_estimator.FitFallbacks(*records_).ok());
+  reference_estimator.AttachPipeline(
+      core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie());
+  reference_estimator.execution_context()->set_kernel(KernelBackend::kBlocked);
+  constexpr size_t kPool = 24;
   std::vector<double> reference;
-  for (size_t i = 0; i < kPlans; ++i) {
-    reference.push_back(
-        reference_pipeline->PredictPlan(SamplePlan(i)).ValueOrDie());
+  for (size_t i = 0; i < kPool; ++i) {
+    const cost::ServingEstimate estimate =
+        reference_estimator.EstimateWithFallback(SamplePlan(i), 1e9);
+    ASSERT_EQ(estimate.tier, cost::ServingTier::kModel);
+    reference.push_back(estimate.cpu_minutes);
   }
 
-  ShardedRuntimeConfig config;
-  config.shard.max_batch = 8;
-  config.shard.batch_window_us = 100;
-  Tier tier = MakeTier(4, config);
-  ASSERT_TRUE(tier.runtime->Start().ok());
-  std::vector<std::future<cost::ServingEstimate>> futures;
-  for (size_t i = 0; i < kPlans; ++i) {
-    futures.push_back(tier.runtime->Submit(SamplePlan(i), 1e9).ValueOrDie());
+  constexpr size_t kRequestsPerCase = 48;
+  Rng rng(20210620);
+  for (size_t shards : {1u, 2u, 3u, 4u}) {
+    for (size_t max_batch : {1u, 3u, 8u, 32u}) {
+      for (size_t window_us : {0u, 100u}) {
+        for (size_t producers : {1u, 4u}) {
+          const std::string label = "shards=" + std::to_string(shards) +
+                                    " max_batch=" + std::to_string(max_batch) +
+                                    " window_us=" + std::to_string(window_us) +
+                                    " producers=" + std::to_string(producers);
+          // Each producer's plan mix is drawn up front, so the case is the
+          // same on every run; only the interleaving varies.
+          std::vector<std::vector<size_t>> mixes(producers);
+          for (auto& mix : mixes) {
+            for (size_t i = 0; i < kRequestsPerCase / producers; ++i) {
+              mix.push_back(rng.NextUint64(kPool));
+            }
+          }
+          ShardedRuntimeConfig config;
+          config.shard.max_batch = max_batch;
+          config.shard.batch_window_us = window_us;
+          Tier tier = MakeTier(shards, config);
+          ASSERT_TRUE(tier.runtime->Start().ok()) << label;
+
+          std::atomic<size_t> mismatches{0};
+          std::atomic<size_t> degraded{0};
+          std::vector<std::thread> threads;
+          for (size_t p = 0; p < producers; ++p) {
+            threads.emplace_back([&, p] {
+              const std::vector<size_t>& mix = mixes[p];
+              std::vector<std::future<cost::ServingEstimate>> futures;
+              for (size_t index : mix) {
+                futures.push_back(
+                    tier.runtime->Submit(SamplePlan(index), 1e9).ValueOrDie());
+              }
+              for (size_t i = 0; i < mix.size(); ++i) {
+                const cost::ServingEstimate estimate = futures[i].get();
+                if (estimate.tier != cost::ServingTier::kModel) {
+                  ++degraded;
+                } else if (estimate.cpu_minutes != reference[mix[i]]) {
+                  ++mismatches;
+                }
+              }
+            });
+          }
+          for (std::thread& thread : threads) thread.join();
+          tier.runtime->Shutdown();
+          EXPECT_EQ(degraded.load(), 0u) << label;
+          EXPECT_EQ(mismatches.load(), 0u) << label;
+          EXPECT_EQ(tier.runtime->StatsSnapshot().requests, kRequestsPerCase)
+              << label;
+        }
+      }
+    }
   }
-  for (size_t i = 0; i < kPlans; ++i) {
-    const cost::ServingEstimate estimate = futures[i].get();
-    ASSERT_EQ(estimate.tier, cost::ServingTier::kModel);
-    EXPECT_NEAR(estimate.cpu_minutes, reference[i],
-                1e-5 * std::max(1.0, std::fabs(reference[i])));
-  }
-  tier.runtime->Shutdown();
 }
 
 TEST_F(ShardedRuntimeFixture, OverQuotaTenantShedsWhileOthersServe) {
