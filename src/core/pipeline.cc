@@ -1,5 +1,7 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
+
 #include "embed/predicate_tokenizer.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -24,6 +26,22 @@ void CollectPredicates(const otp::OtpNode& root,
     if (node.right != nullptr) stack.push_back(node.right.get());
     if (node.left != nullptr) stack.push_back(node.left.get());
   }
+}
+
+/// The model input for one plan: its first K sub-trees, or the single
+/// unpruned tree of a full-tree pipeline.
+Result<std::vector<TreeFeatures>> FeaturizeTrees(const Featurizer& featurizer,
+                                                 const PipelineConfig& config,
+                                                 const plan::PlanNode& plan) {
+  if (config.use_subtrees) {
+    return featurizer.FeaturizeSubtrees(plan, config.sampler,
+                                        config.num_subtrees, config.pruning);
+  }
+  PRESTROID_ASSIGN_OR_RETURN(TreeFeatures tree,
+                             featurizer.FeaturizeFullPlan(plan));
+  std::vector<TreeFeatures> trees;
+  trees.push_back(std::move(tree));
+  return trees;
 }
 
 std::vector<FreezableLayer*> FreezableLayersOf(CostModel* model) {
@@ -108,105 +126,64 @@ Result<std::unique_ptr<PrestroidPipeline>> PrestroidPipeline::Fit(
   pipeline->featurizer_ = std::make_unique<Featurizer>(
       pipeline->encoder_.get(), pipeline->predicate_encoder_.get());
 
-  // 6. Model construction + featurization of every record.
-  const size_t feature_dim = pipeline->encoder_->feature_dim();
-  if (config.use_subtrees) {
-    SubtreeModelConfig model_config;
-    model_config.feature_dim = feature_dim;
-    model_config.node_limit = config.sampler.node_limit;
-    model_config.num_subtrees = config.num_subtrees;
-    model_config.conv_channels = config.conv_channels;
-    model_config.dense_units = config.dense_units;
-    model_config.dropout = config.dropout;
-    model_config.batch_norm = config.batch_norm;
-    model_config.learning_rate = config.learning_rate;
-    model_config.seed = config.seed;
-    model_config.name =
-        StrFormat("Prestroid (%zu-%zu-%zu)", config.sampler.node_limit,
-                  config.num_subtrees, config.word2vec.dim);
-    if (config.pruning != subtree::PruningStrategy::kAlgorithm1) {
-      model_config.name +=
-          StrFormat(" [%s]", subtree::PruningStrategyToString(config.pruning));
-    }
-    pipeline->subtree_model_ = std::make_unique<SubtreeModel>(model_config);
-    // Featurize all records in parallel. The predicate encoder carries
-    // mutable per-query OOV context, so each chunk featurizes through its
-    // own encoder clone; results land in index-keyed slots and samples are
-    // added serially in record order afterwards.
-    std::vector<std::vector<TreeFeatures>> all_subtrees(records.size());
-    std::vector<Status> feat_errors(records.size());
-    ctx->ParallelFor(
-        0, records.size(), /*grain=*/4, [&](size_t begin, size_t end) {
-          embed::PredicateEncoder pred_clone(*pipeline->predicate_encoder_);
-          otp::OtpEncoder enc_clone(&pred_clone);
-          enc_clone.RestoreVocabulary(pipeline->encoder_->operator_ids(),
-                                      pipeline->encoder_->table_ids());
-          Featurizer featurizer(&enc_clone, &pred_clone);
-          for (size_t i = begin; i < end; ++i) {
-            Result<std::vector<TreeFeatures>> subtrees =
-                featurizer.FeaturizeSubtrees(*records[i].plan, config.sampler,
-                                             config.num_subtrees,
-                                             config.pruning);
-            if (!subtrees.ok()) {
-              feat_errors[i] = subtrees.status();
-              continue;
-            }
-            all_subtrees[i] = std::move(subtrees).value();
+  // 6. Featurize all records in parallel. The predicate encoder carries
+  // mutable per-query OOV context, so each chunk featurizes through its own
+  // encoder clone; results land in index-keyed slots and samples are added
+  // serially in record order afterwards.
+  std::vector<std::vector<TreeFeatures>> all_trees(records.size());
+  std::vector<Status> feat_errors(records.size());
+  ctx->ParallelFor(
+      0, records.size(), /*grain=*/4, [&](size_t begin, size_t end) {
+        embed::PredicateEncoder pred_clone(*pipeline->predicate_encoder_);
+        otp::OtpEncoder enc_clone(&pred_clone);
+        enc_clone.RestoreVocabulary(pipeline->encoder_->operator_ids(),
+                                    pipeline->encoder_->table_ids());
+        Featurizer featurizer(&enc_clone, &pred_clone);
+        for (size_t i = begin; i < end; ++i) {
+          Result<std::vector<TreeFeatures>> trees =
+              FeaturizeTrees(featurizer, config, *records[i].plan);
+          if (!trees.ok()) {
+            feat_errors[i] = trees.status();
+            continue;
           }
-        });
-    for (const Status& status : feat_errors) {
-      PRESTROID_RETURN_NOT_OK(status);
-    }
-    for (size_t i = 0; i < records.size(); ++i) {
-      pipeline->subtree_model_->AddSample(std::move(all_subtrees[i]),
-                                          pipeline->targets_[i]);
-    }
-  } else {
-    FullTreeModelConfig model_config;
-    model_config.feature_dim = feature_dim;
-    model_config.conv_channels = config.conv_channels;
-    model_config.dense_units = config.dense_units;
-    model_config.dropout = config.dropout;
-    model_config.batch_norm = config.batch_norm;
-    model_config.learning_rate = config.learning_rate;
-    model_config.seed = config.seed;
-    model_config.name = StrFormat("Full-%zu", config.word2vec.dim);
-    pipeline->full_model_ = std::make_unique<FullTreeModel>(model_config);
-    std::vector<TreeFeatures> all_features(records.size());
-    std::vector<Status> feat_errors(records.size());
-    ctx->ParallelFor(
-        0, records.size(), /*grain=*/4, [&](size_t begin, size_t end) {
-          embed::PredicateEncoder pred_clone(*pipeline->predicate_encoder_);
-          otp::OtpEncoder enc_clone(&pred_clone);
-          enc_clone.RestoreVocabulary(pipeline->encoder_->operator_ids(),
-                                      pipeline->encoder_->table_ids());
-          Featurizer featurizer(&enc_clone, &pred_clone);
-          for (size_t i = begin; i < end; ++i) {
-            Result<TreeFeatures> features =
-                featurizer.FeaturizeFullPlan(*records[i].plan);
-            if (!features.ok()) {
-              feat_errors[i] = features.status();
-              continue;
-            }
-            all_features[i] = std::move(features).value();
-          }
-        });
-    for (const Status& status : feat_errors) {
-      PRESTROID_RETURN_NOT_OK(status);
-    }
-    for (size_t i = 0; i < records.size(); ++i) {
-      pipeline->full_model_->AddSample(std::move(all_features[i]),
-                                       pipeline->targets_[i]);
-    }
-    pipeline->full_model_->Finalize();
+          all_trees[i] = std::move(trees).value();
+        }
+      });
+  for (const Status& status : feat_errors) {
+    PRESTROID_RETURN_NOT_OK(status);
   }
-  pipeline->model()->SetExecutionContext(ctx);
+
+  // 7. The model: a full-tree pipeline pads to its largest record
+  // (dataset-wide, the paper's Section 5.4 regime).
+  size_t largest_tree = 0;
+  for (const std::vector<TreeFeatures>& trees : all_trees) {
+    for (const TreeFeatures& tree : trees) {
+      largest_tree = std::max(largest_tree, tree.num_nodes());
+    }
+  }
+  pipeline->BuildModel(largest_tree);
+  for (size_t i = 0; i < records.size(); ++i) {
+    pipeline->model_->AddSample(std::move(all_trees[i]),
+                                pipeline->targets_[i]);
+  }
   return pipeline;
 }
 
-CostModel* PrestroidPipeline::model() {
-  return config_.use_subtrees ? static_cast<CostModel*>(subtree_model_.get())
-                              : static_cast<CostModel*>(full_model_.get());
+void PrestroidPipeline::BuildModel(size_t full_tree_nodes) {
+  SubtreeModelConfig model_config;
+  model_config.feature_dim = encoder_->feature_dim();
+  model_config.node_limit =
+      config_.use_subtrees ? config_.sampler.node_limit : full_tree_nodes;
+  model_config.num_subtrees = config_.use_subtrees ? config_.num_subtrees : 1;
+  model_config.conv_channels = config_.conv_channels;
+  model_config.dense_units = config_.dense_units;
+  model_config.dropout = config_.dropout;
+  model_config.batch_norm = config_.batch_norm;
+  model_config.learning_rate = config_.learning_rate;
+  model_config.seed = config_.seed;
+  model_config.name = ModelName();
+  model_ = std::make_unique<SubtreeModel>(model_config);
+  model_->SetExecutionContext(exec_ctx_.get());
 }
 
 void PrestroidPipeline::FreezeInferenceWeights() {
@@ -263,16 +240,8 @@ Result<PlanFeatures> PrestroidPipeline::FeaturizePlan(
     const plan::PlanNode& plan) {
   PRESTROID_RETURN_NOT_OK(plan::CheckPlanLimits(plan, config_.plan_limits));
   PlanFeatures features;
-  if (config_.use_subtrees) {
-    PRESTROID_ASSIGN_OR_RETURN(
-        features.trees,
-        featurizer_->FeaturizeSubtrees(plan, config_.sampler,
-                                       config_.num_subtrees, config_.pruning));
-  } else {
-    PRESTROID_ASSIGN_OR_RETURN(TreeFeatures tree,
-                               featurizer_->FeaturizeFullPlan(plan));
-    features.trees.push_back(std::move(tree));
-  }
+  PRESTROID_ASSIGN_OR_RETURN(features.trees,
+                             FeaturizeTrees(*featurizer_, config_, plan));
   return features;
 }
 
@@ -281,20 +250,10 @@ std::vector<double> PrestroidPipeline::PredictFeaturized(
   if (batch.empty()) return {};
   // One fused eval-mode forward over the borrowed encodings — no staging
   // copies, no mutation of the model's sample store.
-  std::vector<float> norm;
-  if (config_.use_subtrees) {
-    std::vector<const std::vector<TreeFeatures>*> samples;
-    samples.reserve(batch.size());
-    for (const PlanFeatures* features : batch) samples.push_back(&features->trees);
-    norm = subtree_model_->PredictBorrowed(samples);
-  } else {
-    std::vector<const TreeFeatures*> samples;
-    samples.reserve(batch.size());
-    for (const PlanFeatures* features : batch) {
-      samples.push_back(&features->trees.front());
-    }
-    norm = full_model_->PredictBorrowed(samples);
-  }
+  std::vector<SubtreeModel::Row> rows;
+  rows.reserve(batch.size());
+  for (const PlanFeatures* features : batch) rows.push_back(&features->trees);
+  const std::vector<float> norm = model_->PredictBorrowed(rows);
   std::vector<double> minutes;
   minutes.reserve(norm.size());
   for (float n : norm) minutes.push_back(transform_.Denormalize(n));
@@ -315,9 +274,7 @@ std::string PrestroidPipeline::ModelName() const {
 }
 
 size_t PrestroidPipeline::InputBytesPerBatch(size_t batch_size) const {
-  return config_.use_subtrees
-             ? subtree_model_->InputBytesPerBatch(batch_size)
-             : full_model_->InputBytesPerBatch(batch_size);
+  return model_->InputBytesPerBatch(batch_size);
 }
 
 }  // namespace prestroid::core

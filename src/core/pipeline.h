@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/featurizer.h"
-#include "core/full_tree_model.h"
 #include "core/label_transform.h"
 #include "core/metrics.h"
 #include "core/subtree_model.h"
@@ -28,7 +27,8 @@ struct PipelineConfig {
   subtree::SubtreeSamplerConfig sampler;
   /// K: sub-trees representing a query. Ignored for full-tree pipelines.
   size_t num_subtrees = 9;
-  /// false -> Prestroid-Full over unpruned plans.
+  /// false -> Prestroid-Full: the same model over unpruned plans, with K = 1
+  /// and N = the largest featurized record (see SubtreeModel).
   bool use_subtrees = true;
   /// Decomposition strategy for sub-tree pipelines (Algorithm 1 by default;
   /// the naive options exist for the ablation study).
@@ -116,7 +116,7 @@ class PrestroidPipeline {
   /// Bytes of the resident panels; 0 while thawed.
   size_t ResidentWeightBytes();
 
-  CostModel* model();
+  CostModel* model() { return model_.get(); }
   /// The pipeline-owned execution context (thread pool + scratch arena +
   /// counters) bound to the model. Never null after Fit()/LoadFile().
   ExecutionContext* execution_context() { return exec_ctx_.get(); }
@@ -150,6 +150,12 @@ class PrestroidPipeline {
 
   PrestroidPipeline() = default;
 
+  /// Builds the sample-free model for the fitted encoder and binds the
+  /// execution context. `full_tree_nodes` is a full-tree pipeline's padding
+  /// size N (its largest featurized record); sub-tree pipelines use the
+  /// sampler's N and ignore it.
+  void BuildModel(size_t full_tree_nodes);
+
   PipelineConfig config_;
   LabelTransform transform_;
   std::unique_ptr<ExecutionContext> exec_ctx_;
@@ -157,8 +163,7 @@ class PrestroidPipeline {
   std::unique_ptr<embed::PredicateEncoder> predicate_encoder_;
   std::unique_ptr<otp::OtpEncoder> encoder_;
   std::unique_ptr<Featurizer> featurizer_;
-  std::unique_ptr<SubtreeModel> subtree_model_;
-  std::unique_ptr<FullTreeModel> full_model_;
+  std::unique_ptr<SubtreeModel> model_;
   std::vector<float> targets_;
   std::vector<double> cpu_minutes_;
 };

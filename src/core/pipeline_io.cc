@@ -15,6 +15,7 @@
 // by the pre-container v1 format ("PRESTROID_PIPELINE v1" + the same records
 // in sequence) are still loadable; any corrupted v2 file is rejected with
 // StatusCode::kDataCorruption before a single weight is deserialized.
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -127,6 +128,26 @@ struct PipelineSerde {
         ReadSizeList(is, "conv_channels", &config.conv_channels));
     PRESTROID_RETURN_NOT_OK(
         ReadSizeList(is, "dense_units", &config.dense_units));
+    // A CRC-valid file can still carry values the model constructor would
+    // CHECK-fail on; reject them here so a bad candidate is a Status, never
+    // an abort of the serving process. Full-tree pipelines build with K = 1
+    // and N = full_max_nodes (checked in ReadFullMaxNodes) instead.
+    if (config.use_subtrees &&
+        (config.num_subtrees == 0 || config.sampler.node_limit == 0)) {
+      return Status::DataCorruption("zero sub-tree count or node limit");
+    }
+    if (pruning < static_cast<int>(subtree::PruningStrategy::kAlgorithm1) ||
+        pruning > static_cast<int>(subtree::PruningStrategy::kDepthFirst)) {
+      return Status::DataCorruption("unknown pruning strategy " +
+                                    std::to_string(pruning));
+    }
+    auto has_zero = [](const std::vector<size_t>& v) {
+      return std::find(v.begin(), v.end(), 0u) != v.end();
+    };
+    if (config.conv_channels.empty() || has_zero(config.conv_channels) ||
+        has_zero(config.dense_units)) {
+      return Status::DataCorruption("empty or zero-width layer list");
+    }
 
     double log_min = 0, log_max = 1;
     is >> tag >> log_min >> log_max;
@@ -176,39 +197,11 @@ struct PipelineSerde {
 
   /// Rebuilds the model skeleton with the fitted vocabularies' feature
   /// width; `full_max_nodes` is the stored padding size (full-tree only).
-  static Status BuildModelSkeleton(PrestroidPipeline* p,
-                                   size_t full_max_nodes) {
-    const PipelineConfig& config = p->config_;
-    const size_t feature_dim = p->encoder_->feature_dim();
-    if (config.use_subtrees) {
-      SubtreeModelConfig model_config;
-      model_config.feature_dim = feature_dim;
-      model_config.node_limit = config.sampler.node_limit;
-      model_config.num_subtrees = config.num_subtrees;
-      model_config.conv_channels = config.conv_channels;
-      model_config.dense_units = config.dense_units;
-      model_config.dropout = config.dropout;
-      model_config.batch_norm = config.batch_norm;
-      model_config.learning_rate = config.learning_rate;
-      model_config.seed = config.seed;
-      p->subtree_model_ = std::make_unique<SubtreeModel>(model_config);
-    } else {
-      FullTreeModelConfig model_config;
-      model_config.feature_dim = feature_dim;
-      model_config.conv_channels = config.conv_channels;
-      model_config.dense_units = config.dense_units;
-      model_config.dropout = config.dropout;
-      model_config.batch_norm = config.batch_norm;
-      model_config.learning_rate = config.learning_rate;
-      model_config.seed = config.seed;
-      p->full_model_ = std::make_unique<FullTreeModel>(model_config);
-      p->full_model_->FinalizeEmpty(full_max_nodes);
-    }
+  static void BuildModelSkeleton(PrestroidPipeline* p, size_t full_max_nodes) {
     // Serving default: loaded pipelines run single-threaded. The `threads`
     // knob is runtime-only and never serialized, so config_.threads == 1.
     p->exec_ctx_ = std::make_unique<ExecutionContext>(1);
-    p->model()->SetExecutionContext(p->exec_ctx_.get());
-    return Status::OK();
+    p->BuildModel(full_max_nodes);
   }
 
   static void DumpModel(PrestroidPipeline& p, std::ostream& os) {
@@ -265,6 +258,8 @@ struct PipelineSerde {
     if (!is.good() || tag != "full_max_nodes") {
       return Status::ParseError("bad full_max_nodes record");
     }
+    // It becomes the model's padding size N, which must be positive.
+    if (*out == 0) return Status::DataCorruption("zero full_max_nodes");
     return Status::OK();
   }
 
@@ -279,7 +274,7 @@ struct PipelineSerde {
     if (!pipeline->config_.use_subtrees) {
       PRESTROID_RETURN_NOT_OK(ReadFullMaxNodes(is, &full_max_nodes));
     }
-    PRESTROID_RETURN_NOT_OK(BuildModelSkeleton(pipeline.get(), full_max_nodes));
+    BuildModelSkeleton(pipeline.get(), full_max_nodes);
     PRESTROID_RETURN_NOT_OK(ParseModel(is, pipeline.get()));
     return pipeline;
   }
@@ -293,7 +288,7 @@ Status PrestroidPipeline::SaveFile(const std::string& path) {
 
   PipelineSerde::DumpConfig(*this, meta);
   if (!config_.use_subtrees) {
-    meta << "full_max_nodes " << full_model_->max_nodes() << "\n";
+    meta << "full_max_nodes " << model_->config().node_limit << "\n";
   }
   PipelineSerde::DumpEmbeddings(*this, embed);
   PipelineSerde::DumpModel(*this, model_section);
@@ -344,8 +339,7 @@ Result<std::unique_ptr<PrestroidPipeline>> PrestroidPipeline::LoadFile(
   std::istringstream embed_is(embed->payload);
   PRESTROID_RETURN_NOT_OK(
       PipelineSerde::ParseEmbeddings(embed_is, pipeline.get()));
-  PRESTROID_RETURN_NOT_OK(
-      PipelineSerde::BuildModelSkeleton(pipeline.get(), full_max_nodes));
+  PipelineSerde::BuildModelSkeleton(pipeline.get(), full_max_nodes);
   std::istringstream model_is(model_section->payload);
   PRESTROID_RETURN_NOT_OK(PipelineSerde::ParseModel(model_is, pipeline.get()));
   return pipeline;

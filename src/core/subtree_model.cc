@@ -1,5 +1,6 @@
 #include "core/subtree_model.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/logging.h"
@@ -49,12 +50,6 @@ void SubtreeModel::AddSampleMulti(std::vector<TreeFeatures> subtrees,
   for (float target : targets) targets_.push_back(target);
 }
 
-void SubtreeModel::PopSample() {
-  PRESTROID_CHECK(!samples_.empty());
-  samples_.pop_back();
-  for (size_t i = 0; i < config_.output_dim; ++i) targets_.pop_back();
-}
-
 void SubtreeModel::SetExecutionContext(ExecutionContext* ctx) {
   ctx_ = ctx;
   conv_->BindContext(ctx);
@@ -62,47 +57,28 @@ void SubtreeModel::SetExecutionContext(ExecutionContext* ctx) {
   head_->BindContext(ctx);
 }
 
-void SubtreeModel::AssembleBatch(const std::vector<size_t>& batch,
-                                 TreeStructure* structure,
-                                 Tensor* features_out) const {
-  const size_t b = batch.size();
-  const size_t k = config_.num_subtrees;
-  const size_t n = config_.node_limit;
-  const size_t f = config_.feature_dim;
-
-  Tensor& features = *features_out;
-  features.ResetShape({b * k, n, f});
-  features.Fill(0.0f);  // padding slots must stay zero
-  structure->left.assign(b * k, std::vector<int>(n, -1));
-  structure->right.assign(b * k, std::vector<int>(n, -1));
-  structure->mask.assign(b * k, std::vector<float>(n, 0.0f));
-
-  for (size_t i = 0; i < b; ++i) {
-    const std::vector<TreeFeatures>& trees = samples_[batch[i]];
-    for (size_t s = 0; s < trees.size(); ++s) {
-      const TreeFeatures& tree = trees[s];
-      const size_t slot = i * k + s;
-      const size_t count = tree.num_nodes();
-      std::memcpy(features.data() + slot * n * f, tree.features.data(),
-                  sizeof(float) * count * f);
-      for (size_t node = 0; node < count; ++node) {
-        structure->left[slot][node] = tree.left[node];
-        structure->right[slot][node] = tree.right[node];
-        structure->mask[slot][node] = tree.votes[node];
-      }
-    }
-    // Missing sub-trees (trees.size() < K) keep all-zero masks: they pool to
-    // the zero vector, exactly like a fully 0-padded sub-tree slot.
-  }
+std::vector<SubtreeModel::Row> SubtreeModel::RowsOf(
+    const std::vector<size_t>& indices) const {
+  std::vector<Row> rows;
+  rows.reserve(indices.size());
+  for (size_t idx : indices) rows.push_back(&samples_[idx]);
+  return rows;
 }
 
-void SubtreeModel::AssembleBorrowed(
-    const std::vector<const std::vector<TreeFeatures>*>& samples, size_t start,
-    size_t end, TreeStructure* structure, Tensor* features_out) const {
-  const size_t b = end - start;
+void SubtreeModel::AssembleBatch(std::span<const Row> rows,
+                                 TreeStructure* structure,
+                                 Tensor* features_out) const {
+  const size_t b = rows.size();
   const size_t k = config_.num_subtrees;
-  const size_t n = config_.node_limit;
   const size_t f = config_.feature_dim;
+  // Only a served full-tree plan larger than every training plan pads past
+  // N; stored samples and sampled sub-trees never exceed it.
+  size_t n = config_.node_limit;
+  for (Row trees : rows) {
+    for (size_t s = 0; s < std::min(trees->size(), k); ++s) {
+      n = std::max(n, (*trees)[s].num_nodes());
+    }
+  }
 
   Tensor& features = *features_out;
   features.ResetShape({b * k, n, f});
@@ -112,11 +88,9 @@ void SubtreeModel::AssembleBorrowed(
   structure->mask.assign(b * k, std::vector<float>(n, 0.0f));
 
   for (size_t i = 0; i < b; ++i) {
-    const std::vector<TreeFeatures>& trees = *samples[start + i];
-    const size_t used = std::min(trees.size(), k);
-    for (size_t s = 0; s < used; ++s) {
+    const std::vector<TreeFeatures>& trees = *rows[i];
+    for (size_t s = 0; s < std::min(trees.size(), k); ++s) {
       const TreeFeatures& tree = trees[s];
-      PRESTROID_CHECK_LE(tree.num_nodes(), n);
       PRESTROID_CHECK_EQ(tree.features.dim(1), f);
       const size_t slot = i * k + s;
       const size_t count = tree.num_nodes();
@@ -128,26 +102,39 @@ void SubtreeModel::AssembleBorrowed(
         structure->mask[slot][node] = tree.votes[node];
       }
     }
+    // Missing trees (fewer than K) keep all-zero masks: they pool to the
+    // zero vector, exactly like a fully 0-padded slot.
   }
 }
 
-std::vector<float> SubtreeModel::PredictBorrowed(
-    const std::vector<const std::vector<TreeFeatures>*>& samples) {
+Tensor SubtreeModel::Evaluate(const std::vector<Row>& rows) {
   head_->SetTraining(false);
-  std::vector<float> out;
-  out.reserve(samples.size());
+  const size_t out_dim = config_.output_dim;
+  Tensor out({rows.size(), out_dim});
   constexpr size_t kEvalBatch = 64;
-  for (size_t start = 0; start < samples.size(); start += kEvalBatch) {
-    const size_t end = std::min(samples.size(), start + kEvalBatch);
+  for (size_t start = 0; start < rows.size(); start += kEvalBatch) {
+    const size_t end = std::min(rows.size(), start + kEvalBatch);
     TreeStructure structure;
-    AssembleBorrowed(samples, start, end, &structure, &features_ws_);
+    AssembleBatch(std::span<const Row>(rows).subspan(start, end - start),
+                  &structure, &features_ws_);
     const Tensor& pred = ForwardBatch(features_ws_, structure);
-    // CostModel convention: the first objective (total CPU time).
     for (size_t i = 0; i < end - start; ++i) {
-      out.push_back(pred.At(i, 0));
+      for (size_t j = 0; j < out_dim; ++j) {
+        out.At(start + i, j) = pred.At(i, j);
+      }
     }
   }
   head_->SetTraining(true);
+  return out;
+}
+
+std::vector<float> SubtreeModel::PredictBorrowed(
+    const std::vector<Row>& samples) {
+  Tensor multi = Evaluate(samples);
+  std::vector<float> out;
+  out.reserve(samples.size());
+  // CostModel convention: the first objective (total CPU time).
+  for (size_t i = 0; i < samples.size(); ++i) out.push_back(multi.At(i, 0));
   return out;
 }
 
@@ -167,21 +154,21 @@ double SubtreeModel::TrainEpoch(const std::vector<size_t>& indices,
                                 size_t batch_size) {
   PRESTROID_CHECK_GT(batch_size, 0u);
   head_->SetTraining(true);
+  const std::vector<Row> rows = RowsOf(indices);
   double total_loss = 0.0;
   size_t num_batches = 0;
   for (size_t start = 0; start < indices.size(); start += batch_size) {
-    const size_t end = std::min(indices.size(), start + batch_size);
-    std::vector<size_t> batch(indices.begin() + static_cast<long>(start),
-                              indices.begin() + static_cast<long>(end));
+    const size_t size = std::min(indices.size() - start, batch_size);
     TreeStructure structure;
-    AssembleBatch(batch, &structure, &features_ws_);
+    AssembleBatch(std::span<const Row>(rows).subspan(start, size), &structure,
+                  &features_ws_);
     const Tensor& pred = ForwardBatch(features_ws_, structure);
 
     const size_t out = config_.output_dim;
-    target_ws_.ResetShape({batch.size(), out});
-    for (size_t i = 0; i < batch.size(); ++i) {
+    target_ws_.ResetShape({size, out});
+    for (size_t i = 0; i < size; ++i) {
       for (size_t j = 0; j < out; ++j) {
-        target_ws_[i * out + j] = targets_[batch[i] * out + j];
+        target_ws_[i * out + j] = targets_[indices[start + i] * out + j];
       }
     }
 
@@ -193,7 +180,7 @@ double SubtreeModel::TrainEpoch(const std::vector<size_t>& indices,
     const Tensor& grad_head = head_->Backward(grad_ws_);  // [B, K*C]
     grad_pooled_ws_.CopyFrom(grad_head);
     grad_pooled_ws_.ReshapeInPlace(
-        {batch.size() * config_.num_subtrees, conv_->output_dim()});
+        {size * config_.num_subtrees, conv_->output_dim()});
     const Tensor& grad_conv = pooling_.Backward(grad_pooled_ws_);
     conv_->Backward(grad_conv);
     optimizer_->Step();
@@ -202,34 +189,11 @@ double SubtreeModel::TrainEpoch(const std::vector<size_t>& indices,
 }
 
 Tensor SubtreeModel::PredictMulti(const std::vector<size_t>& indices) {
-  head_->SetTraining(false);
-  const size_t out_dim = config_.output_dim;
-  Tensor out({indices.size(), out_dim});
-  constexpr size_t kEvalBatch = 64;
-  for (size_t start = 0; start < indices.size(); start += kEvalBatch) {
-    const size_t end = std::min(indices.size(), start + kEvalBatch);
-    std::vector<size_t> batch(indices.begin() + static_cast<long>(start),
-                              indices.begin() + static_cast<long>(end));
-    TreeStructure structure;
-    AssembleBatch(batch, &structure, &features_ws_);
-    const Tensor& pred = ForwardBatch(features_ws_, structure);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      for (size_t j = 0; j < out_dim; ++j) {
-        out.At(start + i, j) = pred.At(i, j);
-      }
-    }
-  }
-  head_->SetTraining(true);
-  return out;
+  return Evaluate(RowsOf(indices));
 }
 
 std::vector<float> SubtreeModel::Predict(const std::vector<size_t>& indices) {
-  Tensor multi = PredictMulti(indices);
-  std::vector<float> out;
-  out.reserve(indices.size());
-  // CostModel interface: the first objective (total CPU time).
-  for (size_t i = 0; i < indices.size(); ++i) out.push_back(multi.At(i, 0));
-  return out;
+  return PredictBorrowed(RowsOf(indices));
 }
 
 size_t SubtreeModel::NumParameters() const {

@@ -2,6 +2,7 @@
 #define PRESTROID_CORE_SUBTREE_MODEL_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,13 +14,15 @@
 
 namespace prestroid::core {
 
-/// Hyper-parameters of the Prestroid sub-tree model (paper notation
-/// N-K-P_f). The P_f dimension is implied by `feature_dim` (the encoder's
-/// node width already includes the P_f-wide predicate block).
+/// Hyper-parameters of the Prestroid tree-CNN (paper notation N-K-P_f). The
+/// P_f dimension is implied by `feature_dim` (the encoder's node width
+/// already includes the P_f-wide predicate block). The full-tree baseline
+/// ("Full-P_f") is the same model with K = 1 and N = the largest training
+/// plan.
 struct SubtreeModelConfig {
   size_t feature_dim = 0;   // node-feature width F
-  size_t node_limit = 15;   // N: max nodes per sub-tree
-  size_t num_subtrees = 9;  // K: sub-trees per query
+  size_t node_limit = 15;   // N: padding size; no training sample exceeds it
+  size_t num_subtrees = 9;  // K: trees per query
   std::vector<size_t> conv_channels = {512, 512, 512};
   std::vector<size_t> dense_units = {128, 64};
   float dropout = 0.1f;
@@ -34,14 +37,24 @@ struct SubtreeModelConfig {
   std::string name = "Prestroid";
 };
 
-/// The paper's core contribution: per-query K sub-trees of <= N nodes run
+/// The paper's core contribution: per-query K trees of <= N nodes run
 /// through a shared tree-convolution trunk, vote-masked dynamic pooling per
-/// sub-tree, flattened across sub-trees, then a dense sigmoid head.
+/// tree, flattened across trees, then a dense sigmoid head.
+///
+/// Every batch is 0-padded to max(N, largest tree in the batch) nodes per
+/// tree slot. For sub-tree models no tree exceeds N, so the shape is fixed
+/// at [B*K, N, F]. For the full-tree baseline (K = 1, N = the largest
+/// training plan) a served plan larger than every training plan grows its
+/// batch to its own size; masked pooling keeps the padding inert, so each
+/// row's prediction is independent of the padding it shares.
 class SubtreeModel : public CostModel {
  public:
+  /// One query's trees, read in place.
+  using Row = const std::vector<TreeFeatures>*;
+
   explicit SubtreeModel(const SubtreeModelConfig& config);
 
-  /// Adds one featurized sample (the first K sub-trees from the Featurizer;
+  /// Adds one featurized sample (the first K trees from the Featurizer;
   /// fewer are zero-padded) with its normalized target (output_dim must
   /// be 1).
   void AddSample(std::vector<TreeFeatures> subtrees, float target);
@@ -53,17 +66,11 @@ class SubtreeModel : public CostModel {
   /// Predicts all output_dim objectives: [indices.size(), output_dim].
   Tensor PredictMulti(const std::vector<size_t>& indices);
 
-  /// Fused eval-mode forward over borrowed samples — each element is one
-  /// query's sub-tree set, read in place with no staging copies and no
-  /// mutation of the training-sample store. Returns the first objective per
-  /// sample; results are identical to staging + Predict() (eval mode is
-  /// per-row independent). This is the batched-serving hot path.
-  std::vector<float> PredictBorrowed(
-      const std::vector<const std::vector<TreeFeatures>*>& samples);
-
-  /// Removes the most recently added sample (used to stage transient
-  /// inference-only samples).
-  void PopSample();
+  /// Eval-mode forward over borrowed samples, read in place with no staging
+  /// copies and no mutation of the training-sample store. Returns the first
+  /// objective per sample, identical to Predict() on the same trees. This is
+  /// the batched-serving hot path.
+  std::vector<float> PredictBorrowed(const std::vector<Row>& samples);
 
   // CostModel:
   std::string name() const override { return config_.name; }
@@ -91,25 +98,25 @@ class SubtreeModel : public CostModel {
     head_->CollectFreezableLayers(out);
   }
 
-  /// Exact bytes of the padded input tensor for one batch (Figure 6 top):
-  /// batch * K * N * F * sizeof(float).
+  /// Exact bytes of the padded input tensor for one training batch
+  /// (Figure 6 top): batch * K * N * F * sizeof(float).
   size_t InputBytesPerBatch(size_t batch_size) const;
 
   const SubtreeModelConfig& config() const { return config_; }
   const std::vector<float>& targets() const { return targets_; }
 
  private:
-  /// Assembles the padded [B*K, N, F] batch and its structure into the given
-  /// workspace tensor (allocation-free once warm).
-  void AssembleBatch(const std::vector<size_t>& batch, TreeStructure* structure,
+  /// Pointers to the stored samples at `indices`.
+  std::vector<Row> RowsOf(const std::vector<size_t>& indices) const;
+  /// Assembles the padded [B*K, N', F] batch (N' per the padding rule) and
+  /// its structure into the given workspace tensor (allocation-free once
+  /// warm).
+  void AssembleBatch(std::span<const Row> rows, TreeStructure* structure,
                      Tensor* features) const;
-  /// AssembleBatch over borrowed sub-tree sets instead of stored samples.
-  void AssembleBorrowed(
-      const std::vector<const std::vector<TreeFeatures>*>& samples,
-      size_t start, size_t end, TreeStructure* structure,
-      Tensor* features) const;
   const Tensor& ForwardBatch(const Tensor& features,
                              const TreeStructure& structure);
+  /// Chunked eval-mode forward: [rows.size(), output_dim].
+  Tensor Evaluate(const std::vector<Row>& rows);
 
   SubtreeModelConfig config_;
   Rng rng_;

@@ -12,8 +12,9 @@
 
 namespace prestroid {
 
-/// Abstract interface every query-cost regressor implements (Prestroid
-/// sub-tree / full-tree models and the M-MSCN / WCNN baselines). Each model
+/// Abstract interface every query-cost regressor implements (the Prestroid
+/// tree-CNN, in its sub-tree and full-tree forms, and the M-MSCN / WCNN
+/// baselines). Each model
 /// owns its featurized copy of the dataset; sample indices select rows.
 /// Targets are the normalized labels in [0, 1] (see core/label_transform.h).
 class CostModel {

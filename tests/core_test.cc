@@ -2,17 +2,53 @@
 
 #include <cmath>
 #include <fstream>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/featurizer.h"
-#include "core/full_tree_model.h"
 #include "core/label_transform.h"
 #include "core/metrics.h"
 #include "core/pipeline.h"
 #include "core/subtree_model.h"
+#include "otp/otp_tree.h"
+#include "util/artifact_io.h"
 #include "workload/dataset.h"
 
 namespace prestroid::core {
 namespace {
+
+using Tokens = std::vector<std::string>;
+
+/// Re-encodes `artifact` with the meta record tagged `tag` rewritten by
+/// `edit` (token 0 is the tag). The CRCs are recomputed, so only the
+/// loader's field validation can reject the result.
+std::string EditMetaRecord(const std::string& artifact, const std::string& tag,
+                           const std::function<void(Tokens*)>& edit) {
+  std::vector<ArtifactSection> sections =
+      DecodeArtifact(artifact).ValueOrDie();
+  for (ArtifactSection& section : sections) {
+    if (section.name != "meta") continue;
+    std::istringstream lines(section.payload);
+    std::string line, edited;
+    while (std::getline(lines, line)) {
+      std::istringstream words(line);
+      Tokens tokens;
+      for (std::string word; words >> word;) tokens.push_back(word);
+      if (!tokens.empty() && tokens[0] == tag) {
+        edit(&tokens);
+        line.clear();
+        for (const std::string& token : tokens) {
+          line += (line.empty() ? "" : " ") + token;
+        }
+      }
+      edited += line + "\n";
+    }
+    section.payload = edited;
+  }
+  return EncodeArtifact(sections);
+}
 
 TEST(LabelTransformTest, LogMinMaxRoundTrip) {
   LabelTransform transform;
@@ -188,6 +224,81 @@ TEST_F(PipelineFixture, SubtreeBatchBytesSmallerThanFullTree) {
   EXPECT_LT(subtree->InputBytesPerBatch(32), full->InputBytesPerBatch(32));
 }
 
+TEST_F(PipelineFixture, FullTreeBatchedMatchesSingleIncludingOversizedPlan) {
+  // Hold out the plan with the largest O-T-P tree, so a served batch that
+  // contains it must pad past the largest training plan.
+  auto tree_size = [](const plan::PlanNode& plan) {
+    return otp::Flatten(otp::RecastPlan(plan).ValueOrDie()).size();
+  };
+  size_t largest = 0;
+  for (size_t i = 1; i < records_->size(); ++i) {
+    if (tree_size(*(*records_)[i].plan) >
+        tree_size(*(*records_)[largest].plan)) {
+      largest = i;
+    }
+  }
+  std::vector<workload::QueryRecord> train_records;
+  for (size_t i = 0; i < records_->size(); ++i) {
+    if (i == largest) continue;
+    workload::QueryRecord record;
+    record.id = (*records_)[i].id;
+    record.day = (*records_)[i].day;
+    record.sql = (*records_)[i].sql;
+    record.plan = (*records_)[i].plan->Clone();
+    record.metrics = (*records_)[i].metrics;
+    train_records.push_back(std::move(record));
+  }
+  const plan::PlanNode& oversized = *(*records_)[largest].plan;
+  for (const workload::QueryRecord& record : train_records) {
+    ASSERT_LT(tree_size(*record.plan), tree_size(oversized));
+  }
+  std::vector<size_t> train_indices(train_records.size());
+  for (size_t i = 0; i < train_indices.size(); ++i) train_indices[i] = i;
+  auto pipeline =
+      PrestroidPipeline::Fit(train_records, train_indices, SmallConfig(false))
+          .ValueOrDie();
+  TrainConfig train_config;
+  train_config.max_epochs = 2;
+  train_config.batch_size = 16;
+  workload::DatasetSplits splits;
+  splits.train = train_indices;
+  splits.val.assign(train_indices.begin(), train_indices.begin() + 8);
+  pipeline->Train(splits, train_config);
+
+  // A batch mixing training plans with the oversized one.
+  std::vector<const plan::PlanNode*> plans;
+  for (size_t i = 0; i < 6; ++i) plans.push_back(train_records[i].plan.get());
+  plans.insert(plans.begin() + 3, &oversized);
+  std::vector<PlanFeatures> features;
+  for (const plan::PlanNode* plan : plans) {
+    features.push_back(pipeline->FeaturizePlan(*plan).ValueOrDie());
+  }
+  std::vector<const PlanFeatures*> batch;
+  for (const PlanFeatures& f : features) batch.push_back(&f);
+  const std::vector<double> batched = pipeline->PredictFeaturized(batch);
+  ASSERT_EQ(batched.size(), plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(batched[i], pipeline->PredictPlan(*plans[i]).ValueOrDie())
+        << "element " << i;
+  }
+
+  // Training records: stored-sample and served predictions agree bit for bit.
+  std::vector<size_t> indices(train_records.size());
+  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  const std::vector<double> stored = pipeline->PredictMinutes(indices);
+  std::vector<PlanFeatures> train_features;
+  for (const workload::QueryRecord& record : train_records) {
+    train_features.push_back(pipeline->FeaturizePlan(*record.plan).ValueOrDie());
+  }
+  std::vector<const PlanFeatures*> train_batch;
+  for (const PlanFeatures& f : train_features) train_batch.push_back(&f);
+  const std::vector<double> served = pipeline->PredictFeaturized(train_batch);
+  ASSERT_EQ(served.size(), stored.size());
+  for (size_t i = 0; i < stored.size(); ++i) {
+    EXPECT_EQ(served[i], stored[i]) << "record " << i;
+  }
+}
+
 TEST_F(PipelineFixture, PredictPlanHandlesUnseenQuery) {
   auto pipeline =
       PrestroidPipeline::Fit(*records_, splits_->train, SmallConfig(true))
@@ -197,7 +308,7 @@ TEST_F(PipelineFixture, PredictPlanHandlesUnseenQuery) {
   double minutes =
       pipeline->PredictPlan(*(*records_)[splits_->test[0]].plan).ValueOrDie();
   EXPECT_GT(minutes, 0.0);
-  EXPECT_EQ(pipeline->model()->num_samples(), before);  // sample popped
+  EXPECT_EQ(pipeline->model()->num_samples(), before);  // nothing staged
 }
 
 TEST_F(PipelineFixture, EvaluateMseMatchesManualComputation) {
@@ -286,6 +397,78 @@ TEST(PipelineIoTest, LoadRejectsGarbage) {
   EXPECT_FALSE(PrestroidPipeline::LoadFile("/nonexistent/file").ok());
 }
 
+TEST(PipelineIoTest, LoadRejectsCrcValidArtifactWithBadModelConfig) {
+  workload::SchemaGenConfig schema_config;
+  schema_config.num_tables = 12;
+  schema_config.seed = 5;
+  workload::TraceConfig trace_config;
+  trace_config.num_queries = 24;
+  trace_config.seed = 6;
+  const std::vector<workload::QueryRecord> records =
+      GenerateGrabTrace(GenerateSchema(schema_config), trace_config)
+          .ValueOrDie();
+  std::vector<size_t> train_indices(records.size());
+  for (size_t i = 0; i < train_indices.size(); ++i) train_indices[i] = i;
+  auto saved_bytes = [&](bool use_subtrees) {
+    PipelineConfig config;
+    config.word2vec.dim = 8;
+    config.word2vec.min_count = 1;
+    config.word2vec.epochs = 1;
+    config.sampler.node_limit = 16;
+    config.num_subtrees = 3;
+    config.use_subtrees = use_subtrees;
+    config.conv_channels = {4, 4};
+    config.dense_units = {4};
+    const std::string path = ::testing::TempDir() + "/pipeline_io_bad.bin";
+    EXPECT_TRUE(PrestroidPipeline::Fit(records, train_indices, config)
+                    .ValueOrDie()
+                    ->SaveFile(path)
+                    .ok());
+    return ReadFileToString(path).ValueOrDie();
+  };
+  const std::string subtree = saved_bytes(true);
+  const std::string full = saved_bytes(false);
+
+  // "config <use_subtrees> <pruning> <num_subtrees> <node_limit> ...".
+  struct BadField {
+    const char* name;
+    std::string bytes;
+  };
+  const BadField bad_fields[] = {
+      {"num_subtrees 0",
+       EditMetaRecord(subtree, "config", [](Tokens* t) { (*t)[3] = "0"; })},
+      {"node_limit 0",
+       EditMetaRecord(subtree, "config", [](Tokens* t) { (*t)[4] = "0"; })},
+      {"unknown pruning",
+       EditMetaRecord(subtree, "config", [](Tokens* t) { (*t)[2] = "7"; })},
+      {"negative pruning",
+       EditMetaRecord(subtree, "config", [](Tokens* t) { (*t)[2] = "-1"; })},
+      {"empty conv_channels",
+       EditMetaRecord(subtree, "conv_channels",
+                      [](Tokens* t) { *t = {"conv_channels", "0"}; })},
+      {"zero conv channel",
+       EditMetaRecord(full, "conv_channels", [](Tokens* t) { (*t)[2] = "0"; })},
+      {"zero dense unit",
+       EditMetaRecord(subtree, "dense_units", [](Tokens* t) { (*t)[2] = "0"; })},
+      {"full_max_nodes 0",
+       EditMetaRecord(full, "full_max_nodes", [](Tokens* t) { (*t)[1] = "0"; })},
+  };
+  const std::string path = ::testing::TempDir() + "/pipeline_io_bad.bin";
+  for (const BadField& bad : bad_fields) {
+    ASSERT_TRUE(DecodeArtifact(bad.bytes).ok()) << bad.name;  // CRC-valid
+    ASSERT_TRUE(AtomicWriteFile(path, bad.bytes).ok());
+    auto loaded = PrestroidPipeline::LoadFile(path);
+    ASSERT_FALSE(loaded.ok()) << bad.name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataCorruption)
+        << bad.name << ": " << loaded.status().ToString();
+  }
+  // The unedited artifacts still load.
+  for (const std::string* bytes : {&subtree, &full}) {
+    ASSERT_TRUE(AtomicWriteFile(path, *bytes).ok());
+    EXPECT_TRUE(PrestroidPipeline::LoadFile(path).ok());
+  }
+}
+
 TEST(SubtreeModelTest, LearnsSyntheticSignal) {
   // Hand-built task: target = presence of a marker feature at the root.
   const size_t feature_dim = 6;
@@ -370,52 +553,25 @@ TEST(SubtreeModelTest, MultiObjectiveLearnsIndependentTargets) {
   EXPECT_FLOAT_EQ(first[1], pred.At(1, 0));
 }
 
-TEST(SubtreeModelTest, MultiObjectivePopSampleKeepsAlignment) {
+TEST(SubtreeModelTest, FullTreePaddingTracksLargestTree) {
+  // The full-tree baseline: one tree per query, N = the largest tree.
   SubtreeModelConfig config;
-  config.feature_dim = 2;
-  config.node_limit = 15;
+  config.feature_dim = 4;
+  config.node_limit = 9;
   config.num_subtrees = 1;
-  config.output_dim = 3;
   config.conv_channels = {4};
   config.dense_units = {4};
   config.batch_norm = false;
   config.dropout = 0.0f;
   SubtreeModel model(config);
-  auto make_tree = [] {
-    std::vector<TreeFeatures> trees(1);
-    trees[0].features = Tensor({1, 2});
-    trees[0].left = {-1};
-    trees[0].right = {-1};
-    trees[0].votes = {1.0f};
-    return trees;
-  };
-  model.AddSampleMulti(make_tree(), {0.1f, 0.2f, 0.3f});
-  model.AddSampleMulti(make_tree(), {0.4f, 0.5f, 0.6f});
-  EXPECT_EQ(model.targets().size(), 6u);
-  model.PopSample();
-  EXPECT_EQ(model.num_samples(), 1u);
-  EXPECT_EQ(model.targets().size(), 3u);
-  EXPECT_FLOAT_EQ(model.targets()[2], 0.3f);
-}
-
-TEST(FullTreeModelTest, PaddingTracksLargestTree) {
-  FullTreeModelConfig config;
-  config.feature_dim = 4;
-  config.conv_channels = {4};
-  config.dense_units = {4};
-  config.batch_norm = false;
-  config.dropout = 0.0f;
-  FullTreeModel model(config);
   for (size_t n : {3u, 9u, 5u}) {
-    TreeFeatures tree;
-    tree.features = Tensor({n, 4});
-    tree.left.assign(n, -1);
-    tree.right.assign(n, -1);
-    tree.votes.assign(n, 1.0f);
-    model.AddSample(std::move(tree), 0.5f);
+    std::vector<TreeFeatures> trees(1);
+    trees[0].features = Tensor({n, 4});
+    trees[0].left.assign(n, -1);
+    trees[0].right.assign(n, -1);
+    trees[0].votes.assign(n, 1.0f);
+    model.AddSample(std::move(trees), 0.5f);
   }
-  model.Finalize();
-  EXPECT_EQ(model.max_nodes(), 9u);
   EXPECT_EQ(model.InputBytesPerBatch(32), 32u * 9 * 4 * sizeof(float));
   // Training over mixed sizes works (padding in effect).
   EXPECT_NO_FATAL_FAILURE(model.TrainEpoch({0, 1, 2}, 2));

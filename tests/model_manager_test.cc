@@ -18,8 +18,10 @@
 
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,37 @@ void WriteRawFile(const std::string& path, const std::string& bytes) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(os.good());
+}
+
+using Tokens = std::vector<std::string>;
+
+/// Re-encodes `artifact` with the meta record tagged `tag` rewritten by
+/// `edit` (token 0 is the tag). The CRCs are recomputed, so only the
+/// loader's field validation can reject the result.
+std::string EditMetaRecord(const std::string& artifact, const std::string& tag,
+                           const std::function<void(Tokens*)>& edit) {
+  std::vector<ArtifactSection> sections =
+      DecodeArtifact(artifact).ValueOrDie();
+  for (ArtifactSection& section : sections) {
+    if (section.name != "meta") continue;
+    std::istringstream lines(section.payload);
+    std::string line, edited;
+    while (std::getline(lines, line)) {
+      std::istringstream words(line);
+      Tokens tokens;
+      for (std::string word; words >> word;) tokens.push_back(word);
+      if (!tokens.empty() && tokens[0] == tag) {
+        edit(&tokens);
+        line.clear();
+        for (const std::string& token : tokens) {
+          line += (line.empty() ? "" : " ") + token;
+        }
+      }
+      edited += line + "\n";
+    }
+    section.payload = edited;
+  }
+  return EncodeArtifact(sections);
 }
 
 // --------------------------------------------------------------------------
@@ -128,10 +161,18 @@ class ModelManagerFixture : public ::testing::Test {
             .ValueOrDie();
     artifact_path_ = new std::string(TempPath("model_manager_active.bin"));
     ASSERT_TRUE(pipeline->SaveFile(*artifact_path_).ok());
+    core::PipelineConfig full_config = TinyConfig();
+    full_config.use_subtrees = false;
+    auto full = core::PrestroidPipeline::Fit(*records_, train_indices,
+                                             full_config)
+                    .ValueOrDie();
+    full_artifact_path_ = new std::string(TempPath("model_manager_full.bin"));
+    ASSERT_TRUE(full->SaveFile(*full_artifact_path_).ok());
   }
   static void TearDownTestSuite() {
     delete records_;
     delete artifact_path_;
+    delete full_artifact_path_;
   }
 
   static core::PipelineConfig TinyConfig() {
@@ -170,10 +211,12 @@ class ModelManagerFixture : public ::testing::Test {
 
   static std::vector<workload::QueryRecord>* records_;
   static std::string* artifact_path_;
+  static std::string* full_artifact_path_;  // a full-tree (--full) artifact
 };
 
 std::vector<workload::QueryRecord>* ModelManagerFixture::records_ = nullptr;
 std::string* ModelManagerFixture::artifact_path_ = nullptr;
+std::string* ModelManagerFixture::full_artifact_path_ = nullptr;
 
 TEST_F(ModelManagerFixture, BootstrapPromotionActivatesACandidate) {
   auto estimator = MakeEstimator(/*with_model=*/false);
@@ -205,16 +248,38 @@ TEST_F(ModelManagerFixture, CorruptCandidateIsRejectedWithOldModelServing) {
       estimator->EstimateWithFallback(SamplePlan(0), 1e9).cpu_minutes;
 
   const std::string bytes = ReadFileToString(*artifact_path_).ValueOrDie();
+  const std::string full_bytes =
+      ReadFileToString(*full_artifact_path_).ValueOrDie();
   struct Corruption {
     const char* name;
     std::string bytes;
   };
   std::string flipped = bytes;
   flipped[bytes.size() / 2] ^= 0x04;
+  // The config record is "config <use_subtrees> <pruning> <num_subtrees>
+  // <node_limit> ...". The edited rows below keep valid CRCs, so it is the
+  // loader's field validation that has to turn them into kDataCorruption
+  // instead of a CHECK abort inside the model constructor.
   const Corruption corruptions[] = {
       {"bit flip", flipped},
       {"truncation", bytes.substr(0, bytes.size() / 3)},
       {"empty file", ""},
+      {"num_subtrees 0",
+       EditMetaRecord(bytes, "config", [](Tokens* t) { (*t)[3] = "0"; })},
+      {"node_limit 0",
+       EditMetaRecord(bytes, "config", [](Tokens* t) { (*t)[4] = "0"; })},
+      {"unknown pruning",
+       EditMetaRecord(bytes, "config", [](Tokens* t) { (*t)[2] = "7"; })},
+      {"empty conv_channels",
+       EditMetaRecord(bytes, "conv_channels",
+                      [](Tokens* t) { *t = {"conv_channels", "0"}; })},
+      {"zero conv channel",
+       EditMetaRecord(bytes, "conv_channels", [](Tokens* t) { (*t)[2] = "0"; })},
+      {"zero dense unit",
+       EditMetaRecord(bytes, "dense_units", [](Tokens* t) { (*t)[2] = "0"; })},
+      {"full_max_nodes 0",
+       EditMetaRecord(full_bytes, "full_max_nodes",
+                      [](Tokens* t) { (*t)[1] = "0"; })},
   };
   const std::string candidate_path = TempPath("model_manager_corrupt.bin");
   for (const Corruption& corruption : corruptions) {
@@ -237,10 +302,11 @@ TEST_F(ModelManagerFixture, CorruptCandidateIsRejectedWithOldModelServing) {
   EXPECT_EQ(missing->outcome, ModelLifecycle::kRejected);
   EXPECT_EQ(missing->detail.code(), StatusCode::kIoError);
 
+  const size_t rejected = std::size(corruptions) + 1;
   const ModelManagerStats stats = manager.StatsSnapshot();
-  EXPECT_EQ(stats.rejected_candidates, 4u);
+  EXPECT_EQ(stats.rejected_candidates, rejected);
   EXPECT_EQ(stats.swaps, 0u);
-  EXPECT_EQ(manager.MergedStats().rejected_candidates, 4u);
+  EXPECT_EQ(manager.MergedStats().rejected_candidates, rejected);
   EXPECT_EQ(manager.MergedStats().model_swaps, 0u);
 }
 
