@@ -283,7 +283,7 @@ int Run(const std::string& out_path) {
   const size_t shards = 2;
 
   // A fixed pool of distinct plan texts, cycled by every connection — the
-  // recurring workload the fingerprint cache targets, now paying the full
+  // recurring workload the answer cache targets, now paying the full
   // serialize/parse wire cost per request.
   const size_t num_distinct = std::min<size_t>(24, data.records.size());
   std::vector<std::string> bodies;

@@ -3,7 +3,7 @@
 //
 // Fits a Prestroid pipeline over a generated Grab-like trace, then drives the
 // tier with multiple producer threads cycling a fixed pool of distinct plans
-// (a recurring workload, so the plan-fingerprint cache converges to a high
+// (a recurring workload, so the plan-fingerprint answer cache converges to a high
 // hit rate). Three phases share one closed loop: a max-batch sweep over
 // {1, 8, 32, 128} on one shard, a shard-scaling curve, and a skewed-tenant
 // isolation mix. Each scenario reports QPS, end-to-end latency percentiles,
@@ -253,8 +253,8 @@ int Run(const std::string& out_path, size_t max_shards) {
   // Recurring workload: a fixed pool of distinct plans, cycled by every
   // producer. The first cycle populates the cache; the steady state is hits.
   // The pool is the trace's LARGEST plans — recurring heavy analytic queries
-  // are exactly what the fingerprint cache targets, since featurization cost
-  // grows with plan size while the sampled-sub-tree forward pass does not.
+  // are exactly what the answer cache targets: a hit skips featurization,
+  // whose cost grows with plan size, and the forward pass.
   const size_t num_distinct = std::min<size_t>(24, data.records.size());
   std::vector<size_t> by_size(data.records.size());
   for (size_t i = 0; i < by_size.size(); ++i) by_size[i] = i;

@@ -27,7 +27,7 @@
 // serve runs the batched serving tier (serve::ShardedServingRuntime, one
 // shard by default) over the fault-tolerant ServingEstimator — governor,
 // tenant-quota and memory admission, bounded shard queues, dynamic
-// micro-batching, plan-fingerprint feature caching, per-request deadline,
+// micro-batching, plan-fingerprint answer caching, per-request deadline,
 // and the model -> log-binning -> global-mean degradation chain. Without
 // --listen it replays the trace and reports which tier answered each query;
 // with --listen it answers POST /estimate over HTTP until SIGTERM. In either
@@ -932,7 +932,9 @@ int Usage() {
          "  predict   --model FILE --trace FILE [--limit N]\n"
          "  serve     --model FILE --trace FILE [--deadline-ms MS]\n"
          "            [--no-model] [--limit N] [--batch-window-us US]\n"
-         "            [--max-batch B] [--queue-depth Q] [--cache-entries C]\n"
+         "            [--max-batch B] [--queue-depth Q]\n"
+         "            [--cache-entries C (per-shard answer cache: recurring\n"
+         "             plans skip the batch window and the model; 0=off)]\n"
          "            [--max-plan-nodes N] [--max-plan-depth D]\n"
          "            [--quarantine-file FILE]\n"
          "            [--retrain-interval N (0=off; N served+labeled\n"

@@ -52,8 +52,7 @@ struct PipelineConfig {
 };
 
 /// Featurized encoding of one plan in exactly the form the model consumes:
-/// K sub-trees for sub-tree pipelines, a single full tree otherwise. Copyable
-/// so a serving cache can hand out shared encodings.
+/// K sub-trees for sub-tree pipelines, a single full tree otherwise.
 struct PlanFeatures {
   std::vector<TreeFeatures> trees;
 };
@@ -91,8 +90,9 @@ class PrestroidPipeline {
 
   /// Featurizes a previously unseen plan into the model's input encoding
   /// (recast + OOV context + encode + sub-tree sampling). The result depends
-  /// only on the plan and the fitted encoder state, so it is cacheable for
-  /// recurring plans (see serve/plan_cache.h).
+  /// only on the plan fields serve::FingerprintPlan hashes and the fitted
+  /// encoder state, which is what lets the serving tier cache one answer per
+  /// plan fingerprint (serve/answer_cache.h).
   Result<PlanFeatures> FeaturizePlan(const plan::PlanNode& plan);
 
   /// Predicts CPU minutes for a batch of featurized plans in one fused

@@ -67,9 +67,10 @@ struct ServingStats {
   size_t rejected_requests = 0;     // queue-overflow admission rejections
   size_t limit_rejects = 0;         // plans over the PlanLimits governor
   size_t queue_high_watermark = 0;  // max simultaneously queued requests
-  size_t cache_hits = 0;            // plan-fingerprint cache hits
-  size_t cache_misses = 0;          // featurization re-runs
-  size_t cache_evictions = 0;       // LRU evictions
+  size_t cache_hits = 0;            // answered from the answer cache (or a
+                                    // batch duplicate) without featurizing
+  size_t cache_misses = 0;          // featurizations run
+  size_t cache_evictions = 0;       // answer-cache LRU evictions
 
   // --- admission counters (serve::ShardedServingRuntime snapshots) -------
   size_t quota_sheds = 0;     // requests shed over a TenantQuota budget

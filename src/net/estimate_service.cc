@@ -118,6 +118,9 @@ EstimateService::EstimateService(serve::ShardedServingRuntime* runtime,
 
 void EstimateService::RegisterRoutes(HttpServer* server) {
   server_ = server;
+  // Batch workers wake the event loop once per resolved batch, so a pending
+  // /estimate is written as soon as its future is ready.
+  runtime_->SetCompletionNotifier(server->CompletionNotifier());
   server->Route("POST", "/estimate", [this](const HttpRequest& request) {
     return HandleEstimate(request);
   });

@@ -28,8 +28,10 @@ struct EstimateServiceConfig {
   /// Governor applied to plan-text bodies (the same limits the runtime's
   /// admission re-checks).
   plan::PlanLimits plan_limits;
-  /// Deadline used when a request carries no X-Deadline-Ms header; 0 means
-  /// no deadline.
+  /// Deadline used when a request carries no X-Deadline-Ms header. Like an
+  /// `X-Deadline-Ms: 0` header, a value <= 0 does not mean "no deadline":
+  /// the runtime applies the estimator's ServingLimits::default_deadline_ms
+  /// (the CLI's --deadline-ms, 50 ms by default).
   double default_deadline_ms = 0.0;
   /// How many X-Idempotency-Key values of delivered labeled observations to
   /// remember (FIFO eviction). A retried labeled POST whose key was already
@@ -44,8 +46,9 @@ struct EstimateServiceConfig {
 /// Routes (RegisterRoutes):
 ///   POST /estimate   body = plan text (default) or raw SQL (Content-Type
 ///                    containing "sql", or ?input=sql). Headers:
-///                    X-Deadline-Ms (per-request deadline, propagated to the
-///                    runtime's queue-deadline check), X-Tenant (admission
+///                    X-Deadline-Ms (per-request deadline in ms, propagated
+///                    to the runtime's queue-deadline check; 0 or absent
+///                    means the estimator's default deadline), X-Tenant (admission
 ///                    quota id), X-Actual-Cpu-Minutes (ground-truth label
 ///                    feeding the continual-retraining hook),
 ///                    X-Idempotency-Key (dedup token: a labeled observation
@@ -63,7 +66,8 @@ struct EstimateServiceConfig {
 /// Handlers run on the server's event-loop thread. /estimate returns a
 /// PendingResponse so the loop keeps serving other connections while the
 /// runtime's batch workers compute; concurrent requests micro-batch inside
-/// the runtime.
+/// the runtime. An answer-cache hit is ready when Submit returns, so the
+/// server's first poll writes it in the same loop pass.
 ///
 /// Plan lifetime: the runtime borrows submitted plans until their futures
 /// resolve, so the service parks each in-flight plan in a registry that
@@ -83,7 +87,9 @@ class EstimateService {
                   EstimateServiceConfig config = {});
 
   /// Registers /estimate, /healthz and /metrics; keeps `server` for stats
-  /// scraping (must outlive the service's use).
+  /// scraping (must outlive the service's use), and installs the server's
+  /// CompletionNotifier on the runtime so every resolved batch wakes the
+  /// event loop.
   void RegisterRoutes(HttpServer* server);
 
   void SetLabeledObservationHook(LabeledObservationFn hook);

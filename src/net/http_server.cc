@@ -28,14 +28,38 @@ void DrainPipe(int fd) {
 
 }  // namespace
 
-HttpServer::HttpServer(HttpServerConfig config) : config_(std::move(config)) {}
+HttpServer::WakePipe::~WakePipe() {
+  if (read_fd_ >= 0) ::close(read_fd_);
+  if (write_fd_ >= 0) ::close(write_fd_);
+}
+
+Status HttpServer::WakePipe::Open() {
+  int fds[2];
+  if (::pipe(fds) != 0) return Status::FromErrno("pipe", errno);
+  read_fd_ = fds[0];
+  write_fd_ = fds[1];
+  PRESTROID_RETURN_NOT_OK(SetNonBlocking(read_fd_));
+  return SetNonBlocking(write_fd_);
+}
+
+void HttpServer::WakePipe::Signal() const {
+  if (write_fd_ < 0) return;
+  // A full pipe (EAGAIN) is already readable, which is all a wakeup needs.
+  const char byte = 1;
+  [[maybe_unused]] ssize_t ignored = ::write(write_fd_, &byte, 1);
+}
+
+void HttpServer::WakePipe::Drain() const { DrainPipe(read_fd_); }
+
+HttpServer::HttpServer(HttpServerConfig config)
+    : config_(std::move(config)),
+      completion_pipe_(std::make_shared<WakePipe>()),
+      completion_pipe_opened_(completion_pipe_->Open()) {}
 
 HttpServer::~HttpServer() {
   for (auto& conn : conns_) {
     if (conn->fd >= 0) ::close(conn->fd);
   }
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
 }
 
 void HttpServer::Route(const std::string& method, const std::string& path,
@@ -44,20 +68,15 @@ void HttpServer::Route(const std::string& method, const std::string& path,
 }
 
 Status HttpServer::Start() {
-  int fds[2];
-  if (::pipe(fds) != 0) return Status::FromErrno("pipe", errno);
-  PRESTROID_RETURN_NOT_OK(SetNonBlocking(fds[0]));
-  PRESTROID_RETURN_NOT_OK(SetNonBlocking(fds[1]));
-  wake_read_fd_ = fds[0];
-  wake_write_fd_ = fds[1];
+  PRESTROID_RETURN_NOT_OK(completion_pipe_opened_);
+  PRESTROID_RETURN_NOT_OK(drain_pipe_.Open());
   return listener_.Listen(config_.host, config_.port);
 }
 
-void HttpServer::RequestDrain() {
-  if (wake_write_fd_ >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] ssize_t ignored = ::write(wake_write_fd_, &byte, 1);
-  }
+void HttpServer::RequestDrain() { drain_pipe_.Signal(); }
+
+std::function<void()> HttpServer::CompletionNotifier() const {
+  return [pipe = completion_pipe_]() { pipe->Signal(); };
 }
 
 HttpServerStats HttpServer::StatsSnapshot() const {
@@ -144,12 +163,18 @@ void HttpServer::Dispatch(Connection& conn, const HttpRequest& request) {
     return;
   }
   HandlerResult result = match->handler(request);
-  if (std::holds_alternative<HttpResponse>(result)) {
-    EnqueueResponse(conn, std::get<HttpResponse>(result), request.KeepAlive());
-  } else {
-    conn.pending = std::move(std::get<PendingResponse>(result));
-    conn.pending_keep_alive = request.KeepAlive();
+  if (auto* pending = std::get_if<PendingResponse>(&result)) {
+    // Poll once: work that finished on the spot (an answer-cache hit) is
+    // written in this loop pass instead of waiting for a wakeup.
+    HttpResponse response;
+    if (!pending->poll(&response)) {
+      conn.pending = std::move(*pending);
+      conn.pending_keep_alive = request.KeepAlive();
+      return;
+    }
+    result = std::move(response);
   }
+  EnqueueResponse(conn, std::get<HttpResponse>(result), request.KeepAlive());
 }
 
 void HttpServer::ProcessBuffered(Connection& conn) {
@@ -217,7 +242,8 @@ Status HttpServer::Run(int drain_fd) {
     pollfds.clear();
     conn_slot.assign(conns_.size(), -1);
 
-    pollfds.push_back({wake_read_fd_, POLLIN, 0});
+    pollfds.push_back({drain_pipe_.read_fd(), POLLIN, 0});
+    pollfds.push_back({completion_pipe_->read_fd(), POLLIN, 0});
     const int external_slot = drain_fd >= 0 ? static_cast<int>(pollfds.size())
                                             : -1;
     if (drain_fd >= 0) pollfds.push_back({drain_fd, POLLIN, 0});
@@ -227,7 +253,6 @@ Status HttpServer::Run(int drain_fd) {
             : -1;
     if (listener_slot >= 0) pollfds.push_back({listener_.fd(), POLLIN, 0});
 
-    bool any_pending = false;
     for (size_t i = 0; i < conns_.size(); ++i) {
       Connection& conn = *conns_[i];
       if (conn.fd < 0) continue;
@@ -237,15 +262,14 @@ Status HttpServer::Run(int drain_fd) {
         events |= POLLIN;
       }
       if (conn.out_off < conn.out.size()) events |= POLLOUT;
-      if (conn.pending) any_pending = true;
       conn_slot[i] = static_cast<int>(pollfds.size());
       pollfds.push_back({conn.fd, events, 0});
     }
 
-    // Pending responses resolve off-thread (runtime batch workers), so poll
-    // with a short timeout while any exist; otherwise wake often enough to
-    // enforce header timeouts and the drain deadline.
-    const int timeout_ms = any_pending ? 1 : (draining_ ? 10 : 50);
+    // Pending responses resolve off-thread and wake the loop through the
+    // completion pipe, so the timeout only has to enforce header and idle
+    // timeouts and the drain deadline.
+    const int timeout_ms = draining_ ? 10 : 50;
     const int ready = ::poll(pollfds.data(),
                              static_cast<nfds_t>(pollfds.size()), timeout_ms);
     if (ready < 0 && errno != EINTR && errno != EAGAIN) {
@@ -254,10 +278,15 @@ Status HttpServer::Run(int drain_fd) {
 
     const Clock::time_point now = Clock::now();
 
+    // Completion wakeups: emptied before the connection pass below polls
+    // every pending response, so a completion signalled after this point
+    // leaves the pipe readable for the next poll().
+    if (pollfds[1].revents & POLLIN) completion_pipe_->Drain();
+
     // Drain wakeups (internal pipe, external SignalHandler fd, or EINTR from
     // a signal delivery that raced the pipe write).
     if (pollfds[0].revents & POLLIN) {
-      DrainPipe(wake_read_fd_);
+      drain_pipe_.Drain();
       BeginDrain();
     }
     if (external_slot >= 0 && (pollfds[external_slot].revents & POLLIN)) {

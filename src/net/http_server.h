@@ -62,8 +62,11 @@ struct HttpServerStats {
 
 /// A deferred response: the handler has dispatched work (e.g. a Submit into
 /// the serving runtime) and the event loop polls for completion. `poll` must
-/// be non-blocking and is called from the event-loop thread only; once it
-/// returns true (filling *out) it is never called again.
+/// be non-blocking and is called from the event-loop thread only: once right
+/// after the handler returns (work that finished on the spot is written in
+/// the same loop pass), then whenever the server's CompletionNotifier fires,
+/// and at the loop's idle tick. Once it returns true (filling *out) it is
+/// never called again.
 struct PendingResponse {
   std::function<bool(HttpResponse* out)> poll;
 };
@@ -79,7 +82,10 @@ using HttpHandler = std::function<HandlerResult(const HttpRequest&)>;
 /// responses — a handler that returns PendingResponse (the /estimate path)
 /// yields the loop while the serving runtime's batch workers do the heavy
 /// lifting, so many connections progress while estimates are in flight and
-/// concurrent requests micro-batch naturally inside the runtime.
+/// concurrent requests micro-batch naturally inside the runtime. Completions
+/// are event-driven: the worker that resolves a pending response calls
+/// CompletionNotifier(), which wakes poll() through a self-pipe; the loop
+/// never spins on a timer while responses are pending.
 ///
 /// Requests on one connection are answered strictly in order (HTTP/1.1
 /// pipelining); a pending response parks the connection's parser until it
@@ -120,6 +126,13 @@ class HttpServer {
 
   /// Thread-safe: asks the loop to begin a graceful drain.
   void RequestDrain();
+
+  /// Returns a thread-safe callback that wakes the event loop so it re-polls
+  /// every pending response. Whatever resolves a PendingResponse off the
+  /// loop thread calls it once the result is ready (EstimateService installs
+  /// it on the serving runtime). It has its own pipe, separate from the
+  /// drain wakeup, and stays safe to call after the server is destroyed.
+  std::function<void()> CompletionNotifier() const;
 
   /// Thread-safe counter snapshot.
   HttpServerStats StatsSnapshot() const;
@@ -170,9 +183,32 @@ class HttpServer {
   std::vector<Route_> routes_;
   std::vector<std::unique_ptr<Connection>> conns_;
 
-  // Self-pipe for thread-safe RequestDrain wakeups.
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
+  /// A nonblocking self-pipe: any thread may Signal(), the loop polls
+  /// read_fd() and Drain()s it.
+  class WakePipe {
+   public:
+    WakePipe() = default;
+    ~WakePipe();
+    WakePipe(const WakePipe&) = delete;
+    WakePipe& operator=(const WakePipe&) = delete;
+
+    Status Open();
+    void Signal() const;
+    void Drain() const;
+    int read_fd() const { return read_fd_; }
+
+   private:
+    int read_fd_ = -1;
+    int write_fd_ = -1;
+  };
+
+  // Thread-safe RequestDrain wakeups; readable means "begin draining".
+  WakePipe drain_pipe_;
+  // Completion wakeups. Opened in the constructor, before any notifier can
+  // exist, and shared with every notifier so it outlives the server if they
+  // do.
+  std::shared_ptr<WakePipe> completion_pipe_;
+  Status completion_pipe_opened_;
 
   bool draining_ = false;
   std::chrono::steady_clock::time_point drain_deadline_;

@@ -150,11 +150,13 @@ std::string RenderPrometheus(const MetricsSources& sources) {
   Counter(&out, "prestroid_serving_memory_denied_total",
           "Requests denied by the scratch-memory budget.", s.memory_denied);
   Counter(&out, "prestroid_serving_cache_hits_total",
-          "Plan-fingerprint cache hits.", s.cache_hits);
+          "Requests answered from the answer cache without their own "
+          "featurization.",
+          s.cache_hits);
   Counter(&out, "prestroid_serving_cache_misses_total",
-          "Featurization re-runs (cache misses).", s.cache_misses);
+          "Featurizations run (answer-cache misses).", s.cache_misses);
   Counter(&out, "prestroid_serving_cache_evictions_total",
-          "LRU featurization-cache evictions.", s.cache_evictions);
+          "LRU answer-cache evictions.", s.cache_evictions);
   Counter(&out, "prestroid_serving_model_swaps_total",
           "Successful hot-swap promotions.", s.model_swaps);
   Counter(&out, "prestroid_serving_model_rollbacks_total",

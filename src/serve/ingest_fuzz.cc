@@ -122,7 +122,282 @@ PlanNodePtr BuildJoinTree(Rng& rng, size_t leaves) {
   return std::move(forest.front());
 }
 
+/// Every node of `root`, pre-order.
+std::vector<plan::PlanNode*> CollectNodes(plan::PlanNode* root) {
+  std::vector<plan::PlanNode*> nodes;
+  std::vector<plan::PlanNode*> stack = {root};
+  while (!stack.empty()) {
+    plan::PlanNode* node = stack.back();
+    stack.pop_back();
+    nodes.push_back(node);
+    for (size_t i = node->children.size(); i > 0; --i) {
+      stack.push_back(node->children[i - 1].get());
+    }
+  }
+  return nodes;
+}
+
+/// Every expression node of `root`, pre-order.
+std::vector<sql::Expr*> CollectExprs(sql::Expr* root) {
+  std::vector<sql::Expr*> exprs;
+  std::vector<sql::Expr*> stack = {root};
+  while (!stack.empty()) {
+    sql::Expr* expr = stack.back();
+    stack.pop_back();
+    exprs.push_back(expr);
+    for (size_t i = expr->children.size(); i > 0; --i) {
+      stack.push_back(expr->children[i - 1].get());
+    }
+  }
+  return exprs;
+}
+
+/// A pool entry other than `current`, or a fresh name when there is none.
+std::string PickOther(const std::vector<std::string>& pool,
+                      const std::string& current, Rng& rng) {
+  std::vector<const std::string*> options;
+  for (const std::string& name : pool) {
+    if (name != current) options.push_back(&name);
+  }
+  if (options.empty()) return current + "_mutated";
+  return *options[rng.NextUint64(options.size())];
+}
+
+/// An element of `values` other than `current`.
+template <typename T, size_t N>
+T PickOtherValue(const T (&values)[N], T current, Rng& rng) {
+  T picked = current;
+  while (picked == current) picked = values[rng.NextUint64(N)];
+  return picked;
+}
+
+bool IsUnaryOperator(const plan::PlanNode& node) {
+  return node.type != plan::PlanNodeType::kTableScan &&
+         node.type != plan::PlanNodeType::kJoin;
+}
+
+bool NodeCarries(PlanField field, const plan::PlanNode& node) {
+  using plan::PlanNodeType;
+  switch (field) {
+    case PlanField::kNodeType:
+    case PlanField::kPredicate:
+      return IsUnaryOperator(node);
+    case PlanField::kTable:
+      return node.type == PlanNodeType::kTableScan;
+    case PlanField::kJoinType:
+    case PlanField::kJoinSides:
+    case PlanField::kJoinCondition:
+      return node.type == PlanNodeType::kJoin;
+    case PlanField::kExchangeKind:
+      return node.type == PlanNodeType::kExchange;
+    case PlanField::kExpressions:
+      return node.type == PlanNodeType::kProject ||
+             node.type == PlanNodeType::kAggregate ||
+             node.type == PlanNodeType::kSort;
+    case PlanField::kGroupKeys:
+      return node.type == PlanNodeType::kAggregate;
+    case PlanField::kSortDirection:
+      return node.type == PlanNodeType::kSort && !node.sort_descending.empty();
+    case PlanField::kLimit:
+      return node.type == PlanNodeType::kLimit;
+    case PlanField::kCardinality:
+      return true;
+    default:
+      return false;  // expression fields
+  }
+}
+
+bool ExprCarries(PlanField field, const sql::Expr& expr) {
+  switch (field) {
+    case PlanField::kPredicateColumn:
+    case PlanField::kPredicateQualifier:
+      return expr.kind == sql::ExprKind::kColumn;
+    case PlanField::kPredicateNumber:
+      return expr.kind == sql::ExprKind::kNumberLit;
+    case PlanField::kPredicateString:
+      return expr.kind == sql::ExprKind::kStringLit;
+    case PlanField::kPredicateOperator:
+      return expr.kind == sql::ExprKind::kCompare ||
+             expr.kind == sql::ExprKind::kBinary;
+    default:
+      return false;  // node fields
+  }
+}
+
+void MutateExprField(PlanField field, sql::Expr& expr,
+                     const FieldMutationPool& pool, Rng& rng) {
+  static const char* const kCompareOps[] = {"=", "<>", "<", "<=", ">", ">="};
+  static const char* const kBinaryOps[] = {"+", "-", "*", "/"};
+  switch (field) {
+    case PlanField::kPredicateColumn:
+      expr.name = PickOther(pool.columns, expr.name, rng);
+      break;
+    case PlanField::kPredicateQualifier:
+      expr.table = PickOther(pool.tables, expr.table, rng);
+      break;
+    case PlanField::kPredicateNumber:
+      expr.number += 1.0 + static_cast<double>(rng.NextUint64(1000));
+      break;
+    case PlanField::kPredicateString:
+      expr.str = PickOther(pool.tables, expr.str, rng);
+      break;
+    case PlanField::kPredicateOperator: {
+      const std::string current = expr.op;
+      std::string picked = current;
+      while (picked == current) {
+        picked = expr.kind == sql::ExprKind::kCompare
+                     ? kCompareOps[rng.NextUint64(std::size(kCompareOps))]
+                     : kBinaryOps[rng.NextUint64(std::size(kBinaryOps))];
+      }
+      expr.op = picked;
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+void MutateNodeField(PlanField field, plan::PlanNode& node,
+                     const FieldMutationPool& pool, Rng& rng) {
+  using plan::PlanNodeType;
+  static const PlanNodeType kUnaryTypes[] = {
+      PlanNodeType::kFilter,   PlanNodeType::kProject, PlanNodeType::kAggregate,
+      PlanNodeType::kSort,     PlanNodeType::kLimit,   PlanNodeType::kExchange,
+      PlanNodeType::kDistinct};
+  static const sql::JoinType kJoinTypes[] = {
+      sql::JoinType::kInner, sql::JoinType::kLeft, sql::JoinType::kRight,
+      sql::JoinType::kFull, sql::JoinType::kCross};
+  static const plan::ExchangeKind kExchangeKinds[] = {
+      plan::ExchangeKind::kGather, plan::ExchangeKind::kRepartition,
+      plan::ExchangeKind::kBroadcast};
+  auto fresh_compare = [&](const char* op) {
+    return sql::MakeCompare(
+        op, sql::MakeColumn(PickOther(pool.tables, "", rng),
+                            PickOther(pool.columns, "", rng)),
+        sql::MakeNumber(static_cast<double>(rng.NextUint64(1000))));
+  };
+  switch (field) {
+    case PlanField::kNodeType:
+      node.type = PickOtherValue(kUnaryTypes, node.type, rng);
+      break;
+    case PlanField::kTable:
+      node.table = PickOther(pool.tables, node.table, rng);
+      break;
+    case PlanField::kJoinType:
+      node.join_type = PickOtherValue(kJoinTypes, node.join_type, rng);
+      break;
+    case PlanField::kJoinSides:
+      std::swap(node.children[0], node.children[1]);
+      break;
+    case PlanField::kExchangeKind:
+      node.exchange_kind =
+          PickOtherValue(kExchangeKinds, node.exchange_kind, rng);
+      break;
+    case PlanField::kPredicate:
+      if (node.predicate != nullptr) {
+        node.predicate.reset();
+      } else {
+        node.predicate = fresh_compare(">");
+      }
+      break;
+    case PlanField::kJoinCondition:
+      node.predicate = fresh_compare("=");
+      break;
+    case PlanField::kExpressions:
+      node.expressions.push_back(
+          sql::MakeColumn("", PickOther(pool.columns, "", rng)));
+      // Sort keys and their directions stay parallel.
+      if (node.type == PlanNodeType::kSort) {
+        node.sort_descending.push_back(false);
+      }
+      break;
+    case PlanField::kGroupKeys:
+      node.group_keys.push_back(PickOther(pool.columns, "", rng));
+      break;
+    case PlanField::kSortDirection:
+      node.sort_descending[0] = !node.sort_descending[0];
+      break;
+    case PlanField::kLimit:
+      node.limit += 1 + static_cast<int64_t>(rng.NextUint64(1000));
+      break;
+    case PlanField::kCardinality:
+      node.cardinality += 1.0 + static_cast<double>(rng.NextUint64(1000000));
+      break;
+    default:
+      break;
+  }
+}
+
 }  // namespace
+
+const char* PlanFieldToString(PlanField field) {
+  switch (field) {
+    case PlanField::kNodeType:
+      return "node_type";
+    case PlanField::kTable:
+      return "table";
+    case PlanField::kJoinType:
+      return "join_type";
+    case PlanField::kJoinSides:
+      return "join_sides";
+    case PlanField::kExchangeKind:
+      return "exchange_kind";
+    case PlanField::kPredicate:
+      return "predicate";
+    case PlanField::kJoinCondition:
+      return "join_condition";
+    case PlanField::kExpressions:
+      return "expressions";
+    case PlanField::kGroupKeys:
+      return "group_keys";
+    case PlanField::kSortDirection:
+      return "sort_direction";
+    case PlanField::kLimit:
+      return "limit";
+    case PlanField::kCardinality:
+      return "cardinality";
+    case PlanField::kPredicateColumn:
+      return "predicate_column";
+    case PlanField::kPredicateQualifier:
+      return "predicate_qualifier";
+    case PlanField::kPredicateNumber:
+      return "predicate_number";
+    case PlanField::kPredicateString:
+      return "predicate_string";
+    case PlanField::kPredicateOperator:
+      return "predicate_operator";
+  }
+  return "unknown";
+}
+
+plan::PlanNodePtr MutatePlanField(const plan::PlanNode& plan, PlanField field,
+                                  uint64_t seed,
+                                  const FieldMutationPool& pool) {
+  Rng rng(seed ^ 0x94d049bb133111ebULL);
+  plan::PlanNodePtr mutant = plan.Clone();
+  const std::vector<plan::PlanNode*> nodes = CollectNodes(mutant.get());
+
+  std::vector<sql::Expr*> exprs;
+  for (plan::PlanNode* node : nodes) {
+    if (node->predicate == nullptr) continue;
+    for (sql::Expr* expr : CollectExprs(node->predicate.get())) {
+      if (ExprCarries(field, *expr)) exprs.push_back(expr);
+    }
+  }
+  if (!exprs.empty()) {
+    MutateExprField(field, *exprs[rng.NextUint64(exprs.size())], pool, rng);
+    return mutant;
+  }
+
+  std::vector<plan::PlanNode*> carriers;
+  for (plan::PlanNode* node : nodes) {
+    if (NodeCarries(field, *node)) carriers.push_back(node);
+  }
+  if (carriers.empty()) return nullptr;
+  MutateNodeField(field, *carriers[rng.NextUint64(carriers.size())], pool,
+                  rng);
+  return mutant;
+}
 
 std::string FuzzBasePlanText(uint64_t seed) {
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);

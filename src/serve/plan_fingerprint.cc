@@ -127,6 +127,10 @@ uint64_t FingerprintPlan(const plan::PlanNode& plan) {
             break;
           case plan::PlanNodeType::kExchange:
             HashByte(h, static_cast<uint8_t>(node.exchange_kind));
+            // Recast rule R1 also reads an exchange's predicate. No null
+            // marker is needed: the next byte is 0xf1 without a predicate
+            // and an expression-kind byte (< 0xf0) with one.
+            hash_predicate = node.predicate != nullptr;
             break;
           default:
             // Recast rule R1: a non-join unary operator contributes its

@@ -13,7 +13,8 @@ namespace prestroid::serve {
 ///   - the operator label: PlanNodeType, plus join flavour for kJoin and
 ///     exchange kind for kExchange;
 ///   - the table name for kTableScan leaves;
-///   - the predicate for non-join unary operators, hashed structurally
+///   - the predicate for non-join unary operators (kExchange included),
+///     hashed structurally
 ///     (cheaper than — and at least as fine-grained as — hashing the
 ///     ToString() text the recast tokenizes, since equal expression
 ///     structure implies equal text);
@@ -30,7 +31,7 @@ uint64_t FingerprintPlan(const plan::PlanNode& plan);
 
 /// Mixes a cache generation into a plan fingerprint. The serving runtime
 /// bumps the generation when the fitted encoder state changes (catalog
-/// churn, pipeline swap), which retires every previously cached encoding
+/// churn, pipeline swap), which retires every previously cached answer
 /// without rehashing plans.
 uint64_t CombineFingerprint(uint64_t fingerprint, uint64_t generation);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "plan/plan_stats.h"
@@ -82,7 +83,6 @@ void ServingShard::Shutdown() {
     for (size_t i = begin; i < end; ++i) {
       batch.push_back(std::move(leftover[i]));
     }
-    std::lock_guard<std::mutex> serve_lock(serve_mu_);
     ServeBatch(batch);
   }
 }
@@ -92,6 +92,49 @@ Result<std::future<cost::ServingEstimate>> ServingShard::SubmitRouted(
     ShardTicket ticket) {
   // The facade already ran the governor (before fingerprinting) and charged
   // the ticket; this path must not double-count.
+  const auto submitted = std::chrono::steady_clock::now();
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (stop_) {
+      ticket.Release();
+      return Status::InvalidArgument("serving shard is shut down");
+    }
+  }
+
+  // Answer cache: a hit resolves here, on the caller's thread, without
+  // serve_mu_ (an in-flight batch never delays it) — but only while the
+  // deadline has time left. An expired request takes the queue and degrades
+  // there exactly as a miss would. The estimator's limits are immutable, so
+  // reading the default deadline needs no lock.
+  const double deadline = deadline_ms > 0.0
+                              ? deadline_ms
+                              : estimator_->limits().default_deadline_ms;
+  std::optional<double> answer;
+  double hit_latency_ms = 0.0;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    answer = cache_.Lookup(CombineFingerprint(fingerprint, cache_generation_));
+    if (answer.has_value()) {
+      hit_latency_ms = ElapsedMs(submitted);
+      if (hit_latency_ms < deadline) {
+        ++submit_cache_hits_;
+        submit_hit_latency_hist_.Record(hit_latency_ms);
+      } else {
+        answer.reset();
+      }
+    }
+  }
+  if (answer.has_value()) {
+    ticket.Release();
+    cost::ServingEstimate estimate;
+    estimate.cpu_minutes = *answer;
+    estimate.tier = cost::ServingTier::kModel;
+    estimate.latency_ms = hit_latency_ms;
+    std::promise<cost::ServingEstimate> promise;
+    promise.set_value(std::move(estimate));
+    return promise.get_future();
+  }
+
   std::future<cost::ServingEstimate> future;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -109,7 +152,7 @@ Result<std::future<cost::ServingEstimate>> ServingShard::SubmitRouted(
     PendingRequest request;
     request.plan = &plan;
     request.deadline_ms = deadline_ms;
-    request.enqueue_time = std::chrono::steady_clock::now();
+    request.enqueue_time = submitted;
     request.fingerprint = fingerprint;
     request.ticket = ticket;
     future = request.promise.get_future();
@@ -122,8 +165,18 @@ Result<std::future<cost::ServingEstimate>> ServingShard::SubmitRouted(
 
 void ServingShard::InvalidateCache() {
   std::lock_guard<std::mutex> lock(serve_mu_);
+  RetireCachedAnswersLocked();
+}
+
+void ServingShard::RetireCachedAnswersLocked() {
+  std::lock_guard<std::mutex> lock(cache_mu_);
   ++cache_generation_;
   cache_.Clear();
+}
+
+void ServingShard::SetCompletionNotifier(std::function<void()> notifier) {
+  std::lock_guard<std::mutex> lock(serve_mu_);
+  completion_notifier_ = std::move(notifier);
 }
 
 std::unique_ptr<core::PrestroidPipeline> ServingShard::SwapPipelineLocked(
@@ -132,8 +185,7 @@ std::unique_ptr<core::PrestroidPipeline> ServingShard::SwapPipelineLocked(
       estimator_->ReleasePipeline();
   estimator_->AttachPipeline(std::move(pipeline));
   estimator_->ResetModelLatency();
-  ++cache_generation_;
-  cache_.Clear();
+  RetireCachedAnswersLocked();
   if (is_rollback) {
     ++model_rollbacks_;
   } else {
@@ -153,11 +205,20 @@ cost::ServingStats ServingShard::StatsSnapshot() const {
   {
     std::lock_guard<std::mutex> lock(serve_mu_);
     stats = estimator_->stats();
-    stats.cache_hits = cache_.stats().hits;
-    stats.cache_misses = cache_.stats().misses;
-    stats.cache_evictions = cache_.stats().evictions;
+    stats.cache_hits = batch_cache_hits_;
+    stats.cache_misses = featurizations_;
     stats.model_swaps = model_swaps_;
     stats.model_rollbacks = model_rollbacks_;
+  }
+  {
+    // Hits answered at submission never reached the estimator: they count
+    // here as model-tier requests.
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    stats.requests += submit_cache_hits_;
+    stats.by_tier[static_cast<size_t>(cost::ServingTier::kModel)] +=
+        submit_cache_hits_;
+    stats.cache_hits += submit_cache_hits_;
+    stats.cache_evictions = cache_.evictions();
   }
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -168,8 +229,14 @@ cost::ServingStats ServingShard::StatsSnapshot() const {
 }
 
 LatencyHistogram ServingShard::LatencySnapshot() const {
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  return latency_hist_;
+  LatencyHistogram merged;
+  {
+    std::lock_guard<std::mutex> lock(serve_mu_);
+    merged = latency_hist_;
+  }
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  merged.Merge(submit_hit_latency_hist_);
+  return merged;
 }
 
 size_t ServingShard::arena_peak_bytes() const {
@@ -215,14 +282,25 @@ void ServingShard::WorkerLoop() {
         queue_.pop_front();
       }
     }
-    std::lock_guard<std::mutex> serve_lock(serve_mu_);
     ServeBatch(batch);
   }
 }
 
 void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
-  // Precondition: serve_mu_ held by the caller (worker loop or Shutdown).
+  std::function<void()> notify;
+  {
+    std::lock_guard<std::mutex> serve_lock(serve_mu_);
+    ServeBatchLocked(batch);
+    notify = completion_notifier_;
+  }
+  if (notify) notify();
+}
+
+void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
+  // serve_mu_ is held, so the pipeline and the cache generation stay fixed
+  // for the whole batch.
   core::PrestroidPipeline* pipeline = estimator_->pipeline();
+  const uint64_t generation = cache_generation_;
 
   auto resolve = [this, &batch](size_t i, cost::ServingEstimate estimate) {
     latency_hist_.Record(estimate.latency_ms);
@@ -233,20 +311,21 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
   };
 
   // Trivially-destructible staging arrays live in the per-batch scratch
-  // arena (rewound, not freed, between batches); the feature handles keep
-  // their shared_ptr lifetimes in a normal vector.
+  // arena (rewound, not freed, between batches).
+  constexpr size_t kNoRow = static_cast<size_t>(-1);
   arena_.Reset();
   double* remaining_ms = arena_.AllocateArray<double>(batch.size());
-  size_t* admitted_index = arena_.AllocateArray<size_t>(batch.size());
-  const core::PlanFeatures** feature_ptrs =
-      arena_.AllocateArray<const core::PlanFeatures*>(batch.size());
-  size_t admitted = 0;
-  std::vector<std::shared_ptr<const core::PlanFeatures>> feature_handles;
-  feature_handles.reserve(batch.size());
+  // The forward row each request reads its answer from (kNoRow: resolved).
+  size_t* row_of = arena_.AllocateArray<size_t>(batch.size());
+  uint64_t* row_fingerprint = arena_.AllocateArray<uint64_t>(batch.size());
+  size_t rows = 0;
+  std::vector<core::PlanFeatures> features;
+  features.reserve(batch.size());
   std::vector<plan::PlanStats> plan_stats(batch.size());
 
   for (size_t i = 0; i < batch.size(); ++i) {
     PendingRequest& request = batch[i];
+    row_of[i] = kNoRow;
     estimator_->CountRequest();
     const double deadline = request.deadline_ms > 0.0
                                 ? request.deadline_ms
@@ -260,50 +339,77 @@ void ServingShard::ServeBatch(std::vector<PendingRequest>& batch) {
                                               request.enqueue_time));
       continue;
     }
-    // The facade's fingerprint is the cache key (identical plans land on the
-    // same shard, so the key is stable across the tier).
-    const uint64_t key =
-        CombineFingerprint(request.fingerprint, cache_generation_);
-    std::shared_ptr<const core::PlanFeatures> features = cache_.Lookup(key);
-    if (features == nullptr) {
-      Result<core::PlanFeatures> fresh = pipeline->FeaturizePlan(*request.plan);
-      if (!fresh.ok()) {
-        estimator_->NoteModelFailure();
-        resolve(i, estimator_->EstimateFallback(
-                       plan_stats[i], fresh.status(), request.enqueue_time));
-        continue;
-      }
-      features = std::make_shared<core::PlanFeatures>(std::move(*fresh));
-      cache_.Insert(key, features);
+    // Cached since this request was queued (an earlier batch answered the
+    // same plan).
+    std::optional<double> cached;
+    {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      cached = cache_.Lookup(CombineFingerprint(request.fingerprint,
+                                                generation));
     }
-    admitted_index[admitted] = i;
-    feature_ptrs[admitted] = features.get();
-    feature_handles.push_back(std::move(features));
-    ++admitted;
+    if (cached.has_value()) {
+      ++batch_cache_hits_;
+      resolve(i, estimator_->FinishModelEstimate(
+                     *cached, ElapsedMs(request.enqueue_time)));
+      continue;
+    }
+    // A duplicate of a plan already featurized in this batch shares its row.
+    size_t row = 0;
+    while (row < rows && row_fingerprint[row] != request.fingerprint) ++row;
+    if (row < rows) {
+      ++batch_cache_hits_;
+      row_of[i] = row;
+      continue;
+    }
+    ++featurizations_;
+    Result<core::PlanFeatures> fresh = pipeline->FeaturizePlan(*request.plan);
+    if (!fresh.ok()) {
+      estimator_->NoteModelFailure();
+      resolve(i, estimator_->EstimateFallback(plan_stats[i], fresh.status(),
+                                              request.enqueue_time));
+      continue;
+    }
+    features.push_back(std::move(*fresh));
+    row_fingerprint[rows] = request.fingerprint;
+    row_of[i] = rows++;
   }
 
-  if (admitted == 0) return;
+  if (rows > 0) {
+    // One fused eval-mode forward pass over the distinct featurized plans.
+    std::vector<const core::PlanFeatures*> feature_ptrs;
+    feature_ptrs.reserve(rows);
+    for (const core::PlanFeatures& f : features) feature_ptrs.push_back(&f);
+    const auto forward_start = std::chrono::steady_clock::now();
+    const std::vector<double> predicted =
+        pipeline->PredictFeaturized(feature_ptrs);
+    const double per_row_ms =
+        ElapsedMs(forward_start) / static_cast<double>(rows);
 
-  // One fused eval-mode forward pass for every admitted request.
-  const auto forward_start = std::chrono::steady_clock::now();
-  const std::vector<double> predicted = pipeline->PredictFeaturized(
-      std::vector<const core::PlanFeatures*>(feature_ptrs,
-                                             feature_ptrs + admitted));
-  const double per_item_ms =
-      ElapsedMs(forward_start) / static_cast<double>(admitted);
-
-  for (size_t j = 0; j < admitted; ++j) {
-    const size_t i = admitted_index[j];
-    estimator_->UpdateModelLatency(per_item_ms, remaining_ms[i]);
-    if (std::isfinite(predicted[j])) {
-      resolve(i, estimator_->FinishModelEstimate(
-                     predicted[j], ElapsedMs(batch[i].enqueue_time)));
-    } else {
-      estimator_->NoteModelFailure();
-      resolve(i, estimator_->EstimateFallback(
-                     plan_stats[i],
-                     Status::Internal("model returned a non-finite estimate"),
-                     batch[i].enqueue_time));
+    // Cache before resolving, so a caller that resubmits the moment its
+    // future is ready already hits.
+    {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      for (size_t r = 0; r < rows; ++r) {
+        if (std::isfinite(predicted[r])) {
+          cache_.Insert(CombineFingerprint(row_fingerprint[r], generation),
+                        predicted[r]);
+        }
+      }
+    }
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (row_of[i] == kNoRow) continue;
+      const double answer = predicted[row_of[i]];
+      estimator_->UpdateModelLatency(per_row_ms, remaining_ms[i]);
+      if (std::isfinite(answer)) {
+        resolve(i, estimator_->FinishModelEstimate(
+                       answer, ElapsedMs(batch[i].enqueue_time)));
+      } else {
+        estimator_->NoteModelFailure();
+        resolve(i, estimator_->EstimateFallback(
+                       plan_stats[i],
+                       Status::Internal("model returned a non-finite estimate"),
+                       batch[i].enqueue_time));
+      }
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -14,7 +15,7 @@
 #include "cost/serving_estimator.h"
 #include "plan/plan_limits.h"
 #include "plan/plan_node.h"
-#include "serve/plan_cache.h"
+#include "serve/answer_cache.h"
 #include "serve/tenant_quota.h"
 #include "util/histogram.h"
 #include "util/memory_tracker.h"
@@ -29,13 +30,14 @@ struct ServingRuntimeConfig {
   /// kResourceExhausted instead of blocking the producer.
   size_t queue_depth = 256;
   /// Largest fused forward pass. Every batch size, 1 included, takes the
-  /// same path: fingerprint cache, then one fused forward.
+  /// same path: answer cache, then one fused forward over the misses.
   size_t max_batch = 32;
   /// After the first request of a batch arrives, how long the worker waits
   /// for the batch to fill before running a partial one. 0 = never wait
   /// (drain whatever is queued).
   size_t batch_window_us = 200;
-  /// Plan-fingerprint cache entries; 0 disables the cache.
+  /// Answer-cache entries (plan fingerprint -> model-tier answer); 0
+  /// disables the cache.
   size_t cache_entries = 1024;
   /// Resource governor ShardedServingRuntime::Submit applies to every plan
   /// *before* it is fingerprinted or featurized. Over-limit plans are
@@ -69,16 +71,19 @@ struct ShardTicket {
 };
 
 /// One shard of the batched serving tier: a bounded MPMC admission queue, a
-/// single batch-worker thread, a plan-fingerprint feature cache, and a
+/// single batch-worker thread, a plan-fingerprint answer cache, and a
 /// dedicated ServingEstimator. ShardedServingRuntime owns N >= 1 of them and
 /// is the only caller of SubmitRouted and SwapPipelineLocked.
 ///
-/// The facade SubmitRouted()s admitted plans into the queue and hands the
-/// futures back to its producers; the worker drains under the batch-window /
-/// max-batch policy, featurizes each distinct plan once (fingerprint LRU
-/// cache), runs ONE fused eval-mode forward pass per batch, and resolves the
-/// futures. Requests that cannot take the model tier degrade per item through
-/// the estimator's fallback chain, so a batch never fails wholesale.
+/// The facade SubmitRouted()s admitted plans. A plan whose model-tier answer
+/// is cached resolves on the caller's thread, before the queue: no batch
+/// window, no featurization, no forward. Every other plan is queued; the
+/// worker drains under the batch-window / max-batch policy, answers plans
+/// cached since they were queued, featurizes each remaining distinct plan
+/// once, runs ONE fused eval-mode forward pass per batch, caches the finite
+/// answers, and resolves the futures. Requests that cannot take the model
+/// tier degrade per item through the estimator's fallback chain, so a batch
+/// never fails wholesale.
 ///
 /// The fused forward runs in eval mode (dropout off, batch-norm running
 /// statistics, masked per-tree pooling), so each row's prediction is
@@ -86,10 +91,11 @@ struct ShardTicket {
 /// single-query EstimateWithFallback results regardless of arrival order.
 ///
 /// Thread-safety: SubmitRouted/StatsSnapshot/LatencySnapshot/InvalidateCache
-/// may be called from any thread. The estimator, cache, and scratch arena are
-/// confined to the worker thread (snapshot readers take the same lock the
-/// worker holds while serving a batch). The estimator must not be used
-/// directly by other threads while the shard is running.
+/// may be called from any thread. The estimator and scratch arena are
+/// confined to the worker thread (snapshot readers take the serving lock the
+/// worker holds while serving a batch). The answer cache has its own mutex,
+/// so a hit never waits behind an in-flight batch. The estimator must not be
+/// used directly by other threads while the shard is running.
 ///
 /// Lifetime: submitted plans are borrowed, not copied — the caller must keep
 /// a plan alive until its future resolves. The estimator (and the tracker, if
@@ -121,21 +127,31 @@ class ServingShard {
   /// again afterwards.
   void Shutdown();
 
-  /// Enqueues one request the facade has already admitted: it ran the
+  /// Serves one request the facade has already admitted: it ran the
   /// governor, computed `fingerprint` (used verbatim for the cache key, so
-  /// identical plans routed to this shard share one featurization), and
-  /// charged the admission `ticket`. Takes ownership of the ticket
-  /// unconditionally — it is released when the promise resolves, or
-  /// immediately on rejection. Returns kResourceExhausted when the queue is
-  /// full (the request was never admitted) and kInvalidArgument after
-  /// Shutdown().
+  /// identical plans routed to this shard share one answer), and charged the
+  /// admission `ticket`. A cached answer is returned as a ready future while
+  /// the request's deadline (measured from this call; <= 0 means the
+  /// estimator's default) has time left; anything else is queued. Takes
+  /// ownership of the ticket unconditionally — it is released when the
+  /// promise resolves, or immediately on rejection. Returns
+  /// kResourceExhausted when the queue is full (the request was never
+  /// admitted) and kInvalidArgument after Shutdown().
   Result<std::future<cost::ServingEstimate>> SubmitRouted(
       const plan::PlanNode& plan, double deadline_ms, uint64_t fingerprint,
       ShardTicket ticket);
 
-  /// Retires every cached plan encoding (e.g. after catalog churn or a
-  /// pipeline swap made old featurizations stale).
+  /// Retires every cached answer (e.g. after catalog churn made old
+  /// featurizations stale): bumps the cache generation and clears the cache.
+  /// Waits for the in-flight batch, so no answer computed before the call is
+  /// cached after it.
   void InvalidateCache();
+
+  /// Installs the callback the worker runs once after every batch it
+  /// resolves (nullptr removes it), after releasing the serving lock. The
+  /// HTTP front end wakes its event loop with it. Cache hits resolve on the
+  /// submitting thread and do not call it.
+  void SetCompletionNotifier(std::function<void()> notifier);
 
   /// Acquires this shard's serving lock, blocking until the in-flight batch
   /// (if any) completes. ShardedServingRuntime::SwapPipelines locks every
@@ -147,13 +163,14 @@ class ServingShard {
 
   /// Replaces the estimator's model tier; the caller holds LockServing(), so
   /// the in-flight batch (if any) has finished on the old model. Attaches
-  /// `pipeline`, resets the model-latency EWMA, bumps the feature-cache
-  /// generation (stale featurizations can never reach the new model), freezes
-  /// the incoming pipeline into resident fp32 panels before the next batch
-  /// can reach it, and returns the previous pipeline. Queued requests are
-  /// never dropped: they run on whichever model is attached when their batch
-  /// is served. `is_rollback` only selects which ServingStats counter
-  /// (model_swaps vs model_rollbacks) the transition increments.
+  /// `pipeline`, resets the model-latency EWMA, bumps the answer-cache
+  /// generation and clears the cache (no old model's answer is served after
+  /// the swap), freezes the incoming pipeline into resident fp32 panels
+  /// before the next batch can reach it, and returns the previous pipeline.
+  /// Queued requests are never dropped: they run on whichever model is
+  /// attached when their batch is served. `is_rollback` only selects which
+  /// ServingStats counter (model_swaps vs model_rollbacks) the transition
+  /// increments.
   std::unique_ptr<core::PrestroidPipeline> SwapPipelineLocked(
       std::unique_ptr<core::PrestroidPipeline> pipeline, bool is_rollback);
 
@@ -161,7 +178,8 @@ class ServingShard {
   cost::ServingStats StatsSnapshot() const;
 
   /// End-to-end request latency distribution (milliseconds, including queue
-  /// wait), over every request the worker has resolved.
+  /// wait), over every resolved request: cache hits answered at submission
+  /// and everything the worker resolved.
   LatencyHistogram LatencySnapshot() const;
 
   const ServingRuntimeConfig& config() const { return config_; }
@@ -192,13 +210,21 @@ class ServingShard {
   };
 
   void WorkerLoop();
-  /// Serves one drained batch: per-item admission + cache lookup, one fused
-  /// forward pass for the admitted items, per-item fallback for the rest.
+  /// Serves one drained batch under serve_mu_, then calls the completion
+  /// notifier with the lock released.
   void ServeBatch(std::vector<PendingRequest>& batch);
+  /// The batch itself (serve_mu_ held): per-item admission, answer-cache
+  /// lookup and in-batch deduplication, one fused forward pass over the
+  /// distinct misses, per-item fallback for the rest.
+  void ServeBatchLocked(std::vector<PendingRequest>& batch);
 
   /// Freezes the attached pipeline, if any (serve_mu_ held). Called from
   /// Start() and SwapPipelineLocked, which covers swaps and rollbacks.
   void FreezePipelineLocked();
+
+  /// Bumps the cache generation and clears the answer cache (serve_mu_
+  /// held). Called from InvalidateCache and SwapPipelineLocked.
+  void RetireCachedAnswersLocked();
 
   cost::ServingEstimator* estimator_;
   ServingRuntimeConfig config_;
@@ -210,14 +236,30 @@ class ServingShard {
   size_t rejected_requests_ = 0;
   size_t queue_high_watermark_ = 0;
 
-  /// Serializes worker access to the estimator + cache + histogram + arena
-  /// against snapshot readers and pipeline swaps.
+  /// Serializes worker access to the estimator + histogram + arena against
+  /// snapshot readers and pipeline swaps. Lock order: serve_mu_, then
+  /// cache_mu_.
   mutable std::mutex serve_mu_;
-  PlanFeatureCache cache_;
-  uint64_t cache_generation_ = 0;
   LatencyHistogram latency_hist_;
+  /// Requests the worker answered without their own featurization: from the
+  /// answer cache, or sharing a duplicate's row of the batch.
+  size_t batch_cache_hits_ = 0;
+  /// Featurizations run (ServingStats::cache_misses).
+  size_t featurizations_ = 0;
   size_t model_swaps_ = 0;
   size_t model_rollbacks_ = 0;
+  std::function<void()> completion_notifier_;
+
+  /// Guards the answer cache and the accounting of hits answered at
+  /// submission, which the estimator never sees. The hit path takes this
+  /// lock (and queue_mu_, briefly), never serve_mu_.
+  mutable std::mutex cache_mu_;
+  AnswerCache cache_;
+  /// Written with serve_mu_ and cache_mu_ both held, so either one suffices
+  /// to read it.
+  uint64_t cache_generation_ = 0;
+  size_t submit_cache_hits_ = 0;
+  LatencyHistogram submit_hit_latency_hist_;
   /// Per-batch staging storage (deadline/pointer arrays), reset per batch and
   /// charged against the box-level tracker. Worker-confined under serve_mu_.
   ScratchArena arena_;

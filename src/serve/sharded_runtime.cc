@@ -80,9 +80,10 @@ Result<std::future<cost::ServingEstimate>> ShardedServingRuntime::Submit(
   }
 
   // Stage 4 — fingerprint routing. Identical plans hash identically, land on
-  // the same shard, and share one cached featurization. The shard reuses the
+  // the same shard, and share one cached answer. The shard reuses the
   // fingerprint for its cache key (no re-hash) and owns the ticket from here:
-  // released when the promise resolves, or immediately on queue rejection.
+  // released when the promise resolves (at once on a cache hit), or
+  // immediately on queue rejection.
   const uint64_t fingerprint = FingerprintPlan(plan);
   ShardTicket ticket;
   ticket.quotas = &quotas_;
@@ -95,6 +96,11 @@ Result<std::future<cost::ServingEstimate>> ShardedServingRuntime::Submit(
 
 void ShardedServingRuntime::InvalidateCache() {
   for (auto& shard : shards_) shard->InvalidateCache();
+}
+
+void ShardedServingRuntime::SetCompletionNotifier(
+    const std::function<void()>& notifier) {
+  for (auto& shard : shards_) shard->SetCompletionNotifier(notifier);
 }
 
 cost::ServingStats ShardedServingRuntime::StatsSnapshot() const {

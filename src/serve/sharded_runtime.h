@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <vector>
@@ -19,7 +20,7 @@ namespace prestroid::serve {
 
 /// Topology and admission policy of the sharded serving tier.
 struct ShardedRuntimeConfig {
-  /// Number of shards (each an independent queue + batch worker + feature
+  /// Number of shards (each an independent queue + batch worker + answer
   /// cache + estimator). 1 is the default: one batch worker, one cache.
   size_t shards = 1;
   /// Per-shard queue/batch/cache policy, applied uniformly.
@@ -43,8 +44,9 @@ struct ShardedRuntimeConfig {
 /// fingerprinted — the ingestion-hardening invariant), then tenant-quota and
 /// memory-budget admission, then hashes the plan once and routes it to shard
 /// `fingerprint % shards`. Identical plans therefore always land on the same
-/// shard and share one cached featurization — the tier-wide hit rate matches
-/// a one-shard cache instead of splitting N ways.
+/// shard and share one cached answer — the tier-wide hit rate matches a
+/// one-shard cache instead of splitting N ways. A cached answer resolves the
+/// returned future before Submit returns (see ServingShard::SubmitRouted).
 ///
 /// Each admitted request carries a ShardTicket holding its tenant-quota slot
 /// and memory charge; the owning shard releases the ticket when the request
@@ -85,18 +87,25 @@ class ShardedServingRuntime {
   void SetTenantQuota(TenantId tenant, TenantQuota quota);
 
   /// Admission + routing: governor -> tenant quota -> memory budget ->
-  /// fingerprint -> shard queue. Returns kInvalidArgument for a governor
-  /// reject (limit_rejects), kResourceExhausted for a quota shed (per-tenant
-  /// quota_sheds), a memory-budget denial (memory_denied), or a full shard
-  /// queue (rejected_requests), and kInvalidArgument after Shutdown().
+  /// fingerprint -> answer cache -> shard queue. Returns kInvalidArgument for
+  /// a governor reject (limit_rejects), kResourceExhausted for a quota shed
+  /// (per-tenant quota_sheds), a memory-budget denial (memory_denied), or a
+  /// full shard queue (rejected_requests), and kInvalidArgument after
+  /// Shutdown().
   /// deadline_ms <= 0 uses the estimator's configured default; the deadline
-  /// covers queue wait + compute.
+  /// covers queue wait + compute, and a cached answer is served only while
+  /// it has time left.
   Result<std::future<cost::ServingEstimate>> Submit(const plan::PlanNode& plan,
                                                     double deadline_ms = 0.0,
                                                     TenantId tenant = 0);
 
-  /// Retires every shard's cached plan encodings.
+  /// Retires every shard's cached answers.
   void InvalidateCache();
+
+  /// Installs `notifier` on every shard: each shard's worker calls it once
+  /// per resolved batch (see ServingShard::SetCompletionNotifier). One
+  /// notifier at a time; nullptr removes it.
+  void SetCompletionNotifier(const std::function<void()>& notifier);
 
   /// Counters merged across shards (sums; see ServingStats::MergeFrom) plus
   /// the facade's own governor/quota/memory admission counters.

@@ -26,7 +26,7 @@ enum class FaultSite {
   kArtifactEintr,
   /// The critical section of ShardedServingRuntime::SwapPipelines. Arming a
   /// failure here aborts the swap before any shard is touched (simulates a
-  /// crash mid-swap): every shard's active model, feature cache, and
+  /// crash mid-swap): every shard's active model, answer cache, and
   /// generation are left intact.
   kModelSwap,
   /// The connect(2) performed by net::FaultConnectTcp (used by HttpClient).

@@ -15,14 +15,20 @@
 ///   - connection faults: mid-request hangup, slowloris header timeout
 ///     (408), over-cap shedding (503), oversized wire bodies;
 ///   - concurrent clients (run under TSan in CI);
+///   - completion wakeups: a miss is written when its batch resolves, an
+///     answer-cache hit in the pass that dispatched it, neither waiting for
+///     the idle tick;
 ///   - graceful drain: all parsed in-flight requests answered before exit,
 ///     zero forced closes, SIGTERM via the real signal path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -36,8 +42,11 @@
 #include "net/listener.h"
 #include "net/metrics.h"
 #include "net/signal_handler.h"
+#include "plan/plan_node.h"
 #include "plan/plan_text.h"
+#include "serve/plan_fingerprint.h"
 #include "serve/sharded_runtime.h"
+#include "sql/ast.h"
 #include "sql/parser.h"
 #include "workload/trace.h"
 
@@ -816,6 +825,84 @@ TEST_F(NetTest, RequestsDuringDrainGet503) {
   EXPECT_TRUE(raced->code == 200 || raced->code == 503) << raced->code;
   ts.AwaitExit();
   EXPECT_TRUE(ts.run_status().ok());
+}
+
+// ----------------------------------------------------------------------
+// Completion wakeups
+// ----------------------------------------------------------------------
+
+TEST_F(NetTest, CompletionWakeupAnswersSequentialRequestsWithoutTheIdleTick) {
+  // Every request misses the answer cache and resolves on the batch worker;
+  // the worker's completion wakeup, not the loop's 50 ms idle tick, gets
+  // each response written (20 ticks would take about a second).
+  TestServerOptions options;
+  options.model_artifact = *artifact_path_;
+  TestServer ts(*records_, options);
+  // Small plans keep the model's share of the time low, so the test
+  // measures the wakeup and not featurization speed.
+  std::vector<std::string> bodies;
+  std::set<uint64_t> fingerprints;
+  for (int i = 0; i < 20; ++i) {
+    const plan::PlanNodePtr plan = plan::MakeFilter(
+        sql::MakeCompare(">", sql::MakeColumn("t", "v"), sql::MakeNumber(i)),
+        plan::MakeTableScan("t"));
+    fingerprints.insert(serve::FingerprintPlan(*plan));
+    bodies.push_back(plan::PlanToText(*plan));
+  }
+  ASSERT_EQ(fingerprints.size(), 20u);
+  HttpClient client = ts.Client();
+  ASSERT_TRUE(client.Get("/healthz").ok());  // connect outside the clock
+  const auto start = std::chrono::steady_clock::now();
+  for (const std::string& body : bodies) {
+    auto response = client.Post("/estimate", body);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response->code, 200);
+    EXPECT_NE(response->body.find("\"tier\": \"model\""), std::string::npos);
+  }
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_LT(elapsed_ms, 250.0);
+  const cost::ServingStats stats = ts.runtime().StatsSnapshot();
+  EXPECT_EQ(stats.cache_misses, 20u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+}
+
+TEST_F(NetTest, RepeatedPlanIsAnsweredInTheDispatchPass) {
+  TestServerOptions options;
+  options.model_artifact = *artifact_path_;
+  TestServer ts(*records_, options);
+  HttpClient client = ts.Client();
+  auto first = client.Post("/estimate", *plan_text_);
+  ASSERT_TRUE(first.ok());
+  ASSERT_NE(first->body.find("\"tier\": \"model\""), std::string::npos);
+
+  // With the shard's serving lock held no batch can run and no completion
+  // wakeup can fire, so a prompt answer can only come from the cache hit
+  // being polled in the pass that dispatched it; otherwise it would wait
+  // for the 50 ms idle tick.
+  std::unique_lock<std::mutex> serving = ts.runtime().shard(0).LockServing();
+  const auto start = std::chrono::steady_clock::now();
+  auto repeated = client.Post("/estimate", *plan_text_);
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  serving.unlock();
+  ASSERT_TRUE(repeated.ok());
+  EXPECT_EQ(repeated->code, 200);
+  EXPECT_NE(repeated->body.find("\"tier\": \"model\""), std::string::npos);
+  EXPECT_LT(elapsed_ms, 25.0);
+  EXPECT_EQ(ts.runtime().StatsSnapshot().cache_hits, 1u);
+}
+
+TEST(HttpServerTest, CompletionNotifierOutlivesTheServer) {
+  std::function<void()> notify;
+  {
+    HttpServer server;
+    notify = server.CompletionNotifier();
+    notify();
+  }
+  notify();  // the pipe is still owned by the notifier: no closed-fd write
 }
 
 // ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 /// Tests for the batched serving tier (serve/) on one shard:
-///   - plan fingerprints cover exactly the recast-consumed fields;
-///   - the LRU feature cache counts hits/misses/evictions and retires
-///     generations on invalidation;
+///   - plan fingerprints cover exactly the recast-consumed fields, and a
+///     seeded per-field mutation sweep pins equal fingerprints <=> equal
+///     featurizations;
+///   - the LRU answer cache evicts, clears, serves hits without the serving
+///     lock, caches only finite model-tier answers, retires entries on swap,
+///     rollback and invalidation, and never serves past a deadline;
 ///   - batched serving matches single-query serving to 1e-5;
 ///   - deadline expiry while queued degrades per item instead of failing;
 ///   - max_batch = 1 takes the same cached, fused path as larger batches;
@@ -13,9 +16,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <future>
+#include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +30,10 @@
 #include "core/pipeline.h"
 #include "cost/serving_estimator.h"
 #include "plan/plan_node.h"
-#include "serve/plan_cache.h"
+#include "plan/plan_text.h"
+#include "plan/planner.h"
+#include "serve/answer_cache.h"
+#include "serve/ingest_fuzz.h"
 #include "serve/plan_fingerprint.h"
 #include "serve/sharded_runtime.h"
 #include "sql/ast.h"
@@ -99,62 +109,42 @@ TEST(PlanFingerprintTest, GenerationMixChangesTheCacheKey) {
 }
 
 // --------------------------------------------------------------------------
-// Plan-feature LRU cache
+// Answer LRU cache
 // --------------------------------------------------------------------------
 
-std::shared_ptr<const core::PlanFeatures> DummyFeatures() {
-  return std::make_shared<core::PlanFeatures>();
-}
-
-TEST(PlanFeatureCacheTest, CountsHitsAndMisses) {
-  PlanFeatureCache cache(4);
-  EXPECT_EQ(cache.Lookup(1), nullptr);
-  cache.Insert(1, DummyFeatures());
-  EXPECT_NE(cache.Lookup(1), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
-TEST(PlanFeatureCacheTest, EvictsLeastRecentlyUsed) {
-  PlanFeatureCache cache(2);
-  cache.Insert(1, DummyFeatures());
-  cache.Insert(2, DummyFeatures());
-  ASSERT_NE(cache.Lookup(1), nullptr);  // 1 is now most recent
-  cache.Insert(3, DummyFeatures());     // evicts 2
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_NE(cache.Lookup(1), nullptr);
-  EXPECT_EQ(cache.Lookup(2), nullptr);
-  EXPECT_NE(cache.Lookup(3), nullptr);
+TEST(AnswerCacheTest, EvictsLeastRecentlyUsed) {
+  AnswerCache cache(2);
+  cache.Insert(1, 1.5);
+  cache.Insert(2, 2.5);
+  ASSERT_EQ(cache.Lookup(1), 1.5);  // 1 is now most recent
+  cache.Insert(3, 3.5);             // evicts 2
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.Lookup(1), 1.5);
+  EXPECT_EQ(cache.Lookup(2), std::nullopt);
+  EXPECT_EQ(cache.Lookup(3), 3.5);
   EXPECT_EQ(cache.size(), 2u);
+  // Re-inserting a key refreshes its answer and recency without evicting.
+  cache.Insert(1, 4.5);
+  EXPECT_EQ(cache.Lookup(1), 4.5);
+  EXPECT_EQ(cache.evictions(), 1u);
 }
 
-TEST(PlanFeatureCacheTest, ZeroCapacityDisablesCaching) {
-  PlanFeatureCache cache(0);
-  cache.Insert(1, DummyFeatures());
+TEST(AnswerCacheTest, ZeroCapacityDisablesCaching) {
+  AnswerCache cache(0);
+  cache.Insert(1, 1.5);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup(1), nullptr);
+  EXPECT_EQ(cache.Lookup(1), std::nullopt);
+  EXPECT_EQ(cache.evictions(), 0u);
 }
 
-TEST(PlanFeatureCacheTest, ClearDropsEntriesButKeepsCounters) {
-  PlanFeatureCache cache(4);
-  cache.Insert(1, DummyFeatures());
-  ASSERT_NE(cache.Lookup(1), nullptr);
+TEST(AnswerCacheTest, ClearDropsEntriesButKeepsTheEvictionCount) {
+  AnswerCache cache(1);
+  cache.Insert(1, 1.5);
+  cache.Insert(2, 2.5);  // evicts 1
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup(1), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(PlanFeatureCacheTest, EntriesSurviveEvictionWhileHeld) {
-  PlanFeatureCache cache(1);
-  cache.Insert(1, DummyFeatures());
-  std::shared_ptr<const core::PlanFeatures> held = cache.Lookup(1);
-  ASSERT_NE(held, nullptr);
-  cache.Insert(2, DummyFeatures());  // evicts 1 while `held` is in flight
-  EXPECT_NE(held, nullptr);
-  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(cache.Lookup(2), std::nullopt);
+  EXPECT_EQ(cache.evictions(), 1u);
 }
 
 // --------------------------------------------------------------------------
@@ -721,6 +711,283 @@ TEST_F(ServingRuntimeFixture, MultiProducerStressIsSafe) {
   EXPECT_EQ(stats.requests, kThreads * kPerThread);
   EXPECT_LE(stats.queue_high_watermark, config.shard.queue_depth);
   EXPECT_EQ(runtime.LatencySnapshot().count(), kThreads * kPerThread);
+}
+
+// --------------------------------------------------------------------------
+// Answer cache inside the runtime
+// --------------------------------------------------------------------------
+
+TEST_F(ServingRuntimeFixture, ExpiredNonFiniteAndDetachedAnswersAreNeverCached) {
+  // Expired deadline: the request degrades in the queue and caches nothing,
+  // so the same plan featurizes on its next, healthy submission.
+  {
+    auto estimator = MakeEstimator();
+    ShardedServingRuntime runtime({estimator.get()});
+    auto expired = runtime.Submit(SamplePlan(0), /*deadline_ms=*/1e-6);
+    ASSERT_TRUE(expired.ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(runtime.Start().ok());
+    EXPECT_NE(expired->get().tier, cost::ServingTier::kModel);
+    EXPECT_EQ(runtime.Submit(SamplePlan(0), 1e9)->get().tier,
+              cost::ServingTier::kModel);
+    const cost::ServingStats stats = runtime.StatsSnapshot();
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.cache_misses, 1u);
+    runtime.Shutdown();
+  }
+  // Non-finite model output: degraded as a model error every time, never
+  // served back from the cache.
+  {
+    auto estimator = std::make_unique<cost::ServingEstimator>();
+    ASSERT_TRUE(estimator->FitFallbacks(*records_).ok());
+    auto poisoned =
+        core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
+    for (ParamRef& param : poisoned->model()->Params()) {
+      param.value->Fill(std::numeric_limits<float>::quiet_NaN());
+    }
+    estimator->AttachPipeline(std::move(poisoned));
+    ShardedServingRuntime runtime({estimator.get()});
+    ASSERT_TRUE(runtime.Start().ok());
+    for (int i = 0; i < 2; ++i) {
+      const cost::ServingEstimate estimate =
+          runtime.Submit(SamplePlan(0), 1e9)->get();
+      EXPECT_NE(estimate.tier, cost::ServingTier::kModel);
+      EXPECT_EQ(estimate.degradation_reason.code(), StatusCode::kInternal);
+      EXPECT_TRUE(std::isfinite(estimate.cpu_minutes));
+    }
+    const cost::ServingStats stats = runtime.StatsSnapshot();
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.cache_misses, 2u);
+    EXPECT_EQ(stats.model_errors, 2u);
+    runtime.Shutdown();
+  }
+  // Detached model tier: fallback answers are not cached, and reattaching
+  // featurizes afresh instead of serving anything from before the detach.
+  {
+    auto estimator = MakeEstimator();
+    ShardedServingRuntime runtime({estimator.get()});
+    ASSERT_TRUE(runtime.Start().ok());
+    const double model_answer =
+        runtime.Submit(SamplePlan(0), 1e9)->get().cpu_minutes;
+    auto detached = SwapPipeline(runtime, nullptr);
+    ASSERT_TRUE(detached.ok());
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_NE(runtime.Submit(SamplePlan(0), 1e9)->get().tier,
+                cost::ServingTier::kModel);
+    }
+    ASSERT_TRUE(SwapPipeline(runtime, std::move(*detached)).ok());
+    const cost::ServingEstimate reattached =
+        runtime.Submit(SamplePlan(0), 1e9)->get();
+    EXPECT_EQ(reattached.tier, cost::ServingTier::kModel);
+    EXPECT_EQ(reattached.cpu_minutes, model_answer);
+    const cost::ServingStats stats = runtime.StatsSnapshot();
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.cache_misses, 2u);
+    runtime.Shutdown();
+  }
+}
+
+TEST_F(ServingRuntimeFixture, SwapRollbackAndInvalidateRetireCachedAnswers) {
+  auto estimator = MakeEstimator();
+  ShardedServingRuntime runtime({estimator.get()});
+  ASSERT_TRUE(runtime.Start().ok());
+  auto serve_twice = [&](const char* stage) {
+    // The first submission featurizes, the second is a hit.
+    const cost::ServingStats before = runtime.StatsSnapshot();
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(runtime.Submit(SamplePlan(3), 1e9)->get().tier,
+                cost::ServingTier::kModel)
+          << stage;
+    }
+    const cost::ServingStats after = runtime.StatsSnapshot();
+    EXPECT_EQ(after.cache_misses - before.cache_misses, 1u) << stage;
+    EXPECT_EQ(after.cache_hits - before.cache_hits, 1u) << stage;
+  };
+  serve_twice("cold");
+  auto previous = SwapPipeline(
+      runtime, core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie());
+  ASSERT_TRUE(previous.ok());
+  serve_twice("after swap");
+  ASSERT_TRUE(
+      SwapPipeline(runtime, std::move(*previous), /*is_rollback=*/true).ok());
+  serve_twice("after rollback");
+  runtime.InvalidateCache();
+  serve_twice("after InvalidateCache");
+  runtime.Shutdown();
+}
+
+TEST_F(ServingRuntimeFixture, CacheHitResolvesWhileTheServingLockIsHeld) {
+  // The hit path never takes the serving lock, so an in-flight batch (here:
+  // the test thread holding that lock) cannot delay it.
+  auto estimator = MakeEstimator();
+  ShardedServingRuntime runtime({estimator.get()});
+  ASSERT_TRUE(runtime.Start().ok());
+  const double answer = runtime.Submit(SamplePlan(2), 1e9)->get().cpu_minutes;
+  {
+    std::unique_lock<std::mutex> serving = runtime.shard(0).LockServing();
+    auto hit = runtime.Submit(SamplePlan(2), 1e9);
+    ASSERT_TRUE(hit.ok());
+    ASSERT_EQ(hit->wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const cost::ServingEstimate estimate = hit->get();
+    EXPECT_EQ(estimate.tier, cost::ServingTier::kModel);
+    EXPECT_EQ(estimate.cpu_minutes, answer);
+  }
+  // The hit counts like any model-tier answer.
+  const cost::ServingStats stats = runtime.StatsSnapshot();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.by_tier[static_cast<size_t>(cost::ServingTier::kModel)], 2u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(runtime.LatencySnapshot().count(), 2u);
+  runtime.Shutdown();
+}
+
+TEST_F(ServingRuntimeFixture, CachedPlanWithExpiredDeadlineStillDegrades) {
+  auto estimator = MakeEstimator();
+  ShardedServingRuntime runtime({estimator.get()});
+  ASSERT_TRUE(runtime.Start().ok());
+  ASSERT_EQ(runtime.Submit(SamplePlan(1), 1e9)->get().tier,
+            cost::ServingTier::kModel);
+  const size_t skips_before = runtime.StatsSnapshot().deadline_skips;
+
+  const cost::ServingEstimate degraded =
+      runtime.Submit(SamplePlan(1), /*deadline_ms=*/1e-6)->get();
+  EXPECT_NE(degraded.tier, cost::ServingTier::kModel);
+  EXPECT_EQ(degraded.degradation_reason.code(), StatusCode::kOutOfRange);
+  const cost::ServingStats stats = runtime.StatsSnapshot();
+  EXPECT_EQ(stats.deadline_skips, skips_before + 1);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.requests, 2u);
+  runtime.Shutdown();
+}
+
+// --------------------------------------------------------------------------
+// Fingerprint <=> featurization property
+// --------------------------------------------------------------------------
+
+/// Bit-equality of two featurizations: every tree's features, child links
+/// and pooling votes.
+bool SameFeatures(const core::PlanFeatures& a, const core::PlanFeatures& b) {
+  if (a.trees.size() != b.trees.size()) return false;
+  for (size_t t = 0; t < a.trees.size(); ++t) {
+    const core::TreeFeatures& x = a.trees[t];
+    const core::TreeFeatures& y = b.trees[t];
+    if (x.left != y.left || x.right != y.right ||
+        x.features.shape() != y.features.shape() ||
+        x.votes.size() != y.votes.size()) {
+      return false;
+    }
+    if (std::memcmp(x.features.data(), y.features.data(),
+                    x.features.size() * sizeof(float)) != 0 ||
+        std::memcmp(x.votes.data(), y.votes.data(),
+                    x.votes.size() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(ServingRuntimeFixture, FingerprintEqualityMatchesFeaturizationEquality) {
+  // The answer cache serves one answer per fingerprint, so a fingerprint
+  // collision would return a wrong answer. Every plan field is mutated in
+  // turn over the ingestion-fuzz corpus and the training plans:
+  //   equal fingerprints   => bit-equal features and predictions;
+  //   different features   => different fingerprints.
+  // A field the recast starts reading but FingerprintPlan does not hash
+  // fails the first direction.
+  auto pipeline = core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
+
+  // Replacement names from the training plans, so mutants stay inside the
+  // encoder vocabulary where a renamed table or column is visible.
+  std::set<std::string> tables;
+  std::set<std::string> columns;
+  for (const workload::QueryRecord& record : *records_) {
+    plan::VisitPlan(*record.plan, [&](const plan::PlanNode& node) {
+      if (node.type == plan::PlanNodeType::kTableScan) tables.insert(node.table);
+      if (node.predicate == nullptr) return;
+      std::vector<std::pair<std::string, std::string>> refs;
+      plan::CollectColumnRefs(*node.predicate, &refs);
+      for (const auto& ref : refs) columns.insert(ref.second);
+    });
+  }
+  FieldMutationPool pool;
+  pool.tables.assign(tables.begin(), tables.end());
+  pool.columns.assign(columns.begin(), columns.end());
+
+  std::vector<plan::PlanNodePtr> bases;
+  constexpr uint64_t kCorpusSeeds = 40;
+  for (uint64_t seed = 0; seed < kCorpusSeeds; ++seed) {
+    bases.push_back(
+        plan::ParsePlanText(FuzzBasePlanText(seed)).ValueOrDie());
+  }
+  constexpr size_t kTracePlans = 30;
+  for (size_t i = 0; i < kTracePlans; ++i) bases.push_back(SamplePlan(i).Clone());
+
+  std::map<PlanField, size_t> mutants;
+  std::map<PlanField, size_t> changed_features;
+  std::map<PlanField, size_t> kept_fingerprint;
+  for (size_t b = 0; b < bases.size(); ++b) {
+    const plan::PlanNode& base = *bases[b];
+    const uint64_t base_fp = FingerprintPlan(base);
+    const Result<core::PlanFeatures> base_features = pipeline->FeaturizePlan(base);
+    for (PlanField field : kAllPlanFields) {
+      for (uint64_t variant = 0; variant < 2; ++variant) {
+        const plan::PlanNodePtr mutant =
+            MutatePlanField(base, field, b * 2 + variant, pool);
+        if (mutant == nullptr) continue;
+        const std::string where = std::string(PlanFieldToString(field)) +
+                                  " on base " + std::to_string(b) +
+                                  " variant " + std::to_string(variant);
+        ++mutants[field];
+        const bool same_fp = FingerprintPlan(*mutant) == base_fp;
+        if (same_fp) ++kept_fingerprint[field];
+        const Result<core::PlanFeatures> features =
+            pipeline->FeaturizePlan(*mutant);
+        if (!base_features.ok() || !features.ok()) {
+          if (same_fp) {
+            EXPECT_EQ(features.status().code(), base_features.status().code())
+                << where;
+          }
+          continue;
+        }
+        const bool same_features = SameFeatures(*base_features, *features);
+        if (!same_features) ++changed_features[field];
+        if (same_fp) {
+          EXPECT_TRUE(same_features) << "fingerprint collision: " << where;
+          const std::vector<double> predicted =
+              pipeline->PredictFeaturized({&*base_features, &*features});
+          EXPECT_EQ(std::memcmp(&predicted[0], &predicted[1], sizeof(double)),
+                    0)
+              << where;
+        }
+        if (!same_features) {
+          EXPECT_FALSE(same_fp) << "features differ, fingerprint equal: "
+                                << where;
+        }
+      }
+    }
+  }
+
+  for (PlanField field : kAllPlanFields) {
+    EXPECT_GT(mutants[field], 0u) << PlanFieldToString(field);
+  }
+  // Not vacuous: each field the recast reads changes the features of some
+  // mutant, so dropping it from FingerprintPlan would fail above.
+  for (PlanField field :
+       {PlanField::kNodeType, PlanField::kTable, PlanField::kJoinType,
+        PlanField::kJoinSides, PlanField::kExchangeKind, PlanField::kPredicate,
+        PlanField::kPredicateColumn, PlanField::kPredicateOperator}) {
+    EXPECT_GT(changed_features[field], 0u) << PlanFieldToString(field);
+  }
+  // And the fields featurization cannot see keep the fingerprint, so plans
+  // differing only there share one cache entry.
+  for (PlanField field :
+       {PlanField::kJoinCondition, PlanField::kExpressions,
+        PlanField::kGroupKeys, PlanField::kSortDirection, PlanField::kLimit,
+        PlanField::kCardinality}) {
+    EXPECT_EQ(kept_fingerprint[field], mutants[field])
+        << PlanFieldToString(field);
+  }
 }
 
 }  // namespace
