@@ -9,7 +9,7 @@
 namespace prestroid::bench {
 
 /// Minimal streaming JSON emitter shared by the benchmark harnesses
-/// (micro_ops --json, serving_throughput), so every BENCH_*.json artifact
+/// (micro_ops --json, chaos_net), so every BENCH_*.json artifact
 /// gets the same escaping, indentation, and number formatting. Keys are
 /// written in insertion order — the emission order IS the key order, which
 /// keeps artifact diffs stable across runs.

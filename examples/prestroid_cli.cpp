@@ -10,8 +10,8 @@
 //                 [--limit 10]
 //   prestroid_cli serve     --model /tmp/model.ppl --trace /tmp/new.txt
 //                 [--deadline-ms 50] [--no-model] [--limit 20]
-//                 [--batch-window-us 200] [--max-batch 32]
-//                 [--queue-depth 256] [--cache-entries 1024]
+//                 [--max-batch 32] [--queue-depth 256]
+//                 [--cache-entries 1024]
 //                 [--shards 1] [--tenants 1]
 //                 [--tenant-quota T:INFLIGHT[:BYTES][,T:...]]
 //                 [--memory-budget BYTES] [--retrain-interval N]
@@ -54,6 +54,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/continual_trainer.h"
 #include "core/pipeline.h"
@@ -129,6 +130,8 @@ class Flags {
     return value;
   }
   bool Has(const std::string& key) const { return present_.count(key) > 0; }
+  /// Every --flag given on the command line, without the leading dashes.
+  const std::set<std::string>& names() const { return present_; }
 
  private:
   std::map<std::string, std::string> values_;
@@ -754,8 +757,6 @@ int Serve(const Flags& flags) {
   config.shard.queue_depth =
       static_cast<size_t>(flags.GetInt("queue-depth", 256));
   config.shard.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
-  config.shard.batch_window_us =
-      static_cast<size_t>(flags.GetInt("batch-window-us", 200));
   config.shard.cache_entries =
       static_cast<size_t>(flags.GetInt("cache-entries", 1024));
   config.shard.plan_limits = PlanLimitsFromFlags(flags);
@@ -931,10 +932,10 @@ int Usage() {
          "            [--quarantine-file FILE]\n"
          "  predict   --model FILE --trace FILE [--limit N]\n"
          "  serve     --model FILE --trace FILE [--deadline-ms MS]\n"
-         "            [--no-model] [--limit N] [--batch-window-us US]\n"
-         "            [--max-batch B] [--queue-depth Q]\n"
+         "            [--no-model] [--limit N] [--max-batch B]\n"
+         "            [--queue-depth Q]\n"
          "            [--cache-entries C (per-shard answer cache: recurring\n"
-         "             plans skip the batch window and the model; 0=off)]\n"
+         "             plans skip the queue and the model; 0=off)]\n"
          "            [--max-plan-nodes N] [--max-plan-depth D]\n"
          "            [--quarantine-file FILE]\n"
          "            [--retrain-interval N (0=off; N served+labeled\n"
@@ -942,6 +943,8 @@ int Usage() {
          "            [--retrain-epochs E] [--candidate FILE]\n"
          "            [--drift-threshold X] [--probation-window N]\n"
          "            [--rollback-qerr X]\n"
+         "            [--full] [--n N] [--k K] [--pf P] [--conv C]\n"
+         "            (shape of retrained candidates)\n"
          "            [--shards S (default 1)]\n"
          "            [--tenants K (offline: spread queries over K tenants)]\n"
          "            [--tenant-quota T:INFLIGHT[:BYTES][,T:...]]\n"
@@ -968,17 +971,58 @@ int Usage() {
   return 2;
 }
 
+/// One CLI command and every flag it reads. main rejects any other flag, so
+/// a typo or a removed flag fails loudly instead of being ignored.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::set<std::string> flags;
+};
+
+const std::vector<Command>& Commands() {
+  // train and serve also read IngestTrace's flags (max-plan-*,
+  // quarantine-file); serve reads ContinualLoop's retrain flags (model shape
+  // included), ReplayTrace's and ListenAndServe's.
+  static const std::vector<Command> kCommands = {
+      {"gen-trace", GenTrace, {"queries", "tables", "days", "seed", "out"}},
+      {"train", Train,
+       {"trace", "out", "seed", "full", "n", "k", "pf", "conv", "threads",
+        "batch", "epochs", "snapshot-every", "snapshot", "resume",
+        "max-plan-nodes", "max-plan-depth", "quarantine-file"}},
+      {"predict", Predict, {"model", "trace", "limit"}},
+      {"serve", Serve,
+       {"model", "trace", "listen", "shards", "deadline-ms", "no-model",
+        "queue-depth", "max-batch", "cache-entries", "memory-budget",
+        "tenant-quota", "retrain-interval", "retrain-epochs", "candidate",
+        "drift-threshold", "probation-window", "rollback-qerr", "full", "n",
+        "k", "pf", "conv", "tenants", "limit", "max-connections",
+        "drain-timeout-ms", "header-timeout-ms", "idle-timeout-ms",
+        "max-plan-nodes", "max-plan-depth", "quarantine-file"}},
+      {"estimate", EstimateCmd,
+       {"connect", "sql", "plan", "trace", "index", "actual-cpu-minutes",
+        "idempotency-key", "tenant", "retries", "backoff-ms",
+        "max-backoff-ms", "attempt-timeout-ms", "deadline-ms", "seed",
+        "circuit-threshold", "circuit-cooldown-ms", "count"}},
+      {"explain", Explain, {"trace", "index"}},
+  };
+  return kCommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   Flags flags(argc, argv, 2);
-  if (command == "gen-trace") return GenTrace(flags);
-  if (command == "train") return Train(flags);
-  if (command == "predict") return Predict(flags);
-  if (command == "serve") return Serve(flags);
-  if (command == "estimate") return EstimateCmd(flags);
-  if (command == "explain") return Explain(flags);
+  for (const Command& candidate : Commands()) {
+    if (command != candidate.name) continue;
+    for (const std::string& name : flags.names()) {
+      if (candidate.flags.count(name) == 0) {
+        std::cerr << "unknown flag --" << name << " for " << command << "\n";
+        return Usage();
+      }
+    }
+    return candidate.run(flags);
+  }
   return Usage();
 }

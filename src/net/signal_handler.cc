@@ -71,8 +71,6 @@ Status SignalHandler::Install() {
   return Status::OK();
 }
 
-void SignalHandler::Notify() { OnSignal(0); }
-
 bool SignalHandler::drain_requested() const {
   return g_drain_requested.load(std::memory_order_relaxed);
 }

@@ -26,15 +26,11 @@ class SignalHandler {
   /// kFailedPrecondition if another instance is already installed.
   Status Install();
 
-  /// The poll-able fd: readable once a drain has been requested (by a
-  /// signal or by Notify). -1 before Install.
+  /// The poll-able fd: readable once a drain has been requested by a
+  /// signal. -1 before Install.
   int drain_fd() const { return pipe_read_fd_; }
 
-  /// Requests a drain programmatically — same pipe, same wakeup — so tests
-  /// and an in-process shutdown path need not raise() a real signal.
-  void Notify();
-
-  /// True once a signal (or Notify) has fired.
+  /// True once a signal has fired.
   bool drain_requested() const;
 
  private:

@@ -261,20 +261,9 @@ void ServingShard::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;  // drained and told to stop
-        continue;
-      }
-      // Batch window: give the batch a chance to fill before running a
-      // partial one. Skipped once stopping — drain as fast as possible.
-      if (!stop_ && config_.batch_window_us > 0 &&
-          queue_.size() < config_.max_batch) {
-        const auto until = std::chrono::steady_clock::now() +
-                           std::chrono::microseconds(config_.batch_window_us);
-        queue_cv_.wait_until(lock, until, [this] {
-          return stop_ || queue_.size() >= config_.max_batch;
-        });
-      }
+      if (queue_.empty()) return;  // drained and told to stop
+      // Serve whatever is queued now, up to max_batch: a batch is whatever
+      // arrived while the previous one ran.
       const size_t take = std::min(queue_.size(), config_.max_batch);
       batch.reserve(take);
       for (size_t i = 0; i < take; ++i) {

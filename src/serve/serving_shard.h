@@ -29,13 +29,12 @@ struct ServingRuntimeConfig {
   /// Bounded request queue; a Submit beyond this depth is rejected with
   /// kResourceExhausted instead of blocking the producer.
   size_t queue_depth = 256;
-  /// Largest fused forward pass. Every batch size, 1 included, takes the
-  /// same path: answer cache, then one fused forward over the misses.
+  /// Largest fused forward pass. The worker never waits for a batch to
+  /// fill: it takes min(queued, max_batch) as soon as the queue is
+  /// non-empty, so batches form only from requests that piled up while the
+  /// previous batch ran. Every batch size, 1 included, takes the same path:
+  /// answer cache, then one fused forward over the misses.
   size_t max_batch = 32;
-  /// After the first request of a batch arrives, how long the worker waits
-  /// for the batch to fill before running a partial one. 0 = never wait
-  /// (drain whatever is queued).
-  size_t batch_window_us = 200;
   /// Answer-cache entries (plan fingerprint -> model-tier answer); 0
   /// disables the cache.
   size_t cache_entries = 1024;
@@ -76,9 +75,9 @@ struct ShardTicket {
 /// is the only caller of SubmitRouted and SwapPipelineLocked.
 ///
 /// The facade SubmitRouted()s admitted plans. A plan whose model-tier answer
-/// is cached resolves on the caller's thread, before the queue: no batch
-/// window, no featurization, no forward. Every other plan is queued; the
-/// worker drains under the batch-window / max-batch policy, answers plans
+/// is cached resolves on the caller's thread, before the queue: no queue
+/// wait, no featurization, no forward. Every other plan is queued; the
+/// worker takes whatever is queued (up to max_batch) at once, answers plans
 /// cached since they were queued, featurizes each remaining distinct plan
 /// once, runs ONE fused eval-mode forward pass per batch, caches the finite
 /// answers, and resolves the futures. Requests that cannot take the model

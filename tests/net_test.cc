@@ -304,7 +304,6 @@ struct TestServerOptions {
   size_t max_body_bytes = 1 << 20;
   size_t header_timeout_ms = 10000;
   size_t drain_timeout_ms = 5000;
-  size_t batch_window_us = 200;
   size_t max_batch = 32;
   int drain_fd = -1;
   /// Artifact to load into each estimator's model tier (empty = no model,
@@ -337,7 +336,6 @@ class TestServer {
     }
     serve::ShardedRuntimeConfig runtime_config;
     runtime_config.shards = options.shards;
-    runtime_config.shard.batch_window_us = options.batch_window_us;
     runtime_config.shard.max_batch = options.max_batch;
     runtime_ = std::make_unique<serve::ShardedServingRuntime>(raw,
                                                               runtime_config);
@@ -754,11 +752,11 @@ TEST_F(NetTest, ConcurrentClientsAllServed) {
 
 TEST_F(NetTest, DrainServesEveryParsedInFlightRequest) {
   TestServerOptions options;
-  // A wide batch window parks estimates in the micro-batcher long enough for
-  // the drain to begin while they are genuinely in flight.
-  options.batch_window_us = 50000;
   options.max_batch = 64;
   TestServer ts(*records_, options);
+  // With the shard's serving lock held no batch can run, so every estimate
+  // stays genuinely in flight until the drain has begun.
+  std::unique_lock<std::mutex> serving = ts.runtime().shard(0).LockServing();
   constexpr int kClients = 6;
   std::vector<std::thread> clients;
   std::atomic<int> ok_count{0};
@@ -774,6 +772,13 @@ TEST_F(NetTest, DrainServesEveryParsedInFlightRequest) {
     return ts.server().StatsSnapshot().requests >= kClients;
   }));
   ts.server().RequestDrain();
+  // The drain closes the listener first, so a refused connect means it has
+  // begun.
+  EXPECT_TRUE(ts.WaitFor([&]() {
+    HttpClient probe("127.0.0.1", ts.port());
+    return !probe.Connect().ok();
+  }));
+  serving.unlock();
   for (std::thread& thread : clients) thread.join();
   ts.AwaitExit();
   // Zero dropped in-flight requests, zero forced closes.

@@ -237,7 +237,6 @@ TEST_F(ServingRuntimeFixture, BatchedMatchesSingleQueryServing) {
 
   ShardedRuntimeConfig config;
   config.shard.max_batch = 8;
-  config.shard.batch_window_us = 100;
   ShardedServingRuntime runtime({estimator.get()}, config);
   ASSERT_TRUE(runtime.Start().ok());
 
@@ -557,7 +556,6 @@ TEST_F(ServingRuntimeFixture, HotSwapUnderConcurrentLoadKeepsParity) {
   ShardedRuntimeConfig config;
   config.shard.queue_depth = 16;
   config.shard.max_batch = 4;
-  config.shard.batch_window_us = 50;
   config.shard.cache_entries = 8;
   ShardedServingRuntime runtime({estimator.get()}, config);
   ASSERT_TRUE(runtime.Start().ok());
@@ -643,7 +641,6 @@ TEST_F(ServingRuntimeFixture, MultiProducerStressIsSafe) {
   ShardedRuntimeConfig config;
   config.shard.queue_depth = 16;  // small: exercises overflow + backpressure
   config.shard.max_batch = 4;
-  config.shard.batch_window_us = 50;
   // Smaller than the plan pool: exercises eviction.
   config.shard.cache_entries = 8;
   ShardedServingRuntime runtime({estimator.get()}, config);

@@ -1,6 +1,6 @@
 /// Tests for the sharded multi-tenant serving tier (serve/sharded_runtime.h):
 ///   - fingerprint routing sends identical plans to one shard's cache;
-///   - a seeded sweep over shards x max_batch x batch window x producers:
+///   - a seeded sweep over shards x max_batch x {live, parked} x producers:
 ///     every model-tier answer is bit-equal to the single-query
 ///     EstimateWithFallback reference;
 ///   - tenant quotas shed with kResourceExhausted + per-tenant counters while
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -179,7 +180,6 @@ TEST_F(ShardedRuntimeFixture, RoutingSendsIdenticalPlansToOneShardsCache) {
   constexpr size_t kShards = 4;
   ShardedRuntimeConfig config;
   config.shard.max_batch = 8;
-  config.shard.batch_window_us = 100;
   Tier tier = MakeTier(kShards, config);
   ASSERT_TRUE(tier.runtime->Start().ok());
 
@@ -218,12 +218,15 @@ TEST_F(ShardedRuntimeFixture, RoutingSendsIdenticalPlansToOneShardsCache) {
 }
 
 TEST_F(ShardedRuntimeFixture, ShardedAnswersMatchSingleQueryReferences) {
-  // Seeded sweep over topology and batching policy: shards x max_batch x
-  // batch window x producer count, each case serving a random mix of plans
-  // with repeats. Every model-tier answer must be bit-equal to the
-  // single-query EstimateWithFallback reference, whatever else shares its
-  // batch, its shard or its cache entry. The reference runs on the blocked
-  // backend, which the shards' frozen resident weights match bit for bit.
+  // Seeded sweep over topology and batch shapes: shards x max_batch x
+  // {live, parked} x producer count, each case serving a random mix of plans
+  // with repeats. Live producers submit to a running tier, so batches are
+  // whatever queued up meanwhile; parked producers queue their whole mix
+  // before Start(), so batches fill to max_batch with no timing involved.
+  // Every model-tier answer must be bit-equal to the single-query
+  // EstimateWithFallback reference, whatever else shares its batch, its
+  // shard or its cache entry. The reference runs on the blocked backend,
+  // which the shards' frozen resident weights match bit for bit.
   cost::ServingEstimator reference_estimator;
   ASSERT_TRUE(reference_estimator.FitFallbacks(*records_).ok());
   reference_estimator.AttachPipeline(
@@ -242,11 +245,11 @@ TEST_F(ShardedRuntimeFixture, ShardedAnswersMatchSingleQueryReferences) {
   Rng rng(20210620);
   for (size_t shards : {1u, 2u, 3u, 4u}) {
     for (size_t max_batch : {1u, 3u, 8u, 32u}) {
-      for (size_t window_us : {0u, 100u}) {
+      for (bool parked : {false, true}) {
         for (size_t producers : {1u, 4u}) {
           const std::string label = "shards=" + std::to_string(shards) +
                                     " max_batch=" + std::to_string(max_batch) +
-                                    " window_us=" + std::to_string(window_us) +
+                                    (parked ? " parked" : " live") +
                                     " producers=" + std::to_string(producers);
           // Each producer's plan mix is drawn up front, so the case is the
           // same on every run; only the interleaving varies.
@@ -258,32 +261,44 @@ TEST_F(ShardedRuntimeFixture, ShardedAnswersMatchSingleQueryReferences) {
           }
           ShardedRuntimeConfig config;
           config.shard.max_batch = max_batch;
-          config.shard.batch_window_us = window_us;
           Tier tier = MakeTier(shards, config);
-          ASSERT_TRUE(tier.runtime->Start().ok()) << label;
 
           std::atomic<size_t> mismatches{0};
           std::atomic<size_t> degraded{0};
-          std::vector<std::thread> threads;
-          for (size_t p = 0; p < producers; ++p) {
-            threads.emplace_back([&, p] {
-              const std::vector<size_t>& mix = mixes[p];
-              std::vector<std::future<cost::ServingEstimate>> futures;
-              for (size_t index : mix) {
-                futures.push_back(
-                    tier.runtime->Submit(SamplePlan(index), 1e9).ValueOrDie());
+          std::vector<std::vector<std::future<cost::ServingEstimate>>> futures(
+              producers);
+          auto submit = [&](size_t p) {
+            for (size_t index : mixes[p]) {
+              futures[p].push_back(
+                  tier.runtime->Submit(SamplePlan(index), 1e9).ValueOrDie());
+            }
+          };
+          auto check = [&](size_t p) {
+            for (size_t i = 0; i < mixes[p].size(); ++i) {
+              const cost::ServingEstimate estimate = futures[p][i].get();
+              if (estimate.tier != cost::ServingTier::kModel) {
+                ++degraded;
+              } else if (estimate.cpu_minutes != reference[mixes[p][i]]) {
+                ++mismatches;
               }
-              for (size_t i = 0; i < mix.size(); ++i) {
-                const cost::ServingEstimate estimate = futures[i].get();
-                if (estimate.tier != cost::ServingTier::kModel) {
-                  ++degraded;
-                } else if (estimate.cpu_minutes != reference[mix[i]]) {
-                  ++mismatches;
-                }
-              }
+            }
+          };
+          auto run_producers = [&](const std::function<void(size_t)>& body) {
+            std::vector<std::thread> threads;
+            for (size_t p = 0; p < producers; ++p) threads.emplace_back(body, p);
+            for (std::thread& thread : threads) thread.join();
+          };
+          if (parked) {
+            run_producers(submit);
+            ASSERT_TRUE(tier.runtime->Start().ok()) << label;
+            run_producers(check);
+          } else {
+            ASSERT_TRUE(tier.runtime->Start().ok()) << label;
+            run_producers([&](size_t p) {
+              submit(p);
+              check(p);
             });
           }
-          for (std::thread& thread : threads) thread.join();
           tier.runtime->Shutdown();
           EXPECT_EQ(degraded.load(), 0u) << label;
           EXPECT_EQ(mismatches.load(), 0u) << label;
@@ -419,7 +434,6 @@ TEST_F(ShardedRuntimeFixture, CrossShardHotSwapsUnderMultiTenantLoadKeepParity) 
 
   ShardedRuntimeConfig config;
   config.shard.max_batch = 8;
-  config.shard.batch_window_us = 50;
   config.shard.queue_depth = 512;
   Tier tier = MakeTier(kShards, config);
   // Tenants with real (but roomy) quotas, so the quota path runs under TSan.
