@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "plan/plan_stats.h"
+#include "serve/model_manager.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -83,6 +84,23 @@ BenchDataset BuildTpcdsDataset(const BenchScale& scale, uint64_t seed) {
   return data;
 }
 
+namespace {
+
+/// Fills run->qerror_p50/p95 from normalized test predictions.
+void SetQErrors(ModelRun* run, const std::vector<float>& predicted_norm,
+                const std::vector<double>& actual_minutes,
+                const core::LabelTransform& transform) {
+  serve::DriftDetector qerrors(predicted_norm.size());
+  for (size_t i = 0; i < predicted_norm.size(); ++i) {
+    qerrors.Record(serve::QError(transform.Denormalize(predicted_norm[i]),
+                                 actual_minutes[i]));
+  }
+  run->qerror_p50 = qerrors.Percentile(50.0);
+  run->qerror_p95 = qerrors.Percentile(95.0);
+}
+
+}  // namespace
+
 ModelRun RunPrestroid(const BenchDataset& data, const BenchScale& scale,
                       bool grab_profile, size_t node_limit, size_t subtrees,
                       size_t pf, bool use_subtrees, uint64_t seed) {
@@ -107,11 +125,18 @@ ModelRun RunPrestroid(const BenchDataset& data, const BenchScale& scale,
   train_config.patience = scale.patience;
   train_config.batch_size = scale.batch_size;
   train_config.shuffle_seed = seed * 31 + 5;
+  pipeline->execution_context()->ResetStats();
   TrainResult result = pipeline->Train(data.splits, train_config);
 
   ModelRun run;
+  run.train_stats = pipeline->execution_context()->stats();
+  run.epochs_run = result.epochs_run;
   run.name = pipeline->ModelName();
   run.test_mse_minutes = pipeline->EvaluateMseMinutes(data.splits.test);
+  std::vector<double> actual;
+  for (size_t idx : data.splits.test) actual.push_back(data.cpu_minutes[idx]);
+  SetQErrors(&run, pipeline->model()->Predict(data.splits.test), actual,
+             data.transform);
   run.best_epoch = result.best_epoch;
   run.mean_epoch_seconds = result.mean_epoch_seconds;
   run.num_parameters = pipeline->model()->NumParameters();
@@ -141,6 +166,7 @@ ModelRun RunCostModel(CostModel* model, const BenchDataset& data,
   ModelRun run;
   run.name = model->name();
   run.test_mse_minutes = core::MseMinutes(pred, actual, data.transform);
+  SetQErrors(&run, pred, actual, data.transform);
   run.best_epoch = result.best_epoch;
   run.mean_epoch_seconds = result.mean_epoch_seconds;
   run.num_parameters = model->NumParameters();
@@ -200,6 +226,7 @@ ModelRun RunLogBins(const BenchDataset& data, size_t bins) {
   ModelRun run;
   run.name = StrFormat("Log bins (B=%zu)", bins);
   run.test_mse_minutes = core::MseMinutes(pred, actual, data.transform);
+  SetQErrors(&run, pred, actual, data.transform);
   return run;
 }
 
@@ -267,6 +294,7 @@ ModelRun RunSvr(const BenchDataset& data, bool grab_profile) {
   run.name = StrFormat("SVR (%s)",
                        baselines::KernelTypeToString(config.kernel.type));
   run.test_mse_minutes = core::MseMinutes(pred, actual, data.transform);
+  SetQErrors(&run, pred, actual, data.transform);
   return run;
 }
 

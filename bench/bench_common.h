@@ -79,6 +79,13 @@ struct ModelRun {
   size_t best_epoch = 0;
   double mean_epoch_seconds = 0.0;  // measured CPU wall time
   size_t num_parameters = 0;
+  /// Test-split q-error percentiles (serve::QError, nearest rank).
+  double qerror_p50 = 0.0;
+  double qerror_p95 = 0.0;
+  /// Prestroid pipelines only: the execution counters of the whole Train()
+  /// call (per-layer wall clock included) and the epochs it ran.
+  ExecStats train_stats;
+  size_t epochs_run = 0;
   /// Kept alive for follow-up predictions (nullptr for non-pipeline models).
   std::unique_ptr<core::PrestroidPipeline> pipeline;
 };

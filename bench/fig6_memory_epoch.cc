@@ -8,7 +8,12 @@
 //      padded to 1945 nodes) — these reproduce the 13.5x / 5.8x footprint
 //      and 3.45x / 2.6x epoch-time ratios;
 //   2. MEASURED per-batch input bytes of the models actually fitted on the
-//      generated trace at the current bench scale.
+//      generated trace at the current bench scale, and their measured
+//      per-layer epoch time (ExecStats wall clock). Input bytes follow the
+//      paper's padded accounting; the trunk itself runs only real plan
+//      nodes, so measured epochs do not pay the full-tree padding the
+//      analytic view charges.
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.h"
@@ -112,10 +117,52 @@ int Run() {
           static_cast<double>(sub32.pipeline->InputBytesPerBatch(32)),
       full.mean_epoch_seconds / sub15.mean_epoch_seconds,
       full.mean_epoch_seconds / sub32.mean_epoch_seconds);
+
+  // Per-layer wall clock of each Train() call (validation forwards
+  // included), per epoch.
+  std::cout << "\n-- measured per-layer epoch time (ms/epoch, fwd+bwd) --\n";
+  TablePrinter layers({"Model", "tree-conv fwd", "tree-conv bwd", "pooling",
+                       "dense head", "loss", "optimizer", "total"});
+  auto epoch_ms = [](const ModelRun& run) {
+    std::vector<double> ms;
+    double total = 0.0;
+    for (size_t k = 0; k < kNumLayerKinds; ++k) {
+      const LayerKind kind = static_cast<LayerKind>(k);
+      const double fwd = static_cast<double>(run.train_stats.forward_ns_of(kind));
+      const double bwd =
+          static_cast<double>(run.train_stats.backward_ns_of(kind));
+      const double epochs = static_cast<double>(std::max<size_t>(run.epochs_run, 1));
+      if (kind == LayerKind::kTreeConv) {
+        ms.push_back(fwd / 1e6 / epochs);
+        ms.push_back(bwd / 1e6 / epochs);
+      } else {
+        ms.push_back((fwd + bwd) / 1e6 / epochs);
+      }
+      total += (fwd + bwd) / 1e6 / epochs;
+    }
+    ms.push_back(total);
+    return ms;
+  };
+  for (const ModelRun* run : {&sub15, &sub32, &full}) {
+    std::vector<std::string> row = {run->name};
+    for (double ms : epoch_ms(*run)) row.push_back(StrFormat("%.2f", ms));
+    layers.AddRow(row);
+  }
+  layers.Print(std::cout);
+  const double full_ms = epoch_ms(full).back();
+  std::cout << StrFormat(
+      "\nmeasured layer-time ratio full/sub-tree: %.2fx (%s) / %.2fx (%s); "
+      "analytic padded paper-scale: %.2fx\n",
+      full_ms / epoch_ms(sub15).back(), sub15.name.c_str(),
+      full_ms / epoch_ms(sub32).back(), sub32.name.c_str(),
+      full300_t / sub15_t);
   std::cout << "\nFindings to reproduce: WCNN has the smallest inputs, "
                "M-MSCN large sparse ones;\nsub-tree batches are an order of "
-               "magnitude smaller and epochs several times\nfaster than "
-               "full-tree training.\n";
+               "magnitude smaller in the padded accounting, and\nthe "
+               "analytic view reproduces the paper's padded epoch-time gap. "
+               "Measured epochs run\nonly real plan nodes, so full-tree "
+               "training no longer pays its padding and the\nmeasured gap "
+               "is much smaller than the analytic one (it may invert).\n";
   return 0;
 }
 

@@ -11,7 +11,8 @@
 // Invoked with --json <path>, times the scalar and blocked kernel backends
 // on model-shaped GEMMs and end-to-end tree-convolution forward+backward,
 // plus the per-call-packing blocked GEMM against the resident pre-packed
-// panels at serving shapes (median-of-N with warmup), and writes the
+// panels at serving shapes and the frozen CLI-shape trunk forward over
+// ragged vs padded served batches (median-of-N with warmup), and writes the
 // machine-readable records plus geomean speedups to <path>
 // (BENCH_kernels.json).
 #include <benchmark/benchmark.h>
@@ -21,6 +22,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,27 @@
 namespace prestroid {
 namespace {
 
+/// `batch` heap-shaped trees of `nodes` rows each in the ragged row layout
+/// (node i's children are 2i+1 / 2i+2 of its own tree), or childless rows
+/// with `with_children` false.
+TreeStructure CompleteTrees(size_t batch, size_t nodes,
+                            bool with_children = true) {
+  TreeStructure structure;
+  structure.left.assign(batch * nodes, -1);
+  structure.right.assign(batch * nodes, -1);
+  structure.mask.assign(batch * nodes, 1.0f);
+  for (size_t b = 0; b <= batch; ++b) structure.offsets.push_back(b * nodes);
+  if (!with_children) return structure;
+  for (size_t b = 0; b < batch; ++b) {
+    const int base = static_cast<int>(b * nodes);
+    for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
+      structure.left[b * nodes + i] = base + static_cast<int>(2 * i + 1);
+      structure.right[b * nodes + i] = base + static_cast<int>(2 * i + 2);
+    }
+  }
+  return structure;
+}
+
 void BM_MatMul(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(1);
@@ -62,16 +85,7 @@ void BM_TreeConvForward(benchmark::State& state) {
   const size_t in_dim = 64, out_dim = 64;
   Rng rng(2);
   TreeConvLayer conv(in_dim, out_dim, &rng);
-  TreeStructure structure;
-  structure.left.assign(batch, std::vector<int>(nodes, -1));
-  structure.right.assign(batch, std::vector<int>(nodes, -1));
-  structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
-  for (size_t b = 0; b < batch; ++b) {
-    for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
-      structure.left[b][i] = static_cast<int>(2 * i + 1);
-      structure.right[b][i] = static_cast<int>(2 * i + 2);
-    }
-  }
+  const TreeStructure structure = CompleteTrees(batch, nodes);
   Tensor features = Tensor::Random({batch, nodes, in_dim}, &rng);
   for (auto _ : state) {
     Tensor out = conv.Forward(features, structure);
@@ -84,10 +98,8 @@ void BM_TreeConvBackward(benchmark::State& state) {
   const size_t batch = 32, nodes = static_cast<size_t>(state.range(0));
   Rng rng(3);
   TreeConvLayer conv(64, 64, &rng);
-  TreeStructure structure;
-  structure.left.assign(batch, std::vector<int>(nodes, -1));
-  structure.right.assign(batch, std::vector<int>(nodes, -1));
-  structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
+  const TreeStructure structure =
+      CompleteTrees(batch, nodes, /*with_children=*/false);
   Tensor features = Tensor::Random({batch, nodes, 64}, &rng);
   Tensor grad = Tensor::Random({batch, nodes, 64}, &rng);
   conv.Forward(features, structure);
@@ -244,16 +256,7 @@ void RunScalingSweep() {
     const size_t batch = s[0], nodes = s[1], dim = s[2];
     Rng rng(2);
     TreeConvLayer conv(dim, dim, &rng);
-    TreeStructure structure;
-    structure.left.assign(batch, std::vector<int>(nodes, -1));
-    structure.right.assign(batch, std::vector<int>(nodes, -1));
-    structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
-    for (size_t b = 0; b < batch; ++b) {
-      for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
-        structure.left[b][i] = static_cast<int>(2 * i + 1);
-        structure.right[b][i] = static_cast<int>(2 * i + 2);
-      }
-    }
+    const TreeStructure structure = CompleteTrees(batch, nodes);
     const Tensor features = Tensor::Random({batch, nodes, dim}, &rng);
     const Tensor grad = Tensor::Random({batch, nodes, dim}, &rng);
     double serial_ms = 0.0;
@@ -340,6 +343,38 @@ double GeomeanSpeedup(const std::vector<KernelBenchRecord>& records,
   return count == 0 ? 0.0 : std::exp(log_sum / static_cast<double>(count));
 }
 
+/// A served batch of `batch` queries at the CLI shape (K = 9 trees of at
+/// most N = 15 nodes) with the ad-hoc size mix: 4-9 trees per query, 9-15
+/// nodes per tree (~6.5 trees and ~78 real rows of the padded 135). With
+/// `padded`, every one of the K slots is padded to N rows (zero features,
+/// no vote, no children) — the B·K·N layout the paper's accounting charges.
+TreeStructure AdhocServedBatch(size_t batch, bool padded, Rng* rng) {
+  constexpr size_t kTrees = 9, kNodes = 15;
+  TreeStructure structure;
+  structure.offsets.push_back(0);
+  for (size_t q = 0; q < batch; ++q) {
+    const size_t trees = 4 + static_cast<size_t>(rng->UniformInt(0, 5));
+    for (size_t t = 0; t < kTrees; ++t) {
+      const size_t nodes =
+          t < trees ? 9 + static_cast<size_t>(rng->UniformInt(0, 6)) : 0;
+      const size_t base = structure.left.size();
+      const size_t slot = padded ? kNodes : nodes;
+      for (size_t i = 0; i < slot; ++i) {
+        const bool real = i < nodes;
+        structure.left.push_back(real && 2 * i + 1 < nodes
+                                     ? static_cast<int>(base + 2 * i + 1)
+                                     : -1);
+        structure.right.push_back(real && 2 * i + 2 < nodes
+                                      ? static_cast<int>(base + 2 * i + 2)
+                                      : -1);
+        structure.mask.push_back(real ? 1.0f : 0.0f);
+      }
+      structure.offsets.push_back(structure.left.size());
+    }
+  }
+  return structure;
+}
+
 }  // namespace
 
 int RunJsonBench(const std::string& path) {
@@ -389,16 +424,7 @@ int RunJsonBench(const std::string& path) {
     const size_t batch = s[0], nodes = s[1], dim = s[2];
     Rng rng(2);
     TreeConvLayer conv(dim, dim, &rng);
-    TreeStructure structure;
-    structure.left.assign(batch, std::vector<int>(nodes, -1));
-    structure.right.assign(batch, std::vector<int>(nodes, -1));
-    structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
-    for (size_t b = 0; b < batch; ++b) {
-      for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
-        structure.left[b][i] = static_cast<int>(2 * i + 1);
-        structure.right[b][i] = static_cast<int>(2 * i + 2);
-      }
-    }
+    const TreeStructure structure = CompleteTrees(batch, nodes);
     const Tensor features = Tensor::Random({batch, nodes, dim}, &rng);
     const Tensor grad = Tensor::Random({batch, nodes, dim}, &rng);
     const double flops =
@@ -473,12 +499,82 @@ int RunJsonBench(const std::string& path) {
     records.push_back(std::move(rec));
   }
 
+  // The frozen serving forward of the CLI-shape trunk (three 32-channel
+  // tree convs over F = 85 node features, about the CLI model's node width,
+  // then vote-masked pooling) at batch 1 and 32, over ragged ad-hoc trees
+  // ("resident") and the same trees padded to N ("resident_padded").
+  // Batch 1 cycles through 32 single-query batches so the size mix, not one
+  // draw, sets the number. ns_per_iter is one batch's forward; gflops counts
+  // the rows computed.
+  for (size_t batch : {1, 32}) {
+    constexpr size_t kFeatures = 85, kChannels = 32, kQueries = 32;
+    Rng rng(4);
+    std::vector<std::unique_ptr<TreeConvLayer>> trunk;
+    trunk.push_back(std::make_unique<TreeConvLayer>(kFeatures, kChannels, &rng));
+    trunk.push_back(std::make_unique<TreeConvLayer>(kChannels, kChannels, &rng));
+    trunk.push_back(std::make_unique<TreeConvLayer>(kChannels, kChannels, &rng));
+    ExecutionContext ctx(threads);
+    for (auto& conv : trunk) {
+      conv->set_context(&ctx);
+      conv->FreezeWeights();
+    }
+    MaskedDynamicPooling pooling;
+    pooling.set_context(&ctx);
+    for (bool padded : {false, true}) {
+      Rng mix_rng(5);  // the same trees either way
+      std::vector<TreeStructure> structures;
+      std::vector<Tensor> inputs;
+      size_t rows = 0;
+      for (size_t q = 0; q < kQueries; q += batch) {
+        structures.push_back(AdhocServedBatch(batch, padded, &mix_rng));
+        const TreeStructure& structure = structures.back();
+        Tensor features =
+            Tensor::Random({structure.num_rows(), kFeatures}, &rng);
+        for (size_t r = 0; r < structure.num_rows(); ++r) {
+          if (structure.mask[r] != 0.0f) continue;
+          for (size_t f = 0; f < kFeatures; ++f) features.At(r, f) = 0.0f;
+        }
+        inputs.push_back(std::move(features));
+        rows += structure.num_rows();
+      }
+      const double forwards = static_cast<double>(structures.size());
+      const double flops =
+          2.0 * static_cast<double>(rows) / forwards *
+          (3.0 * kFeatures * kChannels + 2 * 3.0 * kChannels * kChannels);
+      KernelBenchRecord rec;
+      rec.op = "tree_conv_forward_served";
+      rec.shape = StrFormat("B%zuxK9xN15xF%zuxC%zu", batch, kFeatures,
+                            kChannels);
+      rec.kernel = padded ? "resident_padded" : "resident";
+      rec.threads = threads;
+      rec.ns_per_iter = MedianNs([&] {
+                          for (size_t i = 0; i < structures.size(); ++i) {
+                            const Tensor* x = &inputs[i];
+                            for (auto& conv : trunk) {
+                              x = &conv->Forward(*x, structures[i]);
+                            }
+                            pooling.Forward(*x, structures[i]);
+                          }
+                        }) /
+                        forwards;
+      rec.gflops = flops / rec.ns_per_iter;
+      std::cout << "tree_conv_forward_served " << rec.shape << " "
+                << rec.kernel << " ("
+                << StrFormat("%.1f", static_cast<double>(rows) / forwards)
+                << " rows/batch): "
+                << StrFormat("%.1f", rec.ns_per_iter / 1e3) << " us\n";
+      records.push_back(std::move(rec));
+    }
+  }
+
   const double gemm_speedup =
       GeomeanSpeedup(records, "gemm", "blocked", "scalar");
   const double conv_speedup =
       GeomeanSpeedup(records, "tree_conv_fwd_bwd", "blocked", "scalar");
   const double resident_speedup =
       GeomeanSpeedup(records, "serving_gemm", "resident", "blocked");
+  const double ragged_speedup = GeomeanSpeedup(
+      records, "tree_conv_forward_served", "resident", "resident_padded");
 
   std::ofstream out(path);
   if (!out) {
@@ -512,6 +608,8 @@ int RunJsonBench(const std::string& path) {
                      conv_speedup);
     json.FieldDouble("serving_resident_geomean_speedup_over_blocked",
                      resident_speedup);
+    json.FieldDouble("served_forward_geomean_speedup_ragged_over_padded",
+                     ragged_speedup);
     json.EndObject();
     json.EndObject();
   }
@@ -522,6 +620,8 @@ int RunJsonBench(const std::string& path) {
             << StrFormat("%.2fx", conv_speedup) << "\n";
   std::cout << "serving gemm geomean speedup (resident/blocked): "
             << StrFormat("%.2fx", resident_speedup) << "\n";
+  std::cout << "served trunk forward geomean speedup (ragged/padded): "
+            << StrFormat("%.2fx", ragged_speedup) << "\n";
   std::cout << "wrote " << path << "\n";
   return 0;
 }

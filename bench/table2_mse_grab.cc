@@ -40,12 +40,14 @@ int Run() {
   runs.push_back(RunPrestroid(data, scale, true, 32, 11, scale.pf_mid,
                               /*use_subtrees=*/true));   // (32-11-Pf)
 
-  TablePrinter table({"Model", "Epoch", "MSE (min^2)", "params",
-                      "epoch secs (CPU)"});
+  TablePrinter table({"Model", "Epoch", "MSE (min^2)", "q-err p50",
+                      "q-err p95", "params", "epoch secs (CPU)"});
   for (const ModelRun& run : runs) {
     table.AddRow({run.name,
                   run.best_epoch == 0 ? "-" : std::to_string(run.best_epoch),
                   StrFormat("%.2f", run.test_mse_minutes),
+                  StrFormat("%.2f", run.qerror_p50),
+                  StrFormat("%.2f", run.qerror_p95),
                   run.num_parameters == 0 ? "-"
                                           : std::to_string(run.num_parameters),
                   run.mean_epoch_seconds == 0.0

@@ -43,11 +43,14 @@ int Run() {
   runs.push_back(RunPrestroid(data, scale, false, 32, scale.full ? 32 : 8,
                               pf_hi, /*use_subtrees=*/true));
 
-  TablePrinter table({"Model", "Epoch", "MSE (min^2)", "params"});
+  TablePrinter table({"Model", "Epoch", "MSE (min^2)", "q-err p50",
+                      "q-err p95", "params"});
   for (const ModelRun& run : runs) {
     table.AddRow({run.name,
                   run.best_epoch == 0 ? "-" : std::to_string(run.best_epoch),
                   StrFormat("%.2f", run.test_mse_minutes),
+                  StrFormat("%.2f", run.qerror_p50),
+                  StrFormat("%.2f", run.qerror_p95),
                   run.num_parameters == 0 ? "-"
                                           : std::to_string(run.num_parameters)});
   }

@@ -51,7 +51,8 @@ Result<std::vector<TreeFeatures>> Featurizer::FeaturizeSubtrees(
   out.reserve(take);
   for (size_t s = 0; s < take; ++s) {
     const subtree::SubtreeSample& sample = samples[s];
-    // The model pads every batch to N nodes per sub-tree (subtree_model.h).
+    // Sub-trees never exceed N, the model's accounting size
+    // (subtree_model.h).
     PRESTROID_CHECK_LE(sample.size(), config.node_limit);
     TreeFeatures features;
     features.features = Tensor({sample.size(), dim});

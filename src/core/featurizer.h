@@ -38,7 +38,7 @@ class Featurizer {
   Result<TreeFeatures> FeaturizeFullPlan(const plan::PlanNode& plan) const;
 
   /// The first K sub-trees of the plan (fewer when the plan decomposes into
-  /// fewer samples; the model pads missing sub-trees with zero). `strategy`
+  /// fewer samples; a missing sub-tree pools to zero in the model). `strategy`
   /// selects Algorithm 1 or one of the naive pruning ablations.
   Result<std::vector<TreeFeatures>> FeaturizeSubtrees(
       const plan::PlanNode& plan, const subtree::SubtreeSamplerConfig& config,

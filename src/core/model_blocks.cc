@@ -10,7 +10,6 @@ TreeConvStack::TreeConvStack(size_t input_dim,
   size_t in = input_dim;
   for (size_t out : channels) {
     convs_.push_back(std::make_unique<TreeConvLayer>(in, out, rng));
-    relus_.push_back(std::make_unique<ReluLayer>());
     in = out;
   }
   output_dim_ = in;
@@ -19,17 +18,13 @@ TreeConvStack::TreeConvStack(size_t input_dim,
 const Tensor& TreeConvStack::Forward(const Tensor& features,
                                      const TreeStructure& structure) {
   const Tensor* x = &features;
-  for (size_t i = 0; i < convs_.size(); ++i) {
-    x = &convs_[i]->Forward(*x, structure);
-    x = &relus_[i]->Forward(*x);
-  }
+  for (auto& conv : convs_) x = &conv->Forward(*x, structure);
   return *x;
 }
 
 const Tensor& TreeConvStack::Backward(const Tensor& grad_output) {
   const Tensor* grad = &grad_output;
   for (size_t i = convs_.size(); i-- > 0;) {
-    grad = &relus_[i]->Backward(*grad);
     grad = &convs_[i]->Backward(*grad);
   }
   return *grad;
@@ -37,7 +32,6 @@ const Tensor& TreeConvStack::Backward(const Tensor& grad_output) {
 
 void TreeConvStack::BindContext(ExecutionContext* ctx) {
   for (auto& conv : convs_) conv->set_context(ctx);
-  for (auto& relu : relus_) relu->set_context(ctx);
 }
 
 std::vector<ParamRef> TreeConvStack::Params() {
@@ -79,12 +73,14 @@ DenseHead::DenseHead(const DenseHeadConfig& config, Rng* rng) {
 }
 
 const Tensor& DenseHead::Forward(const Tensor& input) {
+  LayerTimer timer(ctx_, LayerKind::kDenseHead, /*backward=*/false);
   const Tensor* x = &input;
   for (auto& layer : layers_) x = &layer->Forward(*x);
   return *x;
 }
 
 const Tensor& DenseHead::Backward(const Tensor& grad_output) {
+  LayerTimer timer(ctx_, LayerKind::kDenseHead, /*backward=*/true);
   const Tensor* grad = &grad_output;
   for (size_t i = layers_.size(); i-- > 0;) {
     grad = &layers_[i]->Backward(*grad);
@@ -97,6 +93,7 @@ void DenseHead::SetTraining(bool training) {
 }
 
 void DenseHead::BindContext(ExecutionContext* ctx) {
+  ctx_ = ctx;
   for (auto& layer : layers_) layer->set_context(ctx);
 }
 

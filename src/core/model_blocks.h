@@ -13,13 +13,14 @@
 
 namespace prestroid::core {
 
-/// Stack of tree-convolution layers with ReLU between them — the shared
-/// convolution trunk of the Prestroid sub-tree and full-tree models
-/// (3 x 512 kernels for Grab-Traces, 3 x 128 for TPC-DS; Section 5.2).
+/// Stack of tree-convolution layers, each with its ReLU fused into the GEMM
+/// epilogue — the shared convolution trunk of the Prestroid sub-tree and
+/// full-tree models (3 x 512 kernels for Grab-Traces, 3 x 128 for TPC-DS;
+/// Section 5.2).
 ///
 /// Forward/Backward return references into the last layer's workspace (see
 /// Layer); intermediate activations flow between layers by reference with no
-/// copies.
+/// copies. The input features and structure must outlive Backward.
 class TreeConvStack {
  public:
   TreeConvStack(size_t input_dim, const std::vector<size_t>& channels,
@@ -28,7 +29,8 @@ class TreeConvStack {
   TreeConvStack(const TreeConvStack&) = delete;
   TreeConvStack& operator=(const TreeConvStack&) = delete;
 
-  /// [batch, nodes, input_dim] -> [batch, nodes, channels.back()].
+  /// [rows, input_dim] -> [rows, channels.back()] over the ragged rows of
+  /// `structure`.
   const Tensor& Forward(const Tensor& features, const TreeStructure& structure);
   const Tensor& Backward(const Tensor& grad_output);
 
@@ -47,7 +49,6 @@ class TreeConvStack {
  private:
   size_t output_dim_;
   std::vector<std::unique_ptr<TreeConvLayer>> convs_;
-  std::vector<std::unique_ptr<ReluLayer>> relus_;
 };
 
 /// Configuration of the dense regression head.
@@ -91,6 +92,7 @@ class DenseHead {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  ExecutionContext* ctx_ = nullptr;
 };
 
 }  // namespace prestroid::core

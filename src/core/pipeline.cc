@@ -153,7 +153,7 @@ Result<std::unique_ptr<PrestroidPipeline>> PrestroidPipeline::Fit(
     PRESTROID_RETURN_NOT_OK(status);
   }
 
-  // 7. The model: a full-tree pipeline pads to its largest record
+  // 7. The model: a full-tree pipeline's N is its largest record
   // (dataset-wide, the paper's Section 5.4 regime).
   size_t largest_tree = 0;
   for (const std::vector<TreeFeatures>& trees : all_trees) {

@@ -151,9 +151,9 @@ class PrestroidPipeline {
   PrestroidPipeline() = default;
 
   /// Builds the sample-free model for the fitted encoder and binds the
-  /// execution context. `full_tree_nodes` is a full-tree pipeline's padding
-  /// size N (its largest featurized record); sub-tree pipelines use the
-  /// sampler's N and ignore it.
+  /// execution context. `full_tree_nodes` is a full-tree pipeline's N (its
+  /// largest featurized record); sub-tree pipelines use the sampler's N and
+  /// ignore it.
   void BuildModel(size_t full_tree_nodes);
 
   PipelineConfig config_;

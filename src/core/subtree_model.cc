@@ -65,45 +65,53 @@ std::vector<SubtreeModel::Row> SubtreeModel::RowsOf(
   return rows;
 }
 
-void SubtreeModel::AssembleBatch(std::span<const Row> rows,
-                                 TreeStructure* structure,
-                                 Tensor* features_out) const {
-  const size_t b = rows.size();
+void SubtreeModel::AssembleBatch(std::span<const Row> rows) {
   const size_t k = config_.num_subtrees;
   const size_t f = config_.feature_dim;
-  // Only a served full-tree plan larger than every training plan pads past
-  // N; stored samples and sampled sub-trees never exceed it.
-  size_t n = config_.node_limit;
+  size_t total = 0;
   for (Row trees : rows) {
     for (size_t s = 0; s < std::min(trees->size(), k); ++s) {
-      n = std::max(n, (*trees)[s].num_nodes());
+      total += (*trees)[s].num_nodes();
     }
   }
 
-  Tensor& features = *features_out;
-  features.ResetShape({b * k, n, f});
-  features.Fill(0.0f);  // padding slots must stay zero
-  structure->left.assign(b * k, std::vector<int>(n, -1));
-  structure->right.assign(b * k, std::vector<int>(n, -1));
-  structure->mask.assign(b * k, std::vector<float>(n, 0.0f));
+  TreeStructure& structure = structure_ws_;
+  structure.offsets.resize(rows.size() * k + 1);
+  structure.left.resize(total);
+  structure.right.resize(total);
+  structure.mask.resize(total);
+  features_ws_.ResetShape({total, f});
+  // A local child index becomes a batch row; it must stay inside its own
+  // tree, which the trunk's per-tree parallelism relies on.
+  auto batch_row = [](int child, size_t base, size_t count) {
+    PRESTROID_CHECK(child >= -1 && child < static_cast<int>(count))
+        << "child " << child << " outside its tree of " << count << " nodes";
+    return child < 0 ? -1 : static_cast<int>(base) + child;
+  };
 
-  for (size_t i = 0; i < b; ++i) {
+  size_t row = 0;
+  structure.offsets[0] = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
     const std::vector<TreeFeatures>& trees = *rows[i];
-    for (size_t s = 0; s < std::min(trees.size(), k); ++s) {
-      const TreeFeatures& tree = trees[s];
-      PRESTROID_CHECK_EQ(tree.features.dim(1), f);
-      const size_t slot = i * k + s;
-      const size_t count = tree.num_nodes();
-      std::memcpy(features.data() + slot * n * f, tree.features.data(),
-                  sizeof(float) * count * f);
-      for (size_t node = 0; node < count; ++node) {
-        structure->left[slot][node] = tree.left[node];
-        structure->right[slot][node] = tree.right[node];
-        structure->mask[slot][node] = tree.votes[node];
+    for (size_t s = 0; s < k; ++s) {
+      // Missing trees (fewer than K) own an empty range and pool to zero.
+      if (s < trees.size()) {
+        const TreeFeatures& tree = trees[s];
+        const size_t count = tree.num_nodes();
+        PRESTROID_CHECK_EQ(tree.features.dim(0), count);
+        PRESTROID_CHECK_EQ(tree.features.dim(1), f);
+        std::memcpy(features_ws_.data() + row * f, tree.features.data(),
+                    sizeof(float) * count * f);
+        for (size_t node = 0; node < count; ++node) {
+          structure.left[row + node] = batch_row(tree.left[node], row, count);
+          structure.right[row + node] =
+              batch_row(tree.right[node], row, count);
+          structure.mask[row + node] = tree.votes[node];
+        }
+        row += count;
       }
+      structure.offsets[i * k + s + 1] = row;
     }
-    // Missing trees (fewer than K) keep all-zero masks: they pool to the
-    // zero vector, exactly like a fully 0-padded slot.
   }
 }
 
@@ -114,10 +122,8 @@ Tensor SubtreeModel::Evaluate(const std::vector<Row>& rows) {
   constexpr size_t kEvalBatch = 64;
   for (size_t start = 0; start < rows.size(); start += kEvalBatch) {
     const size_t end = std::min(rows.size(), start + kEvalBatch);
-    TreeStructure structure;
-    AssembleBatch(std::span<const Row>(rows).subspan(start, end - start),
-                  &structure, &features_ws_);
-    const Tensor& pred = ForwardBatch(features_ws_, structure);
+    AssembleBatch(std::span<const Row>(rows).subspan(start, end - start));
+    const Tensor& pred = ForwardBatch(end - start);
     for (size_t i = 0; i < end - start; ++i) {
       for (size_t j = 0; j < out_dim; ++j) {
         out.At(start + i, j) = pred.At(i, j);
@@ -138,12 +144,9 @@ std::vector<float> SubtreeModel::PredictBorrowed(
   return out;
 }
 
-const Tensor& SubtreeModel::ForwardBatch(const Tensor& features,
-                                         const TreeStructure& structure) {
-  const size_t bk = features.dim(0);
-  const size_t b = bk / config_.num_subtrees;
-  const Tensor& conv_out = conv_->Forward(features, structure);
-  Tensor& pooled = pooling_.Forward(conv_out, structure);  // [B*K, C]
+const Tensor& SubtreeModel::ForwardBatch(size_t b) {
+  const Tensor& conv_out = conv_->Forward(features_ws_, structure_ws_);
+  Tensor& pooled = pooling_.Forward(conv_out, structure_ws_);  // [B*K, C]
   // Row-major [B*K, C] is bitwise identical to [B, K*C]: flattening across
   // sub-trees is a pure relabeling of the pooling workspace.
   pooled.ReshapeInPlace({b, config_.num_subtrees * conv_->output_dim()});
@@ -159,10 +162,8 @@ double SubtreeModel::TrainEpoch(const std::vector<size_t>& indices,
   size_t num_batches = 0;
   for (size_t start = 0; start < indices.size(); start += batch_size) {
     const size_t size = std::min(indices.size() - start, batch_size);
-    TreeStructure structure;
-    AssembleBatch(std::span<const Row>(rows).subspan(start, size), &structure,
-                  &features_ws_);
-    const Tensor& pred = ForwardBatch(features_ws_, structure);
+    AssembleBatch(std::span<const Row>(rows).subspan(start, size));
+    const Tensor& pred = ForwardBatch(size);
 
     const size_t out = config_.output_dim;
     target_ws_.ResetShape({size, out});
@@ -173,16 +174,23 @@ double SubtreeModel::TrainEpoch(const std::vector<size_t>& indices,
     }
 
     optimizer_->ZeroGrad();
-    total_loss += loss_.Compute(pred, target_ws_);
+    {
+      LayerTimer timer(ctx_, LayerKind::kLoss, /*backward=*/false);
+      total_loss += loss_.Compute(pred, target_ws_);
+    }
     ++num_batches;
 
-    loss_.GradientInto(&grad_ws_);
+    {
+      LayerTimer timer(ctx_, LayerKind::kLoss, /*backward=*/true);
+      loss_.GradientInto(&grad_ws_);
+    }
     const Tensor& grad_head = head_->Backward(grad_ws_);  // [B, K*C]
     grad_pooled_ws_.CopyFrom(grad_head);
     grad_pooled_ws_.ReshapeInPlace(
         {size * config_.num_subtrees, conv_->output_dim()});
     const Tensor& grad_conv = pooling_.Backward(grad_pooled_ws_);
     conv_->Backward(grad_conv);
+    LayerTimer timer(ctx_, LayerKind::kOptimizer, /*backward=*/true);
     optimizer_->Step();
   }
   return num_batches == 0 ? 0.0 : total_loss / static_cast<double>(num_batches);

@@ -21,7 +21,7 @@ namespace prestroid::core {
 /// plan.
 struct SubtreeModelConfig {
   size_t feature_dim = 0;   // node-feature width F
-  size_t node_limit = 15;   // N: padding size; no training sample exceeds it
+  size_t node_limit = 15;   // N: accounting size; no training sample exceeds it
   size_t num_subtrees = 9;  // K: trees per query
   std::vector<size_t> conv_channels = {512, 512, 512};
   std::vector<size_t> dense_units = {128, 64};
@@ -41,12 +41,15 @@ struct SubtreeModelConfig {
 /// through a shared tree-convolution trunk, vote-masked dynamic pooling per
 /// tree, flattened across trees, then a dense sigmoid head.
 ///
-/// Every batch is 0-padded to max(N, largest tree in the batch) nodes per
-/// tree slot. For sub-tree models no tree exceeds N, so the shape is fixed
-/// at [B*K, N, F]. For the full-tree baseline (K = 1, N = the largest
-/// training plan) a served plan larger than every training plan grows its
-/// batch to its own size; masked pooling keeps the padding inert, so each
-/// row's prediction is independent of the padding it shares.
+/// A batch of B queries runs as B*K tree slots in the ragged row layout of
+/// TreeStructure: only real plan nodes are rows, each slot owns a contiguous
+/// row range, and a missing tree (fewer than K) owns an empty one and pools
+/// to zero. The paper's 0-padding to N nodes per slot survives only as the
+/// memory accounting of InputBytesPerBatch (Figure 6); padding would add
+/// exact zeros, so skipping it changes no answer. A full-tree plan larger
+/// than every training plan (K = 1, N = the largest training plan) is just a
+/// longer row range, and every row's prediction is independent of what else
+/// shares its batch.
 class SubtreeModel : public CostModel {
  public:
   /// One query's trees, read in place.
@@ -108,13 +111,13 @@ class SubtreeModel : public CostModel {
  private:
   /// Pointers to the stored samples at `indices`.
   std::vector<Row> RowsOf(const std::vector<size_t>& indices) const;
-  /// Assembles the padded [B*K, N', F] batch (N' per the padding rule) and
-  /// its structure into the given workspace tensor (allocation-free once
-  /// warm).
-  void AssembleBatch(std::span<const Row> rows, TreeStructure* structure,
-                     Tensor* features) const;
-  const Tensor& ForwardBatch(const Tensor& features,
-                             const TreeStructure& structure);
+  /// Assembles the ragged [rows, F] batch of `rows`' first K trees and its
+  /// structure into features_ws_ / structure_ws_ in one pass (no fill,
+  /// allocation-free once warm). CHECK-fails on a child index outside its
+  /// own tree.
+  void AssembleBatch(std::span<const Row> rows);
+  /// Forward over the assembled workspaces: [rows.size(), output_dim].
+  const Tensor& ForwardBatch(size_t batch);
   /// Chunked eval-mode forward: [rows.size(), output_dim].
   Tensor Evaluate(const std::vector<Row>& rows);
 
@@ -130,7 +133,8 @@ class SubtreeModel : public CostModel {
   std::vector<std::vector<TreeFeatures>> samples_;
   std::vector<float> targets_;
   // Per-batch workspaces reused across batches.
-  Tensor features_ws_;     // [B*K, N, F]
+  Tensor features_ws_;          // [rows, F] ragged node features
+  TreeStructure structure_ws_;  // B*K tree slots over those rows
   Tensor target_ws_;       // [B, output_dim]
   Tensor grad_ws_;         // [B, output_dim]
   Tensor grad_pooled_ws_;  // [B*K, C]

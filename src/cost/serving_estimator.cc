@@ -90,17 +90,18 @@ Status ServingEstimator::AdmitModelTier(const plan::PlanStats& plan_stats,
   return Status::OK();
 }
 
-void ServingEstimator::UpdateModelLatency(double model_ms, double deadline_ms) {
+void ServingEstimator::UpdateModelLatency(double model_ms) {
   model_latency_ewma_ms_ =
       model_latency_ewma_ms_ == 0.0
           ? model_ms
           : (1.0 - kLatencyEwmaAlpha) * model_latency_ewma_ms_ +
                 kLatencyEwmaAlpha * model_ms;
-  if (model_ms > deadline_ms) ++stats_.deadline_misses;
 }
 
 ServingEstimate ServingEstimator::FinishModelEstimate(double cpu_minutes,
-                                                      double latency_ms) {
+                                                      double latency_ms,
+                                                      double deadline_ms) {
+  if (latency_ms > deadline_ms) ++stats_.deadline_misses;
   ServingEstimate estimate;
   estimate.cpu_minutes = cpu_minutes;
   estimate.tier = ServingTier::kModel;
@@ -149,9 +150,9 @@ ServingEstimate ServingEstimator::EstimateWithFallback(
   Status skip_reason = AdmitModelTier(plan_stats, deadline_ms);
   if (skip_reason.ok()) {
     Result<double> predicted = pipeline_->PredictPlan(plan);
-    UpdateModelLatency(ElapsedMs(start), deadline_ms);
+    UpdateModelLatency(ElapsedMs(start));
     if (predicted.ok() && std::isfinite(*predicted)) {
-      return FinishModelEstimate(*predicted, ElapsedMs(start));
+      return FinishModelEstimate(*predicted, ElapsedMs(start), deadline_ms);
     }
     NoteModelFailure();
     skip_reason = predicted.ok()

@@ -192,13 +192,15 @@ class ServingEstimator {
   /// model tier may attempt the plan.
   Status AdmitModelTier(const plan::PlanStats& plan_stats, double deadline_ms);
 
-  /// Folds one model-tier attempt's per-request compute time into the
-  /// latency EWMA and tallies a deadline miss when it overran the budget.
-  void UpdateModelLatency(double model_ms, double deadline_ms);
+  /// Folds one model-tier attempt's per-request compute time (featurize +
+  /// forward) into the latency EWMA that AdmitModelTier gates on.
+  void UpdateModelLatency(double model_ms);
 
   /// Records a finite model-tier answer (tier counter + estimate assembly).
-  /// `latency_ms` is the full request latency including any queue wait.
-  ServingEstimate FinishModelEstimate(double cpu_minutes, double latency_ms);
+  /// `latency_ms` is the full request latency including any queue wait; a
+  /// deadline miss is tallied when it exceeds `deadline_ms`.
+  ServingEstimate FinishModelEstimate(double cpu_minutes, double latency_ms,
+                                      double deadline_ms);
 
   /// Tallies a model-tier failure (error status or non-finite output).
   void NoteModelFailure() { ++stats_.model_errors; }

@@ -1,5 +1,6 @@
 #include "nn/tree_conv.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -23,26 +24,45 @@ TreeConvLayer::TreeConvLayer(size_t in_features, size_t out_features, Rng* rng)
 
 Tensor& TreeConvLayer::Forward(const Tensor& features,
                                const TreeStructure& structure) {
-  PRESTROID_CHECK_EQ(features.rank(), 3u);
-  const size_t batch = features.dim(0);
-  const size_t nodes = features.dim(1);
-  PRESTROID_CHECK_EQ(features.dim(2), in_features_);
-  PRESTROID_CHECK_EQ(structure.batch_size(), batch);
-  PRESTROID_CHECK_EQ(structure.max_nodes(), nodes);
-
-  input_cache_.CopyFrom(features);
-  structure_cache_ = &structure;
+  LayerTimer timer(ctx_, LayerKind::kTreeConv, /*backward=*/false);
+  PRESTROID_CHECK_GE(features.rank(), 2u);
+  PRESTROID_CHECK_EQ(features.dim(features.rank() - 1), in_features_);
+  PRESTROID_CHECK_EQ(features.size(), structure.num_rows() * in_features_);
+  PRESTROID_CHECK_EQ(structure.right.size(), structure.num_rows());
+  PRESTROID_CHECK_EQ(structure.mask.size(), structure.num_rows());
+  PRESTROID_CHECK(!structure.offsets.empty());
+  PRESTROID_CHECK_EQ(structure.offsets.back(), structure.num_rows());
+  input_ = &features;
+  structure_ = &structure;
 
   // Frozen inference always takes the im2col lowering — that is the operand
   // layout the resident weights were built for.
-  if (resident_ != nullptr || ctx_->kernel() == KernelBackend::kBlocked) {
-    return ForwardBlocked(structure);
+  if (resident_ != nullptr) {
+    GatherWindows();
+    resident_->Gemm(&output_, packed_input_, &bias_, GemmEpilogue::kBiasRelu,
+                    ctx_);
+  } else if (ctx_->kernel() == KernelBackend::kBlocked) {
+    GatherWindows();
+    StackWeights();
+    // One fused bias+ReLU GEMM covers every (row, position) pair:
+    //   out[r] = max(0, [x_self | x_left | x_right] @ [W_s; W_l; W_r] + b)
+    // The GEMM op does its own flop/op accounting.
+    MatMulBiasReluInto(&output_, packed_input_, wcat_, bias_, ctx_);
+  } else {
+    ForwardScalar();
   }
+  return output_;
+}
 
-  output_.ResetShape({batch, nodes, out_features_});
+void TreeConvLayer::ForwardScalar() {
+  const TreeStructure& structure = *structure_;
+  const size_t rows = structure.num_rows();
+  output_.ResetShape({rows, out_features_});
   ctx_->AddOp();
-  // 3 child positions x multiply-add per (node, in, out) triple.
-  ctx_->AddFlops(6ull * batch * nodes * in_features_ * out_features_);
+  // 3 child positions x multiply-add per (row, in, out) triple, plus the
+  // ReLU pass.
+  ctx_->AddFlops(6ull * rows * in_features_ * out_features_ +
+                 1ull * rows * out_features_);
   // Helper: out_row += x_row * W, with x_row [in], W [in, out].
   auto accumulate = [&](const float* x_row, const Tensor& w, float* out_row) {
     for (size_t i = 0; i < in_features_; ++i) {
@@ -52,51 +72,65 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
       for (size_t o = 0; o < out_features_; ++o) out_row[o] += xv * w_row[o];
     }
   };
-
-  ctx_->ParallelFor(0, batch, 1, [&](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
-      for (size_t n = 0; n < nodes; ++n) {
-        float* out_row = output_.data() + (b * nodes + n) * out_features_;
-        for (size_t o = 0; o < out_features_; ++o) out_row[o] = bias_[o];
-        const float* self_row =
-            input_cache_.data() + (b * nodes + n) * in_features_;
-        accumulate(self_row, w_self_, out_row);
-        int l = structure.left[b][n];
-        if (l >= 0) {
-          accumulate(input_cache_.data() +
-                         (b * nodes + static_cast<size_t>(l)) * in_features_,
-                     w_left_, out_row);
-        }
-        int r = structure.right[b][n];
-        if (r >= 0) {
-          accumulate(input_cache_.data() +
-                         (b * nodes + static_cast<size_t>(r)) * in_features_,
-                     w_right_, out_row);
-        }
+  const float* x = input_->data();
+  ctx_->ParallelFor(0, structure.num_trees(), 1, [&](size_t t0, size_t t1) {
+    for (size_t r = structure.offsets[t0]; r < structure.offsets[t1]; ++r) {
+      float* out_row = output_.data() + r * out_features_;
+      for (size_t o = 0; o < out_features_; ++o) out_row[o] = bias_[o];
+      accumulate(x + r * in_features_, w_self_, out_row);
+      const int l = structure.left[r];
+      if (l >= 0) {
+        accumulate(x + static_cast<size_t>(l) * in_features_, w_left_,
+                   out_row);
+      }
+      const int rc = structure.right[r];
+      if (rc >= 0) {
+        accumulate(x + static_cast<size_t>(rc) * in_features_, w_right_,
+                   out_row);
+      }
+      for (size_t o = 0; o < out_features_; ++o) {
+        out_row[o] = std::max(0.0f, out_row[o]);
       }
     }
   });
-  return output_;
 }
 
 Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
+  LayerTimer timer(ctx_, LayerKind::kTreeConv, /*backward=*/true);
   PRESTROID_CHECK(resident_ == nullptr);  // no training while frozen
-  PRESTROID_CHECK(structure_cache_ != nullptr);
-  const TreeStructure& structure = *structure_cache_;
-  const size_t batch = input_cache_.dim(0);
-  const size_t nodes = input_cache_.dim(1);
-  PRESTROID_CHECK_EQ(grad_output.dim(0), batch);
-  PRESTROID_CHECK_EQ(grad_output.dim(1), nodes);
-  PRESTROID_CHECK_EQ(grad_output.dim(2), out_features_);
+  PRESTROID_CHECK(structure_ != nullptr);
+  const size_t rows = structure_->num_rows();
+  PRESTROID_CHECK_EQ(grad_output.dim(grad_output.rank() - 1), out_features_);
+  PRESTROID_CHECK_EQ(grad_output.size(), rows * out_features_);
+  PRESTROID_CHECK_EQ(output_.dim(0), rows);
 
-  if (ctx_->kernel() == KernelBackend::kBlocked) {
-    return BackwardBlocked(grad_output, structure);
-  }
+  // ReLU derivative: only rows/features that came out positive pass their
+  // gradient back into the convolution.
+  grad_pre_.ResetShape({rows, out_features_});
+  const float* go = grad_output.data();
+  const float* y = output_.data();
+  float* gp = grad_pre_.data();
+  ctx_->ParallelFor(0, grad_pre_.size(), 4096, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) gp[i] = y[i] > 0.0f ? go[i] : 0.0f;
+  });
 
-  grad_input_.ResetShape(input_cache_.shape());
+  grad_input_.ResetShape({rows, in_features_});
   grad_input_.Fill(0.0f);
+  if (ctx_->kernel() == KernelBackend::kBlocked) {
+    BackwardBlocked();
+  } else {
+    BackwardScalar();
+  }
+  return grad_input_;
+}
+
+void TreeConvLayer::BackwardScalar() {
+  const TreeStructure& structure = *structure_;
+  const size_t trees = structure.num_trees();
+  const size_t rows = structure.num_rows();
   ctx_->AddOp();
-  ctx_->AddFlops(12ull * batch * nodes * in_features_ * out_features_);
+  ctx_->AddFlops(12ull * rows * in_features_ * out_features_);
+  const float* x = input_->data();
 
   // For each position: dW += x^T gy; dx += gy W^T.
   auto backprop_one = [&](const float* x_row, const float* gy_row,
@@ -115,38 +149,34 @@ Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
     }
   };
 
-  // Historical serial loop for trees [b0, b1), accumulating weight/bias
-  // gradients into the given tensors.
-  auto backward_range = [&](size_t b0, size_t b1, Tensor* gws, Tensor* gwl,
+  // Historical serial loop over the rows of trees [t0, t1), accumulating
+  // weight/bias gradients into the given tensors.
+  auto backward_range = [&](size_t t0, size_t t1, Tensor* gws, Tensor* gwl,
                             Tensor* gwr, Tensor* gb) {
-    for (size_t b = b0; b < b1; ++b) {
-      for (size_t n = 0; n < nodes; ++n) {
-        const float* gy = grad_output.data() + (b * nodes + n) * out_features_;
-        for (size_t o = 0; o < out_features_; ++o) (*gb)[o] += gy[o];
-        const size_t self_off = (b * nodes + n) * in_features_;
-        backprop_one(input_cache_.data() + self_off, gy, w_self_, gws,
-                     grad_input_.data() + self_off);
-        int l = structure.left[b][n];
-        if (l >= 0) {
-          const size_t off = (b * nodes + static_cast<size_t>(l)) * in_features_;
-          backprop_one(input_cache_.data() + off, gy, w_left_, gwl,
-                       grad_input_.data() + off);
-        }
-        int r = structure.right[b][n];
-        if (r >= 0) {
-          const size_t off = (b * nodes + static_cast<size_t>(r)) * in_features_;
-          backprop_one(input_cache_.data() + off, gy, w_right_, gwr,
-                       grad_input_.data() + off);
-        }
+    for (size_t r = structure.offsets[t0]; r < structure.offsets[t1]; ++r) {
+      const float* gy = grad_pre_.data() + r * out_features_;
+      for (size_t o = 0; o < out_features_; ++o) (*gb)[o] += gy[o];
+      const size_t self_off = r * in_features_;
+      backprop_one(x + self_off, gy, w_self_, gws,
+                   grad_input_.data() + self_off);
+      const int l = structure.left[r];
+      if (l >= 0) {
+        const size_t off = static_cast<size_t>(l) * in_features_;
+        backprop_one(x + off, gy, w_left_, gwl, grad_input_.data() + off);
+      }
+      const int rc = structure.right[r];
+      if (rc >= 0) {
+        const size_t off = static_cast<size_t>(rc) * in_features_;
+        backprop_one(x + off, gy, w_right_, gwr, grad_input_.data() + off);
       }
     }
   };
 
-  const auto parts = ctx_->Partition(0, batch, 1);
+  const auto parts = ctx_->Partition(0, trees, 1);
   if (parts.size() <= 1) {
-    backward_range(0, batch, &w_self_grad_, &w_left_grad_, &w_right_grad_,
+    backward_range(0, trees, &w_self_grad_, &w_left_grad_, &w_right_grad_,
                    &bias_grad_);
-    return grad_input_;
+    return;
   }
   // Parallel path: grad_input_ rows are disjoint per tree, but the four
   // weight-gradient accumulators are shared — per-chunk scratch, reduced in
@@ -158,10 +188,10 @@ Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
     scratch[c].push_back(ctx_->AcquireScratch({in_features_, out_features_}));
     scratch[c].push_back(ctx_->AcquireScratch({out_features_}));
   }
-  ctx_->ParallelFor(0, batch, 1, [&](size_t b0, size_t b1) {
+  ctx_->ParallelFor(0, trees, 1, [&](size_t t0, size_t t1) {
     size_t c = 0;
-    while (parts[c].first != b0) ++c;
-    backward_range(b0, b1, &scratch[c][0], &scratch[c][1], &scratch[c][2],
+    while (parts[c].first != t0) ++c;
+    backward_range(t0, t1, &scratch[c][0], &scratch[c][1], &scratch[c][2],
                    &scratch[c][3]);
   });
   for (size_t c = 0; c < parts.size(); ++c) {
@@ -171,41 +201,36 @@ Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
     bias_grad_ += scratch[c][3];
     for (Tensor& t : scratch[c]) ctx_->ReleaseScratch(std::move(t));
   }
-  return grad_input_;
 }
 
-void TreeConvLayer::GatherWindows(const TreeStructure& structure) {
-  const size_t batch = input_cache_.dim(0);
-  const size_t nodes = input_cache_.dim(1);
+void TreeConvLayer::GatherWindows() {
+  const TreeStructure& structure = *structure_;
+  const size_t rows = structure.num_rows();
   const size_t in = in_features_;
   const size_t kc = 3 * in;
-  packed_input_.ResetShape({batch * nodes, kc});
-  const float* src = input_cache_.data();
+  packed_input_.ResetShape({rows, kc});
+  const float* src = input_->data();
   float* dst_base = packed_input_.data();
-  // Trees own disjoint row ranges of the packed matrix, so the gather
-  // parallelizes freely; null children pack as zero slices, which makes the
-  // GEMM below contribute exactly nothing for them (no branches downstream).
-  ctx_->ParallelFor(0, batch, 1, [&](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
-      for (size_t n = 0; n < nodes; ++n) {
-        float* dst = dst_base + (b * nodes + n) * kc;
-        std::memcpy(dst, src + (b * nodes + n) * in, in * sizeof(float));
-        const int l = structure.left[b][n];
-        if (l >= 0) {
-          std::memcpy(dst + in,
-                      src + (b * nodes + static_cast<size_t>(l)) * in,
-                      in * sizeof(float));
-        } else {
-          std::memset(dst + in, 0, in * sizeof(float));
-        }
-        const int r = structure.right[b][n];
-        if (r >= 0) {
-          std::memcpy(dst + 2 * in,
-                      src + (b * nodes + static_cast<size_t>(r)) * in,
-                      in * sizeof(float));
-        } else {
-          std::memset(dst + 2 * in, 0, in * sizeof(float));
-        }
+  // Every packed row is written exactly once, so the gather parallelizes
+  // freely; null children pack as zero slices, which makes the GEMM below
+  // contribute exactly nothing for them (no branches downstream).
+  ctx_->ParallelFor(0, rows, 16, [&](size_t r0, size_t r1) {
+    for (size_t r = r0; r < r1; ++r) {
+      float* dst = dst_base + r * kc;
+      std::memcpy(dst, src + r * in, in * sizeof(float));
+      const int l = structure.left[r];
+      if (l >= 0) {
+        std::memcpy(dst + in, src + static_cast<size_t>(l) * in,
+                    in * sizeof(float));
+      } else {
+        std::memset(dst + in, 0, in * sizeof(float));
+      }
+      const int rc = structure.right[r];
+      if (rc >= 0) {
+        std::memcpy(dst + 2 * in, src + static_cast<size_t>(rc) * in,
+                    in * sizeof(float));
+      } else {
+        std::memset(dst + 2 * in, 0, in * sizeof(float));
       }
     }
   });
@@ -219,49 +244,24 @@ void TreeConvLayer::StackWeights() {
   std::memcpy(wcat_.data() + 2 * wsz, w_right_.data(), wsz * sizeof(float));
 }
 
-Tensor& TreeConvLayer::ForwardBlocked(const TreeStructure& structure) {
-  const size_t batch = input_cache_.dim(0);
-  const size_t nodes = input_cache_.dim(1);
-  GatherWindows(structure);
-  if (resident_ != nullptr) {
-    resident_->Gemm(&output_, packed_input_, &bias_, GemmEpilogue::kBias,
-                    ctx_);
-    output_.ReshapeInPlace({batch, nodes, out_features_});
-    return output_;
-  }
-  StackWeights();
-  // One fused-bias GEMM covers every (node, position) pair:
-  //   out[row] = [x_self | x_left | x_right] @ [W_self; W_left; W_right] + b
-  // The GEMM op does its own flop/op accounting (2*rows*3in*out + rows*out).
-  MatMulBiasInto(&output_, packed_input_, wcat_, bias_, ctx_);
-  output_.ReshapeInPlace({batch, nodes, out_features_});
-  return output_;
-}
-
 void TreeConvLayer::FreezeWeights() {
   StackWeights();
   resident_ = std::make_unique<ResidentWeights>(ResidentWeights::Build(wcat_));
 }
 
-Tensor& TreeConvLayer::BackwardBlocked(const Tensor& grad_output,
-                                       const TreeStructure& structure) {
-  const size_t batch = input_cache_.dim(0);
-  const size_t nodes = input_cache_.dim(1);
-  const size_t rows = batch * nodes;
+void TreeConvLayer::BackwardBlocked() {
+  const TreeStructure& structure = *structure_;
+  const size_t rows = structure.num_rows();
   const size_t in = in_features_;
   const size_t kc = 3 * in;
   PRESTROID_CHECK_EQ(packed_input_.dim(0), rows);
   PRESTROID_CHECK_EQ(packed_input_.dim(1), kc);
 
-  // grad_output is a const rank-3 view; the GEMMs want [rows, out].
-  gy2d_.CopyFrom(grad_output);
-  gy2d_.ReshapeInPlace({rows, out_features_});
-
   // Weight gradients: d[W_self; W_left; W_right] = packed^T @ gy, then
   // split-added into the per-position accumulators. Weights are unchanged
   // since Forward, so restacking wcat_ here keeps the pair self-contained.
   StackWeights();
-  MatMulTransposeAInto(&wgcat_, packed_input_, gy2d_, ctx_);
+  MatMulTransposeAInto(&wgcat_, packed_input_, grad_pre_, ctx_);
   const size_t wsz = in_features_ * out_features_;
   const float* wg = wgcat_.data();
   float* gs = w_self_grad_.data();
@@ -273,39 +273,34 @@ Tensor& TreeConvLayer::BackwardBlocked(const Tensor& grad_output,
 
   bias_tmp_.ResetShape({out_features_});
   bias_tmp_.Fill(0.0f);
-  SumRowsAccumulate(&bias_tmp_, gy2d_, ctx_);
+  SumRowsAccumulate(&bias_tmp_, grad_pre_, ctx_);
   bias_grad_ += bias_tmp_;
 
   // Input gradients in window space: gxp = gy @ wcat^T, then scatter-added
-  // back through the window map. Trees own disjoint slices of grad_input_
-  // (children always live in their own tree), so the scatter parallelizes
-  // over trees with a fixed within-tree node order — deterministic at any
-  // thread count.
-  MatMulTransposeBInto(&gxp_, gy2d_, wcat_, ctx_);
-  grad_input_.ResetShape(input_cache_.shape());
-  grad_input_.Fill(0.0f);
+  // back through the window map. Trees own disjoint row ranges of
+  // grad_input_ (children always live in their own tree), so the scatter
+  // parallelizes over trees with a fixed within-tree row order —
+  // deterministic at any thread count.
+  MatMulTransposeBInto(&gxp_, grad_pre_, wcat_, ctx_);
   const float* gxp = gxp_.data();
   float* gx_base = grad_input_.data();
-  ctx_->ParallelFor(0, batch, 1, [&](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
-      for (size_t n = 0; n < nodes; ++n) {
-        const float* g = gxp + (b * nodes + n) * kc;
-        float* gx_self = gx_base + (b * nodes + n) * in;
-        for (size_t i = 0; i < in; ++i) gx_self[i] += g[i];
-        const int l = structure.left[b][n];
-        if (l >= 0) {
-          float* gx = gx_base + (b * nodes + static_cast<size_t>(l)) * in;
-          for (size_t i = 0; i < in; ++i) gx[i] += g[in + i];
-        }
-        const int r = structure.right[b][n];
-        if (r >= 0) {
-          float* gx = gx_base + (b * nodes + static_cast<size_t>(r)) * in;
-          for (size_t i = 0; i < in; ++i) gx[i] += g[2 * in + i];
-        }
+  ctx_->ParallelFor(0, structure.num_trees(), 1, [&](size_t t0, size_t t1) {
+    for (size_t r = structure.offsets[t0]; r < structure.offsets[t1]; ++r) {
+      const float* g = gxp + r * kc;
+      float* gx_self = gx_base + r * in;
+      for (size_t i = 0; i < in; ++i) gx_self[i] += g[i];
+      const int l = structure.left[r];
+      if (l >= 0) {
+        float* gx = gx_base + static_cast<size_t>(l) * in;
+        for (size_t i = 0; i < in; ++i) gx[i] += g[in + i];
+      }
+      const int rc = structure.right[r];
+      if (rc >= 0) {
+        float* gx = gx_base + static_cast<size_t>(rc) * in;
+        for (size_t i = 0; i < in; ++i) gx[i] += g[2 * in + i];
       }
     }
   });
-  return grad_input_;
 }
 
 std::vector<ParamRef> TreeConvLayer::Params() {
@@ -323,33 +318,40 @@ size_t TreeConvLayer::NumParameters() {
 
 Tensor& MaskedDynamicPooling::Forward(const Tensor& features,
                                       const TreeStructure& structure) {
-  PRESTROID_CHECK_EQ(features.rank(), 3u);
-  const size_t batch = features.dim(0);
-  const size_t nodes = features.dim(1);
-  const size_t dims = features.dim(2);
-  PRESTROID_CHECK_EQ(structure.batch_size(), batch);
-  input_shape_ = features.shape();
-  argmax_.assign(batch * dims, -1);
+  LayerTimer timer(ctx_, LayerKind::kPooling, /*backward=*/false);
+  PRESTROID_CHECK_EQ(features.rank(), 2u);
+  PRESTROID_CHECK_EQ(features.dim(0), structure.num_rows());
+  const size_t trees = structure.num_trees();
+  const size_t dims = features.dim(1);
+  rows_ = structure.num_rows();
+  argmax_.assign(trees * dims, -1);
 
-  output_.ResetShape({batch, dims});
-  output_.Fill(0.0f);
-  ctx_->ParallelFor(0, batch, 8, [&](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
+  output_.ResetShape({trees, dims});
+  ctx_->ParallelFor(0, trees, 8, [&](size_t t0, size_t t1) {
+    for (size_t t = t0; t < t1; ++t) {
+      // Row-outer walk over the tree's range; the output row holds the
+      // running maxima. Per feature this is the same strict-> scan in row
+      // order as a per-feature loop, so ties and NaN resolve identically.
+      float* best = output_.data() + t * dims;
+      int* best_row = argmax_.data() + t * dims;
       for (size_t d = 0; d < dims; ++d) {
-        float best = -std::numeric_limits<float>::infinity();
-        int best_n = -1;
-        for (size_t n = 0; n < nodes; ++n) {
-          if (structure.mask[b][n] == 0.0f) continue;
-          float v = features.At(b, n, d);
-          if (v > best) {
-            best = v;
-            best_n = static_cast<int>(n);
+        best[d] = -std::numeric_limits<float>::infinity();
+      }
+      for (size_t r = structure.offsets[t]; r < structure.offsets[t + 1];
+           ++r) {
+        if (structure.mask[r] == 0.0f) continue;
+        const float* row = features.data() + r * dims;
+        for (size_t d = 0; d < dims; ++d) {
+          if (row[d] > best[d]) {
+            best[d] = row[d];
+            best_row[d] = static_cast<int>(r);
           }
         }
-        if (best_n >= 0) {
-          output_.At(b, d) = best;
-          argmax_[b * dims + d] = best_n;
-        }  // else: fully-masked tree pools to zero.
+      }
+      // A feature no voting row beat (none voted, or all -inf/NaN) pools
+      // to zero.
+      for (size_t d = 0; d < dims; ++d) {
+        if (best_row[d] < 0) best[d] = 0.0f;
       }
     }
   });
@@ -357,19 +359,20 @@ Tensor& MaskedDynamicPooling::Forward(const Tensor& features,
 }
 
 Tensor& MaskedDynamicPooling::Backward(const Tensor& grad_output) {
-  const size_t batch = input_shape_[0];
-  const size_t dims = input_shape_[2];
-  PRESTROID_CHECK_EQ(grad_output.dim(0), batch);
-  PRESTROID_CHECK_EQ(grad_output.dim(1), dims);
-  grad_input_.ResetShape(input_shape_);
+  LayerTimer timer(ctx_, LayerKind::kPooling, /*backward=*/true);
+  PRESTROID_CHECK_EQ(grad_output.rank(), 2u);
+  const size_t trees = grad_output.dim(0);
+  const size_t dims = grad_output.dim(1);
+  PRESTROID_CHECK_EQ(argmax_.size(), trees * dims);
+  grad_input_.ResetShape({rows_, dims});
   grad_input_.Fill(0.0f);
-  ctx_->ParallelFor(0, batch, 8, [&](size_t b0, size_t b1) {
-    for (size_t b = b0; b < b1; ++b) {
+  const float* g = grad_output.data();
+  float* gi = grad_input_.data();
+  ctx_->ParallelFor(0, trees, 8, [&](size_t t0, size_t t1) {
+    for (size_t t = t0; t < t1; ++t) {
       for (size_t d = 0; d < dims; ++d) {
-        int n = argmax_[b * dims + d];
-        if (n >= 0) {
-          grad_input_.At(b, static_cast<size_t>(n), d) = grad_output.At(b, d);
-        }
+        const int r = argmax_[t * dims + d];
+        if (r >= 0) gi[static_cast<size_t>(r) * dims + d] = g[t * dims + d];
       }
     }
   });

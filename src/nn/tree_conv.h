@@ -10,50 +10,62 @@
 
 namespace prestroid {
 
-/// Structural view of a batch of binary trees laid out as node slots.
+/// Structural view of a batch of binary trees in the ragged row layout.
 ///
-/// Each tree in the batch is padded to the same `max_nodes` slot count (this
-/// is exactly the 0-padding the paper studies; see FootprintOfBatch in
-/// cloud/footprint.h for the byte accounting). Slot 0 is conventionally the
-/// root. `left[b][i]` / `right[b][i]` give the slot index of node i's children
-/// within tree b, or -1 for a null child (the Ø nodes of the O-T-P re-cast).
-/// Padding slots are never reachable as children of real nodes.
+/// Every real plan node of the batch is one row of the feature matrix
+/// [rows, F]; tree t owns the contiguous rows [offsets[t], offsets[t+1]),
+/// root first. Absent trees (a query with fewer than K sub-trees) own an
+/// empty range. `left[r]` / `right[r]` give the *batch* row of row r's
+/// children, or -1 for a null child (the Ø nodes of the O-T-P re-cast); a
+/// child always lies inside its parent's tree range, which is what lets the
+/// layers below parallelize over trees. No padding rows exist: the paper's
+/// 0-padding to N nodes per tree is the accounting rule behind the footprint
+/// figures (cloud/footprint.h, SubtreeModel::InputBytesPerBatch), not the
+/// execution layout.
 struct TreeStructure {
-  std::vector<std::vector<int>> left;
-  std::vector<std::vector<int>> right;
-  /// 1.0 for slots holding real nodes, 0.0 for padding. Also used to carry
-  /// the sub-tree *votes* of Algorithm 1 (a vote of 0 masks the node out of
-  /// dynamic pooling even though it is a real node).
-  std::vector<std::vector<float>> mask;
+  std::vector<size_t> offsets;  // [trees + 1], offsets[0] == 0
+  std::vector<int> left;        // [rows]
+  std::vector<int> right;       // [rows]
+  /// The sub-tree *votes* of Algorithm 1, one per row: a vote of 0 masks a
+  /// real node out of dynamic pooling.
+  std::vector<float> mask;      // [rows]
 
-  size_t batch_size() const { return left.size(); }
-  size_t max_nodes() const { return left.empty() ? 0 : left[0].size(); }
+  size_t num_trees() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  size_t num_rows() const { return left.size(); }
 };
 
 /// Tree convolution with triangular kernels (Mou et al. 2016), the
-/// parent/left-child/right-child sliding window used by Neo and Prestroid:
+/// parent/left-child/right-child sliding window used by Neo and Prestroid,
+/// with the ReLU that follows it in every Prestroid trunk fused in:
 ///
-///   out[b,i] = act_in * W_self + x[left(i)] * W_left + x[right(i)] * W_right + bias
+///   out[r] = max(0, x[r] W_self + x[left(r)] W_left + x[right(r)] W_right + b)
 ///
-/// Null children contribute zero. Input [batch, max_nodes, in] ->
-/// output [batch, max_nodes, out]. The structure is passed per batch and must
-/// stay alive until Backward() completes.
+/// Null children contribute zero. Input [rows, in] -> output [rows, out]
+/// over the ragged rows of a TreeStructure (an input of any rank whose
+/// leading dims multiply to `rows`, e.g. [trees, nodes, in] for equal-sized
+/// trees, is read as [rows, in]; so is a gradient). Forward keeps pointers to its
+/// input and structure instead of copying them, so both must stay alive and
+/// unmodified until Backward() completes. Backward masks the incoming
+/// gradient by output > 0 (the ReLU derivative).
 ///
 /// Two implementations, selected by the context's kernel backend:
 ///
 ///  - scalar: the historical per-node loops, kept verbatim as the bit-exact
-///    reproducibility baseline. Forward parallelizes over trees (disjoint
-///    output rows, per-element float order unchanged); Backward parallelizes
-///    over trees with per-chunk scratch weight-gradient accumulators reduced
-///    in ascending chunk order.
-///  - blocked: an im2col-style lowering. Each node's (self, left, right)
-///    window is gathered into a packed [batch*nodes, 3*in] matrix (zeros for
-///    null children), the three position kernels are stacked into one
-///    [3*in, out] operand, and the whole convolution becomes a single
-///    fused-bias GEMM; Backward likewise reduces to two GEMMs (weight
-///    gradients via A^T B over the packed windows, input gradients via
-///    g W^T scattered back through the window map). Agrees with scalar to
-///    ~1e-5 relative (DESIGN.md §5.3).
+///    reproducibility baseline, followed by max(0, .) per element. Forward
+///    parallelizes over trees (disjoint output rows, per-element float order
+///    unchanged); Backward parallelizes over trees with per-chunk scratch
+///    weight-gradient accumulators reduced in ascending chunk order.
+///  - blocked: an im2col-style lowering. Each row's (self, left, right)
+///    window is gathered into a packed [rows, 3*in] matrix (zeros for null
+///    children), the three position kernels are stacked into one
+///    [3*in, out] operand, and the whole convolution becomes a single GEMM
+///    with a fused bias+ReLU epilogue; Backward likewise reduces to two
+///    GEMMs (weight gradients via A^T B over the packed windows, input
+///    gradients via g W^T scattered back through the window map). Agrees
+///    with scalar to ~1e-5 relative (DESIGN.md §5.3).
+///
+/// A row's result depends only on its own window, never on which other rows
+/// share the batch, so a plan's answer is the same alone or batched.
 /// Freezable (nn/layer.h): FreezeWeights stacks the three position kernels
 /// into the im2col operand [3*in, out] and packs it into a ResidentWeights,
 /// after which Forward always takes the im2col lowering (gather + resident
@@ -91,12 +103,12 @@ class TreeConvLayer : public FreezableLayer {
  private:
   /// Blocked-path helpers: gather (self, left, right) windows into
   /// packed_input_ and stack the position kernels into wcat_.
-  void GatherWindows(const TreeStructure& structure);
+  void GatherWindows();
   void StackWeights();
 
-  Tensor& ForwardBlocked(const TreeStructure& structure);
-  Tensor& BackwardBlocked(const Tensor& grad_output,
-                          const TreeStructure& structure);
+  void ForwardScalar();
+  void BackwardScalar();
+  void BackwardBlocked();
 
   size_t in_features_;
   size_t out_features_;
@@ -104,27 +116,29 @@ class TreeConvLayer : public FreezableLayer {
   Tensor bias_;                       // [out]
   Tensor w_self_grad_, w_left_grad_, w_right_grad_;
   Tensor bias_grad_;
-  Tensor input_cache_;
-  const TreeStructure* structure_cache_ = nullptr;
+  // The last Forward's operands, borrowed until Backward.
+  const Tensor* input_ = nullptr;
+  const TreeStructure* structure_ = nullptr;
   ExecutionContext* ctx_ = ExecutionContext::Serial();
-  Tensor output_;
+  Tensor output_;     // [rows, out], post-ReLU
+  Tensor grad_pre_;   // [rows, out] gradient masked by output_ > 0
   Tensor grad_input_;
   // Blocked-path workspaces (empty until the blocked backend runs; reused
   // across batches once warm).
-  Tensor packed_input_;  // [batch*nodes, 3*in] gathered windows
+  Tensor packed_input_;  // [rows, 3*in] gathered windows
   Tensor wcat_;          // [3*in, out] stacked (self, left, right) kernels
-  Tensor gy2d_;          // [batch*nodes, out] 2-D copy of grad_output
   Tensor wgcat_;         // [3*in, out] stacked weight gradients
-  Tensor gxp_;           // [batch*nodes, 3*in] window-space input gradients
+  Tensor gxp_;           // [rows, 3*in] window-space input gradients
   Tensor bias_tmp_;      // [out] per-call bias-gradient accumulator
   // Frozen serving weights: the packed wcat_ operand (null while thawed).
   std::unique_ptr<ResidentWeights> resident_;
 };
 
 /// One-way dynamic pooling with vote bit-masking (paper Section 4.1):
-/// elementwise max over the node axis restricted to slots whose mask/vote is
-/// nonzero. [batch, max_nodes, features] -> [batch, features]. Trees whose
-/// mask is entirely zero pool to the zero vector.
+/// elementwise max over each tree's rows restricted to rows whose vote is
+/// nonzero. [rows, features] -> [trees, features]. A tree with no voting row
+/// (or no rows at all) pools to the zero vector. Ties keep the first row
+/// (strict >), and NaN never wins.
 class MaskedDynamicPooling {
  public:
   Tensor& Forward(const Tensor& features, const TreeStructure& structure);
@@ -135,8 +149,8 @@ class MaskedDynamicPooling {
   }
 
  private:
-  std::vector<int> argmax_;  // [batch*features] node index of max, -1 if none
-  std::vector<size_t> input_shape_;
+  std::vector<int> argmax_;  // [trees*features] batch row of max, -1 if none
+  size_t rows_ = 0;
   ExecutionContext* ctx_ = ExecutionContext::Serial();
   Tensor output_;
   Tensor grad_input_;

@@ -303,10 +303,12 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
   // arena (rewound, not freed, between batches).
   constexpr size_t kNoRow = static_cast<size_t>(-1);
   arena_.Reset();
-  double* remaining_ms = arena_.AllocateArray<double>(batch.size());
+  double* deadline_ms = arena_.AllocateArray<double>(batch.size());
   // The forward row each request reads its answer from (kNoRow: resolved).
   size_t* row_of = arena_.AllocateArray<size_t>(batch.size());
   uint64_t* row_fingerprint = arena_.AllocateArray<uint64_t>(batch.size());
+  // Per forward row: the time its plan took to featurize.
+  double* row_featurize_ms = arena_.AllocateArray<double>(batch.size());
   size_t rows = 0;
   std::vector<core::PlanFeatures> features;
   features.reserve(batch.size());
@@ -316,13 +318,13 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
     PendingRequest& request = batch[i];
     row_of[i] = kNoRow;
     estimator_->CountRequest();
-    const double deadline = request.deadline_ms > 0.0
-                                ? request.deadline_ms
-                                : estimator_->limits().default_deadline_ms;
-    remaining_ms[i] = deadline - ElapsedMs(request.enqueue_time);
+    deadline_ms[i] = request.deadline_ms > 0.0
+                         ? request.deadline_ms
+                         : estimator_->limits().default_deadline_ms;
     plan_stats[i] = plan::ComputePlanStats(*request.plan);
 
-    Status admit = estimator_->AdmitModelTier(plan_stats[i], remaining_ms[i]);
+    Status admit = estimator_->AdmitModelTier(
+        plan_stats[i], deadline_ms[i] - ElapsedMs(request.enqueue_time));
     if (!admit.ok()) {
       resolve(i, estimator_->EstimateFallback(plan_stats[i], std::move(admit),
                                               request.enqueue_time));
@@ -339,7 +341,7 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
     if (cached.has_value()) {
       ++batch_cache_hits_;
       resolve(i, estimator_->FinishModelEstimate(
-                     *cached, ElapsedMs(request.enqueue_time)));
+                     *cached, ElapsedMs(request.enqueue_time), deadline_ms[i]));
       continue;
     }
     // A duplicate of a plan already featurized in this batch shares its row.
@@ -351,6 +353,7 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
       continue;
     }
     ++featurizations_;
+    const auto featurize_start = std::chrono::steady_clock::now();
     Result<core::PlanFeatures> fresh = pipeline->FeaturizePlan(*request.plan);
     if (!fresh.ok()) {
       estimator_->NoteModelFailure();
@@ -359,6 +362,7 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
       continue;
     }
     features.push_back(std::move(*fresh));
+    row_featurize_ms[rows] = ElapsedMs(featurize_start);
     row_fingerprint[rows] = request.fingerprint;
     row_of[i] = rows++;
   }
@@ -371,8 +375,13 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
     const auto forward_start = std::chrono::steady_clock::now();
     const std::vector<double> predicted =
         pipeline->PredictFeaturized(feature_ptrs);
-    const double per_row_ms =
+    const double per_row_forward_ms =
         ElapsedMs(forward_start) / static_cast<double>(rows);
+    // The latency EWMA learns what one more model row costs: its
+    // featurization plus its share of the fused forward.
+    for (size_t r = 0; r < rows; ++r) {
+      estimator_->UpdateModelLatency(row_featurize_ms[r] + per_row_forward_ms);
+    }
 
     // Cache before resolving, so a caller that resubmits the moment its
     // future is ready already hits.
@@ -388,10 +397,12 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
     for (size_t i = 0; i < batch.size(); ++i) {
       if (row_of[i] == kNoRow) continue;
       const double answer = predicted[row_of[i]];
-      estimator_->UpdateModelLatency(per_row_ms, remaining_ms[i]);
       if (std::isfinite(answer)) {
+        // A miss is judged on the whole request latency, queue wait and the
+        // rest of the batch included.
         resolve(i, estimator_->FinishModelEstimate(
-                       answer, ElapsedMs(batch[i].enqueue_time)));
+                       answer, ElapsedMs(batch[i].enqueue_time),
+                       deadline_ms[i]));
       } else {
         estimator_->NoteModelFailure();
         resolve(i, estimator_->EstimateFallback(

@@ -1,6 +1,7 @@
 #ifndef PRESTROID_TENSOR_EXECUTION_CONTEXT_H_
 #define PRESTROID_TENSOR_EXECUTION_CONTEXT_H_
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -14,6 +15,18 @@
 
 namespace prestroid {
 
+/// Model stages whose wall clock ExecStats tracks per direction. The loss's
+/// "forward" is its value and its "backward" the gradient; the optimizer
+/// only runs backward (the parameter update).
+enum class LayerKind {
+  kTreeConv,
+  kPooling,
+  kDenseHead,
+  kLoss,
+  kOptimizer,
+};
+inline constexpr size_t kNumLayerKinds = 5;
+
 /// Cumulative per-context execution counters. Monotonic except through
 /// ResetStats; cheap enough to leave on unconditionally.
 struct ExecStats {
@@ -26,6 +39,16 @@ struct ExecStats {
   uint64_t scratch_bytes_allocated = 0;
   /// High-water mark of simultaneously checked-out scratch bytes.
   uint64_t peak_scratch_bytes = 0;
+  /// Wall-clock nanoseconds spent per LayerKind, indexed by the enum value.
+  uint64_t forward_ns[kNumLayerKinds] = {};
+  uint64_t backward_ns[kNumLayerKinds] = {};
+
+  uint64_t forward_ns_of(LayerKind kind) const {
+    return forward_ns[static_cast<size_t>(kind)];
+  }
+  uint64_t backward_ns_of(LayerKind kind) const {
+    return backward_ns[static_cast<size_t>(kind)];
+  }
 };
 
 /// Shared execution state threaded through the numeric stack: a thread pool
@@ -82,6 +105,10 @@ class ExecutionContext {
   void ResetStats() { stats_ = ExecStats{}; }
   void AddFlops(uint64_t flops) { stats_.flops += flops; }
   void AddOp() { ++stats_.op_invocations; }
+  void AddLayerNanos(LayerKind kind, bool backward, uint64_t ns) {
+    (backward ? stats_.backward_ns : stats_.forward_ns)[static_cast<size_t>(
+        kind)] += ns;
+  }
 
   /// Process-wide serial (1-thread) context for layers that were never bound
   /// to a pipeline context. Its stats are shared; callers that care about
@@ -94,6 +121,35 @@ class ExecutionContext {
   std::vector<Tensor> free_scratch_;
   uint64_t live_scratch_bytes_ = 0;
   ExecStats stats_;
+};
+
+/// Adds the wall clock of its scope to `ctx`'s per-layer counters (launching
+/// thread only, like every counter). A null context records nothing.
+class LayerTimer {
+ public:
+  LayerTimer(ExecutionContext* ctx, LayerKind kind, bool backward)
+      : ctx_(ctx),
+        kind_(kind),
+        backward_(backward),
+        start_(std::chrono::steady_clock::now()) {}
+  ~LayerTimer() {
+    if (ctx_ == nullptr) return;
+    const auto elapsed = std::chrono::steady_clock::now() - start_;
+    ctx_->AddLayerNanos(
+        kind_, backward_,
+        static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                .count()));
+  }
+
+  LayerTimer(const LayerTimer&) = delete;
+  LayerTimer& operator=(const LayerTimer&) = delete;
+
+ private:
+  ExecutionContext* ctx_;
+  LayerKind kind_;
+  bool backward_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace prestroid

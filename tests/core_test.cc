@@ -577,5 +577,118 @@ TEST(SubtreeModelTest, FullTreePaddingTracksLargestTree) {
   EXPECT_NO_FATAL_FAILURE(model.TrainEpoch({0, 1, 2}, 2));
 }
 
+/// A random tree of `nodes` nodes: node i's children are 2i+1 / 2i+2 when
+/// they exist, every node votes except (sometimes) the last.
+TreeFeatures RandomTree(size_t nodes, size_t feature_dim, Rng* rng) {
+  TreeFeatures tree;
+  tree.features = Tensor::Random({nodes, feature_dim}, rng);
+  tree.left.assign(nodes, -1);
+  tree.right.assign(nodes, -1);
+  for (size_t i = 0; 2 * i + 1 < nodes; ++i) {
+    tree.left[i] = static_cast<int>(2 * i + 1);
+    if (2 * i + 2 < nodes) tree.right[i] = static_cast<int>(2 * i + 2);
+  }
+  tree.votes.assign(nodes, 1.0f);
+  if (nodes > 2 && nodes % 2 == 0) tree.votes[nodes - 1] = 0.0f;
+  return tree;
+}
+
+SubtreeModelConfig RaggedTestConfig(size_t node_limit, size_t num_subtrees) {
+  SubtreeModelConfig config;
+  config.feature_dim = 6;
+  config.node_limit = node_limit;
+  config.num_subtrees = num_subtrees;
+  config.conv_channels = {8, 8, 8};
+  config.dense_units = {8};
+  config.dropout = 0.0f;
+  config.seed = 5;
+  return config;
+}
+
+TEST(SubtreeModelTest, RowAnswerIndependentOfBatchNeighbours) {
+  // Queries of every shape: full K trees, fewer than K, one single-node
+  // tree, and mixed tree sizes up to N.
+  const size_t k = 4;
+  Rng rng(61);
+  std::vector<std::vector<TreeFeatures>> queries;
+  for (const std::vector<size_t>& sizes :
+       std::vector<std::vector<size_t>>{{7, 3, 7, 5},
+                                        {1},
+                                        {2, 7},
+                                        {4, 6, 1},
+                                        {7, 7, 7, 7},
+                                        {3}}) {
+    std::vector<TreeFeatures> trees;
+    for (size_t n : sizes) trees.push_back(RandomTree(n, 6, &rng));
+    queries.push_back(std::move(trees));
+  }
+  for (KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kBlocked}) {
+    for (bool frozen : {false, true}) {
+      SubtreeModel model(RaggedTestConfig(7, k));
+      ExecutionContext ctx(1);
+      ctx.set_kernel(backend);
+      model.SetExecutionContext(&ctx);
+      // A little training moves batch-norm statistics off their defaults.
+      for (size_t i = 0; i < queries.size(); ++i) {
+        model.AddSample(queries[i], 0.1f * static_cast<float>(i + 1));
+      }
+      model.TrainEpoch({0, 1, 2, 3, 4, 5}, 3);
+      std::vector<FreezableLayer*> layers;
+      model.CollectFreezableLayers(&layers);
+      if (frozen) {
+        for (FreezableLayer* layer : layers) layer->FreezeWeights();
+      }
+      std::vector<SubtreeModel::Row> all;
+      for (const auto& trees : queries) all.push_back(&trees);
+      const std::vector<float> batched = model.PredictBorrowed(all);
+      // Reversed order puts each query beside different neighbours.
+      const std::vector<SubtreeModel::Row> reversed(all.rbegin(), all.rend());
+      const std::vector<float> backwards = model.PredictBorrowed(reversed);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const float alone = model.PredictBorrowed({all[i]})[0];
+        EXPECT_EQ(batched[i], alone)
+            << KernelBackendName(backend) << " frozen=" << frozen
+            << " query " << i;
+        EXPECT_EQ(backwards[queries.size() - 1 - i], alone) << "query " << i;
+      }
+    }
+  }
+}
+
+TEST(SubtreeModelTest, FullTreeServesPlanLargerThanEveryTrainingPlan) {
+  // K = 1, N = 5 (the largest training tree); the served 13-node plan is a
+  // longer row range, answered the same alone and batched.
+  Rng rng(62);
+  SubtreeModel model(RaggedTestConfig(5, 1));
+  for (size_t n : {3u, 5u, 4u, 5u}) {
+    model.AddSample({RandomTree(n, 6, &rng)}, 0.1f * static_cast<float>(n));
+  }
+  model.TrainEpoch({0, 1, 2, 3}, 2);
+  const std::vector<TreeFeatures> big = {RandomTree(13, 6, &rng)};
+  const std::vector<TreeFeatures> small = {RandomTree(2, 6, &rng)};
+  const std::vector<TreeFeatures> mid = {RandomTree(5, 6, &rng)};
+  const float alone = model.PredictBorrowed({&big})[0];
+  const std::vector<float> batched =
+      model.PredictBorrowed({&small, &big, &mid});
+  EXPECT_EQ(batched[1], alone);
+  EXPECT_EQ(batched[0], model.PredictBorrowed({&small})[0]);
+  EXPECT_EQ(batched[2], model.PredictBorrowed({&mid})[0]);
+}
+
+TEST(SubtreeModelDeathTest, ChildOutsideItsTreeFailsAssembly) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(63);
+  SubtreeModel model(RaggedTestConfig(7, 2));
+  // Local index 3 in a 3-node tree would name the next tree's first row in
+  // the flat batch layout.
+  std::vector<TreeFeatures> trees = {RandomTree(3, 6, &rng),
+                                     RandomTree(4, 6, &rng)};
+  trees[0].right[1] = 3;
+  EXPECT_DEATH(model.PredictBorrowed({&trees}), "outside its tree");
+  trees[0].right[1] = -2;
+  EXPECT_DEATH(model.PredictBorrowed({&trees}), "outside its tree");
+}
+
 }  // namespace
 }  // namespace prestroid::core

@@ -127,14 +127,16 @@ TEST(GradientCheck, Conv1d) {
 TEST(GradientCheck, TreeConv) {
   Rng rng(106);
   TreeConvLayer conv(3, 4, &rng);
-  // Two trees: a 5-node tree and a 3-node chain, padded to 5 slots.
+  // Two trees in ragged rows: a 5-node tree (rows 0-4) and a 3-node chain
+  // (rows 5-7).
   TreeStructure structure;
-  structure.left = {{1, 3, -1, -1, -1}, {1, 2, -1, -1, -1}};
-  structure.right = {{2, 4, -1, -1, -1}, {-1, -1, -1, -1, -1}};
-  structure.mask = {{1, 1, 1, 1, 1}, {1, 1, 1, 0, 0}};
-  Tensor input = Tensor::Random({2, 5, 3}, &rng);
+  structure.offsets = {0, 5, 8};
+  structure.left = {1, 3, -1, -1, -1, 6, 7, -1};
+  structure.right = {2, 4, -1, -1, -1, -1, -1, -1};
+  structure.mask = {1, 1, 1, 1, 1, 1, 1, 1};
+  Tensor input = Tensor::Random({8, 3}, &rng);
 
-  Tensor seed = Tensor::Random({2, 5, 4}, &rng, 0.5f, 1.5f);
+  Tensor seed = Tensor::Random({8, 4}, &rng, 0.5f, 1.5f);
   auto loss_fn = [&](const Tensor& x) {
     Tensor out = conv.Forward(x, structure);
     double total = 0.0;
@@ -175,10 +177,11 @@ TEST(GradientCheck, MaskedDynamicPooling) {
   Rng rng(107);
   MaskedDynamicPooling pooling;
   TreeStructure structure;
-  structure.left = {{-1, -1, -1}};
-  structure.right = {{-1, -1, -1}};
-  structure.mask = {{1, 1, 0}};
-  Tensor input = Tensor::Random({1, 3, 2}, &rng);
+  structure.offsets = {0, 3};
+  structure.left = {-1, -1, -1};
+  structure.right = {-1, -1, -1};
+  structure.mask = {1, 1, 0};
+  Tensor input = Tensor::Random({3, 2}, &rng);
   Tensor seed({1, 2}, {1.0f, 2.0f});
 
   pooling.Forward(input, structure);

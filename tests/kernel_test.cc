@@ -293,17 +293,20 @@ TEST(LayerParityTest, DenseForwardBackwardAcrossBackends) {
   }
 }
 
+/// `batch` trees of `nodes` rows each, in the ragged row layout.
 TreeStructure MakeTreeStructure(size_t batch, size_t nodes) {
   TreeStructure s;
-  s.left.assign(batch, std::vector<int>(nodes, -1));
-  s.right.assign(batch, std::vector<int>(nodes, -1));
-  s.mask.assign(batch, std::vector<float>(nodes, 1.0f));
+  s.left.assign(batch * nodes, -1);
+  s.right.assign(batch * nodes, -1);
+  s.mask.assign(batch * nodes, 1.0f);
+  for (size_t b = 0; b <= batch; ++b) s.offsets.push_back(b * nodes);
   for (size_t b = 0; b < batch; ++b) {
+    const int base = static_cast<int>(b * nodes);
     for (size_t i = 0; 2 * i + 1 < nodes; ++i) {
-      s.left[b][i] = static_cast<int>(2 * i + 1);
+      s.left[b * nodes + i] = base + static_cast<int>(2 * i + 1);
       // Leave some right children null so the zero-window path is covered.
       if (2 * i + 2 < nodes && (i + b) % 3 != 0) {
-        s.right[b][i] = static_cast<int>(2 * i + 2);
+        s.right[b * nodes + i] = base + static_cast<int>(2 * i + 2);
       }
     }
   }

@@ -178,18 +178,20 @@ TEST(TreeConvTest, NullChildrenContributeNothing) {
   Rng rng(10);
   TreeConvLayer conv(2, 3, &rng);
   TreeStructure structure;
-  structure.left = {{-1}};
-  structure.right = {{-1}};
-  structure.mask = {{1.0f}};
-  Tensor x({1, 1, 2}, {1.0f, 2.0f});
+  structure.offsets = {0, 1};
+  structure.left = {-1};
+  structure.right = {-1};
+  structure.mask = {1.0f};
+  Tensor x({1, 2}, {1.0f, 2.0f});
   Tensor out = conv.Forward(x, structure);
-  // out = bias + x * w_self only.
-  Tensor expected({1, 1, 3});
+  // out = relu(bias + x * w_self) only.
+  Tensor expected({1, 3});
   auto params = conv.Params();
   Tensor& w_self = *params[0].value;
   Tensor& bias = *params[3].value;
   for (size_t o = 0; o < 3; ++o) {
-    expected.At(0, 0, o) = bias[o] + 1.0f * w_self.At(0, o) + 2.0f * w_self.At(1, o);
+    expected.At(0, o) = std::max(
+        0.0f, bias[o] + 1.0f * w_self.At(0, o) + 2.0f * w_self.At(1, o));
   }
   EXPECT_TRUE(out.AllClose(expected, 1e-5f));
 }
@@ -204,12 +206,13 @@ TEST(TreeConvTest, ChildrenRouteThroughCorrectWeights) {
   params[3].value->Fill(0.0f);  // bias
   // Tree: root(0) with left=1, right=2.
   TreeStructure structure;
-  structure.left = {{1, -1, -1}};
-  structure.right = {{2, -1, -1}};
-  structure.mask = {{1, 1, 1}};
-  Tensor x({1, 3, 1}, {0.0f, 10.0f, 100.0f});
+  structure.offsets = {0, 3};
+  structure.left = {1, -1, -1};
+  structure.right = {2, -1, -1};
+  structure.mask = {1, 1, 1};
+  Tensor x({3, 1}, {0.0f, 10.0f, 100.0f});
   Tensor out = conv.Forward(x, structure);
-  EXPECT_NEAR(out.At(0, 0, 0), 2.0f * 10 + 3.0f * 100, 1e-4f);
+  EXPECT_NEAR(out.At(0, 0), 2.0f * 10 + 3.0f * 100, 1e-4f);
 }
 
 TEST(TreeConvTest, ParamCountMatchesFormula) {
@@ -221,10 +224,11 @@ TEST(TreeConvTest, ParamCountMatchesFormula) {
 TEST(MaskedPoolingTest, RespectsVotes) {
   MaskedDynamicPooling pooling;
   TreeStructure structure;
-  structure.left = {{-1, -1}};
-  structure.right = {{-1, -1}};
-  structure.mask = {{0.0f, 1.0f}};  // only node 1 votes
-  Tensor x({1, 2, 2}, {100, 100, 1, 2});
+  structure.offsets = {0, 2};
+  structure.left = {-1, -1};
+  structure.right = {-1, -1};
+  structure.mask = {0.0f, 1.0f};  // only node 1 votes
+  Tensor x({2, 2}, {100, 100, 1, 2});
   Tensor out = pooling.Forward(x, structure);
   EXPECT_TRUE(out.AllClose(Tensor({1, 2}, {1, 2})));
 }
@@ -232,10 +236,11 @@ TEST(MaskedPoolingTest, RespectsVotes) {
 TEST(MaskedPoolingTest, AllMaskedPoolsToZero) {
   MaskedDynamicPooling pooling;
   TreeStructure structure;
-  structure.left = {{-1}};
-  structure.right = {{-1}};
-  structure.mask = {{0.0f}};
-  Tensor x({1, 1, 3}, {5, 6, 7});
+  structure.offsets = {0, 1};
+  structure.left = {-1};
+  structure.right = {-1};
+  structure.mask = {0.0f};
+  Tensor x({1, 3}, {5, 6, 7});
   Tensor out = pooling.Forward(x, structure);
   EXPECT_TRUE(out.AllClose(Tensor({1, 3})));
   // Backward routes nothing.

@@ -14,7 +14,9 @@
 ///   - multi-producer submission is safe (run under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -30,6 +32,7 @@
 #include "core/pipeline.h"
 #include "cost/serving_estimator.h"
 #include "plan/plan_node.h"
+#include "plan/plan_stats.h"
 #include "plan/plan_text.h"
 #include "plan/planner.h"
 #include "serve/answer_cache.h"
@@ -288,6 +291,80 @@ TEST_F(ServingRuntimeFixture, DeadlineExpiredWhileQueuedDegradesPerItem) {
   const cost::ServingStats stats = runtime.StatsSnapshot();
   EXPECT_GE(stats.deadline_skips, 1u);
   EXPECT_EQ(stats.requests, 2u);
+}
+
+/// Joins clones of the fixture's plans pairwise into one plan of close to
+/// (never over) `max_nodes` nodes.
+plan::PlanNodePtr PlanAtTheNodeLimit(
+    const std::vector<workload::QueryRecord>& records, size_t max_nodes) {
+  std::vector<plan::PlanNodePtr> level;
+  size_t nodes = 0;
+  for (size_t i = 0;; ++i) {
+    plan::PlanNodePtr leaf = records[i % records.size()].plan->Clone();
+    const size_t n = plan::ComputePlanStats(*leaf).node_count;
+    // Each extra leaf also costs one join node.
+    if (nodes + n + level.size() > max_nodes) break;
+    nodes += n;
+    level.push_back(std::move(leaf));
+  }
+  while (level.size() > 1) {
+    std::vector<plan::PlanNodePtr> next;
+    for (size_t i = 0; i + 1 < level.size(); i += 2) {
+      auto join = std::make_unique<plan::PlanNode>();
+      join->type = plan::PlanNodeType::kJoin;
+      join->children.push_back(std::move(level[i]));
+      join->children.push_back(std::move(level[i + 1]));
+      next.push_back(std::move(join));
+    }
+    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
+    level = std::move(next);
+  }
+  return std::move(level[0]);
+}
+
+TEST_F(ServingRuntimeFixture, DeadlineMissCountsTheWholeBatchNotThePerRowForward) {
+  auto estimator = MakeEstimator();
+  const size_t limit = estimator->limits().max_plan_nodes;
+  const plan::PlanNodePtr big = PlanAtTheNodeLimit(*records_, limit);
+  const plan::PlanStats big_stats = plan::ComputePlanStats(*big);
+  ASSERT_LE(big_stats.node_count, limit);
+  ASSERT_GT(big_stats.node_count, limit * 9 / 10);
+  ASSERT_LE(big_stats.max_depth, estimator->limits().max_plan_depth);
+
+  // What featurizing the big plan costs, on an independent copy of the
+  // model.
+  auto reference = core::PrestroidPipeline::LoadFile(*artifact_path_)
+                       .ValueOrDie();
+  double featurize_ms = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(reference->FeaturizePlan(*big).ok());
+    featurize_ms = std::min(
+        featurize_ms, std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+
+  // Both queued before Start, so they share one batch with the small plan
+  // first. Its deadline (half the big plan's featurization) leaves it
+  // admitted, but it resolves only after the big plan featurizes and the
+  // shared forward runs — a miss, although the per-row forward is short.
+  ShardedRuntimeConfig config;
+  config.shard.max_batch = 2;
+  ShardedServingRuntime runtime({estimator.get()}, config);
+  auto small = runtime.Submit(SamplePlan(0), featurize_ms / 2.0);
+  ASSERT_TRUE(small.ok());
+  auto large = runtime.Submit(*big, /*deadline_ms=*/1e9);
+  ASSERT_TRUE(large.ok());
+  ASSERT_TRUE(runtime.Start().ok());
+
+  const cost::ServingEstimate small_estimate = small->get();
+  EXPECT_EQ(small_estimate.tier, cost::ServingTier::kModel)
+      << small_estimate.degradation_reason.ToString();
+  EXPECT_GT(small_estimate.latency_ms, featurize_ms / 2.0);
+  EXPECT_EQ(large->get().tier, cost::ServingTier::kModel);
+  runtime.Shutdown();
+  EXPECT_EQ(runtime.StatsSnapshot().deadline_misses, 1u);
 }
 
 TEST_F(ServingRuntimeFixture, QueueOverflowRejectsWithoutBlocking) {

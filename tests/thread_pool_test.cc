@@ -222,14 +222,17 @@ TEST(ParallelParityTest, TransposeAndElementwiseBitIdentical) {
 
 TEST(ParallelParityTest, TreeConvMatchesSerialWithin1e6) {
   const size_t batch = 13, nodes = 7, in_dim = 6, out_dim = 5;
+  // `batch` ragged trees of `nodes` rows each.
   TreeStructure structure;
-  structure.left.assign(batch, std::vector<int>(nodes, -1));
-  structure.right.assign(batch, std::vector<int>(nodes, -1));
-  structure.mask.assign(batch, std::vector<float>(nodes, 1.0f));
+  structure.left.assign(batch * nodes, -1);
+  structure.right.assign(batch * nodes, -1);
+  structure.mask.assign(batch * nodes, 1.0f);
+  for (size_t b = 0; b <= batch; ++b) structure.offsets.push_back(b * nodes);
   for (size_t b = 0; b < batch; ++b) {
+    const int base = static_cast<int>(b * nodes);
     for (size_t i = 0; 2 * i + 2 < nodes; ++i) {
-      structure.left[b][i] = static_cast<int>(2 * i + 1);
-      structure.right[b][i] = static_cast<int>(2 * i + 2);
+      structure.left[b * nodes + i] = base + static_cast<int>(2 * i + 1);
+      structure.right[b * nodes + i] = base + static_cast<int>(2 * i + 2);
     }
   }
   Rng data_rng(21);
