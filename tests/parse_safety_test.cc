@@ -1,0 +1,427 @@
+// Safety net for the parsing front end (SQL lexer/parser, plan text, trace
+// ingest): round-trip properties over mutated and generated plans, and
+// pinned digests of every parse outcome over the fuzz corpora. A rewrite of
+// any parser must leave each digest unchanged — same AST, same plan tree,
+// same PlanToText, same FingerprintPlan and same StatusCode on every input.
+// Error message text is deliberately not hashed.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "plan/plan_text.h"
+#include "plan/planner.h"
+#include "serve/ingest_fuzz.h"
+#include "serve/plan_fingerprint.h"
+#include "sql/parser.h"
+#include "util/random.h"
+#include "workload/dataset.h"
+#include "workload/schema_generator.h"
+#include "workload/tpcds_templates.h"
+#include "workload/trace.h"
+
+namespace prestroid {
+namespace {
+
+/// FNV-1a over a stream of fields; every field is length- or
+/// width-delimited so adjacent fields cannot alias.
+class Digest {
+ public:
+  void Add(std::string_view bytes) {
+    Add(static_cast<uint64_t>(bytes.size()));
+    for (char c : bytes) Byte(static_cast<unsigned char>(c));
+  }
+  void Add(uint64_t value) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<unsigned char>(value >> (8 * i)));
+  }
+  void AddCode(const Status& status) {
+    Add(static_cast<uint64_t>(status.code()));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Byte(unsigned char b) {
+    hash_ ^= b;
+    hash_ *= 1099511628211ull;
+  }
+  uint64_t hash_ = 1469598103934665603ull;
+};
+
+std::string Hex(uint64_t value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+/// Folds one plan-text parse outcome: status code, and for a parsed plan its
+/// canonical text and fingerprint.
+void AddPlanOutcome(std::string_view text, const plan::PlanLimits& limits,
+                    Digest* digest) {
+  auto parsed = plan::ParsePlanText(std::string(text), limits);
+  digest->AddCode(parsed.status());
+  if (!parsed.ok()) return;
+  digest->Add(plan::PlanToText(**parsed));
+  digest->Add(serve::FingerprintPlan(**parsed));
+}
+
+/// Folds both SQL entry points' outcomes on `input`.
+void AddSqlOutcome(const std::string& input, Digest* digest) {
+  auto select = sql::ParseSelect(input);
+  digest->AddCode(select.status());
+  if (select.ok()) digest->Add((*select)->ToString());
+  auto expr = sql::ParseExpression(input);
+  digest->AddCode(expr.status());
+  if (expr.ok()) digest->Add((*expr)->ToString());
+}
+
+uint64_t PlanFuzzDigest(uint64_t seed_begin, uint64_t seed_end) {
+  const plan::PlanLimits limits;
+  Digest digest;
+  for (uint64_t seed = seed_begin; seed < seed_end; ++seed) {
+    const std::string base = serve::FuzzBasePlanText(seed);
+    AddPlanOutcome(base, limits, &digest);
+    AddPlanOutcome(serve::MutatePlanText(base, seed), limits, &digest);
+  }
+  return digest.value();
+}
+
+// --- Round trips ----------------------------------------------------------
+
+struct TraceCorpus {
+  workload::GeneratedSchema schema;
+  std::vector<workload::QueryRecord> records;
+};
+
+const TraceCorpus& GrabCorpus() {
+  static const TraceCorpus* corpus = [] {
+    auto* out = new TraceCorpus;
+    workload::SchemaGenConfig schema_config;
+    schema_config.num_tables = 30;
+    schema_config.num_days = 30;
+    schema_config.seed = 99;
+    out->schema = workload::GenerateSchema(schema_config);
+    workload::TraceConfig config;
+    config.num_queries = 80;
+    config.num_days = 30;
+    config.seed = 5;
+    out->records = workload::GenerateGrabTrace(out->schema, config).ValueOrDie();
+    return out;
+  }();
+  return *corpus;
+}
+
+const TraceCorpus& TpcdsCorpus() {
+  static const TraceCorpus* corpus = [] {
+    auto* out = new TraceCorpus;
+    out->schema = workload::GenerateTpcdsSchema();
+    workload::TpcdsWorkloadConfig config;
+    config.num_templates = 20;
+    config.num_queries = 60;
+    config.seed = 3;
+    out->records =
+        workload::GenerateTpcdsTrace(out->schema, config).ValueOrDie();
+    return out;
+  }();
+  return *corpus;
+}
+
+/// False for a plan the text form cannot express: a Filter whose predicate
+/// a mutation dropped (PlanToText needs one to print).
+bool HasTextForm(const plan::PlanNode& root) {
+  bool ok = true;
+  plan::VisitPlan(root, [&](const plan::PlanNode& node) {
+    if (node.type == plan::PlanNodeType::kFilter && node.predicate == nullptr) {
+      ok = false;
+    }
+  });
+  return ok;
+}
+
+TEST(ParseRoundTripTest, MutatedPlansAreTextFixedPoints) {
+  // PlanToText . ParsePlanText is the identity on the text of any plan,
+  // including plans MutatePlanField rewrote field by field.
+  const TraceCorpus& grab = GrabCorpus();
+  std::set<std::string> tables;
+  std::set<std::string> columns;
+  for (const workload::QueryRecord& record : grab.records) {
+    plan::VisitPlan(*record.plan, [&](const plan::PlanNode& node) {
+      if (node.type == plan::PlanNodeType::kTableScan) tables.insert(node.table);
+      if (node.predicate == nullptr) return;
+      std::vector<std::pair<std::string, std::string>> refs;
+      plan::CollectColumnRefs(*node.predicate, &refs);
+      for (const auto& ref : refs) columns.insert(ref.second);
+    });
+  }
+  serve::FieldMutationPool pool;
+  pool.tables.assign(tables.begin(), tables.end());
+  pool.columns.assign(columns.begin(), columns.end());
+
+  std::vector<plan::PlanNodePtr> bases;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    bases.push_back(
+        plan::ParsePlanText(serve::FuzzBasePlanText(seed)).ValueOrDie());
+  }
+  for (size_t i = 0; i < 30; ++i) bases.push_back(grab.records[i].plan->Clone());
+
+  size_t mutants = 0;
+  for (size_t b = 0; b < bases.size(); ++b) {
+    for (serve::PlanField field : serve::kAllPlanFields) {
+      for (uint64_t variant = 0; variant < 2; ++variant) {
+        const plan::PlanNodePtr mutant =
+            serve::MutatePlanField(*bases[b], field, b * 2 + variant, pool);
+        if (mutant == nullptr || !HasTextForm(*mutant)) continue;
+        ++mutants;
+        const std::string where = std::string(serve::PlanFieldToString(field)) +
+                                  " on base " + std::to_string(b);
+        const std::string text = plan::PlanToText(*mutant);
+        auto parsed = plan::ParsePlanText(text);
+        ASSERT_TRUE(parsed.ok()) << where << ": " << parsed.status().ToString()
+                                 << "\n" << text;
+        EXPECT_EQ(plan::PlanToText(**parsed), text) << where;
+        auto again = plan::ParsePlanText(plan::PlanToText(**parsed));
+        ASSERT_TRUE(again.ok()) << where;
+        EXPECT_EQ(serve::FingerprintPlan(**again),
+                  serve::FingerprintPlan(**parsed))
+            << where;
+      }
+    }
+  }
+  EXPECT_GT(mutants, 1000u);
+}
+
+void ExpectSqlPlanTextPlanStable(const TraceCorpus& corpus) {
+  plan::Planner planner(&corpus.schema.catalog);
+  for (const workload::QueryRecord& record : corpus.records) {
+    auto stmt = sql::ParseSelect(record.sql);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString() << "\n" << record.sql;
+    // The AST prints back to SQL that parses to the same AST.
+    const std::string canonical = (*stmt)->ToString();
+    auto reparsed = sql::ParseSelect(canonical);
+    ASSERT_TRUE(reparsed.ok()) << canonical;
+    EXPECT_EQ((*reparsed)->ToString(), canonical);
+
+    auto planned = planner.Plan(**stmt);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    const std::string text = plan::PlanToText(**planned);
+    EXPECT_EQ(text, plan::PlanToText(*record.plan)) << record.sql;
+    auto parsed = plan::ParsePlanText(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+    EXPECT_EQ(plan::PlanToText(**parsed), text) << record.sql;
+    EXPECT_EQ(serve::FingerprintPlan(**parsed),
+              serve::FingerprintPlan(**planned))
+        << record.sql;
+  }
+}
+
+TEST(ParseRoundTripTest, GrabSqlToPlanToTextToPlanIsStable) {
+  ExpectSqlPlanTextPlanStable(GrabCorpus());
+}
+
+TEST(ParseRoundTripTest, TpcdsSqlToPlanToTextToPlanIsStable) {
+  ExpectSqlPlanTextPlanStable(TpcdsCorpus());
+}
+
+// --- Pinned parse-outcome digests ----------------------------------------
+//
+// Each digest folds (StatusCode, PlanToText or ToString, FingerprintPlan)
+// of every input of one corpus. The values were recorded with the
+// vector-of-tokens lexer and the line-splitting plan parser; the parsers
+// must reproduce them exactly.
+
+TEST(ParseDigestTest, PlanFuzzMutationSweep) {
+  // The PlanFuzzTest.MutationSweepNeverCrashes corpus.
+  const uint64_t digest = PlanFuzzDigest(0, 256);
+  EXPECT_EQ(Hex(digest), "0x793adba80c7d70e5");
+}
+
+TEST(ParseDigestTest, FuzzIngestSeeds) {
+  // The fuzz_ingest campaign's first thousand seeds.
+  const uint64_t digest = PlanFuzzDigest(0, 1000);
+  EXPECT_EQ(Hex(digest), "0xd3abc10bf2618f3f");
+}
+
+TEST(ParseDigestTest, SqlRandomBytes) {
+  Rng rng(20260806);
+  Digest digest;
+  for (int round = 0; round < 2000; ++round) {
+    const size_t length = static_cast<size_t>(rng.UniformInt(0, 120));
+    std::string input;
+    for (size_t i = 0; i < length; ++i) {
+      input.push_back(static_cast<char>(rng.UniformInt(0, 255)));
+    }
+    AddSqlOutcome(input, &digest);
+  }
+  EXPECT_EQ(Hex(digest.value()), "0xce5f9d0b0ca6a7e8");
+}
+
+TEST(ParseDigestTest, SqlPrintableGarbage) {
+  Rng rng(7);
+  const std::string alphabet =
+      "SELECTFROMWHEREJOINGROUPBYORDER()*,.<>=!'\"%+-/ 0123456789abcxyz_";
+  Digest digest;
+  for (int round = 0; round < 4000; ++round) {
+    const size_t length = static_cast<size_t>(rng.UniformInt(1, 80));
+    std::string input;
+    for (size_t i = 0; i < length; ++i) {
+      input.push_back(
+          alphabet[static_cast<size_t>(rng.UniformInt(0, alphabet.size() - 1))]);
+    }
+    AddSqlOutcome(input, &digest);
+  }
+  EXPECT_EQ(Hex(digest.value()), "0x311293d3d4972980");
+}
+
+TEST(ParseDigestTest, SqlTruncations) {
+  std::vector<std::string> queries = {
+      "SELECT t1.a FROM t1 JOIN t2 ON t1.id = t2.id WHERE t2.v IN (1, 2)",
+      "SELECT COUNT(*) AS n FROM t GROUP BY c HAVING COUNT(*) > 3 LIMIT 7",
+      "SELECT s.c FROM (SELECT a AS c FROM u WHERE a BETWEEN 0 AND 5) AS s",
+      "SELECT a FROM t WHERE NOT (x = 1 OR y LIKE '%z%') AND w IS NULL",
+      "SELECT DISTINCT a.x, -b.y * 2.5e3 AS z FROM t AS a LEFT OUTER JOIN u b "
+      "ON (a.k = b.k AND a.s <> 'it''s') CROSS JOIN v WHERE a.q != .5 ORDER "
+      "BY z DESC, a.x ASC LIMIT 10"};
+  for (size_t i = 0; i < 8; ++i) queries.push_back(GrabCorpus().records[i].sql);
+  for (size_t i = 0; i < 8; ++i) queries.push_back(TpcdsCorpus().records[i].sql);
+  Digest digest;
+  for (const std::string& query : queries) {
+    for (size_t cut = 0; cut <= query.size(); ++cut) {
+      AddSqlOutcome(query.substr(0, cut), &digest);
+      AddSqlOutcome(query.substr(cut), &digest);
+    }
+  }
+  EXPECT_EQ(Hex(digest.value()), "0x0b47a40205c80ed7");
+}
+
+TEST(ParseDigestTest, SqlNesting) {
+  Digest digest;
+  for (int depth = 0; depth <= 260; depth += 7) {
+    const std::string open(static_cast<size_t>(depth), '(');
+    const std::string close(static_cast<size_t>(depth), ')');
+    AddSqlOutcome("SELECT a FROM t WHERE " + open + "x = 1" + close, &digest);
+    AddSqlOutcome(open + "x = 1" + close, &digest);
+    AddSqlOutcome(open + "a + 1" + close + " = 2", &digest);
+    AddSqlOutcome("SELECT " + open + "a" + close + " FROM t", &digest);
+    AddSqlOutcome("SELECT a FROM t WHERE " + open + "x = 1", &digest);
+    std::string nots;
+    for (int i = 0; i < depth; ++i) nots += "NOT ";
+    AddSqlOutcome(nots + "x = 1", &digest);
+    std::string subquery = "SELECT a FROM t";
+    for (int i = 0; i < depth / 7; ++i) {
+      subquery = "SELECT a FROM (" + subquery + ") AS s" + std::to_string(i);
+    }
+    AddSqlOutcome(subquery, &digest);
+  }
+  EXPECT_EQ(Hex(digest.value()), "0x162b917cd72fdcba");
+}
+
+// --- Tolerant ingest on hostile traces -----------------------------------
+
+/// A serialized trace of the first `n` GRAB records with record `i` damaged
+/// by `damage` (applied to that record's serialized text).
+std::string DamagedTrace(size_t n, size_t i,
+                         std::string (*damage)(const std::string&, uint64_t),
+                         uint64_t seed) {
+  const TraceCorpus& grab = GrabCorpus();
+  std::string out;
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<workload::QueryRecord> one;
+    workload::QueryRecord copy;
+    copy.id = grab.records[r].id;
+    copy.day = grab.records[r].day;
+    copy.template_id = grab.records[r].template_id;
+    copy.sql = grab.records[r].sql;
+    copy.plan = grab.records[r].plan->Clone();
+    copy.metrics = grab.records[r].metrics;
+    one.push_back(std::move(copy));
+    const std::string text = workload::SerializeTrace(one);
+    out += r == i ? damage(text, seed) : text;
+  }
+  return out;
+}
+
+std::string ReplacePlan(const std::string& record, uint64_t seed) {
+  const size_t plan = record.find("#PLAN\n");
+  const size_t end = record.find("#END\n");
+  return record.substr(0, plan + 6) +
+         serve::MutatePlanText(serve::FuzzBasePlanText(seed), seed) + "\n" +
+         record.substr(end);
+}
+
+std::string CutRecord(const std::string& record, uint64_t seed) {
+  return record.substr(0, seed % record.size());
+}
+
+std::string BadHeader(const std::string& record, uint64_t seed) {
+  const char* const kHeaders[] = {"#QUERY 1 2\n", "#QUERY x y z 1 2 3\n",
+                                  "#QUERY\n", "#QUERY 1 2 3 nan 1 1\n",
+                                  "#QUERY 1 2 3 -4 1 1\n",
+                                  "#QUERY 1 2 3 inf 1 1\n",
+                                  "#QUERY 1 2 3 4 5 -6\n"};
+  const size_t nl = record.find('\n');
+  return kHeaders[seed % std::size(kHeaders)] + record.substr(nl + 1);
+}
+
+std::string StrayLine(const std::string& record, uint64_t seed) {
+  const char* const kLines[] = {"#SQL stray\n", "#PLAN\n", "#END\n",
+                                "garbage line\n", "#QUERY 1 2 3 4 5 6\n",
+                                "\n\n  \n", "\r\n"};
+  const std::string line = kLines[seed % std::size(kLines)];
+  const size_t at = (seed / 7) % record.size();
+  const size_t nl = record.rfind('\n', at);
+  const size_t cut = nl == std::string::npos ? 0 : nl + 1;
+  return record.substr(0, cut) + line + record.substr(cut);
+}
+
+TEST(ParseDigestTest, TolerantIngestOfHostileTraces) {
+  // Quarantine reasons, counts, the quarantine log's lines and every
+  // accepted record must be unchanged by a parser rewrite.
+  using Damage = std::string (*)(const std::string&, uint64_t);
+  const Damage kDamages[] = {ReplacePlan, CutRecord, BadHeader, StrayLine};
+  const std::string log_path = ::testing::TempDir() + "/parse_safety_q.log";
+  Digest digest;
+  workload::IngestStats totals;
+  for (size_t d = 0; d < std::size(kDamages); ++d) {
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+      const std::string trace =
+          DamagedTrace(6, static_cast<size_t>(seed % 6), kDamages[d], seed);
+      std::remove(log_path.c_str());
+      workload::IngestOptions options;
+      options.quarantine_path = log_path;
+      auto ingested = workload::IngestTraceTolerant(trace, options);
+      ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+      digest.Add(ingested->stats.Summary());
+      for (const workload::QueryRecord& record : ingested->records) {
+        digest.Add(static_cast<uint64_t>(record.id));
+        digest.Add(record.sql);
+        digest.Add(plan::PlanToText(*record.plan));
+      }
+      std::ifstream in(log_path);
+      std::stringstream log;
+      log << in.rdbuf();
+      digest.Add(log.str());
+      digest.AddCode(workload::DeserializeTrace(trace).status());
+      totals.accepted += ingested->stats.accepted;
+      totals.quarantined += ingested->stats.quarantined;
+      for (size_t r = 0; r < totals.by_reason.size(); ++r) {
+        totals.by_reason[r] += ingested->stats.by_reason[r];
+      }
+    }
+  }
+  std::remove(log_path.c_str());
+  EXPECT_EQ(totals.Summary(),
+            "accepted=779 quarantined=147 (malformed-header=51 "
+            "truncated-record=6 malformed-plan=56 over-limit-plan=12 "
+            "nan-label=11 negative-label=11)");
+  EXPECT_EQ(Hex(digest.value()), "0x32e0b0b7a1eaa509");
+}
+
+}  // namespace
+}  // namespace prestroid
