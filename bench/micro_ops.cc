@@ -12,8 +12,10 @@
 // on model-shaped GEMMs and end-to-end tree-convolution forward+backward,
 // plus the per-call-packing blocked GEMM against the resident pre-packed
 // panels at serving shapes and the frozen CLI-shape trunk forward over
-// ragged vs padded served batches (median-of-N with warmup), and writes the
-// machine-readable records plus geomean speedups to <path>
+// ragged vs padded served batches (median-of-N with warmup), plus the
+// parsing front end (plan text, SQL, tolerant trace ingest, and the
+// PlanNode::Clone allocation floor) on the perfbench-shaped trace, and writes
+// the machine-readable records plus geomean speedups to <path>
 // (BENCH_kernels.json).
 #include <benchmark/benchmark.h>
 
@@ -31,6 +33,7 @@
 #include "embed/word2vec.h"
 #include "nn/tree_conv.h"
 #include "otp/otp_tree.h"
+#include "plan/plan_text.h"
 #include "plan/planner.h"
 #include "sql/parser.h"
 #include "subtree/subtree_sampler.h"
@@ -41,7 +44,9 @@
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
 #include "workload/query_generator.h"
+#include "workload/dataset.h"
 #include "workload/schema_generator.h"
+#include "workload/trace.h"
 
 namespace prestroid {
 namespace {
@@ -375,6 +380,84 @@ TreeStructure AdhocServedBatch(size_t batch, bool padded, Rng* rng) {
   return structure;
 }
 
+/// The parsing front end on the perfbench-shaped corpus: the warehouse
+/// schema (seed 7, 40 tables) and a 1200-query GRAB trace at seed 1, the
+/// trace `serve --listen` ingests at startup in perfbench.
+struct FrontEndParseRecord {
+  size_t records = 0;
+  double mean_plan_text_bytes = 0.0;
+  double plan_text_us_per_plan = 0.0;
+  double plan_text_mb_s = 0.0;
+  double sql_us_per_query = 0.0;
+  double ingest_ms = 0.0;
+  double plan_clone_us_per_plan = 0.0;
+};
+
+FrontEndParseRecord MeasureFrontEndParse() {
+  workload::SchemaGenConfig schema_config;
+  schema_config.num_tables = 40;
+  schema_config.num_days = 30;
+  schema_config.seed = 7;
+  const workload::GeneratedSchema schema =
+      workload::GenerateSchema(schema_config);
+  workload::TraceConfig trace_config;
+  trace_config.num_queries = 1200;
+  trace_config.num_days = 30;
+  trace_config.seed = 1;
+  const std::vector<workload::QueryRecord> trace =
+      workload::GenerateGrabTrace(schema, trace_config).ValueOrDie();
+  const std::string serialized = workload::SerializeTrace(trace);
+  std::vector<std::string> plan_texts;
+  size_t plan_bytes = 0;
+  for (const workload::QueryRecord& record : trace) {
+    plan_texts.push_back(plan::PlanToText(*record.plan));
+    plan_bytes += plan_texts.back().size();
+  }
+
+  FrontEndParseRecord rec;
+  rec.records = trace.size();
+  const double n = static_cast<double>(trace.size());
+  rec.mean_plan_text_bytes = static_cast<double>(plan_bytes) / n;
+  const double plan_ns = MedianNs([&] {
+    for (const std::string& text : plan_texts) {
+      benchmark::DoNotOptimize(plan::ParsePlanText(text).ValueOrDie().get());
+    }
+  });
+  rec.plan_text_us_per_plan = plan_ns / n / 1e3;
+  rec.plan_text_mb_s = static_cast<double>(plan_bytes) / (plan_ns / 1e3);
+  rec.sql_us_per_query = MedianNs([&] {
+                           for (const workload::QueryRecord& record : trace) {
+                             benchmark::DoNotOptimize(
+                                 sql::ParseSelect(record.sql).ValueOrDie().get());
+                           }
+                         }) /
+                         n / 1e3;
+  rec.ingest_ms = MedianNs([&] {
+                    auto ingested = workload::IngestTraceTolerant(
+                        serialized, workload::IngestOptions{});
+                    benchmark::DoNotOptimize(ingested->records.data());
+                  }) /
+                  1e6;
+  // The allocation floor: a deep copy builds the same nodes and expressions
+  // a parse must build, with no lexing or parsing at all.
+  rec.plan_clone_us_per_plan = MedianNs([&] {
+                                 for (const workload::QueryRecord& record :
+                                      trace) {
+                                   benchmark::DoNotOptimize(
+                                       record.plan->Clone().get());
+                                 }
+                               }) /
+                               n / 1e3;
+  std::cout << StrFormat(
+      "front_end_parse (%zu records, %.0f B mean plan text): plan text "
+      "%.1f us/plan (%.1f MB/s), SQL %.1f us/query, tolerant ingest %.1f ms, "
+      "PlanNode::Clone %.1f us/plan\n",
+      rec.records, rec.mean_plan_text_bytes, rec.plan_text_us_per_plan,
+      rec.plan_text_mb_s, rec.sql_us_per_query, rec.ingest_ms,
+      rec.plan_clone_us_per_plan);
+  return rec;
+}
+
 }  // namespace
 
 int RunJsonBench(const std::string& path) {
@@ -567,6 +650,8 @@ int RunJsonBench(const std::string& path) {
     }
   }
 
+  const FrontEndParseRecord front_end = MeasureFrontEndParse();
+
   const double gemm_speedup =
       GeomeanSpeedup(records, "gemm", "blocked", "scalar");
   const double conv_speedup =
@@ -610,6 +695,21 @@ int RunJsonBench(const std::string& path) {
                      resident_speedup);
     json.FieldDouble("served_forward_geomean_speedup_ragged_over_padded",
                      ragged_speedup);
+    json.EndObject();
+    json.Key("front_end_parse");
+    json.BeginObject();
+    json.Field("corpus",
+               "GRAB trace: schema seed 7, 40 tables, 1200 queries at seed 1");
+    json.Field("records", front_end.records);
+    json.FieldDouble("mean_plan_text_bytes", front_end.mean_plan_text_bytes,
+                     "%.1f");
+    json.FieldDouble("plan_text_us_per_plan", front_end.plan_text_us_per_plan,
+                     "%.2f");
+    json.FieldDouble("plan_text_mb_s", front_end.plan_text_mb_s, "%.1f");
+    json.FieldDouble("sql_us_per_query", front_end.sql_us_per_query, "%.2f");
+    json.FieldDouble("tolerant_ingest_ms", front_end.ingest_ms, "%.1f");
+    json.FieldDouble("plan_clone_us_per_plan",
+                     front_end.plan_clone_us_per_plan, "%.2f");
     json.EndObject();
     json.EndObject();
   }

@@ -398,12 +398,14 @@ Status HttpServer::Run(int drain_fd) {
                        static_cast<double>(config_.idle_timeout_ms)) {
           // Idle keep-alive reaping: nothing is buffered and nothing is
           // owed, so close silently — a 408 here would desynchronize a
-          // client that is about to send its next request.
+          // client that is about to send its next request. The close is
+          // counted first, so a snapshot that sees the idle close also sees
+          // the connection gone.
+          close_conn();
           {
             std::lock_guard<std::mutex> lock(stats_mu_);
             ++stats_.idle_closes;
           }
-          close_conn();
           continue;
         }
       }

@@ -1,7 +1,9 @@
 #include "plan/plan_text.h"
 
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "sql/parser.h"
 #include "util/string_util.h"
@@ -10,58 +12,85 @@ namespace prestroid::plan {
 
 namespace {
 
-struct ParsedLine {
-  int depth;
-  std::string kind;     // e.g. "Filter"
-  std::string payload;  // bracket contents, may be empty
+/// One plan-text line, cut in place: views into the caller's text.
+struct PlanLine {
+  size_t depth = 0;
+  std::string_view kind;     // e.g. "Filter"
+  std::string_view payload;  // bracket contents, may be empty
 };
 
-Result<ParsedLine> ParseLine(const std::string& line,
-                             const PlanLimits& limits) {
+/// The line-level grammar: byte and depth limits, even indentation (`indent`
+/// leading spaces), the "- " bullet and a closing ']'. Its errors outrank every node-level error
+/// (see ParsePlanText).
+Status CutLine(std::string_view line, size_t indent, const PlanLimits& limits,
+               PlanLine* out) {
   if (line.size() > limits.max_line_bytes) {
     return Status::ResourceExhausted(
         StrFormat("plan line exceeds byte limit (%zu bytes > %zu)",
                   line.size(), limits.max_line_bytes));
   }
-  size_t indent = 0;
-  while (indent < line.size() && line[indent] == ' ') ++indent;
   if (indent % 2 != 0) {
-    return Status::ParseError("odd indentation in plan text: " + line);
+    return Status::ParseError("odd indentation in plan text: " +
+                              std::string(line));
   }
-  // The depth limit also bounds `indent / 2` before the narrowing cast below,
-  // so a gigabyte of leading spaces cannot overflow the int depth.
   if (indent / 2 > limits.max_depth) {
     return Status::ResourceExhausted(
         StrFormat("plan exceeds depth limit (%zu)", limits.max_depth));
   }
-  std::string_view rest = std::string_view(line).substr(indent);
+  std::string_view rest = line.substr(indent);
   if (!StartsWith(rest, "- ")) {
-    return Status::ParseError("expected '- ' bullet in plan text: " + line);
+    return Status::ParseError("expected '- ' bullet in plan text: " +
+                              std::string(line));
   }
   rest = rest.substr(2);
-  ParsedLine out;
-  out.depth = static_cast<int>(indent / 2);
-  size_t bracket = rest.find(" [");
+  out->depth = indent / 2;
+  const size_t bracket = rest.find(" [");
   if (bracket == std::string_view::npos) {
-    out.kind = std::string(Trim(rest));
-  } else {
-    out.kind = std::string(rest.substr(0, bracket));
-    if (!EndsWith(rest, "]")) {
-      return Status::ParseError("missing ']' in plan text: " + line);
-    }
-    out.payload =
-        std::string(rest.substr(bracket + 2, rest.size() - bracket - 3));
+    out->kind = Trim(rest);
+    out->payload = {};
+    return Status::OK();
   }
-  return out;
+  if (!EndsWith(rest, "]")) {
+    return Status::ParseError("missing ']' in plan text: " + std::string(line));
+  }
+  out->kind = rest.substr(0, bracket);
+  out->payload = rest.substr(bracket + 2, rest.size() - bracket - 3);
+  return Status::OK();
 }
 
-Result<PlanNodePtr> NodeFromLine(const ParsedLine& line,
-                                 const PlanLimits& limits) {
+/// Parses each ';'-separated item of `list` (trimmed, empty ones skipped)
+/// into node->expressions. Sort keys also carry an optional " DESC" suffix
+/// into node->sort_descending.
+Status ParseExpressionList(std::string_view list,
+                           const sql::ParseLimits& limits, bool sort_keys,
+                           PlanNode* node) {
+  for (size_t begin = 0;;) {
+    const size_t end = list.find(';', begin);
+    std::string_view item = Trim(list.substr(
+        begin, end == std::string_view::npos ? end : end - begin));
+    if (!item.empty()) {
+      bool desc = false;
+      if (sort_keys && EndsWith(item, " DESC")) {
+        desc = true;
+        item.remove_suffix(5);
+      }
+      auto expr = sql::ParseExpression(item, limits);
+      if (!expr.ok()) return expr.status();
+      node->expressions.push_back(std::move(expr).value());
+      if (sort_keys) node->sort_descending.push_back(desc);
+    }
+    if (end == std::string_view::npos) return Status::OK();
+    begin = end + 1;
+  }
+}
+
+/// Fills `node` from one line's kind and payload.
+Status FillNode(const PlanLine& line, const PlanLimits& limits,
+                PlanNode* node) {
   const sql::ParseLimits expr_limits{limits.max_predicate_tokens,
                                      limits.max_predicate_depth};
-  auto node = std::make_unique<PlanNode>();
-  const std::string& kind = line.kind;
-  const std::string& payload = line.payload;
+  const std::string_view kind = line.kind;
+  const std::string_view payload = line.payload;
   if (kind == "TableScan") {
     node->type = PlanNodeType::kTableScan;
     node->table = payload;
@@ -72,19 +101,14 @@ Result<PlanNodePtr> NodeFromLine(const ParsedLine& line,
     node->predicate = std::move(pred).value();
   } else if (kind == "Project") {
     node->type = PlanNodeType::kProject;
-    for (const std::string& part : Split(payload, ';')) {
-      std::string text(Trim(part));
-      if (text.empty()) continue;
-      auto expr = sql::ParseExpression(text, expr_limits);
-      if (!expr.ok()) return expr.status();
-      node->expressions.push_back(std::move(expr).value());
-    }
+    return ParseExpressionList(payload, expr_limits, false, node);
   } else if (kind == "Join") {
     node->type = PlanNodeType::kJoin;
-    std::string head = payload;
-    std::string cond;
-    size_t colon = payload.find(": ");
-    if (colon != std::string::npos) {
+    node->children.reserve(2);
+    std::string_view head = payload;
+    std::string_view cond;
+    const size_t colon = payload.find(": ");
+    if (colon != std::string_view::npos) {
       head = payload.substr(0, colon);
       cond = payload.substr(colon + 2);
     }
@@ -99,7 +123,7 @@ Result<PlanNodePtr> NodeFromLine(const ParsedLine& line,
     } else if (head == "CROSS") {
       node->join_type = sql::JoinType::kCross;
     } else {
-      return Status::ParseError("unknown join type: " + head);
+      return Status::ParseError("unknown join type: " + std::string(head));
     }
     if (!cond.empty()) {
       auto pred = sql::ParseExpression(cond, expr_limits);
@@ -108,44 +132,32 @@ Result<PlanNodePtr> NodeFromLine(const ParsedLine& line,
     }
   } else if (kind == "Aggregate") {
     node->type = PlanNodeType::kAggregate;
-    size_t bar = payload.find(" | aggs: ");
-    if (bar == std::string::npos || !StartsWith(payload, "keys: ")) {
-      return Status::ParseError("malformed Aggregate payload: " + payload);
+    const size_t bar = payload.find(" | aggs: ");
+    if (bar == std::string_view::npos || !StartsWith(payload, "keys: ")) {
+      return Status::ParseError("malformed Aggregate payload: " +
+                                std::string(payload));
     }
-    std::string keys = payload.substr(6, bar - 6);
-    std::string aggs = payload.substr(bar + 9);
-    for (const std::string& key : Split(keys, ';')) {
-      std::string text(Trim(key));
-      if (!text.empty()) node->group_keys.push_back(text);
+    const std::string_view keys = payload.substr(6, bar - 6);
+    for (size_t begin = 0;;) {
+      const size_t end = keys.find(';', begin);
+      const std::string_view key = Trim(keys.substr(
+          begin, end == std::string_view::npos ? end : end - begin));
+      if (!key.empty()) node->group_keys.emplace_back(key);
+      if (end == std::string_view::npos) break;
+      begin = end + 1;
     }
-    for (const std::string& agg : Split(aggs, ';')) {
-      std::string text(Trim(agg));
-      if (text.empty()) continue;
-      auto expr = sql::ParseExpression(text, expr_limits);
-      if (!expr.ok()) return expr.status();
-      node->expressions.push_back(std::move(expr).value());
-    }
+    return ParseExpressionList(payload.substr(bar + 9), expr_limits, false,
+                               node);
   } else if (kind == "Sort") {
     node->type = PlanNodeType::kSort;
-    for (const std::string& part : Split(payload, ';')) {
-      std::string text(Trim(part));
-      if (text.empty()) continue;
-      bool desc = false;
-      if (EndsWith(text, " DESC")) {
-        desc = true;
-        text = text.substr(0, text.size() - 5);
-      }
-      auto expr = sql::ParseExpression(text, expr_limits);
-      if (!expr.ok()) return expr.status();
-      node->expressions.push_back(std::move(expr).value());
-      node->sort_descending.push_back(desc);
-    }
+    return ParseExpressionList(payload, expr_limits, true, node);
   } else if (kind == "Limit") {
     node->type = PlanNodeType::kLimit;
     // strtoll silently accepts trailing garbage and saturates on overflow;
     // require the payload to be exactly one in-range integer.
     if (!ParseInt64(payload, &node->limit)) {
-      return Status::InvalidArgument("malformed Limit count: " + payload);
+      return Status::InvalidArgument("malformed Limit count: " +
+                                     std::string(payload));
     }
   } else if (kind == "Exchange") {
     node->type = PlanNodeType::kExchange;
@@ -156,14 +168,39 @@ Result<PlanNodePtr> NodeFromLine(const ParsedLine& line,
     } else if (payload == "BROADCAST") {
       node->exchange_kind = ExchangeKind::kBroadcast;
     } else {
-      return Status::ParseError("unknown exchange kind: " + payload);
+      return Status::ParseError("unknown exchange kind: " +
+                                std::string(payload));
     }
   } else if (kind == "Distinct") {
     node->type = PlanNodeType::kDistinct;
   } else {
-    return Status::ParseError("unknown plan node kind: " + kind);
+    return Status::ParseError("unknown plan node kind: " + std::string(kind));
   }
-  return node;
+  return Status::OK();
+}
+
+/// Builds line number `index` (0-based) into the tree: the root for line 0,
+/// else a child of the node one level up the depth-indexed `stack` (the
+/// current root-to-node path).
+Status AttachLine(const PlanLine& line, size_t index, const PlanLimits& limits,
+                  PlanNodePtr* root, std::vector<PlanNode*>* stack) {
+  if (index == 0) {
+    if (line.depth != 0) {
+      return Status::ParseError("plan text must start at depth 0");
+    }
+    *root = std::make_unique<PlanNode>();
+    stack->push_back(root->get());
+    return FillNode(line, limits, root->get());
+  }
+  if (line.depth < 1 || line.depth > stack->size()) {
+    return Status::ParseError(
+        StrFormat("bad indentation at plan line %zu", index));
+  }
+  stack->resize(line.depth);
+  PlanNode* parent = stack->back();
+  parent->children.push_back(std::make_unique<PlanNode>());
+  stack->push_back(parent->children.back().get());
+  return FillNode(line, limits, stack->back());
 }
 
 }  // namespace
@@ -186,53 +223,50 @@ std::string PlanToText(const PlanNode& root) {
   return os.str();
 }
 
-Result<PlanNodePtr> ParsePlanText(const std::string& text) {
-  return ParsePlanText(text, PlanLimits{});
-}
-
-Result<PlanNodePtr> ParsePlanText(const std::string& text,
+Result<PlanNodePtr> ParsePlanText(std::string_view text,
                                   const PlanLimits& limits) {
   if (text.size() > limits.max_plan_bytes) {
     return Status::ResourceExhausted(
         StrFormat("plan text exceeds byte limit (%zu bytes > %zu)",
                   text.size(), limits.max_plan_bytes));
   }
-  std::vector<ParsedLine> lines;
-  for (const std::string& raw : Split(text, '\n')) {
-    if (Trim(raw).empty()) continue;
-    if (lines.size() >= limits.max_nodes) {
-      return Status::ResourceExhausted(
-          StrFormat("plan exceeds node limit (%zu)", limits.max_nodes));
-    }
-    auto line = ParseLine(raw, limits);
-    if (!line.ok()) return line.status();
-    lines.push_back(std::move(line).value());
-  }
-  if (lines.empty()) return Status::ParseError("empty plan text");
-  if (lines[0].depth != 0) {
-    return Status::ParseError("plan text must start at depth 0");
-  }
-
-  // Depth-indexed stack of the current path from the root.
+  // One pass over the lines, building each node as its line is cut. A
+  // line-level error (CutLine, the node limit) returns at once; the first
+  // node-level error (payload, indentation step) is held in `deferred` while
+  // the remaining lines are still cut, because any line-level error outranks
+  // it. The StatusCode is thus the same as if every line were cut before the
+  // first node was built.
+  PlanNodePtr root;
   std::vector<PlanNode*> stack;
-  auto root = NodeFromLine(lines[0], limits);
-  if (!root.ok()) return root.status();
-  PlanNodePtr root_node = std::move(root).value();
-  stack.push_back(root_node.get());
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const ParsedLine& line = lines[i];
-    if (line.depth < 1 || static_cast<size_t>(line.depth) > stack.size()) {
-      return Status::ParseError(
-          StrFormat("bad indentation at plan line %zu", i));
+  Status deferred;
+  size_t lines = 0;
+  for (size_t begin = 0;;) {
+    const size_t end = text.find('\n', begin);
+    const std::string_view raw = text.substr(
+        begin, end == std::string_view::npos ? end : end - begin);
+    size_t indent = 0;
+    while (indent < raw.size() && raw[indent] == ' ') ++indent;
+    // Lines of only whitespace are skipped; a bullet cannot be one.
+    const bool blank = indent == raw.size() ||
+                       (raw[indent] != '-' && Trim(raw).empty());
+    if (!blank) {
+      if (lines >= limits.max_nodes) {
+        return Status::ResourceExhausted(
+            StrFormat("plan exceeds node limit (%zu)", limits.max_nodes));
+      }
+      PlanLine line;
+      PRESTROID_RETURN_NOT_OK(CutLine(raw, indent, limits, &line));
+      if (deferred.ok()) {
+        deferred = AttachLine(line, lines, limits, &root, &stack);
+      }
+      ++lines;
     }
-    stack.resize(static_cast<size_t>(line.depth));
-    auto node = NodeFromLine(line, limits);
-    if (!node.ok()) return node.status();
-    PlanNode* parent = stack.back();
-    parent->children.push_back(std::move(node).value());
-    stack.push_back(parent->children.back().get());
+    if (end == std::string_view::npos) break;
+    begin = end + 1;
   }
-  return root_node;
+  if (lines == 0) return Status::ParseError("empty plan text");
+  if (!deferred.ok()) return deferred;
+  return root;
 }
 
 }  // namespace prestroid::plan

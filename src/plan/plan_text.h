@@ -2,6 +2,7 @@
 #define PRESTROID_PLAN_PLAN_TEXT_H_
 
 #include <string>
+#include <string_view>
 
 #include "plan/plan_limits.h"
 #include "plan/plan_node.h"
@@ -20,14 +21,18 @@ namespace prestroid::plan {
 /// `EXPLAIN <query>` output as the ingestion format of trace files.
 std::string PlanToText(const PlanNode& root);
 
-/// Parses the text produced by PlanToText back into a plan tree. Limits are
-/// enforced *while* parsing — an over-budget input is rejected with
-/// kResourceExhausted before its tree is materialized, and malformed input
-/// (including a Limit payload that is not exactly one in-range integer)
-/// yields kParseError/kInvalidArgument. Never aborts on hostile bytes.
-Result<PlanNodePtr> ParsePlanText(const std::string& text);
-Result<PlanNodePtr> ParsePlanText(const std::string& text,
-                                  const PlanLimits& limits);
+/// Parses the text produced by PlanToText back into a plan tree in one pass:
+/// lines are cut in place (views into `text`, no per-line copies) and each
+/// node is built onto a depth-indexed stack as its line is read. Limits are
+/// enforced during that walk — the byte, line, depth and node budgets are
+/// checked before the node they guard is built, so an over-budget input is
+/// rejected with kResourceExhausted without materializing its tree — and
+/// malformed input (including a Limit payload that is not exactly one
+/// in-range integer) yields kParseError/kInvalidArgument. A line-level error
+/// (limits, indentation, bullet, bracket) outranks a node-level one earlier
+/// in the text. Never aborts on hostile bytes.
+Result<PlanNodePtr> ParsePlanText(std::string_view text,
+                                  const PlanLimits& limits = PlanLimits());
 
 }  // namespace prestroid::plan
 

@@ -167,68 +167,61 @@ ExprPtr MakeWithChildren(ExprKind kind, std::string op,
   e->children = std::move(children);
   return e;
 }
+
+/// An operator node over a fixed number of operands, with the child vector
+/// allocated once at its final size.
+template <typename... Operands>
+ExprPtr MakeOperator(ExprKind kind, std::string op, Operands... operands) {
+  std::vector<ExprPtr> ch;
+  ch.reserve(sizeof...(operands));
+  (ch.push_back(std::move(operands)), ...);
+  return MakeWithChildren(kind, std::move(op), std::move(ch));
+}
 }  // namespace
 
 ExprPtr MakeCompare(std::string op, ExprPtr lhs, ExprPtr rhs) {
-  std::vector<ExprPtr> ch;
-  ch.push_back(std::move(lhs));
-  ch.push_back(std::move(rhs));
-  return MakeWithChildren(ExprKind::kCompare, std::move(op), std::move(ch));
+  return MakeOperator(ExprKind::kCompare, std::move(op), std::move(lhs),
+                      std::move(rhs));
 }
 
 ExprPtr MakeBinary(std::string op, ExprPtr lhs, ExprPtr rhs) {
-  std::vector<ExprPtr> ch;
-  ch.push_back(std::move(lhs));
-  ch.push_back(std::move(rhs));
-  return MakeWithChildren(ExprKind::kBinary, std::move(op), std::move(ch));
+  return MakeOperator(ExprKind::kBinary, std::move(op), std::move(lhs),
+                      std::move(rhs));
 }
 
 ExprPtr MakeAnd(ExprPtr lhs, ExprPtr rhs) {
-  std::vector<ExprPtr> ch;
-  ch.push_back(std::move(lhs));
-  ch.push_back(std::move(rhs));
-  return MakeWithChildren(ExprKind::kAnd, "AND", std::move(ch));
+  return MakeOperator(ExprKind::kAnd, "AND", std::move(lhs), std::move(rhs));
 }
 
 ExprPtr MakeOr(ExprPtr lhs, ExprPtr rhs) {
-  std::vector<ExprPtr> ch;
-  ch.push_back(std::move(lhs));
-  ch.push_back(std::move(rhs));
-  return MakeWithChildren(ExprKind::kOr, "OR", std::move(ch));
+  return MakeOperator(ExprKind::kOr, "OR", std::move(lhs), std::move(rhs));
 }
 
 ExprPtr MakeNot(ExprPtr inner) {
-  std::vector<ExprPtr> ch;
-  ch.push_back(std::move(inner));
-  return MakeWithChildren(ExprKind::kNot, "NOT", std::move(ch));
+  return MakeOperator(ExprKind::kNot, "NOT", std::move(inner));
 }
 
 ExprPtr MakeIn(ExprPtr lhs, std::vector<ExprPtr> values) {
   std::vector<ExprPtr> ch;
+  ch.reserve(1 + values.size());
   ch.push_back(std::move(lhs));
   for (ExprPtr& v : values) ch.push_back(std::move(v));
   return MakeWithChildren(ExprKind::kIn, "IN", std::move(ch));
 }
 
 ExprPtr MakeBetween(ExprPtr value, ExprPtr lo, ExprPtr hi) {
-  std::vector<ExprPtr> ch;
-  ch.push_back(std::move(value));
-  ch.push_back(std::move(lo));
-  ch.push_back(std::move(hi));
-  return MakeWithChildren(ExprKind::kBetween, "BETWEEN", std::move(ch));
+  return MakeOperator(ExprKind::kBetween, "BETWEEN", std::move(value),
+                      std::move(lo), std::move(hi));
 }
 
 ExprPtr MakeLike(ExprPtr lhs, ExprPtr pattern) {
-  std::vector<ExprPtr> ch;
-  ch.push_back(std::move(lhs));
-  ch.push_back(std::move(pattern));
-  return MakeWithChildren(ExprKind::kLike, "LIKE", std::move(ch));
+  return MakeOperator(ExprKind::kLike, "LIKE", std::move(lhs),
+                      std::move(pattern));
 }
 
 ExprPtr MakeIsNull(ExprPtr value, bool negated) {
-  std::vector<ExprPtr> ch;
-  ch.push_back(std::move(value));
-  return MakeWithChildren(ExprKind::kIsNull, negated ? "NOT" : "", std::move(ch));
+  return MakeOperator(ExprKind::kIsNull, negated ? "NOT" : "",
+                      std::move(value));
 }
 
 ExprPtr MakeFuncCall(std::string name, std::vector<ExprPtr> args) {

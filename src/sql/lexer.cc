@@ -1,159 +1,162 @@
 #include "sql/lexer.h"
 
-#include <cctype>
-
-#include "util/string_util.h"
+#include <array>
+#include <cstdint>
 
 namespace prestroid::sql {
 
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
+// ASCII character classes, matching <cctype> in the "C" locale, as one
+// table lookup per byte.
+enum CharClass : uint8_t {
+  kSpace = 1,
+  kDigit = 2,
+  kIdentStart = 4,  // letters and '_'
+};
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+constexpr std::array<uint8_t, 256> MakeCharClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (int c = '\t'; c <= '\r'; ++c) classes[c] = kSpace;
+  classes[' '] = kSpace;
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kDigit;
+  for (int c = 'a'; c <= 'z'; ++c) classes[c] = kIdentStart;
+  for (int c = 'A'; c <= 'Z'; ++c) classes[c] = kIdentStart;
+  classes['_'] = kIdentStart;
+  return classes;
 }
+constexpr std::array<uint8_t, 256> kCharClasses = MakeCharClasses();
+
+bool Is(char c, uint8_t classes) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & classes) != 0;
+}
+bool IsSpace(char c) { return Is(c, kSpace); }
+bool IsDigit(char c) { return Is(c, kDigit); }
+bool IsIdentStart(char c) { return Is(c, kIdentStart); }
+bool IsIdentChar(char c) { return Is(c, kIdentStart | kDigit); }
 
 }  // namespace
 
-Result<std::vector<Token>> Tokenize(const std::string& input) {
-  std::vector<Token> tokens;
-  size_t i = 0;
-  const size_t n = input.size();
-  while (i < n) {
-    char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    const size_t start = i;
-    if (IsIdentStart(c)) {
-      size_t j = i + 1;
-      while (j < n && IsIdentChar(input[j])) ++j;
-      std::string word = input.substr(i, j - i);
-      std::string upper = ToUpper(word);
-      Token token;
-      token.offset = start;
-      if (IsReservedKeyword(upper)) {
-        token.type = TokenType::kKeyword;
-        token.text = upper;
-      } else {
-        token.type = TokenType::kIdentifier;
-        token.text = word;
-      }
-      tokens.push_back(std::move(token));
-      i = j;
-    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-               (c == '.' && i + 1 < n &&
-                std::isdigit(static_cast<unsigned char>(input[i + 1])))) {
-      size_t j = i;
-      bool seen_dot = false;
-      while (j < n && (std::isdigit(static_cast<unsigned char>(input[j])) ||
-                       (input[j] == '.' && !seen_dot))) {
-        if (input[j] == '.') seen_dot = true;
-        ++j;
-      }
-      // Optional exponent: e[+-]?digits.
-      if (j < n && (input[j] == 'e' || input[j] == 'E')) {
-        size_t k = j + 1;
-        if (k < n && (input[k] == '+' || input[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(input[k]))) {
-          while (k < n && std::isdigit(static_cast<unsigned char>(input[k]))) ++k;
-          j = k;
-        }
-      }
-      tokens.push_back({TokenType::kNumber, input.substr(i, j - i), start});
-      i = j;
-    } else if (c == '\'') {
-      std::string value;
-      size_t j = i + 1;
-      bool closed = false;
-      while (j < n) {
-        if (input[j] == '\'') {
-          if (j + 1 < n && input[j + 1] == '\'') {
-            value.push_back('\'');
-            j += 2;
-          } else {
-            closed = true;
-            ++j;
-            break;
-          }
-        } else {
-          value.push_back(input[j]);
-          ++j;
-        }
-      }
-      if (!closed) {
-        return Status::ParseError(
-            StrFormat("unterminated string literal at offset %zu", start));
-      }
-      tokens.push_back({TokenType::kString, std::move(value), start});
-      i = j;
-    } else {
-      switch (c) {
-        case ',':
-          tokens.push_back({TokenType::kComma, ",", start});
-          ++i;
-          break;
-        case '.':
-          tokens.push_back({TokenType::kDot, ".", start});
-          ++i;
-          break;
-        case '(':
-          tokens.push_back({TokenType::kLeftParen, "(", start});
-          ++i;
-          break;
-        case ')':
-          tokens.push_back({TokenType::kRightParen, ")", start});
-          ++i;
-          break;
-        case '<':
-          if (i + 1 < n && (input[i + 1] == '=' || input[i + 1] == '>')) {
-            tokens.push_back(
-                {TokenType::kOperator, input.substr(i, 2), start});
-            i += 2;
-          } else {
-            tokens.push_back({TokenType::kOperator, "<", start});
-            ++i;
-          }
-          break;
-        case '>':
-          if (i + 1 < n && input[i + 1] == '=') {
-            tokens.push_back({TokenType::kOperator, ">=", start});
-            i += 2;
-          } else {
-            tokens.push_back({TokenType::kOperator, ">", start});
-            ++i;
-          }
-          break;
-        case '!':
-          if (i + 1 < n && input[i + 1] == '=') {
-            tokens.push_back({TokenType::kOperator, "!=", start});
-            i += 2;
-          } else {
-            return Status::ParseError(
-                StrFormat("unexpected '!' at offset %zu", start));
-          }
-          break;
-        case '=':
-        case '+':
-        case '-':
-        case '*':
-        case '/':
-        case '%':
-          tokens.push_back({TokenType::kOperator, std::string(1, c), start});
-          ++i;
-          break;
-        default:
-          return Status::ParseError(
-              StrFormat("unexpected character '%c' at offset %zu", c, start));
-      }
-    }
+Token Lexer::Next() {
+  if (stopped_) return last_;
+  Token token = Scan();
+  if (token.type != TokenType::kError && count_ >= max_tokens_) {
+    token.type = TokenType::kOverLimit;
+    token.keyword = Keyword::kNone;
   }
-  tokens.push_back({TokenType::kEnd, "", n});
-  return tokens;
+  ++count_;
+  if (token.type == TokenType::kEnd || token.type == TokenType::kError ||
+      token.type == TokenType::kOverLimit) {
+    stopped_ = true;
+    last_ = token;
+  }
+  return token;
+}
+
+Token Lexer::Scan() {
+  const size_t n = input_.size();
+  while (pos_ < n && IsSpace(input_[pos_])) ++pos_;
+  Token token;
+  token.offset = pos_;
+  if (pos_ >= n) return token;  // kEnd
+  const size_t start = pos_;
+  const char c = input_[pos_];
+  if (IsIdentStart(c)) {
+    size_t j = pos_ + 1;
+    while (j < n && IsIdentChar(input_[j])) ++j;
+    token.text = input_.substr(start, j - start);
+    token.keyword = LookupKeyword(token.text);
+    token.type = token.keyword != Keyword::kNone ? TokenType::kKeyword
+                                                 : TokenType::kIdentifier;
+    pos_ = j;
+    return token;
+  }
+  if (IsDigit(c) || (c == '.' && pos_ + 1 < n && IsDigit(input_[pos_ + 1]))) {
+    size_t j = pos_;
+    bool seen_dot = false;
+    while (j < n && (IsDigit(input_[j]) || (input_[j] == '.' && !seen_dot))) {
+      if (input_[j] == '.') seen_dot = true;
+      ++j;
+    }
+    // Optional exponent: e[+-]?digits.
+    if (j < n && (input_[j] == 'e' || input_[j] == 'E')) {
+      size_t k = j + 1;
+      if (k < n && (input_[k] == '+' || input_[k] == '-')) ++k;
+      if (k < n && IsDigit(input_[k])) {
+        while (k < n && IsDigit(input_[k])) ++k;
+        j = k;
+      }
+    }
+    token.type = TokenType::kNumber;
+    token.text = input_.substr(start, j - start);
+    pos_ = j;
+    return token;
+  }
+  if (c == '\'') {
+    for (size_t j = pos_ + 1; j < n; ++j) {
+      if (input_[j] != '\'') continue;
+      if (j + 1 < n && input_[j + 1] == '\'') {
+        ++j;  // '' escape
+        continue;
+      }
+      token.type = TokenType::kString;
+      token.text = input_.substr(start + 1, j - start - 1);
+      pos_ = j + 1;
+      return token;
+    }
+    token.type = TokenType::kError;  // unterminated literal
+    token.text = input_.substr(start);
+    pos_ = n;
+    return token;
+  }
+  size_t length = 1;
+  switch (c) {
+    case ',':
+      token.type = TokenType::kComma;
+      break;
+    case '.':
+      token.type = TokenType::kDot;
+      break;
+    case '(':
+      token.type = TokenType::kLeftParen;
+      break;
+    case ')':
+      token.type = TokenType::kRightParen;
+      break;
+    case '<':
+      token.type = TokenType::kOperator;
+      if (pos_ + 1 < n && (input_[pos_ + 1] == '=' || input_[pos_ + 1] == '>')) {
+        length = 2;
+      }
+      break;
+    case '>':
+      token.type = TokenType::kOperator;
+      if (pos_ + 1 < n && input_[pos_ + 1] == '=') length = 2;
+      break;
+    case '!':
+      // Only "!=" is an operator; a lone '!' is malformed.
+      if (pos_ + 1 < n && input_[pos_ + 1] == '=') {
+        token.type = TokenType::kOperator;
+        length = 2;
+      } else {
+        token.type = TokenType::kError;
+      }
+      break;
+    case '=':
+    case '+':
+    case '-':
+    case '*':
+    case '/':
+    case '%':
+      token.type = TokenType::kOperator;
+      break;
+    default:
+      token.type = TokenType::kError;
+      break;
+  }
+  token.text = input_.substr(start, length);
+  pos_ += length;
+  return token;
 }
 
 }  // namespace prestroid::sql

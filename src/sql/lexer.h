@@ -1,18 +1,48 @@
 #ifndef PRESTROID_SQL_LEXER_H_
 #define PRESTROID_SQL_LEXER_H_
 
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <limits>
+#include <string_view>
 
 #include "sql/token.h"
-#include "util/status.h"
 
 namespace prestroid::sql {
 
-/// Tokenizes a mini-SQL string. Identifiers are kept as written; keywords are
-/// recognized case-insensitively and normalized to upper case. String literals
-/// use single quotes with '' as the escape.
-Result<std::vector<Token>> Tokenize(const std::string& input);
+/// Pull lexer over a mini-SQL string: each Next() scans one token in place
+/// and returns a view into the input (which must outlive the lexer), so
+/// lexing allocates nothing. Identifiers are kept as written; keywords are
+/// recognized case-insensitively (Token::keyword); string literals use
+/// single quotes with '' as the escape and are unescaped only when the
+/// parser builds the literal (UnescapeString).
+///
+/// The lexer counts tokens as it scans, kEnd included. The token that would
+/// be number `max_tokens + 1` comes back as kOverLimit instead (a malformed
+/// one still comes back as kError), so an over-budget input costs
+/// O(max_tokens) however long it is. kEnd, kError and kOverLimit are
+/// sticky: every later Next() returns the same token. A Lexer is a small
+/// value; copying it saves the cursor, and a copy scans ahead on its own.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view input,
+                 size_t max_tokens = std::numeric_limits<size_t>::max())
+      : input_(input), max_tokens_(max_tokens) {}
+
+  Token Next();
+
+  /// Tokens returned so far, counting the final kEnd once.
+  size_t tokens_lexed() const { return count_; }
+
+ private:
+  Token Scan();
+
+  std::string_view input_;
+  size_t max_tokens_;
+  size_t pos_ = 0;
+  size_t count_ = 0;
+  bool stopped_ = false;  // last_ is a sticky kEnd/kError/kOverLimit
+  Token last_;
+};
 
 }  // namespace prestroid::sql
 

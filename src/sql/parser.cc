@@ -1,6 +1,9 @@
 #include "sql/parser.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 
 #include "sql/lexer.h"
 #include "util/string_util.h"
@@ -9,7 +12,104 @@ namespace prestroid::sql {
 
 namespace {
 
-/// Recursive-descent parser over the token stream. Grammar (informal):
+/// Why the grammar rejected the input. Kept as a code (plus an offset) while
+/// parsing; only the public entry point turns it into a Status, so a failed
+/// attempt the parser recovers from costs nothing.
+enum class Errc : uint8_t {
+  kDepth,
+  kTrailingTokens,
+  kExpectedSelect,
+  kExpectedAlias,
+  kExpectedFrom,
+  kExpectedJoin,
+  kExpectedOn,
+  kExpectedByAfterGroup,
+  kExpectedByAfterOrder,
+  kExpectedLimitCount,
+  kExpectedRightParen,
+  kExpectedTable,
+  kSubqueryNeedsAlias,
+  kExpectedLeftParenAfterIn,
+  kExpectedAndInBetween,
+  kExpectedNullAfterIs,
+  kExpectedComparison,
+  kExpectedColumnAfterDot,
+  kExpectedExpression,
+};
+
+const char* ErrcMessage(Errc code) {
+  switch (code) {
+    case Errc::kDepth:
+      return "expression nesting exceeds depth limit";
+    case Errc::kTrailingTokens:
+      return "trailing tokens";
+    case Errc::kExpectedSelect:
+      return "expected SELECT";
+    case Errc::kExpectedAlias:
+      return "expected alias";
+    case Errc::kExpectedFrom:
+      return "expected FROM";
+    case Errc::kExpectedJoin:
+      return "expected JOIN";
+    case Errc::kExpectedOn:
+      return "expected ON";
+    case Errc::kExpectedByAfterGroup:
+      return "expected BY after GROUP";
+    case Errc::kExpectedByAfterOrder:
+      return "expected BY after ORDER";
+    case Errc::kExpectedLimitCount:
+      return "expected LIMIT count";
+    case Errc::kExpectedRightParen:
+      return "expected ')'";
+    case Errc::kExpectedTable:
+      return "expected table name or subquery";
+    case Errc::kSubqueryNeedsAlias:
+      return "subquery in FROM requires an alias";
+    case Errc::kExpectedLeftParenAfterIn:
+      return "expected '(' after IN";
+    case Errc::kExpectedAndInBetween:
+      return "expected AND in BETWEEN";
+    case Errc::kExpectedNullAfterIs:
+      return "expected NULL after IS";
+    case Errc::kExpectedComparison:
+      return "expected comparison operator";
+    case Errc::kExpectedColumnAfterDot:
+      return "expected column after '.'";
+    case Errc::kExpectedExpression:
+      return "expected expression";
+  }
+  return "?";
+}
+
+bool Stops(const Token& token) {
+  return token.type == TokenType::kEnd || token.type == TokenType::kError ||
+         token.type == TokenType::kOverLimit;
+}
+
+bool IsComparisonOperator(std::string_view op) {
+  return op == "=" || op == "<" || op == ">" || op == "<=" || op == ">=" ||
+         op == "<>" || op == "!=";
+}
+
+/// The value of a number token, as strtod reads it. std::from_chars rounds
+/// the same way (correctly) and needs no NUL terminator; strtod still
+/// decides out-of-range input (inf, denormals and zero), where from_chars
+/// reports an error instead.
+double ToDouble(std::string_view text) {
+  double value = 0.0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error == std::errc() && end == text.data() + text.size()) return value;
+  char buffer[64];
+  if (text.size() < sizeof(buffer)) {
+    std::memcpy(buffer, text.data(), text.size());
+    buffer[text.size()] = '\0';
+    return std::strtod(buffer, nullptr);
+  }
+  return std::strtod(std::string(text).c_str(), nullptr);
+}
+
+/// Recursive-descent parser pulling from a Lexer cursor. Grammar (informal):
 ///
 ///   select    := SELECT [DISTINCT] items FROM table_ref join* [WHERE pred]
 ///                [GROUP BY exprs] [HAVING pred] [ORDER BY order_items]
@@ -21,33 +121,79 @@ namespace {
 ///                LIKE string | IS [NOT] NULL)
 ///   value     := term (('+'|'-') term)* ; term := factor (('*'|'/'|'%') factor)*
 ///   factor    := column | literal | func '(' args ')' | '(' value ')'
+///
+/// Every Parse* returns null (a bool false for table refs) on failure after
+/// recording (code, offset) in the parser; callers pass the null up.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, const ParseLimits& limits)
-      : tokens_(std::move(tokens)), limits_(limits) {}
+  Parser(std::string_view text, const ParseLimits& limits)
+      : text_(text), limits_(limits), cursor_{Lexer(text, limits.max_tokens), {}, 0} {}
 
-  Result<std::unique_ptr<SelectStmt>> ParseStatement() {
-    auto stmt_result = ParseSelectBody();
-    if (!stmt_result.ok()) return stmt_result.status();
-    if (!Peek().IsKeyword("") && Peek().type != TokenType::kEnd) {
-      return Error("trailing tokens after statement");
-    }
-    return stmt_result;
+  std::unique_ptr<SelectStmt> ParseStatement() {
+    std::unique_ptr<SelectStmt> stmt = ParseSelectBody();
+    if (stmt == nullptr) return nullptr;
+    if (Peek().type != TokenType::kEnd) return Fail(Errc::kTrailingTokens);
+    return stmt;
   }
 
-  Result<ExprPtr> ParseStandaloneExpression() {
-    size_t saved = pos_;
-    auto pred = ParsePredicate();
-    if (pred.ok() && Peek().type == TokenType::kEnd) return pred;
-    // Fall back to a bare value expression (e.g. "AVG(x)" in a Project).
-    pos_ = saved;
-    auto value = ParseValueExpr();
-    if (!value.ok()) return value.status();
-    if (Peek().type != TokenType::kEnd) return Error("trailing tokens");
+  ExprPtr ParseStandaloneExpression() {
+    const Cursor saved = cursor_;
+    // A bare value expression spanning the whole input (e.g. "AVG(x)" in a
+    // Project) comes back from the predicate attempt as is; see
+    // ParseComparison.
+    bare_value_at_ = Peek().offset;
+    ExprPtr pred = ParsePredicate();
+    bare_value_at_ = kNoBareValue;
+    if (pred != nullptr && Peek().type == TokenType::kEnd) return pred;
+    // Fall back to a bare value expression followed by trailing tokens,
+    // which fails; the rewind only costs on malformed input.
+    cursor_ = saved;
+    ExprPtr value = ParseValueExpr();
+    if (value == nullptr) return nullptr;
+    if (Peek().type != TokenType::kEnd) return Fail(Errc::kTrailingTokens);
     return value;
   }
 
+  /// The Status of a failed parse. The lexer scans on from where the parser
+  /// stopped: a malformed token (kParseError) or the token budget
+  /// (kResourceExhausted) anywhere in the input outranks the grammar error,
+  /// exactly as if the whole input had been lexed before parsing began.
+  Status Failure() {
+    Token stop;
+    for (size_t i = 0;; ++i) {
+      stop = i < cursor_.buffered ? cursor_.ahead[i] : cursor_.lexer.Next();
+      if (Stops(stop)) break;
+    }
+    if (stop.type == TokenType::kError) {
+      if (stop.text.front() == '\'') {
+        return Status::ParseError(StrFormat(
+            "unterminated string literal at offset %zu", stop.offset));
+      }
+      return Status::ParseError(StrFormat("unexpected character '%c' at offset %zu",
+                                          stop.text.front(), stop.offset));
+    }
+    if (stop.type == TokenType::kOverLimit) {
+      return Status::ResourceExhausted(StrFormat(
+          "input exceeds token limit (%zu tokens)", limits_.max_tokens));
+    }
+    if (code_ == Errc::kDepth) {
+      return Status::ResourceExhausted(StrFormat(
+          "%s (%zu)", ErrcMessage(code_), limits_.max_depth));
+    }
+    const Token at = Lexer(text_.substr(offset_)).Next();
+    return Status::ParseError(StrFormat(
+        "%s near offset %zu (token '%.*s')", ErrcMessage(code_), offset_,
+        static_cast<int>(at.text.size()), at.text.data()));
+  }
+
  private:
+  /// Everything a rewind restores: the lexer and its lookahead buffer.
+  struct Cursor {
+    Lexer lexer;
+    Token ahead[2];
+    size_t buffered = 0;
+  };
+
   /// Counts live recursion frames so hostile nesting ("((((...") surfaces
   /// as a Status instead of exhausting the thread stack. Scoped to the
   /// functions that can re-enter themselves: predicates, factors, and
@@ -57,19 +203,20 @@ class Parser {
     ~DepthScope() { --parser_->depth_; }
     Parser* parser_;
   };
-  Status CheckDepth() const {
-    if (depth_ > limits_.max_depth) {
-      return Status::ResourceExhausted(StrFormat(
-          "expression nesting exceeds depth limit (%zu)", limits_.max_depth));
-    }
-    return Status::OK();
-  }
+  bool TooDeep() const { return depth_ > limits_.max_depth; }
 
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  const Token& Peek(size_t ahead = 0) {
+    while (cursor_.buffered <= ahead) {
+      cursor_.ahead[cursor_.buffered++] = cursor_.lexer.Next();
+    }
+    return cursor_.ahead[ahead];
   }
-  const Token& Advance() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
+  Token Advance() {
+    const Token token = Peek();
+    cursor_.ahead[0] = cursor_.ahead[1];
+    --cursor_.buffered;
+    return token;
+  }
   bool Match(TokenType type) {
     if (Peek().type == type) {
       Advance();
@@ -77,34 +224,35 @@ class Parser {
     }
     return false;
   }
-  bool MatchKeyword(const char* kw) {
-    if (Peek().IsKeyword(kw)) {
+  bool MatchKeyword(Keyword kw) {
+    if (Peek().Is(kw)) {
       Advance();
       return true;
     }
     return false;
   }
-  Status Error(const std::string& what) const {
-    return Status::ParseError(StrFormat("%s near offset %zu (token '%s')",
-                                        what.c_str(), Peek().offset,
-                                        Peek().text.c_str()));
+  std::nullptr_t Fail(Errc code) {
+    code_ = code;
+    offset_ = Peek().offset;
+    return nullptr;
   }
 
-  Result<std::unique_ptr<SelectStmt>> ParseSelectBody() {
+  std::unique_ptr<SelectStmt> ParseSelectBody() {
     DepthScope scope(this);
-    PRESTROID_RETURN_NOT_OK(CheckDepth());
-    if (!MatchKeyword("SELECT")) return Error("expected SELECT");
+    if (TooDeep()) return Fail(Errc::kDepth);
+    if (!MatchKeyword(Keyword::kSelect)) return Fail(Errc::kExpectedSelect);
     auto stmt = std::make_unique<SelectStmt>();
-    stmt->distinct = MatchKeyword("DISTINCT");
+    stmt->distinct = MatchKeyword(Keyword::kDistinct);
 
     // Select list.
     while (true) {
       SelectItem item;
-      auto expr = ParseValueExpr();
-      if (!expr.ok()) return expr.status();
-      item.expr = std::move(expr).value();
-      if (MatchKeyword("AS")) {
-        if (Peek().type != TokenType::kIdentifier) return Error("expected alias");
+      item.expr = ParseValueExpr();
+      if (item.expr == nullptr) return nullptr;
+      if (MatchKeyword(Keyword::kAs)) {
+        if (Peek().type != TokenType::kIdentifier) {
+          return Fail(Errc::kExpectedAlias);
+        }
         item.alias = Advance().text;
       } else if (Peek().type == TokenType::kIdentifier) {
         item.alias = Advance().text;
@@ -113,29 +261,27 @@ class Parser {
       if (!Match(TokenType::kComma)) break;
     }
 
-    if (!MatchKeyword("FROM")) return Error("expected FROM");
-    auto from = ParseTableRef();
-    if (!from.ok()) return from.status();
-    stmt->from = std::move(from).value();
+    if (!MatchKeyword(Keyword::kFrom)) return Fail(Errc::kExpectedFrom);
+    if (!ParseTableRef(&stmt->from)) return nullptr;
 
     // Joins.
     while (true) {
       JoinType type;
-      if (MatchKeyword("JOIN")) {
+      if (MatchKeyword(Keyword::kJoin)) {
         type = JoinType::kInner;
-      } else if (Peek().IsKeyword("INNER") && Peek(1).IsKeyword("JOIN")) {
+      } else if (Peek().Is(Keyword::kInner) && Peek(1).Is(Keyword::kJoin)) {
         Advance();  // INNER
         Advance();  // JOIN
         type = JoinType::kInner;
-      } else if (Peek().IsKeyword("LEFT") || Peek().IsKeyword("RIGHT") ||
-                 Peek().IsKeyword("FULL")) {
-        std::string side = Advance().text;
-        MatchKeyword("OUTER");
-        if (!MatchKeyword("JOIN")) return Error("expected JOIN");
-        type = side == "LEFT"    ? JoinType::kLeft
-               : side == "RIGHT" ? JoinType::kRight
-                                 : JoinType::kFull;
-      } else if (Peek().IsKeyword("CROSS") && Peek(1).IsKeyword("JOIN")) {
+      } else if (Peek().Is(Keyword::kLeft) || Peek().Is(Keyword::kRight) ||
+                 Peek().Is(Keyword::kFull)) {
+        const Keyword side = Advance().keyword;
+        MatchKeyword(Keyword::kOuter);
+        if (!MatchKeyword(Keyword::kJoin)) return Fail(Errc::kExpectedJoin);
+        type = side == Keyword::kLeft    ? JoinType::kLeft
+               : side == Keyword::kRight ? JoinType::kRight
+                                         : JoinType::kFull;
+      } else if (Peek().Is(Keyword::kCross) && Peek(1).Is(Keyword::kJoin)) {
         Advance();
         Advance();
         type = JoinType::kCross;
@@ -144,246 +290,267 @@ class Parser {
       }
       JoinClause join;
       join.type = type;
-      auto ref = ParseTableRef();
-      if (!ref.ok()) return ref.status();
-      join.ref = std::move(ref).value();
+      if (!ParseTableRef(&join.ref)) return nullptr;
       if (type != JoinType::kCross) {
-        if (!MatchKeyword("ON")) return Error("expected ON");
-        auto cond = ParsePredicate();
-        if (!cond.ok()) return cond.status();
-        join.condition = std::move(cond).value();
+        if (!MatchKeyword(Keyword::kOn)) return Fail(Errc::kExpectedOn);
+        join.condition = ParsePredicate();
+        if (join.condition == nullptr) return nullptr;
       }
       stmt->joins.push_back(std::move(join));
     }
 
-    if (MatchKeyword("WHERE")) {
-      auto where = ParsePredicate();
-      if (!where.ok()) return where.status();
-      stmt->where = std::move(where).value();
+    if (MatchKeyword(Keyword::kWhere)) {
+      stmt->where = ParsePredicate();
+      if (stmt->where == nullptr) return nullptr;
     }
-    if (MatchKeyword("GROUP")) {
-      if (!MatchKeyword("BY")) return Error("expected BY after GROUP");
+    if (MatchKeyword(Keyword::kGroup)) {
+      if (!MatchKeyword(Keyword::kBy)) return Fail(Errc::kExpectedByAfterGroup);
       while (true) {
-        auto expr = ParseValueExpr();
-        if (!expr.ok()) return expr.status();
-        stmt->group_by.push_back(std::move(expr).value());
+        ExprPtr expr = ParseValueExpr();
+        if (expr == nullptr) return nullptr;
+        stmt->group_by.push_back(std::move(expr));
         if (!Match(TokenType::kComma)) break;
       }
     }
-    if (MatchKeyword("HAVING")) {
-      auto having = ParsePredicate();
-      if (!having.ok()) return having.status();
-      stmt->having = std::move(having).value();
+    if (MatchKeyword(Keyword::kHaving)) {
+      stmt->having = ParsePredicate();
+      if (stmt->having == nullptr) return nullptr;
     }
-    if (MatchKeyword("ORDER")) {
-      if (!MatchKeyword("BY")) return Error("expected BY after ORDER");
+    if (MatchKeyword(Keyword::kOrder)) {
+      if (!MatchKeyword(Keyword::kBy)) return Fail(Errc::kExpectedByAfterOrder);
       while (true) {
         OrderItem item;
-        auto expr = ParseValueExpr();
-        if (!expr.ok()) return expr.status();
-        item.expr = std::move(expr).value();
-        if (MatchKeyword("DESC")) {
+        item.expr = ParseValueExpr();
+        if (item.expr == nullptr) return nullptr;
+        if (MatchKeyword(Keyword::kDesc)) {
           item.descending = true;
         } else {
-          MatchKeyword("ASC");
+          MatchKeyword(Keyword::kAsc);
         }
         stmt->order_by.push_back(std::move(item));
         if (!Match(TokenType::kComma)) break;
       }
     }
-    if (MatchKeyword("LIMIT")) {
-      if (Peek().type != TokenType::kNumber) return Error("expected LIMIT count");
-      stmt->limit = static_cast<int64_t>(std::strtod(Advance().text.c_str(), nullptr));
+    if (MatchKeyword(Keyword::kLimit)) {
+      if (Peek().type != TokenType::kNumber) {
+        return Fail(Errc::kExpectedLimitCount);
+      }
+      stmt->limit = static_cast<int64_t>(ToDouble(Advance().text));
     }
     return stmt;
   }
 
-  Result<TableRef> ParseTableRef() {
-    TableRef ref;
+  bool ParseTableRef(TableRef* ref) {
     if (Match(TokenType::kLeftParen)) {
-      auto sub = ParseSelectBody();
-      if (!sub.ok()) return sub.status();
-      ref.subquery = std::move(sub).value();
-      if (!Match(TokenType::kRightParen)) return Error("expected ')'");
+      ref->subquery = ParseSelectBody();
+      if (ref->subquery == nullptr) return false;
+      if (!Match(TokenType::kRightParen)) {
+        Fail(Errc::kExpectedRightParen);
+        return false;
+      }
     } else if (Peek().type == TokenType::kIdentifier) {
-      ref.table = Advance().text;
+      ref->table = Advance().text;
     } else {
-      return Error("expected table name or subquery");
+      Fail(Errc::kExpectedTable);
+      return false;
     }
-    if (MatchKeyword("AS")) {
-      if (Peek().type != TokenType::kIdentifier) return Error("expected alias");
-      ref.alias = Advance().text;
+    if (MatchKeyword(Keyword::kAs)) {
+      if (Peek().type != TokenType::kIdentifier) {
+        Fail(Errc::kExpectedAlias);
+        return false;
+      }
+      ref->alias = Advance().text;
     } else if (Peek().type == TokenType::kIdentifier) {
-      ref.alias = Advance().text;
+      ref->alias = Advance().text;
     }
-    if (ref.IsSubquery() && ref.alias.empty()) {
-      return Error("subquery in FROM requires an alias");
+    if (ref->IsSubquery() && ref->alias.empty()) {
+      Fail(Errc::kSubqueryNeedsAlias);
+      return false;
     }
-    return ref;
+    return true;
   }
 
-  Result<ExprPtr> ParsePredicate() { return ParseOr(); }
+  ExprPtr ParsePredicate() { return ParseOr(); }
 
-  Result<ExprPtr> ParseOr() {
-    auto lhs = ParseAnd();
-    if (!lhs.ok()) return lhs.status();
-    ExprPtr result = std::move(lhs).value();
-    while (MatchKeyword("OR")) {
-      auto rhs = ParseAnd();
-      if (!rhs.ok()) return rhs.status();
-      result = MakeOr(std::move(result), std::move(rhs).value());
+  ExprPtr ParseOr() {
+    ExprPtr result = ParseAnd();
+    if (result == nullptr) return nullptr;
+    while (MatchKeyword(Keyword::kOr)) {
+      ExprPtr rhs = ParseAnd();
+      if (rhs == nullptr) return nullptr;
+      result = MakeOr(std::move(result), std::move(rhs));
     }
     return result;
   }
 
-  Result<ExprPtr> ParseAnd() {
-    auto lhs = ParseUnary();
-    if (!lhs.ok()) return lhs.status();
-    ExprPtr result = std::move(lhs).value();
-    while (MatchKeyword("AND")) {
-      auto rhs = ParseUnary();
-      if (!rhs.ok()) return rhs.status();
-      result = MakeAnd(std::move(result), std::move(rhs).value());
+  ExprPtr ParseAnd() {
+    ExprPtr result = ParseUnary();
+    if (result == nullptr) return nullptr;
+    while (MatchKeyword(Keyword::kAnd)) {
+      ExprPtr rhs = ParseUnary();
+      if (rhs == nullptr) return nullptr;
+      result = MakeAnd(std::move(result), std::move(rhs));
     }
     return result;
   }
 
-  Result<ExprPtr> ParseUnary() {
+  ExprPtr ParseUnary() {
     DepthScope scope(this);
-    PRESTROID_RETURN_NOT_OK(CheckDepth());
-    if (MatchKeyword("NOT")) {
-      auto inner = ParseUnary();
-      if (!inner.ok()) return inner.status();
-      return MakeNot(std::move(inner).value());
+    if (TooDeep()) return Fail(Errc::kDepth);
+    if (MatchKeyword(Keyword::kNot)) {
+      ExprPtr inner = ParseUnary();
+      if (inner == nullptr) return nullptr;
+      return MakeNot(std::move(inner));
     }
     return ParsePrimaryPredicate();
   }
 
   // Lookahead to distinguish a parenthesized predicate from a parenthesized
   // value expression: both start with '('. We try the predicate first.
-  Result<ExprPtr> ParsePrimaryPredicate() {
+  ExprPtr ParsePrimaryPredicate() {
     DepthScope scope(this);
-    PRESTROID_RETURN_NOT_OK(CheckDepth());
+    if (TooDeep()) return Fail(Errc::kDepth);
     if (Peek().type == TokenType::kLeftParen && LooksLikeNestedPredicate()) {
       Advance();  // consume '('
-      auto inner = ParsePredicate();
-      if (!inner.ok()) return inner.status();
-      if (!Match(TokenType::kRightParen)) return Error("expected ')'");
+      ExprPtr inner = ParsePredicate();
+      if (inner == nullptr) return nullptr;
+      if (!Match(TokenType::kRightParen)) return Fail(Errc::kExpectedRightParen);
       return inner;
     }
     return ParseComparison();
   }
 
-  /// Scans ahead from a '(' to decide whether it encloses a boolean
-  /// predicate (contains AND/OR/NOT/comparison at depth 1).
-  bool LooksLikeNestedPredicate() const {
-    size_t i = pos_ + 1;
+  /// Scans ahead from the '(' at Peek() — on a copy of the cursor — to decide
+  /// whether it encloses a boolean predicate (AND/OR/NOT/comparison inside).
+  bool LooksLikeNestedPredicate() {
+    Lexer scan = cursor_.lexer;
+    size_t next_buffered = 1;  // ahead[0] is the '('
     int depth = 1;
-    while (i < tokens_.size() && depth > 0) {
-      const Token& t = tokens_[i];
+    while (depth > 0) {
+      const Token t = next_buffered < cursor_.buffered
+                          ? cursor_.ahead[next_buffered++]
+                          : scan.Next();
+      if (Stops(t)) return false;
       if (t.type == TokenType::kLeftParen) ++depth;
       if (t.type == TokenType::kRightParen) --depth;
       if (depth >= 1 &&
-          (t.IsKeyword("AND") || t.IsKeyword("OR") || t.IsKeyword("NOT") ||
-           t.IsKeyword("IN") || t.IsKeyword("BETWEEN") || t.IsKeyword("LIKE") ||
-           t.IsKeyword("IS") ||
-           (t.type == TokenType::kOperator &&
-            (t.text == "=" || t.text == "<" || t.text == ">" ||
-             t.text == "<=" || t.text == ">=" || t.text == "<>" ||
-             t.text == "!=")))) {
+          (t.Is(Keyword::kAnd) || t.Is(Keyword::kOr) || t.Is(Keyword::kNot) ||
+           t.Is(Keyword::kIn) || t.Is(Keyword::kBetween) ||
+           t.Is(Keyword::kLike) || t.Is(Keyword::kIs) ||
+           (t.type == TokenType::kOperator && IsComparisonOperator(t.text)))) {
         return true;
       }
-      ++i;
     }
     return false;
   }
 
-  Result<ExprPtr> ParseComparison() {
-    auto lhs = ParseValueExpr();
-    if (!lhs.ok()) return lhs.status();
-    ExprPtr value = std::move(lhs).value();
-
-    if (Peek().type == TokenType::kOperator) {
-      const std::string op = Peek().text;
-      if (op == "=" || op == "<" || op == ">" || op == "<=" || op == ">=" ||
-          op == "<>" || op == "!=") {
-        Advance();
-        auto rhs = ParseValueExpr();
-        if (!rhs.ok()) return rhs.status();
-        return MakeCompare(op, std::move(value), std::move(rhs).value());
-      }
+  ExprPtr ParseComparison() {
+    const size_t start = Peek().offset;
+    ExprPtr value = ParseValueExpr();
+    if (value == nullptr) return nullptr;
+    // A standalone expression that is one value expression from its first
+    // token to the end is that value: the predicate attempt would fail here
+    // and the fallback would re-parse the same tokens into the same tree
+    // (with two fewer nesting levels in use, so it cannot fail deeper).
+    if (start == bare_value_at_ && Peek().type == TokenType::kEnd) {
+      return value;
     }
-    if (MatchKeyword("IN")) {
-      if (!Match(TokenType::kLeftParen)) return Error("expected '(' after IN");
+
+    if (Peek().type == TokenType::kOperator &&
+        IsComparisonOperator(Peek().text)) {
+      const std::string_view op = Advance().text;
+      ExprPtr rhs = ParseValueExpr();
+      if (rhs == nullptr) return nullptr;
+      return MakeCompare(std::string(op), std::move(value), std::move(rhs));
+    }
+    if (MatchKeyword(Keyword::kIn)) {
+      if (!Match(TokenType::kLeftParen)) {
+        return Fail(Errc::kExpectedLeftParenAfterIn);
+      }
       std::vector<ExprPtr> values;
       while (true) {
-        auto v = ParseValueExpr();
-        if (!v.ok()) return v.status();
-        values.push_back(std::move(v).value());
+        ExprPtr v = ParseValueExpr();
+        if (v == nullptr) return nullptr;
+        values.push_back(std::move(v));
         if (!Match(TokenType::kComma)) break;
       }
-      if (!Match(TokenType::kRightParen)) return Error("expected ')'");
+      if (!Match(TokenType::kRightParen)) return Fail(Errc::kExpectedRightParen);
       return MakeIn(std::move(value), std::move(values));
     }
-    if (MatchKeyword("BETWEEN")) {
-      auto lo = ParseValueExpr();
-      if (!lo.ok()) return lo.status();
-      if (!MatchKeyword("AND")) return Error("expected AND in BETWEEN");
-      auto hi = ParseValueExpr();
-      if (!hi.ok()) return hi.status();
-      return MakeBetween(std::move(value), std::move(lo).value(),
-                         std::move(hi).value());
+    if (MatchKeyword(Keyword::kBetween)) {
+      ExprPtr lo = ParseValueExpr();
+      if (lo == nullptr) return nullptr;
+      if (!MatchKeyword(Keyword::kAnd)) return Fail(Errc::kExpectedAndInBetween);
+      ExprPtr hi = ParseValueExpr();
+      if (hi == nullptr) return nullptr;
+      return MakeBetween(std::move(value), std::move(lo), std::move(hi));
     }
-    if (MatchKeyword("LIKE")) {
-      auto pattern = ParseValueExpr();
-      if (!pattern.ok()) return pattern.status();
-      return MakeLike(std::move(value), std::move(pattern).value());
+    if (MatchKeyword(Keyword::kLike)) {
+      ExprPtr pattern = ParseValueExpr();
+      if (pattern == nullptr) return nullptr;
+      return MakeLike(std::move(value), std::move(pattern));
     }
-    if (MatchKeyword("IS")) {
-      bool negated = MatchKeyword("NOT");
-      if (!MatchKeyword("NULL")) return Error("expected NULL after IS");
+    if (MatchKeyword(Keyword::kIs)) {
+      const bool negated = MatchKeyword(Keyword::kNot);
+      if (!MatchKeyword(Keyword::kNull)) return Fail(Errc::kExpectedNullAfterIs);
       return MakeIsNull(std::move(value), negated);
     }
-    // A bare value expression in predicate position (e.g. join keys compared
-    // via ON a.x = b.y is handled above). Treat as error to surface bugs.
-    return Error("expected comparison operator");
+    // A bare value expression in predicate position. Treat as error to
+    // surface bugs.
+    return Fail(Errc::kExpectedComparison);
   }
 
-  Result<ExprPtr> ParseValueExpr() { return ParseAdditive(); }
+  ExprPtr ParseValueExpr() { return ParseAdditive(); }
 
-  Result<ExprPtr> ParseAdditive() {
-    auto lhs = ParseMultiplicative();
-    if (!lhs.ok()) return lhs.status();
-    ExprPtr result = std::move(lhs).value();
+  ExprPtr ParseAdditive() {
+    ExprPtr result = ParseMultiplicative();
+    if (result == nullptr) return nullptr;
     while (Peek().IsOperator("+") || Peek().IsOperator("-")) {
-      std::string op = Advance().text;
-      auto rhs = ParseMultiplicative();
-      if (!rhs.ok()) return rhs.status();
-      result = MakeBinary(op, std::move(result), std::move(rhs).value());
+      std::string op(Advance().text);
+      ExprPtr rhs = ParseMultiplicative();
+      if (rhs == nullptr) return nullptr;
+      result = MakeBinary(std::move(op), std::move(result), std::move(rhs));
     }
     return result;
   }
 
-  Result<ExprPtr> ParseMultiplicative() {
-    auto lhs = ParseFactor();
-    if (!lhs.ok()) return lhs.status();
-    ExprPtr result = std::move(lhs).value();
+  ExprPtr ParseMultiplicative() {
+    ExprPtr result = ParseFactor();
+    if (result == nullptr) return nullptr;
     while (Peek().IsOperator("*") || Peek().IsOperator("/") ||
            Peek().IsOperator("%")) {
-      // '*' directly after SELECT/(, or before FROM, is the star item, not a
-      // multiplication; star never reaches here because ParseFactor consumes it.
-      std::string op = Advance().text;
-      auto rhs = ParseFactor();
-      if (!rhs.ok()) return rhs.status();
-      result = MakeBinary(op, std::move(result), std::move(rhs).value());
+      // A '*' in factor position is the star item, consumed by ParseFactor;
+      // one here is a multiplication.
+      std::string op(Advance().text);
+      ExprPtr rhs = ParseFactor();
+      if (rhs == nullptr) return nullptr;
+      result = MakeBinary(std::move(op), std::move(result), std::move(rhs));
     }
     return result;
   }
 
-  Result<ExprPtr> ParseFactor() {
+  /// Comma-separated value expressions up to the closing ')' (the '(' is
+  /// already consumed); `args` stays empty for "()".
+  bool ParseArguments(bool allow_distinct, std::vector<ExprPtr>* args) {
+    if (Match(TokenType::kRightParen)) return true;
+    if (allow_distinct) MatchKeyword(Keyword::kDistinct);  // not tracked
+    while (true) {
+      ExprPtr arg = ParseValueExpr();
+      if (arg == nullptr) return false;
+      args->push_back(std::move(arg));
+      if (!Match(TokenType::kComma)) break;
+    }
+    if (!Match(TokenType::kRightParen)) {
+      Fail(Errc::kExpectedRightParen);
+      return false;
+    }
+    return true;
+  }
+
+  ExprPtr ParseFactor() {
     DepthScope scope(this);
-    PRESTROID_RETURN_NOT_OK(CheckDepth());
-    const Token& t = Peek();
+    if (TooDeep()) return Fail(Errc::kDepth);
+    const Token t = Peek();
     if (t.IsOperator("*")) {
       Advance();
       return MakeStar();
@@ -391,121 +558,92 @@ class Parser {
     if (t.IsOperator("-")) {
       Advance();
       if (Peek().type == TokenType::kNumber) {
-        return MakeNumber(-std::strtod(Advance().text.c_str(), nullptr));
+        return MakeNumber(-ToDouble(Advance().text));
       }
-      auto inner = ParseFactor();
-      if (!inner.ok()) return inner.status();
-      return MakeBinary("-", MakeNumber(0), std::move(inner).value());
+      ExprPtr inner = ParseFactor();
+      if (inner == nullptr) return nullptr;
+      return MakeBinary("-", MakeNumber(0), std::move(inner));
     }
     if (t.type == TokenType::kNumber) {
-      return MakeNumber(std::strtod(Advance().text.c_str(), nullptr));
+      Advance();
+      return MakeNumber(ToDouble(t.text));
     }
     if (t.type == TokenType::kString) {
-      return MakeString(Advance().text);
+      Advance();
+      return MakeString(UnescapeString(t.text));
     }
-    if (t.IsKeyword("NULL")) {
+    if (t.Is(Keyword::kNull)) {
       Advance();
       return MakeNull();
     }
     // Aggregate functions are keywords in this dialect.
-    if ((t.IsKeyword("COUNT") || t.IsKeyword("SUM") || t.IsKeyword("AVG") ||
-         t.IsKeyword("MIN") || t.IsKeyword("MAX")) &&
+    if ((t.Is(Keyword::kCount) || t.Is(Keyword::kSum) || t.Is(Keyword::kAvg) ||
+         t.Is(Keyword::kMin) || t.Is(Keyword::kMax)) &&
         Peek(1).type == TokenType::kLeftParen) {
-      std::string fname = Advance().text;
+      Advance();  // name
       Advance();  // '('
       std::vector<ExprPtr> args;
-      if (!Match(TokenType::kRightParen)) {
-        MatchKeyword("DISTINCT");  // tolerated, not tracked per-arg
-        while (true) {
-          auto arg = ParseValueExpr();
-          if (!arg.ok()) return arg.status();
-          args.push_back(std::move(arg).value());
-          if (!Match(TokenType::kComma)) break;
-        }
-        if (!Match(TokenType::kRightParen)) return Error("expected ')'");
-      }
-      return MakeFuncCall(std::move(fname), std::move(args));
+      if (!ParseArguments(/*allow_distinct=*/true, &args)) return nullptr;
+      return MakeFuncCall(KeywordName(t.keyword), std::move(args));
     }
     if (t.type == TokenType::kIdentifier) {
-      std::string first = Advance().text;
+      Advance();
       if (Match(TokenType::kDot)) {
         if (Peek().type == TokenType::kIdentifier) {
-          return MakeColumn(first, Advance().text);
+          return MakeColumn(std::string(t.text), std::string(Advance().text));
         }
         if (Peek().IsOperator("*")) {
           Advance();
-          return MakeColumn(first, "*");
+          return MakeColumn(std::string(t.text), "*");
         }
-        return Error("expected column after '.'");
+        return Fail(Errc::kExpectedColumnAfterDot);
       }
-      if (Peek().type == TokenType::kLeftParen) {
+      if (Match(TokenType::kLeftParen)) {
         // Non-aggregate scalar function call.
-        Advance();
         std::vector<ExprPtr> args;
-        if (!Match(TokenType::kRightParen)) {
-          while (true) {
-            auto arg = ParseValueExpr();
-            if (!arg.ok()) return arg.status();
-            args.push_back(std::move(arg).value());
-            if (!Match(TokenType::kComma)) break;
-          }
-          if (!Match(TokenType::kRightParen)) return Error("expected ')'");
-        }
-        return MakeFuncCall(std::move(first), std::move(args));
+        if (!ParseArguments(/*allow_distinct=*/false, &args)) return nullptr;
+        return MakeFuncCall(std::string(t.text), std::move(args));
       }
-      return MakeColumn("", std::move(first));
+      return MakeColumn("", std::string(t.text));
     }
     if (Match(TokenType::kLeftParen)) {
-      auto inner = ParseValueExpr();
-      if (!inner.ok()) return inner.status();
-      if (!Match(TokenType::kRightParen)) return Error("expected ')'");
+      ExprPtr inner = ParseValueExpr();
+      if (inner == nullptr) return nullptr;
+      if (!Match(TokenType::kRightParen)) return Fail(Errc::kExpectedRightParen);
       return inner;
     }
-    return Error("expected expression");
+    return Fail(Errc::kExpectedExpression);
   }
 
-  std::vector<Token> tokens_;
+  static constexpr size_t kNoBareValue = static_cast<size_t>(-1);
+
+  std::string_view text_;
   ParseLimits limits_;
-  size_t pos_ = 0;
+  Cursor cursor_;
   size_t depth_ = 0;
+  /// Offset of the first token of a standalone expression while its
+  /// predicate attempt runs, else kNoBareValue.
+  size_t bare_value_at_ = kNoBareValue;
+  Errc code_ = Errc::kExpectedExpression;
+  size_t offset_ = 0;
 };
-
-Result<std::vector<Token>> TokenizeLimited(const std::string& text,
-                                           const ParseLimits& limits) {
-  auto tokens = Tokenize(text);
-  if (!tokens.ok()) return tokens.status();
-  if (tokens->size() > limits.max_tokens) {
-    return Status::ResourceExhausted(StrFormat(
-        "input exceeds token limit (%zu tokens > %zu)", tokens->size(),
-        limits.max_tokens));
-  }
-  return tokens;
-}
 
 }  // namespace
 
-Result<std::unique_ptr<SelectStmt>> ParseSelect(const std::string& sql) {
-  return ParseSelect(sql, ParseLimits{});
-}
-
-Result<std::unique_ptr<SelectStmt>> ParseSelect(const std::string& sql,
+Result<std::unique_ptr<SelectStmt>> ParseSelect(std::string_view sql,
                                                 const ParseLimits& limits) {
-  auto tokens = TokenizeLimited(sql, limits);
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens).value(), limits);
-  return parser.ParseStatement();
+  Parser parser(sql, limits);
+  std::unique_ptr<SelectStmt> stmt = parser.ParseStatement();
+  if (stmt == nullptr) return parser.Failure();
+  return stmt;
 }
 
-Result<ExprPtr> ParseExpression(const std::string& text) {
-  return ParseExpression(text, ParseLimits{});
-}
-
-Result<ExprPtr> ParseExpression(const std::string& text,
+Result<ExprPtr> ParseExpression(std::string_view text,
                                 const ParseLimits& limits) {
-  auto tokens = TokenizeLimited(text, limits);
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens).value(), limits);
-  return parser.ParseStandaloneExpression();
+  Parser parser(text, limits);
+  ExprPtr expr = parser.ParseStandaloneExpression();
+  if (expr == nullptr) return parser.Failure();
+  return expr;
 }
 
 }  // namespace prestroid::sql

@@ -1,6 +1,7 @@
 #include "util/artifact_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -205,15 +206,26 @@ Status AtomicWriteFile(const std::string& path, const std::string& payload) {
 Result<std::string> ReadFileToString(const std::string& path) {
   int fd = OpenWithRetry(path.c_str(), O_RDONLY, 0);
   if (fd < 0) return Status::IoError("cannot open for read: " + path);
-  std::string out;
+  // Size the buffer from fstat and read straight into it; anything past the
+  // stat size (a growing file, a pipe) is appended through a bounce buffer.
+  struct stat st;
+  size_t expected = 0;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    expected = static_cast<size_t>(st.st_size);
+  }
+  std::string out(expected, '\0');
+  size_t filled = 0;
   char buffer[1 << 16];
   EintrBackoff backoff;
   for (;;) {
+    const bool direct = filled < expected;
+    char* dst = direct ? out.data() + filled : buffer;
+    const size_t room = direct ? expected - filled : sizeof(buffer);
     ssize_t n = -1;
     if (InjectedEintr()) {
       errno = EINTR;
     } else {
-      n = ::read(fd, buffer, sizeof(buffer));
+      n = ::read(fd, dst, room);
     }
     if (n < 0) {
       if (errno == EINTR) {
@@ -228,9 +240,15 @@ Result<std::string> ReadFileToString(const std::string& path) {
       return Status::FromErrno("read " + path, saved_errno);
     }
     if (n == 0) break;
-    out.append(buffer, static_cast<size_t>(n));
+    if (direct) {
+      filled += static_cast<size_t>(n);
+    } else {
+      out.append(buffer, static_cast<size_t>(n));
+      filled = out.size();
+    }
   }
   ::close(fd);
+  out.resize(filled);  // the file shrank after fstat
   return out;
 }
 

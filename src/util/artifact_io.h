@@ -39,7 +39,8 @@ uint32_t Crc32(const std::string& data);
 /// FaultSite::kArtifactWrite / kArtifactSync / kArtifactRename.
 Status AtomicWriteFile(const std::string& path, const std::string& payload);
 
-/// Reads the whole file in binary mode. Interrupted syscalls (EINTR) are
+/// Reads the whole file in binary mode into a string sized from fstat (one
+/// allocation, no intermediate copies). Interrupted syscalls (EINTR) are
 /// retried with a bounded exponential backoff, like AtomicWriteFile.
 Result<std::string> ReadFileToString(const std::string& path);
 

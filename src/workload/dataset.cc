@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 
+#include "util/artifact_io.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -58,7 +58,7 @@ namespace {
 
 /// First bytes of the offending record, with control bytes escaped so one
 /// quarantined record is always exactly one log line.
-std::string SnippetOf(const std::string& chunk) {
+std::string SnippetOf(std::string_view chunk) {
   constexpr size_t kMaxSnippet = 96;
   std::string out;
   out.reserve(std::min(chunk.size(), kMaxSnippet) + 8);
@@ -102,7 +102,7 @@ class QuarantineLog {
   }
 
   Status Append(QuarantineReason reason, size_t ordinal,
-                const std::string& chunk) {
+                std::string_view chunk) {
     if (!out_.is_open()) return Status::OK();
     const std::string line = StrFormat(
         "%s\t%zu\t%s\n", QuarantineReasonToString(reason), ordinal,
@@ -169,14 +169,11 @@ bool LabelsNonNegative(const QueryRecord& record) {
 }
 
 /// Classifies why one single-record chunk failed the strict parser.
-QuarantineReason ClassifyFailure(const std::string& chunk,
-                                 const Status& status) {
+QuarantineReason ClassifyFailure(std::string_view chunk, const Status& status) {
   if (status.code() == StatusCode::kResourceExhausted) {
     return QuarantineReason::kOverLimitPlan;
   }
-  std::istringstream is(chunk);
-  std::string first_line;
-  std::getline(is, first_line);
+  const std::string first_line(chunk.substr(0, chunk.find('\n')));
   double cpu = 0, mem = 0, input = 0;
   long long id = 0;
   int day = 0, template_id = -1;
@@ -186,7 +183,7 @@ QuarantineReason ClassifyFailure(const std::string& chunk,
   }
   // Header is fine; a record that never reaches #END was cut off, anything
   // else is a body (usually plan/predicate) problem.
-  if (chunk.find("\n#END\n") == std::string::npos &&
+  if (chunk.find("\n#END\n") == std::string_view::npos &&
       !EndsWith(chunk, "\n#END") && !StartsWith(chunk, "#END")) {
     return QuarantineReason::kTruncatedRecord;
   }
@@ -195,48 +192,48 @@ QuarantineReason ClassifyFailure(const std::string& chunk,
 
 }  // namespace
 
-Result<IngestResult> IngestTraceTolerant(const std::string& text,
+Result<IngestResult> IngestTraceTolerant(std::string_view text,
                                          const IngestOptions& options) {
   IngestResult result;
   QuarantineLog log;
   PRESTROID_RETURN_NOT_OK(
       log.Open(options.quarantine_path, options.max_quarantine_bytes));
 
-  // Split into per-record chunks at #QUERY boundaries; each chunk is a
+  // Split into per-record chunks at #QUERY lines; each chunk is a view of a
   // complete one-record mini-trace the strict parser can judge in isolation,
   // so one bad record can never poison its neighbours.
-  std::vector<std::string> chunks;
-  size_t start = std::string::npos;
-  size_t scan = 0;
-  auto is_record_start = [&text](size_t pos) {
-    return text.compare(pos, 7, "#QUERY ") == 0 &&
-           (pos == 0 || text[pos - 1] == '\n');
-  };
-  for (; scan < text.size(); ++scan) {
-    if (!is_record_start(scan)) continue;
-    if (start != std::string::npos) {
-      chunks.push_back(text.substr(start, scan - start));
-    } else if (!Trim(text.substr(0, scan)).empty()) {
-      // Junk before the first record is its own quarantined chunk.
-      chunks.push_back(text.substr(0, scan));
+  std::vector<std::string_view> chunks;
+  size_t start = std::string_view::npos;
+  for (size_t line = 0; line < text.size();) {
+    if (StartsWith(text.substr(line), "#QUERY ")) {
+      if (start != std::string_view::npos) {
+        chunks.push_back(text.substr(start, line - start));
+      } else if (!Trim(text.substr(0, line)).empty()) {
+        // Junk before the first record is its own quarantined chunk.
+        chunks.push_back(text.substr(0, line));
+      }
+      start = line;
     }
-    start = scan;
+    const size_t newline = text.find('\n', line);
+    if (newline == std::string_view::npos) break;
+    line = newline + 1;
   }
-  if (start != std::string::npos) {
+  if (start != std::string_view::npos) {
     chunks.push_back(text.substr(start));
   } else if (!Trim(text).empty()) {
     chunks.push_back(text);
   }
 
-  auto quarantine = [&](size_t ordinal, const std::string& chunk,
+  auto quarantine = [&](size_t ordinal, std::string_view chunk,
                         QuarantineReason reason) -> Status {
     ++result.stats.quarantined;
     ++result.stats.by_reason[static_cast<size_t>(reason)];
     return log.Append(reason, ordinal, chunk);
   };
 
+  result.records.reserve(chunks.size());
   for (size_t i = 0; i < chunks.size(); ++i) {
-    const std::string& chunk = chunks[i];
+    const std::string_view chunk = chunks[i];
     auto parsed = DeserializeTrace(chunk, options.plan_limits);
     if (!parsed.ok()) {
       PRESTROID_RETURN_NOT_OK(
@@ -265,11 +262,8 @@ Result<IngestResult> IngestTraceTolerant(const std::string& text,
 
 Result<IngestResult> ReadTraceFileTolerant(const std::string& path,
                                            const IngestOptions& options) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return IngestTraceTolerant(buffer.str(), options);
+  PRESTROID_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  return IngestTraceTolerant(text, options);
 }
 
 DatasetSplits SplitRandom(size_t num_records, double train_ratio,

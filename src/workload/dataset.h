@@ -3,6 +3,7 @@
 
 #include <array>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "plan/plan_limits.h"
@@ -68,10 +69,13 @@ struct IngestResult {
 /// instead of failing the run: malformed headers/plans, over-limit plans,
 /// truncated tails, and non-finite or negative labels are quarantined.
 /// Only environmental failures (e.g. an unwritable quarantine file) abort.
-Result<IngestResult> IngestTraceTolerant(const std::string& text,
+/// Records are cut as views of `text` and parsed in place; a quarantined
+/// record's bytes are only read for its log snippet.
+Result<IngestResult> IngestTraceTolerant(std::string_view text,
                                          const IngestOptions& options);
 
-/// File variant of IngestTraceTolerant.
+/// File variant of IngestTraceTolerant: reads the file once into a buffer
+/// of its size (ReadFileToString).
 Result<IngestResult> ReadTraceFileTolerant(const std::string& path,
                                            const IngestOptions& options);
 

@@ -1,5 +1,6 @@
 #include "workload/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -7,6 +8,7 @@
 #include "plan/plan_text.h"
 #include "plan/planner.h"
 #include "sql/parser.h"
+#include "util/artifact_io.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -85,19 +87,18 @@ std::string SerializeTrace(const std::vector<QueryRecord>& records) {
   return os.str();
 }
 
-Result<std::vector<QueryRecord>> DeserializeTrace(const std::string& text) {
-  return DeserializeTrace(text, plan::PlanLimits{});
-}
-
 Result<std::vector<QueryRecord>> DeserializeTrace(
-    const std::string& text, const plan::PlanLimits& limits) {
+    std::string_view text, const plan::PlanLimits& limits) {
   std::vector<QueryRecord> records;
-  std::istringstream is(text);
-  std::string line;
   QueryRecord current;
-  std::string plan_text;
+  size_t plan_begin = 0;  // offset of the current record's first plan line
   enum class State { kIdle, kInRecord, kInPlan } state = State::kIdle;
-  while (std::getline(is, line)) {
+  // Lines as std::getline yields them: split on '\n', no empty last line.
+  for (size_t begin = 0; begin < text.size();) {
+    const size_t end = std::min(text.find('\n', begin), text.size());
+    const std::string_view line = text.substr(begin, end - begin);
+    const size_t line_begin = begin;
+    begin = end + 1;
     if (StartsWith(line, "#QUERY ")) {
       if (state != State::kIdle) {
         return Status::ParseError("nested #QUERY in trace");
@@ -106,9 +107,11 @@ Result<std::vector<QueryRecord>> DeserializeTrace(
       double cpu = 0, mem = 0, input = 0;
       long long id = 0;
       int day = 0, template_id = -1;
-      if (std::sscanf(line.c_str(), "#QUERY %lld %d %d %lf %lf %lf", &id, &day,
-                      &template_id, &cpu, &mem, &input) != 6) {
-        return Status::ParseError("malformed #QUERY line: " + line);
+      // sscanf needs a NUL-terminated copy; header lines are short.
+      const std::string header(line);
+      if (std::sscanf(header.c_str(), "#QUERY %lld %d %d %lf %lf %lf", &id,
+                      &day, &template_id, &cpu, &mem, &input) != 6) {
+        return Status::ParseError("malformed #QUERY line: " + header);
       }
       current.id = id;
       current.day = day;
@@ -126,25 +129,27 @@ Result<std::vector<QueryRecord>> DeserializeTrace(
       if (state != State::kInRecord) {
         return Status::ParseError("#PLAN outside record");
       }
-      plan_text.clear();
+      plan_begin = begin;
       state = State::kInPlan;
     } else if (line == "#END") {
       if (state != State::kInPlan) {
         return Status::ParseError("#END without #PLAN");
       }
-      auto parsed = plan::ParsePlanText(plan_text, limits);
+      // The plan lines sit contiguously between "#PLAN\n" and this line,
+      // each ending in '\n': parse that slice of the buffer in place.
+      auto parsed = plan::ParsePlanText(
+          text.substr(plan_begin, line_begin - plan_begin), limits);
       if (!parsed.ok()) return parsed.status();
       current.plan = std::move(parsed).value();
       records.push_back(std::move(current));
       current = QueryRecord();
       state = State::kIdle;
     } else if (state == State::kInPlan) {
-      plan_text += line;
-      plan_text += "\n";
+      continue;  // a plan line, parsed with its record's slice at #END
     } else if (Trim(line).empty()) {
       continue;
     } else {
-      return Status::ParseError("unexpected trace line: " + line);
+      return Status::ParseError("unexpected trace line: " + std::string(line));
     }
   }
   if (state != State::kIdle) {
@@ -164,11 +169,8 @@ Status WriteTraceFile(const std::string& path,
 }
 
 Result<std::vector<QueryRecord>> ReadTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return DeserializeTrace(buffer.str());
+  PRESTROID_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  return DeserializeTrace(text);
 }
 
 }  // namespace prestroid::workload

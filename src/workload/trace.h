@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -62,12 +63,15 @@ std::string SerializeTrace(const std::vector<QueryRecord>& records);
 
 /// Parses a serialized trace. Strict: the first malformed or over-limit
 /// record fails the whole parse (the tolerant, quarantining path lives in
-/// workload/dataset.h). Plans are checked against `limits` while parsing.
-Result<std::vector<QueryRecord>> DeserializeTrace(const std::string& text);
-Result<std::vector<QueryRecord>> DeserializeTrace(const std::string& text,
-                                                  const plan::PlanLimits& limits);
+/// workload/dataset.h). Each record's #PLAN...#END lines are handed to
+/// plan::ParsePlanText as one slice of `text`, checked against `limits`
+/// while parsing; nothing but the SQL, the plan tree and the metrics is
+/// copied out of `text`.
+Result<std::vector<QueryRecord>> DeserializeTrace(
+    std::string_view text, const plan::PlanLimits& limits = plan::PlanLimits());
 
-/// Convenience file I/O.
+/// Convenience file I/O. ReadTraceFile reads the file once into a buffer of
+/// its size (ReadFileToString) and parses it in place.
 Status WriteTraceFile(const std::string& path,
                       const std::vector<QueryRecord>& records);
 Result<std::vector<QueryRecord>> ReadTraceFile(const std::string& path);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -9,19 +12,54 @@
 namespace prestroid::sql {
 namespace {
 
+/// Pulls every token up to and including the first kEnd/kError/kOverLimit.
+std::vector<Token> LexAll(std::string_view input,
+                          size_t max_tokens = std::numeric_limits<size_t>::max()) {
+  Lexer lexer(input, max_tokens);
+  std::vector<Token> tokens;
+  while (true) {
+    tokens.push_back(lexer.Next());
+    const TokenType type = tokens.back().type;
+    if (type == TokenType::kEnd || type == TokenType::kError ||
+        type == TokenType::kOverLimit) {
+      return tokens;
+    }
+  }
+}
+
 TEST(LexerTest, KeywordsNormalizedIdentifiersKept) {
-  auto tokens = Tokenize("select Foo FROM bar_1").ValueOrDie();
+  auto tokens = LexAll("select Foo FROM bar_1");
   ASSERT_EQ(tokens.size(), 5u);  // + end
-  EXPECT_TRUE(tokens[0].IsKeyword("SELECT"));
+  EXPECT_EQ(tokens[0].type, TokenType::kKeyword);
+  EXPECT_TRUE(tokens[0].Is(Keyword::kSelect));
+  EXPECT_EQ(tokens[0].text, "select");  // a view of the input as written
   EXPECT_EQ(tokens[1].type, TokenType::kIdentifier);
   EXPECT_EQ(tokens[1].text, "Foo");
-  EXPECT_TRUE(tokens[2].IsKeyword("FROM"));
+  EXPECT_TRUE(tokens[2].Is(Keyword::kFrom));
   EXPECT_EQ(tokens[3].text, "bar_1");
   EXPECT_EQ(tokens[4].type, TokenType::kEnd);
 }
 
+TEST(LexerTest, KeywordTableMatchesEveryKeywordInAnyCase) {
+  for (int k = 1; k <= static_cast<int>(Keyword::kUnion); ++k) {
+    const Keyword kw = static_cast<Keyword>(k);
+    const std::string upper = KeywordName(kw);
+    std::string lower = upper;
+    for (char& c : lower) c = static_cast<char>(c - 'A' + 'a');
+    EXPECT_EQ(LookupKeyword(upper), kw) << upper;
+    EXPECT_EQ(LookupKeyword(lower), kw) << lower;
+    EXPECT_EQ(LookupKeyword(upper + "_"), Keyword::kNone) << upper;
+    EXPECT_EQ(LookupKeyword("X" + upper), Keyword::kNone) << upper;
+  }
+  EXPECT_EQ(LookupKeyword("SELECTS"), Keyword::kNone);
+  EXPECT_EQ(LookupKeyword("SELEC7"), Keyword::kNone);
+  EXPECT_EQ(LookupKeyword("ORDE"), Keyword::kNone);
+  EXPECT_EQ(LookupKeyword("_S"), Keyword::kNone);
+  EXPECT_EQ(LookupKeyword("A"), Keyword::kNone);
+}
+
 TEST(LexerTest, NumbersAndOperators) {
-  auto tokens = Tokenize("x >= 3.14 <> != <= .5").ValueOrDie();
+  auto tokens = LexAll("x >= 3.14 <> != <= .5");
   EXPECT_EQ(tokens[1].text, ">=");
   EXPECT_EQ(tokens[2].text, "3.14");
   EXPECT_EQ(tokens[3].text, "<>");
@@ -31,20 +69,83 @@ TEST(LexerTest, NumbersAndOperators) {
 }
 
 TEST(LexerTest, StringLiteralWithEscape) {
-  auto tokens = Tokenize("'it''s ok'").ValueOrDie();
+  auto tokens = LexAll("'it''s ok'");
   EXPECT_EQ(tokens[0].type, TokenType::kString);
-  EXPECT_EQ(tokens[0].text, "it's ok");
+  EXPECT_EQ(tokens[0].text, "it''s ok");  // escaped until the AST is built
+  EXPECT_EQ(UnescapeString(tokens[0].text), "it's ok");
+  auto parsed = ParseExpression("s = 'it''s ok'").ValueOrDie();
+  EXPECT_EQ(parsed->children[1]->str, "it's ok");
 }
 
 TEST(LexerTest, UnterminatedStringFails) {
-  auto result = Tokenize("'oops");
+  auto tokens = LexAll("'oops");
+  EXPECT_EQ(tokens.back().type, TokenType::kError);
+  auto result = ParseExpression("'oops");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
 
 TEST(LexerTest, UnexpectedCharacterFails) {
-  EXPECT_FALSE(Tokenize("select #").ok());
-  EXPECT_FALSE(Tokenize("a ! b").ok());
+  EXPECT_EQ(LexAll("select #").back().type, TokenType::kError);
+  EXPECT_EQ(LexAll("a ! b").back().type, TokenType::kError);
+  EXPECT_FALSE(ParseSelect("select #").ok());
+  EXPECT_FALSE(ParseExpression("a ! b").ok());
+}
+
+TEST(LexerTest, CountsTokensAndStopsPastTheBudget) {
+  // Three tokens plus kEnd: a budget of 4 admits them, 3 stops at kEnd.
+  auto fits = LexAll("a = 1", 4);
+  EXPECT_EQ(fits.back().type, TokenType::kEnd);
+  auto over = LexAll("a = 1", 3);
+  EXPECT_EQ(over.size(), 4u);
+  EXPECT_EQ(over.back().type, TokenType::kOverLimit);
+  // The stop is sticky and scans nothing further.
+  Lexer lexer("a b c d e f", 2);
+  lexer.Next();
+  lexer.Next();
+  EXPECT_EQ(lexer.Next().type, TokenType::kOverLimit);
+  EXPECT_EQ(lexer.Next().type, TokenType::kOverLimit);
+  EXPECT_EQ(lexer.tokens_lexed(), 3u);
+}
+
+TEST(ParserTest, TokenLimitBoundaryForBothEntryPoints) {
+  // The token count includes the final end-of-input token.
+  const std::string sql = "SELECT a FROM t WHERE x = 1";  // 8 tokens + end
+  ParseLimits limits;
+  limits.max_tokens = 9;
+  EXPECT_TRUE(ParseSelect(sql, limits).ok());
+  limits.max_tokens = 8;
+  auto over = ParseSelect(sql, limits);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+
+  const std::string expr = "a + b * 2 > 3";  // 7 tokens + end
+  limits.max_tokens = 8;
+  EXPECT_TRUE(ParseExpression(expr, limits).ok());
+  limits.max_tokens = 7;
+  auto over_expr = ParseExpression(expr, limits);
+  ASSERT_FALSE(over_expr.ok());
+  EXPECT_EQ(over_expr.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ParserTest, LexicalErrorOutranksEarlierGrammarError) {
+  // The grammar fails at "FROM" (no select item), but the stray '#' later
+  // on decides the code, as does a token budget overrun.
+  auto bad = ParseSelect("SELECT FROM t WHERE #");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kParseError);
+  ParseLimits limits;
+  limits.max_tokens = 4;
+  auto over = ParseSelect("SELECT FROM t WHERE a = 1", limits);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  // Nesting past the depth limit followed by a lexical error: kParseError.
+  std::string deep = "SELECT a FROM t WHERE ";
+  for (int i = 0; i < 300; ++i) deep += "(";
+  deep += "x = 1 !";
+  auto deep_bad = ParseSelect(deep);
+  ASSERT_FALSE(deep_bad.ok());
+  EXPECT_EQ(deep_bad.status().code(), StatusCode::kParseError);
 }
 
 TEST(ParserTest, MinimalSelect) {
