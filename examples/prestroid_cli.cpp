@@ -42,7 +42,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <limits>
@@ -50,7 +49,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -67,6 +65,7 @@
 #include "serve/model_manager.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
+#include "util/artifact_io.h"
 #include "util/histogram.h"
 #include "otp/otp_tree.h"
 #include "plan/plan_stats.h"
@@ -835,14 +834,12 @@ int EstimateCmd(const Flags& flags) {
     request.sql = true;
   } else if (flags.Has("plan")) {
     const std::string path = flags.Get("plan", "");
-    std::ifstream in(path);
-    if (!in) {
+    auto text = ReadFileToString(path);
+    if (!text.ok()) {
       std::cerr << "cannot read plan file: " << path << "\n";
       return 1;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    request.body = text.str();
+    request.body = std::move(text).value();
   } else if (flags.Has("trace")) {
     auto records = workload::ReadTraceFile(flags.Get("trace", ""));
     if (!records.ok()) return Fail(records.status());

@@ -30,8 +30,11 @@ ContinualTrainer::ContinualTrainer(ContinualTrainerConfig config)
     : config_(std::move(config)) {}
 
 void ContinualTrainer::AddRecord(const workload::QueryRecord& record) {
+  // CPU minutes are positive: a label <= 0 would fail LabelTransform::Fit
+  // (a log transform) on every retrain until it aged out of the buffer.
   if (record.plan == nullptr ||
-      !std::isfinite(record.metrics.total_cpu_minutes)) {
+      !std::isfinite(record.metrics.total_cpu_minutes) ||
+      record.metrics.total_cpu_minutes <= 0) {
     return;
   }
   buffer_.push_back(CloneRecord(record));

@@ -56,8 +56,9 @@ class ContinualTrainer {
   explicit ContinualTrainer(ContinualTrainerConfig config);
 
   /// Buffers a deep copy of one labeled record (the caller keeps ownership).
-  /// Records with non-finite labels are ignored — the tolerant ingest layer
-  /// quarantines them upstream, but a direct caller gets the same shield.
+  /// Records with non-finite or non-positive labels are ignored — the
+  /// tolerant ingest layer and the estimate endpoint reject them upstream,
+  /// but a direct caller gets the same shield.
   void AddRecord(const workload::QueryRecord& record);
 
   size_t buffered() const { return buffer_.size(); }

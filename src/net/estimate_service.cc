@@ -1,6 +1,7 @@
 #include "net/estimate_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -220,9 +221,13 @@ void EstimateService::Remove(const std::shared_ptr<Inflight>& state) {
 }
 
 HandlerResult EstimateService::HandleEstimate(const HttpRequest& request) {
+  // Every header is validated before any request state exists, so a
+  // rejected request leaves nothing behind (in particular, it never spends
+  // its X-Idempotency-Key).
   double deadline_ms = config_.default_deadline_ms;
   if (const std::string* header = request.FindHeader("x-deadline-ms")) {
-    if (!ParseDoubleStrict(*header, &deadline_ms) || deadline_ms < 0) {
+    if (!ParseDoubleStrict(*header, &deadline_ms) ||
+        !std::isfinite(deadline_ms) || deadline_ms < 0) {
       return ErrorResponse(400, "invalid X-Deadline-Ms: " + *header);
     }
   }
@@ -235,20 +240,23 @@ HandlerResult EstimateService::HandleEstimate(const HttpRequest& request) {
     }
     tenant = static_cast<serve::TenantId>(parsed);
   }
+  // A label is CPU minutes: finite and positive (the label transform takes
+  // its log).
+  const std::string* label = request.FindHeader("x-actual-cpu-minutes");
+  double actual_cpu_minutes = 0.0;
+  if (label != nullptr &&
+      (!ParseDoubleStrict(*label, &actual_cpu_minutes) ||
+       !std::isfinite(actual_cpu_minutes) || actual_cpu_minutes <= 0)) {
+    return ErrorResponse(400, "invalid X-Actual-Cpu-Minutes: " + *label);
+  }
+  const std::string* key = request.FindHeader("x-idempotency-key");
+  if (key != nullptr && (key->empty() || key->size() > 256)) {
+    return ErrorResponse(400, "X-Idempotency-Key must be 1..256 bytes");
+  }
   auto state = std::make_shared<Inflight>();
-  if (const std::string* header =
-          request.FindHeader("x-actual-cpu-minutes")) {
-    if (!ParseDoubleStrict(*header, &state->actual_cpu_minutes)) {
-      return ErrorResponse(400, "invalid X-Actual-Cpu-Minutes: " + *header);
-    }
-    state->has_actual = true;
-  }
-  if (const std::string* header = request.FindHeader("x-idempotency-key")) {
-    if (header->empty() || header->size() > 256) {
-      return ErrorResponse(400, "X-Idempotency-Key must be 1..256 bytes");
-    }
-    state->idempotency_key = *header;
-  }
+  state->has_actual = label != nullptr;
+  state->actual_cpu_minutes = actual_cpu_minutes;
+  if (key != nullptr) state->idempotency_key = *key;
 
   Result<plan::PlanNodePtr> plan = ParseBody(request);
   if (!plan.ok()) return ErrorResponse(plan.status());

@@ -48,9 +48,11 @@ struct EstimateServiceConfig {
 ///                    containing "sql", or ?input=sql). Headers:
 ///                    X-Deadline-Ms (per-request deadline in ms, propagated
 ///                    to the runtime's queue-deadline check; 0 or absent
-///                    means the estimator's default deadline), X-Tenant (admission
+///                    means the estimator's default deadline; negative or
+///                    non-finite is a 400), X-Tenant (admission
 ///                    quota id), X-Actual-Cpu-Minutes (ground-truth label
-///                    feeding the continual-retraining hook),
+///                    feeding the continual-retraining hook; must be finite
+///                    and > 0, else 400 before anything is recorded),
 ///                    X-Idempotency-Key (dedup token: a labeled observation
 ///                    is delivered at most once per key, so clients may
 ///                    retry labeled posts freely).

@@ -570,6 +570,15 @@ TEST_F(ModelManagerFixture, ContinualBufferIsBoundedAndFiltersBadRecords) {
   bad.metrics.total_cpu_minutes = std::numeric_limits<double>::quiet_NaN();
   trainer.AddRecord(bad);  // no plan, NaN label: ignored
   EXPECT_EQ(trainer.buffered(), 8u);
+  // A label <= 0 would break the log label transform of every retrain while
+  // it sat in the buffer: ignored too, even with a plan.
+  for (double label : {0.0, -1.0}) {
+    workload::QueryRecord nonpositive;
+    nonpositive.plan = SampleRecord(0).plan->Clone();
+    nonpositive.metrics.total_cpu_minutes = label;
+    trainer.AddRecord(nonpositive);
+    EXPECT_EQ(trainer.buffered(), 8u) << label;
+  }
   EXPECT_FALSE(trainer.RetrainDue());
 }
 

@@ -469,6 +469,47 @@ TEST_F(NetTest, BadInputsMapThroughStatusTable) {
                                   {{"X-Deadline-Ms", "soon"}});
   ASSERT_TRUE(bad_deadline.ok());
   EXPECT_EQ(bad_deadline->code, 400);
+  for (const char* deadline : {"nan", "inf", "-inf", "-1"}) {
+    auto rejected = client.Post("/estimate", *plan_text_,
+                                {{"X-Deadline-Ms", deadline}});
+    ASSERT_TRUE(rejected.ok());
+    EXPECT_EQ(rejected->code, 400) << deadline;
+  }
+}
+
+TEST_F(NetTest, RejectedLabelDoesNotSpendItsIdempotencyKey) {
+  // A label that is not finite and positive is refused with 400 before
+  // anything is recorded, so the corrected retry under the same key is
+  // delivered instead of being suppressed as a duplicate.
+  std::mutex mu;  // outlives the server, which may call the hook
+  std::vector<double> delivered;
+  TestServer ts(*records_);
+  ts.service().SetLabeledObservationHook(
+      [&](plan::PlanNodePtr, const cost::ServingEstimate&, double actual) {
+        std::lock_guard<std::mutex> lock(mu);
+        delivered.push_back(actual);
+      });
+  HttpClient client = ts.Client();
+  for (const char* label : {"nan", "inf", "-inf", "-1", "0", "-0"}) {
+    auto rejected = client.Post(
+        "/estimate", *plan_text_,
+        {{"X-Actual-Cpu-Minutes", label}, {"X-Idempotency-Key", "label-1"}});
+    ASSERT_TRUE(rejected.ok());
+    EXPECT_EQ(rejected->code, 400) << label;
+  }
+  auto accepted = client.Post(
+      "/estimate", *plan_text_,
+      {{"X-Actual-Cpu-Minutes", "7.5"}, {"X-Idempotency-Key", "label-1"}});
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_EQ(accepted->code, 200) << accepted->body;
+  EXPECT_TRUE(ts.WaitFor([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return !delivered.empty();
+  }));
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0], 7.5);
+  EXPECT_EQ(ts.service().DuplicateLabelsSuppressed(), 0u);
 }
 
 TEST_F(NetTest, UnknownRoutesGet404And405) {
