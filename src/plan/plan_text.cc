@@ -19,9 +19,9 @@ struct PlanLine {
   std::string_view payload;  // bracket contents, may be empty
 };
 
-/// The line-level grammar: byte and depth limits, even indentation (`indent`
-/// leading spaces), the "- " bullet and a closing ']'. Its errors outrank every node-level error
-/// (see ParsePlanText).
+/// The line-level grammar: byte and depth limits, even indentation
+/// (`indent` leading spaces), the "- " bullet and a closing ']'. Its errors
+/// outrank every node-level error (see ParsePlanText).
 Status CutLine(std::string_view line, size_t indent, const PlanLimits& limits,
                PlanLine* out) {
   if (line.size() > limits.max_line_bytes) {
@@ -238,6 +238,7 @@ Result<PlanNodePtr> ParsePlanText(std::string_view text,
   // first node was built.
   PlanNodePtr root;
   std::vector<PlanNode*> stack;
+  stack.reserve(64);  // deeper plans grow it
   Status deferred;
   size_t lines = 0;
   for (size_t begin = 0;;) {

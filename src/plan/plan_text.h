@@ -25,12 +25,12 @@ std::string PlanToText(const PlanNode& root);
 /// lines are cut in place (views into `text`, no per-line copies) and each
 /// node is built onto a depth-indexed stack as its line is read. Limits are
 /// enforced during that walk — the byte, line, depth and node budgets are
-/// checked before the node they guard is built, so an over-budget input is
-/// rejected with kResourceExhausted without materializing its tree — and
-/// malformed input (including a Limit payload that is not exactly one
-/// in-range integer) yields kParseError/kInvalidArgument. A line-level error
-/// (limits, indentation, bullet, bracket) outranks a node-level one earlier
-/// in the text. Never aborts on hostile bytes.
+/// checked on each line before its node is built, so no node beyond a
+/// budget is ever allocated and an over-budget input is rejected with
+/// kResourceExhausted — and malformed input (including a Limit payload that
+/// is not exactly one in-range integer) yields kParseError/kInvalidArgument.
+/// A line-level error (limits, indentation, bullet, bracket) outranks a
+/// node-level one earlier in the text. Never aborts on hostile bytes.
 Result<PlanNodePtr> ParsePlanText(std::string_view text,
                                   const PlanLimits& limits = PlanLimits());
 

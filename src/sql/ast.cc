@@ -202,11 +202,8 @@ ExprPtr MakeNot(ExprPtr inner) {
 }
 
 ExprPtr MakeIn(ExprPtr lhs, std::vector<ExprPtr> values) {
-  std::vector<ExprPtr> ch;
-  ch.reserve(1 + values.size());
-  ch.push_back(std::move(lhs));
-  for (ExprPtr& v : values) ch.push_back(std::move(v));
-  return MakeWithChildren(ExprKind::kIn, "IN", std::move(ch));
+  values.insert(values.begin(), std::move(lhs));
+  return MakeWithChildren(ExprKind::kIn, "IN", std::move(values));
 }
 
 ExprPtr MakeBetween(ExprPtr value, ExprPtr lo, ExprPtr hi) {

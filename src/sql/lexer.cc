@@ -37,22 +37,6 @@ bool IsIdentChar(char c) { return Is(c, kIdentStart | kDigit); }
 
 }  // namespace
 
-Token Lexer::Next() {
-  if (stopped_) return last_;
-  Token token = Scan();
-  if (token.type != TokenType::kError && count_ >= max_tokens_) {
-    token.type = TokenType::kOverLimit;
-    token.keyword = Keyword::kNone;
-  }
-  ++count_;
-  if (token.type == TokenType::kEnd || token.type == TokenType::kError ||
-      token.type == TokenType::kOverLimit) {
-    stopped_ = true;
-    last_ = token;
-  }
-  return token;
-}
-
 Token Lexer::Scan() {
   const size_t n = input_.size();
   while (pos_ < n && IsSpace(input_[pos_])) ++pos_;

@@ -28,10 +28,21 @@ class Lexer {
                  size_t max_tokens = std::numeric_limits<size_t>::max())
       : input_(input), max_tokens_(max_tokens) {}
 
-  Token Next();
-
-  /// Tokens returned so far, counting the final kEnd once.
-  size_t tokens_lexed() const { return count_; }
+  Token Next() {
+    if (stopped_) return last_;
+    Token token = Scan();
+    if (token.type != TokenType::kError && count_ >= max_tokens_) {
+      token.type = TokenType::kOverLimit;
+      token.keyword = Keyword::kNone;
+    }
+    ++count_;
+    if (token.type == TokenType::kEnd || token.type == TokenType::kError ||
+        token.type == TokenType::kOverLimit) {
+      stopped_ = true;
+      last_ = token;
+    }
+    return token;
+  }
 
  private:
   Token Scan();

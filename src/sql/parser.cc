@@ -127,7 +127,9 @@ double ToDouble(std::string_view text) {
 class Parser {
  public:
   Parser(std::string_view text, const ParseLimits& limits)
-      : text_(text), limits_(limits), cursor_{Lexer(text, limits.max_tokens), {}, 0} {}
+      : text_(text),
+        limits_(limits),
+        cursor_{Lexer(text, limits.max_tokens), {}, 0} {}
 
   std::unique_ptr<SelectStmt> ParseStatement() {
     std::unique_ptr<SelectStmt> stmt = ParseSelectBody();
@@ -145,8 +147,9 @@ class Parser {
     ExprPtr pred = ParsePredicate();
     bare_value_at_ = kNoBareValue;
     if (pred != nullptr && Peek().type == TokenType::kEnd) return pred;
-    // Fall back to a bare value expression followed by trailing tokens,
-    // which fails; the rewind only costs on malformed input.
+    // Fall back to a bare value expression. Only malformed input gets here,
+    // or a value nested so deep that the predicate attempt's two extra
+    // frames crossed the depth limit.
     cursor_ = saved;
     ExprPtr value = ParseValueExpr();
     if (value == nullptr) return nullptr;
@@ -169,8 +172,9 @@ class Parser {
         return Status::ParseError(StrFormat(
             "unterminated string literal at offset %zu", stop.offset));
       }
-      return Status::ParseError(StrFormat("unexpected character '%c' at offset %zu",
-                                          stop.text.front(), stop.offset));
+      return Status::ParseError(
+          StrFormat("unexpected character '%c' at offset %zu",
+                    stop.text.front(), stop.offset));
     }
     if (stop.type == TokenType::kOverLimit) {
       return Status::ResourceExhausted(StrFormat(

@@ -4,36 +4,6 @@
 
 namespace prestroid::sql {
 
-const char* TokenTypeToString(TokenType type) {
-  switch (type) {
-    case TokenType::kIdentifier:
-      return "identifier";
-    case TokenType::kKeyword:
-      return "keyword";
-    case TokenType::kNumber:
-      return "number";
-    case TokenType::kString:
-      return "string";
-    case TokenType::kOperator:
-      return "operator";
-    case TokenType::kComma:
-      return ",";
-    case TokenType::kDot:
-      return ".";
-    case TokenType::kLeftParen:
-      return "(";
-    case TokenType::kRightParen:
-      return ")";
-    case TokenType::kEnd:
-      return "<end>";
-    case TokenType::kError:
-      return "<error>";
-    case TokenType::kOverLimit:
-      return "<over-limit>";
-  }
-  return "?";
-}
-
 const char* KeywordName(Keyword keyword) {
   static constexpr const char* kNames[] = {
       "",       "SELECT", "FROM",  "WHERE",  "GROUP", "BY",      "HAVING",

@@ -24,8 +24,6 @@ enum class TokenType : uint8_t {
   kOverLimit,    // the token budget ran out at `offset`; the lexer stops here
 };
 
-const char* TokenTypeToString(TokenType type);
-
 /// The dialect's reserved words. kNone marks a token that is not a keyword.
 enum class Keyword : uint8_t {
   kNone,

@@ -105,7 +105,6 @@ TEST(LexerTest, CountsTokensAndStopsPastTheBudget) {
   lexer.Next();
   EXPECT_EQ(lexer.Next().type, TokenType::kOverLimit);
   EXPECT_EQ(lexer.Next().type, TokenType::kOverLimit);
-  EXPECT_EQ(lexer.tokens_lexed(), 3u);
 }
 
 TEST(ParserTest, TokenLimitBoundaryForBothEntryPoints) {
@@ -126,6 +125,22 @@ TEST(ParserTest, TokenLimitBoundaryForBothEntryPoints) {
   auto over_expr = ParseExpression(expr, limits);
   ASSERT_FALSE(over_expr.ok());
   EXPECT_EQ(over_expr.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ParserTest, ValueNestedToTheDepthLimitParsesStandalone) {
+  // 199 parentheses put the innermost factor at depth 200, the limit: the
+  // predicate attempt (two frames deeper) fails on depth and the bare-value
+  // fallback succeeds. One more parenthesis is over the limit either way.
+  auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '(') + "a" +
+           std::string(static_cast<size_t>(depth), ')');
+  };
+  auto fits = ParseExpression(nested(199));
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ((*fits)->ToString(), "a");
+  auto over = ParseExpression(nested(200));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ParserTest, LexicalErrorOutranksEarlierGrammarError) {
