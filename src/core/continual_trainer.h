@@ -57,8 +57,8 @@ class ContinualTrainer {
 
   /// Buffers a deep copy of one labeled record (the caller keeps ownership).
   /// Records with non-finite or non-positive labels are ignored — the
-  /// tolerant ingest layer and the estimate endpoint reject them upstream,
-  /// but a direct caller gets the same shield.
+  /// estimate endpoint rejects them upstream, but tolerant trace ingest
+  /// still admits a zero label, and a direct caller gets the same shield.
   void AddRecord(const workload::QueryRecord& record);
 
   size_t buffered() const { return buffer_.size(); }

@@ -1,8 +1,6 @@
 #include "sql/parser.h"
 
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "sql/lexer.h"
@@ -12,74 +10,9 @@ namespace prestroid::sql {
 
 namespace {
 
-/// Why the grammar rejected the input. Kept as a code (plus an offset) while
-/// parsing; only the public entry point turns it into a Status, so a failed
-/// attempt the parser recovers from costs nothing.
-enum class Errc : uint8_t {
-  kDepth,
-  kTrailingTokens,
-  kExpectedSelect,
-  kExpectedAlias,
-  kExpectedFrom,
-  kExpectedJoin,
-  kExpectedOn,
-  kExpectedByAfterGroup,
-  kExpectedByAfterOrder,
-  kExpectedLimitCount,
-  kExpectedRightParen,
-  kExpectedTable,
-  kSubqueryNeedsAlias,
-  kExpectedLeftParenAfterIn,
-  kExpectedAndInBetween,
-  kExpectedNullAfterIs,
-  kExpectedComparison,
-  kExpectedColumnAfterDot,
-  kExpectedExpression,
-};
-
-const char* ErrcMessage(Errc code) {
-  switch (code) {
-    case Errc::kDepth:
-      return "expression nesting exceeds depth limit";
-    case Errc::kTrailingTokens:
-      return "trailing tokens";
-    case Errc::kExpectedSelect:
-      return "expected SELECT";
-    case Errc::kExpectedAlias:
-      return "expected alias";
-    case Errc::kExpectedFrom:
-      return "expected FROM";
-    case Errc::kExpectedJoin:
-      return "expected JOIN";
-    case Errc::kExpectedOn:
-      return "expected ON";
-    case Errc::kExpectedByAfterGroup:
-      return "expected BY after GROUP";
-    case Errc::kExpectedByAfterOrder:
-      return "expected BY after ORDER";
-    case Errc::kExpectedLimitCount:
-      return "expected LIMIT count";
-    case Errc::kExpectedRightParen:
-      return "expected ')'";
-    case Errc::kExpectedTable:
-      return "expected table name or subquery";
-    case Errc::kSubqueryNeedsAlias:
-      return "subquery in FROM requires an alias";
-    case Errc::kExpectedLeftParenAfterIn:
-      return "expected '(' after IN";
-    case Errc::kExpectedAndInBetween:
-      return "expected AND in BETWEEN";
-    case Errc::kExpectedNullAfterIs:
-      return "expected NULL after IS";
-    case Errc::kExpectedComparison:
-      return "expected comparison operator";
-    case Errc::kExpectedColumnAfterDot:
-      return "expected column after '.'";
-    case Errc::kExpectedExpression:
-      return "expected expression";
-  }
-  return "?";
-}
+/// The one grammar error the Status reports as kResourceExhausted; the
+/// parser tells it from the others by address.
+constexpr char kTooDeep[] = "expression nesting exceeds depth limit";
 
 bool Stops(const Token& token) {
   return token.type == TokenType::kEnd || token.type == TokenType::kError ||
@@ -91,21 +24,9 @@ bool IsComparisonOperator(std::string_view op) {
          op == "<>" || op == "!=";
 }
 
-/// The value of a number token, as strtod reads it. std::from_chars rounds
-/// the same way (correctly) and needs no NUL terminator; strtod still
-/// decides out-of-range input (inf, denormals and zero), where from_chars
-/// reports an error instead.
+/// The value of a number token, as strtod reads it. Number tokens are
+/// short, so the NUL-terminated copy stays in the small-string buffer.
 double ToDouble(std::string_view text) {
-  double value = 0.0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (error == std::errc() && end == text.data() + text.size()) return value;
-  char buffer[64];
-  if (text.size() < sizeof(buffer)) {
-    std::memcpy(buffer, text.data(), text.size());
-    buffer[text.size()] = '\0';
-    return std::strtod(buffer, nullptr);
-  }
   return std::strtod(std::string(text).c_str(), nullptr);
 }
 
@@ -123,7 +44,7 @@ double ToDouble(std::string_view text) {
 ///   factor    := column | literal | func '(' args ')' | '(' value ')'
 ///
 /// Every Parse* returns null (a bool false for table refs) on failure after
-/// recording (code, offset) in the parser; callers pass the null up.
+/// recording (message, offset) in the parser; callers pass the null up.
 class Parser {
  public:
   Parser(std::string_view text, const ParseLimits& limits)
@@ -134,7 +55,7 @@ class Parser {
   std::unique_ptr<SelectStmt> ParseStatement() {
     std::unique_ptr<SelectStmt> stmt = ParseSelectBody();
     if (stmt == nullptr) return nullptr;
-    if (Peek().type != TokenType::kEnd) return Fail(Errc::kTrailingTokens);
+    if (Peek().type != TokenType::kEnd) return Fail("trailing tokens");
     return stmt;
   }
 
@@ -153,7 +74,7 @@ class Parser {
     cursor_ = saved;
     ExprPtr value = ParseValueExpr();
     if (value == nullptr) return nullptr;
-    if (Peek().type != TokenType::kEnd) return Fail(Errc::kTrailingTokens);
+    if (Peek().type != TokenType::kEnd) return Fail("trailing tokens");
     return value;
   }
 
@@ -180,13 +101,13 @@ class Parser {
       return Status::ResourceExhausted(StrFormat(
           "input exceeds token limit (%zu tokens)", limits_.max_tokens));
     }
-    if (code_ == Errc::kDepth) {
-      return Status::ResourceExhausted(StrFormat(
-          "%s (%zu)", ErrcMessage(code_), limits_.max_depth));
+    if (what_ == kTooDeep) {
+      return Status::ResourceExhausted(
+          StrFormat("%s (%zu)", kTooDeep, limits_.max_depth));
     }
     const Token at = Lexer(text_.substr(offset_)).Next();
     return Status::ParseError(StrFormat(
-        "%s near offset %zu (token '%.*s')", ErrcMessage(code_), offset_,
+        "%s near offset %zu (token '%.*s')", what_, offset_,
         static_cast<int>(at.text.size()), at.text.data()));
   }
 
@@ -235,16 +156,16 @@ class Parser {
     }
     return false;
   }
-  std::nullptr_t Fail(Errc code) {
-    code_ = code;
+  std::nullptr_t Fail(const char* what) {
+    what_ = what;
     offset_ = Peek().offset;
     return nullptr;
   }
 
   std::unique_ptr<SelectStmt> ParseSelectBody() {
     DepthScope scope(this);
-    if (TooDeep()) return Fail(Errc::kDepth);
-    if (!MatchKeyword(Keyword::kSelect)) return Fail(Errc::kExpectedSelect);
+    if (TooDeep()) return Fail(kTooDeep);
+    if (!MatchKeyword(Keyword::kSelect)) return Fail("expected SELECT");
     auto stmt = std::make_unique<SelectStmt>();
     stmt->distinct = MatchKeyword(Keyword::kDistinct);
 
@@ -255,7 +176,7 @@ class Parser {
       if (item.expr == nullptr) return nullptr;
       if (MatchKeyword(Keyword::kAs)) {
         if (Peek().type != TokenType::kIdentifier) {
-          return Fail(Errc::kExpectedAlias);
+          return Fail("expected alias");
         }
         item.alias = Advance().text;
       } else if (Peek().type == TokenType::kIdentifier) {
@@ -265,7 +186,7 @@ class Parser {
       if (!Match(TokenType::kComma)) break;
     }
 
-    if (!MatchKeyword(Keyword::kFrom)) return Fail(Errc::kExpectedFrom);
+    if (!MatchKeyword(Keyword::kFrom)) return Fail("expected FROM");
     if (!ParseTableRef(&stmt->from)) return nullptr;
 
     // Joins.
@@ -281,7 +202,7 @@ class Parser {
                  Peek().Is(Keyword::kFull)) {
         const Keyword side = Advance().keyword;
         MatchKeyword(Keyword::kOuter);
-        if (!MatchKeyword(Keyword::kJoin)) return Fail(Errc::kExpectedJoin);
+        if (!MatchKeyword(Keyword::kJoin)) return Fail("expected JOIN");
         type = side == Keyword::kLeft    ? JoinType::kLeft
                : side == Keyword::kRight ? JoinType::kRight
                                          : JoinType::kFull;
@@ -296,7 +217,7 @@ class Parser {
       join.type = type;
       if (!ParseTableRef(&join.ref)) return nullptr;
       if (type != JoinType::kCross) {
-        if (!MatchKeyword(Keyword::kOn)) return Fail(Errc::kExpectedOn);
+        if (!MatchKeyword(Keyword::kOn)) return Fail("expected ON");
         join.condition = ParsePredicate();
         if (join.condition == nullptr) return nullptr;
       }
@@ -308,7 +229,7 @@ class Parser {
       if (stmt->where == nullptr) return nullptr;
     }
     if (MatchKeyword(Keyword::kGroup)) {
-      if (!MatchKeyword(Keyword::kBy)) return Fail(Errc::kExpectedByAfterGroup);
+      if (!MatchKeyword(Keyword::kBy)) return Fail("expected BY after GROUP");
       while (true) {
         ExprPtr expr = ParseValueExpr();
         if (expr == nullptr) return nullptr;
@@ -321,7 +242,7 @@ class Parser {
       if (stmt->having == nullptr) return nullptr;
     }
     if (MatchKeyword(Keyword::kOrder)) {
-      if (!MatchKeyword(Keyword::kBy)) return Fail(Errc::kExpectedByAfterOrder);
+      if (!MatchKeyword(Keyword::kBy)) return Fail("expected BY after ORDER");
       while (true) {
         OrderItem item;
         item.expr = ParseValueExpr();
@@ -337,7 +258,7 @@ class Parser {
     }
     if (MatchKeyword(Keyword::kLimit)) {
       if (Peek().type != TokenType::kNumber) {
-        return Fail(Errc::kExpectedLimitCount);
+        return Fail("expected LIMIT count");
       }
       stmt->limit = static_cast<int64_t>(ToDouble(Advance().text));
     }
@@ -349,18 +270,18 @@ class Parser {
       ref->subquery = ParseSelectBody();
       if (ref->subquery == nullptr) return false;
       if (!Match(TokenType::kRightParen)) {
-        Fail(Errc::kExpectedRightParen);
+        Fail("expected ')'");
         return false;
       }
     } else if (Peek().type == TokenType::kIdentifier) {
       ref->table = Advance().text;
     } else {
-      Fail(Errc::kExpectedTable);
+      Fail("expected table name or subquery");
       return false;
     }
     if (MatchKeyword(Keyword::kAs)) {
       if (Peek().type != TokenType::kIdentifier) {
-        Fail(Errc::kExpectedAlias);
+        Fail("expected alias");
         return false;
       }
       ref->alias = Advance().text;
@@ -368,7 +289,7 @@ class Parser {
       ref->alias = Advance().text;
     }
     if (ref->IsSubquery() && ref->alias.empty()) {
-      Fail(Errc::kSubqueryNeedsAlias);
+      Fail("subquery in FROM requires an alias");
       return false;
     }
     return true;
@@ -400,7 +321,7 @@ class Parser {
 
   ExprPtr ParseUnary() {
     DepthScope scope(this);
-    if (TooDeep()) return Fail(Errc::kDepth);
+    if (TooDeep()) return Fail(kTooDeep);
     if (MatchKeyword(Keyword::kNot)) {
       ExprPtr inner = ParseUnary();
       if (inner == nullptr) return nullptr;
@@ -413,12 +334,12 @@ class Parser {
   // value expression: both start with '('. We try the predicate first.
   ExprPtr ParsePrimaryPredicate() {
     DepthScope scope(this);
-    if (TooDeep()) return Fail(Errc::kDepth);
+    if (TooDeep()) return Fail(kTooDeep);
     if (Peek().type == TokenType::kLeftParen && LooksLikeNestedPredicate()) {
       Advance();  // consume '('
       ExprPtr inner = ParsePredicate();
       if (inner == nullptr) return nullptr;
-      if (!Match(TokenType::kRightParen)) return Fail(Errc::kExpectedRightParen);
+      if (!Match(TokenType::kRightParen)) return Fail("expected ')'");
       return inner;
     }
     return ParseComparison();
@@ -469,7 +390,7 @@ class Parser {
     }
     if (MatchKeyword(Keyword::kIn)) {
       if (!Match(TokenType::kLeftParen)) {
-        return Fail(Errc::kExpectedLeftParenAfterIn);
+        return Fail("expected '(' after IN");
       }
       std::vector<ExprPtr> values;
       while (true) {
@@ -478,13 +399,13 @@ class Parser {
         values.push_back(std::move(v));
         if (!Match(TokenType::kComma)) break;
       }
-      if (!Match(TokenType::kRightParen)) return Fail(Errc::kExpectedRightParen);
+      if (!Match(TokenType::kRightParen)) return Fail("expected ')'");
       return MakeIn(std::move(value), std::move(values));
     }
     if (MatchKeyword(Keyword::kBetween)) {
       ExprPtr lo = ParseValueExpr();
       if (lo == nullptr) return nullptr;
-      if (!MatchKeyword(Keyword::kAnd)) return Fail(Errc::kExpectedAndInBetween);
+      if (!MatchKeyword(Keyword::kAnd)) return Fail("expected AND in BETWEEN");
       ExprPtr hi = ParseValueExpr();
       if (hi == nullptr) return nullptr;
       return MakeBetween(std::move(value), std::move(lo), std::move(hi));
@@ -496,12 +417,12 @@ class Parser {
     }
     if (MatchKeyword(Keyword::kIs)) {
       const bool negated = MatchKeyword(Keyword::kNot);
-      if (!MatchKeyword(Keyword::kNull)) return Fail(Errc::kExpectedNullAfterIs);
+      if (!MatchKeyword(Keyword::kNull)) return Fail("expected NULL after IS");
       return MakeIsNull(std::move(value), negated);
     }
     // A bare value expression in predicate position. Treat as error to
     // surface bugs.
-    return Fail(Errc::kExpectedComparison);
+    return Fail("expected comparison operator");
   }
 
   ExprPtr ParseValueExpr() { return ParseAdditive(); }
@@ -545,7 +466,7 @@ class Parser {
       if (!Match(TokenType::kComma)) break;
     }
     if (!Match(TokenType::kRightParen)) {
-      Fail(Errc::kExpectedRightParen);
+      Fail("expected ')'");
       return false;
     }
     return true;
@@ -553,7 +474,7 @@ class Parser {
 
   ExprPtr ParseFactor() {
     DepthScope scope(this);
-    if (TooDeep()) return Fail(Errc::kDepth);
+    if (TooDeep()) return Fail(kTooDeep);
     const Token t = Peek();
     if (t.IsOperator("*")) {
       Advance();
@@ -600,7 +521,7 @@ class Parser {
           Advance();
           return MakeColumn(std::string(t.text), "*");
         }
-        return Fail(Errc::kExpectedColumnAfterDot);
+        return Fail("expected column after '.'");
       }
       if (Match(TokenType::kLeftParen)) {
         // Non-aggregate scalar function call.
@@ -613,10 +534,10 @@ class Parser {
     if (Match(TokenType::kLeftParen)) {
       ExprPtr inner = ParseValueExpr();
       if (inner == nullptr) return nullptr;
-      if (!Match(TokenType::kRightParen)) return Fail(Errc::kExpectedRightParen);
+      if (!Match(TokenType::kRightParen)) return Fail("expected ')'");
       return inner;
     }
-    return Fail(Errc::kExpectedExpression);
+    return Fail("expected expression");
   }
 
   static constexpr size_t kNoBareValue = static_cast<size_t>(-1);
@@ -628,7 +549,7 @@ class Parser {
   /// Offset of the first token of a standalone expression while its
   /// predicate attempt runs, else kNoBareValue.
   size_t bare_value_at_ = kNoBareValue;
-  Errc code_ = Errc::kExpectedExpression;
+  const char* what_ = "expected expression";
   size_t offset_ = 0;
 };
 
