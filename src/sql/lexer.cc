@@ -1,19 +1,39 @@
 #include "sql/lexer.h"
 
-#include <cctype>
+#include <array>
+#include <cstdint>
 
 namespace prestroid::sql {
 
 namespace {
 
-bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)) != 0; }
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
+// ASCII character classes, matching <cctype> in the "C" locale, as one
+// table lookup per byte.
+enum CharClass : uint8_t {
+  kSpace = 1,
+  kDigit = 2,
+  kIdentStart = 4,  // letters and '_'
+};
+
+constexpr std::array<uint8_t, 256> MakeCharClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (int c = '\t'; c <= '\r'; ++c) classes[c] = kSpace;
+  classes[' '] = kSpace;
+  for (int c = '0'; c <= '9'; ++c) classes[c] = kDigit;
+  for (int c = 'a'; c <= 'z'; ++c) classes[c] = kIdentStart;
+  for (int c = 'A'; c <= 'Z'; ++c) classes[c] = kIdentStart;
+  classes['_'] = kIdentStart;
+  return classes;
 }
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+constexpr std::array<uint8_t, 256> kCharClasses = MakeCharClasses();
+
+bool Is(char c, uint8_t classes) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & classes) != 0;
 }
+bool IsSpace(char c) { return Is(c, kSpace); }
+bool IsDigit(char c) { return Is(c, kDigit); }
+bool IsIdentStart(char c) { return Is(c, kIdentStart); }
+bool IsIdentChar(char c) { return Is(c, kIdentStart | kDigit); }
 
 }  // namespace
 

@@ -2,8 +2,6 @@
 
 #include <iterator>
 
-#include "util/string_util.h"
-
 namespace prestroid::sql {
 
 const char* KeywordName(Keyword keyword) {
@@ -18,13 +16,28 @@ const char* KeywordName(Keyword keyword) {
   return kNames[static_cast<size_t>(keyword)];
 }
 
+namespace {
+
+/// True if `word` equals the upper-case `upper` ignoring ASCII case. Only
+/// called on identifier bytes ([A-Za-z0-9_]), where clearing bit 5 upper-
+/// cases a letter and never turns a digit or '_' into one.
+bool MatchesUpper(std::string_view word, const char* upper) {
+  for (size_t i = 0; i < word.size(); ++i) {
+    if ((static_cast<unsigned char>(word[i]) & 0xDF) !=
+        static_cast<unsigned char>(upper[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Keyword LookupKeyword(std::string_view word) {
   if (word.size() < 2 || word.size() > 8) return Keyword::kNone;
   auto is = [&](const char* upper, Keyword kw) {
-    return EqualsIgnoreCase(word, upper) ? kw : Keyword::kNone;
+    return MatchesUpper(word, upper) ? kw : Keyword::kNone;
   };
-  // Clearing bit 5 upper-cases a letter; no other identifier byte ('_',
-  // digits) becomes one.
   const char first = static_cast<char>(word[0] & 0xDF);
   switch (word.size()) {
     case 2:
