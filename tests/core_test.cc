@@ -13,6 +13,8 @@
 #include "core/pipeline.h"
 #include "core/subtree_model.h"
 #include "otp/otp_tree.h"
+#include "tensor/kernels/gemm_kernels.h"
+#include "test_corpus.h"
 #include "util/artifact_io.h"
 #include "workload/dataset.h"
 
@@ -688,6 +690,103 @@ TEST(SubtreeModelDeathTest, ChildOutsideItsTreeFailsAssembly) {
   EXPECT_DEATH(model.PredictBorrowed({&trees}), "outside its tree");
   trees[0].right[1] = -2;
   EXPECT_DEATH(model.PredictBorrowed({&trees}), "outside its tree");
+}
+
+// --- Pinned featurization and prediction digests --------------------------
+//
+// Recorded before the sub-tree sampler, the featurizer and the frozen first
+// tree-conv layer were rewritten for speed: FeaturizePlan's output (every
+// feature bit, child index and vote) and PredictFeaturized's answers must
+// stay exactly what they were. Features do not depend on the GEMM
+// instantiation; trained weights and answers do, so answers are pinned per
+// ISA (GemmBlockedIsaName).
+
+struct ServingDigests {
+  std::string features;
+  std::string answers;
+};
+
+ServingDigests FeaturizeAndPredictDigests(const test::TraceCorpus& corpus) {
+  const std::vector<workload::QueryRecord>& records = corpus.records;
+  Rng rng(13);
+  const workload::DatasetSplits splits =
+      workload::SplitRandom(records.size(), 0.8, 0.1, &rng);
+  // The `prestroid_cli train` shape.
+  PipelineConfig config;
+  config.sampler.node_limit = 15;
+  config.num_subtrees = 9;
+  config.word2vec.dim = 32;
+  config.word2vec.min_count = 2;
+  config.conv_channels.assign(3, 32);
+  config.dense_units = {32, 16};
+  config.threads = 1;
+  auto pipeline = PrestroidPipeline::Fit(records, splits.train, config)
+                      .ValueOrDie();
+  pipeline->execution_context()->set_kernel(KernelBackend::kBlocked);
+  TrainConfig train_config;
+  train_config.batch_size = 32;
+  train_config.max_epochs = 2;
+  pipeline->Train(splits, train_config);
+
+  test::Digest features;
+  std::vector<PlanFeatures> featurized;
+  for (const workload::QueryRecord& record : records) {
+    featurized.push_back(pipeline->FeaturizePlan(*record.plan).ValueOrDie());
+    const PlanFeatures& plan = featurized.back();
+    features.Add(static_cast<uint64_t>(plan.trees.size()));
+    for (const TreeFeatures& tree : plan.trees) {
+      features.Add(static_cast<uint64_t>(tree.num_nodes()));
+      for (size_t i = 0; i < tree.features.size(); ++i) {
+        features.AddBits(tree.features[i]);
+      }
+      for (size_t i = 0; i < tree.num_nodes(); ++i) {
+        features.Add(static_cast<uint64_t>(tree.left[i] + 1));
+        features.Add(static_cast<uint64_t>(tree.right[i] + 1));
+        features.AddBits(tree.votes[i]);
+      }
+    }
+  }
+
+  std::vector<const PlanFeatures*> all;
+  for (const PlanFeatures& plan : featurized) all.push_back(&plan);
+  // Thawed, then frozen the way a serving shard freezes: every answer of
+  // both, alone and in batches of 32, must be the same bits.
+  const std::vector<double> thawed = pipeline->PredictFeaturized(all);
+  pipeline->FreezeInferenceWeights();
+  test::Digest answers;
+  for (size_t i = 0; i < all.size(); ++i) {
+    const double alone = pipeline->PredictFeaturized({all[i]})[0];
+    EXPECT_EQ(alone, thawed[i]) << "record " << i;
+    answers.AddBits(alone);
+  }
+  for (size_t start = 0; start < all.size(); start += 32) {
+    const std::vector<const PlanFeatures*> batch(
+        all.begin() + start, all.begin() + std::min(all.size(), start + 32));
+    const std::vector<double> out = pipeline->PredictFeaturized(batch);
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], thawed[start + i]) << "record " << start + i;
+    }
+  }
+  return {test::Hex(features.value()), test::Hex(answers.value())};
+}
+
+TEST(ServingDigestTest, GrabFeaturizePlanAndPredictFeaturized) {
+  const ServingDigests digests = FeaturizeAndPredictDigests(test::GrabCorpus());
+  EXPECT_EQ(digests.features, "0x48b14483339e1186");
+  const std::string isa = GemmBlockedIsaName();
+  EXPECT_EQ(digests.answers,
+            isa == "avx2" ? "0xbce3ebffacaed535" : "0x59337bb974aacd73")
+      << isa;
+}
+
+TEST(ServingDigestTest, TpcdsFeaturizePlanAndPredictFeaturized) {
+  const ServingDigests digests =
+      FeaturizeAndPredictDigests(test::TpcdsCorpus());
+  EXPECT_EQ(digests.features, "0x10cfa87c18325f92");
+  const std::string isa = GemmBlockedIsaName();
+  EXPECT_EQ(digests.answers,
+            isa == "avx2" ? "0xa3a840a94a1fac21" : "0xebb345e00b74a1a3")
+      << isa;
 }
 
 }  // namespace

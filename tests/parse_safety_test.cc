@@ -21,6 +21,7 @@
 #include "serve/ingest_fuzz.h"
 #include "serve/plan_fingerprint.h"
 #include "sql/parser.h"
+#include "test_corpus.h"
 #include "util/random.h"
 #include "workload/dataset.h"
 #include "workload/schema_generator.h"
@@ -30,36 +31,11 @@
 namespace prestroid {
 namespace {
 
-/// FNV-1a over a stream of fields; every field is length- or
-/// width-delimited so adjacent fields cannot alias.
-class Digest {
- public:
-  void Add(std::string_view bytes) {
-    Add(static_cast<uint64_t>(bytes.size()));
-    for (char c : bytes) Byte(static_cast<unsigned char>(c));
-  }
-  void Add(uint64_t value) {
-    for (int i = 0; i < 8; ++i) Byte(static_cast<unsigned char>(value >> (8 * i)));
-  }
-  void AddCode(const Status& status) {
-    Add(static_cast<uint64_t>(status.code()));
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  void Byte(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= 1099511628211ull;
-  }
-  uint64_t hash_ = 1469598103934665603ull;
-};
-
-std::string Hex(uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
+using test::Digest;
+using test::GrabCorpus;
+using test::Hex;
+using test::TpcdsCorpus;
+using test::TraceCorpus;
 
 /// Folds one plan-text parse outcome: status code, and for a parsed plan its
 /// canonical text and fingerprint.
@@ -94,44 +70,6 @@ uint64_t PlanFuzzDigest(uint64_t seed_begin, uint64_t seed_end) {
 }
 
 // --- Round trips ----------------------------------------------------------
-
-struct TraceCorpus {
-  workload::GeneratedSchema schema;
-  std::vector<workload::QueryRecord> records;
-};
-
-const TraceCorpus& GrabCorpus() {
-  static const TraceCorpus* corpus = [] {
-    auto* out = new TraceCorpus;
-    workload::SchemaGenConfig schema_config;
-    schema_config.num_tables = 30;
-    schema_config.num_days = 30;
-    schema_config.seed = 99;
-    out->schema = workload::GenerateSchema(schema_config);
-    workload::TraceConfig config;
-    config.num_queries = 80;
-    config.num_days = 30;
-    config.seed = 5;
-    out->records = workload::GenerateGrabTrace(out->schema, config).ValueOrDie();
-    return out;
-  }();
-  return *corpus;
-}
-
-const TraceCorpus& TpcdsCorpus() {
-  static const TraceCorpus* corpus = [] {
-    auto* out = new TraceCorpus;
-    out->schema = workload::GenerateTpcdsSchema();
-    workload::TpcdsWorkloadConfig config;
-    config.num_templates = 20;
-    config.num_queries = 60;
-    config.seed = 3;
-    out->records =
-        workload::GenerateTpcdsTrace(out->schema, config).ValueOrDie();
-    return out;
-  }();
-  return *corpus;
-}
 
 /// False for a plan the text form cannot express: a Filter whose predicate
 /// a mutation dropped (PlanToText needs one to print).

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_map>
 
 #include "subtree/naive_pruning.h"
 #include "subtree/subtree_sampler.h"
+#include "test_corpus.h"
 
 namespace prestroid::subtree {
 namespace {
@@ -279,6 +281,51 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(32, 3), std::make_tuple(64, 3),
                       std::make_tuple(8, 2), std::make_tuple(7, 2),
                       std::make_tuple(4, 1), std::make_tuple(3, 1)));
+
+// Pinned over the GRAB and TPC-DS corpora before the sampler's level growth
+// was rewritten: every sample's nodes (as BFS indices of the whole O-T-P
+// tree), local children, votes and completeness must stay exactly as the
+// std::deque / std::map implementation produced them.
+uint64_t SamplerCorpusDigest(const test::TraceCorpus& corpus) {
+  const std::vector<std::pair<size_t, size_t>> configs = {
+      {15, 3}, {16, 3}, {31, 4}, {7, 2}, {3, 1}};
+  test::Digest digest;
+  for (const workload::QueryRecord& record : corpus.records) {
+    otp::OtpTree tree = otp::RecastPlan(*record.plan).ValueOrDie();
+    const otp::FlatOtpTree flat = otp::Flatten(tree);
+    std::unordered_map<const OtpNode*, uint64_t> bfs_index;
+    for (size_t i = 0; i < flat.size(); ++i) bfs_index[flat.nodes[i]] = i;
+    for (const auto& [n_limit, conv_layers] : configs) {
+      SubtreeSamplerConfig config;
+      config.node_limit = n_limit;
+      config.conv_layers = conv_layers;
+      const std::vector<SubtreeSample> samples =
+          SampleSubtrees(*tree.root, config).ValueOrDie();
+      digest.Add(static_cast<uint64_t>(samples.size()));
+      for (const SubtreeSample& sample : samples) {
+        digest.Add(static_cast<uint64_t>(sample.size()));
+        digest.Add(static_cast<uint64_t>(sample.complete));
+        for (size_t i = 0; i < sample.size(); ++i) {
+          digest.Add(bfs_index.at(sample.nodes[i]));
+          digest.Add(static_cast<uint64_t>(sample.left[i] + 1));
+          digest.Add(static_cast<uint64_t>(sample.right[i] + 1));
+          digest.AddBits(sample.votes[i]);
+        }
+      }
+    }
+  }
+  return digest.value();
+}
+
+TEST(SamplerDigestTest, GrabCorpus) {
+  EXPECT_EQ(test::Hex(SamplerCorpusDigest(test::GrabCorpus())),
+            "0x9baba1cfa0ac9d89");
+}
+
+TEST(SamplerDigestTest, TpcdsCorpus) {
+  EXPECT_EQ(test::Hex(SamplerCorpusDigest(test::TpcdsCorpus())),
+            "0x6cf72fea6af9e732");
+}
 
 }  // namespace
 }  // namespace prestroid::subtree
