@@ -1,5 +1,7 @@
 #include "core/featurizer.h"
 
+#include <utility>
+
 #include "util/logging.h"
 
 namespace prestroid::core {
@@ -12,13 +14,20 @@ Featurizer::Featurizer(const otp::OtpEncoder* encoder,
 }
 
 void Featurizer::InstallQueryContext(const otp::OtpTree& tree) const {
+  // The query's predicates in BFS order, the order the OOV context folds
+  // their embeddings in.
+  std::vector<const otp::OtpNode*> queue;
+  queue.reserve(tree.node_count);
+  queue.push_back(tree.root.get());
   std::vector<const sql::Expr*> predicates;
-  otp::FlatOtpTree flat = otp::Flatten(tree);
-  for (const otp::OtpNode* node : flat.nodes) {
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const otp::OtpNode* node = queue[head];
     if (node->type == otp::OtpNodeType::kPredicate &&
         node->predicate != nullptr) {
       predicates.push_back(node->predicate.get());
     }
+    if (node->left != nullptr) queue.push_back(node->left.get());
+    if (node->right != nullptr) queue.push_back(node->right.get());
   }
   predicate_encoder_->SetQueryContext(predicates);
 }
@@ -50,7 +59,7 @@ Result<std::vector<TreeFeatures>> Featurizer::FeaturizeSubtrees(
   std::vector<TreeFeatures> out;
   out.reserve(take);
   for (size_t s = 0; s < take; ++s) {
-    const subtree::SubtreeSample& sample = samples[s];
+    subtree::SubtreeSample& sample = samples[s];
     // Sub-trees never exceed N, the model's accounting size
     // (subtree_model.h).
     PRESTROID_CHECK_LE(sample.size(), config.node_limit);
@@ -60,9 +69,9 @@ Result<std::vector<TreeFeatures>> Featurizer::FeaturizeSubtrees(
       encoder_->EncodeNode(*sample.nodes[i],
                            features.features.data() + i * dim);
     }
-    features.left = sample.left;
-    features.right = sample.right;
-    features.votes = sample.votes;
+    features.left = std::move(sample.left);
+    features.right = std::move(sample.right);
+    features.votes = std::move(sample.votes);
     out.push_back(std::move(features));
   }
   predicate_encoder_->ClearQueryContext();

@@ -9,7 +9,10 @@ TreeConvStack::TreeConvStack(size_t input_dim,
   PRESTROID_CHECK(!channels.empty());
   size_t in = input_dim;
   for (size_t out : channels) {
-    convs_.push_back(std::make_unique<TreeConvLayer>(in, out, rng));
+    convs_.push_back(std::make_unique<TreeConvLayer>(
+        in, out, rng,
+        convs_.empty() ? TreeConvInput::kFeaturizerRows
+                       : TreeConvInput::kDense));
     in = out;
   }
   output_dim_ = in;

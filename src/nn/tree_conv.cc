@@ -10,9 +10,11 @@
 
 namespace prestroid {
 
-TreeConvLayer::TreeConvLayer(size_t in_features, size_t out_features, Rng* rng)
+TreeConvLayer::TreeConvLayer(size_t in_features, size_t out_features, Rng* rng,
+                             TreeConvInput input)
     : in_features_(in_features),
       out_features_(out_features),
+      input_kind_(input),
       w_self_(Tensor::GlorotUniform(in_features, out_features, rng)),
       w_left_(Tensor::GlorotUniform(in_features, out_features, rng)),
       w_right_(Tensor::GlorotUniform(in_features, out_features, rng)),
@@ -35,12 +37,23 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
   input_ = &features;
   structure_ = &structure;
 
-  // Frozen inference always takes the im2col lowering — that is the operand
-  // layout the resident weights were built for.
+  // Frozen inference always runs on the resident panel. Featurizer rows are
+  // mostly exact zeros (one 1-hot entry, a 32-wide predicate block, or
+  // nothing), so that layer reads only their nonzeros instead of gathering
+  // 3*in-wide windows; layers above keep the dense GEMM, where a
+  // value-sparse pass measured slower.
   if (resident_ != nullptr) {
-    GatherWindows();
-    resident_->Gemm(&output_, packed_input_, &bias_, GemmEpilogue::kBiasRelu,
-                    ctx_);
+    if (input_kind_ == TreeConvInput::kFeaturizerRows) {
+      CollectNonzeros();
+      resident_->TreeWindowGemm(
+          &output_, structure.num_rows(),
+          {nz_begin_.data(), nz_index_.data(), nz_value_.data()},
+          structure.left.data(), structure.right.data(), bias_, ctx_);
+    } else {
+      GatherWindows();
+      resident_->Gemm(&output_, packed_input_, &bias_,
+                      GemmEpilogue::kBiasRelu, ctx_);
+    }
   } else if (ctx_->kernel() == KernelBackend::kBlocked) {
     GatherWindows();
     StackWeights();
@@ -234,6 +247,44 @@ void TreeConvLayer::GatherWindows() {
       }
     }
   });
+}
+
+void TreeConvLayer::CollectNonzeros() {
+  const size_t rows = structure_->num_rows();
+  const size_t in = in_features_;
+  const float* x = input_->data();
+  nz_begin_.resize(rows + 1);
+  nz_index_.resize(rows * in);
+  nz_value_.resize(rows * in);
+  uint32_t count = 0;
+  auto collect = [&](const float* row, size_t i0, size_t i1) {
+    for (size_t i = i0; i < i1; ++i) {
+      // -0.0 is skipped too: its product is as exactly zero as +0.0's.
+      if (row[i] != 0.0f) {
+        nz_index_[count] = static_cast<uint32_t>(i);
+        nz_value_[count] = row[i];
+        ++count;
+      }
+    }
+  };
+  for (size_t r = 0; r < rows; ++r) {
+    nz_begin_[r] = count;
+    const float* row = x + r * in;
+    // Most 8-wide chunks are all (signed) zeros: one OR over their bits,
+    // sign shifted out, skips them without a compare per element.
+    size_t i = 0;
+    for (; i + 8 <= in; i += 8) {
+      uint32_t bits = 0;
+      for (size_t j = 0; j < 8; ++j) {
+        uint32_t word = 0;
+        std::memcpy(&word, row + i + j, sizeof(word));
+        bits |= word << 1;
+      }
+      if (bits != 0) collect(row, i, i + 8);
+    }
+    collect(row, i, in);
+  }
+  nz_begin_[rows] = count;
 }
 
 void TreeConvLayer::StackWeights() {

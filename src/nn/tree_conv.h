@@ -1,6 +1,7 @@
 #ifndef PRESTROID_NN_TREE_CONV_H_
 #define PRESTROID_NN_TREE_CONV_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -32,6 +33,17 @@ struct TreeStructure {
 
   size_t num_trees() const { return offsets.empty() ? 0 : offsets.size() - 1; }
   size_t num_rows() const { return left.size(); }
+};
+
+/// What a tree-convolution layer reads, which decides its frozen forward.
+enum class TreeConvInput {
+  /// Another layer's activations: the gathered windows run through the
+  /// resident packed-panel GEMM.
+  kDense,
+  /// Featurizer node rows (a 1-hot operator block, a predicate Word2Vec
+  /// block, a 1-hot table block; Ø rows all zero), mostly exact zeros: the
+  /// frozen forward reads each row through its nonzeros only.
+  kFeaturizerRows,
 };
 
 /// Tree convolution with triangular kernels (Mou et al. 2016), the
@@ -68,12 +80,16 @@ struct TreeStructure {
 /// share the batch, so a plan's answer is the same alone or batched.
 /// Freezable (nn/layer.h): FreezeWeights stacks the three position kernels
 /// into the im2col operand [3*in, out] and packs it into a ResidentWeights,
-/// after which Forward always takes the im2col lowering (gather + resident
-/// GEMM) regardless of the context's backend. Backward while frozen
+/// after which Forward always takes the resident path regardless of the
+/// context's backend: for kDense input the im2col lowering (gather +
+/// resident GEMM), for kFeaturizerRows the window product over each input
+/// row's nonzero list (ResidentWeights::TreeWindowGemm), which skips only
+/// exact-zero terms and so gives the same bits. Backward while frozen
 /// CHECK-fails.
 class TreeConvLayer : public FreezableLayer {
  public:
-  TreeConvLayer(size_t in_features, size_t out_features, Rng* rng);
+  TreeConvLayer(size_t in_features, size_t out_features, Rng* rng,
+                TreeConvInput input = TreeConvInput::kDense);
 
   TreeConvLayer(const TreeConvLayer&) = delete;
   TreeConvLayer& operator=(const TreeConvLayer&) = delete;
@@ -105,6 +121,8 @@ class TreeConvLayer : public FreezableLayer {
   /// packed_input_ and stack the position kernels into wcat_.
   void GatherWindows();
   void StackWeights();
+  /// Frozen kFeaturizerRows helper: each input row's nonzeros into nz_*.
+  void CollectNonzeros();
 
   void ForwardScalar();
   void BackwardScalar();
@@ -112,6 +130,7 @@ class TreeConvLayer : public FreezableLayer {
 
   size_t in_features_;
   size_t out_features_;
+  TreeConvInput input_kind_;
   Tensor w_self_, w_left_, w_right_;  // each [in, out]
   Tensor bias_;                       // [out]
   Tensor w_self_grad_, w_left_grad_, w_right_grad_;
@@ -132,6 +151,11 @@ class TreeConvLayer : public FreezableLayer {
   Tensor bias_tmp_;      // [out] per-call bias-gradient accumulator
   // Frozen serving weights: the packed wcat_ operand (null while thawed).
   std::unique_ptr<ResidentWeights> resident_;
+  // Frozen kFeaturizerRows workspace: the input's nonzeros in RowNonzeros
+  // form (nz_begin_ [rows + 1]), rebuilt per call, reused once warm.
+  std::vector<uint32_t> nz_begin_;
+  std::vector<uint32_t> nz_index_;
+  std::vector<float> nz_value_;
 };
 
 /// One-way dynamic pooling with vote bit-masking (paper Section 4.1):

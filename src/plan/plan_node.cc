@@ -104,7 +104,11 @@ std::string PlanNode::Label() const {
     case PlanNodeType::kTableScan:
       return StrFormat("TableScan [%s]", table.c_str());
     case PlanNodeType::kFilter:
-      return StrFormat("Filter [%s]", predicate->ToString().c_str());
+      // An in-memory Filter may lack its predicate (a field mutation drops
+      // it); it prints with an empty payload, which ParsePlanText rejects.
+      return StrFormat(
+          "Filter [%s]",
+          predicate != nullptr ? predicate->ToString().c_str() : "");
     case PlanNodeType::kProject: {
       std::vector<std::string> parts;
       parts.reserve(expressions.size());

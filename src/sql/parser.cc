@@ -260,7 +260,15 @@ class Parser {
       if (Peek().type != TokenType::kNumber) {
         return Fail("expected LIMIT count");
       }
-      stmt->limit = static_cast<int64_t>(ToDouble(Advance().text));
+      // The checked parse plan text's Limit payload uses: a fraction, an
+      // exponent or a count past INT64_MAX is an error, never a
+      // double-to-integer conversion out of range.
+      int64_t count = 0;
+      if (!ParseInt64(Peek().text, &count)) {
+        return Fail("LIMIT count must be an integer in int64 range");
+      }
+      Advance();
+      stmt->limit = count;
     }
     return stmt;
   }

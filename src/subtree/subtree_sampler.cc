@@ -1,58 +1,11 @@
 #include "subtree/subtree_sampler.h"
 
-#include <deque>
-#include <map>
-
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace prestroid::subtree {
 
-namespace {
-
 using otp::OtpNode;
-
-/// getNodes(R, D): all nodes of the subtree rooted at `root` up to relative
-/// depth `max_depth` inclusive, in BFS order, with per-node depths.
-void GetNodes(const OtpNode& root, size_t max_depth,
-              std::vector<const OtpNode*>* nodes, std::vector<size_t>* depths) {
-  nodes->clear();
-  depths->clear();
-  std::deque<std::pair<const OtpNode*, size_t>> queue;
-  queue.emplace_back(&root, 0);
-  while (!queue.empty()) {
-    auto [node, depth] = queue.front();
-    queue.pop_front();
-    nodes->push_back(node);
-    depths->push_back(depth);
-    if (depth == max_depth) continue;
-    if (node->left != nullptr) queue.emplace_back(node->left.get(), depth + 1);
-    if (node->right != nullptr) queue.emplace_back(node->right.get(), depth + 1);
-  }
-}
-
-/// Builds the local child-index arrays of a sample.
-void IndexSample(SubtreeSample* sample) {
-  std::map<const OtpNode*, int> index;
-  for (size_t i = 0; i < sample->nodes.size(); ++i) {
-    index.emplace(sample->nodes[i], static_cast<int>(i));
-  }
-  sample->left.assign(sample->nodes.size(), -1);
-  sample->right.assign(sample->nodes.size(), -1);
-  for (size_t i = 0; i < sample->nodes.size(); ++i) {
-    const OtpNode* node = sample->nodes[i];
-    if (node->left != nullptr) {
-      auto it = index.find(node->left.get());
-      if (it != index.end()) sample->left[i] = it->second;
-    }
-    if (node->right != nullptr) {
-      auto it = index.find(node->right.get());
-      if (it != index.end()) sample->right[i] = it->second;
-    }
-  }
-}
-
-}  // namespace
 
 Result<std::vector<SubtreeSample>> SampleSubtrees(
     const otp::OtpNode& root, const SubtreeSamplerConfig& config) {
@@ -68,50 +21,59 @@ Result<std::vector<SubtreeSample>> SampleSubtrees(
   }
 
   std::vector<SubtreeSample> samples;
-  std::deque<const OtpNode*> frontier;
-  frontier.push_back(&root);
+  // FIFO of sample seeds: frontier[head] is the next one to sample.
+  std::vector<const OtpNode*> frontier = {&root};
+  // The sample being grown, in BFS order, with each node's relative depth;
+  // both are reused from sample to sample.
+  std::vector<const OtpNode*> nodes;
+  std::vector<size_t> depths;
 
-  std::vector<const OtpNode*> candidates, prior;
-  std::vector<size_t> cand_depths, prior_depths;
+  for (size_t head = 0; head < frontier.size(); ++head) {
+    SubtreeSample sample;
+    nodes.assign(1, frontier[head]);
+    depths.assign(1, 0);
 
-  while (!frontier.empty()) {
-    const OtpNode* seed = frontier.front();
-    frontier.pop_front();
-
-    // Grow the candidate set one full level at a time until it exceeds N or
-    // stops growing (complete subtree reached).
-    size_t depth = 0;
-    GetNodes(*seed, 0, &candidates, &cand_depths);
-    bool grew = true;
-    while (candidates.size() <= n_limit) {
-      prior = candidates;
-      prior_depths = cand_depths;
-      ++depth;
-      GetNodes(*seed, depth, &candidates, &cand_depths);
-      if (candidates.size() == prior.size()) {
-        grew = false;  // no new children anywhere: complete subtree
+    // Grow the sample one full BFS level at a time: stop before the level
+    // whose inclusion would exceed N, or when no node has a child left
+    // (complete subtree reached). Level d + 1 is level d's children in
+    // order, left before right, which is the BFS order of getNodes.
+    size_t level_begin = 0;
+    size_t sample_depth = 0;  // deepest level in the sample
+    while (true) {
+      const size_t level_end = nodes.size();
+      size_t next = 0;
+      for (size_t i = level_begin; i < level_end; ++i) {
+        next += (nodes[i]->left != nullptr) + (nodes[i]->right != nullptr);
+      }
+      if (next == 0) {
+        sample.complete = true;
         break;
       }
+      if (level_end + next > n_limit) break;
+      ++sample_depth;
+      for (size_t i = level_begin; i < level_end; ++i) {
+        for (const otp::OtpNodePtr* child : {&nodes[i]->left, &nodes[i]->right}) {
+          if (*child == nullptr) continue;
+          nodes.push_back(child->get());
+          depths.push_back(sample_depth);
+        }
+      }
+      level_begin = level_end;
     }
-
-    SubtreeSample sample;
-    sample.nodes = prior;
-    sample.complete = !grew;
-    const size_t count = sample.nodes.size();
+    sample.nodes.assign(nodes.begin(), nodes.end());
+    const size_t count = nodes.size();
 
     if (sample.complete) {
       // Every node saw its full subtree: all votes are 1.
       sample.votes.assign(count, 1.0f);
     } else {
-      // `depth` is the first level whose inclusion exceeded N; the sample
-      // holds levels [0, depth-1]. Nodes at levels <= depth-1-C have C
+      // The sample holds levels [0, sample_depth]; the next level would
+      // have exceeded N. Nodes at levels <= sample_depth - C have C
       // complete levels below them inside the sample and may vote.
-      const size_t sample_depth = depth - 1;
       sample.votes.assign(count, 0.0f);
       const size_t vote_cutoff = sample_depth >= c ? sample_depth - c : 0;
       for (size_t i = 0; i < count; ++i) {
-        if (prior_depths[i] + c <= sample_depth &&
-            prior_depths[i] <= vote_cutoff) {
+        if (depths[i] + c <= sample_depth && depths[i] <= vote_cutoff) {
           sample.votes[i] = 1.0f;
         }
       }
@@ -120,8 +82,8 @@ Result<std::vector<SubtreeSample>> SampleSubtrees(
       size_t reseed_depth = sample_depth >= c ? sample_depth - c : 1;
       if (reseed_depth == 0) reseed_depth = 1;  // guarantee progress
       for (size_t i = 0; i < count; ++i) {
-        if (prior_depths[i] == reseed_depth) {
-          const OtpNode* node = sample.nodes[i];
+        if (depths[i] == reseed_depth) {
+          const OtpNode* node = nodes[i];
           // Leaves need no re-processing: their subtree is just themselves
           // and is already fully covered by this sample.
           if (node->left != nullptr || node->right != nullptr) {
@@ -130,7 +92,17 @@ Result<std::vector<SubtreeSample>> SampleSubtrees(
         }
       }
     }
-    IndexSample(&sample);
+
+    // Local child indices. Every node above the deepest level has all its
+    // children in the sample, placed in BFS order, so they are numbered by
+    // one running counter; the deepest level's children are outside it.
+    sample.left.assign(count, -1);
+    sample.right.assign(count, -1);
+    int child = 1;
+    for (size_t i = 0; i < count && depths[i] < sample_depth; ++i) {
+      if (nodes[i]->left != nullptr) sample.left[i] = child++;
+      if (nodes[i]->right != nullptr) sample.right[i] = child++;
+    }
     samples.push_back(std::move(sample));
   }
   return samples;

@@ -2,8 +2,9 @@
 // kernel plus the runtime ISA dispatcher. The kernel body itself lives in
 // gemm_blocked_impl.inc, compiled here at the build's default ISA and again
 // in gemm_blocked_avx2.cc at -mavx2 -mfma (x86-64 builds only). Dispatch is
-// decided once per process from CPUID, so all four entry points — tile,
-// packed size, pack, compute — always agree on the micro-tile geometry.
+// decided once per process from CPUID, so all the entry points — tile,
+// packed size, pack, and both computes — always agree on the micro-tile
+// geometry.
 //
 // Determinism: a given process always runs one instantiation, so results
 // stay bit-identical across thread counts and run-to-run. The AVX2 path's
@@ -32,6 +33,10 @@ void GemmBlockedRows(size_t i0, size_t i1, size_t k, size_t n, const float* a,
                      size_t rsa, size_t csa, const float* packed_b, float* c,
                      size_t ldc, const float* bias, GemmEpilogue epilogue,
                      bool accumulate);
+void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,
+                        const RowNonzeros& x, const int* left,
+                        const int* right, const float* packed_b, float* c,
+                        size_t ldc, const float* bias);
 }  // namespace gemm_avx2
 #endif
 
@@ -95,6 +100,21 @@ void GemmBlockedRows(size_t i0, size_t i1, size_t k, size_t n, const float* a,
 #endif
   gemm_base::GemmBlockedRows(i0, i1, k, n, a, rsa, csa, packed_b, c, ldc,
                              bias, epilogue, accumulate);
+}
+
+void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,
+                        const RowNonzeros& x, const int* left,
+                        const int* right, const float* packed_b, float* c,
+                        size_t ldc, const float* bias) {
+#if defined(PRESTROID_GEMM_AVX2_TU)
+  if (UseAvx2Path()) {
+    gemm_avx2::GemmTreeWindowRows(r0, r1, in, n, x, left, right, packed_b, c,
+                                  ldc, bias);
+    return;
+  }
+#endif
+  gemm_base::GemmTreeWindowRows(r0, r1, in, n, x, left, right, packed_b, c,
+                                ldc, bias);
 }
 
 }  // namespace prestroid

@@ -2,6 +2,7 @@
 #define PRESTROID_TENSOR_KERNELS_GEMM_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace prestroid {
 
@@ -89,6 +90,31 @@ void GemmBlockedRows(size_t i0, size_t i1, size_t k, size_t n, const float* a,
                      size_t rsa, size_t csa, const float* packed_b, float* c,
                      size_t ldc, const float* bias, GemmEpilogue epilogue,
                      bool accumulate);
+
+/// The nonzero entries of a row-major matrix, row by row: row q holds
+/// (index[e], value[e]) for e in [begin[q], begin[q + 1]), index ascending.
+struct RowNonzeros {
+  const uint32_t* begin;
+  const uint32_t* index;
+  const float* value;
+};
+
+/// Rows [r0, r1) of the fused tree-convolution window product over sparse
+/// input rows x (each `in` wide):
+///   C[r] = max(0, x[r] B_self + x[left[r]] B_left + x[right[r]] B_right + bias)
+/// with packed_b GemmPackB's image of the stacked [B_self; B_left; B_right]
+/// ([3 * in, n]); a child of -1 contributes nothing. Each output element
+/// sums the window's nonzero terms in ascending k with GemmBlockedRows' own
+/// multiply-add. A skipped term has x == +-0, and for finite B it adds an
+/// exact zero (or turns a -0 sum into +0, which the ReLU maps to +0 anyway),
+/// so C equals GemmBlockedRows over the gathered [rows, 3 * in] windows with
+/// the kBiasRelu epilogue bit for bit, on the same ISA. Work per row is the
+/// window's nonzero count times n. Safe to call concurrently on disjoint
+/// row ranges.
+void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,
+                        const RowNonzeros& x, const int* left,
+                        const int* right, const float* packed_b, float* c,
+                        size_t ldc, const float* bias);
 
 }  // namespace prestroid
 

@@ -54,4 +54,30 @@ void ResidentWeights::Gemm(Tensor* out, const Tensor& a, const Tensor* bias,
   });
 }
 
+void ResidentWeights::TreeWindowGemm(Tensor* out, size_t rows,
+                                     const RowNonzeros& x, const int* left,
+                                     const int* right, const Tensor& bias,
+                                     ExecutionContext* ctx) const {
+  PRESTROID_CHECK(ctx != nullptr);
+  PRESTROID_CHECK_EQ(rows_ % 3, 0u);
+  PRESTROID_CHECK_EQ(bias.size(), cols_);
+  const size_t in = rows_ / 3, n = cols_;
+  out->ResetShape({rows, n});
+  uint64_t terms = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    terms += x.begin[r + 1] - x.begin[r];
+    if (left[r] >= 0) terms += x.begin[left[r] + 1] - x.begin[left[r]];
+    if (right[r] >= 0) terms += x.begin[right[r] + 1] - x.begin[right[r]];
+  }
+  ctx->AddOp();
+  ctx->AddFlops(2 * terms * n + 2ull * rows * n);
+  const float* biasp = bias.data();
+  const float* pb = packed_.data();
+  float* op = out->data();
+  // Same row chunks as Gemm: a row's result never depends on its chunk.
+  ctx->ParallelFor(0, rows, RowGrain(2 * rows_ * n), [&](size_t r0, size_t r1) {
+    GemmTreeWindowRows(r0, r1, in, n, x, left, right, pb, op, n, biasp);
+  });
+}
+
 }  // namespace prestroid

@@ -40,6 +40,16 @@ class ResidentWeights {
   void Gemm(Tensor* out, const Tensor& a, const Tensor* bias,
             GemmEpilogue epilogue, ExecutionContext* ctx) const;
 
+  /// out[r] = max(0, [x[r] | x[left[r]] | x[right[r]]] @ W + bias) for
+  /// `rows` rows, with W built from the stacked tree-convolution kernels
+  /// [W_self; W_left; W_right] ([3 * in, n]) and x read only through its
+  /// nonzeros (GemmTreeWindowRows). Bit-identical to Gemm(kBiasRelu) over
+  /// the gathered windows; counts the multiply-adds it issues, 2 flops per
+  /// window nonzero and output column, plus the epilogue.
+  void TreeWindowGemm(Tensor* out, size_t rows, const RowNonzeros& x,
+                      const int* left, const int* right, const Tensor& bias,
+                      ExecutionContext* ctx) const;
+
  private:
   ResidentWeights() = default;
 

@@ -26,6 +26,8 @@ const char* QuarantineReasonToString(QuarantineReason reason) {
       return "nan-label";
     case QuarantineReason::kNegativeLabel:
       return "negative-label";
+    case QuarantineReason::kZeroCpuLabel:
+      return "zero-cpu-label";
     case QuarantineReason::kReasonCount:
       break;
   }
@@ -249,6 +251,13 @@ Result<IngestResult> IngestTraceTolerant(std::string_view text,
       if (!LabelsNonNegative(record)) {
         PRESTROID_RETURN_NOT_OK(
             quarantine(i, chunk, QuarantineReason::kNegativeLabel));
+        continue;
+      }
+      // The CPU label is trained in log space (LabelTransform::Fit rejects
+      // v <= 0); zero memory and input metrics stay valid.
+      if (record.metrics.total_cpu_minutes == 0) {
+        PRESTROID_RETURN_NOT_OK(
+            quarantine(i, chunk, QuarantineReason::kZeroCpuLabel));
         continue;
       }
       result.records.push_back(std::move(record));

@@ -20,6 +20,7 @@ enum class QuarantineReason {
   kOverLimitPlan,        // plan exceeded the configured PlanLimits
   kNonFiniteLabel,       // NaN or infinite metric value
   kNegativeLabel,        // metric value below zero
+  kZeroCpuLabel,         // total CPU minutes of exactly zero (log-scaled label)
   kReasonCount,          // sentinel, keep last
 };
 
@@ -67,7 +68,8 @@ struct IngestResult {
 
 /// Parses a serialized trace, skipping (and counting) hostile records
 /// instead of failing the run: malformed headers/plans, over-limit plans,
-/// truncated tails, and non-finite or negative labels are quarantined.
+/// truncated tails, non-finite or negative labels and zero CPU labels are
+/// quarantined.
 /// Only environmental failures (e.g. an unwritable quarantine file) abort.
 /// Records are cut as views of `text` and parsed in place; a quarantined
 /// record's bytes are only read for its log snippet.

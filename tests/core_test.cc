@@ -17,6 +17,7 @@
 #include "test_corpus.h"
 #include "util/artifact_io.h"
 #include "workload/dataset.h"
+#include "workload/trace.h"
 
 namespace prestroid::core {
 namespace {
@@ -384,6 +385,44 @@ TEST_F(PipelineFixture, SaveLoadRoundTripPreservesPredictions) {
           << "subtrees=" << subtrees << " sample " << i;
     }
   }
+}
+
+TEST_F(PipelineFixture, ZeroCpuRecordIsQuarantinedAndTheRestTrains) {
+  // The CPU label is log-scaled, so a zero would fail LabelTransform::Fit;
+  // tolerant ingest quarantines that one record. Zero memory and input
+  // metrics are valid labels and stay.
+  std::vector<workload::QueryRecord> records =
+      workload::DeserializeTrace(workload::SerializeTrace(*records_))
+          .ValueOrDie();
+  const int64_t zero_cpu_id = records[3].id;
+  records[3].metrics.total_cpu_minutes = 0.0;
+  records[5].metrics.peak_memory_gb = 0.0;
+  records[5].metrics.input_gb = 0.0;
+  auto ingested = workload::IngestTraceTolerant(
+      workload::SerializeTrace(records), workload::IngestOptions{});
+  ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+  EXPECT_EQ(ingested->stats.quarantined, 1u);
+  EXPECT_EQ(ingested->stats.by_reason[static_cast<size_t>(
+                workload::QuarantineReason::kZeroCpuLabel)],
+            1u);
+  EXPECT_EQ(ingested->stats.Summary(),
+            "accepted=79 quarantined=1 (zero-cpu-label=1)");
+  ASSERT_EQ(ingested->records.size(), records.size() - 1);
+  for (const workload::QueryRecord& record : ingested->records) {
+    EXPECT_NE(record.id, zero_cpu_id);
+  }
+
+  const std::vector<workload::QueryRecord>& kept = ingested->records;
+  Rng rng(4);
+  const workload::DatasetSplits splits =
+      workload::SplitRandom(kept.size(), 0.8, 0.1, &rng);
+  auto pipeline = PrestroidPipeline::Fit(kept, splits.train, SmallConfig(true));
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  TrainConfig train_config;
+  train_config.max_epochs = 1;
+  const TrainResult result = (*pipeline)->Train(splits, train_config);
+  EXPECT_EQ(result.epochs_run, 1u);
+  EXPECT_TRUE(std::isfinite((*pipeline)->EvaluateMseMinutes(splits.test)));
 }
 
 TEST(PipelineIoTest, LoadRejectsGarbage) {

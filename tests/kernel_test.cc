@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -447,6 +448,147 @@ TEST(ResidentWeightsTest, FrozenLayersMatchTheBlockedForwardOnEitherBackend) {
     dense.ThawWeights();
     EXPECT_EQ(conv.resident_weight_bytes(), 0u);
     EXPECT_EQ(dense.resident_weight_bytes(), 0u);
+  }
+}
+
+/// `items` plans of three trees each, sized {nodes, 0, 3}: the middle tree
+/// is empty, as for a plan with fewer sub-trees than K. Each tree is a
+/// heap-ordered binary tree whose right children are partly missing.
+TreeStructure MakePlanBatch(size_t items, size_t nodes) {
+  TreeStructure s;
+  s.offsets.push_back(0);
+  for (size_t item = 0; item < items; ++item) {
+    for (size_t count : {nodes, size_t{0}, size_t{3}}) {
+      const int base = static_cast<int>(s.left.size());
+      for (size_t i = 0; i < count; ++i) {
+        const bool has_left = 2 * i + 1 < count;
+        const bool has_right = 2 * i + 2 < count && (i + item) % 3 != 0;
+        s.left.push_back(has_left ? base + static_cast<int>(2 * i + 1) : -1);
+        s.right.push_back(has_right ? base + static_cast<int>(2 * i + 2) : -1);
+        s.mask.push_back(1.0f);
+      }
+      s.offsets.push_back(s.left.size());
+    }
+  }
+  return s;
+}
+
+/// Rows shaped like the featurizer's: [operator 1-hot | predicate block |
+/// table 1-hot], cycling operator, predicate, table and all-zero Ø rows.
+/// Predicate blocks hold an exact -0.0 and an exact +0.0 among random
+/// values, and every eleventh row is a 1-hot of -0.0.
+Tensor FeaturizerRows(size_t rows, size_t ops, size_t pred, size_t tables,
+                      Rng* rng) {
+  const size_t width = ops + pred + tables;
+  Tensor x({rows, width});
+  for (size_t r = 0; r < rows; ++r) {
+    float* row = x.data() + r * width;
+    const size_t slot = static_cast<size_t>(rng->UniformInt(0, 1000));
+    switch (r % 4) {
+      case 0: row[slot % ops] = 1.0f; break;
+      case 1:
+        for (size_t i = 0; i < pred; ++i) {
+          row[ops + i] = static_cast<float>(rng->Uniform(-1.0, 1.0));
+        }
+        row[ops + slot % pred] = -0.0f;
+        row[ops + (slot + 1) % pred] = 0.0f;
+        break;
+      case 2: row[ops + pred + slot % tables] = 1.0f; break;
+      default: break;  // Ø
+    }
+    if (r % 11 == 10) row[slot % ops] = -0.0f;
+  }
+  return x;
+}
+
+TEST(ResidentWeightsTest, FrozenFirstLayerMatchesTheResidentGemmBitForBit) {
+  // The kFeaturizerRows frozen forward reads only nonzeros; the kDense one
+  // gathers full windows into the packed-panel GEMM. Same weights, same
+  // bits, including the 512-channel layer of the paper's GRAB model.
+  const size_t ops = 13, pred = 32, tables = 40, in = ops + pred + tables;
+  for (size_t out : {32, 512}) {
+    for (size_t items : {1, 32}) {
+      for (size_t nodes : {1, 9, 15}) {
+        const TreeStructure structure = MakePlanBatch(items, nodes);
+        Rng data_rng(341 + nodes + items);
+        const Tensor x = FeaturizerRows(structure.num_rows(), ops, pred,
+                                        tables, &data_rng);
+        ExecutionContext ctx(1);
+        Pin(&ctx, KernelBackend::kBlocked);
+        Rng rng_dense(342), rng_sparse(342);
+        TreeConvLayer dense(in, out, &rng_dense, TreeConvInput::kDense);
+        TreeConvLayer sparse(in, out, &rng_sparse,
+                             TreeConvInput::kFeaturizerRows);
+        dense.set_context(&ctx);
+        sparse.set_context(&ctx);
+        // Nonzero biases, so the epilogue is exercised as well.
+        for (TreeConvLayer* layer : {&dense, &sparse}) {
+          Rng bias_rng(343);
+          Tensor& bias = *layer->Params()[3].value;
+          for (size_t o = 0; o < out; ++o) {
+            bias[o] = static_cast<float>(bias_rng.Uniform(-0.1, 0.1));
+          }
+        }
+        const Tensor thawed = dense.Forward(x, structure);
+        dense.FreezeWeights();
+        sparse.FreezeWeights();
+        const Tensor want = dense.Forward(x, structure);
+        ctx.ResetStats();
+        const Tensor& got = sparse.Forward(x, structure);
+        ASSERT_EQ(got.shape(), want.shape());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(std::signbit(got[i]), std::signbit(want[i]))
+              << "out " << out << " items " << items << " element " << i;
+          ASSERT_EQ(got[i], want[i])
+              << "out " << out << " items " << items << " element " << i;
+          ASSERT_EQ(got[i], thawed[i]) << "element " << i;
+        }
+        // ExecStats counts the multiply-adds issued: one per window nonzero
+        // and output column, plus the bias+ReLU epilogue.
+        auto nonzeros = [&](int row) {
+          size_t count = 0;
+          if (row < 0) return count;
+          for (size_t i = 0; i < in; ++i) {
+            count += x[static_cast<size_t>(row) * in + i] != 0.0f;
+          }
+          return count;
+        };
+        uint64_t terms = 0;
+        for (size_t r = 0; r < structure.num_rows(); ++r) {
+          terms += nonzeros(static_cast<int>(r)) +
+                   nonzeros(structure.left[r]) + nonzeros(structure.right[r]);
+        }
+        EXPECT_EQ(ctx.stats().flops,
+                  2 * terms * out + 2ull * structure.num_rows() * out);
+      }
+    }
+  }
+}
+
+TEST(ResidentWeightsTest, FrozenFirstLayerKeepsNaNAndInfinityInputs) {
+  // Only exact zeros are skipped: a NaN or an infinity in a row still
+  // reaches every output its window touches, as in the dense GEMM.
+  const TreeStructure structure = MakePlanBatch(2, 7);
+  Rng data_rng(351);
+  Tensor x = FeaturizerRows(structure.num_rows(), 5, 8, 6, &data_rng);
+  x[1 * 19 + 7] = std::nanf("");
+  x[4 * 19 + 2] = std::numeric_limits<float>::infinity();
+  ExecutionContext ctx(1);
+  Rng rng_dense(352), rng_sparse(352);
+  TreeConvLayer dense(19, 24, &rng_dense, TreeConvInput::kDense);
+  TreeConvLayer sparse(19, 24, &rng_sparse, TreeConvInput::kFeaturizerRows);
+  dense.set_context(&ctx);
+  sparse.set_context(&ctx);
+  dense.FreezeWeights();
+  sparse.FreezeWeights();
+  const Tensor want = dense.Forward(x, structure);
+  const Tensor& got = sparse.Forward(x, structure);
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i])) {
+      ASSERT_TRUE(std::isnan(got[i])) << "element " << i;
+    } else {
+      ASSERT_EQ(got[i], want[i]) << "element " << i;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -203,6 +204,21 @@ TEST(ParserTest, GroupByHavingOrderLimit) {
   ASSERT_EQ(stmt->order_by.size(), 1u);
   EXPECT_TRUE(stmt->order_by[0].descending);
   EXPECT_EQ(stmt->limit.value(), 5);
+}
+
+TEST(ParserTest, LimitCountIsACheckedInteger) {
+  EXPECT_EQ(ParseSelect("SELECT a FROM t LIMIT 9223372036854775807")
+                .ValueOrDie()
+                ->limit.value(),
+            INT64_MAX);
+  // Out of range, fractional or in exponent form: a parse error, never a
+  // wrapped or truncated count.
+  for (const char* count :
+       {"1e300", "9223372036854775808", "1e3", "2.5", ".5", "1E2"}) {
+    const std::string sql = std::string("SELECT a FROM t LIMIT ") + count;
+    EXPECT_EQ(ParseSelect(sql).status().code(), StatusCode::kParseError)
+        << sql;
+  }
 }
 
 TEST(ParserTest, SubqueryInFrom) {
