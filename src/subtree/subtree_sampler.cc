@@ -52,9 +52,10 @@ Result<std::vector<SubtreeSample>> SampleSubtrees(
       if (level_end + next > n_limit) break;
       ++sample_depth;
       for (size_t i = level_begin; i < level_end; ++i) {
-        for (const otp::OtpNodePtr* child : {&nodes[i]->left, &nodes[i]->right}) {
-          if (*child == nullptr) continue;
-          nodes.push_back(child->get());
+        for (const OtpNode* child : {nodes[i]->left.get(),
+                                     nodes[i]->right.get()}) {
+          if (child == nullptr) continue;
+          nodes.push_back(child);
           depths.push_back(sample_depth);
         }
       }

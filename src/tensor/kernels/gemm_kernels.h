@@ -101,8 +101,8 @@ struct RowNonzeros {
 
 /// Rows [r0, r1) of the fused tree-convolution window product over sparse
 /// input rows x (each `in` wide):
-///   C[r] = max(0, x[r] B_self + x[left[r]] B_left + x[right[r]] B_right + bias)
-/// with packed_b GemmPackB's image of the stacked [B_self; B_left; B_right]
+///   C[r] = max(0, x[r] B_s + x[left[r]] B_l + x[right[r]] B_r + bias)
+/// with packed_b GemmPackB's image of the stacked [B_s; B_l; B_r]
 /// ([3 * in, n]); a child of -1 contributes nothing. Each output element
 /// sums the window's nonzero terms in ascending k with GemmBlockedRows' own
 /// multiply-add. A skipped term has x == +-0, and for finite B it adds an
