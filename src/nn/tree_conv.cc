@@ -40,8 +40,7 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
   // Frozen inference always runs on the resident panel. Featurizer rows are
   // mostly exact zeros (one 1-hot entry, a 32-wide predicate block, or
   // nothing), so that layer reads only their nonzeros instead of gathering
-  // 3*in-wide windows; layers above keep the dense GEMM, where a
-  // value-sparse pass measured slower.
+  // 3*in-wide windows; layers above keep the dense GEMM.
   if (resident_ != nullptr) {
     if (input_kind_ == TreeConvInput::kFeaturizerRows) {
       CollectNonzeros();

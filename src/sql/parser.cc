@@ -260,9 +260,9 @@ class Parser {
       if (Peek().type != TokenType::kNumber) {
         return Fail("expected LIMIT count");
       }
-      // The checked parse plan text's Limit payload uses: a fraction, an
-      // exponent or a count past INT64_MAX is an error, never a
-      // double-to-integer conversion out of range.
+      // Checked like plan text's Limit payload (ParseInt64): a fraction,
+      // an exponent or a count past INT64_MAX is a parse error, never an
+      // out-of-range double-to-integer conversion.
       int64_t count = 0;
       if (!ParseInt64(Peek().text, &count)) {
         return Fail("LIMIT count must be an integer in int64 range");

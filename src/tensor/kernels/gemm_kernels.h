@@ -105,10 +105,11 @@ struct RowNonzeros {
 /// with packed_b GemmPackB's image of the stacked [B_s; B_l; B_r]
 /// ([3 * in, n]); a child of -1 contributes nothing. Each output element
 /// sums the window's nonzero terms in ascending k with GemmBlockedRows' own
-/// multiply-add. A skipped term has x == +-0, and for finite B it adds an
-/// exact zero (or turns a -0 sum into +0, which the ReLU maps to +0 anyway),
-/// so C equals GemmBlockedRows over the gathered [rows, 3 * in] windows with
-/// the kBiasRelu epilogue bit for bit, on the same ISA. Work per row is the
+/// multiply-add. A skipped term has x == +-0; for finite B the dense kernel
+/// adds an exact zero there, which can change only the sign of a zero sum,
+/// and the bias+ReLU epilogue gives the same bits for either sign. So C
+/// equals GemmBlockedRows over the gathered [rows, 3 * in] windows with the
+/// kBiasRelu epilogue bit for bit, on the same ISA. Work per row is the
 /// window's nonzero count times n. Safe to call concurrently on disjoint
 /// row ranges.
 void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,

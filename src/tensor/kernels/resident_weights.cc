@@ -75,9 +75,11 @@ void ResidentWeights::TreeWindowGemm(Tensor* out, size_t rows,
   const float* pb = packed_.data();
   float* op = out->data();
   // Same row chunks as Gemm: a row's result never depends on its chunk.
-  ctx->ParallelFor(0, rows, RowGrain(2 * rows_ * n), [&](size_t r0, size_t r1) {
-    GemmTreeWindowRows(r0, r1, in, n, x, left, right, pb, op, n, biasp);
-  });
+  ctx->ParallelFor(0, rows, RowGrain(2 * rows_ * n),
+                   [&](size_t r0, size_t r1) {
+                     GemmTreeWindowRows(r0, r1, in, n, x, left, right, pb, op,
+                                        n, biasp);
+                   });
 }
 
 }  // namespace prestroid

@@ -24,8 +24,6 @@
 #include "test_corpus.h"
 #include "util/random.h"
 #include "workload/dataset.h"
-#include "workload/schema_generator.h"
-#include "workload/tpcds_templates.h"
 #include "workload/trace.h"
 
 namespace prestroid {
