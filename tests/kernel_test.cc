@@ -476,7 +476,8 @@ TreeStructure MakePlanBatch(size_t items, size_t nodes) {
 /// Rows shaped like the featurizer's: [operator 1-hot | predicate block |
 /// table 1-hot], cycling operator, predicate, table and all-zero Ø rows.
 /// Predicate blocks hold an exact -0.0 and an exact +0.0 among random
-/// values, and every eleventh row is a 1-hot of -0.0.
+/// values, and every eleventh row has a -0.0 in its operator block (an
+/// operator row's 1 becomes -0.0).
 Tensor FeaturizerRows(size_t rows, size_t ops, size_t pred, size_t tables,
                       Rng* rng) {
   const size_t width = ops + pred + tables;
