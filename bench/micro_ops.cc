@@ -349,42 +349,6 @@ double GeomeanSpeedup(const std::vector<KernelBenchRecord>& records,
   return count == 0 ? 0.0 : std::exp(log_sum / static_cast<double>(count));
 }
 
-/// Plans [begin, end) of `plans` as one served batch: the first K trees of
-/// each in the ragged row layout, as SubtreeModel::AssembleBatch lays them
-/// out.
-void AssemblePlans(const std::vector<core::PlanFeatures>& plans, size_t begin,
-                   size_t end, size_t k, size_t features,
-                   TreeStructure* structure, Tensor* x) {
-  size_t total = 0;
-  for (size_t p = begin; p < end; ++p) {
-    for (size_t t = 0; t < std::min(k, plans[p].trees.size()); ++t) {
-      total += plans[p].trees[t].num_nodes();
-    }
-  }
-  x->ResetShape({total, features});
-  structure->offsets.assign(1, 0);
-  size_t row = 0;
-  for (size_t p = begin; p < end; ++p) {
-    for (size_t t = 0; t < k; ++t) {
-      if (t < plans[p].trees.size()) {
-        const core::TreeFeatures& tree = plans[p].trees[t];
-        std::copy(tree.features.data(),
-                  tree.features.data() + tree.features.size(),
-                  x->data() + row * features);
-        for (size_t i = 0; i < tree.num_nodes(); ++i) {
-          structure->left.push_back(
-              tree.left[i] < 0 ? -1 : static_cast<int>(row) + tree.left[i]);
-          structure->right.push_back(
-              tree.right[i] < 0 ? -1 : static_cast<int>(row) + tree.right[i]);
-          structure->mask.push_back(tree.votes[i]);
-        }
-        row += tree.num_nodes();
-      }
-      structure->offsets.push_back(row);
-    }
-  }
-}
-
 /// A served batch of `batch` queries at the CLI shape (K = 9 trees of at
 /// most N = 15 nodes) with the ad-hoc size mix: 4-9 trees per query, 9-15
 /// nodes per tree (~6.5 trees and ~78 real rows of the padded 135). With
@@ -625,15 +589,14 @@ int RunJsonBench(const std::string& path) {
   // ("resident") and the same trees padded to N ("resident_padded").
   // Batch 1 cycles through 32 single-query batches so the size mix, not one
   // draw, sets the number. ns_per_iter is one batch's forward; gflops counts
-  // the rows computed. The first layer reads featurizer rows as served, but
-  // these rows are random and dense: the worst case for its nonzero-list
-  // kernel (the real-plan records below show the served case).
+  // the rows computed. The frozen layers read their input rows through the
+  // nonzeros, and these featurizer rows are random and dense: the worst case
+  // for that kernel (the real-plan records below show the served case).
   for (size_t batch : {1, 32}) {
     constexpr size_t kFeatures = 85, kChannels = 32, kQueries = 32;
     Rng rng(4);
     std::vector<std::unique_ptr<TreeConvLayer>> trunk;
-    trunk.push_back(std::make_unique<TreeConvLayer>(
-        kFeatures, kChannels, &rng, TreeConvInput::kFeaturizerRows));
+    trunk.push_back(std::make_unique<TreeConvLayer>(kFeatures, kChannels, &rng));
     trunk.push_back(std::make_unique<TreeConvLayer>(kChannels, kChannels, &rng));
     trunk.push_back(std::make_unique<TreeConvLayer>(kChannels, kChannels, &rng));
     ExecutionContext ctx(threads);
@@ -690,12 +653,12 @@ int RunJsonBench(const std::string& path) {
     }
   }
 
-  // The same frozen trunk over real featurized GRAB plans (CLI shape:
-  // predicate Word2Vec 32, N = 15, K = 9), batch 1 cycling through 64 plans
-  // and batch 32. "resident" is the served trunk, whose first layer reads
-  // only the nonzeros of the featurizer rows; "resident_dense_first" runs
-  // that layer through the gathered-window resident GEMM instead, as every
-  // layer did before. Both give the same bits.
+  // The served forward over real featurized GRAB plans: a pipeline fitted at
+  // the CLI shape (predicate Word2Vec 32, N = 15, K = 9, three 32-channel
+  // tree convs), frozen as a shard freezes it, timed through
+  // PredictFeaturized (batch assembly, trunk, pooling, head) at batch 1
+  // cycling through 64 plans and at batch 32. gflops counts the trunk's
+  // rows at dense width, as the random-feature records above do.
   {
     workload::SchemaGenConfig schema_config;
     schema_config.num_tables = 40;
@@ -717,73 +680,52 @@ int RunJsonBench(const std::string& path) {
     config.word2vec.dim = 32;
     config.word2vec.min_count = 2;
     config.conv_channels.assign(3, 32);
-    config.threads = 1;
+    config.threads = threads;
     auto pipeline =
         core::PrestroidPipeline::Fit(trace, all, config).ValueOrDie();
+    pipeline->FreezeInferenceWeights();
     constexpr size_t kPlans = 64, kChannels = 32;
     std::vector<core::PlanFeatures> plans;
+    size_t rows = 0;
     for (size_t i = 0; i < kPlans; ++i) {
       plans.push_back(pipeline->FeaturizePlan(*trace[i].plan).ValueOrDie());
+      const auto& trees = plans.back().trees;
+      for (size_t t = 0; t < std::min(config.num_subtrees, trees.size()); ++t) {
+        rows += trees[t].num_nodes();
+      }
     }
     const size_t features = pipeline->encoder().feature_dim();
     for (size_t batch : {1, 32}) {
-      std::vector<TreeStructure> structures;
-      std::vector<Tensor> inputs;
-      size_t rows = 0;
+      std::vector<std::vector<const core::PlanFeatures*>> batches;
       for (size_t q = 0; q < kPlans; q += batch) {
-        structures.emplace_back();
-        inputs.emplace_back();
-        AssemblePlans(plans, q, q + batch, config.num_subtrees, features,
-                      &structures.back(), &inputs.back());
-        rows += structures.back().num_rows();
-      }
-      const double forwards = static_cast<double>(structures.size());
-      for (TreeConvInput first :
-           {TreeConvInput::kFeaturizerRows, TreeConvInput::kDense}) {
-        Rng rng(4);
-        std::vector<std::unique_ptr<TreeConvLayer>> trunk;
-        trunk.push_back(
-            std::make_unique<TreeConvLayer>(features, kChannels, &rng, first));
-        trunk.push_back(
-            std::make_unique<TreeConvLayer>(kChannels, kChannels, &rng));
-        trunk.push_back(
-            std::make_unique<TreeConvLayer>(kChannels, kChannels, &rng));
-        ExecutionContext ctx(threads);
-        for (auto& conv : trunk) {
-          conv->set_context(&ctx);
-          conv->FreezeWeights();
+        batches.emplace_back();
+        for (size_t p = q; p < q + batch; ++p) {
+          batches.back().push_back(&plans[p]);
         }
-        MaskedDynamicPooling pooling;
-        pooling.set_context(&ctx);
-        KernelBenchRecord rec;
-        rec.op = "tree_conv_forward_served_grab";
-        rec.shape = StrFormat("B%zuxK9xN15xF%zuxC%zu", batch, features,
-                              kChannels);
-        rec.kernel = first == TreeConvInput::kFeaturizerRows
-                         ? "resident"
-                         : "resident_dense_first";
-        rec.threads = threads;
-        rec.ns_per_iter = MedianNs([&] {
-                            for (size_t i = 0; i < structures.size(); ++i) {
-                              const Tensor* x = &inputs[i];
-                              for (auto& conv : trunk) {
-                                x = &conv->Forward(*x, structures[i]);
-                              }
-                              pooling.Forward(*x, structures[i]);
-                            }
-                          }) /
-                          forwards;
-        const double flops = 2.0 * static_cast<double>(rows) / forwards *
-                             (3.0 * features * kChannels +
-                              2 * 3.0 * kChannels * kChannels);
-        rec.gflops = flops / rec.ns_per_iter;
-        std::cout << "tree_conv_forward_served_grab " << rec.shape << " "
-                  << rec.kernel << " ("
-                  << StrFormat("%.1f", static_cast<double>(rows) / forwards)
-                  << " rows/batch): "
-                  << StrFormat("%.1f", rec.ns_per_iter / 1e3) << " us\n";
-        records.push_back(std::move(rec));
       }
+      const double forwards = static_cast<double>(batches.size());
+      KernelBenchRecord rec;
+      rec.op = "predict_featurized_served_grab";
+      rec.shape = StrFormat("B%zuxK9xN15xF%zuxC%zu", batch, features,
+                            kChannels);
+      rec.kernel = "resident";
+      rec.threads = threads;
+      rec.ns_per_iter = MedianNs([&] {
+                          for (const auto& plan_batch : batches) {
+                            pipeline->PredictFeaturized(plan_batch);
+                          }
+                        }) /
+                        forwards;
+      const double flops = 2.0 * static_cast<double>(rows) / forwards *
+                           (3.0 * features * kChannels +
+                            2 * 3.0 * kChannels * kChannels);
+      rec.gflops = flops / rec.ns_per_iter;
+      std::cout << "predict_featurized_served_grab " << rec.shape << " "
+                << rec.kernel << " ("
+                << StrFormat("%.1f", static_cast<double>(rows) / forwards)
+                << " rows/batch): "
+                << StrFormat("%.1f", rec.ns_per_iter / 1e3) << " us\n";
+      records.push_back(std::move(rec));
     }
   }
 
@@ -797,9 +739,6 @@ int RunJsonBench(const std::string& path) {
       GeomeanSpeedup(records, "serving_gemm", "resident", "blocked");
   const double ragged_speedup = GeomeanSpeedup(
       records, "tree_conv_forward_served", "resident", "resident_padded");
-  const double sparse_first_speedup =
-      GeomeanSpeedup(records, "tree_conv_forward_served_grab", "resident",
-                     "resident_dense_first");
 
   std::ofstream out(path);
   if (!out) {
@@ -835,9 +774,6 @@ int RunJsonBench(const std::string& path) {
                      resident_speedup);
     json.FieldDouble("served_forward_geomean_speedup_ragged_over_padded",
                      ragged_speedup);
-    json.FieldDouble(
-        "served_grab_forward_geomean_speedup_sparse_first_over_dense_first",
-        sparse_first_speedup);
     json.EndObject();
     json.Key("front_end_parse");
     json.BeginObject();

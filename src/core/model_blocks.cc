@@ -9,10 +9,7 @@ TreeConvStack::TreeConvStack(size_t input_dim,
   PRESTROID_CHECK(!channels.empty());
   size_t in = input_dim;
   for (size_t out : channels) {
-    convs_.push_back(std::make_unique<TreeConvLayer>(
-        in, out, rng,
-        convs_.empty() ? TreeConvInput::kFeaturizerRows
-                       : TreeConvInput::kDense));
+    convs_.push_back(std::make_unique<TreeConvLayer>(in, out, rng));
     in = out;
   }
   output_dim_ = in;

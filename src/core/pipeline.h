@@ -107,7 +107,8 @@ class PrestroidPipeline {
   /// Freezes every GEMM layer's eval-mode weights into resident fp32 panels,
   /// so forwards stop repacking weights on every call. Predictions stay
   /// bit-identical to the blocked backend; the frozen tree-conv forward
-  /// always takes the blocked im2col path, whatever the context's backend.
+  /// always runs the resident window product over each input row's nonzeros
+  /// (the blocked kernel's bits), whatever the context's backend.
   /// Training a frozen pipeline is forbidden (layer Backward CHECK-fails);
   /// ThawInferenceWeights() first. Calling it again repacks.
   void FreezeInferenceWeights();

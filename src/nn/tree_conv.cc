@@ -10,11 +10,9 @@
 
 namespace prestroid {
 
-TreeConvLayer::TreeConvLayer(size_t in_features, size_t out_features, Rng* rng,
-                             TreeConvInput input)
+TreeConvLayer::TreeConvLayer(size_t in_features, size_t out_features, Rng* rng)
     : in_features_(in_features),
       out_features_(out_features),
-      input_kind_(input),
       w_self_(Tensor::GlorotUniform(in_features, out_features, rng)),
       w_left_(Tensor::GlorotUniform(in_features, out_features, rng)),
       w_right_(Tensor::GlorotUniform(in_features, out_features, rng)),
@@ -37,22 +35,16 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
   input_ = &features;
   structure_ = &structure;
 
-  // Frozen inference always runs on the resident panel. Featurizer rows are
-  // mostly exact zeros (one 1-hot entry, a 32-wide predicate block, or
-  // nothing), so that layer reads only their nonzeros instead of gathering
-  // 3*in-wide windows; layers above keep the dense GEMM.
+  // Frozen inference always runs on the resident panel and reads each input
+  // row through its nonzeros instead of gathering 3*in-wide windows:
+  // featurizer rows hold one 1-hot entry, a 32-wide predicate block or
+  // nothing, and a ReLU layer's outputs are mostly zero too.
   if (resident_ != nullptr) {
-    if (input_kind_ == TreeConvInput::kFeaturizerRows) {
-      CollectNonzeros();
-      resident_->TreeWindowGemm(
-          &output_, structure.num_rows(),
-          {nz_begin_.data(), nz_index_.data(), nz_value_.data()},
-          structure.left.data(), structure.right.data(), bias_, ctx_);
-    } else {
-      GatherWindows();
-      resident_->Gemm(&output_, packed_input_, &bias_,
-                      GemmEpilogue::kBiasRelu, ctx_);
-    }
+    CollectNonzeros();
+    resident_->TreeWindowGemm(
+        &output_, structure.num_rows(),
+        {nz_begin_.data(), nz_index_.data(), nz_value_.data()},
+        structure.left.data(), structure.right.data(), bias_, ctx_);
   } else if (ctx_->kernel() == KernelBackend::kBlocked) {
     GatherWindows();
     StackWeights();
@@ -252,6 +244,7 @@ void TreeConvLayer::CollectNonzeros() {
   const size_t rows = structure_->num_rows();
   const size_t in = in_features_;
   const float* x = input_->data();
+  PRESTROID_CHECK_LE(rows * in, size_t{UINT32_MAX});  // RowNonzeros indices
   nz_begin_.resize(rows + 1);
   nz_index_.resize(rows * in);
   nz_value_.resize(rows * in);

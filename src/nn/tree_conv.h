@@ -35,17 +35,6 @@ struct TreeStructure {
   size_t num_rows() const { return left.size(); }
 };
 
-/// What a tree-convolution layer reads, which decides its frozen forward.
-enum class TreeConvInput {
-  /// Another layer's activations: the gathered windows run through the
-  /// resident packed-panel GEMM.
-  kDense,
-  /// Featurizer node rows (a 1-hot operator block, a predicate Word2Vec
-  /// block, a 1-hot table block; Ø rows all zero), mostly exact zeros: the
-  /// frozen forward reads each row through its nonzeros only.
-  kFeaturizerRows,
-};
-
 /// Tree convolution with triangular kernels (Mou et al. 2016), the
 /// parent/left-child/right-child sliding window used by Neo and Prestroid,
 /// with the ReLU that follows it in every Prestroid trunk fused in:
@@ -81,15 +70,15 @@ enum class TreeConvInput {
 /// Freezable (nn/layer.h): FreezeWeights stacks the three position kernels
 /// into the im2col operand [3*in, out] and packs it into a ResidentWeights,
 /// after which Forward always takes the resident path regardless of the
-/// context's backend: for kDense input the im2col lowering (gather +
-/// resident GEMM), for kFeaturizerRows the window product over each input
-/// row's nonzero list (ResidentWeights::TreeWindowGemm), which skips only
-/// exact-zero terms and so gives the same bits. Backward while frozen
-/// CHECK-fails.
+/// context's backend: the window product over each input row's nonzero list
+/// (ResidentWeights::TreeWindowGemm). Featurizer rows are mostly exact zeros
+/// (a 1-hot operator block, a predicate Word2Vec block, a 1-hot table block;
+/// Ø rows all zero), and so are most of a ReLU layer's outputs; skipping
+/// only exact-zero terms gives the blocked lowering's bits. Backward while
+/// frozen CHECK-fails.
 class TreeConvLayer : public FreezableLayer {
  public:
-  TreeConvLayer(size_t in_features, size_t out_features, Rng* rng,
-                TreeConvInput input = TreeConvInput::kDense);
+  TreeConvLayer(size_t in_features, size_t out_features, Rng* rng);
 
   TreeConvLayer(const TreeConvLayer&) = delete;
   TreeConvLayer& operator=(const TreeConvLayer&) = delete;
@@ -121,7 +110,7 @@ class TreeConvLayer : public FreezableLayer {
   /// packed_input_ and stack the position kernels into wcat_.
   void GatherWindows();
   void StackWeights();
-  /// Frozen kFeaturizerRows helper: each input row's nonzeros into nz_*.
+  /// Frozen-path helper: each input row's nonzeros into nz_*.
   void CollectNonzeros();
 
   void ForwardScalar();
@@ -130,7 +119,6 @@ class TreeConvLayer : public FreezableLayer {
 
   size_t in_features_;
   size_t out_features_;
-  TreeConvInput input_kind_;
   Tensor w_self_, w_left_, w_right_;  // each [in, out]
   Tensor bias_;                       // [out]
   Tensor w_self_grad_, w_left_grad_, w_right_grad_;
@@ -151,8 +139,8 @@ class TreeConvLayer : public FreezableLayer {
   Tensor bias_tmp_;      // [out] per-call bias-gradient accumulator
   // Frozen serving weights: the packed wcat_ operand (null while thawed).
   std::unique_ptr<ResidentWeights> resident_;
-  // Frozen kFeaturizerRows workspace: the input's nonzeros in RowNonzeros
-  // form (nz_begin_ [rows + 1]), rebuilt per call, reused once warm.
+  // Frozen-path workspace: the input's nonzeros in RowNonzeros form
+  // (nz_begin_ [rows + 1]), rebuilt per call, reused once warm.
   std::vector<uint32_t> nz_begin_;
   std::vector<uint32_t> nz_index_;
   std::vector<float> nz_value_;

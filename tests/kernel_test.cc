@@ -418,9 +418,9 @@ TEST(ResidentWeightsTest, FrozenLayersMatchTheBlockedForwardOnEitherBackend) {
   const Tensor conv_want = conv_ref.Forward(features, structure);
   const Tensor dense_want = dense_ref.Forward(rows);
 
-  // The frozen forward takes the blocked im2col path with pre-packed panels
-  // even on a scalar context, so it matches the blocked reference bit for
-  // bit on both backends.
+  // The frozen forward runs on the pre-packed panels even on a scalar
+  // context, so it matches the blocked reference bit for bit on both
+  // backends.
   for (KernelBackend backend :
        {KernelBackend::kScalar, KernelBackend::kBlocked}) {
     ExecutionContext ctx(1);
@@ -503,9 +503,11 @@ Tensor FeaturizerRows(size_t rows, size_t ops, size_t pred, size_t tables,
 }
 
 TEST(ResidentWeightsTest, FrozenFirstLayerMatchesTheResidentGemmBitForBit) {
-  // The kFeaturizerRows frozen forward reads only nonzeros; the kDense one
-  // gathers full windows into the packed-panel GEMM. Same weights, same
-  // bits, including the 512-channel layer of the paper's GRAB model.
+  // The frozen forward reads only nonzeros; the thawed blocked forward
+  // gathers full windows into the packed-panel GEMM that the resident
+  // weights were packed for. Same weights, same bits, including the
+  // 512-channel layer of the paper's GRAB model and a dense second layer
+  // reading the first one's ReLU outputs.
   const size_t ops = 13, pred = 32, tables = 40, in = ops + pred + tables;
   for (size_t out : {32, 512}) {
     for (size_t items : {1, 32}) {
@@ -516,33 +518,37 @@ TEST(ResidentWeightsTest, FrozenFirstLayerMatchesTheResidentGemmBitForBit) {
                                         tables, &data_rng);
         ExecutionContext ctx(1);
         Pin(&ctx, KernelBackend::kBlocked);
-        Rng rng_dense(342), rng_sparse(342);
-        TreeConvLayer dense(in, out, &rng_dense, TreeConvInput::kDense);
-        TreeConvLayer sparse(in, out, &rng_sparse,
-                             TreeConvInput::kFeaturizerRows);
-        dense.set_context(&ctx);
-        sparse.set_context(&ctx);
+        Rng rng(342);
+        TreeConvLayer first(in, out, &rng);
+        TreeConvLayer second(out, out, &rng);
+        first.set_context(&ctx);
+        second.set_context(&ctx);
         // Nonzero biases, so the epilogue is exercised as well.
-        for (TreeConvLayer* layer : {&dense, &sparse}) {
+        for (TreeConvLayer* layer : {&first, &second}) {
           Rng bias_rng(343);
           Tensor& bias = *layer->Params()[3].value;
           for (size_t o = 0; o < out; ++o) {
             bias[o] = static_cast<float>(bias_rng.Uniform(-0.1, 0.1));
           }
         }
-        const Tensor thawed = dense.Forward(x, structure);
-        dense.FreezeWeights();
-        sparse.FreezeWeights();
-        const Tensor want = dense.Forward(x, structure);
+        const Tensor want = first.Forward(x, structure);
+        const Tensor want2 = second.Forward(want, structure);
+        first.FreezeWeights();
+        second.FreezeWeights();
         ctx.ResetStats();
-        const Tensor& got = sparse.Forward(x, structure);
+        const Tensor& got = first.Forward(x, structure);
+        const uint64_t flops = ctx.stats().flops;
         ASSERT_EQ(got.shape(), want.shape());
         for (size_t i = 0; i < want.size(); ++i) {
           ASSERT_EQ(std::signbit(got[i]), std::signbit(want[i]))
               << "out " << out << " items " << items << " element " << i;
           ASSERT_EQ(got[i], want[i])
               << "out " << out << " items " << items << " element " << i;
-          ASSERT_EQ(got[i], thawed[i]) << "element " << i;
+        }
+        const Tensor& got2 = second.Forward(got, structure);
+        for (size_t i = 0; i < want2.size(); ++i) {
+          ASSERT_EQ(got2[i], want2[i]) << "second layer element " << i;
+          ASSERT_EQ(std::signbit(got2[i]), std::signbit(want2[i]));
         }
         // ExecStats counts the multiply-adds issued: one per window nonzero
         // and output column, plus the bias+ReLU epilogue.
@@ -559,8 +565,7 @@ TEST(ResidentWeightsTest, FrozenFirstLayerMatchesTheResidentGemmBitForBit) {
           terms += nonzeros(static_cast<int>(r)) +
                    nonzeros(structure.left[r]) + nonzeros(structure.right[r]);
         }
-        EXPECT_EQ(ctx.stats().flops,
-                  2 * terms * out + 2ull * structure.num_rows() * out);
+        EXPECT_EQ(flops, 2 * terms * out + 2ull * structure.num_rows() * out);
       }
     }
   }
@@ -575,15 +580,13 @@ TEST(ResidentWeightsTest, FrozenFirstLayerKeepsNaNAndInfinityInputs) {
   x[1 * 19 + 7] = std::nanf("");
   x[4 * 19 + 2] = std::numeric_limits<float>::infinity();
   ExecutionContext ctx(1);
-  Rng rng_dense(352), rng_sparse(352);
-  TreeConvLayer dense(19, 24, &rng_dense, TreeConvInput::kDense);
-  TreeConvLayer sparse(19, 24, &rng_sparse, TreeConvInput::kFeaturizerRows);
-  dense.set_context(&ctx);
-  sparse.set_context(&ctx);
-  dense.FreezeWeights();
-  sparse.FreezeWeights();
-  const Tensor want = dense.Forward(x, structure);
-  const Tensor& got = sparse.Forward(x, structure);
+  Pin(&ctx, KernelBackend::kBlocked);
+  Rng rng(352);
+  TreeConvLayer conv(19, 24, &rng);
+  conv.set_context(&ctx);
+  const Tensor want = conv.Forward(x, structure);
+  conv.FreezeWeights();
+  const Tensor& got = conv.Forward(x, structure);
   for (size_t i = 0; i < want.size(); ++i) {
     if (std::isnan(want[i])) {
       ASSERT_TRUE(std::isnan(got[i])) << "element " << i;
