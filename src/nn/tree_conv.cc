@@ -250,13 +250,14 @@ void TreeConvLayer::CollectNonzeros() {
   nz_value_.resize(rows * in);
   uint32_t count = 0;
   auto collect = [&](const float* row, size_t i0, size_t i1) {
+    // Branch-free: every element is written at the next free slot, which
+    // only a nonzero keeps, so a ReLU output's random zero pattern costs no
+    // mispredicted branches. -0.0 is skipped too: its product is as exactly
+    // zero as +0.0's.
     for (size_t i = i0; i < i1; ++i) {
-      // -0.0 is skipped too: its product is as exactly zero as +0.0's.
-      if (row[i] != 0.0f) {
-        nz_index_[count] = static_cast<uint32_t>(i);
-        nz_value_[count] = row[i];
-        ++count;
-      }
+      nz_index_[count] = static_cast<uint32_t>(i);
+      nz_value_[count] = row[i];
+      count += row[i] != 0.0f;
     }
   };
   for (size_t r = 0; r < rows; ++r) {
