@@ -2,6 +2,8 @@
 
 #include <thread>
 
+#include "git_sha.h"
+
 #include "tensor/kernels/gemm_kernels.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -185,11 +187,7 @@ void JsonWriter::FieldDouble(const std::string& key, double value,
 }
 
 void JsonWriter::Provenance() {
-#ifdef PRESTROID_GIT_SHA
   Field("git_sha", PRESTROID_GIT_SHA);
-#else
-  Field("git_sha", "unknown");
-#endif
   Field("gemm_isa", GemmBlockedIsaName());
   Field("hardware_threads",
         static_cast<size_t>(std::thread::hardware_concurrency()));

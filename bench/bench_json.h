@@ -56,9 +56,9 @@ class JsonWriter {
   /// JSON string escaping (quotes, backslash, control characters).
   static std::string Escape(const std::string& raw);
 
-  /// Stamps run provenance into the current object — git SHA (the
-  /// PRESTROID_GIT_SHA compile definition, "unknown" outside a git
-  /// checkout), the blocked-GEMM ISA dispatch result ("avx2"/"base"), and
+  /// Stamps run provenance into the current object — git SHA (the commit
+  /// the harness was built from, stamped at build time into git_sha.h,
+  /// "unknown" outside a git checkout), the blocked-GEMM ISA dispatch result ("avx2"/"base"), and
   /// the hardware thread count — so every BENCH_*.json records what built
   /// and ran it. Call inside the artifact's top-level object.
   void Provenance();

@@ -501,8 +501,12 @@ int RunJsonBench(const std::string& path) {
   }
 
   // End-to-end tree convolution forward+backward at the sub-tree pipeline's
-  // shape regime and a full-tree-sized variant. Nominal FLOPs: three GEMMs
-  // of [batch*nodes, 3*dim] x [3*dim, dim] (forward, dW, dX).
+  // shape regime and a full-tree-sized variant. "blocked" is the lowering
+  // the trainer runs: the nonzero-list window product forward and weight
+  // gradient plus the dX GEMM. These random rows are dense, the worst case
+  // for the nonzero lists (featurizer rows hold ~3% nonzeros). Nominal
+  // FLOPs: three dense GEMMs of [batch*nodes, 3*dim] x [3*dim, dim]
+  // (forward, dW, dX), whatever the kernel skips.
   const size_t conv_shapes[][3] = {{256, 15, 128}, {64, 255, 64}};
   for (const auto& s : conv_shapes) {
     const size_t batch = s[0], nodes = s[1], dim = s[2];

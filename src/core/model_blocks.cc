@@ -12,6 +12,7 @@ TreeConvStack::TreeConvStack(size_t input_dim,
     convs_.push_back(std::make_unique<TreeConvLayer>(in, out, rng));
     in = out;
   }
+  convs_.front()->set_input_gradient(false);
   output_dim_ = in;
 }
 
@@ -22,12 +23,11 @@ const Tensor& TreeConvStack::Forward(const Tensor& features,
   return *x;
 }
 
-const Tensor& TreeConvStack::Backward(const Tensor& grad_output) {
+void TreeConvStack::Backward(const Tensor& grad_output) {
   const Tensor* grad = &grad_output;
   for (size_t i = convs_.size(); i-- > 0;) {
     grad = &convs_[i]->Backward(*grad);
   }
-  return *grad;
 }
 
 void TreeConvStack::BindContext(ExecutionContext* ctx) {

@@ -18,9 +18,11 @@ namespace prestroid::core {
 /// full-tree models (3 x 512 kernels for Grab-Traces, 3 x 128 for TPC-DS;
 /// Section 5.2).
 ///
-/// Forward/Backward return references into the last layer's workspace (see
-/// Layer); intermediate activations flow between layers by reference with no
-/// copies. The input features and structure must outlive Backward.
+/// Forward returns a reference into the last layer's workspace (see Layer);
+/// intermediate activations flow between layers by reference with no
+/// copies. The input features and structure must outlive Backward. The
+/// input is featurizer rows, constants of training, so the first layer
+/// computes no input gradient and Backward returns none.
 class TreeConvStack {
  public:
   TreeConvStack(size_t input_dim, const std::vector<size_t>& channels,
@@ -32,7 +34,8 @@ class TreeConvStack {
   /// [rows, input_dim] -> [rows, channels.back()] over the ragged rows of
   /// `structure`.
   const Tensor& Forward(const Tensor& features, const TreeStructure& structure);
-  const Tensor& Backward(const Tensor& grad_output);
+  /// Accumulates every layer's weight gradients.
+  void Backward(const Tensor& grad_output);
 
   /// Binds the execution context on every layer of the stack.
   void BindContext(ExecutionContext* ctx);

@@ -35,23 +35,20 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
   input_ = &features;
   structure_ = &structure;
 
-  // Frozen inference always runs on the resident panel and reads each input
-  // row through its nonzeros instead of gathering 3*in-wide windows:
-  // featurizer rows hold one 1-hot entry, a 32-wide predicate block or
-  // nothing, and a ReLU layer's outputs are mostly zero too.
-  if (resident_ != nullptr) {
+  // The blocked lowering reads each input row through its nonzeros instead
+  // of gathering 3*in-wide windows: featurizer rows hold one 1-hot entry, a
+  // 32-wide predicate block or nothing, and a ReLU layer's outputs are
+  // mostly zero too. A frozen layer always runs it, on its resident panel.
+  if (resident_ || ctx_->kernel() == KernelBackend::kBlocked) {
+    if (!resident_) {
+      StackWeights();
+      panel_.Pack(wcat_);
+    }
     CollectNonzeros();
-    resident_->TreeWindowGemm(
+    panel_.TreeWindowGemm(
         &output_, structure.num_rows(),
         {nz_begin_.data(), nz_index_.data(), nz_value_.data()},
         structure.left.data(), structure.right.data(), bias_, ctx_);
-  } else if (ctx_->kernel() == KernelBackend::kBlocked) {
-    GatherWindows();
-    StackWeights();
-    // One fused bias+ReLU GEMM covers every (row, position) pair:
-    //   out[r] = max(0, [x_self | x_left | x_right] @ [W_s; W_l; W_r] + b)
-    // The GEMM op does its own flop/op accounting.
-    MatMulBiasReluInto(&output_, packed_input_, wcat_, bias_, ctx_);
   } else {
     ForwardScalar();
   }
@@ -101,7 +98,7 @@ void TreeConvLayer::ForwardScalar() {
 
 Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
   LayerTimer timer(ctx_, LayerKind::kTreeConv, /*backward=*/true);
-  PRESTROID_CHECK(resident_ == nullptr);  // no training while frozen
+  PRESTROID_CHECK(!resident_);  // no training while frozen
   PRESTROID_CHECK(structure_ != nullptr);
   const size_t rows = structure_->num_rows();
   PRESTROID_CHECK_EQ(grad_output.dim(grad_output.rank() - 1), out_features_);
@@ -118,13 +115,19 @@ Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
     for (size_t i = lo; i < hi; ++i) gp[i] = y[i] > 0.0f ? go[i] : 0.0f;
   });
 
-  grad_input_.ResetShape({rows, in_features_});
-  grad_input_.Fill(0.0f);
-  if (ctx_->kernel() == KernelBackend::kBlocked) {
+  const bool blocked = ctx_->kernel() == KernelBackend::kBlocked;
+  // The scalar oracle's loop computes the input gradient alongside the
+  // weight gradients, wanted or not.
+  if (input_gradient_ || !blocked) {
+    grad_input_.ResetShape({rows, in_features_});
+    grad_input_.Fill(0.0f);
+  }
+  if (blocked) {
     BackwardBlocked();
   } else {
     BackwardScalar();
   }
+  if (!input_gradient_) grad_input_.ResetShape({0, in_features_});
   return grad_input_;
 }
 
@@ -207,39 +210,6 @@ void TreeConvLayer::BackwardScalar() {
   }
 }
 
-void TreeConvLayer::GatherWindows() {
-  const TreeStructure& structure = *structure_;
-  const size_t rows = structure.num_rows();
-  const size_t in = in_features_;
-  const size_t kc = 3 * in;
-  packed_input_.ResetShape({rows, kc});
-  const float* src = input_->data();
-  float* dst_base = packed_input_.data();
-  // Every packed row is written exactly once, so the gather parallelizes
-  // freely; null children pack as zero slices, which makes the GEMM below
-  // contribute exactly nothing for them (no branches downstream).
-  ctx_->ParallelFor(0, rows, 16, [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      float* dst = dst_base + r * kc;
-      std::memcpy(dst, src + r * in, in * sizeof(float));
-      const int l = structure.left[r];
-      if (l >= 0) {
-        std::memcpy(dst + in, src + static_cast<size_t>(l) * in,
-                    in * sizeof(float));
-      } else {
-        std::memset(dst + in, 0, in * sizeof(float));
-      }
-      const int rc = structure.right[r];
-      if (rc >= 0) {
-        std::memcpy(dst + 2 * in, src + static_cast<size_t>(rc) * in,
-                    in * sizeof(float));
-      } else {
-        std::memset(dst + 2 * in, 0, in * sizeof(float));
-      }
-    }
-  });
-}
-
 void TreeConvLayer::CollectNonzeros() {
   const size_t rows = structure_->num_rows();
   const size_t in = in_features_;
@@ -290,22 +260,61 @@ void TreeConvLayer::StackWeights() {
 
 void TreeConvLayer::FreezeWeights() {
   StackWeights();
-  resident_ = std::make_unique<ResidentWeights>(ResidentWeights::Build(wcat_));
+  panel_.Pack(wcat_);
+  resident_ = true;
+}
+
+void TreeConvLayer::CollectWindowColumns() {
+  const TreeStructure& structure = *structure_;
+  const size_t rows = structure.num_rows();
+  const size_t in = in_features_;
+  PRESTROID_CHECK_EQ(nz_begin_.size(), rows + 1);
+  PRESTROID_CHECK_LE(3 * rows * in, size_t{UINT32_MAX});  // wt_* indices
+  // Counting sort by stacked-kernel row: count each row's terms, then place
+  // them walking the batch rows in ascending order.
+  auto for_each_term = [&](auto&& visit) {
+    for (size_t r = 0; r < rows; ++r) {
+      const int window[3] = {static_cast<int>(r), structure.left[r],
+                             structure.right[r]};
+      for (size_t p = 0; p < 3; ++p) {
+        if (window[p] < 0) continue;
+        const size_t q = static_cast<size_t>(window[p]);
+        for (size_t e = nz_begin_[q]; e < nz_begin_[q + 1]; ++e) {
+          visit(r, p * in + nz_index_[e], nz_value_[e]);
+        }
+      }
+    }
+  };
+  wt_begin_.assign(3 * in + 1, 0);
+  for_each_term([&](size_t, size_t k, float) { ++wt_begin_[k + 1]; });
+  for (size_t k = 0; k < 3 * in; ++k) wt_begin_[k + 1] += wt_begin_[k];
+  wt_row_.resize(wt_begin_[3 * in]);
+  wt_value_.resize(wt_begin_[3 * in]);
+  // wt_begin_[k] is row k's next free slot while placing; afterwards it
+  // holds row k + 1's start, so shifting it back restores the offsets.
+  for_each_term([&](size_t r, size_t k, float v) {
+    const uint32_t slot = wt_begin_[k]++;
+    wt_row_[slot] = static_cast<uint32_t>(r);
+    wt_value_[slot] = v;
+  });
+  for (size_t k = 3 * in; k > 0; --k) wt_begin_[k] = wt_begin_[k - 1];
+  wt_begin_[0] = 0;
 }
 
 void TreeConvLayer::BackwardBlocked() {
   const TreeStructure& structure = *structure_;
-  const size_t rows = structure.num_rows();
   const size_t in = in_features_;
   const size_t kc = 3 * in;
-  PRESTROID_CHECK_EQ(packed_input_.dim(0), rows);
-  PRESTROID_CHECK_EQ(packed_input_.dim(1), kc);
 
-  // Weight gradients: d[W_self; W_left; W_right] = packed^T @ gy, then
-  // split-added into the per-position accumulators. Weights are unchanged
-  // since Forward, so restacking wcat_ here keeps the pair self-contained.
-  StackWeights();
-  MatMulTransposeAInto(&wgcat_, packed_input_, grad_pre_, ctx_);
+  // Weight gradients: d[W_self; W_left; W_right] = windows^T @ gy over the
+  // windows' nonzeros, onto a zeroed buffer, then split-added into the
+  // per-position accumulators.
+  CollectWindowColumns();
+  wgcat_.ResetShape({kc, out_features_});
+  wgcat_.Fill(0.0f);
+  SparseMatMulAccumulate(
+      &wgcat_, {wt_begin_.data(), wt_row_.data(), wt_value_.data()},
+      grad_pre_, ctx_);
   const size_t wsz = in_features_ * out_features_;
   const float* wg = wgcat_.data();
   float* gs = w_self_grad_.data();
@@ -320,11 +329,14 @@ void TreeConvLayer::BackwardBlocked() {
   SumRowsAccumulate(&bias_tmp_, grad_pre_, ctx_);
   bias_grad_ += bias_tmp_;
 
+  if (!input_gradient_) return;
   // Input gradients in window space: gxp = gy @ wcat^T, then scatter-added
   // back through the window map. Trees own disjoint row ranges of
   // grad_input_ (children always live in their own tree), so the scatter
   // parallelizes over trees with a fixed within-tree row order —
-  // deterministic at any thread count.
+  // deterministic at any thread count. Weights are unchanged since Forward,
+  // so restacking wcat_ here keeps the pair self-contained.
+  StackWeights();
   MatMulTransposeBInto(&gxp_, grad_pre_, wcat_, ctx_);
   const float* gxp = gxp_.data();
   float* gx_base = grad_input_.data();

@@ -2,7 +2,6 @@
 #define PRESTROID_NN_TREE_CONV_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "nn/layer.h"
@@ -56,26 +55,26 @@ struct TreeStructure {
 ///    parallelizes over trees (disjoint output rows, per-element float order
 ///    unchanged); Backward parallelizes over trees with per-chunk scratch
 ///    weight-gradient accumulators reduced in ascending chunk order.
-///  - blocked: an im2col-style lowering. Each row's (self, left, right)
-///    window is gathered into a packed [rows, 3*in] matrix (zeros for null
-///    children), the three position kernels are stacked into one
-///    [3*in, out] operand, and the whole convolution becomes a single GEMM
-///    with a fused bias+ReLU epilogue; Backward likewise reduces to two
-///    GEMMs (weight gradients via A^T B over the packed windows, input
-///    gradients via g W^T scattered back through the window map). Agrees
-///    with scalar to ~1e-5 relative (DESIGN.md §5.3).
+///  - blocked: the window product over each input row's nonzero list. The
+///    three position kernels are stacked into one [3*in, out] operand and
+///    packed into GEMM panels; each output row sums the nonzeros of its
+///    (self, left, right) input rows against that panel, with the bias+ReLU
+///    epilogue (GemmTreeWindowRows). Backward takes the stacked weight
+///    gradient from the same nonzero lists, per stacked-kernel row in
+///    ascending batch row (SparseMatMulAccumulate), and the input gradient
+///    from one gy W^T GEMM scattered back through the window map. Featurizer
+///    rows are mostly exact zeros (a 1-hot operator block, a predicate
+///    Word2Vec block, a 1-hot table block; Ø rows all zero), and so are most
+///    of a ReLU layer's outputs; skipping only exact-zero terms gives the
+///    bits of the gathered-window (im2col) GEMMs, forward and weight
+///    gradient (DESIGN.md §5.3). Agrees with scalar to ~1e-5 relative.
 ///
 /// A row's result depends only on its own window, never on which other rows
 /// share the batch, so a plan's answer is the same alone or batched.
-/// Freezable (nn/layer.h): FreezeWeights stacks the three position kernels
-/// into the im2col operand [3*in, out] and packs it into a ResidentWeights,
-/// after which Forward always takes the resident path regardless of the
-/// context's backend: the window product over each input row's nonzero list
-/// (ResidentWeights::TreeWindowGemm). Featurizer rows are mostly exact zeros
-/// (a 1-hot operator block, a predicate Word2Vec block, a 1-hot table block;
-/// Ø rows all zero), and so are most of a ReLU layer's outputs; skipping
-/// only exact-zero terms gives the blocked lowering's bits. Backward while
-/// frozen CHECK-fails.
+/// Freezable (nn/layer.h): a thawed layer packs its stacked kernels before
+/// every blocked Forward; FreezeWeights packs them once, after which Forward
+/// always runs the blocked lowering on that resident panel regardless of the
+/// context's backend. Backward while frozen CHECK-fails.
 class TreeConvLayer : public FreezableLayer {
  public:
   TreeConvLayer(size_t in_features, size_t out_features, Rng* rng);
@@ -87,6 +86,12 @@ class TreeConvLayer : public FreezableLayer {
   /// Returns dL/d(features). Accumulates weight gradients.
   Tensor& Backward(const Tensor& grad_output);
 
+  /// Whether Backward computes dL/d(features) (the default). Without it
+  /// Backward only accumulates weight gradients and returns an empty
+  /// [0, in] tensor; a trunk's first layer, whose input is constant
+  /// featurizer rows, needs no input gradient.
+  void set_input_gradient(bool wanted) { input_gradient_ = wanted; }
+
   /// Binds the execution context (null rebinds the serial default).
   void set_context(ExecutionContext* ctx) {
     ctx_ = ctx != nullptr ? ctx : ExecutionContext::Serial();
@@ -97,21 +102,23 @@ class TreeConvLayer : public FreezableLayer {
 
   // FreezableLayer:
   void FreezeWeights() override;
-  void ThawWeights() override { resident_.reset(); }
+  void ThawWeights() override { resident_ = false; }
   size_t resident_weight_bytes() const override {
-    return resident_ != nullptr ? resident_->resident_bytes() : 0;
+    return resident_ ? panel_.resident_bytes() : 0;
   }
 
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
 
  private:
-  /// Blocked-path helpers: gather (self, left, right) windows into
-  /// packed_input_ and stack the position kernels into wcat_.
-  void GatherWindows();
+  /// Stacks the position kernels into wcat_.
   void StackWeights();
-  /// Frozen-path helper: each input row's nonzeros into nz_*.
+  /// Each input row's nonzeros into nz_*.
   void CollectNonzeros();
+  /// The stacked weight gradient's sparse left operand (windows^T) into
+  /// wt_*: for every stacked-kernel row p * in + i, the batch rows r whose
+  /// window position p reads a nonzero input i, ascending in r.
+  void CollectWindowColumns();
 
   void ForwardScalar();
   void BackwardScalar();
@@ -123,6 +130,7 @@ class TreeConvLayer : public FreezableLayer {
   Tensor bias_;                       // [out]
   Tensor w_self_grad_, w_left_grad_, w_right_grad_;
   Tensor bias_grad_;
+  bool input_gradient_ = true;
   // The last Forward's operands, borrowed until Backward.
   const Tensor* input_ = nullptr;
   const TreeStructure* structure_ = nullptr;
@@ -132,18 +140,24 @@ class TreeConvLayer : public FreezableLayer {
   Tensor grad_input_;
   // Blocked-path workspaces (empty until the blocked backend runs; reused
   // across batches once warm).
-  Tensor packed_input_;  // [rows, 3*in] gathered windows
   Tensor wcat_;          // [3*in, out] stacked (self, left, right) kernels
   Tensor wgcat_;         // [3*in, out] stacked weight gradients
   Tensor gxp_;           // [rows, 3*in] window-space input gradients
   Tensor bias_tmp_;      // [out] per-call bias-gradient accumulator
-  // Frozen serving weights: the packed wcat_ operand (null while thawed).
-  std::unique_ptr<ResidentWeights> resident_;
-  // Frozen-path workspace: the input's nonzeros in RowNonzeros form
-  // (nz_begin_ [rows + 1]), rebuilt per call, reused once warm.
+  // wcat_ as GEMM panels: repacked per Forward while thawed, packed once by
+  // FreezeWeights and then resident.
+  ResidentWeights panel_;
+  bool resident_ = false;
+  // The last Forward's input rows in RowNonzeros form (nz_begin_ [rows + 1]),
+  // kept for Backward.
   std::vector<uint32_t> nz_begin_;
   std::vector<uint32_t> nz_index_;
   std::vector<float> nz_value_;
+  // windows^T in RowNonzeros form (wt_begin_ [3*in + 1], index = batch row),
+  // built by Backward.
+  std::vector<uint32_t> wt_begin_;
+  std::vector<uint32_t> wt_row_;
+  std::vector<float> wt_value_;
 };
 
 /// One-way dynamic pooling with vote bit-masking (paper Section 4.1):

@@ -8,6 +8,7 @@
 
 #include "plan/plan_stats.h"
 #include "serve/plan_fingerprint.h"
+#include "util/fault_injection.h"
 
 namespace prestroid::serve {
 
@@ -372,6 +373,7 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
     std::vector<const core::PlanFeatures*> feature_ptrs;
     feature_ptrs.reserve(rows);
     for (const core::PlanFeatures& f : features) feature_ptrs.push_back(&f);
+    FaultInjector::Global().Stall(FaultSite::kServeForward);
     const auto forward_start = std::chrono::steady_clock::now();
     const std::vector<double> predicted =
         pipeline->PredictFeaturized(feature_ptrs);

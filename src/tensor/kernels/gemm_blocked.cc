@@ -3,7 +3,7 @@
 // gemm_blocked_impl.inc, compiled here at the build's default ISA and again
 // in gemm_blocked_avx2.cc at -mavx2 -mfma (x86-64 builds only). Dispatch is
 // decided once per process from CPUID, so all the entry points — tile,
-// packed size, pack, and both computes — always agree on the micro-tile
+// packed size, pack, and every compute — always agree on the micro-tile
 // geometry.
 //
 // Determinism: a given process always runs one instantiation, so results
@@ -37,6 +37,9 @@ void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,
                         const RowNonzeros& x, const int* left,
                         const int* right, const float* packed_b, float* c,
                         size_t ldc, const float* bias);
+void GemmSparseRowsAccumulate(size_t i0, size_t i1, size_t k, size_t n,
+                              const RowNonzeros& a, const float* packed_b,
+                              float* c, size_t ldc);
 }  // namespace gemm_avx2
 #endif
 
@@ -115,6 +118,18 @@ void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,
 #endif
   gemm_base::GemmTreeWindowRows(r0, r1, in, n, x, left, right, packed_b, c,
                                 ldc, bias);
+}
+
+void GemmSparseRowsAccumulate(size_t i0, size_t i1, size_t k, size_t n,
+                              const RowNonzeros& a, const float* packed_b,
+                              float* c, size_t ldc) {
+#if defined(PRESTROID_GEMM_AVX2_TU)
+  if (UseAvx2Path()) {
+    gemm_avx2::GemmSparseRowsAccumulate(i0, i1, k, n, a, packed_b, c, ldc);
+    return;
+  }
+#endif
+  gemm_base::GemmSparseRowsAccumulate(i0, i1, k, n, a, packed_b, c, ldc);
 }
 
 }  // namespace prestroid

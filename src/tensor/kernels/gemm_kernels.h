@@ -117,6 +117,21 @@ void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,
                         const int* right, const float* packed_b, float* c,
                         size_t ldc, const float* bias);
 
+/// Rows [i0, i1) of C += A @ B_packed for a sparse A ([m, k], row i's
+/// nonzeros in `a`, index = column of A) and packed_b GemmPackB's image of
+/// B ([k, n]). Each output element sums its row's nonzero terms in
+/// ascending k from zero with GemmBlockedRows' own multiply-add and adds the
+/// sum onto C, as GemmBlockedRows' accumulate mode does. A skipped term has
+/// a == +-0; for finite B it can change only the sign of a zero sum, and
+/// adding a zero sum onto a C element that is not -0 gives that element's
+/// bits for either sign. So on a C holding no -0 (a zeroed buffer, say) the
+/// result equals the accumulate-mode GemmBlockedRows over the dense A bit
+/// for bit, on the same ISA. Work per row is its nonzero count times n.
+/// Safe to call concurrently on disjoint row ranges.
+void GemmSparseRowsAccumulate(size_t i0, size_t i1, size_t k, size_t n,
+                              const RowNonzeros& a, const float* packed_b,
+                              float* c, size_t ldc);
+
 }  // namespace prestroid
 
 #endif  // PRESTROID_TENSOR_KERNELS_GEMM_KERNELS_H_

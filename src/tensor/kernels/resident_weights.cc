@@ -19,14 +19,18 @@ size_t RowGrain(size_t row_cost_flops) {
 }  // namespace
 
 ResidentWeights ResidentWeights::Build(const Tensor& weights) {
-  PRESTROID_CHECK_EQ(weights.rank(), 2u);
   ResidentWeights rw;
-  rw.rows_ = weights.dim(0);
-  rw.cols_ = weights.dim(1);
-  rw.packed_.resize(GemmPackedBSize(rw.rows_, rw.cols_));
-  GemmPackB(rw.rows_, rw.cols_, weights.data(), /*rsb=*/rw.cols_, /*csb=*/1,
-            rw.packed_.data());
+  rw.Pack(weights);
   return rw;
+}
+
+void ResidentWeights::Pack(const Tensor& weights) {
+  PRESTROID_CHECK_EQ(weights.rank(), 2u);
+  rows_ = weights.dim(0);
+  cols_ = weights.dim(1);
+  packed_.resize(GemmPackedBSize(rows_, cols_));
+  GemmPackB(rows_, cols_, weights.data(), /*rsb=*/cols_, /*csb=*/1,
+            packed_.data());
 }
 
 void ResidentWeights::Gemm(Tensor* out, const Tensor& a, const Tensor* bias,

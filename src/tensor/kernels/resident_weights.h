@@ -20,15 +20,25 @@ namespace prestroid {
 /// model-attach time, so serving never repacks per request. The image is
 /// exactly the GemmPackB panel set the blocked backend would build per call,
 /// so Gemm() output is bit-identical to the blocked MatMul*Into path (same
-/// kernel, same pack, same ISA).
+/// kernel, same pack, same ISA). A training tree-conv layer holds one too
+/// and repacks it before every forward (Pack), so its forward runs the same
+/// TreeWindowGemm as the frozen one.
 ///
-/// Immutable after Build(), so one ResidentWeights may be shared by
-/// concurrent readers.
+/// Only Build() and Pack() write the image, so between packs one
+/// ResidentWeights may be shared by concurrent readers.
 class ResidentWeights {
  public:
+  /// An empty image; Pack() fills it.
+  ResidentWeights() = default;
+
   /// Builds from row-major fp32 weights [k, n]. The source tensor is not
   /// retained.
   static ResidentWeights Build(const Tensor& weights);
+
+  /// Repacks the image from `weights` [k, n], reusing its storage
+  /// (allocation-free once warm): a training layer packs its current
+  /// weights this way before each forward.
+  void Pack(const Tensor& weights);
 
   /// Bytes held by the packed panel image.
   size_t resident_bytes() const { return packed_.size() * sizeof(float); }
@@ -51,8 +61,6 @@ class ResidentWeights {
                       ExecutionContext* ctx) const;
 
  private:
-  ResidentWeights() = default;
-
   size_t rows_ = 0;  // k
   size_t cols_ = 0;  // n
   std::vector<float> packed_;  // GemmPackB panel image

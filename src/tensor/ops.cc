@@ -143,6 +143,27 @@ void MatMulTransposeAInto(Tensor* out, const Tensor& a, const Tensor& b,
   MatMulTransposeAAccumulate(out, a, b, ctx);
 }
 
+void SparseMatMulAccumulate(Tensor* out, const RowNonzeros& a, const Tensor& b,
+                            ExecutionContext* ctx) {
+  PRESTROID_CHECK(ctx != nullptr);
+  PRESTROID_CHECK_EQ(b.rank(), 2u);
+  PRESTROID_CHECK_EQ(out->rank(), 2u);
+  PRESTROID_CHECK_EQ(out->dim(1), b.dim(1));
+  const size_t m = out->dim(0), k = b.dim(0), n = b.dim(1);
+  const uint64_t terms = a.begin[m] - a.begin[0];
+  ctx->AddOp();
+  ctx->AddFlops(2 * terms * n);
+  Tensor packed = ctx->AcquireScratch({GemmPackedBSize(k, n)});
+  GemmPackB(k, n, b.data(), /*rsb=*/n, /*csb=*/1, packed.data());
+  const float* pb = packed.data();
+  float* op = out->data();
+  ctx->ParallelFor(0, m, RowGrain(2 * (terms / std::max<size_t>(1, m) + 1) * n),
+                   [&](size_t i0, size_t i1) {
+                     GemmSparseRowsAccumulate(i0, i1, k, n, a, pb, op, n);
+                   });
+  ctx->ReleaseScratch(std::move(packed));
+}
+
 void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b,
                           ExecutionContext* ctx) {
   PRESTROID_CHECK_EQ(a.rank(), 2u);

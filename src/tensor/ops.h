@@ -2,6 +2,7 @@
 #define PRESTROID_TENSOR_OPS_H_
 
 #include "tensor/execution_context.h"
+#include "tensor/kernels/gemm_kernels.h"
 #include "tensor/tensor.h"
 
 namespace prestroid {
@@ -91,6 +92,17 @@ void MatMulTransposeAInto(Tensor* out, const Tensor& a, const Tensor& b,
 /// accumulation across subtrees/timesteps without a temp tensor.
 void MatMulTransposeAAccumulate(Tensor* out, const Tensor& a, const Tensor& b,
                                 ExecutionContext* ctx);
+
+/// out += a @ b for a sparse a ([m, k], row i's nonzeros in `a`) and a
+/// dense b ([k, n]); `out` must already be [m, n]. Always the blocked
+/// backend's arithmetic (GemmSparseRowsAccumulate), whatever the context's
+/// backend: each output element sums its row's nonzero terms in ascending k
+/// from zero and is added onto `out`. Parallel over rows of `out`, so
+/// bit-identical at any thread count. On an `out` holding no -0 and a
+/// finite b it equals the blocked GEMM's accumulate mode over the dense a
+/// bit for bit (DESIGN.md §5.3). Counts 2 flops per nonzero and column.
+void SparseMatMulAccumulate(Tensor* out, const RowNonzeros& a, const Tensor& b,
+                            ExecutionContext* ctx);
 
 /// out = a @ b^T (a is [m, k], b is [n, k]).
 void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b,

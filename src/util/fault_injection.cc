@@ -1,5 +1,8 @@
 #include "util/fault_injection.h"
 
+#include <chrono>
+#include <thread>
+
 namespace prestroid {
 
 FaultInjector& FaultInjector::Global() {
@@ -22,8 +25,13 @@ void FaultInjector::ArmShortWrite(size_t max_bytes, size_t trigger_after) {
   short_write_bytes_ = max_bytes;
 }
 
+void FaultInjector::ArmStall(FaultSite site, double ms) {
+  stall_ms_[static_cast<size_t>(site)].store(ms);
+}
+
 void FaultInjector::Reset() {
   for (SiteState& state : sites_) state = SiteState();
+  for (std::atomic<double>& stall : stall_ms_) stall.store(0.0);
   short_write_bytes_ = static_cast<size_t>(-1);
 }
 
@@ -35,6 +43,13 @@ bool FaultInjector::ShouldFail(FaultSite site) {
   if (!state.repeat && state.fired > 0) return false;
   ++state.fired;
   return true;
+}
+
+void FaultInjector::Stall(FaultSite site) {
+  const double ms = stall_ms_[static_cast<size_t>(site)].load();
+  if (ms > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
+  }
 }
 
 bool FaultInjector::armed(FaultSite site) const {

@@ -1,6 +1,7 @@
 #ifndef PRESTROID_UTIL_FAULT_INJECTION_H_
 #define PRESTROID_UTIL_FAULT_INJECTION_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -40,17 +41,22 @@ enum class FaultSite {
   /// chosen by net::NetFaultOptions::recv_mode (RST, truncated response,
   /// clamped partial read, byte-level delay).
   kNetRecv,
+  /// A serving shard's batch, after every request in it was admitted and
+  /// featurized and before the fused forward. A stall site only (ArmStall):
+  /// the batch stalls there, as under a descheduled worker.
+  kServeForward,
 };
 
-inline constexpr size_t kNumFaultSites = 9;
+inline constexpr size_t kNumFaultSites = 10;
 
 /// Deterministic, test-driven fault injector (singleton). Each site keeps a
 /// hit counter; a site armed with `trigger_after` fires on the
 /// (trigger_after+1)-th hit and, when `repeat` is set, on every hit after.
 ///
-/// Not thread-safe by design: the harness is driven from single-threaded
-/// tests, and keeping it lock-free guarantees zero cost on hot paths when
-/// disarmed.
+/// Failures are not thread-safe by design: the harness is driven from
+/// single-threaded tests, and keeping it lock-free guarantees zero cost on
+/// hot paths when disarmed. Stalls are atomic, so a stall site may sit on a
+/// worker thread while the test arms and resets from its own.
 class FaultInjector {
  public:
   static FaultInjector& Global();
@@ -64,12 +70,20 @@ class FaultInjector {
   /// armed trigger point.
   void ArmShortWrite(size_t max_bytes, size_t trigger_after = 0);
 
+  /// Arms `site` to stall every hit for `ms` milliseconds (the thread that
+  /// reaches it sleeps) until Reset().
+  void ArmStall(FaultSite site, double ms);
+
   /// Disarms every site and zeroes all hit counters.
   void Reset();
 
   /// Called by instrumented production code. Counts one hit at `site` and
   /// returns true when an armed fault fires.
   bool ShouldFail(FaultSite site);
+
+  /// Called by instrumented production code at a stall site: sleeps for the
+  /// stall armed there, if any.
+  void Stall(FaultSite site);
 
   /// Bytes to actually write when a kArtifactWrite fault fires as a short
   /// write instead of an outright failure; SIZE_MAX means "fail, don't
@@ -91,6 +105,7 @@ class FaultInjector {
   };
 
   SiteState sites_[kNumFaultSites];
+  std::atomic<double> stall_ms_[kNumFaultSites] = {};
   size_t short_write_bytes_ = static_cast<size_t>(-1);
 };
 

@@ -4,6 +4,8 @@
 // reduced dataset.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/log_binning.h"
 #include "baselines/mscn.h"
 #include "baselines/svr.h"
@@ -11,6 +13,7 @@
 #include "core/pipeline.h"
 #include "plan/plan_stats.h"
 #include "serve/model_manager.h"
+#include "tensor/kernels/gemm_kernels.h"
 #include "workload/dataset.h"
 #include "workload/tpcds_templates.h"
 
@@ -214,11 +217,19 @@ TEST_F(EndToEndFixture, TraceFileRoundTripFeedsPipeline) {
 // At this scale the sub-tree model does not beat log binning on MSE (table2
 // reports Prestroid ~164 vs log binning ~143 min^2 at the default bench
 // scale); the gate pins what the code does, not the paper's ordering.
+//
+// Trained weights depend on the GEMM instantiation (the AVX2 one contracts
+// multiply-adds into FMAs), so each instantiation has its own pins, chosen
+// by GemmBlockedIsaName() as core_test's ServingDigestTest does.
 // ---------------------------------------------------------------------------
 
 constexpr double kGateMse = 139.66253931554516;
 constexpr double kGateQErrorP50 = 2.1735960565447008;
 constexpr double kGateQErrorP95 = 5.1566940031109034;
+// The baseline-ISA instantiation (PRESTROID_GEMM_ISA=base).
+constexpr double kGateBaseMse = 139.82871823091872;
+constexpr double kGateBaseQErrorP50 = 2.1676618460062302;
+constexpr double kGateBaseQErrorP95 = 5.1631224038452608;
 
 TEST(AccuracyGate, CliShapePipelinePinsMseAndQError) {
   workload::SchemaGenConfig schema_config;
@@ -267,9 +278,14 @@ TEST(AccuracyGate, CliShapePipelinePinsMseAndQError) {
   const double p95 = qerrors.Percentile(95.0);
   std::printf("accuracy gate: mse %.17g qerror_p50 %.17g qerror_p95 %.17g\n",
               mse, p50, p95);
-  EXPECT_NEAR(mse, kGateMse, 1e-5 * std::abs(kGateMse));
-  EXPECT_NEAR(p50, kGateQErrorP50, 1e-5 * std::abs(kGateQErrorP50));
-  EXPECT_NEAR(p95, kGateQErrorP95, 1e-5 * std::abs(kGateQErrorP95));
+  const std::string isa = GemmBlockedIsaName();
+  const bool avx2 = isa == "avx2";
+  const double want_mse = avx2 ? kGateMse : kGateBaseMse;
+  const double want_p50 = avx2 ? kGateQErrorP50 : kGateBaseQErrorP50;
+  const double want_p95 = avx2 ? kGateQErrorP95 : kGateBaseQErrorP95;
+  EXPECT_NEAR(mse, want_mse, 1e-5 * std::abs(want_mse)) << isa;
+  EXPECT_NEAR(p50, want_p50, 1e-5 * std::abs(want_p50)) << isa;
+  EXPECT_NEAR(p95, want_p95, 1e-5 * std::abs(want_p95)) << isa;
 }
 
 }  // namespace

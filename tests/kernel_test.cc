@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/dense.h"
@@ -374,6 +377,78 @@ TEST(LayerParityTest, TreeConvBlockedBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// The gathered-window (im2col) oracle for the blocked tree conv
+// ---------------------------------------------------------------------------
+
+/// Each row's (self, left, right) input rows gathered into one [rows, 3*in]
+/// matrix, zeros for a null child: the im2col lowering the blocked tree conv
+/// ran before it read nonzero lists, kept here as its oracle.
+Tensor GatherWindows(const Tensor& x, const TreeStructure& structure,
+                     size_t in) {
+  const size_t rows = structure.num_rows();
+  Tensor windows({rows, 3 * in});
+  for (size_t r = 0; r < rows; ++r) {
+    const int window[3] = {static_cast<int>(r), structure.left[r],
+                           structure.right[r]};
+    for (size_t p = 0; p < 3; ++p) {
+      if (window[p] < 0) continue;
+      std::memcpy(windows.data() + r * 3 * in + p * in,
+                  x.data() + static_cast<size_t>(window[p]) * in,
+                  in * sizeof(float));
+    }
+  }
+  return windows;
+}
+
+/// The layer's [W_self; W_left; W_right] ([3*in, out]).
+Tensor StackedKernels(TreeConvLayer* layer) {
+  const size_t wsz = layer->in_features() * layer->out_features();
+  Tensor stacked({3 * layer->in_features(), layer->out_features()});
+  std::vector<ParamRef> params = layer->Params();
+  for (size_t p = 0; p < 3; ++p) {
+    std::memcpy(stacked.data() + p * wsz, params[p].value->data(),
+                wsz * sizeof(float));
+  }
+  return stacked;
+}
+
+/// max(0, windows @ [W_self; W_left; W_right] + b) as one blocked GEMM with
+/// the fused bias+ReLU epilogue.
+Tensor GatheredWindowForward(TreeConvLayer* layer, const Tensor& x,
+                             const TreeStructure& structure,
+                             ExecutionContext* blocked) {
+  Tensor out;
+  MatMulBiasReluInto(&out, GatherWindows(x, structure, layer->in_features()),
+                     StackedKernels(layer), *layer->Params()[3].value,
+                     blocked);
+  return out;
+}
+
+/// The stacked weight gradient windows^T @ (gy masked by y > 0) as one
+/// blocked A^T GEMM.
+Tensor GatheredWindowWeightGradient(const Tensor& x, const Tensor& y,
+                                    const Tensor& gy,
+                                    const TreeStructure& structure, size_t in,
+                                    ExecutionContext* blocked) {
+  Tensor masked(y.shape());
+  for (size_t i = 0; i < masked.size(); ++i) {
+    masked[i] = y[i] > 0.0f ? gy[i] : 0.0f;
+  }
+  Tensor wg;
+  MatMulTransposeAInto(&wg, GatherWindows(x, structure, in), masked, blocked);
+  return wg;
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::signbit(got[i]), std::signbit(want[i]))
+        << what << " element " << i;
+    ASSERT_EQ(got[i], want[i]) << what << " element " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Resident (frozen) fp32 weights: bit-identical to the blocked backend
 // ---------------------------------------------------------------------------
 
@@ -412,10 +487,10 @@ TEST(ResidentWeightsTest, FrozenLayersMatchTheBlockedForwardOnEitherBackend) {
   Rng rng_ref(322);
   TreeConvLayer conv_ref(in_dim, out_dim, &rng_ref);
   Dense dense_ref(in_dim, out_dim, &rng_ref);
-  conv_ref.set_context(&blocked);
   dense_ref.set_context(&blocked);
   dense_ref.SetTraining(false);
-  const Tensor conv_want = conv_ref.Forward(features, structure);
+  const Tensor conv_want =
+      GatheredWindowForward(&conv_ref, features, structure, &blocked);
   const Tensor dense_want = dense_ref.Forward(rows);
 
   // The frozen forward runs on the pre-packed panels even on a scalar
@@ -502,10 +577,72 @@ Tensor FeaturizerRows(size_t rows, size_t ops, size_t pred, size_t tables,
   return x;
 }
 
+TEST(TreeConvKernelTest, NonzeroListsMatchTheGatheredWindowGemmsBitForBit) {
+  // A thawed blocked trunk of two layers reads only nonzeros in its forward
+  // and its weight gradients; the oracle gathers full windows into blocked
+  // GEMMs. Same weights, same bits: featurizer rows with -0.0 entries and
+  // all-zero Ø rows, missing children, empty trees, the first layer at 32
+  // and at the GRAB model's 512 channels, and a second layer reading the
+  // first one's ReLU outputs.
+  const size_t ops = 13, pred = 32, tables = 40, in = ops + pred + tables;
+  for (size_t out : {32, 512}) {
+    for (size_t items : {1, 32}) {
+      for (size_t nodes : {1, 9, 15}) {
+        const TreeStructure structure = MakePlanBatch(items, nodes);
+        Rng data_rng(361 + nodes + items);
+        const Tensor x = FeaturizerRows(structure.num_rows(), ops, pred,
+                                        tables, &data_rng);
+        const Tensor grad =
+            Tensor::Random({structure.num_rows(), out}, &data_rng);
+        ExecutionContext ctx(1);
+        Pin(&ctx, KernelBackend::kBlocked);
+        Rng rng(362);
+        TreeConvLayer first(in, out, &rng);
+        TreeConvLayer second(out, out, &rng);
+        first.set_context(&ctx);
+        second.set_context(&ctx);
+        // Nonzero biases, so the epilogue is exercised as well.
+        for (TreeConvLayer* layer : {&first, &second}) {
+          Rng bias_rng(363);
+          Tensor& bias = *layer->Params()[3].value;
+          for (size_t o = 0; o < out; ++o) {
+            bias[o] = static_cast<float>(bias_rng.Uniform(-0.1, 0.1));
+          }
+        }
+        const Tensor& y1 = first.Forward(x, structure);
+        ExpectSameBits(y1, GatheredWindowForward(&first, x, structure, &ctx),
+                       "first layer forward");
+        const Tensor& y2 = second.Forward(y1, structure);
+        ExpectSameBits(y2, GatheredWindowForward(&second, y1, structure, &ctx),
+                       "second layer forward");
+
+        // Fresh layers hold zero gradients, so after one Backward each
+        // position's gradient is its slice of the stacked oracle.
+        const Tensor g1 = second.Backward(grad);
+        first.Backward(g1);
+        const Tensor want2 = GatheredWindowWeightGradient(y1, y2, grad,
+                                                          structure, out, &ctx);
+        const Tensor want1 =
+            GatheredWindowWeightGradient(x, y1, g1, structure, in, &ctx);
+        for (auto [layer, want] :
+             {std::pair{&first, &want1}, std::pair{&second, &want2}}) {
+          const std::vector<ParamRef> params = layer->Params();
+          const size_t wsz = layer->in_features() * out;
+          for (size_t p = 0; p < 3; ++p) {
+            Tensor slice({layer->in_features(), out});
+            std::memcpy(slice.data(), want->data() + p * wsz,
+                        wsz * sizeof(float));
+            ExpectSameBits(*params[p].grad, slice, params[p].name.c_str());
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ResidentWeightsTest, FrozenFirstLayerMatchesTheResidentGemmBitForBit) {
-  // The frozen forward reads only nonzeros; the thawed blocked forward
-  // gathers full windows into the packed-panel GEMM that the resident
-  // weights were packed for. Same weights, same bits, including the
+  // The frozen forward reads only nonzeros; the oracle gathers full windows
+  // into the blocked GEMM. Same weights, same bits, including the
   // 512-channel layer of the paper's GRAB model and a dense second layer
   // reading the first one's ReLU outputs.
   const size_t ops = 13, pred = 32, tables = 40, in = ops + pred + tables;
@@ -531,8 +668,9 @@ TEST(ResidentWeightsTest, FrozenFirstLayerMatchesTheResidentGemmBitForBit) {
             bias[o] = static_cast<float>(bias_rng.Uniform(-0.1, 0.1));
           }
         }
-        const Tensor want = first.Forward(x, structure);
-        const Tensor want2 = second.Forward(want, structure);
+        const Tensor want = GatheredWindowForward(&first, x, structure, &ctx);
+        const Tensor want2 =
+            GatheredWindowForward(&second, want, structure, &ctx);
         first.FreezeWeights();
         second.FreezeWeights();
         ctx.ResetStats();
@@ -584,7 +722,7 @@ TEST(ResidentWeightsTest, FrozenFirstLayerKeepsNaNAndInfinityInputs) {
   Rng rng(352);
   TreeConvLayer conv(19, 24, &rng);
   conv.set_context(&ctx);
-  const Tensor want = conv.Forward(x, structure);
+  const Tensor want = GatheredWindowForward(&conv, x, structure, &ctx);
   conv.FreezeWeights();
   const Tensor& got = conv.Forward(x, structure);
   for (size_t i = 0; i < want.size(); ++i) {

@@ -40,6 +40,7 @@
 #include "serve/plan_fingerprint.h"
 #include "serve/sharded_runtime.h"
 #include "sql/ast.h"
+#include "util/fault_injection.h"
 #include "workload/dataset.h"
 
 namespace prestroid::serve {
@@ -331,28 +332,19 @@ TEST_F(ServingRuntimeFixture, DeadlineMissCountsTheWholeBatchNotThePerRowForward
   ASSERT_GT(big_stats.node_count, limit * 9 / 10);
   ASSERT_LE(big_stats.max_depth, estimator->limits().max_plan_depth);
 
-  // What featurizing the big plan costs, on an independent copy of the
-  // model.
-  auto reference = core::PrestroidPipeline::LoadFile(*artifact_path_)
-                       .ValueOrDie();
-  double featurize_ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    ASSERT_TRUE(reference->FeaturizePlan(*big).ok());
-    featurize_ms = std::min(
-        featurize_ms, std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
-  }
-
   // Both queued before Start, so they share one batch with the small plan
-  // first. Its deadline (half the big plan's featurization) leaves it
-  // admitted, but it resolves only after the big plan featurizes and the
-  // shared forward runs — a miss, although the per-row forward is short.
+  // first. The small request's deadline leaves it admitted; the shared batch
+  // then stalls before its fused forward for that whole deadline, so the
+  // request resolves after it — a miss, although its own row's work is
+  // short. The deadline bounds only the worker's wakeup after Start, not
+  // any featurization or forward time.
+  constexpr double kDeadlineMs = 250.0;
+  ScopedFaultInjection faults;
+  FaultInjector::Global().ArmStall(FaultSite::kServeForward, kDeadlineMs);
   ShardedRuntimeConfig config;
   config.shard.max_batch = 2;
   ShardedServingRuntime runtime({estimator.get()}, config);
-  auto small = runtime.Submit(SamplePlan(0), featurize_ms / 2.0);
+  auto small = runtime.Submit(SamplePlan(0), kDeadlineMs);
   ASSERT_TRUE(small.ok());
   auto large = runtime.Submit(*big, /*deadline_ms=*/1e9);
   ASSERT_TRUE(large.ok());
@@ -361,7 +353,7 @@ TEST_F(ServingRuntimeFixture, DeadlineMissCountsTheWholeBatchNotThePerRowForward
   const cost::ServingEstimate small_estimate = small->get();
   EXPECT_EQ(small_estimate.tier, cost::ServingTier::kModel)
       << small_estimate.degradation_reason.ToString();
-  EXPECT_GT(small_estimate.latency_ms, featurize_ms / 2.0);
+  EXPECT_GT(small_estimate.latency_ms, kDeadlineMs);
   EXPECT_EQ(large->get().tier, cost::ServingTier::kModel);
   runtime.Shutdown();
   EXPECT_EQ(runtime.StatsSnapshot().deadline_misses, 1u);
