@@ -5,18 +5,17 @@
 // Invoked with --sweep, runs a serial-vs-parallel scaling sweep instead:
 // the destination-passing matmul and tree-convolution kernels at
 // threads in {1, 2, 4, hardware}, reporting per-shape speedup over the
-// single-thread baseline (which is bit-identical to the historical serial
-// kernels).
+// single-thread baseline (every thread count computes the same bits).
 //
-// Invoked with --json <path>, times the scalar and blocked kernel backends
-// on model-shaped GEMMs and end-to-end tree-convolution forward+backward,
-// plus the per-call-packing blocked GEMM against the resident pre-packed
+// Invoked with --json <path>, times the blocked kernels on model-shaped
+// GEMMs and end-to-end tree-convolution forward+backward, plus the
+// per-call-packing blocked GEMM against the resident pre-packed
 // panels at serving shapes and the frozen CLI-shape trunk forward over
 // ragged vs padded served batches and over real featurized GRAB plans
 // (median-of-N with warmup), plus the parsing front end (plan text, SQL,
 // tolerant trace ingest, and the PlanNode::Clone allocation floor) on the
-// perfbench-shaped trace, and writes the machine-readable records plus
-// geomean speedups to <path> (BENCH_kernels.json).
+// perfbench-shaped trace, and writes the machine-readable records plus the
+// resident and ragged geomean speedups to <path> (BENCH_kernels.json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -78,8 +77,10 @@ void BM_MatMul(benchmark::State& state) {
   Rng rng(1);
   Tensor a = Tensor::Random({n, n}, &rng);
   Tensor b = Tensor::Random({n, n}, &rng);
+  ExecutionContext ctx(1);
+  Tensor c;
   for (auto _ : state) {
-    Tensor c = MatMul(a, b);
+    MatMulInto(&c, a, b, &ctx);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n * n * n);
@@ -293,7 +294,7 @@ void RunScalingSweep() {
 }
 
 // ---------------------------------------------------------------------------
-// --json <path>: machine-readable scalar-vs-blocked kernel benchmark.
+// --json <path>: machine-readable kernel benchmark.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -301,7 +302,7 @@ namespace {
 struct KernelBenchRecord {
   std::string op;      // "gemm" | "tree_conv_fwd_bwd" | "serving_gemm"
   std::string shape;   // "MxKxN" / "BATCHxNODESxDIM"
-  std::string kernel;  // "scalar" | "blocked" | "resident"
+  std::string kernel;  // "blocked" | "resident" | "resident_padded"
   size_t threads = 1;
   double ns_per_iter = 0.0;
   double gflops = 0.0;
@@ -463,11 +464,9 @@ FrontEndParseRecord MeasureFrontEndParse() {
 
 int RunJsonBench(const std::string& path) {
   // The acceptance criteria are single-thread (kernel quality, not pool
-  // scaling), and both backends are bit-identical across thread counts, so
+  // scaling), and the kernels are bit-identical across thread counts, so
   // one thread is the honest comparison on any machine.
   const size_t threads = 1;
-  const KernelBackend backends[] = {KernelBackend::kScalar,
-                                    KernelBackend::kBlocked};
   std::vector<KernelBenchRecord> records;
 
   // Model-shaped GEMMs: the dense head over conv channels, the lowered tree
@@ -484,26 +483,23 @@ int RunJsonBench(const std::string& path) {
     const Tensor a = Tensor::Random({m, k}, &rng);
     const Tensor b = Tensor::Random({k, n}, &rng);
     Tensor out;
-    for (KernelBackend backend : backends) {
-      ExecutionContext ctx(threads);
-      ctx.set_kernel(backend);
-      KernelBenchRecord rec;
-      rec.op = "gemm";
-      rec.shape = StrFormat("%zux%zux%zu", m, k, n);
-      rec.kernel = KernelBackendName(backend);
-      rec.threads = threads;
-      rec.ns_per_iter = MedianNs([&] { MatMulInto(&out, a, b, &ctx); });
-      rec.gflops = 2.0 * static_cast<double>(m * k * n) / rec.ns_per_iter;
-      std::cout << "gemm " << rec.shape << " " << rec.kernel << ": "
-                << StrFormat("%.2f", rec.gflops) << " GFLOP/s\n";
-      records.push_back(std::move(rec));
-    }
+    ExecutionContext ctx(threads);
+    KernelBenchRecord rec;
+    rec.op = "gemm";
+    rec.shape = StrFormat("%zux%zux%zu", m, k, n);
+    rec.kernel = "blocked";
+    rec.threads = threads;
+    rec.ns_per_iter = MedianNs([&] { MatMulInto(&out, a, b, &ctx); });
+    rec.gflops = 2.0 * static_cast<double>(m * k * n) / rec.ns_per_iter;
+    std::cout << "gemm " << rec.shape << " " << rec.kernel << ": "
+              << StrFormat("%.2f", rec.gflops) << " GFLOP/s\n";
+    records.push_back(std::move(rec));
   }
 
   // End-to-end tree convolution forward+backward at the sub-tree pipeline's
-  // shape regime and a full-tree-sized variant. "blocked" is the lowering
-  // the trainer runs: the nonzero-list window product forward and weight
-  // gradient plus the dX GEMM. These random rows are dense, the worst case
+  // shape regime and a full-tree-sized variant: the lowering the trainer
+  // runs, the nonzero-list window product forward and weight gradient plus
+  // the dX GEMM. These random rows are dense, the worst case
   // for the nonzero lists (featurizer rows hold ~3% nonzeros). Nominal
   // FLOPs: three dense GEMMs of [batch*nodes, 3*dim] x [3*dim, dim]
   // (forward, dW, dX), whatever the kernel skips.
@@ -517,25 +513,21 @@ int RunJsonBench(const std::string& path) {
     const Tensor grad = Tensor::Random({batch, nodes, dim}, &rng);
     const double flops =
         3.0 * 2.0 * static_cast<double>(batch * nodes) * (3.0 * dim) * dim;
-    for (KernelBackend backend : backends) {
-      ExecutionContext ctx(threads);
-      ctx.set_kernel(backend);
-      conv.set_context(&ctx);
-      KernelBenchRecord rec;
-      rec.op = "tree_conv_fwd_bwd";
-      rec.shape = StrFormat("%zux%zux%zu", batch, nodes, dim);
-      rec.kernel = KernelBackendName(backend);
-      rec.threads = threads;
-      rec.ns_per_iter = MedianNs([&] {
-        conv.Forward(features, structure);
-        conv.Backward(grad);
-      });
-      rec.gflops = flops / rec.ns_per_iter;
-      std::cout << "tree_conv_fwd_bwd " << rec.shape << " " << rec.kernel
-                << ": " << StrFormat("%.2f", rec.gflops) << " GFLOP/s\n";
-      records.push_back(std::move(rec));
-      conv.set_context(nullptr);
-    }
+    ExecutionContext ctx(threads);
+    conv.set_context(&ctx);
+    KernelBenchRecord rec;
+    rec.op = "tree_conv_fwd_bwd";
+    rec.shape = StrFormat("%zux%zux%zu", batch, nodes, dim);
+    rec.kernel = "blocked";
+    rec.threads = threads;
+    rec.ns_per_iter = MedianNs([&] {
+      conv.Forward(features, structure);
+      conv.Backward(grad);
+    });
+    rec.gflops = flops / rec.ns_per_iter;
+    std::cout << "tree_conv_fwd_bwd " << rec.shape << " " << rec.kernel
+              << ": " << StrFormat("%.2f", rec.gflops) << " GFLOP/s\n";
+    records.push_back(std::move(rec));
   }
 
   // Serving-shaped GEMMs (m <= 32, k = 3C for the im2col tree conv): the
@@ -558,7 +550,6 @@ int RunJsonBench(const std::string& path) {
     const double flops = 2.0 * static_cast<double>(m * k * n);
 
     ExecutionContext ctx(threads);
-    ctx.set_kernel(KernelBackend::kBlocked);
     KernelBenchRecord blocked;
     blocked.op = "serving_gemm";
     blocked.shape = shape;
@@ -735,10 +726,6 @@ int RunJsonBench(const std::string& path) {
 
   const FrontEndParseRecord front_end = MeasureFrontEndParse();
 
-  const double gemm_speedup =
-      GeomeanSpeedup(records, "gemm", "blocked", "scalar");
-  const double conv_speedup =
-      GeomeanSpeedup(records, "tree_conv_fwd_bwd", "blocked", "scalar");
   const double resident_speedup =
       GeomeanSpeedup(records, "serving_gemm", "resident", "blocked");
   const double ragged_speedup = GeomeanSpeedup(
@@ -771,9 +758,6 @@ int RunJsonBench(const std::string& path) {
     json.EndArray();
     json.Key("summary");
     json.BeginObject();
-    json.FieldDouble("gemm_geomean_speedup_blocked_over_scalar", gemm_speedup);
-    json.FieldDouble("tree_conv_geomean_speedup_blocked_over_scalar",
-                     conv_speedup);
     json.FieldDouble("serving_resident_geomean_speedup_over_blocked",
                      resident_speedup);
     json.FieldDouble("served_forward_geomean_speedup_ragged_over_padded",
@@ -797,11 +781,7 @@ int RunJsonBench(const std::string& path) {
     json.EndObject();
   }
 
-  std::cout << "\ngemm geomean speedup (blocked/scalar): "
-            << StrFormat("%.2fx", gemm_speedup) << "\n";
-  std::cout << "tree-conv fwd+bwd geomean speedup (blocked/scalar): "
-            << StrFormat("%.2fx", conv_speedup) << "\n";
-  std::cout << "serving gemm geomean speedup (resident/blocked): "
+  std::cout << "\nserving gemm geomean speedup (resident/blocked): "
             << StrFormat("%.2fx", resident_speedup) << "\n";
   std::cout << "served trunk forward geomean speedup (ragged/padded): "
             << StrFormat("%.2fx", ragged_speedup) << "\n";

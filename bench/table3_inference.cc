@@ -14,7 +14,7 @@
 #include "bench_common.h"
 #include "cloud/epoch_time_model.h"
 #include "cost/serving_estimator.h"
-#include "tensor/kernels/kernel_backend.h"
+#include "tensor/kernels/gemm_kernels.h"
 #include "util/histogram.h"
 #include "util/table_printer.h"
 
@@ -134,16 +134,14 @@ int Run() {
   measured.Print(std::cout);
 
   // Per-tier serving latency through the fault-tolerant front end: the model
-  // tier answers via the kernel dispatch; disabling it forces the
+  // tier answers through the blocked kernels; disabling it forces the
   // log-binning tier; an estimator with no fitted fallbacks isolates the
   // constant global-mean tier.
   std::cout << "\n-- per-tier serving latency (fault-tolerant front end) --\n";
   {
     ExecutionContext* ctx = serving_pipeline->execution_context();
-    std::cout << StrFormat(
-        "active kernel backend: %s, threads: %zu\n",
-        KernelBackendName(ctx->kernel()),
-        ctx->num_threads());
+    std::cout << StrFormat("kernel isa=%s, threads: %zu\n",
+                           GemmBlockedIsaName(), ctx->num_threads());
 
     std::vector<LatencyHistogram> latencies_ms(cost::kNumServingTiers);
     cost::ServingEstimator estimator;

@@ -65,6 +65,7 @@
 #include "serve/model_manager.h"
 #include "serve/sharded_runtime.h"
 #include "serve/tenant_quota.h"
+#include "tensor/kernels/gemm_kernels.h"
 #include "util/artifact_io.h"
 #include "util/histogram.h"
 #include "otp/otp_tree.h"
@@ -116,6 +117,19 @@ class Flags {
     }
     return static_cast<long>(value);
   }
+  /// A count or size flag: GetInt, but a negative value is a usage error
+  /// too instead of wrapping to a huge size_t.
+  size_t GetCount(const std::string& key, size_t fallback) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const long value = GetInt(key, 0);
+    if (value < 0) {
+      std::cerr << "invalid count for --" << key << ": '" << it->second
+                << "' (must be >= 0)\n";
+      std::exit(2);
+    }
+    return static_cast<size_t>(value);
+  }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
@@ -145,10 +159,8 @@ int Fail(const Status& status) {
 /// Plan resource budget from --max-plan-nodes / --max-plan-depth.
 plan::PlanLimits PlanLimitsFromFlags(const Flags& flags) {
   plan::PlanLimits limits;
-  limits.max_nodes = static_cast<size_t>(flags.GetInt(
-      "max-plan-nodes", static_cast<long>(limits.max_nodes)));
-  limits.max_depth = static_cast<size_t>(flags.GetInt(
-      "max-plan-depth", static_cast<long>(limits.max_depth)));
+  limits.max_nodes = flags.GetCount("max-plan-nodes", limits.max_nodes);
+  limits.max_depth = flags.GetCount("max-plan-depth", limits.max_depth);
   return limits;
 }
 
@@ -178,13 +190,13 @@ Result<workload::IngestResult> IngestTrace(const Flags& flags,
 
 int GenTrace(const Flags& flags) {
   workload::SchemaGenConfig schema_config;
-  schema_config.num_tables = static_cast<size_t>(flags.GetInt("tables", 40));
+  schema_config.num_tables = flags.GetCount("tables", 40);
   schema_config.num_days = static_cast<int>(flags.GetInt("days", 30));
   schema_config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   workload::GeneratedSchema schema = workload::GenerateSchema(schema_config);
 
   workload::TraceConfig trace_config;
-  trace_config.num_queries = static_cast<size_t>(flags.GetInt("queries", 300));
+  trace_config.num_queries = flags.GetCount("queries", 300);
   trace_config.num_days = schema_config.num_days;
   trace_config.seed = schema_config.seed + 1;
   auto records = workload::GenerateGrabTrace(schema, trace_config);
@@ -215,28 +227,27 @@ int Train(const Flags& flags) {
 
   core::PipelineConfig config;
   config.use_subtrees = !flags.Has("full");
-  config.sampler.node_limit = static_cast<size_t>(flags.GetInt("n", 15));
-  config.num_subtrees = static_cast<size_t>(flags.GetInt("k", 9));
-  config.word2vec.dim = static_cast<size_t>(flags.GetInt("pf", 32));
+  config.sampler.node_limit = flags.GetCount("n", 15);
+  config.num_subtrees = flags.GetCount("k", 9);
+  config.word2vec.dim = flags.GetCount("pf", 32);
   config.word2vec.min_count = 2;
-  config.conv_channels.assign(3, static_cast<size_t>(flags.GetInt("conv", 32)));
-  config.dense_units = {static_cast<size_t>(flags.GetInt("conv", 32)), 16};
+  config.conv_channels.assign(3, flags.GetCount("conv", 32));
+  config.dense_units = {flags.GetCount("conv", 32), 16};
   config.learning_rate = 3e-3f;
   // --threads 1 (default) reproduces the single-threaded results exactly;
   // --threads 0 uses all hardware threads.
-  config.threads = static_cast<size_t>(flags.GetInt("threads", 1));
+  config.threads = flags.GetCount("threads", 1);
   config.plan_limits = PlanLimitsFromFlags(flags);
   auto pipeline = core::PrestroidPipeline::Fit(records, splits.train, config);
   if (!pipeline.ok()) return Fail(pipeline.status());
 
   TrainConfig train_config;
-  train_config.batch_size = static_cast<size_t>(flags.GetInt("batch", 32));
-  train_config.max_epochs = static_cast<size_t>(flags.GetInt("epochs", 25));
+  train_config.batch_size = flags.GetCount("batch", 32);
+  train_config.max_epochs = flags.GetCount("epochs", 25);
   train_config.patience = 6;
   // Crash-safe snapshots: default the checkpoint path next to --out so
   // `--resume` after an interruption needs no extra flags.
-  train_config.snapshot_every =
-      static_cast<size_t>(flags.GetInt("snapshot-every", 0));
+  train_config.snapshot_every = flags.GetCount("snapshot-every", 0);
   train_config.resume = flags.Has("resume");
   if (train_config.snapshot_every > 0 || train_config.resume) {
     train_config.snapshot_path =
@@ -261,10 +272,9 @@ int Train(const Flags& flags) {
   const ExecutionContext* exec_ctx = (*pipeline)->execution_context();
   const ExecStats& exec_stats = exec_ctx->stats();
   std::cout << StrFormat(
-      "exec: threads=%zu kernel=%s flops=%llu op_invocations=%llu "
+      "exec: threads=%zu isa=%s flops=%llu op_invocations=%llu "
       "peak_scratch_bytes=%llu\n",
-      exec_ctx->num_threads(),
-      KernelBackendName(exec_ctx->kernel()),
+      exec_ctx->num_threads(), GemmBlockedIsaName(),
       static_cast<unsigned long long>(exec_stats.flops),
       static_cast<unsigned long long>(exec_stats.op_invocations),
       static_cast<unsigned long long>(exec_stats.peak_scratch_bytes));
@@ -291,8 +301,8 @@ int Predict(const Flags& flags) {
   auto records = workload::ReadTraceFile(trace_path);
   if (!records.ok()) return Fail(records.status());
 
-  const size_t limit = std::min<size_t>(
-      records->size(), static_cast<size_t>(flags.GetInt("limit", 20)));
+  const size_t limit =
+      std::min<size_t>(records->size(), flags.GetCount("limit", 20));
   TablePrinter table({"query", "predicted (min)", "actual (min)", "error"});
   double se = 0.0;
   for (size_t i = 0; i < limit; ++i) {
@@ -406,8 +416,7 @@ class ContinualLoop {
   static serve::ModelManagerConfig ManagerConfig(const Flags& flags) {
     serve::ModelManagerConfig config;
     config.drift_threshold = flags.GetDouble("drift-threshold", 2.0);
-    config.probation_window =
-        static_cast<size_t>(flags.GetInt("probation-window", 64));
+    config.probation_window = flags.GetCount("probation-window", 64);
     config.rollback_qerr = flags.GetDouble("rollback-qerr", 2.0);
     return config;
   }
@@ -417,20 +426,16 @@ class ContinualLoop {
       const plan::PlanLimits& plan_limits) {
     core::ContinualTrainerConfig config;
     config.pipeline.use_subtrees = !flags.Has("full");
-    config.pipeline.sampler.node_limit =
-        static_cast<size_t>(flags.GetInt("n", 15));
-    config.pipeline.num_subtrees = static_cast<size_t>(flags.GetInt("k", 9));
-    config.pipeline.word2vec.dim = static_cast<size_t>(flags.GetInt("pf", 32));
+    config.pipeline.sampler.node_limit = flags.GetCount("n", 15);
+    config.pipeline.num_subtrees = flags.GetCount("k", 9);
+    config.pipeline.word2vec.dim = flags.GetCount("pf", 32);
     config.pipeline.word2vec.min_count = 2;
-    config.pipeline.conv_channels.assign(
-        3, static_cast<size_t>(flags.GetInt("conv", 32)));
-    config.pipeline.dense_units = {
-        static_cast<size_t>(flags.GetInt("conv", 32)), 16};
+    config.pipeline.conv_channels.assign(3, flags.GetCount("conv", 32));
+    config.pipeline.dense_units = {flags.GetCount("conv", 32), 16};
     config.pipeline.learning_rate = 3e-3f;
     config.pipeline.plan_limits = plan_limits;
     config.train.batch_size = 32;
-    config.train.max_epochs =
-        static_cast<size_t>(flags.GetInt("retrain-epochs", 10));
+    config.train.max_epochs = flags.GetCount("retrain-epochs", 10);
     config.train.patience = 4;
     config.retrain_interval = retrain_interval;
     const std::string model_path = flags.Get("model", "");
@@ -467,10 +472,9 @@ class ContinualLoop {
 int ReplayTrace(const Flags& flags,
                 const std::vector<workload::QueryRecord>& records,
                 serve::ShardedServingRuntime& runtime, ContinualLoop* loop) {
-  const size_t tenants =
-      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("tenants", 1)));
-  const size_t limit = std::min<size_t>(
-      records.size(), static_cast<size_t>(flags.GetInt("limit", 20)));
+  const size_t tenants = std::max<size_t>(1, flags.GetCount("tenants", 1));
+  const size_t limit =
+      std::min<size_t>(records.size(), flags.GetCount("limit", 20));
   const size_t window = loop != nullptr ? loop->retrain_interval() : limit;
   std::vector<cost::ServingEstimate> estimates(limit);
   std::vector<std::string> refused(limit);
@@ -555,15 +559,11 @@ int ListenAndServe(const Flags& flags, const std::string& host, uint16_t port,
   net::HttpServerConfig server_config;
   server_config.host = host;
   server_config.port = port;
-  server_config.max_connections =
-      static_cast<size_t>(flags.GetInt("max-connections", 256));
+  server_config.max_connections = flags.GetCount("max-connections", 256);
   server_config.max_body_bytes = plan_limits.max_plan_bytes;
-  server_config.drain_timeout_ms =
-      static_cast<size_t>(flags.GetInt("drain-timeout-ms", 5000));
-  server_config.header_timeout_ms =
-      static_cast<size_t>(flags.GetInt("header-timeout-ms", 10000));
-  server_config.idle_timeout_ms =
-      static_cast<size_t>(flags.GetInt("idle-timeout-ms", 60000));
+  server_config.drain_timeout_ms = flags.GetCount("drain-timeout-ms", 5000);
+  server_config.header_timeout_ms = flags.GetCount("header-timeout-ms", 10000);
+  server_config.idle_timeout_ms = flags.GetCount("idle-timeout-ms", 60000);
   net::HttpServer server(server_config);
   Status bound = server.Start();
   if (!bound.ok()) return Fail(bound);
@@ -725,8 +725,7 @@ int Serve(const Flags& flags) {
   // it (the fallback tiers keep answering), but a *corrupt* one fails fast:
   // LoadFile CRC-validates the container, and serving from an artifact store
   // that corrupts data would hide real damage.
-  const size_t shards =
-      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("shards", 1)));
+  const size_t shards = std::max<size_t>(1, flags.GetCount("shards", 1));
   cost::ServingLimits limits;
   limits.default_deadline_ms =
       static_cast<double>(flags.GetInt("deadline-ms", 50));
@@ -753,21 +752,17 @@ int Serve(const Flags& flags) {
 
   serve::ShardedRuntimeConfig config;
   config.shards = shards;
-  config.shard.queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 256));
-  config.shard.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 32));
-  config.shard.cache_entries =
-      static_cast<size_t>(flags.GetInt("cache-entries", 1024));
+  config.shard.queue_depth = flags.GetCount("queue-depth", 256);
+  config.shard.max_batch = flags.GetCount("max-batch", 32);
+  config.shard.cache_entries = flags.GetCount("cache-entries", 1024);
   config.shard.plan_limits = PlanLimitsFromFlags(flags);
-  config.memory_budget_bytes =
-      static_cast<size_t>(flags.GetInt("memory-budget", 0));
+  config.memory_budget_bytes = flags.GetCount("memory-budget", 0);
   serve::ShardedServingRuntime runtime(raw_estimators, config);
   if (!ApplyTenantQuotas(flags.Get("tenant-quota", ""), runtime)) return 2;
   Status started = runtime.Start();
   if (!started.ok()) return Fail(started);
 
-  const size_t retrain_interval =
-      static_cast<size_t>(flags.GetInt("retrain-interval", 0));
+  const size_t retrain_interval = flags.GetCount("retrain-interval", 0);
   std::unique_ptr<ContinualLoop> loop;
   if (retrain_interval > 0) {
     loop = std::make_unique<ContinualLoop>(flags, retrain_interval, &runtime);
@@ -789,7 +784,7 @@ int Explain(const Flags& flags) {
   }
   auto records = workload::ReadTraceFile(trace_path);
   if (!records.ok()) return Fail(records.status());
-  const size_t index = static_cast<size_t>(flags.GetInt("index", 0));
+  const size_t index = flags.GetCount("index", 0);
   if (index >= records->size()) {
     std::cerr << "index out of range (trace has " << records->size()
               << " queries)\n";
@@ -843,7 +838,7 @@ int EstimateCmd(const Flags& flags) {
   } else if (flags.Has("trace")) {
     auto records = workload::ReadTraceFile(flags.Get("trace", ""));
     if (!records.ok()) return Fail(records.status());
-    const size_t index = static_cast<size_t>(flags.GetInt("index", 0));
+    const size_t index = flags.GetCount("index", 0);
     if (index >= records->size()) {
       std::cerr << StrFormat("--index %zu out of range (%zu records)\n",
                              index, records->size());
@@ -863,7 +858,7 @@ int EstimateCmd(const Flags& flags) {
   }
 
   net::RetryPolicy policy;
-  policy.max_attempts = static_cast<size_t>(flags.GetInt("retries", 3)) + 1;
+  policy.max_attempts = flags.GetCount("retries", 3) + 1;
   policy.initial_backoff_ms = flags.GetDouble("backoff-ms", 10.0);
   policy.max_backoff_ms = flags.GetDouble("max-backoff-ms", 2000.0);
   policy.attempt_timeout_ms = flags.GetDouble("attempt-timeout-ms", 1000.0);

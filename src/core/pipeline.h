@@ -39,10 +39,10 @@ struct PipelineConfig {
   bool batch_norm = true;
   float learning_rate = 1e-4f;
   uint64_t seed = 1;
-  /// Worker threads for featurization and the numeric kernels. 1 (the
-  /// default) reproduces the historical single-threaded results bit-for-bit;
-  /// 0 means all hardware threads. Runtime knob only — never serialized, so
-  /// a loaded pipeline always starts at the serving default of 1.
+  /// Worker threads for featurization and the numeric kernels; 1 is the
+  /// default and 0 means all hardware threads. The trained bits do not depend
+  /// on it (DESIGN.md §5.2). Runtime knob only — never serialized, so a
+  /// loaded pipeline always starts at the serving default of 1.
   size_t threads = 1;
   /// Resource budget for plans entering FeaturizePlan/PredictPlan (the
   /// deployment path, which sees plans the trainer never vetted). Over-limit
@@ -106,9 +106,8 @@ class PrestroidPipeline {
 
   /// Freezes every GEMM layer's eval-mode weights into resident fp32 panels,
   /// so forwards stop repacking weights on every call. Predictions stay
-  /// bit-identical to the blocked backend; the frozen tree-conv forward
-  /// always runs the resident window product over each input row's nonzeros
-  /// (the blocked kernel's bits), whatever the context's backend.
+  /// bit-identical to the thawed pipeline's: a frozen layer runs the same
+  /// kernel on the same packed panel, packed once instead of per call.
   /// Training a frozen pipeline is forbidden (layer Backward CHECK-fails);
   /// ThawInferenceWeights() first. Calling it again repacks.
   void FreezeInferenceWeights();

@@ -23,8 +23,8 @@ Tensor& Dense::Forward(const Tensor& input) {
     return output_;
   }
   input_cache_.CopyFrom(input);
-  // Fused-bias GEMM: on the scalar backend this is bit-identical to the
-  // historical MatMul-then-AddRowBroadcast pair (same per-element order).
+  // Fused-bias GEMM: bit-identical to a GEMM followed by a separate bias
+  // pass (same per-element order).
   MatMulBiasInto(&output_, input, weight_, bias_, ctx_);
   return output_;
 }

@@ -84,11 +84,11 @@ class FreezableLayer {
   virtual ~FreezableLayer() = default;
 
   /// Packs the current weights once; eval-mode forwards then run the
-  /// resident GEMM, bit-identical to the blocked backend. Training must not
+  /// resident GEMM, bit-identical to the thawed forward. Training must not
   /// run while frozen — Backward() CHECK-fails. Calling it again repacks.
   virtual void FreezeWeights() = 0;
 
-  /// Drops the resident panels; forwards follow the context's backend again.
+  /// Drops the resident panels; forwards pack the weights per call again.
   virtual void ThawWeights() = 0;
 
   /// Bytes of the resident panels; 0 while thawed.

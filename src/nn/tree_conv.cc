@@ -1,9 +1,7 @@
 #include "nn/tree_conv.h"
 
-#include <algorithm>
 #include <cstring>
 #include <limits>
-#include <utility>
 
 #include "tensor/ops.h"
 #include "util/logging.h"
@@ -35,72 +33,31 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
   input_ = &features;
   structure_ = &structure;
 
-  // The blocked lowering reads each input row through its nonzeros instead
-  // of gathering 3*in-wide windows: featurizer rows hold one 1-hot entry, a
-  // 32-wide predicate block or nothing, and a ReLU layer's outputs are
-  // mostly zero too. A frozen layer always runs it, on its resident panel.
-  if (resident_ || ctx_->kernel() == KernelBackend::kBlocked) {
-    if (!resident_) {
-      StackWeights();
-      panel_.Pack(wcat_);
-    }
-    CollectNonzeros();
-    panel_.TreeWindowGemm(
-        &output_, structure.num_rows(),
-        {nz_begin_.data(), nz_index_.data(), nz_value_.data()},
-        structure.left.data(), structure.right.data(), bias_, ctx_);
-  } else {
-    ForwardScalar();
+  // Each input row is read through its nonzeros instead of gathering
+  // 3*in-wide windows: featurizer rows hold one 1-hot entry, a 32-wide
+  // predicate block or nothing, and a ReLU layer's outputs are mostly zero
+  // too. A thawed layer repacks its panel from the current weights; a frozen
+  // one reuses the panel FreezeWeights packed.
+  if (!resident_) {
+    StackWeights();
+    panel_.Pack(wcat_);
   }
+  CollectNonzeros();
+  panel_.TreeWindowGemm(&output_, structure.num_rows(),
+                        {nz_begin_.data(), nz_index_.data(), nz_value_.data()},
+                        structure.left.data(), structure.right.data(), bias_,
+                        ctx_);
   return output_;
-}
-
-void TreeConvLayer::ForwardScalar() {
-  const TreeStructure& structure = *structure_;
-  const size_t rows = structure.num_rows();
-  output_.ResetShape({rows, out_features_});
-  ctx_->AddOp();
-  // 3 child positions x multiply-add per (row, in, out) triple, plus the
-  // ReLU pass.
-  ctx_->AddFlops(6ull * rows * in_features_ * out_features_ +
-                 1ull * rows * out_features_);
-  // Helper: out_row += x_row * W, with x_row [in], W [in, out].
-  auto accumulate = [&](const float* x_row, const Tensor& w, float* out_row) {
-    for (size_t i = 0; i < in_features_; ++i) {
-      const float xv = x_row[i];
-      if (xv == 0.0f) continue;
-      const float* w_row = w.data() + i * out_features_;
-      for (size_t o = 0; o < out_features_; ++o) out_row[o] += xv * w_row[o];
-    }
-  };
-  const float* x = input_->data();
-  ctx_->ParallelFor(0, structure.num_trees(), 1, [&](size_t t0, size_t t1) {
-    for (size_t r = structure.offsets[t0]; r < structure.offsets[t1]; ++r) {
-      float* out_row = output_.data() + r * out_features_;
-      for (size_t o = 0; o < out_features_; ++o) out_row[o] = bias_[o];
-      accumulate(x + r * in_features_, w_self_, out_row);
-      const int l = structure.left[r];
-      if (l >= 0) {
-        accumulate(x + static_cast<size_t>(l) * in_features_, w_left_,
-                   out_row);
-      }
-      const int rc = structure.right[r];
-      if (rc >= 0) {
-        accumulate(x + static_cast<size_t>(rc) * in_features_, w_right_,
-                   out_row);
-      }
-      for (size_t o = 0; o < out_features_; ++o) {
-        out_row[o] = std::max(0.0f, out_row[o]);
-      }
-    }
-  });
 }
 
 Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
   LayerTimer timer(ctx_, LayerKind::kTreeConv, /*backward=*/true);
   PRESTROID_CHECK(!resident_);  // no training while frozen
   PRESTROID_CHECK(structure_ != nullptr);
-  const size_t rows = structure_->num_rows();
+  const TreeStructure& structure = *structure_;
+  const size_t rows = structure.num_rows();
+  const size_t in = in_features_;
+  const size_t kc = 3 * in;
   PRESTROID_CHECK_EQ(grad_output.dim(grad_output.rank() - 1), out_features_);
   PRESTROID_CHECK_EQ(grad_output.size(), rows * out_features_);
   PRESTROID_CHECK_EQ(output_.dim(0), rows);
@@ -115,99 +72,63 @@ Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
     for (size_t i = lo; i < hi; ++i) gp[i] = y[i] > 0.0f ? go[i] : 0.0f;
   });
 
-  const bool blocked = ctx_->kernel() == KernelBackend::kBlocked;
-  // The scalar oracle's loop computes the input gradient alongside the
-  // weight gradients, wanted or not.
-  if (input_gradient_ || !blocked) {
-    grad_input_.ResetShape({rows, in_features_});
-    grad_input_.Fill(0.0f);
+  // Weight gradients: d[W_self; W_left; W_right] = windows^T @ gy over the
+  // windows' nonzeros, onto a zeroed buffer, then split-added into the
+  // per-position accumulators.
+  CollectWindowColumns();
+  wgcat_.ResetShape({kc, out_features_});
+  wgcat_.Fill(0.0f);
+  SparseMatMulAccumulate(
+      &wgcat_, {wt_begin_.data(), wt_row_.data(), wt_value_.data()},
+      grad_pre_, ctx_);
+  const size_t wsz = in_features_ * out_features_;
+  const float* wg = wgcat_.data();
+  float* gs = w_self_grad_.data();
+  float* gl = w_left_grad_.data();
+  float* gr = w_right_grad_.data();
+  for (size_t i = 0; i < wsz; ++i) gs[i] += wg[i];
+  for (size_t i = 0; i < wsz; ++i) gl[i] += wg[wsz + i];
+  for (size_t i = 0; i < wsz; ++i) gr[i] += wg[2 * wsz + i];
+
+  bias_tmp_.ResetShape({out_features_});
+  bias_tmp_.Fill(0.0f);
+  SumRowsAccumulate(&bias_tmp_, grad_pre_, ctx_);
+  bias_grad_ += bias_tmp_;
+
+  if (!input_gradient_) {
+    grad_input_.ResetShape({0, in});
+    return grad_input_;
   }
-  if (blocked) {
-    BackwardBlocked();
-  } else {
-    BackwardScalar();
-  }
-  if (!input_gradient_) grad_input_.ResetShape({0, in_features_});
-  return grad_input_;
-}
-
-void TreeConvLayer::BackwardScalar() {
-  const TreeStructure& structure = *structure_;
-  const size_t trees = structure.num_trees();
-  const size_t rows = structure.num_rows();
-  ctx_->AddOp();
-  ctx_->AddFlops(12ull * rows * in_features_ * out_features_);
-  const float* x = input_->data();
-
-  // For each position: dW += x^T gy; dx += gy W^T.
-  auto backprop_one = [&](const float* x_row, const float* gy_row,
-                          const Tensor& w, Tensor* w_grad, float* gx_row) {
-    for (size_t i = 0; i < in_features_; ++i) {
-      const float* w_row = w.data() + i * out_features_;
-      float* gw_row = w_grad->data() + i * out_features_;
-      const float xv = x_row[i];
-      float acc = 0.0f;
-      for (size_t o = 0; o < out_features_; ++o) {
-        const float g = gy_row[o];
-        gw_row[o] += xv * g;
-        acc += g * w_row[o];
-      }
-      gx_row[i] += acc;
-    }
-  };
-
-  // Historical serial loop over the rows of trees [t0, t1), accumulating
-  // weight/bias gradients into the given tensors.
-  auto backward_range = [&](size_t t0, size_t t1, Tensor* gws, Tensor* gwl,
-                            Tensor* gwr, Tensor* gb) {
+  // Input gradients in window space: gxp = gy @ wcat^T, then scatter-added
+  // back through the window map. Trees own disjoint row ranges of
+  // grad_input_ (children always live in their own tree), so the scatter
+  // parallelizes over trees with a fixed within-tree row order —
+  // deterministic at any thread count. Weights are unchanged since Forward,
+  // so restacking wcat_ here keeps the pair self-contained.
+  grad_input_.ResetShape({rows, in});
+  grad_input_.Fill(0.0f);
+  StackWeights();
+  MatMulTransposeBInto(&gxp_, grad_pre_, wcat_, ctx_);
+  const float* gxp = gxp_.data();
+  float* gx_base = grad_input_.data();
+  ctx_->ParallelFor(0, structure.num_trees(), 1, [&](size_t t0, size_t t1) {
     for (size_t r = structure.offsets[t0]; r < structure.offsets[t1]; ++r) {
-      const float* gy = grad_pre_.data() + r * out_features_;
-      for (size_t o = 0; o < out_features_; ++o) (*gb)[o] += gy[o];
-      const size_t self_off = r * in_features_;
-      backprop_one(x + self_off, gy, w_self_, gws,
-                   grad_input_.data() + self_off);
+      const float* g = gxp + r * kc;
+      float* gx_self = gx_base + r * in;
+      for (size_t i = 0; i < in; ++i) gx_self[i] += g[i];
       const int l = structure.left[r];
       if (l >= 0) {
-        const size_t off = static_cast<size_t>(l) * in_features_;
-        backprop_one(x + off, gy, w_left_, gwl, grad_input_.data() + off);
+        float* gx = gx_base + static_cast<size_t>(l) * in;
+        for (size_t i = 0; i < in; ++i) gx[i] += g[in + i];
       }
       const int rc = structure.right[r];
       if (rc >= 0) {
-        const size_t off = static_cast<size_t>(rc) * in_features_;
-        backprop_one(x + off, gy, w_right_, gwr, grad_input_.data() + off);
+        float* gx = gx_base + static_cast<size_t>(rc) * in;
+        for (size_t i = 0; i < in; ++i) gx[i] += g[2 * in + i];
       }
     }
-  };
-
-  const auto parts = ctx_->Partition(0, trees, 1);
-  if (parts.size() <= 1) {
-    backward_range(0, trees, &w_self_grad_, &w_left_grad_, &w_right_grad_,
-                   &bias_grad_);
-    return;
-  }
-  // Parallel path: grad_input_ rows are disjoint per tree, but the four
-  // weight-gradient accumulators are shared — per-chunk scratch, reduced in
-  // ascending chunk order (deterministic at a fixed thread count).
-  std::vector<std::vector<Tensor>> scratch(parts.size());
-  for (size_t c = 0; c < parts.size(); ++c) {
-    scratch[c].push_back(ctx_->AcquireScratch({in_features_, out_features_}));
-    scratch[c].push_back(ctx_->AcquireScratch({in_features_, out_features_}));
-    scratch[c].push_back(ctx_->AcquireScratch({in_features_, out_features_}));
-    scratch[c].push_back(ctx_->AcquireScratch({out_features_}));
-  }
-  ctx_->ParallelFor(0, trees, 1, [&](size_t t0, size_t t1) {
-    size_t c = 0;
-    while (parts[c].first != t0) ++c;
-    backward_range(t0, t1, &scratch[c][0], &scratch[c][1], &scratch[c][2],
-                   &scratch[c][3]);
   });
-  for (size_t c = 0; c < parts.size(); ++c) {
-    w_self_grad_ += scratch[c][0];
-    w_left_grad_ += scratch[c][1];
-    w_right_grad_ += scratch[c][2];
-    bias_grad_ += scratch[c][3];
-    for (Tensor& t : scratch[c]) ctx_->ReleaseScratch(std::move(t));
-  }
+  return grad_input_;
 }
 
 void TreeConvLayer::CollectNonzeros() {
@@ -299,64 +220,6 @@ void TreeConvLayer::CollectWindowColumns() {
   });
   for (size_t k = 3 * in; k > 0; --k) wt_begin_[k] = wt_begin_[k - 1];
   wt_begin_[0] = 0;
-}
-
-void TreeConvLayer::BackwardBlocked() {
-  const TreeStructure& structure = *structure_;
-  const size_t in = in_features_;
-  const size_t kc = 3 * in;
-
-  // Weight gradients: d[W_self; W_left; W_right] = windows^T @ gy over the
-  // windows' nonzeros, onto a zeroed buffer, then split-added into the
-  // per-position accumulators.
-  CollectWindowColumns();
-  wgcat_.ResetShape({kc, out_features_});
-  wgcat_.Fill(0.0f);
-  SparseMatMulAccumulate(
-      &wgcat_, {wt_begin_.data(), wt_row_.data(), wt_value_.data()},
-      grad_pre_, ctx_);
-  const size_t wsz = in_features_ * out_features_;
-  const float* wg = wgcat_.data();
-  float* gs = w_self_grad_.data();
-  float* gl = w_left_grad_.data();
-  float* gr = w_right_grad_.data();
-  for (size_t i = 0; i < wsz; ++i) gs[i] += wg[i];
-  for (size_t i = 0; i < wsz; ++i) gl[i] += wg[wsz + i];
-  for (size_t i = 0; i < wsz; ++i) gr[i] += wg[2 * wsz + i];
-
-  bias_tmp_.ResetShape({out_features_});
-  bias_tmp_.Fill(0.0f);
-  SumRowsAccumulate(&bias_tmp_, grad_pre_, ctx_);
-  bias_grad_ += bias_tmp_;
-
-  if (!input_gradient_) return;
-  // Input gradients in window space: gxp = gy @ wcat^T, then scatter-added
-  // back through the window map. Trees own disjoint row ranges of
-  // grad_input_ (children always live in their own tree), so the scatter
-  // parallelizes over trees with a fixed within-tree row order —
-  // deterministic at any thread count. Weights are unchanged since Forward,
-  // so restacking wcat_ here keeps the pair self-contained.
-  StackWeights();
-  MatMulTransposeBInto(&gxp_, grad_pre_, wcat_, ctx_);
-  const float* gxp = gxp_.data();
-  float* gx_base = grad_input_.data();
-  ctx_->ParallelFor(0, structure.num_trees(), 1, [&](size_t t0, size_t t1) {
-    for (size_t r = structure.offsets[t0]; r < structure.offsets[t1]; ++r) {
-      const float* g = gxp + r * kc;
-      float* gx_self = gx_base + r * in;
-      for (size_t i = 0; i < in; ++i) gx_self[i] += g[i];
-      const int l = structure.left[r];
-      if (l >= 0) {
-        float* gx = gx_base + static_cast<size_t>(l) * in;
-        for (size_t i = 0; i < in; ++i) gx[i] += g[in + i];
-      }
-      const int rc = structure.right[r];
-      if (rc >= 0) {
-        float* gx = gx_base + static_cast<size_t>(rc) * in;
-        for (size_t i = 0; i < in; ++i) gx[i] += g[2 * in + i];
-      }
-    }
-  });
 }
 
 std::vector<ParamRef> TreeConvLayer::Params() {

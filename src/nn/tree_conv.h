@@ -48,33 +48,27 @@ struct TreeStructure {
 /// unmodified until Backward() completes. Backward masks the incoming
 /// gradient by output > 0 (the ReLU derivative).
 ///
-/// Two implementations, selected by the context's kernel backend:
-///
-///  - scalar: the historical per-node loops, kept verbatim as the bit-exact
-///    reproducibility baseline, followed by max(0, .) per element. Forward
-///    parallelizes over trees (disjoint output rows, per-element float order
-///    unchanged); Backward parallelizes over trees with per-chunk scratch
-///    weight-gradient accumulators reduced in ascending chunk order.
-///  - blocked: the window product over each input row's nonzero list. The
-///    three position kernels are stacked into one [3*in, out] operand and
-///    packed into GEMM panels; each output row sums the nonzeros of its
-///    (self, left, right) input rows against that panel, with the bias+ReLU
-///    epilogue (GemmTreeWindowRows). Backward takes the stacked weight
-///    gradient from the same nonzero lists, per stacked-kernel row in
-///    ascending batch row (SparseMatMulAccumulate), and the input gradient
-///    from one gy W^T GEMM scattered back through the window map. Featurizer
-///    rows are mostly exact zeros (a 1-hot operator block, a predicate
-///    Word2Vec block, a 1-hot table block; Ø rows all zero), and so are most
-///    of a ReLU layer's outputs; skipping only exact-zero terms gives the
-///    bits of the gathered-window (im2col) GEMMs, forward and weight
-///    gradient (DESIGN.md §5.3). Agrees with scalar to ~1e-5 relative.
+/// One lowering, shared by training and serving: the window product over
+/// each input row's nonzero list. The three position kernels are stacked
+/// into one [3*in, out] operand and packed into GEMM panels; each output row
+/// sums the nonzeros of its (self, left, right) input rows against that
+/// panel, with the bias+ReLU epilogue (GemmTreeWindowRows). Backward takes
+/// the stacked weight gradient from the same nonzero lists, per
+/// stacked-kernel row in ascending batch row (SparseMatMulAccumulate), and
+/// the input gradient from one gy W^T GEMM scattered back through the window
+/// map. Featurizer rows are mostly exact zeros (a 1-hot operator block, a
+/// predicate Word2Vec block, a 1-hot table block; Ø rows all zero), and so
+/// are most of a ReLU layer's outputs; skipping only exact-zero terms gives
+/// the bits of the gathered-window (im2col) GEMMs, forward and weight
+/// gradient (DESIGN.md §5.3). Every step partitions disjoint output rows, so
+/// the bits do not depend on the thread count.
 ///
 /// A row's result depends only on its own window, never on which other rows
 /// share the batch, so a plan's answer is the same alone or batched.
 /// Freezable (nn/layer.h): a thawed layer packs its stacked kernels before
-/// every blocked Forward; FreezeWeights packs them once, after which Forward
-/// always runs the blocked lowering on that resident panel regardless of the
-/// context's backend. Backward while frozen CHECK-fails.
+/// every Forward; FreezeWeights packs them once and Forward reuses that
+/// resident panel, so freezing changes no bits. Backward while frozen
+/// CHECK-fails.
 class TreeConvLayer : public FreezableLayer {
  public:
   TreeConvLayer(size_t in_features, size_t out_features, Rng* rng);
@@ -120,10 +114,6 @@ class TreeConvLayer : public FreezableLayer {
   /// window position p reads a nonzero input i, ascending in r.
   void CollectWindowColumns();
 
-  void ForwardScalar();
-  void BackwardScalar();
-  void BackwardBlocked();
-
   size_t in_features_;
   size_t out_features_;
   Tensor w_self_, w_left_, w_right_;  // each [in, out]
@@ -138,8 +128,7 @@ class TreeConvLayer : public FreezableLayer {
   Tensor output_;     // [rows, out], post-ReLU
   Tensor grad_pre_;   // [rows, out] gradient masked by output_ > 0
   Tensor grad_input_;
-  // Blocked-path workspaces (empty until the blocked backend runs; reused
-  // across batches once warm).
+  // Workspaces, reused across batches once warm.
   Tensor wcat_;          // [3*in, out] stacked (self, left, right) kernels
   Tensor wgcat_;         // [3*in, out] stacked weight gradients
   Tensor gxp_;           // [rows, 3*in] window-space input gradients

@@ -1,6 +1,7 @@
 #ifndef PRESTROID_TENSOR_EXECUTION_CONTEXT_H_
 #define PRESTROID_TENSOR_EXECUTION_CONTEXT_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -9,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "tensor/kernels/kernel_backend.h"
 #include "tensor/tensor.h"
 #include "util/thread_pool.h"
 
@@ -58,8 +58,8 @@ struct ExecStats {
 /// One context is constructed per pipeline (or per serving estimator, where
 /// it defaults to 1 thread for predictable latency) and handed down by raw
 /// pointer — layers never own it. A context with num_threads() == 1 runs
-/// every kernel inline with the exact serial loop order, which is what makes
-/// `threads=1` bit-identical to the pre-context substrate.
+/// every kernel inline; the row-partitioned kernels give the same bits at any
+/// thread count (DESIGN.md §5.2).
 ///
 /// Threading contract: the scratch arena and the counters are owned by the
 /// launching thread. Kernels running inside ParallelFor chunks must not call
@@ -93,14 +93,6 @@ class ExecutionContext {
   /// Returns a scratch tensor to the arena for reuse.
   void ReleaseScratch(Tensor tensor);
 
-  /// Kernel backend for every op routed through this context (scalar
-  /// reference vs blocked SIMD; see tensor/kernels/). Starts at
-  /// DefaultKernelBackend(); the setter exists for tests and benches that
-  /// compare the two. Ops called with a null context always take the scalar
-  /// path.
-  KernelBackend kernel() const { return kernel_; }
-  void set_kernel(KernelBackend kernel) { kernel_ = kernel; }
-
   const ExecStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ExecStats{}; }
   void AddFlops(uint64_t flops) { stats_.flops += flops; }
@@ -117,11 +109,18 @@ class ExecutionContext {
 
  private:
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
-  KernelBackend kernel_ = DefaultKernelBackend();
   std::vector<Tensor> free_scratch_;
   uint64_t live_scratch_bytes_ = 0;
   ExecStats stats_;
 };
+
+/// Rows per ParallelFor chunk for a kernel whose output rows cost
+/// `row_cost_flops` each: at least one, and otherwise about 2^15 flops per
+/// chunk, so tiny shapes (a serving batch of one) stay inline on the caller.
+inline size_t RowGrain(size_t row_cost_flops) {
+  constexpr size_t kGrainFlops = size_t{1} << 15;
+  return std::max<size_t>(1, kGrainFlops / std::max<size_t>(1, row_cost_flops));
+}
 
 /// Adds the wall clock of its scope to `ctx`'s per-layer counters (launching
 /// thread only, like every counter). A null context records nothing.

@@ -7,10 +7,11 @@
 // geometry.
 //
 // Determinism: a given process always runs one instantiation, so results
-// stay bit-identical across thread counts and run-to-run. The AVX2 path's
-// FMA contraction rounds differently from the baseline path (same
-// k-ascending order), which is inside the blocked backend's documented
-// 1e-5 envelope; set PRESTROID_GEMM_ISA=base to force the baseline tile
+// stay bit-identical across thread counts and run-to-run. This pick is the
+// numeric stack's only kernel choice. The AVX2 path's FMA contraction
+// rounds differently from the baseline path (same k-ascending order), which
+// stays inside the 1e-5 relative envelope kernel_test holds both to against
+// its naive oracles; set PRESTROID_GEMM_ISA=base to force the baseline tile
 // when comparing against baseline-ISA runs bit-for-bit.
 
 #define PRESTROID_GEMM_ISA_NS gemm_base

@@ -9,52 +9,21 @@ namespace prestroid {
 /// Fused tail applied while the accumulators are still in registers, saving a
 /// second pass over the output matrix.
 enum class GemmEpilogue {
-  kNone,      // C = A @ B
-  kBias,      // C = A @ B + bias (row broadcast)
-  kBiasRelu,  // C = max(0, A @ B + bias)
+  kNone,  // C = A @ B
+  kBias,  // C = A @ B + bias (row broadcast)
 };
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels (gemm_scalar.cc).
-//
-// These are the historical ops.cc loop bodies, hoisted verbatim so the
-// "scalar" backend stays bit-for-bit identical to every pre-kernel-layer
-// release: same zero-skip fast path, same k-tiling, same per-element
-// accumulation order. Row/column ranges mirror the ParallelFor chunking the
-// ops layer has always used. Do not "optimize" these — they are the
-// reproducibility baseline (DESIGN.md §5.2).
-// ---------------------------------------------------------------------------
-
-/// Rows [i0, i1) of C = A @ B (+ epilogue). A is [m, k] row-major, B is
-/// [k, n] row-major, C is [m, n]. `bias` ([n]) may be null when `epilogue`
-/// is kNone. The bias is added in a separate pass after the accumulation,
-/// exactly matching the historical MatMul-then-AddRowBroadcast float order.
-void GemmScalarRows(size_t i0, size_t i1, size_t k, size_t n, const float* a,
-                    const float* b, float* c, const float* bias,
-                    GemmEpilogue epilogue);
-
-/// Columns-of-A rows-of-C [i0, i1) of C += A^T @ B. A is [k, m], B is
-/// [k, n], C is [m, n]. Accumulates (caller zeroes C for the non-accumulate
-/// form). kk-outer loop order, as always.
-void GemmTransposeAScalarCols(size_t i0, size_t i1, size_t k, size_t m,
-                              size_t n, const float* a, const float* b,
-                              float* c);
-
-/// Rows [i0, i1) of C = A @ B^T. A is [m, k], B is [n, k], C is [m, n].
-/// Dot-product reduction per output element.
-void GemmTransposeBScalarRows(size_t i0, size_t i1, size_t k, size_t n,
-                              const float* a, const float* b, float* c);
-
-// ---------------------------------------------------------------------------
-// Blocked kernels (gemm_blocked.cc).
+// Blocked kernels (gemm_blocked.cc), the one kernel family of the numeric
+// stack.
 //
 // Register-tiled MR x NR micro-kernel over panels of B packed column-strip
 // by column-strip ([strip][kk][jj] with jj contiguous, zero-padded to NR) and
 // per-tile packed A ([kk][ii], zero-padded to MR). The micro-kernel keeps an
 // MR x NR accumulator block in registers across the full reduction, so every
 // output element accumulates k-ascending — results are bit-identical across
-// thread counts and chunk boundaries (only scalar-vs-blocked differs, at
-// ~1e-5 relative; DESIGN.md §5.3).
+// thread counts and chunk boundaries; only the ISA instantiation picked at
+// startup changes the bits (DESIGN.md §5.3).
 //
 // Strides (`rs*` = stride between reduction steps, `cs*` = stride between
 // rows/columns) let the same kernel serve A, A^T and B^T operand layouts
@@ -108,8 +77,8 @@ struct RowNonzeros {
 /// multiply-add. A skipped term has x == +-0; for finite B the dense kernel
 /// adds an exact zero there, which can change only the sign of a zero sum,
 /// and the bias+ReLU epilogue gives the same bits for either sign. So C
-/// equals GemmBlockedRows over the gathered [rows, 3 * in] windows with the
-/// kBiasRelu epilogue bit for bit, on the same ISA. Work per row is the
+/// equals max(0, .) of GemmBlockedRows over the gathered [rows, 3 * in]
+/// windows with the kBias epilogue bit for bit, on the same ISA. Work per row is the
 /// window's nonzero count times n. Safe to call concurrently on disjoint
 /// row ranges.
 void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,

@@ -1,22 +1,8 @@
 #include "tensor/kernels/resident_weights.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace prestroid {
-
-namespace {
-
-/// Matches the ops-layer ParallelFor grain (tensor/ops.cc): roughly 2^15
-/// flops per chunk so tiny serving batches stay inline on the caller.
-constexpr size_t kGrainFlops = 1u << 15;
-
-size_t RowGrain(size_t row_cost_flops) {
-  return std::max<size_t>(1, kGrainFlops / std::max<size_t>(1, row_cost_flops));
-}
-
-}  // namespace
 
 ResidentWeights ResidentWeights::Build(const Tensor& weights) {
   ResidentWeights rw;
@@ -48,10 +34,8 @@ void ResidentWeights::Gemm(Tensor* out, const Tensor& a, const Tensor* bias,
   ctx->AddOp();
   // Flop accounting mirrors MatMulEpilogueInto so ExecStats comparisons
   // between the per-call-packing and resident paths line up.
-  uint64_t flops = 2ull * m * k * n;
-  if (epilogue == GemmEpilogue::kBias) flops += 1ull * m * n;
-  if (epilogue == GemmEpilogue::kBiasRelu) flops += 2ull * m * n;
-  ctx->AddFlops(flops);
+  ctx->AddFlops(2ull * m * k * n +
+                (epilogue == GemmEpilogue::kBias ? 1ull * m * n : 0));
   ctx->ParallelFor(0, m, RowGrain(2 * k * n), [&](size_t i0, size_t i1) {
     GemmBlockedRows(i0, i1, k, n, ap, /*rsa=*/k, /*csa=*/1, pb, op, n, biasp,
                     epilogue, /*accumulate=*/false);

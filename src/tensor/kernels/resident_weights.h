@@ -10,7 +10,7 @@
 
 namespace prestroid {
 
-/// A layer's GEMM weight operand frozen into the blocked backend's packed
+/// A layer's GEMM weight operand frozen into the blocked kernels' packed
 /// panel layout.
 ///
 /// The training path re-packs B panels on every MatMul*Into call — correct
@@ -18,9 +18,9 @@ namespace prestroid {
 /// the serving hot path is m <= 32, where per-call packing dominates the
 /// GEMM itself. Building a ResidentWeights once per layer moves that work to
 /// model-attach time, so serving never repacks per request. The image is
-/// exactly the GemmPackB panel set the blocked backend would build per call,
-/// so Gemm() output is bit-identical to the blocked MatMul*Into path (same
-/// kernel, same pack, same ISA). A training tree-conv layer holds one too
+/// exactly the GemmPackB panel set MatMul*Into builds per call, so Gemm()
+/// output is bit-identical to the MatMul*Into path (same kernel, same pack,
+/// same ISA). A training tree-conv layer holds one too
 /// and repacks it before every forward (Pack), so its forward runs the same
 /// TreeWindowGemm as the frozen one.
 ///
@@ -43,7 +43,7 @@ class ResidentWeights {
   /// Bytes held by the packed panel image.
   size_t resident_bytes() const { return packed_.size() * sizeof(float); }
 
-  /// out = a @ W (+ bias)(+ ReLU); a is [m, k] row-major, out [m, n].
+  /// out = a @ W (+ bias); a is [m, k] row-major, out [m, n].
   /// Deterministic at any thread count (k-ascending accumulation, disjoint
   /// row ranges). Does its own op/flop accounting like MatMul*Into. `ctx`
   /// must be non-null (layers always carry at least the serial context).
@@ -53,9 +53,9 @@ class ResidentWeights {
   /// out[r] = max(0, [x[r] | x[left[r]] | x[right[r]]] @ W + bias) for
   /// `rows` rows, with W built from the stacked tree-convolution kernels
   /// [W_self; W_left; W_right] ([3 * in, n]) and x read only through its
-  /// nonzeros (GemmTreeWindowRows). Bit-identical to Gemm(kBiasRelu) over
-  /// the gathered windows; counts the multiply-adds it issues, 2 flops per
-  /// window nonzero and output column, plus the epilogue.
+  /// nonzeros (GemmTreeWindowRows). Bit-identical to max(0, Gemm(kBias))
+  /// over the gathered windows; counts the multiply-adds it issues, 2 flops
+  /// per window nonzero and output column, plus the epilogue.
   void TreeWindowGemm(Tensor* out, size_t rows, const RowNonzeros& x,
                       const int* left, const int* right, const Tensor& bias,
                       ExecutionContext* ctx) const;

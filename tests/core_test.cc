@@ -663,36 +663,30 @@ TEST(SubtreeModelTest, RowAnswerIndependentOfBatchNeighbours) {
     for (size_t n : sizes) trees.push_back(RandomTree(n, 6, &rng));
     queries.push_back(std::move(trees));
   }
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kBlocked}) {
-    for (bool frozen : {false, true}) {
-      SubtreeModel model(RaggedTestConfig(7, k));
-      ExecutionContext ctx(1);
-      ctx.set_kernel(backend);
-      model.SetExecutionContext(&ctx);
-      // A little training moves batch-norm statistics off their defaults.
-      for (size_t i = 0; i < queries.size(); ++i) {
-        model.AddSample(queries[i], 0.1f * static_cast<float>(i + 1));
-      }
-      model.TrainEpoch({0, 1, 2, 3, 4, 5}, 3);
-      std::vector<FreezableLayer*> layers;
-      model.CollectFreezableLayers(&layers);
-      if (frozen) {
-        for (FreezableLayer* layer : layers) layer->FreezeWeights();
-      }
-      std::vector<SubtreeModel::Row> all;
-      for (const auto& trees : queries) all.push_back(&trees);
-      const std::vector<float> batched = model.PredictBorrowed(all);
-      // Reversed order puts each query beside different neighbours.
-      const std::vector<SubtreeModel::Row> reversed(all.rbegin(), all.rend());
-      const std::vector<float> backwards = model.PredictBorrowed(reversed);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const float alone = model.PredictBorrowed({all[i]})[0];
-        EXPECT_EQ(batched[i], alone)
-            << KernelBackendName(backend) << " frozen=" << frozen
-            << " query " << i;
-        EXPECT_EQ(backwards[queries.size() - 1 - i], alone) << "query " << i;
-      }
+  for (bool frozen : {false, true}) {
+    SubtreeModel model(RaggedTestConfig(7, k));
+    ExecutionContext ctx(1);
+    model.SetExecutionContext(&ctx);
+    // A little training moves batch-norm statistics off their defaults.
+    for (size_t i = 0; i < queries.size(); ++i) {
+      model.AddSample(queries[i], 0.1f * static_cast<float>(i + 1));
+    }
+    model.TrainEpoch({0, 1, 2, 3, 4, 5}, 3);
+    std::vector<FreezableLayer*> layers;
+    model.CollectFreezableLayers(&layers);
+    if (frozen) {
+      for (FreezableLayer* layer : layers) layer->FreezeWeights();
+    }
+    std::vector<SubtreeModel::Row> all;
+    for (const auto& trees : queries) all.push_back(&trees);
+    const std::vector<float> batched = model.PredictBorrowed(all);
+    // Reversed order puts each query beside different neighbours.
+    const std::vector<SubtreeModel::Row> reversed(all.rbegin(), all.rend());
+    const std::vector<float> backwards = model.PredictBorrowed(reversed);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const float alone = model.PredictBorrowed({all[i]})[0];
+      EXPECT_EQ(batched[i], alone) << "frozen=" << frozen << " query " << i;
+      EXPECT_EQ(backwards[queries.size() - 1 - i], alone) << "query " << i;
     }
   }
 }
@@ -761,7 +755,6 @@ ServingDigests FeaturizeAndPredictDigests(const test::TraceCorpus& corpus) {
   config.threads = 1;
   auto pipeline = PrestroidPipeline::Fit(records, splits.train, config)
                       .ValueOrDie();
-  pipeline->execution_context()->set_kernel(KernelBackend::kBlocked);
   TrainConfig train_config;
   train_config.batch_size = 32;
   train_config.max_epochs = 2;

@@ -211,7 +211,7 @@ TEST_F(EndToEndFixture, TraceFileRoundTripFeedsPipeline) {
 // Accuracy gate: the CLI-shape pipeline (Prestroid 15-9-32, 3 x 32 conv,
 // dense {32, 16}, threads=1, blocked kernels) fitted and trained on a small
 // generated trace with fixed seeds. Test-split MSE and q-error p50/p95 are
-// pinned at %.17g to 1e-5 relative (the blocked-backend envelope), so a
+// pinned at %.17g to 1e-5 relative (the blocked kernels' envelope), so a
 // refactor of the numeric stack cannot silently move model accuracy.
 //
 // At this scale the sub-tree model does not beat log binning on MSE (table2
@@ -260,7 +260,6 @@ TEST(AccuracyGate, CliShapePipelinePinsMseAndQError) {
   config.threads = 1;
   auto pipeline =
       core::PrestroidPipeline::Fit(records, splits.train, config).ValueOrDie();
-  pipeline->execution_context()->set_kernel(KernelBackend::kBlocked);
   TrainConfig train_config;
   train_config.batch_size = 32;
   train_config.max_epochs = 8;

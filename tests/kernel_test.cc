@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -15,7 +14,6 @@
 #include "tensor/aligned_buffer.h"
 #include "tensor/execution_context.h"
 #include "tensor/kernels/gemm_kernels.h"
-#include "tensor/kernels/kernel_backend.h"
 #include "tensor/kernels/resident_weights.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -29,7 +27,8 @@ namespace {
 const size_t kOddSizes[] = {1, 3, 7, 17, 64, 65};
 
 /// Relative 1e-5 comparison (absolute below magnitude 1), the documented
-/// scalar-vs-blocked parity envelope (DESIGN.md §5.3).
+/// envelope between the blocked kernels and the naive oracles below
+/// (DESIGN.md §5.3).
 void ExpectAllClose(const Tensor& got, const Tensor& want,
                     const char* what) {
   ASSERT_EQ(got.shape(), want.shape()) << what;
@@ -40,62 +39,105 @@ void ExpectAllClose(const Tensor& got, const Tensor& want,
   }
 }
 
-void Pin(ExecutionContext* ctx, KernelBackend backend) {
-  ctx->set_kernel(backend);
+// ---------------------------------------------------------------------------
+// In-test oracles: plain loops with none of the blocked kernels' tiling,
+// packing or zero skipping.
+// ---------------------------------------------------------------------------
+
+/// a @ b with a [m, k] ([k, m] with transpose_a) and b [k, n] ([n, k] with
+/// transpose_b): each element sums its k terms in ascending k from zero,
+/// one float multiply and add per term.
+Tensor NaiveMatMul(const Tensor& a, const Tensor& b, bool transpose_a = false,
+                   bool transpose_b = false) {
+  const size_t m = transpose_a ? a.dim(1) : a.dim(0);
+  const size_t k = transpose_a ? a.dim(0) : a.dim(1);
+  const size_t n = transpose_b ? b.dim(0) : b.dim(1);
+  EXPECT_EQ(transpose_b ? b.dim(1) : b.dim(0), k);
+  Tensor c({m, n});
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (size_t kk = 0; kk < k; ++kk) {
+        const float av = transpose_a ? a.At(kk, i) : a.At(i, kk);
+        const float bv = transpose_b ? b.At(j, kk) : b.At(kk, j);
+        acc += av * bv;
+      }
+      c.At(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+/// c[i, j] += bias[j].
+void AddBias(Tensor* c, const Tensor& bias) {
+  for (size_t i = 0; i < c->dim(0); ++i) {
+    for (size_t j = 0; j < c->dim(1); ++j) c->At(i, j) += bias[j];
+  }
+}
+
+/// Column sums of a [m, n], rows ascending.
+Tensor ColumnSums(const Tensor& a) {
+  Tensor sums({a.dim(1)});
+  for (size_t i = 0; i < a.dim(0); ++i) {
+    for (size_t j = 0; j < a.dim(1); ++j) sums[j] += a.At(i, j);
+  }
+  return sums;
+}
+
+/// `batch` trees of `nodes` rows each, in the ragged row layout.
+TreeStructure MakeTreeStructure(size_t batch, size_t nodes) {
+  TreeStructure s;
+  s.left.assign(batch * nodes, -1);
+  s.right.assign(batch * nodes, -1);
+  s.mask.assign(batch * nodes, 1.0f);
+  for (size_t b = 0; b <= batch; ++b) s.offsets.push_back(b * nodes);
+  for (size_t b = 0; b < batch; ++b) {
+    const int base = static_cast<int>(b * nodes);
+    for (size_t i = 0; 2 * i + 1 < nodes; ++i) {
+      s.left[b * nodes + i] = base + static_cast<int>(2 * i + 1);
+      // Leave some right children null so the zero-window path is covered.
+      if (2 * i + 2 < nodes && (i + b) % 3 != 0) {
+        s.right[b * nodes + i] = base + static_cast<int>(2 * i + 2);
+      }
+    }
+  }
+  return s;
+}
+
+/// Each row's (self, left, right) input rows gathered into one [rows, 3*in]
+/// matrix, zeros for a null child: the im2col lowering of the tree conv.
+Tensor GatherWindows(const Tensor& x, const TreeStructure& structure,
+                     size_t in) {
+  const size_t rows = structure.num_rows();
+  Tensor windows({rows, 3 * in});
+  for (size_t r = 0; r < rows; ++r) {
+    const int window[3] = {static_cast<int>(r), structure.left[r],
+                           structure.right[r]};
+    for (size_t p = 0; p < 3; ++p) {
+      if (window[p] < 0) continue;
+      std::memcpy(windows.data() + r * 3 * in + p * in,
+                  x.data() + static_cast<size_t>(window[p]) * in,
+                  in * sizeof(float));
+    }
+  }
+  return windows;
+}
+
+/// The layer's [W_self; W_left; W_right] ([3*in, out]).
+Tensor StackedKernels(TreeConvLayer* layer) {
+  const size_t wsz = layer->in_features() * layer->out_features();
+  Tensor stacked({3 * layer->in_features(), layer->out_features()});
+  std::vector<ParamRef> params = layer->Params();
+  for (size_t p = 0; p < 3; ++p) {
+    std::memcpy(stacked.data() + p * wsz, params[p].value->data(),
+                wsz * sizeof(float));
+  }
+  return stacked;
 }
 
 // ---------------------------------------------------------------------------
-// Kernel backend selection
-// ---------------------------------------------------------------------------
-
-TEST(KernelBackendTest, ParseAndNameRoundTrip) {
-  EXPECT_EQ(ParseKernelBackend("scalar"), KernelBackend::kScalar);
-  EXPECT_EQ(ParseKernelBackend("blocked"), KernelBackend::kBlocked);
-  EXPECT_FALSE(ParseKernelBackend("avx9000").has_value());
-  EXPECT_FALSE(ParseKernelBackend("").has_value());
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kScalar), "scalar");
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kBlocked), "blocked");
-}
-
-TEST(KernelBackendTest, ContextCarriesItsOwnBackend) {
-  ExecutionContext a(1), b(1);
-  EXPECT_EQ(a.kernel(), DefaultKernelBackend());
-  a.set_kernel(KernelBackend::kScalar);
-  b.set_kernel(KernelBackend::kBlocked);
-  EXPECT_EQ(a.kernel(), KernelBackend::kScalar);
-  EXPECT_EQ(b.kernel(), KernelBackend::kBlocked);
-}
-
-TEST(KernelEnvTest, ParseKernelEnvAcceptsKnownAndUnsetValues) {
-  EXPECT_EQ(ParseKernelEnv(nullptr).ValueOrDie(), KernelBackend::kBlocked);
-  EXPECT_EQ(ParseKernelEnv("scalar").ValueOrDie(), KernelBackend::kScalar);
-  EXPECT_EQ(ParseKernelEnv("blocked").ValueOrDie(), KernelBackend::kBlocked);
-}
-
-TEST(KernelEnvTest, ParseKernelEnvRejectsTyposListingAcceptedSet) {
-  const Result<KernelBackend> parsed = ParseKernelEnv("blokced");
-  ASSERT_FALSE(parsed.ok());
-  const Status& status = parsed.status();
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("blokced"), std::string::npos);
-  EXPECT_NE(status.message().find("scalar"), std::string::npos);
-  EXPECT_NE(status.message().find("blocked"), std::string::npos);
-}
-
-TEST(KernelEnvDeathTest, DefaultBackendFailsOnATypo) {
-  // DefaultKernelBackend() resolves once per process; the threadsafe style
-  // re-executes the binary, so the child resolves it fresh, after the typo.
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        setenv("PRESTROID_KERNEL", "blokced", 1);
-        ExecutionContext ctx(1);
-      },
-      "accepted values: scalar, blocked");
-}
-
-// ---------------------------------------------------------------------------
-// GEMM parity: blocked vs scalar across odd shapes and all operand layouts
+// GEMM parity: the blocked kernels vs the naive oracle across odd shapes and
+// all operand layouts
 // ---------------------------------------------------------------------------
 
 TEST(GemmParityTest, MatMulAcrossOddShapes) {
@@ -105,13 +147,10 @@ TEST(GemmParityTest, MatMulAcrossOddShapes) {
       for (size_t n : kOddSizes) {
         const Tensor a = Tensor::Random({m, k}, &rng);
         const Tensor b = Tensor::Random({k, n}, &rng);
-        ExecutionContext scalar(1), blocked(1);
-        Pin(&scalar, KernelBackend::kScalar);
-        Pin(&blocked, KernelBackend::kBlocked);
-        Tensor ref, got;
-        MatMulInto(&ref, a, b, &scalar);
-        MatMulInto(&got, a, b, &blocked);
-        ExpectAllClose(got, ref, "matmul");
+        ExecutionContext ctx(1);
+        Tensor got;
+        MatMulInto(&got, a, b, &ctx);
+        ExpectAllClose(got, NaiveMatMul(a, b), "matmul");
       }
     }
   }
@@ -125,16 +164,15 @@ TEST(GemmParityTest, FusedBiasAndBiasReluAcrossOddShapes) {
       const Tensor a = Tensor::Random({m, k}, &rng);
       const Tensor b = Tensor::Random({k, n}, &rng);
       const Tensor bias = Tensor::Random({n}, &rng);
-      ExecutionContext scalar(1), blocked(1);
-      Pin(&scalar, KernelBackend::kScalar);
-      Pin(&blocked, KernelBackend::kBlocked);
-      Tensor ref, got;
-      MatMulBiasInto(&ref, a, b, bias, &scalar);
-      MatMulBiasInto(&got, a, b, bias, &blocked);
-      ExpectAllClose(got, ref, "matmul+bias");
-      MatMulBiasReluInto(&ref, a, b, bias, &scalar);
-      MatMulBiasReluInto(&got, a, b, bias, &blocked);
-      ExpectAllClose(got, ref, "matmul+bias+relu");
+      ExecutionContext ctx(1);
+      Tensor want = NaiveMatMul(a, b);
+      AddBias(&want, bias);
+      Tensor got;
+      MatMulBiasInto(&got, a, b, bias, &ctx);
+      ExpectAllClose(got, want, "matmul+bias");
+      ReluInto(&got, got, &ctx);
+      for (size_t i = 0; i < want.size(); ++i) want[i] = std::max(0.0f, want[i]);
+      ExpectAllClose(got, want, "matmul+bias+relu");
       for (size_t i = 0; i < got.size(); ++i) ASSERT_GE(got[i], 0.0f);
     }
   }
@@ -145,20 +183,16 @@ TEST(GemmParityTest, FusedBiasMatchesUnfusedComposition) {
   const Tensor a = Tensor::Random({33, 21}, &rng);
   const Tensor b = Tensor::Random({21, 19}, &rng);
   const Tensor bias = Tensor::Random({19}, &rng);
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kBlocked}) {
-    ExecutionContext ctx(1);
-    Pin(&ctx, backend);
-    Tensor fused, unfused;
-    MatMulBiasInto(&fused, a, b, bias, &ctx);
-    MatMulInto(&unfused, a, b, &ctx);
-    AddRowBroadcastInPlace(&unfused, bias, &ctx);
-    // Same backend, same accumulation order: the fusion itself must be
-    // bit-exact, not merely close.
-    ASSERT_EQ(fused.shape(), unfused.shape());
-    for (size_t i = 0; i < fused.size(); ++i) {
-      ASSERT_EQ(fused[i], unfused[i]) << "element " << i;
-    }
+  ExecutionContext ctx(1);
+  Tensor fused, unfused;
+  MatMulBiasInto(&fused, a, b, bias, &ctx);
+  MatMulInto(&unfused, a, b, &ctx);
+  AddBias(&unfused, bias);
+  // Same kernel, same accumulation order: the fusion itself must be
+  // bit-exact, not merely close.
+  ASSERT_EQ(fused.shape(), unfused.shape());
+  for (size_t i = 0; i < fused.size(); ++i) {
+    ASSERT_EQ(fused[i], unfused[i]) << "element " << i;
   }
 }
 
@@ -169,13 +203,11 @@ TEST(GemmParityTest, TransposeAAcrossOddShapes) {
       const size_t k = 23;
       const Tensor a = Tensor::Random({k, m}, &rng);
       const Tensor b = Tensor::Random({k, n}, &rng);
-      ExecutionContext scalar(1), blocked(1);
-      Pin(&scalar, KernelBackend::kScalar);
-      Pin(&blocked, KernelBackend::kBlocked);
-      Tensor ref, got;
-      MatMulTransposeAInto(&ref, a, b, &scalar);
-      MatMulTransposeAInto(&got, a, b, &blocked);
-      ExpectAllClose(got, ref, "matmul-transpose-a");
+      ExecutionContext ctx(1);
+      Tensor got;
+      MatMulTransposeAInto(&got, a, b, &ctx);
+      ExpectAllClose(got, NaiveMatMul(a, b, /*transpose_a=*/true),
+                     "matmul-transpose-a");
     }
   }
 }
@@ -184,14 +216,12 @@ TEST(GemmParityTest, TransposeAAccumulateAddsOntoExisting) {
   Rng rng(105);
   const Tensor a = Tensor::Random({13, 7}, &rng);
   const Tensor b = Tensor::Random({13, 9}, &rng);
-  ExecutionContext scalar(1), blocked(1);
-  Pin(&scalar, KernelBackend::kScalar);
-  Pin(&blocked, KernelBackend::kBlocked);
-  Tensor ref = Tensor::Full({7, 9}, 2.5f);
+  ExecutionContext ctx(1);
+  Tensor want = NaiveMatMul(a, b, /*transpose_a=*/true);
+  for (size_t i = 0; i < want.size(); ++i) want[i] += 2.5f;
   Tensor got = Tensor::Full({7, 9}, 2.5f);
-  MatMulTransposeAAccumulate(&ref, a, b, &scalar);
-  MatMulTransposeAAccumulate(&got, a, b, &blocked);
-  ExpectAllClose(got, ref, "matmul-transpose-a-accumulate");
+  MatMulTransposeAAccumulate(&got, a, b, &ctx);
+  ExpectAllClose(got, want, "matmul-transpose-a-accumulate");
 }
 
 TEST(GemmParityTest, TransposeBAcrossOddShapes) {
@@ -201,13 +231,13 @@ TEST(GemmParityTest, TransposeBAcrossOddShapes) {
       const size_t k = 31;
       const Tensor a = Tensor::Random({m, k}, &rng);
       const Tensor b = Tensor::Random({n, k}, &rng);
-      ExecutionContext scalar(1), blocked(1);
-      Pin(&scalar, KernelBackend::kScalar);
-      Pin(&blocked, KernelBackend::kBlocked);
-      Tensor ref, got;
-      MatMulTransposeBInto(&ref, a, b, &scalar);
-      MatMulTransposeBInto(&got, a, b, &blocked);
-      ExpectAllClose(got, ref, "matmul-transpose-b");
+      ExecutionContext ctx(1);
+      Tensor got;
+      MatMulTransposeBInto(&got, a, b, &ctx);
+      ExpectAllClose(got,
+                     NaiveMatMul(a, b, /*transpose_a=*/false,
+                                 /*transpose_b=*/true),
+                     "matmul-transpose-b");
     }
   }
 }
@@ -215,7 +245,6 @@ TEST(GemmParityTest, TransposeBAcrossOddShapes) {
 TEST(GemmParityTest, EmptyAndZeroRowEdges) {
   Rng rng(107);
   ExecutionContext blocked(1);
-  Pin(&blocked, KernelBackend::kBlocked);
   // m == 0: empty output, no kernel invocations on data.
   {
     const Tensor a({0, 5});
@@ -248,17 +277,27 @@ TEST(GemmParityTest, EmptyAndZeroRowEdges) {
   }
 }
 
+TEST(GemmParityDeathTest, OpsRequireAContext) {
+  // There is no serial fallback behind a null context: every op CHECKs it.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Rng rng(109);
+  const Tensor a = Tensor::Random({3, 4}, &rng);
+  const Tensor b = Tensor::Random({4, 5}, &rng);
+  Tensor out;
+  EXPECT_DEATH(MatMulInto(&out, a, b, nullptr), "ctx != nullptr");
+  EXPECT_DEATH(MatMulTransposeBInto(&out, a, a, nullptr), "ctx != nullptr");
+  EXPECT_DEATH(ReluInto(&out, a, nullptr), "ctx != nullptr");
+}
+
 TEST(GemmParityTest, BlockedBitIdenticalAcrossThreadCounts) {
   Rng rng(108);
   const Tensor a = Tensor::Random({65, 37}, &rng);
   const Tensor b = Tensor::Random({37, 41}, &rng);
   ExecutionContext one(1);
-  Pin(&one, KernelBackend::kBlocked);
   Tensor ref;
   MatMulInto(&ref, a, b, &one);
   for (size_t threads : {2u, 4u}) {
     ExecutionContext ctx(threads);
-    Pin(&ctx, KernelBackend::kBlocked);
     Tensor got;
     MatMulInto(&got, a, b, &ctx);
     // The register block accumulates the full reduction per output element,
@@ -269,80 +308,98 @@ TEST(GemmParityTest, BlockedBitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer parity: dense and tree-conv forward/backward
+// Layer parity: dense and tree-conv forward/backward against the oracles
 // ---------------------------------------------------------------------------
 
-TEST(LayerParityTest, DenseForwardBackwardAcrossBackends) {
+TEST(LayerParityTest, DenseForwardBackwardMatchesNaiveOracle) {
   for (size_t batch : {1, 7, 65}) {
-    Rng rng_a(201), rng_b(201), data_rng(202);
-    Dense scalar_layer(17, 9, &rng_a);
-    Dense blocked_layer(17, 9, &rng_b);
-    ExecutionContext scalar(1), blocked(1);
-    Pin(&scalar, KernelBackend::kScalar);
-    Pin(&blocked, KernelBackend::kBlocked);
-    scalar_layer.set_context(&scalar);
-    blocked_layer.set_context(&blocked);
+    Rng rng(201), data_rng(202);
+    Dense layer(17, 9, &rng);
+    layer.bias() = Tensor::Random({9}, &data_rng);
+    ExecutionContext ctx(1);
+    layer.set_context(&ctx);
     const Tensor input = Tensor::Random({batch, 17}, &data_rng);
     const Tensor grad = Tensor::Random({batch, 9}, &data_rng);
-    ExpectAllClose(blocked_layer.Forward(input), scalar_layer.Forward(input),
-                   "dense forward");
-    ExpectAllClose(blocked_layer.Backward(grad), scalar_layer.Backward(grad),
+    Tensor want_y = NaiveMatMul(input, layer.weight());
+    AddBias(&want_y, layer.bias());
+    ExpectAllClose(layer.Forward(input), want_y, "dense forward");
+    ExpectAllClose(layer.Backward(grad),
+                   NaiveMatMul(grad, layer.weight(), /*transpose_a=*/false,
+                               /*transpose_b=*/true),
                    "dense backward grad_input");
-    auto sp = scalar_layer.Params();
-    auto bp = blocked_layer.Params();
-    ASSERT_EQ(sp.size(), bp.size());
-    for (size_t p = 0; p < sp.size(); ++p) {
-      ExpectAllClose(*bp[p].grad, *sp[p].grad, sp[p].name.c_str());
-    }
+    // A fresh layer's gradients are zero, so after one Backward they hold
+    // this batch's terms.
+    const std::vector<ParamRef> params = layer.Params();
+    ASSERT_EQ(params.size(), 2u);
+    ExpectAllClose(*params[0].grad,
+                   NaiveMatMul(input, grad, /*transpose_a=*/true), "weight");
+    ExpectAllClose(*params[1].grad, ColumnSums(grad), "bias");
   }
 }
 
-/// `batch` trees of `nodes` rows each, in the ragged row layout.
-TreeStructure MakeTreeStructure(size_t batch, size_t nodes) {
-  TreeStructure s;
-  s.left.assign(batch * nodes, -1);
-  s.right.assign(batch * nodes, -1);
-  s.mask.assign(batch * nodes, 1.0f);
-  for (size_t b = 0; b <= batch; ++b) s.offsets.push_back(b * nodes);
-  for (size_t b = 0; b < batch; ++b) {
-    const int base = static_cast<int>(b * nodes);
-    for (size_t i = 0; 2 * i + 1 < nodes; ++i) {
-      s.left[b * nodes + i] = base + static_cast<int>(2 * i + 1);
-      // Leave some right children null so the zero-window path is covered.
-      if (2 * i + 2 < nodes && (i + b) % 3 != 0) {
-        s.right[b * nodes + i] = base + static_cast<int>(2 * i + 2);
-      }
-    }
-  }
-  return s;
-}
-
-TEST(LayerParityTest, TreeConvForwardBackwardAcrossBackends) {
+TEST(LayerParityTest, TreeConvForwardBackwardMatchesNaiveOracle) {
   for (size_t batch : {1, 5}) {
     for (size_t nodes : {1, 3, 9}) {
       const size_t in_dim = 7, out_dim = 11;
       const TreeStructure structure = MakeTreeStructure(batch, nodes);
-      Rng rng_a(301), rng_b(301), data_rng(302);
-      TreeConvLayer scalar_layer(in_dim, out_dim, &rng_a);
-      TreeConvLayer blocked_layer(in_dim, out_dim, &rng_b);
-      ExecutionContext scalar(1), blocked(1);
-      Pin(&scalar, KernelBackend::kScalar);
-      Pin(&blocked, KernelBackend::kBlocked);
-      scalar_layer.set_context(&scalar);
-      blocked_layer.set_context(&blocked);
+      const size_t rows = structure.num_rows();
+      Rng rng(301), data_rng(302);
+      TreeConvLayer layer(in_dim, out_dim, &rng);
+      ExecutionContext ctx(1);
+      layer.set_context(&ctx);
       const Tensor features = Tensor::Random({batch, nodes, in_dim}, &data_rng);
       const Tensor grad = Tensor::Random({batch, nodes, out_dim}, &data_rng);
-      ExpectAllClose(blocked_layer.Forward(features, structure),
-                     scalar_layer.Forward(features, structure),
-                     "tree-conv forward");
-      ExpectAllClose(blocked_layer.Backward(grad), scalar_layer.Backward(grad),
-                     "tree-conv backward grad_input");
-      auto sp = scalar_layer.Params();
-      auto bp = blocked_layer.Params();
-      ASSERT_EQ(sp.size(), bp.size());
-      for (size_t p = 0; p < sp.size(); ++p) {
-        ExpectAllClose(*bp[p].grad, *sp[p].grad, sp[p].name.c_str());
+      Tensor x = features;
+      x.ReshapeInPlace({rows, in_dim});
+      Tensor gy = grad;
+      gy.ReshapeInPlace({rows, out_dim});
+
+      // Forward: max(0, windows @ [W_s; W_l; W_r] + b).
+      const Tensor windows = GatherWindows(x, structure, in_dim);
+      const Tensor stacked = StackedKernels(&layer);
+      Tensor want_y = NaiveMatMul(windows, stacked);
+      AddBias(&want_y, *layer.Params()[3].value);
+      for (size_t i = 0; i < want_y.size(); ++i) {
+        want_y[i] = std::max(0.0f, want_y[i]);
       }
+      ExpectAllClose(layer.Forward(features, structure), want_y,
+                     "tree-conv forward");
+
+      // Backward: the gradient masked by y > 0; the stacked weight gradient
+      // windows^T @ gy; the input gradient gy @ [W_s; W_l; W_r]^T scattered
+      // through the window map.
+      Tensor masked({rows, out_dim});
+      for (size_t i = 0; i < masked.size(); ++i) {
+        masked[i] = want_y[i] > 0.0f ? gy[i] : 0.0f;
+      }
+      const Tensor window_grad = NaiveMatMul(masked, stacked,
+                                             /*transpose_a=*/false,
+                                             /*transpose_b=*/true);
+      Tensor want_gx({rows, in_dim});
+      for (size_t r = 0; r < rows; ++r) {
+        const int window[3] = {static_cast<int>(r), structure.left[r],
+                               structure.right[r]};
+        for (size_t p = 0; p < 3; ++p) {
+          if (window[p] < 0) continue;
+          for (size_t i = 0; i < in_dim; ++i) {
+            want_gx.At(static_cast<size_t>(window[p]), i) +=
+                window_grad.At(r, p * in_dim + i);
+          }
+        }
+      }
+      ExpectAllClose(layer.Backward(grad), want_gx,
+                     "tree-conv backward grad_input");
+      const Tensor stacked_grad =
+          NaiveMatMul(windows, masked, /*transpose_a=*/true);
+      const std::vector<ParamRef> params = layer.Params();
+      const size_t wsz = in_dim * out_dim;
+      for (size_t p = 0; p < 3; ++p) {
+        Tensor slice({in_dim, out_dim});
+        std::memcpy(slice.data(), stacked_grad.data() + p * wsz,
+                    wsz * sizeof(float));
+        ExpectAllClose(*params[p].grad, slice, params[p].name.c_str());
+      }
+      ExpectAllClose(*params[3].grad, ColumnSums(masked), "bias");
     }
   }
 }
@@ -357,8 +414,6 @@ TEST(LayerParityTest, TreeConvBlockedBitIdenticalAcrossThreadCounts) {
   TreeConvLayer one_layer(in_dim, out_dim, &rng_a);
   TreeConvLayer four_layer(in_dim, out_dim, &rng_b);
   ExecutionContext one(1), four(4);
-  Pin(&one, KernelBackend::kBlocked);
-  Pin(&four, KernelBackend::kBlocked);
   one_layer.set_context(&one);
   four_layer.set_context(&four);
   const Tensor& out1 = one_layer.Forward(features, structure);
@@ -380,47 +435,15 @@ TEST(LayerParityTest, TreeConvBlockedBitIdenticalAcrossThreadCounts) {
 // The gathered-window (im2col) oracle for the blocked tree conv
 // ---------------------------------------------------------------------------
 
-/// Each row's (self, left, right) input rows gathered into one [rows, 3*in]
-/// matrix, zeros for a null child: the im2col lowering the blocked tree conv
-/// ran before it read nonzero lists, kept here as its oracle.
-Tensor GatherWindows(const Tensor& x, const TreeStructure& structure,
-                     size_t in) {
-  const size_t rows = structure.num_rows();
-  Tensor windows({rows, 3 * in});
-  for (size_t r = 0; r < rows; ++r) {
-    const int window[3] = {static_cast<int>(r), structure.left[r],
-                           structure.right[r]};
-    for (size_t p = 0; p < 3; ++p) {
-      if (window[p] < 0) continue;
-      std::memcpy(windows.data() + r * 3 * in + p * in,
-                  x.data() + static_cast<size_t>(window[p]) * in,
-                  in * sizeof(float));
-    }
-  }
-  return windows;
-}
-
-/// The layer's [W_self; W_left; W_right] ([3*in, out]).
-Tensor StackedKernels(TreeConvLayer* layer) {
-  const size_t wsz = layer->in_features() * layer->out_features();
-  Tensor stacked({3 * layer->in_features(), layer->out_features()});
-  std::vector<ParamRef> params = layer->Params();
-  for (size_t p = 0; p < 3; ++p) {
-    std::memcpy(stacked.data() + p * wsz, params[p].value->data(),
-                wsz * sizeof(float));
-  }
-  return stacked;
-}
-
 /// max(0, windows @ [W_self; W_left; W_right] + b) as one blocked GEMM with
-/// the fused bias+ReLU epilogue.
+/// the fused bias epilogue, then the ReLU.
 Tensor GatheredWindowForward(TreeConvLayer* layer, const Tensor& x,
                              const TreeStructure& structure,
                              ExecutionContext* blocked) {
   Tensor out;
-  MatMulBiasReluInto(&out, GatherWindows(x, structure, layer->in_features()),
-                     StackedKernels(layer), *layer->Params()[3].value,
-                     blocked);
+  MatMulBiasInto(&out, GatherWindows(x, structure, layer->in_features()),
+                 StackedKernels(layer), *layer->Params()[3].value, blocked);
+  ReluInto(&out, out, blocked);
   return out;
 }
 
@@ -449,13 +472,12 @@ void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
 }
 
 // ---------------------------------------------------------------------------
-// Resident (frozen) fp32 weights: bit-identical to the blocked backend
+// Resident (frozen) fp32 weights: bit-identical to the per-call-packing path
 // ---------------------------------------------------------------------------
 
 TEST(ResidentWeightsTest, Fp32IsBitIdenticalToBlockedPath) {
   Rng rng(21);
   ExecutionContext ctx(1);
-  Pin(&ctx, KernelBackend::kBlocked);
   for (size_t m : {1, 8, 32}) {
     for (size_t k : {7, 64}) {
       for (size_t n : {5, 65}) {
@@ -476,54 +498,47 @@ TEST(ResidentWeightsTest, Fp32IsBitIdenticalToBlockedPath) {
   }
 }
 
-TEST(ResidentWeightsTest, FrozenLayersMatchTheBlockedForwardOnEitherBackend) {
+TEST(ResidentWeightsTest, FrozenLayersMatchTheThawedForward) {
   const size_t batch = 5, nodes = 9, in_dim = 7, out_dim = 11;
   const TreeStructure structure = MakeTreeStructure(batch, nodes);
   Rng data_rng(321);
   const Tensor features = Tensor::Random({batch, nodes, in_dim}, &data_rng);
   const Tensor rows = Tensor::Random({batch, in_dim}, &data_rng);
-  ExecutionContext blocked(1);
-  Pin(&blocked, KernelBackend::kBlocked);
+  ExecutionContext ctx(1);
   Rng rng_ref(322);
   TreeConvLayer conv_ref(in_dim, out_dim, &rng_ref);
   Dense dense_ref(in_dim, out_dim, &rng_ref);
-  dense_ref.set_context(&blocked);
+  dense_ref.set_context(&ctx);
   dense_ref.SetTraining(false);
   const Tensor conv_want =
-      GatheredWindowForward(&conv_ref, features, structure, &blocked);
+      GatheredWindowForward(&conv_ref, features, structure, &ctx);
   const Tensor dense_want = dense_ref.Forward(rows);
 
-  // The frozen forward runs on the pre-packed panels even on a scalar
-  // context, so it matches the blocked reference bit for bit on both
-  // backends.
-  for (KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kBlocked}) {
-    ExecutionContext ctx(1);
-    Pin(&ctx, backend);
-    Rng rng(322);
-    TreeConvLayer conv(in_dim, out_dim, &rng);
-    Dense dense(in_dim, out_dim, &rng);
-    conv.set_context(&ctx);
-    dense.set_context(&ctx);
-    dense.SetTraining(false);
-    EXPECT_EQ(conv.resident_weight_bytes(), 0u);
-    conv.FreezeWeights();
-    dense.FreezeWeights();
-    EXPECT_GT(conv.resident_weight_bytes(), 0u);
-    EXPECT_GT(dense.resident_weight_bytes(), 0u);
-    const Tensor& conv_got = conv.Forward(features, structure);
-    for (size_t i = 0; i < conv_want.size(); ++i) {
-      ASSERT_EQ(conv_got[i], conv_want[i]) << "tree conv element " << i;
-    }
-    const Tensor& dense_got = dense.Forward(rows);
-    for (size_t i = 0; i < dense_want.size(); ++i) {
-      ASSERT_EQ(dense_got[i], dense_want[i]) << "dense element " << i;
-    }
-    conv.ThawWeights();
-    dense.ThawWeights();
-    EXPECT_EQ(conv.resident_weight_bytes(), 0u);
-    EXPECT_EQ(dense.resident_weight_bytes(), 0u);
+  // The frozen forward runs the same kernels on panels packed once, so it
+  // matches the per-call-packing reference bit for bit.
+  Rng rng(322);
+  TreeConvLayer conv(in_dim, out_dim, &rng);
+  Dense dense(in_dim, out_dim, &rng);
+  conv.set_context(&ctx);
+  dense.set_context(&ctx);
+  dense.SetTraining(false);
+  EXPECT_EQ(conv.resident_weight_bytes(), 0u);
+  conv.FreezeWeights();
+  dense.FreezeWeights();
+  EXPECT_GT(conv.resident_weight_bytes(), 0u);
+  EXPECT_GT(dense.resident_weight_bytes(), 0u);
+  const Tensor& conv_got = conv.Forward(features, structure);
+  for (size_t i = 0; i < conv_want.size(); ++i) {
+    ASSERT_EQ(conv_got[i], conv_want[i]) << "tree conv element " << i;
   }
+  const Tensor& dense_got = dense.Forward(rows);
+  for (size_t i = 0; i < dense_want.size(); ++i) {
+    ASSERT_EQ(dense_got[i], dense_want[i]) << "dense element " << i;
+  }
+  conv.ThawWeights();
+  dense.ThawWeights();
+  EXPECT_EQ(conv.resident_weight_bytes(), 0u);
+  EXPECT_EQ(dense.resident_weight_bytes(), 0u);
 }
 
 /// `items` plans of three trees each, sized {nodes, 0, 3}: the middle tree
@@ -595,7 +610,6 @@ TEST(TreeConvKernelTest, NonzeroListsMatchTheGatheredWindowGemmsBitForBit) {
         const Tensor grad =
             Tensor::Random({structure.num_rows(), out}, &data_rng);
         ExecutionContext ctx(1);
-        Pin(&ctx, KernelBackend::kBlocked);
         Rng rng(362);
         TreeConvLayer first(in, out, &rng);
         TreeConvLayer second(out, out, &rng);
@@ -654,7 +668,6 @@ TEST(ResidentWeightsTest, FrozenFirstLayerMatchesTheResidentGemmBitForBit) {
         const Tensor x = FeaturizerRows(structure.num_rows(), ops, pred,
                                         tables, &data_rng);
         ExecutionContext ctx(1);
-        Pin(&ctx, KernelBackend::kBlocked);
         Rng rng(342);
         TreeConvLayer first(in, out, &rng);
         TreeConvLayer second(out, out, &rng);
@@ -718,7 +731,6 @@ TEST(ResidentWeightsTest, FrozenFirstLayerKeepsNaNAndInfinityInputs) {
   x[1 * 19 + 7] = std::nanf("");
   x[4 * 19 + 2] = std::numeric_limits<float>::infinity();
   ExecutionContext ctx(1);
-  Pin(&ctx, KernelBackend::kBlocked);
   Rng rng(352);
   TreeConvLayer conv(19, 24, &rng);
   conv.set_context(&ctx);

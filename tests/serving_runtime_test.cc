@@ -9,7 +9,7 @@
 ///   - deadline expiry while queued degrades per item instead of failing;
 ///   - max_batch = 1 takes the same cached, fused path as larger batches;
 ///   - every attached pipeline serves from frozen resident fp32 weights,
-///     bit-identical to an unfrozen copy on the blocked backend;
+///     bit-identical to an unfrozen copy;
 ///   - queue overflow rejects with kResourceExhausted without blocking;
 ///   - multi-producer submission is safe (run under TSan in CI).
 #include <gtest/gtest.h>
@@ -507,11 +507,9 @@ TEST_F(ServingRuntimeFixture, BatchOfOneTakesTheBatchedPathAndTheCache) {
 TEST_F(ServingRuntimeFixture, ShardServesFrozenWeightsAfterStartSwapAndRollback) {
   // Resident fp32 serving weights (DESIGN.md §5.8): the shard freezes its
   // pipeline at Start(), on every swap and on every rollback, and the frozen
-  // forward answers bit for bit like an unfrozen copy of the artifact on the
-  // blocked backend.
+  // forward answers bit for bit like an unfrozen copy of the artifact.
   auto reference_pipeline =
       core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
-  reference_pipeline->execution_context()->set_kernel(KernelBackend::kBlocked);
   constexpr size_t kPlans = 8;
   std::vector<double> reference;
   for (size_t i = 0; i < kPlans; ++i) {

@@ -225,13 +225,12 @@ TEST_F(ShardedRuntimeFixture, ShardedAnswersMatchSingleQueryReferences) {
   // before Start(), so batches fill to max_batch with no timing involved.
   // Every model-tier answer must be bit-equal to the single-query
   // EstimateWithFallback reference, whatever else shares its batch, its
-  // shard or its cache entry. The reference runs on the blocked backend,
-  // which the shards' frozen resident weights match bit for bit.
+  // shard or its cache entry. The reference runs thawed, which the shards'
+  // frozen resident weights match bit for bit.
   cost::ServingEstimator reference_estimator;
   ASSERT_TRUE(reference_estimator.FitFallbacks(*records_).ok());
   reference_estimator.AttachPipeline(
       core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie());
-  reference_estimator.execution_context()->set_kernel(KernelBackend::kBlocked);
   constexpr size_t kPool = 24;
   std::vector<double> reference;
   for (size_t i = 0; i < kPool; ++i) {

@@ -83,19 +83,25 @@ TEST(TensorTest, ToStringTruncates) {
 }
 
 TEST(OpsTest, MatMulKnownValues) {
+  ExecutionContext ctx(1);
   Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b({3, 2}, {7, 8, 9, 10, 11, 12});
-  Tensor c = MatMul(a, b);
+  Tensor c;
+  MatMulInto(&c, a, b, &ctx);
   EXPECT_TRUE(c.AllClose(Tensor({2, 2}, {58, 64, 139, 154})));
 }
 
-TEST(OpsTest, TransposeRoundTrip) {
-  Rng rng(2);
-  Tensor a = Tensor::Random({5, 7}, &rng);
-  EXPECT_TRUE(Transpose(Transpose(a)).AllClose(a));
+/// The transpose of a rank-2 tensor.
+Tensor Transposed(const Tensor& a) {
+  Tensor t({a.dim(1), a.dim(0)});
+  for (size_t i = 0; i < a.dim(0); ++i) {
+    for (size_t j = 0; j < a.dim(1); ++j) t.At(j, i) = a.At(i, j);
+  }
+  return t;
 }
 
-// Property sweep: MatMulTransposeA/B agree with explicit Transpose+MatMul.
+// Property sweep: MatMulTransposeA/B agree with MatMul over explicitly
+// transposed operands.
 class MatMulParamTest : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(MatMulParamTest, TransposedVariantsAgree) {
@@ -103,9 +109,13 @@ TEST_P(MatMulParamTest, TransposedVariantsAgree) {
   Rng rng(static_cast<uint64_t>(m * 100 + k * 10 + n));
   Tensor a = Tensor::Random({static_cast<size_t>(m), static_cast<size_t>(k)}, &rng);
   Tensor b = Tensor::Random({static_cast<size_t>(k), static_cast<size_t>(n)}, &rng);
-  Tensor expected = MatMul(a, b);
-  EXPECT_TRUE(MatMulTransposeA(Transpose(a), b).AllClose(expected, 1e-4f));
-  EXPECT_TRUE(MatMulTransposeB(a, Transpose(b)).AllClose(expected, 1e-4f));
+  ExecutionContext ctx(1);
+  Tensor expected, got_a, got_b;
+  MatMulInto(&expected, a, b, &ctx);
+  MatMulTransposeAInto(&got_a, Transposed(a), b, &ctx);
+  MatMulTransposeBInto(&got_b, a, Transposed(b), &ctx);
+  EXPECT_TRUE(got_a.AllClose(expected, 1e-4f));
+  EXPECT_TRUE(got_b.AllClose(expected, 1e-4f));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -114,35 +124,46 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(7, 5, 3), std::make_tuple(16, 16, 16),
                       std::make_tuple(1, 32, 8), std::make_tuple(10, 1, 10)));
 
-TEST(OpsTest, AddRowBroadcast) {
-  Tensor a({2, 3}, {0, 0, 0, 1, 1, 1});
+TEST(OpsTest, MatMulBiasBroadcastsOverRows) {
+  ExecutionContext ctx(1);
+  Tensor a({2, 1}, {1, 2});
+  Tensor b({1, 3}, {1, 1, 1});
   Tensor bias({3}, {1, 2, 3});
-  Tensor out = AddRowBroadcast(a, bias);
-  EXPECT_TRUE(out.AllClose(Tensor({2, 3}, {1, 2, 3, 2, 3, 4})));
+  Tensor out;
+  MatMulBiasInto(&out, a, b, bias, &ctx);
+  EXPECT_TRUE(out.AllClose(Tensor({2, 3}, {2, 3, 4, 3, 4, 5})));
 }
 
 TEST(OpsTest, RowReductions) {
+  ExecutionContext ctx(1);
   Tensor a({3, 2}, {1, 4, 2, 5, 3, 6});
-  EXPECT_TRUE(SumRows(a).AllClose(Tensor({2}, {6, 15})));
-  EXPECT_TRUE(MeanRows(a).AllClose(Tensor({2}, {2, 5})));
-  EXPECT_TRUE(MaxRows(a).AllClose(Tensor({2}, {3, 6})));
-  EXPECT_TRUE(MinRows(a).AllClose(Tensor({2}, {1, 4})));
+  Tensor sums({2}, {10, 20});
+  SumRowsAccumulate(&sums, a, &ctx);
+  EXPECT_TRUE(sums.AllClose(Tensor({2}, {16, 35})));
 }
 
 TEST(OpsTest, ElementwiseActivations) {
+  ExecutionContext ctx(1);
   Tensor a({4}, {-2, -0.5, 0.5, 2});
-  Tensor r = Relu(a);
+  Tensor r, s, t;
+  ReluInto(&r, a, &ctx);
   EXPECT_TRUE(r.AllClose(Tensor({4}, {0, 0, 0.5, 2})));
-  Tensor s = Sigmoid(Tensor({1}, {0}));
+  SigmoidInto(&s, Tensor({1}, {0}), &ctx);
   EXPECT_NEAR(s[0], 0.5f, 1e-6f);
-  Tensor t = TanhT(Tensor({1}, {0}));
+  TanhInto(&t, Tensor({1}, {0}), &ctx);
   EXPECT_NEAR(t[0], 0.0f, 1e-6f);
+  // In place: `out` may alias `a`.
+  ReluInto(&a, a, &ctx);
+  EXPECT_TRUE(a.AllClose(r));
 }
 
 TEST(OpsTest, MulElementwise) {
+  ExecutionContext ctx(1);
   Tensor a({3}, {1, 2, 3});
   Tensor b({3}, {4, 5, 6});
-  EXPECT_TRUE(Mul(a, b).AllClose(Tensor({3}, {4, 10, 18})));
+  Tensor out;
+  MulInto(&out, a, b, &ctx);
+  EXPECT_TRUE(out.AllClose(Tensor({3}, {4, 10, 18})));
 }
 
 TEST(ShapeTest, ShapeSizeAndString) {

@@ -185,13 +185,11 @@ TEST(ParallelParityTest, MatMulBitIdenticalAcrossThreadCounts) {
   Rng rng(11);
   const Tensor a = Tensor::Random({37, 53}, &rng);
   const Tensor b = Tensor::Random({53, 29}, &rng);
-  const Tensor serial = MatMul(a, b);
+  ExecutionContext one(1);
+  Tensor serial;
+  MatMulInto(&serial, a, b, &one);
   for (size_t threads : {2u, 4u}) {
     ExecutionContext ctx(threads);
-    // The serial reference (null ctx) runs the scalar backend; pin the
-    // context to scalar too so the comparison isolates thread-count effects
-    // from backend choice.
-    ctx.set_kernel(KernelBackend::kScalar);
     Tensor parallel;
     MatMulInto(&parallel, a, b, &ctx);
     ASSERT_EQ(parallel.size(), serial.size());
@@ -206,21 +204,31 @@ TEST(ParallelParityTest, MatMulBitIdenticalAcrossThreadCounts) {
 TEST(ParallelParityTest, TransposeAndElementwiseBitIdentical) {
   Rng rng(12);
   const Tensor a = Tensor::Random({31, 45}, &rng);
-  const Tensor serial_t = Transpose(a);
-  const Tensor serial_relu = Relu(a);
-  ExecutionContext ctx(4);
-  Tensor parallel_t, parallel_relu;
-  TransposeInto(&parallel_t, a, &ctx);
-  ReluInto(&parallel_relu, a, &ctx);
-  for (size_t i = 0; i < serial_t.size(); ++i) {
-    EXPECT_EQ(parallel_t[i], serial_t[i]);
-  }
-  for (size_t i = 0; i < serial_relu.size(); ++i) {
-    EXPECT_EQ(parallel_relu[i], serial_relu[i]);
+  const Tensor b = Tensor::Random({31, 45}, &rng);
+  ExecutionContext one(1), four(4);
+  // The transposed GEMMs (A^T B and A B^T) and the elementwise ops, each run
+  // on a serial and a 4-thread context.
+  auto run = [&](ExecutionContext* ctx) {
+    std::vector<Tensor> out(6);
+    MatMulTransposeAInto(&out[0], a, b, ctx);
+    MatMulTransposeBInto(&out[1], a, b, ctx);
+    ReluInto(&out[2], a, ctx);
+    SigmoidInto(&out[3], a, ctx);
+    TanhInto(&out[4], a, ctx);
+    MulInto(&out[5], a, b, ctx);
+    return out;
+  };
+  const std::vector<Tensor> serial = run(&one);
+  const std::vector<Tensor> parallel = run(&four);
+  for (size_t t = 0; t < serial.size(); ++t) {
+    ASSERT_EQ(parallel[t].shape(), serial[t].shape()) << "op " << t;
+    for (size_t i = 0; i < serial[t].size(); ++i) {
+      EXPECT_EQ(parallel[t][i], serial[t][i]) << "op " << t << "[" << i << "]";
+    }
   }
 }
 
-TEST(ParallelParityTest, TreeConvMatchesSerialWithin1e6) {
+TEST(ParallelParityTest, TreeConvBitIdenticalToSerial) {
   const size_t batch = 13, nodes = 7, in_dim = 6, out_dim = 5;
   // `batch` ragged trees of `nodes` rows each.
   TreeStructure structure;
@@ -243,7 +251,8 @@ TEST(ParallelParityTest, TreeConvMatchesSerialWithin1e6) {
   Rng rng_a(22), rng_b(22);
   TreeConvLayer serial_conv(in_dim, out_dim, &rng_a);
   TreeConvLayer parallel_conv(in_dim, out_dim, &rng_b);
-  ExecutionContext ctx(4);
+  ExecutionContext one(1), ctx(4);
+  serial_conv.set_context(&one);
   parallel_conv.set_context(&ctx);
 
   const Tensor& serial_out = serial_conv.Forward(features, structure);
@@ -259,12 +268,8 @@ TEST(ParallelParityTest, TreeConvMatchesSerialWithin1e6) {
   for (size_t i = 0; i < serial_gx.size(); ++i) {
     EXPECT_EQ(parallel_gx[i], serial_gx[i]);
   }
-  // Scalar weight gradients reduce per-chunk partials in ascending chunk
-  // order — deterministic at a fixed thread count, equal to serial within
-  // 1e-6. Blocked ones split the work by rows of the stacked gradient, each
-  // element one chain in ascending batch row: bit-identical.
-  const bool blocked = ctx.kernel() == KernelBackend::kBlocked;
-  ASSERT_EQ(ExecutionContext::Serial()->kernel(), ctx.kernel());
+  // Weight gradients split the work by rows of the stacked gradient, each
+  // element one chain in ascending batch row: bit-identical too.
   auto serial_params = serial_conv.Params();
   auto parallel_params = parallel_conv.Params();
   ASSERT_EQ(serial_params.size(), parallel_params.size());
@@ -273,16 +278,7 @@ TEST(ParallelParityTest, TreeConvMatchesSerialWithin1e6) {
     const Tensor& pg = *parallel_params[p].grad;
     ASSERT_EQ(sg.size(), pg.size());
     for (size_t i = 0; i < sg.size(); ++i) {
-      if (blocked) {
-        EXPECT_EQ(pg[i], sg[i]) << serial_params[p].name << "[" << i << "]";
-        continue;
-      }
-      // Chunked reduction reassociates float sums: 1e-6 relative tolerance
-      // (absolute below magnitude 1) covers the ~1-ulp drift.
-      const double tol =
-          1e-6 * std::max(1.0, std::abs(static_cast<double>(sg[i])));
-      EXPECT_NEAR(pg[i], sg[i], tol)
-          << serial_params[p].name << "[" << i << "]";
+      EXPECT_EQ(pg[i], sg[i]) << serial_params[p].name << "[" << i << "]";
     }
   }
 }
@@ -325,13 +321,12 @@ TEST(ParallelParityTest, Conv1dMatchesSerialWithin1e6) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden regression: threads=1 training on the scalar backend is
-// bit-identical to the pre-refactor serial substrate. The constants below
-// were captured (at %.17g) from the historical implementation with this
-// exact fixed-seed setup; any FP-order change in the single-thread scalar
-// path fails the bit-for-bit variant. The blocked backend reorders bias and
-// gradient-split accumulation, so it reproduces the same run within 1e-5
-// relative instead (DESIGN.md §5.3).
+// Golden regression: a fixed-seed 3-epoch training run against constants
+// captured (at %.17g) from the historical pre-kernel-layer implementation.
+// The blocked kernels reorder bias and gradient-split accumulation and
+// contract multiply-adds on the AVX2 instantiation, so they reproduce that
+// run within 1e-5 relative (DESIGN.md §5.3). The test keeps the history
+// anchor; the bit-level pins are AccuracyGate and the answer digests.
 // ---------------------------------------------------------------------------
 
 constexpr double kGoldenLosses[3] = {0.064611684694643665,
@@ -385,27 +380,8 @@ void RunGoldenWorkload(ExecutionContext* ctx, double losses[3], float* pred0,
   *pred11 = preds[11];
 }
 
-TEST(GoldenRegressionTest, SingleThreadTrainingMatchesPreRefactorBitForBit) {
-  // Explicit 1-thread context pinned to the scalar backend: must be
-  // indistinguishable from the historical serial substrate.
-  ExecutionContext ctx(1);
-  ctx.set_kernel(KernelBackend::kScalar);
-  double losses[3];
-  float pred0 = 0.0f, pred11 = 0.0f;
-  RunGoldenWorkload(&ctx, losses, &pred0, &pred11);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    EXPECT_DOUBLE_EQ(losses[epoch], kGoldenLosses[epoch]) << "epoch " << epoch;
-  }
-  EXPECT_FLOAT_EQ(pred0, kGoldenPred0);
-  EXPECT_FLOAT_EQ(pred11, kGoldenPred11);
-  // The bound context observed the whole run.
-  EXPECT_GT(ctx.stats().flops, 0u);
-  EXPECT_GT(ctx.stats().op_invocations, 0u);
-}
-
 TEST(GoldenRegressionTest, BlockedBackendReproducesGoldenWithin1e5Relative) {
   ExecutionContext ctx(1);
-  ctx.set_kernel(KernelBackend::kBlocked);
   double losses[3];
   float pred0 = 0.0f, pred11 = 0.0f;
   RunGoldenWorkload(&ctx, losses, &pred0, &pred11);
@@ -413,9 +389,10 @@ TEST(GoldenRegressionTest, BlockedBackendReproducesGoldenWithin1e5Relative) {
     const double tol = 1e-5 * std::max(1.0, std::abs(kGoldenLosses[epoch]));
     EXPECT_NEAR(losses[epoch], kGoldenLosses[epoch], tol) << "epoch " << epoch;
   }
-  // Per-op scalar/blocked parity is 1e-5 (enforced in kernel_test); three
-  // epochs of Adam steps amplify that through the weight trajectory, so the
-  // post-training probe predictions carry a wider documented 1e-3 envelope.
+  // Per-op parity with the naive oracles is 1e-5 (enforced in kernel_test);
+  // three epochs of Adam steps amplify that through the weight trajectory,
+  // so the post-training probe predictions carry a wider documented 1e-3
+  // envelope.
   EXPECT_NEAR(pred0, kGoldenPred0,
               1e-3 * std::max(1.0f, std::abs(kGoldenPred0)));
   EXPECT_NEAR(pred11, kGoldenPred11,
