@@ -567,8 +567,7 @@ int RunJsonBench(const std::string& path) {
     rec.shape = shape;
     rec.kernel = "resident";
     rec.threads = threads;
-    rec.ns_per_iter = MedianNs(
-        [&] { resident.Gemm(&out, a, &bias, GemmEpilogue::kBias, &ctx); });
+    rec.ns_per_iter = MedianNs([&] { resident.Gemm(&out, a, bias, &ctx); });
     rec.gflops = flops / rec.ns_per_iter;
     std::cout << "serving_gemm " << shape << " resident: "
               << StrFormat("%.2f", rec.gflops) << " GFLOP/s ("

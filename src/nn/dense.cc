@@ -19,7 +19,7 @@ Tensor& Dense::Forward(const Tensor& input) {
   if (resident_ != nullptr && !training_) {
     // Frozen inference path: pre-packed resident weights, no input cache
     // (Backward is forbidden while frozen).
-    resident_->Gemm(&output_, input, &bias_, GemmEpilogue::kBias, ctx_);
+    resident_->Gemm(&output_, input, bias_, ctx_);
     return output_;
   }
   input_cache_.CopyFrom(input);

@@ -19,26 +19,25 @@ void ResidentWeights::Pack(const Tensor& weights) {
             packed_.data());
 }
 
-void ResidentWeights::Gemm(Tensor* out, const Tensor& a, const Tensor* bias,
-                           GemmEpilogue epilogue, ExecutionContext* ctx) const {
+void ResidentWeights::Gemm(Tensor* out, const Tensor& a, const Tensor& bias,
+                           ExecutionContext* ctx) const {
   PRESTROID_CHECK(ctx != nullptr);
   PRESTROID_CHECK_EQ(a.rank(), 2u);
   PRESTROID_CHECK_EQ(a.dim(1), rows_);
   const size_t m = a.dim(0), k = rows_, n = cols_;
-  if (bias != nullptr) PRESTROID_CHECK_EQ(bias->size(), n);
+  PRESTROID_CHECK_EQ(bias.size(), n);
   out->ResetShape({m, n});
   const float* ap = a.data();
-  const float* biasp = bias != nullptr ? bias->data() : nullptr;
+  const float* biasp = bias.data();
   const float* pb = packed_.data();
   float* op = out->data();
   ctx->AddOp();
-  // Flop accounting mirrors MatMulEpilogueInto so ExecStats comparisons
-  // between the per-call-packing and resident paths line up.
-  ctx->AddFlops(2ull * m * k * n +
-                (epilogue == GemmEpilogue::kBias ? 1ull * m * n : 0));
+  // Flop accounting mirrors MatMulBiasInto so ExecStats comparisons between
+  // the per-call-packing and resident paths line up.
+  ctx->AddFlops(2ull * m * k * n + 1ull * m * n);
   ctx->ParallelFor(0, m, RowGrain(2 * k * n), [&](size_t i0, size_t i1) {
     GemmBlockedRows(i0, i1, k, n, ap, /*rsa=*/k, /*csa=*/1, pb, op, n, biasp,
-                    epilogue, /*accumulate=*/false);
+                    GemmEpilogue::kBias, /*accumulate=*/false);
   });
 }
 

@@ -43,18 +43,18 @@ class ResidentWeights {
   /// Bytes held by the packed panel image.
   size_t resident_bytes() const { return packed_.size() * sizeof(float); }
 
-  /// out = a @ W (+ bias); a is [m, k] row-major, out [m, n].
+  /// out = a @ W + bias (row broadcast); a is [m, k] row-major, out [m, n].
   /// Deterministic at any thread count (k-ascending accumulation, disjoint
-  /// row ranges). Does its own op/flop accounting like MatMul*Into. `ctx`
+  /// row ranges). Does its own op/flop accounting like MatMulBiasInto. `ctx`
   /// must be non-null (layers always carry at least the serial context).
-  void Gemm(Tensor* out, const Tensor& a, const Tensor* bias,
-            GemmEpilogue epilogue, ExecutionContext* ctx) const;
+  void Gemm(Tensor* out, const Tensor& a, const Tensor& bias,
+            ExecutionContext* ctx) const;
 
   /// out[r] = max(0, [x[r] | x[left[r]] | x[right[r]]] @ W + bias) for
   /// `rows` rows, with W built from the stacked tree-convolution kernels
   /// [W_self; W_left; W_right] ([3 * in, n]) and x read only through its
-  /// nonzeros (GemmTreeWindowRows). Bit-identical to max(0, Gemm(kBias))
-  /// over the gathered windows; counts the multiply-adds it issues, 2 flops
+  /// nonzeros (GemmTreeWindowRows). Bit-identical to max(0, Gemm()) over
+  /// the gathered windows; counts the multiply-adds it issues, 2 flops
   /// per window nonzero and output column, plus the epilogue.
   void TreeWindowGemm(Tensor* out, size_t rows, const RowNonzeros& x,
                       const int* left, const int* right, const Tensor& bias,

@@ -488,7 +488,7 @@ TEST(ResidentWeightsTest, Fp32IsBitIdenticalToBlockedPath) {
         MatMulBiasInto(&want, a, b, bias, &ctx);
         const ResidentWeights rw = ResidentWeights::Build(b);
         EXPECT_EQ(rw.resident_bytes(), GemmPackedBSize(k, n) * sizeof(float));
-        rw.Gemm(&got, a, &bias, GemmEpilogue::kBias, &ctx);
+        rw.Gemm(&got, a, bias, &ctx);
         ASSERT_EQ(got.shape(), want.shape());
         for (size_t i = 0; i < want.size(); ++i) {
           ASSERT_EQ(got[i], want[i]) << "element " << i;
