@@ -9,7 +9,7 @@
 //
 // Invoked with --json <path>, times the blocked kernels on model-shaped
 // GEMMs and end-to-end tree-convolution forward+backward, plus the
-// per-call-packing blocked GEMM against the resident pre-packed
+// repack-per-call panel GEMM against the resident pre-packed
 // panels at serving shapes and the frozen CLI-shape trunk forward over
 // ragged vs padded served batches and over real featurized GRAB plans
 // (median-of-N with warmup), plus the parsing front end (plan text, SQL,
@@ -39,7 +39,6 @@
 #include "subtree/subtree_sampler.h"
 #include "tensor/execution_context.h"
 #include "tensor/kernels/resident_weights.h"
-#include "tensor/ops.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -72,15 +71,25 @@ TreeStructure CompleteTrees(size_t batch, size_t nodes,
   return structure;
 }
 
+/// out = a @ b + bias as an unfrozen Dense forward runs it: b packed into
+/// `panel` on every call, then the panel GEMM.
+void RepackedGemm(ResidentWeights* panel, Tensor* out, const Tensor& a,
+                  const Tensor& b, const Tensor& bias, ExecutionContext* ctx) {
+  panel->Pack(b);
+  panel->Gemm(out, a, bias, ctx);
+}
+
 void BM_MatMul(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(1);
   Tensor a = Tensor::Random({n, n}, &rng);
   Tensor b = Tensor::Random({n, n}, &rng);
+  const Tensor bias({n});
   ExecutionContext ctx(1);
+  ResidentWeights panel;
   Tensor c;
   for (auto _ : state) {
-    MatMulInto(&c, a, b, &ctx);
+    RepackedGemm(&panel, &c, a, b, bias, &ctx);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n * n * n);
@@ -244,11 +253,14 @@ void RunScalingSweep() {
     Rng rng(1);
     const Tensor a = Tensor::Random({m, k}, &rng);
     const Tensor b = Tensor::Random({k, n}, &rng);
+    const Tensor bias({n});
+    ResidentWeights panel;
     Tensor out;
     double serial_ms = 0.0;
     for (size_t threads : ladder) {
       ExecutionContext ctx(threads);
-      const double ms = BestMs([&] { MatMulInto(&out, a, b, &ctx); });
+      const double ms =
+          BestMs([&] { RepackedGemm(&panel, &out, a, b, bias, &ctx); });
       if (threads == 1) serial_ms = ms;
       table.AddRow({"matmul", StrFormat("%zux%zux%zu", m, k, n),
                     StrFormat("%zu", threads), StrFormat("%.2f", ms),
@@ -482,6 +494,8 @@ int RunJsonBench(const std::string& path) {
     Rng rng(1);
     const Tensor a = Tensor::Random({m, k}, &rng);
     const Tensor b = Tensor::Random({k, n}, &rng);
+    const Tensor bias({n});
+    ResidentWeights panel;
     Tensor out;
     ExecutionContext ctx(threads);
     KernelBenchRecord rec;
@@ -489,7 +503,8 @@ int RunJsonBench(const std::string& path) {
     rec.shape = StrFormat("%zux%zux%zu", m, k, n);
     rec.kernel = "blocked";
     rec.threads = threads;
-    rec.ns_per_iter = MedianNs([&] { MatMulInto(&out, a, b, &ctx); });
+    rec.ns_per_iter =
+        MedianNs([&] { RepackedGemm(&panel, &out, a, b, bias, &ctx); });
     rec.gflops = 2.0 * static_cast<double>(m * k * n) / rec.ns_per_iter;
     std::cout << "gemm " << rec.shape << " " << rec.kernel << ": "
               << StrFormat("%.2f", rec.gflops) << " GFLOP/s\n";
@@ -531,8 +546,9 @@ int RunJsonBench(const std::string& path) {
   }
 
   // Serving-shaped GEMMs (m <= 32, k = 3C for the im2col tree conv): the
-  // per-call-packing blocked path vs the resident pre-packed panels the
-  // serving shards freeze (tensor/kernels/resident_weights.h).
+  // panel repacked per call, as an unfrozen Dense runs it ("blocked"), vs
+  // the resident panel the serving shards freeze
+  // (tensor/kernels/resident_weights.h).
   const size_t serving_shapes[][3] = {
       {1, 1152, 128},    // single request through the dense head (3C -> C)
       {8, 1152, 128},    // small fused batch
@@ -550,18 +566,20 @@ int RunJsonBench(const std::string& path) {
     const double flops = 2.0 * static_cast<double>(m * k * n);
 
     ExecutionContext ctx(threads);
+    ResidentWeights repacked;
     KernelBenchRecord blocked;
     blocked.op = "serving_gemm";
     blocked.shape = shape;
     blocked.kernel = "blocked";
     blocked.threads = threads;
     blocked.ns_per_iter =
-        MedianNs([&] { MatMulBiasInto(&out, a, b, bias, &ctx); });
+        MedianNs([&] { RepackedGemm(&repacked, &out, a, b, bias, &ctx); });
     blocked.gflops = flops / blocked.ns_per_iter;
     std::cout << "serving_gemm " << shape << " blocked: "
               << StrFormat("%.2f", blocked.gflops) << " GFLOP/s\n";
 
-    const ResidentWeights resident = ResidentWeights::Build(b);
+    ResidentWeights resident;
+    resident.Pack(b);
     KernelBenchRecord rec;
     rec.op = "serving_gemm";
     rec.shape = shape;

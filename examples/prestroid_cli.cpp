@@ -117,15 +117,17 @@ class Flags {
     }
     return static_cast<long>(value);
   }
-  /// A count or size flag: GetInt, but a negative value is a usage error
-  /// too instead of wrapping to a huge size_t.
-  size_t GetCount(const std::string& key, size_t fallback) const {
+  /// A count or size flag: GetInt, but a value below `min` is a usage error
+  /// too (a negative one would wrap to a huge size_t, and a count the
+  /// library needs at least one of would abort on its CHECK).
+  size_t GetCount(const std::string& key, size_t fallback,
+                  size_t min = 0) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const long value = GetInt(key, 0);
-    if (value < 0) {
+    if (value < 0 || static_cast<size_t>(value) < min) {
       std::cerr << "invalid count for --" << key << ": '" << it->second
-                << "' (must be >= 0)\n";
+                << "' (must be >= " << min << ")\n";
       std::exit(2);
     }
     return static_cast<size_t>(value);
@@ -190,8 +192,8 @@ Result<workload::IngestResult> IngestTrace(const Flags& flags,
 
 int GenTrace(const Flags& flags) {
   workload::SchemaGenConfig schema_config;
-  schema_config.num_tables = flags.GetCount("tables", 40);
-  schema_config.num_days = static_cast<int>(flags.GetInt("days", 30));
+  schema_config.num_tables = flags.GetCount("tables", 40, 1);
+  schema_config.num_days = static_cast<int>(flags.GetCount("days", 30, 1));
   schema_config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   workload::GeneratedSchema schema = workload::GenerateSchema(schema_config);
 
@@ -228,11 +230,11 @@ int Train(const Flags& flags) {
   core::PipelineConfig config;
   config.use_subtrees = !flags.Has("full");
   config.sampler.node_limit = flags.GetCount("n", 15);
-  config.num_subtrees = flags.GetCount("k", 9);
-  config.word2vec.dim = flags.GetCount("pf", 32);
+  config.num_subtrees = flags.GetCount("k", 9, 1);
+  config.word2vec.dim = flags.GetCount("pf", 32, 1);
   config.word2vec.min_count = 2;
-  config.conv_channels.assign(3, flags.GetCount("conv", 32));
-  config.dense_units = {flags.GetCount("conv", 32), 16};
+  config.conv_channels.assign(3, flags.GetCount("conv", 32, 1));
+  config.dense_units = {flags.GetCount("conv", 32, 1), 16};
   config.learning_rate = 3e-3f;
   // --threads 1 (default) reproduces the single-threaded results exactly;
   // --threads 0 uses all hardware threads.
@@ -242,7 +244,7 @@ int Train(const Flags& flags) {
   if (!pipeline.ok()) return Fail(pipeline.status());
 
   TrainConfig train_config;
-  train_config.batch_size = flags.GetCount("batch", 32);
+  train_config.batch_size = flags.GetCount("batch", 32, 1);
   train_config.max_epochs = flags.GetCount("epochs", 25);
   train_config.patience = 6;
   // Crash-safe snapshots: default the checkpoint path next to --out so
@@ -427,11 +429,11 @@ class ContinualLoop {
     core::ContinualTrainerConfig config;
     config.pipeline.use_subtrees = !flags.Has("full");
     config.pipeline.sampler.node_limit = flags.GetCount("n", 15);
-    config.pipeline.num_subtrees = flags.GetCount("k", 9);
-    config.pipeline.word2vec.dim = flags.GetCount("pf", 32);
+    config.pipeline.num_subtrees = flags.GetCount("k", 9, 1);
+    config.pipeline.word2vec.dim = flags.GetCount("pf", 32, 1);
     config.pipeline.word2vec.min_count = 2;
-    config.pipeline.conv_channels.assign(3, flags.GetCount("conv", 32));
-    config.pipeline.dense_units = {flags.GetCount("conv", 32), 16};
+    config.pipeline.conv_channels.assign(3, flags.GetCount("conv", 32, 1));
+    config.pipeline.dense_units = {flags.GetCount("conv", 32, 1), 16};
     config.pipeline.learning_rate = 3e-3f;
     config.pipeline.plan_limits = plan_limits;
     config.train.batch_size = 32;

@@ -48,9 +48,8 @@ size_t TreeConvStack::NumParameters() {
   return total;
 }
 
-void TreeConvStack::CollectFreezableLayers(
-    std::vector<FreezableLayer*>* out) {
-  for (auto& conv : convs_) out->push_back(conv.get());
+void TreeConvStack::FreezeWeights() {
+  for (auto& conv : convs_) conv->FreezeWeights();
 }
 
 DenseHead::DenseHead(const DenseHeadConfig& config, Rng* rng) {
@@ -119,9 +118,9 @@ size_t DenseHead::NumParameters() {
   return total;
 }
 
-void DenseHead::CollectFreezableLayers(std::vector<FreezableLayer*>* out) {
+void DenseHead::FreezeWeights() {
   for (auto& layer : layers_) {
-    if (auto* dense = dynamic_cast<Dense*>(layer.get())) out->push_back(dense);
+    if (auto* dense = dynamic_cast<Dense*>(layer.get())) dense->FreezeWeights();
   }
 }
 

@@ -45,9 +45,8 @@ class TreeConvStack {
   size_t output_dim() const { return output_dim_; }
   size_t num_layers() const { return convs_.size(); }
 
-  /// Appends the stack's freezable layers (every TreeConvLayer) in forward
-  /// order (see CostModel::CollectFreezableLayers).
-  void CollectFreezableLayers(std::vector<FreezableLayer*>* out);
+  /// Freezes every layer's weights for serving (TreeConvLayer::FreezeWeights).
+  void FreezeWeights();
 
  private:
   size_t output_dim_;
@@ -89,9 +88,8 @@ class DenseHead {
   std::vector<ParamRef> State();
   size_t NumParameters();
 
-  /// Appends the head's freezable layers (every Dense) in forward order
-  /// (see CostModel::CollectFreezableLayers).
-  void CollectFreezableLayers(std::vector<FreezableLayer*>* out);
+  /// Freezes every Dense layer's weights for serving (Dense::FreezeWeights).
+  void FreezeWeights();
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -44,12 +44,6 @@ Result<std::vector<TreeFeatures>> FeaturizeTrees(const Featurizer& featurizer,
   return trees;
 }
 
-std::vector<FreezableLayer*> FreezableLayersOf(CostModel* model) {
-  std::vector<FreezableLayer*> layers;
-  model->CollectFreezableLayers(&layers);
-  return layers;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<PrestroidPipeline>> PrestroidPipeline::Fit(
@@ -187,21 +181,8 @@ void PrestroidPipeline::BuildModel(size_t full_tree_nodes) {
 }
 
 void PrestroidPipeline::FreezeInferenceWeights() {
-  for (FreezableLayer* layer : FreezableLayersOf(model())) {
-    layer->FreezeWeights();
-  }
-}
-
-void PrestroidPipeline::ThawInferenceWeights() {
-  for (FreezableLayer* layer : FreezableLayersOf(model())) layer->ThawWeights();
-}
-
-size_t PrestroidPipeline::ResidentWeightBytes() {
-  size_t total = 0;
-  for (FreezableLayer* layer : FreezableLayersOf(model())) {
-    total += layer->resident_weight_bytes();
-  }
-  return total;
+  model_->FreezeWeights();
+  weights_frozen_ = true;
 }
 
 TrainResult PrestroidPipeline::Train(const workload::DatasetSplits& splits,

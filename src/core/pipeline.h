@@ -104,17 +104,16 @@ class PrestroidPipeline {
 
   // --- Resident serving weights (DESIGN.md §5.8) --------------------------
 
-  /// Freezes every GEMM layer's eval-mode weights into resident fp32 panels,
-  /// so forwards stop repacking weights on every call. Predictions stay
-  /// bit-identical to the thawed pipeline's: a frozen layer runs the same
+  /// Freezes every GEMM layer's weights into resident fp32 panels, so
+  /// forwards stop repacking weights on every call. Predictions stay
+  /// bit-identical to the unfrozen pipeline's: a frozen layer runs the same
   /// kernel on the same packed panel, packed once instead of per call.
-  /// Training a frozen pipeline is forbidden (layer Backward CHECK-fails);
-  /// ThawInferenceWeights() first. Calling it again repacks.
+  /// Training a frozen pipeline is forbidden (layer Backward CHECK-fails),
+  /// and there is no way back. Calling it again repacks.
   void FreezeInferenceWeights();
-  void ThawInferenceWeights();
 
-  /// Bytes of the resident panels; 0 while thawed.
-  size_t ResidentWeightBytes();
+  /// Whether FreezeInferenceWeights() has run on this pipeline.
+  bool weights_frozen() const { return weights_frozen_; }
 
   CostModel* model() { return model_.get(); }
   /// The pipeline-owned execution context (thread pool + scratch arena +
@@ -166,6 +165,7 @@ class PrestroidPipeline {
   std::unique_ptr<SubtreeModel> model_;
   std::vector<float> targets_;
   std::vector<double> cpu_minutes_;
+  bool weights_frozen_ = false;
 };
 
 }  // namespace prestroid::core

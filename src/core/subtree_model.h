@@ -96,9 +96,13 @@ class SubtreeModel : public CostModel {
   /// Binds `ctx` on every layer of the trunk, pooling and head.
   void SetExecutionContext(ExecutionContext* ctx) override;
   ExecutionContext* execution_context() override { return ctx_; }
-  void CollectFreezableLayers(std::vector<FreezableLayer*>* out) override {
-    conv_->CollectFreezableLayers(out);
-    head_->CollectFreezableLayers(out);
+
+  /// Freezes the trunk's and the head's GEMM weights into resident panels
+  /// for serving (DESIGN.md §5.8): forwards stop repacking them and answer
+  /// with the same bits. Training afterwards CHECK-fails in Backward.
+  void FreezeWeights() {
+    conv_->FreezeWeights();
+    head_->FreezeWeights();
   }
 
   /// Exact bytes of the padded input tensor for one training batch

@@ -34,7 +34,7 @@ const char* ServingTierToString(ServingTier tier) {
 }
 
 ServingEstimator::ServingEstimator(ServingLimits limits)
-    : limits_(limits), bins_(limits.log_bins) {}
+    : limits_(limits), bins_(kLogBins) {}
 
 void ServingEstimator::AttachPipeline(
     std::unique_ptr<core::PrestroidPipeline> pipeline) {
@@ -69,8 +69,8 @@ Status ServingEstimator::AdmitModelTier(const plan::PlanStats& plan_stats,
   if (pipeline_ == nullptr || !model_enabled_) {
     return Status::Unimplemented("model tier unavailable or disabled");
   }
-  if (plan_stats.node_count > limits_.max_plan_nodes ||
-      plan_stats.max_depth > limits_.max_plan_depth) {
+  if (plan_stats.node_count > kMaxModelPlanNodes ||
+      plan_stats.max_depth > kMaxModelPlanDepth) {
     ++stats_.validation_rejects;
     return Status::InvalidArgument(
         "plan exceeds serving limits (" +

@@ -26,17 +26,18 @@ inline constexpr size_t kNumServingTiers = 3;
 
 const char* ServingTierToString(ServingTier tier);
 
-/// Input-validation and latency limits enforced per request.
+/// Plans larger/deeper than this skip the model tier (featurization cost
+/// grows with plan size, and such plans are out-of-distribution anyway).
+inline constexpr size_t kMaxModelPlanNodes = 4096;
+inline constexpr size_t kMaxModelPlanDepth = 512;
+/// Bins for the log-binning fallback (paper: B=1000 for Grab-Traces).
+inline constexpr size_t kLogBins = 1000;
+
+/// Latency limits enforced per request.
 struct ServingLimits {
-  /// Plans larger/deeper than this skip the model tier (featurization cost
-  /// grows with plan size, and such plans are out-of-distribution anyway).
-  size_t max_plan_nodes = 4096;
-  size_t max_plan_depth = 512;
   /// Deadline applied when EstimateWithFallback is called with
   /// deadline_ms <= 0.
   double default_deadline_ms = 50.0;
-  /// Bins for the log-binning fallback (paper: B=1000 for Grab-Traces).
-  size_t log_bins = 1000;
 };
 
 /// One answered request.

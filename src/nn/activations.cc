@@ -1,7 +1,5 @@
 #include "nn/activations.h"
 
-#include <cmath>
-
 #include "tensor/ops.h"
 #include "util/logging.h"
 
@@ -40,58 +38,6 @@ Tensor& SigmoidLayer::Backward(const Tensor& grad_output) {
     for (size_t i = lo; i < hi; ++i) {
       const float y = yv[i];
       gi[i] = go[i] * (y * (1.0f - y));
-    }
-  });
-  return grad_input_;
-}
-
-Tensor& TanhLayer::Forward(const Tensor& input) {
-  TanhInto(&output_cache_, input, ctx_);
-  return output_cache_;
-}
-
-Tensor& TanhLayer::Backward(const Tensor& grad_output) {
-  PRESTROID_CHECK_EQ(grad_output.size(), output_cache_.size());
-  grad_input_.ResetShape(grad_output.shape());
-  const float* go = grad_output.data();
-  const float* yv = output_cache_.data();
-  float* gi = grad_input_.data();
-  ctx_->ParallelFor(0, grad_output.size(), 4096, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const float y = yv[i];
-      gi[i] = go[i] * (1.0f - y * y);
-    }
-  });
-  return grad_input_;
-}
-
-LeakyReluLayer::LeakyReluLayer(float negative_slope)
-    : negative_slope_(negative_slope) {}
-
-Tensor& LeakyReluLayer::Forward(const Tensor& input) {
-  input_cache_.CopyFrom(input);
-  output_.ResetShape(input.shape());
-  const float* x = input.data();
-  float* out = output_.data();
-  const float slope = negative_slope_;
-  ctx_->ParallelFor(0, input.size(), 4096, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      out[i] = x[i] < 0.0f ? x[i] * slope : x[i];
-    }
-  });
-  return output_;
-}
-
-Tensor& LeakyReluLayer::Backward(const Tensor& grad_output) {
-  PRESTROID_CHECK_EQ(grad_output.size(), input_cache_.size());
-  grad_input_.ResetShape(grad_output.shape());
-  const float* go = grad_output.data();
-  const float* x = input_cache_.data();
-  float* gi = grad_input_.data();
-  const float slope = negative_slope_;
-  ctx_->ParallelFor(0, grad_output.size(), 4096, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      gi[i] = x[i] < 0.0f ? go[i] * slope : go[i];
     }
   });
   return grad_input_;

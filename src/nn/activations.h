@@ -29,32 +29,6 @@ class SigmoidLayer : public Layer {
   Tensor grad_input_;
 };
 
-/// Elementwise tanh.
-class TanhLayer : public Layer {
- public:
-  Tensor& Forward(const Tensor& input) override;
-  Tensor& Backward(const Tensor& grad_output) override;
-
- private:
-  Tensor output_cache_;
-  Tensor grad_input_;
-};
-
-/// Leaky ReLU with configurable negative slope (used by tree-conv stacks in
-/// Neo-style models).
-class LeakyReluLayer : public Layer {
- public:
-  explicit LeakyReluLayer(float negative_slope = 0.01f);
-  Tensor& Forward(const Tensor& input) override;
-  Tensor& Backward(const Tensor& grad_output) override;
-
- private:
-  float negative_slope_;
-  Tensor input_cache_;
-  Tensor output_;
-  Tensor grad_input_;
-};
-
 }  // namespace prestroid
 
 #endif  // PRESTROID_NN_ACTIVATIONS_H_

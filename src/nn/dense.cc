@@ -16,25 +16,22 @@ Dense::Dense(size_t in_features, size_t out_features, Rng* rng)
 Tensor& Dense::Forward(const Tensor& input) {
   PRESTROID_CHECK_EQ(input.rank(), 2u);
   PRESTROID_CHECK_EQ(input.dim(1), in_features_);
-  if (resident_ != nullptr && !training_) {
-    // Frozen inference path: pre-packed resident weights, no input cache
-    // (Backward is forbidden while frozen).
-    resident_->Gemm(&output_, input, bias_, ctx_);
-    return output_;
+  if (!frozen_) {
+    // A frozen layer keeps no input cache: Backward is forbidden.
+    input_cache_.CopyFrom(input);
+    panel_.Pack(weight_);
   }
-  input_cache_.CopyFrom(input);
-  // Fused-bias GEMM: bit-identical to a GEMM followed by a separate bias
-  // pass (same per-element order).
-  MatMulBiasInto(&output_, input, weight_, bias_, ctx_);
+  panel_.Gemm(&output_, input, bias_, ctx_);
   return output_;
 }
 
 void Dense::FreezeWeights() {
-  resident_ = std::make_unique<ResidentWeights>(ResidentWeights::Build(weight_));
+  panel_.Pack(weight_);
+  frozen_ = true;
 }
 
 Tensor& Dense::Backward(const Tensor& grad_output) {
-  PRESTROID_CHECK(resident_ == nullptr);  // no training while frozen
+  PRESTROID_CHECK(!frozen_);  // no training while frozen
   PRESTROID_CHECK_EQ(grad_output.dim(0), input_cache_.dim(0));
   PRESTROID_CHECK_EQ(grad_output.dim(1), out_features_);
   // Each gradient term is materialized in a workspace and then added with a

@@ -1,8 +1,6 @@
 #ifndef PRESTROID_NN_DENSE_H_
 #define PRESTROID_NN_DENSE_H_
 
-#include <memory>
-
 #include "nn/layer.h"
 #include "tensor/kernels/resident_weights.h"
 #include "util/random.h"
@@ -11,11 +9,12 @@ namespace prestroid {
 
 /// Fully-connected layer: y = x W + b, x is [batch, in], W is [in, out].
 ///
-/// Freezable (nn/layer.h): FreezeWeights packs W into a ResidentWeights;
-/// subsequent eval-mode Forwards run the pre-packed kernel instead of the
-/// per-call-packing MatMulBiasInto path. Backward while frozen is a
-/// programming error and CHECK-fails.
-class Dense : public Layer, public FreezableLayer {
+/// Forward runs the product through the layer's packed panel of W
+/// (ResidentWeights), repacked from W before every forward. FreezeWeights
+/// packs it once for serving, and forwards then reuse it; the kernel and
+/// the image are the same, so freezing changes no bits. Backward while
+/// frozen is a programming error and CHECK-fails.
+class Dense : public Layer {
  public:
   Dense(size_t in_features, size_t out_features, Rng* rng);
 
@@ -23,12 +22,9 @@ class Dense : public Layer, public FreezableLayer {
   Tensor& Backward(const Tensor& grad_output) override;
   std::vector<ParamRef> Params() override;
 
-  // FreezableLayer:
-  void FreezeWeights() override;
-  void ThawWeights() override { resident_.reset(); }
-  size_t resident_weight_bytes() const override {
-    return resident_ != nullptr ? resident_->resident_bytes() : 0;
-  }
+  /// Packs the current weights once; later forwards skip the repack.
+  /// Calling it again repacks.
+  void FreezeWeights();
 
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
@@ -50,8 +46,10 @@ class Dense : public Layer, public FreezableLayer {
   Tensor grad_input_;       // [batch, in]
   Tensor weight_grad_tmp_;  // [in, out] per-batch term, then += into grads
   Tensor bias_grad_tmp_;    // [out]
-  // Frozen serving weights (null while thawed).
-  std::unique_ptr<ResidentWeights> resident_;
+  // weight_ as GEMM panels: repacked per Forward until FreezeWeights packs
+  // it for the last time.
+  ResidentWeights panel_;
+  bool frozen_ = false;
 };
 
 }  // namespace prestroid

@@ -14,10 +14,4 @@ size_t Layer::NumParameters() {
   return total;
 }
 
-size_t TotalParameters(const std::vector<Layer*>& layers) {
-  size_t total = 0;
-  for (Layer* layer : layers) total += layer->NumParameters();
-  return total;
-}
-
 }  // namespace prestroid

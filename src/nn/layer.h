@@ -76,28 +76,6 @@ class Layer {
   ExecutionContext* ctx_ = ExecutionContext::Serial();
 };
 
-/// A layer whose eval-mode GEMM weights can be frozen into resident fp32
-/// panels (tensor/kernels/resident_weights.h) for serving: Dense and
-/// TreeConvLayer. Models expose them through CostModel::CollectFreezableLayers.
-class FreezableLayer {
- public:
-  virtual ~FreezableLayer() = default;
-
-  /// Packs the current weights once; eval-mode forwards then run the
-  /// resident GEMM, bit-identical to the thawed forward. Training must not
-  /// run while frozen — Backward() CHECK-fails. Calling it again repacks.
-  virtual void FreezeWeights() = 0;
-
-  /// Drops the resident panels; forwards pack the weights per call again.
-  virtual void ThawWeights() = 0;
-
-  /// Bytes of the resident panels; 0 while thawed.
-  virtual size_t resident_weight_bytes() const = 0;
-};
-
-/// Sums parameter counts across a set of layers.
-size_t TotalParameters(const std::vector<Layer*>& layers);
-
 }  // namespace prestroid
 
 #endif  // PRESTROID_NN_LAYER_H_

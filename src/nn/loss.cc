@@ -6,31 +6,6 @@
 
 namespace prestroid {
 
-Loss::~Loss() = default;
-
-Tensor Loss::Gradient() const {
-  Tensor grad;
-  GradientInto(&grad);
-  return grad;
-}
-
-double MseLoss::Compute(const Tensor& pred, const Tensor& target) {
-  PRESTROID_CHECK_EQ(pred.size(), target.size());
-  PRESTROID_CHECK_GT(pred.size(), 0u);
-  diff_ = pred;
-  diff_ -= target;
-  double total = 0.0;
-  for (size_t i = 0; i < diff_.size(); ++i) {
-    total += static_cast<double>(diff_[i]) * diff_[i];
-  }
-  return total / static_cast<double>(diff_.size());
-}
-
-void MseLoss::GradientInto(Tensor* grad) const {
-  grad->CopyFrom(diff_);
-  *grad *= 2.0f / static_cast<float>(diff_.size());
-}
-
 HuberLoss::HuberLoss(float delta) : delta_(delta) {
   PRESTROID_CHECK_GT(delta, 0.0f);
 }

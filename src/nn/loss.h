@@ -5,39 +5,19 @@
 
 namespace prestroid {
 
-/// Loss functions return the scalar batch loss from Compute() and expose the
-/// gradient of that loss with respect to the predictions via Gradient() or,
-/// allocation-free, GradientInto(). Both tensors must have identical shapes;
-/// the loss is averaged over all elements.
-class Loss {
- public:
-  virtual ~Loss();
-  /// Computes and caches the loss for this (pred, target) pair.
-  virtual double Compute(const Tensor& pred, const Tensor& target) = 0;
-  /// Writes dL/d(pred) for the pair given to the last Compute() call into
-  /// `grad` (resized as needed; allocation-free once warm).
-  virtual void GradientInto(Tensor* grad) const = 0;
-  /// dL/d(pred) by value (convenience wrapper over GradientInto).
-  Tensor Gradient() const;
-};
-
-/// Mean squared error: mean((pred - target)^2).
-class MseLoss : public Loss {
- public:
-  double Compute(const Tensor& pred, const Tensor& target) override;
-  void GradientInto(Tensor* grad) const override;
-
- private:
-  Tensor diff_;
-};
-
 /// Huber loss with threshold `delta` (the paper trains every deep model with
-/// Huber loss): quadratic within |e| <= delta, linear beyond.
-class HuberLoss : public Loss {
+/// Huber loss): quadratic within |e| <= delta, linear beyond, averaged over
+/// all elements. Compute() returns the scalar batch loss; GradientInto()
+/// writes its gradient with respect to the predictions. Both tensors must
+/// have identical shapes.
+class HuberLoss {
  public:
   explicit HuberLoss(float delta = 1.0f);
-  double Compute(const Tensor& pred, const Tensor& target) override;
-  void GradientInto(Tensor* grad) const override;
+  /// Computes and caches the loss for this (pred, target) pair.
+  double Compute(const Tensor& pred, const Tensor& target);
+  /// Writes dL/d(pred) for the pair given to the last Compute() call into
+  /// `grad` (resized as needed; allocation-free once warm).
+  void GradientInto(Tensor* grad) const;
 
  private:
   float delta_;

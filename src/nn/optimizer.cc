@@ -9,9 +9,10 @@
 
 namespace prestroid {
 
-Optimizer::~Optimizer() = default;
+AdamOptimizer::AdamOptimizer(float lr, float beta1, float beta2, float epsilon)
+    : lr_(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {}
 
-void Optimizer::Register(const std::vector<ParamRef>& params) {
+void AdamOptimizer::Register(const std::vector<ParamRef>& params) {
   for (const ParamRef& p : params) {
     PRESTROID_CHECK(p.value != nullptr);
     PRESTROID_CHECK(p.grad != nullptr);
@@ -20,54 +21,11 @@ void Optimizer::Register(const std::vector<ParamRef>& params) {
   }
 }
 
-void Optimizer::ZeroGrad() {
+void AdamOptimizer::ZeroGrad() {
   for (ParamRef& p : params_) p.grad->Fill(0.0f);
 }
 
-void Optimizer::MaybeClipGradients() {
-  if (clip_norm_ <= 0.0f) return;
-  double sq = 0.0;
-  for (ParamRef& p : params_) {
-    for (size_t i = 0; i < p.grad->size(); ++i) {
-      double g = (*p.grad)[i];
-      sq += g * g;
-    }
-  }
-  double norm = std::sqrt(sq);
-  if (norm <= clip_norm_) return;
-  float scale = static_cast<float>(clip_norm_ / (norm + 1e-12));
-  for (ParamRef& p : params_) *p.grad *= scale;
-}
-
-SgdOptimizer::SgdOptimizer(float lr, float momentum)
-    : lr_(lr), momentum_(momentum) {}
-
-void SgdOptimizer::Step() {
-  MaybeClipGradients();
-  if (momentum_ > 0.0f && velocity_.size() != params_.size()) {
-    velocity_.clear();
-    for (ParamRef& p : params_) velocity_.emplace_back(p.value->shape());
-  }
-  for (size_t k = 0; k < params_.size(); ++k) {
-    Tensor& value = *params_[k].value;
-    Tensor& grad = *params_[k].grad;
-    if (momentum_ > 0.0f) {
-      Tensor& vel = velocity_[k];
-      for (size_t i = 0; i < value.size(); ++i) {
-        vel[i] = momentum_ * vel[i] + grad[i];
-        value[i] -= lr_ * vel[i];
-      }
-    } else {
-      for (size_t i = 0; i < value.size(); ++i) value[i] -= lr_ * grad[i];
-    }
-  }
-}
-
-AdamOptimizer::AdamOptimizer(float lr, float beta1, float beta2, float epsilon)
-    : lr_(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {}
-
 void AdamOptimizer::Step() {
-  MaybeClipGradients();
   if (m_.size() != params_.size()) {
     m_.clear();
     v_.clear();

@@ -9,60 +9,29 @@
 
 namespace prestroid {
 
-/// Base class for first-order optimizers over a flat parameter list.
-/// Register parameters once (ownership stays with the layers), then call
-/// Step() after each backward pass and ZeroGrad() before the next one.
-class Optimizer {
+/// Adam (Kingma & Ba 2014) — the optimizer the paper uses for all models —
+/// over a flat parameter list. Register parameters once (ownership stays
+/// with the layers), then call Step() after each backward pass and
+/// ZeroGrad() before the next one.
+class AdamOptimizer {
  public:
-  virtual ~Optimizer();
+  explicit AdamOptimizer(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
+                         float epsilon = 1e-8f);
 
-  Optimizer() = default;
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  AdamOptimizer(const AdamOptimizer&) = delete;
+  AdamOptimizer& operator=(const AdamOptimizer&) = delete;
 
   /// Adds the parameters of a layer (or explicit refs) to the update set.
   void Register(const std::vector<ParamRef>& params);
 
   /// Applies one update from the accumulated gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears all registered gradients.
   void ZeroGrad();
 
-  /// Global L2-norm gradient clipping applied inside Step() when > 0.
-  void set_clip_norm(float clip_norm) { clip_norm_ = clip_norm; }
-
-  size_t num_params() const { return params_.size(); }
-
   /// Registered parameter references (e.g. for checkpointing).
   const std::vector<ParamRef>& params() const { return params_; }
-
- protected:
-  /// Rescales all gradients if their global norm exceeds clip_norm_.
-  void MaybeClipGradients();
-
-  std::vector<ParamRef> params_;
-  float clip_norm_ = 0.0f;
-};
-
-/// Plain SGD with optional momentum.
-class SgdOptimizer : public Optimizer {
- public:
-  explicit SgdOptimizer(float lr, float momentum = 0.0f);
-  void Step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba 2014) — the optimizer the paper uses for all models.
-class AdamOptimizer : public Optimizer {
- public:
-  explicit AdamOptimizer(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
-                         float epsilon = 1e-8f);
-  void Step() override;
 
   float lr() const { return lr_; }
   void set_lr(float lr) { lr_ = lr; }
@@ -76,6 +45,7 @@ class AdamOptimizer : public Optimizer {
   Status DeserializeState(std::istream& is);
 
  private:
+  std::vector<ParamRef> params_;
   float lr_, beta1_, beta2_, epsilon_;
   int64_t t_ = 0;
   std::vector<Tensor> m_, v_;

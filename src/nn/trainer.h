@@ -61,13 +61,6 @@ class CostModel {
   /// uses it to report per-epoch flop counts in verbose logs.
   virtual ExecutionContext* execution_context() { return nullptr; }
 
-  /// Appends the model's freezable GEMM layers (nn/layer.h) — convolution
-  /// trunk first, then the dense head. Default: none (models without
-  /// freezable layers, e.g. the baselines).
-  virtual void CollectFreezableLayers(std::vector<FreezableLayer*>* out) {
-    (void)out;
-  }
-
   /// Optimizer state (e.g. Adam moments + step counter) for crash-safe
   /// training snapshots. Default: stateless (nothing written, restore is a
   /// no-op on an empty record).

@@ -38,7 +38,7 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
   // predicate block or nothing, and a ReLU layer's outputs are mostly zero
   // too. A thawed layer repacks its panel from the current weights; a frozen
   // one reuses the panel FreezeWeights packed.
-  if (!resident_) {
+  if (!frozen_) {
     StackWeights();
     panel_.Pack(wcat_);
   }
@@ -52,7 +52,7 @@ Tensor& TreeConvLayer::Forward(const Tensor& features,
 
 Tensor& TreeConvLayer::Backward(const Tensor& grad_output) {
   LayerTimer timer(ctx_, LayerKind::kTreeConv, /*backward=*/true);
-  PRESTROID_CHECK(!resident_);  // no training while frozen
+  PRESTROID_CHECK(!frozen_);  // no training while frozen
   PRESTROID_CHECK(structure_ != nullptr);
   const TreeStructure& structure = *structure_;
   const size_t rows = structure.num_rows();
@@ -182,7 +182,7 @@ void TreeConvLayer::StackWeights() {
 void TreeConvLayer::FreezeWeights() {
   StackWeights();
   panel_.Pack(wcat_);
-  resident_ = true;
+  frozen_ = true;
 }
 
 void TreeConvLayer::CollectWindowColumns() {

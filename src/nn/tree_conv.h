@@ -65,11 +65,10 @@ struct TreeStructure {
 ///
 /// A row's result depends only on its own window, never on which other rows
 /// share the batch, so a plan's answer is the same alone or batched.
-/// Freezable (nn/layer.h): a thawed layer packs its stacked kernels before
-/// every Forward; FreezeWeights packs them once and Forward reuses that
-/// resident panel, so freezing changes no bits. Backward while frozen
-/// CHECK-fails.
-class TreeConvLayer : public FreezableLayer {
+/// The layer packs its stacked kernels before every Forward; FreezeWeights
+/// packs them once for serving and Forward reuses that panel, so freezing
+/// changes no bits. Backward while frozen CHECK-fails.
+class TreeConvLayer {
  public:
   TreeConvLayer(size_t in_features, size_t out_features, Rng* rng);
 
@@ -94,12 +93,9 @@ class TreeConvLayer : public FreezableLayer {
   std::vector<ParamRef> Params();
   size_t NumParameters();
 
-  // FreezableLayer:
-  void FreezeWeights() override;
-  void ThawWeights() override { resident_ = false; }
-  size_t resident_weight_bytes() const override {
-    return resident_ ? panel_.resident_bytes() : 0;
-  }
+  /// Packs the current stacked kernels once; later forwards skip the
+  /// repack. Calling it again repacks.
+  void FreezeWeights();
 
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
@@ -133,10 +129,10 @@ class TreeConvLayer : public FreezableLayer {
   Tensor wgcat_;         // [3*in, out] stacked weight gradients
   Tensor gxp_;           // [rows, 3*in] window-space input gradients
   Tensor bias_tmp_;      // [out] per-call bias-gradient accumulator
-  // wcat_ as GEMM panels: repacked per Forward while thawed, packed once by
-  // FreezeWeights and then resident.
+  // wcat_ as GEMM panels: repacked per Forward until FreezeWeights packs
+  // it for the last time.
   ResidentWeights panel_;
-  bool resident_ = false;
+  bool frozen_ = false;
   // The last Forward's input rows in RowNonzeros form (nz_begin_ [rows + 1]),
   // kept for Backward.
   std::vector<uint32_t> nz_begin_;

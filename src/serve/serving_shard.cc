@@ -23,11 +23,8 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
 }  // namespace
 
 ServingShard::ServingShard(cost::ServingEstimator* estimator,
-                           ServingRuntimeConfig config, MemoryTracker* memory)
-    : estimator_(estimator),
-      config_(config),
-      cache_(config.cache_entries),
-      arena_(memory) {
+                           ServingRuntimeConfig config)
+    : estimator_(estimator), config_(config), cache_(config.cache_entries) {
   if (config_.max_batch == 0) config_.max_batch = 1;
   if (config_.queue_depth == 0) config_.queue_depth = 1;
 }
@@ -240,22 +237,6 @@ LatencyHistogram ServingShard::LatencySnapshot() const {
   return merged;
 }
 
-size_t ServingShard::arena_peak_bytes() const {
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  return arena_.peak_used_bytes();
-}
-
-size_t ServingShard::arena_capacity_bytes() const {
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  return arena_.capacity_bytes();
-}
-
-size_t ServingShard::resident_weight_bytes() const {
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  core::PrestroidPipeline* pipeline = estimator_->pipeline();
-  return pipeline != nullptr ? pipeline->ResidentWeightBytes() : 0;
-}
-
 void ServingShard::WorkerLoop() {
   while (true) {
     std::vector<PendingRequest> batch;
@@ -300,16 +281,12 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
     batch[i].promise.set_value(std::move(estimate));
   };
 
-  // Trivially-destructible staging arrays live in the per-batch scratch
-  // arena (rewound, not freed, between batches).
+  // The staging vectors keep their capacity between batches.
   constexpr size_t kNoRow = static_cast<size_t>(-1);
-  arena_.Reset();
-  double* deadline_ms = arena_.AllocateArray<double>(batch.size());
-  // The forward row each request reads its answer from (kNoRow: resolved).
-  size_t* row_of = arena_.AllocateArray<size_t>(batch.size());
-  uint64_t* row_fingerprint = arena_.AllocateArray<uint64_t>(batch.size());
-  // Per forward row: the time its plan took to featurize.
-  double* row_featurize_ms = arena_.AllocateArray<double>(batch.size());
+  deadline_ms_.resize(batch.size());
+  row_of_.resize(batch.size());
+  row_fingerprint_.resize(batch.size());
+  row_featurize_ms_.resize(batch.size());
   size_t rows = 0;
   std::vector<core::PlanFeatures> features;
   features.reserve(batch.size());
@@ -317,15 +294,15 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
 
   for (size_t i = 0; i < batch.size(); ++i) {
     PendingRequest& request = batch[i];
-    row_of[i] = kNoRow;
+    row_of_[i] = kNoRow;
     estimator_->CountRequest();
-    deadline_ms[i] = request.deadline_ms > 0.0
-                         ? request.deadline_ms
-                         : estimator_->limits().default_deadline_ms;
+    deadline_ms_[i] = request.deadline_ms > 0.0
+                          ? request.deadline_ms
+                          : estimator_->limits().default_deadline_ms;
     plan_stats[i] = plan::ComputePlanStats(*request.plan);
 
     Status admit = estimator_->AdmitModelTier(
-        plan_stats[i], deadline_ms[i] - ElapsedMs(request.enqueue_time));
+        plan_stats[i], deadline_ms_[i] - ElapsedMs(request.enqueue_time));
     if (!admit.ok()) {
       resolve(i, estimator_->EstimateFallback(plan_stats[i], std::move(admit),
                                               request.enqueue_time));
@@ -342,15 +319,16 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
     if (cached.has_value()) {
       ++batch_cache_hits_;
       resolve(i, estimator_->FinishModelEstimate(
-                     *cached, ElapsedMs(request.enqueue_time), deadline_ms[i]));
+                     *cached, ElapsedMs(request.enqueue_time),
+                     deadline_ms_[i]));
       continue;
     }
     // A duplicate of a plan already featurized in this batch shares its row.
     size_t row = 0;
-    while (row < rows && row_fingerprint[row] != request.fingerprint) ++row;
+    while (row < rows && row_fingerprint_[row] != request.fingerprint) ++row;
     if (row < rows) {
       ++batch_cache_hits_;
-      row_of[i] = row;
+      row_of_[i] = row;
       continue;
     }
     ++featurizations_;
@@ -363,9 +341,9 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
       continue;
     }
     features.push_back(std::move(*fresh));
-    row_featurize_ms[rows] = ElapsedMs(featurize_start);
-    row_fingerprint[rows] = request.fingerprint;
-    row_of[i] = rows++;
+    row_featurize_ms_[rows] = ElapsedMs(featurize_start);
+    row_fingerprint_[rows] = request.fingerprint;
+    row_of_[i] = rows++;
   }
 
   if (rows > 0) {
@@ -382,7 +360,7 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
     // The latency EWMA learns what one more model row costs: its
     // featurization plus its share of the fused forward.
     for (size_t r = 0; r < rows; ++r) {
-      estimator_->UpdateModelLatency(row_featurize_ms[r] + per_row_forward_ms);
+      estimator_->UpdateModelLatency(row_featurize_ms_[r] + per_row_forward_ms);
     }
 
     // Cache before resolving, so a caller that resubmits the moment its
@@ -391,20 +369,20 @@ void ServingShard::ServeBatchLocked(std::vector<PendingRequest>& batch) {
       std::lock_guard<std::mutex> lock(cache_mu_);
       for (size_t r = 0; r < rows; ++r) {
         if (std::isfinite(predicted[r])) {
-          cache_.Insert(CombineFingerprint(row_fingerprint[r], generation),
+          cache_.Insert(CombineFingerprint(row_fingerprint_[r], generation),
                         predicted[r]);
         }
       }
     }
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (row_of[i] == kNoRow) continue;
-      const double answer = predicted[row_of[i]];
+      if (row_of_[i] == kNoRow) continue;
+      const double answer = predicted[row_of_[i]];
       if (std::isfinite(answer)) {
         // A miss is judged on the whole request latency, queue wait and the
         // rest of the batch included.
         resolve(i, estimator_->FinishModelEstimate(
                        answer, ElapsedMs(batch[i].enqueue_time),
-                       deadline_ms[i]));
+                       deadline_ms_[i]));
       } else {
         estimator_->NoteModelFailure();
         resolve(i, estimator_->EstimateFallback(

@@ -90,23 +90,20 @@ struct ShardTicket {
 /// single-query EstimateWithFallback results regardless of arrival order.
 ///
 /// Thread-safety: SubmitRouted/StatsSnapshot/LatencySnapshot/InvalidateCache
-/// may be called from any thread. The estimator and scratch arena are
-/// confined to the worker thread (snapshot readers take the serving lock the
-/// worker holds while serving a batch). The answer cache has its own mutex,
-/// so a hit never waits behind an in-flight batch. The estimator must not be
-/// used directly by other threads while the shard is running.
+/// may be called from any thread. The estimator and the batch staging
+/// vectors are confined to the worker thread (snapshot readers take the
+/// serving lock the worker holds while serving a batch). The answer cache
+/// has its own mutex, so a hit never waits behind an in-flight batch. The
+/// estimator must not be used directly by other threads while the shard is
+/// running.
 ///
 /// Lifetime: submitted plans are borrowed, not copied — the caller must keep
-/// a plan alive until its future resolves. The estimator (and the tracker, if
-/// any) must outlive the shard.
+/// a plan alive until its future resolves. The estimator must outlive the
+/// shard.
 class ServingShard {
  public:
-  /// `memory` (optional) tracks the shard's featurization scratch arena; the
-  /// arena's block capacity is charged via MemoryTracker::Charge (the
-  /// admission-time per-request charge is the enforcement point).
   explicit ServingShard(cost::ServingEstimator* estimator,
-                        ServingRuntimeConfig config = {},
-                        MemoryTracker* memory = nullptr);
+                        ServingRuntimeConfig config = {});
   ~ServingShard();
 
   ServingShard(const ServingShard&) = delete;
@@ -184,19 +181,6 @@ class ServingShard {
   const ServingRuntimeConfig& config() const { return config_; }
   cost::ServingEstimator* estimator() { return estimator_; }
 
-  /// High-water mark of the worker's scratch-arena usage (bytes), for the
-  /// facade's memory observability.
-  size_t arena_peak_bytes() const;
-
-  /// Arena block capacity currently charged against the box MemoryTracker.
-  /// Retained across Reset by design — this is the shard's steady-state
-  /// memory footprint, not a leak.
-  size_t arena_capacity_bytes() const;
-
-  /// Bytes of the attached pipeline's resident weight panels; 0 with no
-  /// pipeline.
-  size_t resident_weight_bytes() const;
-
  private:
   struct PendingRequest {
     const plan::PlanNode* plan;
@@ -235,7 +219,7 @@ class ServingShard {
   size_t rejected_requests_ = 0;
   size_t queue_high_watermark_ = 0;
 
-  /// Serializes worker access to the estimator + histogram + arena against
+  /// Serializes worker access to the estimator + histogram + staging against
   /// snapshot readers and pipeline swaps. Lock order: serve_mu_, then
   /// cache_mu_.
   mutable std::mutex serve_mu_;
@@ -259,9 +243,14 @@ class ServingShard {
   uint64_t cache_generation_ = 0;
   size_t submit_cache_hits_ = 0;
   LatencyHistogram submit_hit_latency_hist_;
-  /// Per-batch staging storage (deadline/pointer arrays), reset per batch and
-  /// charged against the box-level tracker. Worker-confined under serve_mu_.
-  ScratchArena arena_;
+  /// Per-request staging of the batch being served, resized per batch and
+  /// reused across batches. Worker-confined under serve_mu_.
+  std::vector<double> deadline_ms_;
+  /// The forward row each request reads its answer from (or "resolved").
+  std::vector<size_t> row_of_;
+  /// Per forward row: its plan's fingerprint and featurization time.
+  std::vector<uint64_t> row_fingerprint_;
+  std::vector<double> row_featurize_ms_;
 
   std::thread worker_;
   bool started_ = false;

@@ -25,7 +25,7 @@ ShardedServingRuntime::ShardedServingRuntime(
   for (size_t i = 0; i < config_.shards; ++i) {
     PRESTROID_CHECK(estimators[i] != nullptr);
     shards_.push_back(
-        std::make_unique<ServingShard>(estimators[i], config_.shard, &memory_));
+        std::make_unique<ServingShard>(estimators[i], config_.shard));
   }
 }
 

@@ -117,7 +117,8 @@ class ShardedServingRuntime {
   /// Per-tenant admission counters, ordered by tenant id.
   std::vector<TenantCounters> TenantSnapshot() const;
 
-  /// Box-level scratch-memory accounting (admission charges + arena blocks).
+  /// Box-level scratch-memory accounting: the admission charges of the
+  /// requests in flight.
   MemoryTrackerStats MemorySnapshot() const;
 
   const ShardedRuntimeConfig& config() const { return config_; }

@@ -32,8 +32,7 @@ void GemmPackB(size_t k, size_t n, const float* b, size_t rsb, size_t csb,
                float* packed);
 void GemmBlockedRows(size_t i0, size_t i1, size_t k, size_t n, const float* a,
                      size_t rsa, size_t csa, const float* packed_b, float* c,
-                     size_t ldc, const float* bias, GemmEpilogue epilogue,
-                     bool accumulate);
+                     size_t ldc, const float* bias, bool accumulate);
 void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,
                         const RowNonzeros& x, const int* left,
                         const int* right, const float* packed_b, float* c,
@@ -93,17 +92,16 @@ void GemmPackB(size_t k, size_t n, const float* b, size_t rsb, size_t csb,
 
 void GemmBlockedRows(size_t i0, size_t i1, size_t k, size_t n, const float* a,
                      size_t rsa, size_t csa, const float* packed_b, float* c,
-                     size_t ldc, const float* bias, GemmEpilogue epilogue,
-                     bool accumulate) {
+                     size_t ldc, const float* bias, bool accumulate) {
 #if defined(PRESTROID_GEMM_AVX2_TU)
   if (UseAvx2Path()) {
     gemm_avx2::GemmBlockedRows(i0, i1, k, n, a, rsa, csa, packed_b, c, ldc,
-                               bias, epilogue, accumulate);
+                               bias, accumulate);
     return;
   }
 #endif
   gemm_base::GemmBlockedRows(i0, i1, k, n, a, rsa, csa, packed_b, c, ldc,
-                             bias, epilogue, accumulate);
+                             bias, accumulate);
 }
 
 void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,

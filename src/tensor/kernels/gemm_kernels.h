@@ -6,13 +6,6 @@
 
 namespace prestroid {
 
-/// Fused tail applied while the accumulators are still in registers, saving a
-/// second pass over the output matrix.
-enum class GemmEpilogue {
-  kNone,  // C = A @ B
-  kBias,  // C = A @ B + bias (row broadcast)
-};
-
 // ---------------------------------------------------------------------------
 // Blocked kernels (gemm_blocked.cc), the one kernel family of the numeric
 // stack.
@@ -49,16 +42,17 @@ size_t GemmPackedBSize(size_t k, size_t n);
 void GemmPackB(size_t k, size_t n, const float* b, size_t rsb, size_t csb,
                float* packed);
 
-/// Rows [i0, i1) of C (+)= A @ B_packed (+ epilogue). Logical A is [m, k]
-/// with element (i, kk) at a[i * rsa + kk * csa]; pass (rsa=lda, csa=1) for
+/// Rows [i0, i1) of C (+)= A @ B_packed (+ bias). Logical A is [m, k] with
+/// element (i, kk) at a[i * rsa + kk * csa]; pass (rsa=lda, csa=1) for
 /// row-major A and (rsa=1, csa=lda) for A^T. C is row-major with leading
-/// dimension `ldc`. With `accumulate` the k-complete register block is added
-/// onto C (epilogue must be kNone). Safe to call concurrently on disjoint
-/// row ranges; uses a thread-local pack buffer for A tiles.
+/// dimension `ldc`. A non-null `bias` ([n]) is added to every row while the
+/// accumulators are still in registers, saving a second pass over C. With
+/// `accumulate` the k-complete register block is added onto C (bias must be
+/// null). Safe to call concurrently on disjoint row ranges; uses a
+/// thread-local pack buffer for A tiles.
 void GemmBlockedRows(size_t i0, size_t i1, size_t k, size_t n, const float* a,
                      size_t rsa, size_t csa, const float* packed_b, float* c,
-                     size_t ldc, const float* bias, GemmEpilogue epilogue,
-                     bool accumulate);
+                     size_t ldc, const float* bias, bool accumulate);
 
 /// The nonzero entries of a row-major matrix, row by row: row q holds
 /// (index[e], value[e]) for e in [begin[q], begin[q + 1]), index ascending.
@@ -78,7 +72,7 @@ struct RowNonzeros {
 /// adds an exact zero there, which can change only the sign of a zero sum,
 /// and the bias+ReLU epilogue gives the same bits for either sign. So C
 /// equals max(0, .) of GemmBlockedRows over the gathered [rows, 3 * in]
-/// windows with the kBias epilogue bit for bit, on the same ISA. Work per row is the
+/// windows with the bias bit for bit, on the same ISA. Work per row is the
 /// window's nonzero count times n. Safe to call concurrently on disjoint
 /// row ranges.
 void GemmTreeWindowRows(size_t r0, size_t r1, size_t in, size_t n,

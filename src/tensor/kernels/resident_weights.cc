@@ -4,12 +4,6 @@
 
 namespace prestroid {
 
-ResidentWeights ResidentWeights::Build(const Tensor& weights) {
-  ResidentWeights rw;
-  rw.Pack(weights);
-  return rw;
-}
-
 void ResidentWeights::Pack(const Tensor& weights) {
   PRESTROID_CHECK_EQ(weights.rank(), 2u);
   rows_ = weights.dim(0);
@@ -32,12 +26,10 @@ void ResidentWeights::Gemm(Tensor* out, const Tensor& a, const Tensor& bias,
   const float* pb = packed_.data();
   float* op = out->data();
   ctx->AddOp();
-  // Flop accounting mirrors MatMulBiasInto so ExecStats comparisons between
-  // the per-call-packing and resident paths line up.
   ctx->AddFlops(2ull * m * k * n + 1ull * m * n);
   ctx->ParallelFor(0, m, RowGrain(2 * k * n), [&](size_t i0, size_t i1) {
     GemmBlockedRows(i0, i1, k, n, ap, /*rsa=*/k, /*csa=*/1, pb, op, n, biasp,
-                    GemmEpilogue::kBias, /*accumulate=*/false);
+                    /*accumulate=*/false);
   });
 }
 

@@ -10,34 +10,26 @@
 
 namespace prestroid {
 
-/// A layer's GEMM weight operand frozen into the blocked kernels' packed
-/// panel layout.
+/// A layer's GEMM weight operand in the blocked kernels' packed panel
+/// layout (the GemmPackB image), the one form Dense and TreeConvLayer run
+/// their forward through.
 ///
-/// The training path re-packs B panels on every MatMul*Into call — correct
-/// for training-sized batches where packing amortizes over many rows, but
-/// the serving hot path is m <= 32, where per-call packing dominates the
-/// GEMM itself. Building a ResidentWeights once per layer moves that work to
-/// model-attach time, so serving never repacks per request. The image is
-/// exactly the GemmPackB panel set MatMul*Into builds per call, so Gemm()
-/// output is bit-identical to the MatMul*Into path (same kernel, same pack,
-/// same ISA). A training tree-conv layer holds one too
-/// and repacks it before every forward (Pack), so its forward runs the same
-/// TreeWindowGemm as the frozen one.
+/// A training layer repacks its current weights before every forward
+/// (Pack, allocation-free once warm). A frozen serving layer packs them
+/// once and reuses the panel: the serving hot path is m <= 32, where
+/// per-call packing would dominate the GEMM itself. Either way the forward
+/// runs the same kernel on the same image at the same row grain, so
+/// freezing changes no bits.
 ///
-/// Only Build() and Pack() write the image, so between packs one
-/// ResidentWeights may be shared by concurrent readers.
+/// Only Pack() writes the image, so between packs one ResidentWeights may
+/// be shared by concurrent readers.
 class ResidentWeights {
  public:
   /// An empty image; Pack() fills it.
   ResidentWeights() = default;
 
-  /// Builds from row-major fp32 weights [k, n]. The source tensor is not
-  /// retained.
-  static ResidentWeights Build(const Tensor& weights);
-
-  /// Repacks the image from `weights` [k, n], reusing its storage
-  /// (allocation-free once warm): a training layer packs its current
-  /// weights this way before each forward.
+  /// (Re)packs the image from row-major fp32 weights [k, n], reusing its
+  /// storage (allocation-free once warm). The source tensor is not retained.
   void Pack(const Tensor& weights);
 
   /// Bytes held by the packed panel image.
@@ -45,8 +37,9 @@ class ResidentWeights {
 
   /// out = a @ W + bias (row broadcast); a is [m, k] row-major, out [m, n].
   /// Deterministic at any thread count (k-ascending accumulation, disjoint
-  /// row ranges). Does its own op/flop accounting like MatMulBiasInto. `ctx`
-  /// must be non-null (layers always carry at least the serial context).
+  /// row ranges). Counts one op and 2 m k n + m n flops (the product and
+  /// the bias). `ctx` must be non-null (layers always carry at least the
+  /// serial context).
   void Gemm(Tensor* out, const Tensor& a, const Tensor& bias,
             ExecutionContext* ctx) const;
 

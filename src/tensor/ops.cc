@@ -10,44 +10,22 @@ namespace prestroid {
 
 namespace {
 
-/// Rows [0, m) of C (+)= A @ B (+ epilogue) on the blocked kernel, C
-/// row-major [m, n]. Logical A ([m, k]) and B ([k, n]) are read through
-/// their strides (gemm_kernels.h); B is packed into scratch panels once and
-/// shared by every row chunk, so each output element is one k-ascending sum
-/// whatever the thread count.
+/// Rows [0, m) of C (+)= A @ B on the blocked kernel, C row-major [m, n].
+/// Logical A ([m, k]) and B ([k, n]) are read through their strides
+/// (gemm_kernels.h); B is packed into scratch panels once and shared by
+/// every row chunk, so each output element is one k-ascending sum whatever
+/// the thread count.
 void BlockedGemm(size_t m, size_t k, size_t n, const float* a, size_t rsa,
                  size_t csa, const float* b, size_t rsb, size_t csb, float* c,
-                 const float* bias, GemmEpilogue epilogue, bool accumulate,
-                 ExecutionContext* ctx) {
+                 bool accumulate, ExecutionContext* ctx) {
   Tensor packed = ctx->AcquireScratch({GemmPackedBSize(k, n)});
   GemmPackB(k, n, b, rsb, csb, packed.data());
   const float* pb = packed.data();
   ctx->ParallelFor(0, m, RowGrain(2 * k * n), [&](size_t i0, size_t i1) {
-    GemmBlockedRows(i0, i1, k, n, a, rsa, csa, pb, c, n, bias, epilogue,
+    GemmBlockedRows(i0, i1, k, n, a, rsa, csa, pb, c, n, /*bias=*/nullptr,
                     accumulate);
   });
   ctx->ReleaseScratch(std::move(packed));
-}
-
-/// Shared body of MatMul / MatMulBias: out = a @ b with the requested fused
-/// epilogue.
-void MatMulEpilogueInto(Tensor* out, const Tensor& a, const Tensor& b,
-                        const Tensor* bias, GemmEpilogue epilogue,
-                        ExecutionContext* ctx) {
-  PRESTROID_CHECK(ctx != nullptr);
-  PRESTROID_CHECK_EQ(a.rank(), 2u);
-  PRESTROID_CHECK_EQ(b.rank(), 2u);
-  PRESTROID_CHECK_EQ(a.dim(1), b.dim(0));
-  const size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  if (bias != nullptr) PRESTROID_CHECK_EQ(bias->size(), n);
-  out->ResetShape({m, n});
-  ctx->AddOp();
-  // The bias epilogue's flops match the separate broadcast pass it fuses.
-  ctx->AddFlops(2ull * m * k * n +
-                (epilogue == GemmEpilogue::kBias ? 1ull * m * n : 0));
-  BlockedGemm(m, k, n, a.data(), /*rsa=*/k, /*csa=*/1, b.data(), /*rsb=*/n,
-              /*csb=*/1, out->data(), bias != nullptr ? bias->data() : nullptr,
-              epilogue, /*accumulate=*/false, ctx);
 }
 
 /// Elementwise out[i] = fn(a[i]) over [0, size), `flops_per_element` counted
@@ -69,44 +47,23 @@ void UnaryInto(Tensor* out, const Tensor& a, size_t flops_per_element,
 
 }  // namespace
 
-void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b,
-                ExecutionContext* ctx) {
-  MatMulEpilogueInto(out, a, b, nullptr, GemmEpilogue::kNone, ctx);
-}
-
-void MatMulBiasInto(Tensor* out, const Tensor& a, const Tensor& b,
-                    const Tensor& bias, ExecutionContext* ctx) {
-  MatMulEpilogueInto(out, a, b, &bias, GemmEpilogue::kBias, ctx);
-}
-
-void MatMulTransposeAAccumulate(Tensor* out, const Tensor& a, const Tensor& b,
-                                ExecutionContext* ctx) {
+void MatMulTransposeAInto(Tensor* out, const Tensor& a, const Tensor& b,
+                          ExecutionContext* ctx) {
   PRESTROID_CHECK(ctx != nullptr);
   PRESTROID_CHECK_EQ(a.rank(), 2u);
   PRESTROID_CHECK_EQ(b.rank(), 2u);
   PRESTROID_CHECK_EQ(a.dim(0), b.dim(0));
   const size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  PRESTROID_CHECK_EQ(out->rank(), 2u);
-  PRESTROID_CHECK_EQ(out->dim(0), m);
-  PRESTROID_CHECK_EQ(out->dim(1), n);
+  out->ResetShape({m, n});
+  out->Fill(0.0f);
   ctx->AddOp();
   ctx->AddFlops(2ull * k * m * n);
   // a is [k, m]; logical operand row i is column i of a, i.e. strides
-  // (rsa=1, csa=m). The k-complete register block is added onto out in one
-  // pass, so parallel chunks stay deterministic at any thread count.
+  // (rsa=1, csa=m). The k-complete register block is added onto the zeroed
+  // out in one pass, so parallel chunks stay deterministic at any thread
+  // count.
   BlockedGemm(m, k, n, a.data(), /*rsa=*/1, /*csa=*/m, b.data(), /*rsb=*/n,
-              /*csb=*/1, out->data(), nullptr, GemmEpilogue::kNone,
-              /*accumulate=*/true, ctx);
-}
-
-void MatMulTransposeAInto(Tensor* out, const Tensor& a, const Tensor& b,
-                          ExecutionContext* ctx) {
-  PRESTROID_CHECK_EQ(a.rank(), 2u);
-  const size_t m = a.dim(1);
-  const size_t n = b.dim(1);
-  out->ResetShape({m, n});
-  out->Fill(0.0f);
-  MatMulTransposeAAccumulate(out, a, b, ctx);
+              /*csb=*/1, out->data(), /*accumulate=*/true, ctx);
 }
 
 void SparseMatMulAccumulate(Tensor* out, const RowNonzeros& a, const Tensor& b,
@@ -143,8 +100,7 @@ void MatMulTransposeBInto(Tensor* out, const Tensor& a, const Tensor& b,
   // b is [n, k]; the packed image of the logical [k, n] right operand reads
   // element (kk, j) from b[j * k + kk], i.e. strides (rsb=1, csb=k).
   BlockedGemm(m, k, n, a.data(), /*rsa=*/k, /*csa=*/1, b.data(), /*rsb=*/1,
-              /*csb=*/k, out->data(), nullptr, GemmEpilogue::kNone,
-              /*accumulate=*/false, ctx);
+              /*csb=*/k, out->data(), /*accumulate=*/false, ctx);
 }
 
 void MulInto(Tensor* out, const Tensor& a, const Tensor& b,
@@ -188,10 +144,6 @@ void ReluInto(Tensor* out, const Tensor& a, ExecutionContext* ctx) {
 void SigmoidInto(Tensor* out, const Tensor& a, ExecutionContext* ctx) {
   UnaryInto(out, a, 4, ctx,
             [](float v) { return 1.0f / (1.0f + std::exp(-v)); });
-}
-
-void TanhInto(Tensor* out, const Tensor& a, ExecutionContext* ctx) {
-  UnaryInto(out, a, 4, ctx, [](float v) { return std::tanh(v); });
 }
 
 }  // namespace prestroid

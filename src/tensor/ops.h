@@ -17,6 +17,8 @@ namespace prestroid {
 // rows with the context's ParallelFor, and the context's flop/op counters
 // are updated. The GEMM-family ops run the blocked kernels
 // (tensor/kernels/), at the ISA instantiation the process picked at startup.
+// A forward product with a bias runs through a layer's packed panel instead
+// (ResidentWeights::Gemm).
 //
 // Determinism contract (DESIGN.md §5.2-§5.3): every parallel kernel keeps
 // the per-element floating-point accumulation order of its serial run
@@ -24,24 +26,9 @@ namespace prestroid {
 // are bit-identical at ANY thread count, not merely close.
 // ---------------------------------------------------------------------------
 
-/// out = a @ b. Packs b into panels, parallel over rows of a.
-void MatMulInto(Tensor* out, const Tensor& a, const Tensor& b,
-                ExecutionContext* ctx);
-
-/// out = a @ b + bias (row broadcast), fused into the GEMM epilogue:
-/// bit-identical to MatMulInto followed by a per-element bias add, with one
-/// pass fewer over `out`.
-void MatMulBiasInto(Tensor* out, const Tensor& a, const Tensor& b,
-                    const Tensor& bias, ExecutionContext* ctx);
-
 /// out = a^T @ b (a is [k, m], b is [k, n]).
 void MatMulTransposeAInto(Tensor* out, const Tensor& a, const Tensor& b,
                           ExecutionContext* ctx);
-
-/// out += a^T @ b. `out` must already be [m, n]; used for gradient
-/// accumulation across subtrees/timesteps without a temp tensor.
-void MatMulTransposeAAccumulate(Tensor* out, const Tensor& a, const Tensor& b,
-                                ExecutionContext* ctx);
 
 /// out += a @ b for a sparse a ([m, k], row i's nonzeros in `a`) and a
 /// dense b ([k, n]); `out` must already be [m, n]. Each output element sums
@@ -68,7 +55,6 @@ void SumRowsAccumulate(Tensor* out, const Tensor& a, ExecutionContext* ctx);
 /// Elementwise activations into a workspace; `out` may alias `a`.
 void ReluInto(Tensor* out, const Tensor& a, ExecutionContext* ctx);
 void SigmoidInto(Tensor* out, const Tensor& a, ExecutionContext* ctx);
-void TanhInto(Tensor* out, const Tensor& a, ExecutionContext* ctx);
 
 }  // namespace prestroid
 

@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace prestroid {
 
@@ -52,14 +50,6 @@ class MemoryTracker {
     }
   }
 
-  /// Unconditional accounting (internal allocations that already happened,
-  /// e.g. arena block growth). Never refuses; may exceed the budget.
-  void Charge(size_t bytes) {
-    const size_t next =
-        in_use_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    UpdatePeak(next);
-  }
-
   /// Returns `bytes` previously charged. Releasing more than is in use
   /// clamps to zero (a double-release bug should not wrap the counter).
   void Release(size_t bytes) {
@@ -100,70 +90,6 @@ class MemoryTracker {
   std::atomic<size_t> in_use_{0};
   std::atomic<size_t> peak_{0};
   std::atomic<size_t> denied_{0};
-};
-
-/// Bump allocator for per-request serving scratch, charged against a
-/// MemoryTracker.
-///
-/// Allocations bump a pointer inside geometrically growing blocks; Reset()
-/// rewinds the bump pointer but RETAINS the blocks (and their tracker
-/// charge), so a steady-state serving worker stops allocating after warmup
-/// while the tracker still reports the arena's true footprint. The tracker
-/// charge is released when the arena is destroyed (or Trim()med).
-///
-/// Not thread-safe: each serving worker owns one arena, mirroring the
-/// one-histogram-per-worker sharding pattern.
-class ScratchArena {
- public:
-  /// `tracker` may be nullptr (untracked arena). Block growth uses
-  /// MemoryTracker::Charge — the admission-time request charge is the
-  /// enforcement point; the arena reports actual usage.
-  explicit ScratchArena(MemoryTracker* tracker = nullptr,
-                        size_t initial_block_bytes = 16 * 1024);
-  ~ScratchArena();
-
-  ScratchArena(const ScratchArena&) = delete;
-  ScratchArena& operator=(const ScratchArena&) = delete;
-
-  /// Returns `bytes` of storage aligned to `align` (a power of two).
-  void* Allocate(size_t bytes, size_t align = alignof(std::max_align_t));
-
-  /// Typed array helper. The storage is raw — callers must only place
-  /// trivially-destructible types (the serving staging arrays are).
-  template <typename T>
-  T* AllocateArray(size_t count) {
-    return static_cast<T*>(Allocate(count * sizeof(T), alignof(T)));
-  }
-
-  /// Rewinds to empty, retaining block capacity (and the tracker charge).
-  void Reset();
-
-  /// Frees every block and releases the tracker charge.
-  void Trim();
-
-  /// Total block capacity currently charged to the tracker.
-  size_t capacity_bytes() const { return capacity_bytes_; }
-  /// Bytes handed out since the last Reset().
-  size_t used_bytes() const { return used_bytes_; }
-  /// High-water mark of used_bytes() across the arena's lifetime.
-  size_t peak_used_bytes() const { return peak_used_bytes_; }
-
- private:
-  struct Block {
-    char* data;
-    size_t size;
-    size_t offset;
-  };
-
-  Block* GrowFor(size_t bytes);
-
-  MemoryTracker* tracker_;
-  size_t next_block_bytes_;
-  std::vector<Block> blocks_;
-  size_t active_block_ = 0;  // blocks_[active_block_..] have room
-  size_t capacity_bytes_ = 0;
-  size_t used_bytes_ = 0;
-  size_t peak_used_bytes_ = 0;
 };
 
 }  // namespace prestroid

@@ -672,11 +672,7 @@ TEST(SubtreeModelTest, RowAnswerIndependentOfBatchNeighbours) {
       model.AddSample(queries[i], 0.1f * static_cast<float>(i + 1));
     }
     model.TrainEpoch({0, 1, 2, 3, 4, 5}, 3);
-    std::vector<FreezableLayer*> layers;
-    model.CollectFreezableLayers(&layers);
-    if (frozen) {
-      for (FreezableLayer* layer : layers) layer->FreezeWeights();
-    }
+    if (frozen) model.FreezeWeights();
     std::vector<SubtreeModel::Row> all;
     for (const auto& trees : queries) all.push_back(&trees);
     const std::vector<float> batched = model.PredictBorrowed(all);

@@ -103,12 +103,6 @@ TEST(GradientCheck, Sigmoid) {
   CheckLayerGradients(&sigmoid, Tensor::Random({4, 4}, &rng, -2, 2), &rng);
 }
 
-TEST(GradientCheck, Tanh) {
-  Rng rng(103);
-  TanhLayer tanh_layer;
-  CheckLayerGradients(&tanh_layer, Tensor::Random({4, 4}, &rng, -2, 2), &rng);
-}
-
 TEST(GradientCheck, BatchNormTraining) {
   Rng rng(104);
   BatchNorm1d bn(3);
@@ -209,7 +203,8 @@ TEST(GradientCheck, HuberLossGradient) {
   Tensor target = Tensor::Random({6}, &rng, -1, 1);
   HuberLoss loss(1.0f);
   loss.Compute(pred, target);
-  Tensor grad = loss.Gradient();
+  Tensor grad;
+  loss.GradientInto(&grad);
   for (size_t i = 0; i < pred.size(); ++i) {
     Tensor plus = pred, minus = pred;
     plus[i] += kEps;
@@ -219,24 +214,6 @@ TEST(GradientCheck, HuberLossGradient) {
     double lo = l2.Compute(minus, target);
     float numeric = static_cast<float>((hi - lo) / (2.0 * kEps));
     ExpectGradClose(grad[i], numeric, "huber");
-  }
-}
-
-TEST(GradientCheck, MseLossGradient) {
-  Rng rng(109);
-  Tensor pred = Tensor::Random({5}, &rng);
-  Tensor target = Tensor::Random({5}, &rng);
-  MseLoss loss;
-  loss.Compute(pred, target);
-  Tensor grad = loss.Gradient();
-  for (size_t i = 0; i < pred.size(); ++i) {
-    Tensor plus = pred, minus = pred;
-    plus[i] += kEps;
-    minus[i] -= kEps;
-    MseLoss l2;
-    float numeric = static_cast<float>(
-        (l2.Compute(plus, target) - l2.Compute(minus, target)) / (2.0 * kEps));
-    ExpectGradClose(grad[i], numeric, "mse");
   }
 }
 

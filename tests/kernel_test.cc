@@ -75,6 +75,30 @@ void AddBias(Tensor* c, const Tensor& bias) {
   }
 }
 
+/// a @ b (+ bias, when non-null) by the blocked kernel itself, serially: b
+/// packed into a fresh panel, every row in one GemmBlockedRows call.
+Tensor KernelGemm(const Tensor& a, const Tensor& b, const Tensor* bias) {
+  const size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  std::vector<float> packed(GemmPackedBSize(k, n));
+  GemmPackB(k, n, b.data(), /*rsb=*/n, /*csb=*/1, packed.data());
+  Tensor c({m, n});
+  GemmBlockedRows(0, m, k, n, a.data(), /*rsa=*/k, /*csa=*/1, packed.data(),
+                  c.data(), n, bias != nullptr ? bias->data() : nullptr,
+                  /*accumulate=*/false);
+  return c;
+}
+
+/// a @ b + bias through a packed panel (ResidentWeights::Pack + Gemm), the
+/// path a Dense forward runs.
+Tensor PanelGemm(const Tensor& a, const Tensor& b, const Tensor& bias,
+                 ExecutionContext* ctx) {
+  ResidentWeights panel;
+  panel.Pack(b);
+  Tensor out;
+  panel.Gemm(&out, a, bias, ctx);
+  return out;
+}
+
 /// Column sums of a [m, n], rows ascending.
 Tensor ColumnSums(const Tensor& a) {
   Tensor sums({a.dim(1)});
@@ -147,10 +171,8 @@ TEST(GemmParityTest, MatMulAcrossOddShapes) {
       for (size_t n : kOddSizes) {
         const Tensor a = Tensor::Random({m, k}, &rng);
         const Tensor b = Tensor::Random({k, n}, &rng);
-        ExecutionContext ctx(1);
-        Tensor got;
-        MatMulInto(&got, a, b, &ctx);
-        ExpectAllClose(got, NaiveMatMul(a, b), "matmul");
+        ExpectAllClose(KernelGemm(a, b, nullptr), NaiveMatMul(a, b),
+                       "matmul");
       }
     }
   }
@@ -167,8 +189,7 @@ TEST(GemmParityTest, FusedBiasAndBiasReluAcrossOddShapes) {
       ExecutionContext ctx(1);
       Tensor want = NaiveMatMul(a, b);
       AddBias(&want, bias);
-      Tensor got;
-      MatMulBiasInto(&got, a, b, bias, &ctx);
+      Tensor got = PanelGemm(a, b, bias, &ctx);
       ExpectAllClose(got, want, "matmul+bias");
       ReluInto(&got, got, &ctx);
       for (size_t i = 0; i < want.size(); ++i) want[i] = std::max(0.0f, want[i]);
@@ -184,9 +205,8 @@ TEST(GemmParityTest, FusedBiasMatchesUnfusedComposition) {
   const Tensor b = Tensor::Random({21, 19}, &rng);
   const Tensor bias = Tensor::Random({19}, &rng);
   ExecutionContext ctx(1);
-  Tensor fused, unfused;
-  MatMulBiasInto(&fused, a, b, bias, &ctx);
-  MatMulInto(&unfused, a, b, &ctx);
+  const Tensor fused = PanelGemm(a, b, bias, &ctx);
+  Tensor unfused = KernelGemm(a, b, nullptr);
   AddBias(&unfused, bias);
   // Same kernel, same accumulation order: the fusion itself must be
   // bit-exact, not merely close.
@@ -212,16 +232,17 @@ TEST(GemmParityTest, TransposeAAcrossOddShapes) {
   }
 }
 
-TEST(GemmParityTest, TransposeAAccumulateAddsOntoExisting) {
+TEST(GemmParityTest, TransposeAOverwritesStaleOutput) {
+  // The kernel accumulates onto the output, so the op must zero it first:
+  // a stale workspace's values may not leak into the product.
   Rng rng(105);
   const Tensor a = Tensor::Random({13, 7}, &rng);
   const Tensor b = Tensor::Random({13, 9}, &rng);
   ExecutionContext ctx(1);
-  Tensor want = NaiveMatMul(a, b, /*transpose_a=*/true);
-  for (size_t i = 0; i < want.size(); ++i) want[i] += 2.5f;
   Tensor got = Tensor::Full({7, 9}, 2.5f);
-  MatMulTransposeAAccumulate(&got, a, b, &ctx);
-  ExpectAllClose(got, want, "matmul-transpose-a-accumulate");
+  MatMulTransposeAInto(&got, a, b, &ctx);
+  ExpectAllClose(got, NaiveMatMul(a, b, /*transpose_a=*/true),
+                 "matmul-transpose-a over a stale output");
 }
 
 TEST(GemmParityTest, TransposeBAcrossOddShapes) {
@@ -249,8 +270,7 @@ TEST(GemmParityTest, EmptyAndZeroRowEdges) {
   {
     const Tensor a({0, 5});
     const Tensor b = Tensor::Random({5, 4}, &rng);
-    Tensor out;
-    MatMulInto(&out, a, b, &blocked);
+    const Tensor out = PanelGemm(a, b, Tensor({4}), &blocked);
     EXPECT_EQ(out.dim(0), 0u);
     EXPECT_EQ(out.dim(1), 4u);
   }
@@ -259,8 +279,7 @@ TEST(GemmParityTest, EmptyAndZeroRowEdges) {
   {
     const Tensor a({4, 6});
     const Tensor b = Tensor::Random({6, 3}, &rng);
-    Tensor out;
-    MatMulInto(&out, a, b, &blocked);
+    const Tensor out = KernelGemm(a, b, nullptr);
     for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 0.0f);
   }
   // k == 0 degenerate reduction: product is zero, epilogue still applies.
@@ -268,8 +287,7 @@ TEST(GemmParityTest, EmptyAndZeroRowEdges) {
     const Tensor a({3, 0});
     const Tensor b({0, 5});
     const Tensor bias = Tensor::Random({5}, &rng);
-    Tensor out;
-    MatMulBiasInto(&out, a, b, bias, &blocked);
+    const Tensor out = PanelGemm(a, b, bias, &blocked);
     ASSERT_EQ(out.dim(0), 3u);
     for (size_t r = 0; r < 3; ++r) {
       for (size_t c = 0; c < 5; ++c) EXPECT_EQ(out.At(r, c), bias[c]);
@@ -284,7 +302,7 @@ TEST(GemmParityDeathTest, OpsRequireAContext) {
   const Tensor a = Tensor::Random({3, 4}, &rng);
   const Tensor b = Tensor::Random({4, 5}, &rng);
   Tensor out;
-  EXPECT_DEATH(MatMulInto(&out, a, b, nullptr), "ctx != nullptr");
+  EXPECT_DEATH(MatMulTransposeAInto(&out, a, a, nullptr), "ctx != nullptr");
   EXPECT_DEATH(MatMulTransposeBInto(&out, a, a, nullptr), "ctx != nullptr");
   EXPECT_DEATH(ReluInto(&out, a, nullptr), "ctx != nullptr");
 }
@@ -293,13 +311,12 @@ TEST(GemmParityTest, BlockedBitIdenticalAcrossThreadCounts) {
   Rng rng(108);
   const Tensor a = Tensor::Random({65, 37}, &rng);
   const Tensor b = Tensor::Random({37, 41}, &rng);
+  const Tensor bias = Tensor::Random({41}, &rng);
   ExecutionContext one(1);
-  Tensor ref;
-  MatMulInto(&ref, a, b, &one);
+  const Tensor ref = PanelGemm(a, b, bias, &one);
   for (size_t threads : {2u, 4u}) {
     ExecutionContext ctx(threads);
-    Tensor got;
-    MatMulInto(&got, a, b, &ctx);
+    const Tensor got = PanelGemm(a, b, bias, &ctx);
     // The register block accumulates the full reduction per output element,
     // so chunk boundaries cannot change a bit.
     ASSERT_EQ(got.size(), ref.size());
@@ -436,13 +453,13 @@ TEST(LayerParityTest, TreeConvBlockedBitIdenticalAcrossThreadCounts) {
 // ---------------------------------------------------------------------------
 
 /// max(0, windows @ [W_self; W_left; W_right] + b) as one blocked GEMM with
-/// the fused bias epilogue, then the ReLU.
+/// the fused bias, then the ReLU.
 Tensor GatheredWindowForward(TreeConvLayer* layer, const Tensor& x,
                              const TreeStructure& structure,
                              ExecutionContext* blocked) {
-  Tensor out;
-  MatMulBiasInto(&out, GatherWindows(x, structure, layer->in_features()),
-                 StackedKernels(layer), *layer->Params()[3].value, blocked);
+  Tensor out = PanelGemm(GatherWindows(x, structure, layer->in_features()),
+                         StackedKernels(layer), *layer->Params()[3].value,
+                         blocked);
   ReluInto(&out, out, blocked);
   return out;
 }
@@ -472,7 +489,7 @@ void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
 }
 
 // ---------------------------------------------------------------------------
-// Resident (frozen) fp32 weights: bit-identical to the per-call-packing path
+// Resident (frozen) fp32 weights: bit-identical to the blocked kernel
 // ---------------------------------------------------------------------------
 
 TEST(ResidentWeightsTest, Fp32IsBitIdenticalToBlockedPath) {
@@ -484,10 +501,11 @@ TEST(ResidentWeightsTest, Fp32IsBitIdenticalToBlockedPath) {
         const Tensor a = Tensor::Random({m, k}, &rng);
         const Tensor b = Tensor::Random({k, n}, &rng);
         const Tensor bias = Tensor::Random({n}, &rng);
-        Tensor want, got;
-        MatMulBiasInto(&want, a, b, bias, &ctx);
-        const ResidentWeights rw = ResidentWeights::Build(b);
+        const Tensor want = KernelGemm(a, b, &bias);
+        ResidentWeights rw;
+        rw.Pack(b);
         EXPECT_EQ(rw.resident_bytes(), GemmPackedBSize(k, n) * sizeof(float));
+        Tensor got;
         rw.Gemm(&got, a, bias, &ctx);
         ASSERT_EQ(got.shape(), want.shape());
         for (size_t i = 0; i < want.size(); ++i) {
@@ -515,18 +533,15 @@ TEST(ResidentWeightsTest, FrozenLayersMatchTheThawedForward) {
   const Tensor dense_want = dense_ref.Forward(rows);
 
   // The frozen forward runs the same kernels on panels packed once, so it
-  // matches the per-call-packing reference bit for bit.
+  // matches the repacking reference bit for bit.
   Rng rng(322);
   TreeConvLayer conv(in_dim, out_dim, &rng);
   Dense dense(in_dim, out_dim, &rng);
   conv.set_context(&ctx);
   dense.set_context(&ctx);
   dense.SetTraining(false);
-  EXPECT_EQ(conv.resident_weight_bytes(), 0u);
   conv.FreezeWeights();
   dense.FreezeWeights();
-  EXPECT_GT(conv.resident_weight_bytes(), 0u);
-  EXPECT_GT(dense.resident_weight_bytes(), 0u);
   const Tensor& conv_got = conv.Forward(features, structure);
   for (size_t i = 0; i < conv_want.size(); ++i) {
     ASSERT_EQ(conv_got[i], conv_want[i]) << "tree conv element " << i;
@@ -535,10 +550,6 @@ TEST(ResidentWeightsTest, FrozenLayersMatchTheThawedForward) {
   for (size_t i = 0; i < dense_want.size(); ++i) {
     ASSERT_EQ(dense_got[i], dense_want[i]) << "dense element " << i;
   }
-  conv.ThawWeights();
-  dense.ThawWeights();
-  EXPECT_EQ(conv.resident_weight_bytes(), 0u);
-  EXPECT_EQ(dense.resident_weight_bytes(), 0u);
 }
 
 /// `items` plans of three trees each, sized {nodes, 0, 3}: the middle tree
@@ -755,14 +766,14 @@ TEST(ResidentWeightsDeathTest, BackwardOnAFrozenLayerFails) {
   TreeConvLayer conv(4, 5, &rng);
   conv.FreezeWeights();
   conv.Forward(features, structure);
-  EXPECT_DEATH(conv.Backward(grad), "resident_");
+  EXPECT_DEATH(conv.Backward(grad), "frozen_");
 
   const Tensor rows = Tensor::Random({2, 4}, &rng);
   const Tensor dense_grad = Tensor::Random({2, 5}, &rng);
   Dense dense(4, 5, &rng);
   dense.Forward(rows);  // training-mode forward fills the input cache
   dense.FreezeWeights();
-  EXPECT_DEATH(dense.Backward(dense_grad), "resident_");
+  EXPECT_DEATH(dense.Backward(dense_grad), "frozen_");
 }
 
 // ---------------------------------------------------------------------------

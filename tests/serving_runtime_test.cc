@@ -325,12 +325,12 @@ plan::PlanNodePtr PlanAtTheNodeLimit(
 
 TEST_F(ServingRuntimeFixture, DeadlineMissCountsTheWholeBatchNotThePerRowForward) {
   auto estimator = MakeEstimator();
-  const size_t limit = estimator->limits().max_plan_nodes;
+  const size_t limit = cost::kMaxModelPlanNodes;
   const plan::PlanNodePtr big = PlanAtTheNodeLimit(*records_, limit);
   const plan::PlanStats big_stats = plan::ComputePlanStats(*big);
   ASSERT_LE(big_stats.node_count, limit);
   ASSERT_GT(big_stats.node_count, limit * 9 / 10);
-  ASSERT_LE(big_stats.max_depth, estimator->limits().max_plan_depth);
+  ASSERT_LE(big_stats.max_depth, cost::kMaxModelPlanDepth);
 
   // Both queued before Start, so they share one batch with the small plan
   // first. The small request's deadline leaves it admitted; the shared batch
@@ -517,15 +517,20 @@ TEST_F(ServingRuntimeFixture, ShardServesFrozenWeightsAfterStartSwapAndRollback)
         reference_pipeline->FeaturizePlan(SamplePlan(i)).ValueOrDie();
     reference.push_back(reference_pipeline->PredictFeaturized({&features})[0]);
   }
-  ASSERT_EQ(reference_pipeline->ResidentWeightBytes(), 0u);
+  ASSERT_FALSE(reference_pipeline->weights_frozen());
 
   auto estimator = MakeEstimator();
   ShardedRuntimeConfig config;
   config.shard.max_batch = 4;
   ShardedServingRuntime runtime({estimator.get()}, config);
-  EXPECT_EQ(runtime.shard(0).resident_weight_bytes(), 0u);  // not yet frozen
+  // Read on this thread only after Start() or a swap returned: both freeze
+  // on the calling thread, and the worker never writes the flag.
+  auto serving_pipeline_frozen = [&] {
+    return estimator->pipeline()->weights_frozen();
+  };
+  EXPECT_FALSE(serving_pipeline_frozen());  // not yet started
   auto expect_frozen_and_identical = [&](const char* stage) {
-    EXPECT_GT(runtime.shard(0).resident_weight_bytes(), 0u) << stage;
+    EXPECT_TRUE(serving_pipeline_frozen()) << stage;
     for (size_t i = 0; i < kPlans; ++i) {
       const cost::ServingEstimate estimate =
           runtime.Submit(SamplePlan(i), 1e9)->get();
@@ -542,11 +547,13 @@ TEST_F(ServingRuntimeFixture, ShardServesFrozenWeightsAfterStartSwapAndRollback)
   ASSERT_TRUE(previous.ok()) << previous.status().ToString();
   expect_frozen_and_identical("after SwapPipeline");
 
-  // Thaw the retained pipeline so the rollback has to freeze it again.
-  (*previous)->ThawInferenceWeights();
-  ASSERT_EQ((*previous)->ResidentWeightBytes(), 0u);
+  // Roll back to a fresh, never-frozen instance of the artifact, so the
+  // rollback has to freeze it.
+  auto rollback_target =
+      core::PrestroidPipeline::LoadFile(*artifact_path_).ValueOrDie();
+  ASSERT_FALSE(rollback_target->weights_frozen());
   auto rolled =
-      SwapPipeline(runtime, std::move(*previous), /*is_rollback=*/true);
+      SwapPipeline(runtime, std::move(rollback_target), /*is_rollback=*/true);
   ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
   expect_frozen_and_identical("after rollback");
   runtime.Shutdown();

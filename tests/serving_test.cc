@@ -11,6 +11,7 @@
 
 #include "core/pipeline.h"
 #include "cost/serving_estimator.h"
+#include "plan/plan_stats.h"
 #include "workload/dataset.h"
 
 namespace prestroid::cost {
@@ -140,14 +141,40 @@ TEST_F(ServingFixture, DisabledModelDegradesButKeepsServing) {
   EXPECT_EQ(estimate.tier, ServingTier::kModel);
 }
 
+/// Joins clones of `records`' plans pairwise into one plan of more than
+/// kMaxModelPlanNodes nodes, a balanced tree far below kMaxModelPlanDepth.
+plan::PlanNodePtr PlanOverTheNodeLimit(
+    const std::vector<workload::QueryRecord>& records) {
+  std::vector<plan::PlanNodePtr> level;
+  size_t nodes = 0;
+  for (size_t i = 0; nodes <= kMaxModelPlanNodes; ++i) {
+    level.push_back(records[i % records.size()].plan->Clone());
+    nodes += plan::ComputePlanStats(*level.back()).node_count;
+  }
+  while (level.size() > 1) {
+    std::vector<plan::PlanNodePtr> next;
+    for (size_t i = 0; i + 1 < level.size(); i += 2) {
+      auto join = std::make_unique<plan::PlanNode>();
+      join->type = plan::PlanNodeType::kJoin;
+      join->children.push_back(std::move(level[i]));
+      join->children.push_back(std::move(level[i + 1]));
+      next.push_back(std::move(join));
+    }
+    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
+    level = std::move(next);
+  }
+  return std::move(level[0]);
+}
+
 TEST_F(ServingFixture, OversizedPlanIsRejectedFromModelTier) {
-  ServingLimits limits;
-  limits.max_plan_nodes = 1;  // every real plan exceeds this
-  ServingEstimator estimator(limits);
+  const plan::PlanNodePtr big = PlanOverTheNodeLimit(*records_);
+  const plan::PlanStats big_stats = plan::ComputePlanStats(*big);
+  ASSERT_GT(big_stats.node_count, kMaxModelPlanNodes);
+  ASSERT_LE(big_stats.max_depth, kMaxModelPlanDepth);
+  ServingEstimator estimator;
   ASSERT_TRUE(estimator.FitFallbacks(*records_).ok());
   estimator.AttachPipeline(LoadPipeline());
-  ServingEstimate estimate =
-      estimator.EstimateWithFallback(SamplePlan(), 60000.0);
+  ServingEstimate estimate = estimator.EstimateWithFallback(*big, 60000.0);
   EXPECT_NE(estimate.tier, ServingTier::kModel);
   EXPECT_TRUE(std::isfinite(estimate.cpu_minutes));
   EXPECT_EQ(estimate.degradation_reason.code(), StatusCode::kInvalidArgument);

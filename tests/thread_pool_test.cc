@@ -11,6 +11,7 @@
 #include "nn/conv1d.h"
 #include "nn/tree_conv.h"
 #include "tensor/execution_context.h"
+#include "tensor/kernels/resident_weights.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
@@ -168,9 +169,9 @@ TEST(ExecutionContextTest, OpsRecordFlopsAndInvocations) {
   ExecutionContext ctx(1);
   Rng rng(3);
   Tensor a = Tensor::Random({4, 5}, &rng);
-  Tensor b = Tensor::Random({5, 6}, &rng);
+  Tensor b = Tensor::Random({6, 5}, &rng);
   Tensor out;
-  MatMulInto(&out, a, b, &ctx);
+  MatMulTransposeBInto(&out, a, b, &ctx);
   EXPECT_EQ(ctx.stats().op_invocations, 1u);
   EXPECT_EQ(ctx.stats().flops, 2u * 4u * 5u * 6u);
   ctx.ResetStats();
@@ -182,16 +183,20 @@ TEST(ExecutionContextTest, OpsRecordFlopsAndInvocations) {
 // ---------------------------------------------------------------------------
 
 TEST(ParallelParityTest, MatMulBitIdenticalAcrossThreadCounts) {
+  // The Dense forward product: a @ W + bias through W's packed panel.
   Rng rng(11);
   const Tensor a = Tensor::Random({37, 53}, &rng);
   const Tensor b = Tensor::Random({53, 29}, &rng);
+  const Tensor bias = Tensor::Random({29}, &rng);
+  ResidentWeights panel;
+  panel.Pack(b);
   ExecutionContext one(1);
   Tensor serial;
-  MatMulInto(&serial, a, b, &one);
+  panel.Gemm(&serial, a, bias, &one);
   for (size_t threads : {2u, 4u}) {
     ExecutionContext ctx(threads);
     Tensor parallel;
-    MatMulInto(&parallel, a, b, &ctx);
+    panel.Gemm(&parallel, a, bias, &ctx);
     ASSERT_EQ(parallel.size(), serial.size());
     // Per-element accumulation order is preserved, so the result is
     // bit-identical at any thread count (see DESIGN.md).
@@ -209,13 +214,12 @@ TEST(ParallelParityTest, TransposeAndElementwiseBitIdentical) {
   // The transposed GEMMs (A^T B and A B^T) and the elementwise ops, each run
   // on a serial and a 4-thread context.
   auto run = [&](ExecutionContext* ctx) {
-    std::vector<Tensor> out(6);
+    std::vector<Tensor> out(5);
     MatMulTransposeAInto(&out[0], a, b, ctx);
     MatMulTransposeBInto(&out[1], a, b, ctx);
     ReluInto(&out[2], a, ctx);
     SigmoidInto(&out[3], a, ctx);
-    TanhInto(&out[4], a, ctx);
-    MulInto(&out[5], a, b, ctx);
+    MulInto(&out[4], a, b, ctx);
     return out;
   };
   const std::vector<Tensor> serial = run(&one);
@@ -404,10 +408,13 @@ TEST(ParallelParityTest, SameThreadCountIsRunToRunDeterministic) {
   Rng rng(41);
   const Tensor a = Tensor::Random({64, 48}, &rng);
   const Tensor b = Tensor::Random({48, 32}, &rng);
+  const Tensor bias = Tensor::Random({32}, &rng);
+  ResidentWeights panel;
+  panel.Pack(b);
   ExecutionContext ctx(4);
   Tensor first, second;
-  MatMulInto(&first, a, b, &ctx);
-  MatMulInto(&second, a, b, &ctx);
+  panel.Gemm(&first, a, bias, &ctx);
+  panel.Gemm(&second, a, bias, &ctx);
   for (size_t i = 0; i < first.size(); ++i) EXPECT_EQ(first[i], second[i]);
 }
 

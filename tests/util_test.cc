@@ -568,53 +568,6 @@ TEST(MemoryTrackerTest, BudgetRefusesAndCountsDenials) {
   EXPECT_EQ(stats.denied, 1u);
 }
 
-TEST(MemoryTrackerTest, UnconditionalChargeMayExceedBudget) {
-  MemoryTracker tracker(10);
-  tracker.Charge(64);  // arena block growth: already allocated, must account
-  EXPECT_EQ(tracker.in_use(), 64u);
-  EXPECT_EQ(tracker.denied(), 0u);
-}
-
-TEST(ScratchArenaTest, ResetRetainsBlocksAndTrackerCharge) {
-  MemoryTracker tracker;
-  ScratchArena arena(&tracker, /*initial_block_bytes=*/64);
-  void* first = arena.Allocate(40);
-  ASSERT_NE(first, nullptr);
-  const size_t warm_capacity = arena.capacity_bytes();
-  EXPECT_GT(warm_capacity, 0u);
-  EXPECT_EQ(tracker.in_use(), warm_capacity);
-
-  arena.Reset();
-  EXPECT_EQ(arena.used_bytes(), 0u);
-  // Steady state: same-size allocations reuse the retained blocks — no new
-  // capacity, no new tracker charge.
-  void* second = arena.Allocate(40);
-  ASSERT_NE(second, nullptr);
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(arena.capacity_bytes(), warm_capacity);
-  EXPECT_EQ(tracker.in_use(), warm_capacity);
-
-  arena.Trim();
-  EXPECT_EQ(arena.capacity_bytes(), 0u);
-  EXPECT_EQ(tracker.in_use(), 0u);
-}
-
-TEST(ScratchArenaTest, AllocationsAreAlignedAndGrowGeometrically) {
-  ScratchArena arena(nullptr, /*initial_block_bytes=*/32);
-  for (size_t align : {size_t{1}, size_t{8}, size_t{64}}) {
-    void* p = arena.Allocate(3, align);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u);
-  }
-  // An allocation larger than any existing block forces growth.
-  double* wide = arena.AllocateArray<double>(100);
-  ASSERT_NE(wide, nullptr);
-  wide[99] = 1.0;  // must be writable storage
-  EXPECT_DOUBLE_EQ(wide[99], 1.0);
-  EXPECT_GE(arena.capacity_bytes(), 100 * sizeof(double));
-  EXPECT_GE(arena.peak_used_bytes(), arena.used_bytes());
-}
-
 TEST(TablePrinterTest, DoubleRowFormatting) {
   TablePrinter printer({"w", "a", "b"});
   printer.AddRow("r", {1.23456, 2.0}, 3);
