@@ -117,17 +117,23 @@ class Flags {
     }
     return static_cast<long>(value);
   }
-  /// A count or size flag: GetInt, but a value below `min` is a usage error
-  /// too (a negative one would wrap to a huge size_t, and a count the
-  /// library needs at least one of would abort on its CHECK).
-  size_t GetCount(const std::string& key, size_t fallback,
-                  size_t min = 0) const {
+  /// A count or size flag: GetInt, but a value outside [min, max] is a
+  /// usage error too (a negative one would wrap to a huge size_t, a count the
+  /// library needs at least one of would abort on its CHECK, and one past a
+  /// flag's cap would wrap a narrower type or run until killed).
+  size_t GetCount(const std::string& key, size_t fallback, size_t min = 0,
+                  size_t max = std::numeric_limits<size_t>::max()) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     const long value = GetInt(key, 0);
-    if (value < 0 || static_cast<size_t>(value) < min) {
+    if (value < 0 || static_cast<size_t>(value) < min ||
+        static_cast<size_t>(value) > max) {
       std::cerr << "invalid count for --" << key << ": '" << it->second
-                << "' (must be >= " << min << ")\n";
+                << "' (must be >= " << min;
+      if (max != std::numeric_limits<size_t>::max()) {
+        std::cerr << " and <= " << max;
+      }
+      std::cerr << ")\n";
       std::exit(2);
     }
     return static_cast<size_t>(value);
@@ -167,38 +173,49 @@ plan::PlanLimits PlanLimitsFromFlags(const Flags& flags) {
 }
 
 /// Tolerant trace ingestion shared by train and serve: hostile records are
-/// quarantined (optionally to --quarantine-file) instead of failing the run.
-Result<workload::IngestResult> IngestTrace(const Flags& flags,
-                                           const std::string& trace_path) {
+/// quarantined (optionally to --quarantine-file) instead of failing the run,
+/// and each accepted record goes to `sink`.
+Result<workload::IngestStats> IngestTrace(const Flags& flags,
+                                          const std::string& trace_path,
+                                          const workload::RecordSink& sink) {
   workload::IngestOptions options;
   options.plan_limits = PlanLimitsFromFlags(flags);
   options.quarantine_path = flags.Get("quarantine-file", "");
-  auto ingested = workload::ReadTraceFileTolerant(trace_path, options);
-  if (!ingested.ok()) return ingested.status();
-  if (ingested->stats.quarantined > 0) {
-    std::cout << "ingest: " << ingested->stats.Summary();
+  auto stats = workload::ReadTraceFileTolerant(trace_path, options, sink);
+  if (!stats.ok()) return stats.status();
+  if (stats->quarantined > 0) {
+    std::cout << "ingest: " << stats->Summary();
     if (!options.quarantine_path.empty()) {
       std::cout << " -> " << options.quarantine_path;
     }
     std::cout << "\n";
   }
-  if (ingested->records.empty()) {
-    return Status::InvalidArgument(
-        "no usable records in " + trace_path +
-        " (all quarantined: " + ingested->stats.Summary() + ")");
+  if (stats->accepted == 0) {
+    return Status::InvalidArgument("no usable records in " + trace_path +
+                                   " (all quarantined: " + stats->Summary() +
+                                   ")");
   }
-  return ingested;
+  return stats;
 }
 
+/// gen-trace caps: five times the paper's 19,876-query trace, a schema far
+/// wider than any experiment's, and a day count the generator's int holds.
+constexpr size_t kMaxTraceQueries = 100000;
+constexpr size_t kMaxSchemaTables = 10000;
+constexpr size_t kMaxTraceDays = std::numeric_limits<int>::max();
+
 int GenTrace(const Flags& flags) {
+  // Every count is checked before any generation starts.
   workload::SchemaGenConfig schema_config;
-  schema_config.num_tables = flags.GetCount("tables", 40, 1);
-  schema_config.num_days = static_cast<int>(flags.GetCount("days", 30, 1));
+  schema_config.num_tables = flags.GetCount("tables", 40, 1, kMaxSchemaTables);
+  schema_config.num_days =
+      static_cast<int>(flags.GetCount("days", 30, 1, kMaxTraceDays));
   schema_config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  workload::TraceConfig trace_config;
+  trace_config.num_queries =
+      flags.GetCount("queries", 300, 0, kMaxTraceQueries);
   workload::GeneratedSchema schema = workload::GenerateSchema(schema_config);
 
-  workload::TraceConfig trace_config;
-  trace_config.num_queries = flags.GetCount("queries", 300);
   trace_config.num_days = schema_config.num_days;
   trace_config.seed = schema_config.seed + 1;
   auto records = workload::GenerateGrabTrace(schema, trace_config);
@@ -217,9 +234,12 @@ int Train(const Flags& flags) {
     std::cerr << "train requires --trace <file>\n";
     return 2;
   }
-  auto ingested = IngestTrace(flags, trace_path);
+  std::vector<workload::QueryRecord> records;
+  auto ingested =
+      IngestTrace(flags, trace_path, [&](workload::QueryRecord&& record) {
+        records.push_back(std::move(record));
+      });
   if (!ingested.ok()) return Fail(ingested.status());
-  std::vector<workload::QueryRecord>& records = ingested->records;
   std::cout << "loaded " << records.size() << " queries from " << trace_path
             << "\n";
 
@@ -287,7 +307,7 @@ int Train(const Flags& flags) {
   std::cout << "saved pipeline to " << out << "\n";
 
   std::cout << StrFormat("summary: trained=%zu quarantined=%zu\n",
-                         records.size(), ingested->stats.quarantined);
+                         records.size(), ingested->quarantined);
   return 0;
 }
 
@@ -698,6 +718,9 @@ void PrintServeSummary(const serve::ShardedServingRuntime& runtime,
   }
 }
 
+/// Each serve shard loads its own copy of the model and runs a worker thread.
+constexpr size_t kMaxShards = 64;
+
 /// serve: one estimator and model instance per --shards shard behind the
 /// fingerprint-routed, tenant-quota'd ShardedServingRuntime, the optional
 /// continual loop, then either the HTTP service (--listen) or the offline
@@ -718,16 +741,26 @@ int Serve(const Flags& flags) {
     if (!listen_spec.ok()) return Fail(listen_spec);
   }
 
-  auto ingested = IngestTrace(flags, trace_path);
-  if (!ingested.ok()) return Fail(ingested.status());
-  const std::vector<workload::QueryRecord>& records = ingested->records;
+  const size_t shards = flags.GetCount("shards", 1, 1, kMaxShards);
 
-  // One estimator per shard: fitted fallbacks plus an independent model
-  // instance. A *missing* model artifact degrades serving instead of killing
-  // it (the fallback tiers keep answering), but a *corrupt* one fails fast:
-  // LoadFile CRC-validates the container, and serving from an artifact store
-  // that corrupts data would hide real damage.
-  const size_t shards = std::max<size_t>(1, flags.GetCount("shards", 1));
+  // One pass over the trace feeds the fallback samples, and each plan is
+  // dropped once counted; only the offline replay keeps its records, to
+  // replay them. So a listening server holds the model and the samples, not
+  // the trace's plans.
+  cost::FallbackSamples samples;
+  std::vector<workload::QueryRecord> records;
+  auto ingested =
+      IngestTrace(flags, trace_path, [&](workload::QueryRecord&& record) {
+        samples.Add(record);
+        if (!listen) records.push_back(std::move(record));
+      });
+  if (!ingested.ok()) return Fail(ingested.status());
+
+  // One estimator per shard: fallbacks fitted from the shared samples plus
+  // an independent model instance. A *missing* model artifact degrades
+  // serving instead of killing it (the fallback tiers keep answering), but a
+  // *corrupt* one fails fast: LoadFile CRC-validates the container, and
+  // serving from an artifact store that corrupts data would hide real damage.
   cost::ServingLimits limits;
   limits.default_deadline_ms =
       static_cast<double>(flags.GetInt("deadline-ms", 50));
@@ -735,7 +768,7 @@ int Serve(const Flags& flags) {
   std::vector<cost::ServingEstimator*> raw_estimators;
   for (size_t s = 0; s < shards; ++s) {
     auto estimator = std::make_unique<cost::ServingEstimator>(limits);
-    Status fitted = estimator->FitFallbacks(records);
+    Status fitted = estimator->FitFallbacks(samples);
     if (!fitted.ok()) return Fail(fitted);
     if (!model_path.empty() && !flags.Has("no-model")) {
       auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
@@ -774,7 +807,7 @@ int Serve(const Flags& flags) {
       listen ? ListenAndServe(flags, host, port, runtime, loop.get())
              : ReplayTrace(flags, records, runtime, loop.get());
   if (code != 0) return code;
-  PrintServeSummary(runtime, loop.get(), ingested->stats.quarantined);
+  PrintServeSummary(runtime, loop.get(), ingested->quarantined);
   return 0;
 }
 
@@ -918,6 +951,7 @@ int Usage() {
   std::cerr
       << "usage: prestroid_cli <command> [--flag value ...]\n"
          "  gen-trace --queries N --tables T --days D --seed S --out FILE\n"
+         "            (N <= 100000, T <= 10000)\n"
          "  train     --trace FILE --out FILE [--full] [--n N] [--k K]\n"
          "            [--pf P] [--conv C] [--epochs E] [--batch B]\n"
          "            [--threads T (1=serial, 0=all cores)]\n"
@@ -939,7 +973,7 @@ int Usage() {
          "            [--rollback-qerr X]\n"
          "            [--full] [--n N] [--k K] [--pf P] [--conv C]\n"
          "            (shape of retrained candidates)\n"
-         "            [--shards S (default 1)]\n"
+         "            [--shards S (1 to 64, default 1)]\n"
          "            [--tenants K (offline: spread queries over K tenants)]\n"
          "            [--tenant-quota T:INFLIGHT[:BYTES][,T:...]]\n"
          "            [--memory-budget BYTES (0=account only)]\n"

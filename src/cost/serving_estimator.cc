@@ -41,27 +41,34 @@ void ServingEstimator::AttachPipeline(
   pipeline_ = std::move(pipeline);
 }
 
-Status ServingEstimator::FitFallbacks(
-    const std::vector<workload::QueryRecord>& records) {
-  if (records.empty()) {
+void FallbackSamples::Add(const workload::QueryRecord& record) {
+  node_counts.push_back(
+      static_cast<double>(plan::ComputePlanStats(*record.plan).node_count));
+  cpu_minutes.push_back(record.metrics.total_cpu_minutes);
+}
+
+Status ServingEstimator::FitFallbacks(const FallbackSamples& samples) {
+  if (samples.size() == 0) {
     return Status::InvalidArgument("cannot fit fallbacks on an empty trace");
   }
-  std::vector<double> node_counts;
-  std::vector<double> minutes;
-  node_counts.reserve(records.size());
-  minutes.reserve(records.size());
-  for (const workload::QueryRecord& record : records) {
-    node_counts.push_back(static_cast<double>(
-        plan::ComputePlanStats(*record.plan).node_count));
-    minutes.push_back(record.metrics.total_cpu_minutes);
-  }
+  const std::vector<double>& minutes = samples.cpu_minutes;
   PRESTROID_RETURN_NOT_OK(transform_.Fit(minutes));
-  PRESTROID_RETURN_NOT_OK(bins_.Fit(node_counts, transform_.NormalizeAll(minutes)));
+  PRESTROID_RETURN_NOT_OK(
+      bins_.Fit(samples.node_counts, transform_.NormalizeAll(minutes)));
   double total = 0.0;
   for (double m : minutes) total += m;
   global_mean_minutes_ = total / static_cast<double>(minutes.size());
   fallbacks_fitted_ = true;
   return Status::OK();
+}
+
+Status ServingEstimator::FitFallbacks(
+    const std::vector<workload::QueryRecord>& records) {
+  FallbackSamples samples;
+  samples.node_counts.reserve(records.size());
+  samples.cpu_minutes.reserve(records.size());
+  for (const workload::QueryRecord& record : records) samples.Add(record);
+  return FitFallbacks(samples);
 }
 
 Status ServingEstimator::AdmitModelTier(const plan::PlanStats& plan_stats,

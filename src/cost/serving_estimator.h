@@ -50,6 +50,19 @@ struct ServingEstimate {
   Status degradation_reason;
 };
 
+/// What the fallback tiers are fitted from: each trace record's plan node
+/// count and measured CPU minutes, in trace order. A server keeps these
+/// instead of the records, so its memory does not grow with the trace's
+/// plans, and one set fits every shard's estimator.
+struct FallbackSamples {
+  std::vector<double> node_counts;
+  std::vector<double> cpu_minutes;
+
+  /// Appends one record's sample; the record's plan is not kept.
+  void Add(const workload::QueryRecord& record);
+  size_t size() const { return cpu_minutes.size(); }
+};
+
 /// Monotonic per-process serving counters. The estimator itself maintains
 /// the request/tier/degradation counters; the queue, cache, tenant and
 /// lifecycle fields are filled in by the serving tier's snapshots (serve/
@@ -164,8 +177,12 @@ class ServingEstimator {
   void set_model_enabled(bool enabled) { model_enabled_ = enabled; }
   bool model_enabled() const { return model_enabled_; }
 
-  /// Fits the log-binning and global-mean fallback tiers from a trace.
+  /// Fits the log-binning and global-mean fallback tiers from samples.
+  Status FitFallbacks(const FallbackSamples& samples);
+  /// FitFallbacks over the samples of a trace's records.
   Status FitFallbacks(const std::vector<workload::QueryRecord>& records);
+  /// The global-mean tier's answer (1.0 until the fallbacks are fitted).
+  double global_mean_minutes() const { return global_mean_minutes_; }
 
   /// Walks the degradation chain and returns the first finite estimate,
   /// recording which tier answered. deadline_ms <= 0 uses the configured

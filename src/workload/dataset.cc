@@ -194,53 +194,29 @@ QuarantineReason ClassifyFailure(std::string_view chunk, const Status& status) {
 
 }  // namespace
 
-Result<IngestResult> IngestTraceTolerant(std::string_view text,
-                                         const IngestOptions& options) {
-  IngestResult result;
+Result<IngestStats> IngestTraceTolerant(std::string_view text,
+                                        const IngestOptions& options,
+                                        const RecordSink& sink) {
+  IngestStats stats;
   QuarantineLog log;
   PRESTROID_RETURN_NOT_OK(
       log.Open(options.quarantine_path, options.max_quarantine_bytes));
 
-  // Split into per-record chunks at #QUERY lines; each chunk is a view of a
-  // complete one-record mini-trace the strict parser can judge in isolation,
-  // so one bad record can never poison its neighbours.
-  std::vector<std::string_view> chunks;
-  size_t start = std::string_view::npos;
-  for (size_t line = 0; line < text.size();) {
-    if (StartsWith(text.substr(line), "#QUERY ")) {
-      if (start != std::string_view::npos) {
-        chunks.push_back(text.substr(start, line - start));
-      } else if (!Trim(text.substr(0, line)).empty()) {
-        // Junk before the first record is its own quarantined chunk.
-        chunks.push_back(text.substr(0, line));
-      }
-      start = line;
-    }
-    const size_t newline = text.find('\n', line);
-    if (newline == std::string_view::npos) break;
-    line = newline + 1;
-  }
-  if (start != std::string_view::npos) {
-    chunks.push_back(text.substr(start));
-  } else if (!Trim(text).empty()) {
-    chunks.push_back(text);
-  }
-
   auto quarantine = [&](size_t ordinal, std::string_view chunk,
                         QuarantineReason reason) -> Status {
-    ++result.stats.quarantined;
-    ++result.stats.by_reason[static_cast<size_t>(reason)];
+    ++stats.quarantined;
+    ++stats.by_reason[static_cast<size_t>(reason)];
     return log.Append(reason, ordinal, chunk);
   };
 
-  result.records.reserve(chunks.size());
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const std::string_view chunk = chunks[i];
+  // Judges one per-record chunk (a complete one-record mini-trace) in
+  // isolation, so one bad record can never poison its neighbours.
+  size_t ordinal = 0;
+  auto ingest_chunk = [&](std::string_view chunk) -> Status {
+    const size_t i = ordinal++;
     auto parsed = DeserializeTrace(chunk, options.plan_limits);
     if (!parsed.ok()) {
-      PRESTROID_RETURN_NOT_OK(
-          quarantine(i, chunk, ClassifyFailure(chunk, parsed.status())));
-      continue;
+      return quarantine(i, chunk, ClassifyFailure(chunk, parsed.status()));
     }
     for (QueryRecord& record : *parsed) {
       if (!LabelsFinite(record)) {
@@ -260,13 +236,55 @@ Result<IngestResult> IngestTraceTolerant(std::string_view text,
             quarantine(i, chunk, QuarantineReason::kZeroCpuLabel));
         continue;
       }
-      result.records.push_back(std::move(record));
-      ++result.stats.accepted;
+      ++stats.accepted;
+      sink(std::move(record));
     }
+    return Status::OK();
+  };
+
+  // Cut a chunk at each #QUERY line and ingest it before cutting the next.
+  size_t start = std::string_view::npos;
+  for (size_t line = 0; line < text.size();) {
+    if (StartsWith(text.substr(line), "#QUERY ")) {
+      if (start != std::string_view::npos) {
+        PRESTROID_RETURN_NOT_OK(
+            ingest_chunk(text.substr(start, line - start)));
+      } else if (!Trim(text.substr(0, line)).empty()) {
+        // Junk before the first record is its own quarantined chunk.
+        PRESTROID_RETURN_NOT_OK(ingest_chunk(text.substr(0, line)));
+      }
+      start = line;
+    }
+    const size_t newline = text.find('\n', line);
+    if (newline == std::string_view::npos) break;
+    line = newline + 1;
   }
-  result.stats.quarantine_rotations = log.rotations();
-  result.stats.quarantine_dropped = log.dropped();
+  if (start != std::string_view::npos) {
+    PRESTROID_RETURN_NOT_OK(ingest_chunk(text.substr(start)));
+  } else if (!Trim(text).empty()) {
+    PRESTROID_RETURN_NOT_OK(ingest_chunk(text));
+  }
+  stats.quarantine_rotations = log.rotations();
+  stats.quarantine_dropped = log.dropped();
+  return stats;
+}
+
+Result<IngestResult> IngestTraceTolerant(std::string_view text,
+                                         const IngestOptions& options) {
+  IngestResult result;
+  PRESTROID_ASSIGN_OR_RETURN(
+      result.stats,
+      IngestTraceTolerant(text, options, [&](QueryRecord&& record) {
+        result.records.push_back(std::move(record));
+      }));
   return result;
+}
+
+Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
+                                          const IngestOptions& options,
+                                          const RecordSink& sink) {
+  PRESTROID_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  return IngestTraceTolerant(text, options, sink);
 }
 
 Result<IngestResult> ReadTraceFileTolerant(const std::string& path,

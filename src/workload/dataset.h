@@ -2,6 +2,7 @@
 #define PRESTROID_WORKLOAD_DATASET_H_
 
 #include <array>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,18 +67,32 @@ struct IngestResult {
   IngestStats stats;
 };
 
+/// Receives each accepted record of a tolerant ingest, in trace order. The
+/// record is the sink's to keep or drop: a caller that needs only a few
+/// numbers per record drops each plan once it has read them, so its memory
+/// does not grow with the trace's plans.
+using RecordSink = std::function<void(QueryRecord&&)>;
+
 /// Parses a serialized trace, skipping (and counting) hostile records
 /// instead of failing the run: malformed headers/plans, over-limit plans,
 /// truncated tails, non-finite or negative labels and zero CPU labels are
-/// quarantined.
+/// quarantined, and every accepted record goes to `sink`.
 /// Only environmental failures (e.g. an unwritable quarantine file) abort.
-/// Records are cut as views of `text` and parsed in place; a quarantined
-/// record's bytes are only read for its log snippet.
+/// Records are cut as views of `text` one at a time and parsed in place; a
+/// quarantined record's bytes are only read for its log snippet.
+Result<IngestStats> IngestTraceTolerant(std::string_view text,
+                                        const IngestOptions& options,
+                                        const RecordSink& sink);
+
+/// IngestTraceTolerant with a sink that keeps every accepted record.
 Result<IngestResult> IngestTraceTolerant(std::string_view text,
                                          const IngestOptions& options);
 
-/// File variant of IngestTraceTolerant: reads the file once into a buffer
-/// of its size (ReadFileToString).
+/// File variants of IngestTraceTolerant: read the file once into a buffer
+/// of its size (ReadFileToString), freed when ingestion returns.
+Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
+                                          const IngestOptions& options,
+                                          const RecordSink& sink);
 Result<IngestResult> ReadTraceFileTolerant(const std::string& path,
                                            const IngestOptions& options);
 

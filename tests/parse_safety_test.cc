@@ -271,95 +271,33 @@ TEST(ParseDigestTest, SqlNesting) {
 
 // --- Tolerant ingest on hostile traces -----------------------------------
 
-/// A serialized trace of the first `n` GRAB records with record `i` damaged
-/// by `damage` (applied to that record's serialized text).
-std::string DamagedTrace(size_t n, size_t i,
-                         std::string (*damage)(const std::string&, uint64_t),
-                         uint64_t seed) {
-  const TraceCorpus& grab = GrabCorpus();
-  std::string out;
-  for (size_t r = 0; r < n; ++r) {
-    std::vector<workload::QueryRecord> one;
-    workload::QueryRecord copy;
-    copy.id = grab.records[r].id;
-    copy.day = grab.records[r].day;
-    copy.template_id = grab.records[r].template_id;
-    copy.sql = grab.records[r].sql;
-    copy.plan = grab.records[r].plan->Clone();
-    copy.metrics = grab.records[r].metrics;
-    one.push_back(std::move(copy));
-    const std::string text = workload::SerializeTrace(one);
-    out += r == i ? damage(text, seed) : text;
-  }
-  return out;
-}
-
-std::string ReplacePlan(const std::string& record, uint64_t seed) {
-  const size_t plan = record.find("#PLAN\n");
-  const size_t end = record.find("#END\n");
-  return record.substr(0, plan + 6) +
-         serve::MutatePlanText(serve::FuzzBasePlanText(seed), seed) + "\n" +
-         record.substr(end);
-}
-
-std::string CutRecord(const std::string& record, uint64_t seed) {
-  return record.substr(0, seed % record.size());
-}
-
-std::string BadHeader(const std::string& record, uint64_t seed) {
-  const char* const kHeaders[] = {"#QUERY 1 2\n", "#QUERY x y z 1 2 3\n",
-                                  "#QUERY\n", "#QUERY 1 2 3 nan 1 1\n",
-                                  "#QUERY 1 2 3 -4 1 1\n",
-                                  "#QUERY 1 2 3 inf 1 1\n",
-                                  "#QUERY 1 2 3 4 5 -6\n"};
-  const size_t nl = record.find('\n');
-  return kHeaders[seed % std::size(kHeaders)] + record.substr(nl + 1);
-}
-
-std::string StrayLine(const std::string& record, uint64_t seed) {
-  const char* const kLines[] = {"#SQL stray\n", "#PLAN\n", "#END\n",
-                                "garbage line\n", "#QUERY 1 2 3 4 5 6\n",
-                                "\n\n  \n", "\r\n"};
-  const std::string line = kLines[seed % std::size(kLines)];
-  const size_t at = (seed / 7) % record.size();
-  const size_t nl = record.rfind('\n', at);
-  const size_t cut = nl == std::string::npos ? 0 : nl + 1;
-  return record.substr(0, cut) + line + record.substr(cut);
-}
-
 TEST(ParseDigestTest, TolerantIngestOfHostileTraces) {
   // Quarantine reasons, counts, the quarantine log's lines and every
   // accepted record must be unchanged by a parser rewrite.
-  using Damage = std::string (*)(const std::string&, uint64_t);
-  const Damage kDamages[] = {ReplacePlan, CutRecord, BadHeader, StrayLine};
   const std::string log_path = ::testing::TempDir() + "/parse_safety_q.log";
   Digest digest;
   workload::IngestStats totals;
-  for (size_t d = 0; d < std::size(kDamages); ++d) {
-    for (uint64_t seed = 0; seed < 40; ++seed) {
-      const std::string trace =
-          DamagedTrace(6, static_cast<size_t>(seed % 6), kDamages[d], seed);
-      std::remove(log_path.c_str());
-      workload::IngestOptions options;
-      options.quarantine_path = log_path;
-      auto ingested = workload::IngestTraceTolerant(trace, options);
-      ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
-      digest.Add(ingested->stats.Summary());
-      for (const workload::QueryRecord& record : ingested->records) {
-        digest.Add(static_cast<uint64_t>(record.id));
-        digest.Add(record.sql);
-        digest.Add(plan::PlanToText(*record.plan));
-      }
-      std::ifstream in(log_path);
-      std::stringstream log;
-      log << in.rdbuf();
-      digest.Add(log.str());
-      digest.AddCode(workload::DeserializeTrace(trace).status());
-      totals.accepted += ingested->stats.accepted;
-      totals.quarantined += ingested->stats.quarantined;
-      for (size_t r = 0; r < totals.by_reason.size(); ++r) {
-        totals.by_reason[r] += ingested->stats.by_reason[r];
-      }
+  for (const std::string& trace : test::HostileTraces()) {
+    std::remove(log_path.c_str());
+    workload::IngestOptions options;
+    options.quarantine_path = log_path;
+    auto ingested = workload::IngestTraceTolerant(trace, options);
+    ASSERT_TRUE(ingested.ok()) << ingested.status().ToString();
+    digest.Add(ingested->stats.Summary());
+    for (const workload::QueryRecord& record : ingested->records) {
+      digest.Add(static_cast<uint64_t>(record.id));
+      digest.Add(record.sql);
+      digest.Add(plan::PlanToText(*record.plan));
+    }
+    std::ifstream in(log_path);
+    std::stringstream log;
+    log << in.rdbuf();
+    digest.Add(log.str());
+    digest.AddCode(workload::DeserializeTrace(trace).status());
+    totals.accepted += ingested->stats.accepted;
+    totals.quarantined += ingested->stats.quarantined;
+    for (size_t r = 0; r < totals.by_reason.size(); ++r) {
+      totals.by_reason[r] += ingested->stats.by_reason[r];
     }
   }
   std::remove(log_path.c_str());

@@ -4,6 +4,7 @@
 /// request gets a finite estimate and reports which tier produced it.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -12,6 +13,7 @@
 #include "core/pipeline.h"
 #include "cost/serving_estimator.h"
 #include "plan/plan_stats.h"
+#include "test_corpus.h"
 #include "workload/dataset.h"
 
 namespace prestroid::cost {
@@ -90,9 +92,50 @@ TEST_F(ServingFixture, UnfittedEstimatorStillAnswersWithGlobalMean) {
 
 TEST_F(ServingFixture, FitFallbacksRejectsEmptyTrace) {
   ServingEstimator estimator;
-  Status status = estimator.FitFallbacks({});
+  Status status = estimator.FitFallbacks(std::vector<workload::QueryRecord>{});
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  status = estimator.FitFallbacks(FallbackSamples{});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(ServingFixture, SampleFitMatchesRecordFitOnEveryFallbackTier) {
+  // serve streams its trace into samples and drops each plan; offline
+  // callers fit from the record vector. On a trace with quarantined records
+  // both fits must give bit-identical answers on every fallback tier.
+  std::string trace = workload::SerializeTrace(*records_);
+  const std::vector<std::string> hostile = test::HostileTraces();
+  for (size_t i = 0; i < hostile.size(); i += 9) trace += hostile[i];
+
+  FallbackSamples samples;
+  auto streamed = workload::IngestTraceTolerant(
+      trace, {}, [&](workload::QueryRecord&& record) { samples.Add(record); });
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  auto collected = workload::IngestTraceTolerant(trace, {});
+  ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+  ASSERT_GT(streamed->quarantined, 0u);
+  ASSERT_EQ(samples.size(), collected->records.size());
+
+  ServingEstimator from_samples;
+  ServingEstimator from_records;
+  ASSERT_TRUE(from_samples.FitFallbacks(samples).ok());
+  ASSERT_TRUE(from_records.FitFallbacks(collected->records).ok());
+  EXPECT_EQ(from_samples.global_mean_minutes(),
+            from_records.global_mean_minutes());
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t nodes = 0; nodes <= 10000;
+       nodes = nodes < 16 ? nodes + 1 : nodes * 5 / 4) {
+    plan::PlanStats stats;
+    stats.node_count = nodes;
+    const ServingEstimate a =
+        from_samples.EstimateFallback(stats, Status::OK(), start);
+    const ServingEstimate b =
+        from_records.EstimateFallback(stats, Status::OK(), start);
+    EXPECT_EQ(a.tier, ServingTier::kLogBinning) << nodes;
+    EXPECT_EQ(a.tier, b.tier) << nodes;
+    EXPECT_EQ(a.cpu_minutes, b.cpu_minutes) << nodes;
+  }
 }
 
 TEST_F(ServingFixture, NoModelDegradesToLogBinning) {

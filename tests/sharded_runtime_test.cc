@@ -309,6 +309,46 @@ TEST_F(ShardedRuntimeFixture, ShardedAnswersMatchSingleQueryReferences) {
   }
 }
 
+TEST_F(ShardedRuntimeFixture, ShardsFittedFromSharedSamplesAnswerAsOneFit) {
+  // serve fits every shard's fallbacks from one shared sample set; each
+  // shard must answer exactly as a single fit over the records does.
+  cost::FallbackSamples samples;
+  for (const workload::QueryRecord& record : *records_) samples.Add(record);
+  cost::ServingEstimator reference;
+  ASSERT_TRUE(reference.FitFallbacks(*records_).ok());
+
+  constexpr size_t kShards = 4;
+  std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
+  std::vector<cost::ServingEstimator*> raw;
+  for (size_t s = 0; s < kShards; ++s) {
+    estimators.push_back(std::make_unique<cost::ServingEstimator>());
+    ASSERT_TRUE(estimators.back()->FitFallbacks(samples).ok());
+    EXPECT_EQ(estimators.back()->global_mean_minutes(),
+              reference.global_mean_minutes());
+    raw.push_back(estimators.back().get());
+  }
+  ShardedRuntimeConfig config;
+  config.shards = kShards;
+  ShardedServingRuntime runtime(raw, config);
+  ASSERT_TRUE(runtime.Start().ok());
+  std::vector<std::future<cost::ServingEstimate>> futures;
+  for (const workload::QueryRecord& record : *records_) {
+    futures.push_back(runtime.Submit(*record.plan, 1e9).ValueOrDie());
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const cost::ServingEstimate served = futures[i].get();
+    const cost::ServingEstimate expected =
+        reference.EstimateWithFallback(*(*records_)[i].plan, 1e9);
+    EXPECT_EQ(served.tier, cost::ServingTier::kLogBinning) << i;
+    EXPECT_EQ(served.tier, expected.tier) << i;
+    EXPECT_EQ(served.cpu_minutes, expected.cpu_minutes) << i;
+  }
+  runtime.Shutdown();
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_GT(runtime.shard(s).StatsSnapshot().requests, 0u) << "shard " << s;
+  }
+}
+
 TEST_F(ShardedRuntimeFixture, OverQuotaTenantShedsWhileOthersServe) {
   // No Start(): requests stay queued, so in-flight counts are deterministic.
   ShardedRuntimeConfig config;

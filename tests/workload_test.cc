@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -9,6 +10,7 @@
 #include "plan/plan_text.h"
 #include "plan/planner.h"
 #include "sql/parser.h"
+#include "test_corpus.h"
 #include "workload/dataset.h"
 #include "workload/query_generator.h"
 #include "workload/schema_generator.h"
@@ -407,6 +409,49 @@ TEST(QuarantineRotationTest, RecordLargerThanTheCapIsDroppedNotWritten) {
   EXPECT_EQ(result->stats.quarantine_dropped, 1u);
   EXPECT_EQ(result->stats.quarantine_rotations, 0u);
   EXPECT_EQ(FileSizeOrZero(path), 0u);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(SinkIngestTest, SinkAndVectorFormsAgreeOnHostileTraces) {
+  // The sink form is the one ingest loop; the vector form is a wrapper whose
+  // sink appends. Over every hostile trace both must accept the same
+  // records, count the same quarantines and log the same bytes.
+  const std::string sink_log = QuarantineTempPath("sink_parity_sink.log");
+  const std::string vector_log = QuarantineTempPath("sink_parity_vector.log");
+  size_t quarantined = 0;
+  for (const std::string& trace : test::HostileTraces()) {
+    std::remove(sink_log.c_str());
+    std::remove(vector_log.c_str());
+    IngestOptions options;
+    options.quarantine_path = sink_log;
+    std::vector<QueryRecord> streamed;
+    auto stats = IngestTraceTolerant(trace, options, [&](QueryRecord&& record) {
+      streamed.push_back(std::move(record));
+    });
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    options.quarantine_path = vector_log;
+    auto collected = IngestTraceTolerant(trace, options);
+    ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+
+    EXPECT_EQ(SerializeTrace(streamed), SerializeTrace(collected->records));
+    EXPECT_EQ(stats->accepted, collected->stats.accepted);
+    EXPECT_EQ(stats->quarantined, collected->stats.quarantined);
+    EXPECT_EQ(stats->by_reason, collected->stats.by_reason);
+    EXPECT_EQ(stats->quarantine_rotations,
+              collected->stats.quarantine_rotations);
+    EXPECT_EQ(stats->quarantine_dropped, collected->stats.quarantine_dropped);
+    EXPECT_EQ(stats->accepted, streamed.size());
+    EXPECT_EQ(FileBytes(sink_log), FileBytes(vector_log));
+    quarantined += stats->quarantined;
+  }
+  std::remove(sink_log.c_str());
+  std::remove(vector_log.c_str());
+  EXPECT_GT(quarantined, 0u);  // the corpus does exercise the quarantine
 }
 
 }  // namespace
