@@ -14,13 +14,16 @@
 // ragged vs padded served batches and over real featurized GRAB plans
 // (median-of-N with warmup), plus the parsing front end (plan text, SQL,
 // tolerant trace ingest, and the PlanNode::Clone allocation floor) on the
-// perfbench-shaped trace, and writes the machine-readable records plus the
-// resident and ragged geomean speedups to <path> (BENCH_kernels.json).
+// perfbench-shaped trace, and the cold load of a CLI-shape model artifact
+// (PrestroidPipeline::LoadFile), and writes the machine-readable records
+// plus the resident and ragged geomean speedups to <path>
+// (BENCH_kernels.json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -39,6 +42,7 @@
 #include "subtree/subtree_sampler.h"
 #include "tensor/execution_context.h"
 #include "tensor/kernels/resident_weights.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -394,20 +398,10 @@ TreeStructure AdhocServedBatch(size_t batch, bool padded, Rng* rng) {
   return structure;
 }
 
-/// The parsing front end on the perfbench-shaped corpus: the warehouse
-/// schema (seed 7, 40 tables) and a 1200-query GRAB trace at seed 1, the
-/// trace `serve --listen` ingests at startup in perfbench.
-struct FrontEndParseRecord {
-  size_t records = 0;
-  double mean_plan_text_bytes = 0.0;
-  double plan_text_us_per_plan = 0.0;
-  double plan_text_mb_s = 0.0;
-  double sql_us_per_query = 0.0;
-  double ingest_ms = 0.0;
-  double plan_clone_us_per_plan = 0.0;
-};
-
-FrontEndParseRecord MeasureFrontEndParse() {
+/// The perfbench-shaped corpus: the warehouse schema (seed 7, 40 tables)
+/// and a 1200-query GRAB trace at seed 1, the trace `serve --listen`
+/// ingests at startup in perfbench.
+std::vector<workload::QueryRecord> PerfbenchShapedTrace() {
   workload::SchemaGenConfig schema_config;
   schema_config.num_tables = 40;
   schema_config.num_days = 30;
@@ -418,8 +412,22 @@ FrontEndParseRecord MeasureFrontEndParse() {
   trace_config.num_queries = 1200;
   trace_config.num_days = 30;
   trace_config.seed = 1;
-  const std::vector<workload::QueryRecord> trace =
-      workload::GenerateGrabTrace(schema, trace_config).ValueOrDie();
+  return workload::GenerateGrabTrace(schema, trace_config).ValueOrDie();
+}
+
+/// The parsing front end on the perfbench-shaped corpus.
+struct FrontEndParseRecord {
+  size_t records = 0;
+  double mean_plan_text_bytes = 0.0;
+  double plan_text_us_per_plan = 0.0;
+  double plan_text_mb_s = 0.0;
+  double sql_us_per_query = 0.0;
+  double ingest_ms = 0.0;
+  double plan_clone_us_per_plan = 0.0;
+};
+
+FrontEndParseRecord MeasureFrontEndParse(
+    const std::vector<workload::QueryRecord>& trace) {
   const std::string serialized = workload::SerializeTrace(trace);
   std::vector<std::string> plan_texts;
   size_t plan_bytes = 0;
@@ -469,6 +477,47 @@ FrontEndParseRecord MeasureFrontEndParse() {
       rec.records, rec.mean_plan_text_bytes, rec.plan_text_us_per_plan,
       rec.plan_text_mb_s, rec.sql_us_per_query, rec.ingest_ms,
       rec.plan_clone_us_per_plan);
+  return rec;
+}
+
+/// The cold model load every serve shard, hot-swap candidate and predict
+/// runs: PrestroidPipeline::LoadFile of a CLI-shape artifact (N = 15,
+/// K = 9, predicate Word2Vec 32, three 32-channel tree convs, dense 32-16),
+/// fitted on the perfbench-shaped corpus as perfbench fits its serving
+/// model. The weights are untrained; the load reads the same token count.
+struct ArtifactLoadRecord {
+  size_t bytes = 0;
+  double load_ms = 0.0;
+};
+
+ArtifactLoadRecord MeasureArtifactLoad(
+    const std::vector<workload::QueryRecord>& trace) {
+  core::PipelineConfig config;
+  config.sampler.node_limit = 15;
+  config.num_subtrees = 9;
+  config.word2vec.dim = 32;
+  config.word2vec.min_count = 2;
+  config.conv_channels.assign(3, 32);
+  config.dense_units = {32, 16};
+  std::vector<size_t> all(trace.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "micro_ops_artifact.ppl")
+          .string();
+  PRESTROID_CHECK(core::PrestroidPipeline::Fit(trace, all, config)
+                      .ValueOrDie()
+                      ->SaveFile(path)
+                      .ok());
+  ArtifactLoadRecord rec;
+  rec.bytes = std::filesystem::file_size(path);
+  rec.load_ms = MedianNs([&] {
+                  auto loaded = core::PrestroidPipeline::LoadFile(path);
+                  benchmark::DoNotOptimize(loaded.ValueOrDie().get());
+                }) /
+                1e6;
+  std::filesystem::remove(path);
+  std::cout << StrFormat("artifact_load (%zu B CLI-shape artifact): %.2f ms\n",
+                         rec.bytes, rec.load_ms);
   return rec;
 }
 
@@ -741,7 +790,10 @@ int RunJsonBench(const std::string& path) {
     }
   }
 
-  const FrontEndParseRecord front_end = MeasureFrontEndParse();
+  const std::vector<workload::QueryRecord> perfbench_trace =
+      PerfbenchShapedTrace();
+  const FrontEndParseRecord front_end = MeasureFrontEndParse(perfbench_trace);
+  const ArtifactLoadRecord artifact_load = MeasureArtifactLoad(perfbench_trace);
 
   const double resident_speedup =
       GeomeanSpeedup(records, "serving_gemm", "resident", "blocked");
@@ -794,6 +846,14 @@ int RunJsonBench(const std::string& path) {
     json.FieldDouble("tolerant_ingest_ms", front_end.ingest_ms, "%.1f");
     json.FieldDouble("plan_clone_us_per_plan",
                      front_end.plan_clone_us_per_plan, "%.2f");
+    json.EndObject();
+    json.Key("artifact_load");
+    json.BeginObject();
+    json.Field("artifact",
+               "CLI shape (N 15, K 9, Pf 32, conv 32x3, dense 32-16) fitted "
+               "on the front_end_parse corpus");
+    json.Field("bytes", artifact_load.bytes);
+    json.FieldDouble("load_ms", artifact_load.load_ms, "%.2f");
     json.EndObject();
     json.EndObject();
   }

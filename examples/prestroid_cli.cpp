@@ -38,6 +38,7 @@
 // statistics.
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
@@ -493,8 +494,8 @@ class ContinualLoop {
 /// query finishes executing.
 int ReplayTrace(const Flags& flags,
                 const std::vector<workload::QueryRecord>& records,
-                serve::ShardedServingRuntime& runtime, ContinualLoop* loop) {
-  const size_t tenants = std::max<size_t>(1, flags.GetCount("tenants", 1));
+                size_t tenants, serve::ShardedServingRuntime& runtime,
+                ContinualLoop* loop) {
   const size_t limit =
       std::min<size_t>(records.size(), flags.GetCount("limit", 20));
   const size_t window = loop != nullptr ? loop->retrain_interval() : limit;
@@ -741,7 +742,27 @@ int Serve(const Flags& flags) {
     if (!listen_spec.ok()) return Fail(listen_spec);
   }
 
-  const size_t shards = flags.GetCount("shards", 1, 1, kMaxShards);
+  // Every count is checked before any work, so a usage error exits 2 at
+  // once. Queue depth, batch size and the replay's tenant count are each at
+  // least one.
+  serve::ShardedRuntimeConfig config;
+  config.shards = flags.GetCount("shards", 1, 1, kMaxShards);
+  config.shard.queue_depth = flags.GetCount("queue-depth", 256, 1);
+  config.shard.max_batch = flags.GetCount("max-batch", 32, 1);
+  config.shard.cache_entries = flags.GetCount("cache-entries", 1024);
+  config.shard.plan_limits = PlanLimitsFromFlags(flags);
+  config.memory_budget_bytes = flags.GetCount("memory-budget", 0);
+  const size_t tenants = flags.GetCount("tenants", 1, 1);
+  const size_t retrain_interval = flags.GetCount("retrain-interval", 0);
+
+  // The set-up line splits the start-up time: trace ingest, fallback fit and
+  // model load (both summed over shards), then runtime start.
+  using Clock = std::chrono::steady_clock;
+  auto ms_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
+  Clock::time_point phase = Clock::now();
 
   // One pass over the trace feeds the fallback samples, and each plan is
   // dropped once counted; only the offline replay keeps its records, to
@@ -755,6 +776,7 @@ int Serve(const Flags& flags) {
         if (!listen) records.push_back(std::move(record));
       });
   if (!ingested.ok()) return Fail(ingested.status());
+  const double ingest_ms = ms_since(phase);
 
   // One estimator per shard: fallbacks fitted from the shared samples plus
   // an independent model instance. A *missing* model artifact degrades
@@ -766,12 +788,17 @@ int Serve(const Flags& flags) {
       static_cast<double>(flags.GetInt("deadline-ms", 50));
   std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
   std::vector<cost::ServingEstimator*> raw_estimators;
-  for (size_t s = 0; s < shards; ++s) {
+  double fit_ms = 0.0, load_ms = 0.0;
+  for (size_t s = 0; s < config.shards; ++s) {
     auto estimator = std::make_unique<cost::ServingEstimator>(limits);
+    phase = Clock::now();
     Status fitted = estimator->FitFallbacks(samples);
+    fit_ms += ms_since(phase);
     if (!fitted.ok()) return Fail(fitted);
     if (!model_path.empty() && !flags.Has("no-model")) {
+      phase = Clock::now();
       auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
+      load_ms += ms_since(phase);
       if (pipeline.ok()) {
         estimator->AttachPipeline(std::move(*pipeline));
       } else if (pipeline.status().code() == StatusCode::kDataCorruption) {
@@ -785,19 +812,16 @@ int Serve(const Flags& flags) {
     estimators.push_back(std::move(estimator));
   }
 
-  serve::ShardedRuntimeConfig config;
-  config.shards = shards;
-  config.shard.queue_depth = flags.GetCount("queue-depth", 256);
-  config.shard.max_batch = flags.GetCount("max-batch", 32);
-  config.shard.cache_entries = flags.GetCount("cache-entries", 1024);
-  config.shard.plan_limits = PlanLimitsFromFlags(flags);
-  config.memory_budget_bytes = flags.GetCount("memory-budget", 0);
+  phase = Clock::now();
   serve::ShardedServingRuntime runtime(raw_estimators, config);
   if (!ApplyTenantQuotas(flags.Get("tenant-quota", ""), runtime)) return 2;
   Status started = runtime.Start();
   if (!started.ok()) return Fail(started);
+  std::cout << StrFormat(
+      "setup: ingest=%.1fms fallback-fit=%.1fms model-load=%.1fms "
+      "runtime-start=%.1fms (shards=%zu)\n",
+      ingest_ms, fit_ms, load_ms, ms_since(phase), config.shards);
 
-  const size_t retrain_interval = flags.GetCount("retrain-interval", 0);
   std::unique_ptr<ContinualLoop> loop;
   if (retrain_interval > 0) {
     loop = std::make_unique<ContinualLoop>(flags, retrain_interval, &runtime);
@@ -805,7 +829,7 @@ int Serve(const Flags& flags) {
 
   const int code =
       listen ? ListenAndServe(flags, host, port, runtime, loop.get())
-             : ReplayTrace(flags, records, runtime, loop.get());
+             : ReplayTrace(flags, records, tenants, runtime, loop.get());
   if (code != 0) return code;
   PrintServeSummary(runtime, loop.get(), ingested->quarantined);
   return 0;

@@ -10,10 +10,12 @@
 //            table vocabularies
 //   model  — trained weights + non-trainable state tensors
 //
-// Section payloads are the v1 text records (labels and tokens never contain
-// whitespace, so stream extraction round-trips them safely). Files written
-// by the pre-container v1 format ("PRESTROID_PIPELINE v1" + the same records
-// in sequence) are still loadable; any corrupted v2 file is rejected with
+// Section payloads are the v1 text records: whitespace-separated words and
+// numbers, each record ending in '\n' (labels and tokens never contain
+// whitespace). They are parsed in place by one util/text_cursor.h cursor,
+// which v2 sections and the legacy body share. Files written by the
+// pre-container v1 format ("PRESTROID_PIPELINE v1" + the same records in
+// sequence) are still loadable; any corrupted v2 file is rejected with
 // StatusCode::kDataCorruption before a single weight is deserialized.
 #include <algorithm>
 #include <cmath>
@@ -22,6 +24,7 @@
 #include "core/pipeline.h"
 #include "util/artifact_io.h"
 #include "util/logging.h"
+#include "util/text_cursor.h"
 
 namespace prestroid::core {
 
@@ -42,12 +45,10 @@ void DumpSizeList(std::ostream& os, const char* tag,
 // No real list or vocabulary comes anywhere near this bound.
 constexpr size_t kMaxSerializedEntries = 1u << 24;
 
-Status ReadSizeList(std::istream& is, const char* tag,
+Status ReadSizeList(TextCursor& in, const char* tag,
                     std::vector<size_t>* out) {
-  std::string label;
   size_t count = 0;
-  is >> label >> count;
-  if (!is.good() || label != tag) {
+  if (!in.Expect(tag) || !in.Number(&count)) {
     return Status::ParseError(std::string("expected list tag ") + tag);
   }
   if (count > kMaxSerializedEntries) {
@@ -55,8 +56,9 @@ Status ReadSizeList(std::istream& is, const char* tag,
                                   tag);
   }
   out->resize(count);
-  for (size_t& v : *out) is >> v;
-  if (is.fail()) return Status::ParseError("truncated size list");
+  for (size_t& v : *out) {
+    if (!in.Number(&v)) return Status::ParseError("truncated size list");
+  }
   return Status::OK();
 }
 
@@ -67,26 +69,33 @@ void DumpVocab(std::ostream& os, const char* tag,
   os << "\n";
 }
 
-Status ReadVocab(std::istream& is, const char* tag,
+Status ReadVocab(TextCursor& in, const char* tag,
                  std::map<std::string, size_t>* out) {
-  std::string label;
   size_t count = 0;
-  is >> label >> count;
-  if (!is.good() || label != tag) {
+  if (!in.Expect(tag) || !in.Number(&count)) {
     return Status::ParseError(std::string("expected vocab tag ") + tag);
   }
   if (count > kMaxSerializedEntries) {
     return Status::DataCorruption(std::string("implausible size for vocab ") +
                                   tag);
   }
+  // An id is its label's slot in a one-hot block of count + 1 floats
+  // (OtpEncoder::EncodeNode writes there), so the ids must be exactly
+  // 0..count-1, each once, under distinct labels.
+  std::vector<bool> seen(count, false);
   for (size_t i = 0; i < count; ++i) {
-    std::string key;
+    std::string_view key;
     size_t id = 0;
-    is >> key >> id;
-    // Fail per entry: a truncated stream must end the loop, not spin `count`
-    // times inserting empty keys.
-    if (is.fail()) return Status::ParseError("truncated vocabulary");
-    out->emplace(std::move(key), id);
+    // Fail per entry: a truncated section must end the loop, not spin
+    // `count` times.
+    if (!in.Word(&key) || !in.Number(&id)) {
+      return Status::ParseError("truncated vocabulary");
+    }
+    if (id >= count || seen[id] || !out->emplace(key, id).second) {
+      return Status::DataCorruption(std::string("vocabulary ") + tag +
+                                    " ids are not 0..n-1 over distinct labels");
+    }
+    seen[id] = true;
   }
   return Status::OK();
 }
@@ -110,24 +119,25 @@ struct PipelineSerde {
        << p.transform_.log_max() << "\n";
   }
 
-  static Status ParseConfig(std::istream& is, PrestroidPipeline* p) {
+  static Status ParseConfig(TextCursor& in, PrestroidPipeline* p) {
     PipelineConfig& config = p->config_;
-    std::string tag;
     int use_subtrees = 0, pruning = 0, batch_norm = 0;
-    is >> tag >> use_subtrees >> pruning >> config.num_subtrees >>
-        config.sampler.node_limit >> config.sampler.conv_layers >>
-        config.word2vec.dim >> config.dropout >> batch_norm >>
-        config.learning_rate >> config.seed;
-    if (!is.good() || tag != "config") {
+    if (!in.Expect("config") || !in.Number(&use_subtrees) ||
+        !in.Number(&pruning) || !in.Number(&config.num_subtrees) ||
+        !in.Number(&config.sampler.node_limit) ||
+        !in.Number(&config.sampler.conv_layers) ||
+        !in.Number(&config.word2vec.dim) || !in.Number(&config.dropout) ||
+        !in.Number(&batch_norm) || !in.Number(&config.learning_rate) ||
+        !in.Number(&config.seed)) {
       return Status::ParseError("bad pipeline config header");
     }
     config.use_subtrees = use_subtrees != 0;
     config.pruning = static_cast<subtree::PruningStrategy>(pruning);
     config.batch_norm = batch_norm != 0;
     PRESTROID_RETURN_NOT_OK(
-        ReadSizeList(is, "conv_channels", &config.conv_channels));
+        ReadSizeList(in, "conv_channels", &config.conv_channels));
     PRESTROID_RETURN_NOT_OK(
-        ReadSizeList(is, "dense_units", &config.dense_units));
+        ReadSizeList(in, "dense_units", &config.dense_units));
     // A CRC-valid file can still carry values the model constructor would
     // CHECK-fail on; reject them here so a bad candidate is a Status, never
     // an abort of the serving process. Full-tree pipelines build with K = 1
@@ -150,8 +160,8 @@ struct PipelineSerde {
     }
 
     double log_min = 0, log_max = 1;
-    is >> tag >> log_min >> log_max;
-    if (!is.good() || tag != "transform") {
+    if (!in.Expect("transform") || !in.Number(&log_min) ||
+        !in.Number(&log_max)) {
       return Status::ParseError("bad transform record");
     }
     // Re-fit the transform from its endpoints (log of the stored bounds).
@@ -168,27 +178,35 @@ struct PipelineSerde {
     DumpVocab(os, "tables", p.encoder_->table_ids());
   }
 
-  static Status ParseEmbeddings(std::istream& is, PrestroidPipeline* p) {
+  static Status ParseEmbeddings(TextCursor& in, PrestroidPipeline* p) {
     p->word2vec_ = std::make_unique<embed::Word2Vec>();
-    PRESTROID_RETURN_NOT_OK(p->word2vec_->Restore(is));
+    PRESTROID_RETURN_NOT_OK(p->word2vec_->Restore(in));
 
     p->predicate_encoder_ =
         std::make_unique<embed::PredicateEncoder>(p->word2vec_.get());
-    std::string tag;
     size_t fallback_size = 0;
-    is >> tag >> fallback_size;
-    if (!is.good() || tag != "fallback") {
+    if (!in.Expect("fallback") || !in.Number(&fallback_size)) {
       return Status::ParseError("bad fallback record");
     }
+    // PredicateEncoder::Embed copies dim() floats out of a non-empty
+    // fallback, so any other length would be read past its end.
+    if (fallback_size != 0 && fallback_size != p->word2vec_->dim()) {
+      return Status::DataCorruption(
+          "fallback vector of " + std::to_string(fallback_size) +
+          " floats for a " + std::to_string(p->word2vec_->dim()) +
+          "-dim embedding");
+    }
     std::vector<float> fallback(fallback_size);
-    for (float& v : fallback) is >> v;
+    for (float& v : fallback) {
+      if (!in.Number(&v)) return Status::ParseError("bad fallback record");
+    }
     p->predicate_encoder_->RestoreGlobalFallback(std::move(fallback));
 
     p->encoder_ =
         std::make_unique<otp::OtpEncoder>(p->predicate_encoder_.get());
     std::map<std::string, size_t> operators, tables;
-    PRESTROID_RETURN_NOT_OK(ReadVocab(is, "operators", &operators));
-    PRESTROID_RETURN_NOT_OK(ReadVocab(is, "tables", &tables));
+    PRESTROID_RETURN_NOT_OK(ReadVocab(in, "operators", &operators));
+    PRESTROID_RETURN_NOT_OK(ReadVocab(in, "tables", &tables));
     p->encoder_->RestoreVocabulary(std::move(operators), std::move(tables));
     p->featurizer_ = std::make_unique<Featurizer>(
         p->encoder_.get(), p->predicate_encoder_.get());
@@ -221,13 +239,11 @@ struct PipelineSerde {
 
   /// Restores the trained weights (and non-trainable buffers) into the
   /// freshly built tensors.
-  static Status ParseModel(std::istream& is, PrestroidPipeline* p) {
-    auto read_tensors = [&is](const char* expected_tag,
+  static Status ParseModel(TextCursor& in, PrestroidPipeline* p) {
+    auto read_tensors = [&in](const char* expected_tag,
                               std::vector<ParamRef> refs) -> Status {
-      std::string header;
       size_t count = 0;
-      is >> header >> count;
-      if (!is.good() || header != expected_tag) {
+      if (!in.Expect(expected_tag) || !in.Number(&count)) {
         return Status::ParseError(std::string("bad tensor section ") +
                                   expected_tag);
       }
@@ -237,25 +253,27 @@ struct PipelineSerde {
             "architecture");
       }
       for (ParamRef& ref : refs) {
-        std::string name;
+        std::string_view name;
         size_t numel = 0;
-        is >> name >> numel;
-        if (!is.good() || numel != ref.value->size()) {
+        if (!in.Word(&name) || !in.Number(&numel) ||
+            numel != ref.value->size()) {
           return Status::ParseError("tensor shape mismatch for " + ref.name);
         }
-        for (size_t i = 0; i < numel; ++i) is >> (*ref.value)[i];
+        float* values = ref.value->data();
+        for (size_t i = 0; i < numel; ++i) {
+          if (!in.Number(&values[i])) {
+            return Status::ParseError("truncated tensor section");
+          }
+        }
       }
-      if (is.fail()) return Status::ParseError("truncated tensor section");
       return Status::OK();
     };
     PRESTROID_RETURN_NOT_OK(read_tensors("weights", p->model()->Params()));
     return read_tensors("state", p->model()->State());
   }
 
-  static Status ReadFullMaxNodes(std::istream& is, size_t* out) {
-    std::string tag;
-    is >> tag >> *out;
-    if (!is.good() || tag != "full_max_nodes") {
+  static Status ReadFullMaxNodes(TextCursor& in, size_t* out) {
+    if (!in.Expect("full_max_nodes") || !in.Number(out)) {
       return Status::ParseError("bad full_max_nodes record");
     }
     // It becomes the model's padding size N, which must be positive.
@@ -266,16 +284,16 @@ struct PipelineSerde {
   /// Reads the pre-container v1 body (magic line already consumed). Kept so
   /// artifacts written before the crash-safe format remain loadable.
   static Result<std::unique_ptr<PrestroidPipeline>> ParseLegacyV1(
-      std::istream& is) {
+      TextCursor& in) {
     auto pipeline = std::unique_ptr<PrestroidPipeline>(new PrestroidPipeline());
-    PRESTROID_RETURN_NOT_OK(ParseConfig(is, pipeline.get()));
-    PRESTROID_RETURN_NOT_OK(ParseEmbeddings(is, pipeline.get()));
+    PRESTROID_RETURN_NOT_OK(ParseConfig(in, pipeline.get()));
+    PRESTROID_RETURN_NOT_OK(ParseEmbeddings(in, pipeline.get()));
     size_t full_max_nodes = 0;
     if (!pipeline->config_.use_subtrees) {
-      PRESTROID_RETURN_NOT_OK(ReadFullMaxNodes(is, &full_max_nodes));
+      PRESTROID_RETURN_NOT_OK(ReadFullMaxNodes(in, &full_max_nodes));
     }
     BuildModelSkeleton(pipeline.get(), full_max_nodes);
-    PRESTROID_RETURN_NOT_OK(ParseModel(is, pipeline.get()));
+    PRESTROID_RETURN_NOT_OK(ParseModel(in, pipeline.get()));
     return pipeline;
   }
 };
@@ -303,14 +321,13 @@ Result<std::unique_ptr<PrestroidPipeline>> PrestroidPipeline::LoadFile(
   PRESTROID_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
 
   if (bytes.rfind(kLegacyMagic, 0) == 0) {
-    std::istringstream is(bytes);
-    std::string magic, version;
-    is >> magic >> version;
-    if (version != "v1") {
+    TextCursor in(bytes);
+    std::string_view magic, version;  // the magic word was matched above
+    if (!in.Word(&magic) || !in.Word(&version) || version != "v1") {
       return Status::DataCorruption("unsupported legacy pipeline version: " +
-                                    version);
+                                    std::string(version));
     }
-    return PipelineSerde::ParseLegacyV1(is);
+    return PipelineSerde::ParseLegacyV1(in);
   }
   if (bytes.rfind(kV2Magic, 0) != 0) {
     return Status::DataCorruption("not a Prestroid pipeline artifact: " + path);
@@ -329,19 +346,19 @@ Result<std::unique_ptr<PrestroidPipeline>> PrestroidPipeline::LoadFile(
                              FindSection(sections, "model"));
 
   auto pipeline = std::unique_ptr<PrestroidPipeline>(new PrestroidPipeline());
-  std::istringstream meta_is(meta->payload);
-  PRESTROID_RETURN_NOT_OK(PipelineSerde::ParseConfig(meta_is, pipeline.get()));
+  TextCursor meta_in(meta->payload);
+  PRESTROID_RETURN_NOT_OK(PipelineSerde::ParseConfig(meta_in, pipeline.get()));
   size_t full_max_nodes = 0;
   if (!pipeline->config_.use_subtrees) {
     PRESTROID_RETURN_NOT_OK(
-        PipelineSerde::ReadFullMaxNodes(meta_is, &full_max_nodes));
+        PipelineSerde::ReadFullMaxNodes(meta_in, &full_max_nodes));
   }
-  std::istringstream embed_is(embed->payload);
+  TextCursor embed_in(embed->payload);
   PRESTROID_RETURN_NOT_OK(
-      PipelineSerde::ParseEmbeddings(embed_is, pipeline.get()));
+      PipelineSerde::ParseEmbeddings(embed_in, pipeline.get()));
   PipelineSerde::BuildModelSkeleton(pipeline.get(), full_max_nodes);
-  std::istringstream model_is(model_section->payload);
-  PRESTROID_RETURN_NOT_OK(PipelineSerde::ParseModel(model_is, pipeline.get()));
+  TextCursor model_in(model_section->payload);
+  PRESTROID_RETURN_NOT_OK(PipelineSerde::ParseModel(model_in, pipeline.get()));
   return pipeline;
 }
 

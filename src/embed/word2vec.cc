@@ -207,12 +207,11 @@ void Word2Vec::Serialize(std::ostream& os) const {
   dump(output_vectors_);
 }
 
-Status Word2Vec::Restore(std::istream& is) {
-  std::string magic, version;
+Status Word2Vec::Restore(TextCursor& in) {
   int mode = 0;
-  is >> magic >> version >> mode >> config_.dim >> config_.window >>
-      config_.min_count >> config_.negative;
-  if (!is.good() || magic != "W2V" || version != "v1") {
+  if (!in.Expect("W2V") || !in.Expect("v1") || !in.Number(&mode) ||
+      !in.Number(&config_.dim) || !in.Number(&config_.window) ||
+      !in.Number(&config_.min_count) || !in.Number(&config_.negative)) {
     return Status::ParseError("bad Word2Vec header");
   }
   config_.mode = static_cast<Word2VecMode>(mode);
@@ -225,23 +224,28 @@ Status Word2Vec::Restore(std::istream& is) {
     return Status::DataCorruption("implausible Word2Vec dimension");
   }
   size_t vocab_size = 0;
-  is >> vocab_size;
-  if (!is.good() || vocab_size > kMaxRestoreVocab) {
+  if (!in.Number(&vocab_size) || vocab_size > kMaxRestoreVocab) {
     return Status::DataCorruption("implausible Word2Vec vocabulary size");
   }
   std::vector<std::string> tokens(vocab_size);
   std::vector<int64_t> counts(vocab_size);
   for (size_t i = 0; i < vocab_size; ++i) {
-    is >> tokens[i] >> counts[i];
-    if (is.fail()) return Status::ParseError("truncated Word2Vec vocabulary");
+    std::string_view token;
+    if (!in.Word(&token) || !in.Number(&counts[i])) {
+      return Status::ParseError("truncated Word2Vec vocabulary");
+    }
+    tokens[i] = token;
   }
-  if (!is.good()) return Status::ParseError("truncated Word2Vec vocabulary");
   vocab_.Restore(std::move(tokens), std::move(counts));
   input_vectors_.assign(vocab_size * config_.dim, 0.0f);
   output_vectors_.assign(vocab_size * config_.dim, 0.0f);
-  for (float& w : input_vectors_) is >> w;
-  for (float& w : output_vectors_) is >> w;
-  if (is.fail()) return Status::ParseError("truncated Word2Vec embeddings");
+  for (std::vector<float>* vectors : {&input_vectors_, &output_vectors_}) {
+    for (float& w : *vectors) {
+      if (!in.Number(&w)) {
+        return Status::ParseError("truncated Word2Vec embeddings");
+      }
+    }
+  }
   trained_ = true;
   return Status::OK();
 }

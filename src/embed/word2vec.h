@@ -1,7 +1,6 @@
 #ifndef PRESTROID_EMBED_WORD2VEC_H_
 #define PRESTROID_EMBED_WORD2VEC_H_
 
-#include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -9,6 +8,7 @@
 #include "embed/vocabulary.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/text_cursor.h"
 
 namespace prestroid::embed {
 
@@ -45,9 +45,9 @@ class Word2Vec {
   bool trained() const { return trained_; }
 
   /// Serializes the trained model (config, vocabulary, both embedding
-  /// matrices) to a stream; Restore() reverses it.
+  /// matrices) to a stream; Restore() reads that text back from `in`.
   void Serialize(std::ostream& os) const;
-  Status Restore(std::istream& is);
+  Status Restore(TextCursor& in);
 
   const Word2VecConfig& config() const { return config_; }
 

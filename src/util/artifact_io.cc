@@ -7,11 +7,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "util/fault_injection.h"
 #include "util/string_util.h"
+#include "util/text_cursor.h"
 
 namespace prestroid {
 
@@ -276,36 +279,42 @@ std::string EncodeArtifact(const std::vector<ArtifactSection>& sections) {
 
 Result<std::vector<ArtifactSection>> DecodeArtifact(const std::string& bytes) {
   size_t pos = 0;
-  // Pulls the next '\n'-terminated line; empty optional-style failure is
-  // reported as corruption (header lines never legitimately run out).
-  auto next_line = [&bytes, &pos](std::string* line) -> bool {
+  // Pulls the next line with its '\n', as a TextCursor reads it; a missing
+  // line is corruption (header lines never legitimately run out).
+  auto next_line = [&bytes, &pos](std::string_view* line) -> bool {
     const size_t end = bytes.find('\n', pos);
     if (end == std::string::npos) return false;
-    line->assign(bytes, pos, end - pos);
+    *line = std::string_view(bytes).substr(pos, end + 1 - pos);
     pos = end + 1;
     return true;
   };
+  // A line as an error message shows it: without its '\n'.
+  auto shown = [](std::string_view line) {
+    return std::string(line.substr(0, line.size() - 1));
+  };
 
-  std::string line;
+  std::string_view line;
   if (!next_line(&line)) {
     return Status::DataCorruption("artifact truncated before header");
   }
-  std::istringstream header(line);
-  std::string magic, version, count_text;
-  header >> magic >> version >> count_text;
-  if (header.fail() || magic != kMagic) {
+  TextCursor header(line);
+  std::string_view magic, version, count_text;
+  if (!header.Word(&magic) || !header.Word(&version) ||
+      !header.Word(&count_text) || magic != kMagic) {
     return Status::DataCorruption("not a Prestroid artifact (bad magic)");
   }
   if (version != kVersion) {
-    return Status::DataCorruption("unsupported artifact version: " + version);
+    return Status::DataCorruption("unsupported artifact version: " +
+                                  std::string(version));
   }
-  // Checked parse: istringstream >> size_t silently wraps negative input
-  // into a near-SIZE_MAX count, which the reserve below would then try to
-  // honour. A count can also never exceed the byte length of the file.
+  // Checked parse: a negative count must not wrap into a near-SIZE_MAX
+  // one, which the reserve below would then try to honour. A count can
+  // also never exceed the byte length of the file.
   int64_t num_sections = 0;
   if (!ParseInt64(count_text, &num_sections) || num_sections < 0 ||
       static_cast<uint64_t>(num_sections) > bytes.size()) {
-    return Status::DataCorruption("implausible section count: " + count_text);
+    return Status::DataCorruption("implausible section count: " +
+                                  std::string(count_text));
   }
 
   std::vector<ArtifactSection> sections;
@@ -314,24 +323,28 @@ Result<std::vector<ArtifactSection>> DecodeArtifact(const std::string& bytes) {
     if (!next_line(&line)) {
       return Status::DataCorruption("artifact truncated in section table");
     }
-    std::istringstream section_header(line);
-    std::string tag, name, length_text, crc_hex;
-    section_header >> tag >> name >> length_text >> crc_hex;
-    if (section_header.fail() || tag != "section" || crc_hex.size() != 8) {
-      return Status::DataCorruption("malformed section header: " + line);
+    TextCursor section_header(line);
+    std::string_view tag, name, length_text, crc_hex;
+    if (!section_header.Word(&tag) || !section_header.Word(&name) ||
+        !section_header.Word(&length_text) || !section_header.Word(&crc_hex) ||
+        tag != "section" || crc_hex.size() != 8) {
+      return Status::DataCorruption("malformed section header: " +
+                                    shown(line));
     }
     int64_t length_value = 0;
     if (!ParseInt64(length_text, &length_value) || length_value < 0) {
-      return Status::DataCorruption("implausible section length: " + line);
+      return Status::DataCorruption("implausible section length: " +
+                                    shown(line));
     }
     const size_t length = static_cast<size_t>(length_value);
-    // strtoul would silently stop at the first bad character (and accepts
+    // A lenient hex parse would stop at the first bad character (or accept
     // uppercase aliases of the lowercase digits the writer emits), so a
     // flipped checksum byte could still "match" — require strict lowercase
     // hex.
     for (char c : crc_hex) {
       if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) {
-        return Status::DataCorruption("malformed section checksum: " + line);
+        return Status::DataCorruption("malformed section checksum: " +
+                                      shown(line));
       }
     }
     // Subtraction form: `pos + length + 1` would wrap for a length near
@@ -339,25 +352,28 @@ Result<std::vector<ArtifactSection>> DecodeArtifact(const std::string& bytes) {
     // and the section needs `length` payload bytes plus its terminator.
     const size_t available = bytes.size() - pos;
     if (length > available || available - length < 1) {
-      return Status::DataCorruption("artifact truncated inside section " + name);
+      return Status::DataCorruption("artifact truncated inside section " +
+                                    std::string(name));
     }
     ArtifactSection section;
     section.name = name;
     section.payload.assign(bytes, pos, length);
     pos += length;
     if (bytes[pos] != '\n') {
-      return Status::DataCorruption("missing section terminator: " + name);
+      return Status::DataCorruption("missing section terminator: " +
+                                    section.name);
     }
     ++pos;
-    const uint32_t expected =
-        static_cast<uint32_t>(std::strtoul(crc_hex.c_str(), nullptr, 16));
+    uint32_t expected = 0;  // eight lowercase hex digits, checked above
+    std::from_chars(crc_hex.data(), crc_hex.data() + crc_hex.size(), expected,
+                    16);
     const uint32_t actual = Crc32(section.payload);
     if (actual != expected) {
-      return Status::DataCorruption("CRC mismatch in section " + name);
+      return Status::DataCorruption("CRC mismatch in section " + section.name);
     }
     sections.push_back(std::move(section));
   }
-  if (!next_line(&line) || line != "end") {
+  if (!next_line(&line) || line != "end\n") {
     return Status::DataCorruption("artifact missing end marker");
   }
   if (pos != bytes.size()) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -24,16 +25,17 @@ namespace {
 
 using Tokens = std::vector<std::string>;
 
-/// Re-encodes `artifact` with the meta record tagged `tag` rewritten by
-/// `edit` (token 0 is the tag). The CRCs are recomputed, so only the
-/// loader's field validation can reject the result.
-std::string EditMetaRecord(const std::string& artifact, const std::string& tag,
-                           const std::function<void(Tokens*)>& edit) {
+/// Re-encodes `artifact` with the record tagged `tag` in section `section`
+/// rewritten by `edit` (token 0 is the tag). The CRCs are recomputed, so only
+/// the loader's field validation can reject the result.
+std::string EditRecord(const std::string& artifact, const std::string& section,
+                       const std::string& tag,
+                       const std::function<void(Tokens*)>& edit) {
   std::vector<ArtifactSection> sections =
       DecodeArtifact(artifact).ValueOrDie();
-  for (ArtifactSection& section : sections) {
-    if (section.name != "meta") continue;
-    std::istringstream lines(section.payload);
+  for (ArtifactSection& decoded : sections) {
+    if (decoded.name != section) continue;
+    std::istringstream lines(decoded.payload);
     std::string line, edited;
     while (std::getline(lines, line)) {
       std::istringstream words(line);
@@ -48,9 +50,71 @@ std::string EditMetaRecord(const std::string& artifact, const std::string& tag,
       }
       edited += line + "\n";
     }
-    section.payload = edited;
+    decoded.payload = edited;
   }
   return EncodeArtifact(sections);
+}
+
+/// The same pipeline in the pre-container v1 layout: the magic line, the
+/// meta records but full_max_nodes, the embed records, full_max_nodes
+/// (full-tree only), then the model records.
+std::string LegacyV1Body(const std::string& artifact) {
+  const std::vector<ArtifactSection> sections =
+      DecodeArtifact(artifact).ValueOrDie();
+  auto payload = [&](const char* name) {
+    return (*FindSection(sections, name))->payload;
+  };
+  std::string meta = payload("meta");
+  std::string full_max_nodes;
+  if (const size_t at = meta.find("full_max_nodes "); at != std::string::npos) {
+    full_max_nodes = meta.substr(at);
+    meta.resize(at);
+  }
+  return "PRESTROID_PIPELINE v1\n" + meta + payload("embed") + full_max_nodes +
+         payload("model");
+}
+
+/// Saved bytes of a small fitted (untrained) pipeline with an 8-dim
+/// Word2Vec.
+std::string SmallArtifactBytes(bool use_subtrees) {
+  workload::SchemaGenConfig schema_config;
+  schema_config.num_tables = 12;
+  schema_config.seed = 5;
+  workload::TraceConfig trace_config;
+  trace_config.num_queries = 24;
+  trace_config.seed = 6;
+  const std::vector<workload::QueryRecord> records =
+      GenerateGrabTrace(GenerateSchema(schema_config), trace_config)
+          .ValueOrDie();
+  std::vector<size_t> train_indices(records.size());
+  for (size_t i = 0; i < train_indices.size(); ++i) train_indices[i] = i;
+  PipelineConfig config;
+  config.word2vec.dim = 8;
+  config.word2vec.min_count = 1;
+  config.word2vec.epochs = 1;
+  config.sampler.node_limit = 16;
+  config.num_subtrees = 3;
+  config.use_subtrees = use_subtrees;
+  config.conv_channels = {4, 4};
+  config.dense_units = {4};
+  const std::string path = ::testing::TempDir() + "/pipeline_io_small.bin";
+  EXPECT_TRUE(PrestroidPipeline::Fit(records, train_indices, config)
+                  .ValueOrDie()
+                  ->SaveFile(path)
+                  .ok());
+  return ReadFileToString(path).ValueOrDie();
+}
+
+void ExpectSameBits(const std::vector<ParamRef>& want,
+                    const std::vector<ParamRef>& got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].value->size(), want[i].value->size()) << want[i].name;
+    EXPECT_EQ(std::memcmp(got[i].value->data(), want[i].value->data(),
+                          sizeof(float) * want[i].value->size()),
+              0)
+        << want[i].name;
+  }
 }
 
 TEST(LabelTransformTest, LogMinMaxRoundTrip) {
@@ -387,6 +451,51 @@ TEST_F(PipelineFixture, SaveLoadRoundTripPreservesPredictions) {
   }
 }
 
+TEST_F(PipelineFixture, LoadThenSaveIsBitIdenticalForEveryArtifactKind) {
+  // A loaded pipeline re-saves to the very bytes it was loaded from, and
+  // every restored number equals the saved one bit for bit. (Nine
+  // significant digits name a float uniquely, so equal bytes also pin the
+  // Word2Vec context vectors, which have no accessor.)
+  const std::string path = ::testing::TempDir() + "/pipeline_bits.bin";
+  const std::string resaved = ::testing::TempDir() + "/pipeline_bits_2.bin";
+  for (bool subtrees : {true, false}) {
+    PipelineConfig config = SmallConfig(subtrees);
+    config.batch_norm = true;  // State() then holds running statistics
+    auto pipeline = PrestroidPipeline::Fit(*records_, splits_->train, config)
+                        .ValueOrDie();
+    TrainConfig train_config;
+    train_config.max_epochs = 2;
+    train_config.batch_size = 16;
+    pipeline->Train(*splits_, train_config);
+    ASSERT_TRUE(pipeline->SaveFile(path).ok());
+    const std::string v2 = ReadFileToString(path).ValueOrDie();
+    const std::string v1 = LegacyV1Body(v2);
+    for (const std::string* bytes : {&v2, &v1}) {
+      SCOPED_TRACE(std::string(subtrees ? "sub-tree " : "full-tree ") +
+                   (bytes == &v1 ? "v1" : "v2"));
+      ASSERT_TRUE(AtomicWriteFile(path, *bytes).ok());
+      auto loaded = PrestroidPipeline::LoadFile(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_TRUE((*loaded)->SaveFile(resaved).ok());
+      EXPECT_EQ(ReadFileToString(resaved).ValueOrDie(), v2);
+
+      ExpectSameBits(pipeline->model()->Params(), (*loaded)->model()->Params());
+      ExpectSameBits(pipeline->model()->State(), (*loaded)->model()->State());
+      const embed::Word2Vec& want = pipeline->word2vec();
+      const embed::Word2Vec& got = (*loaded)->word2vec();
+      ASSERT_EQ(got.vocabulary().size(), want.vocabulary().size());
+      ASSERT_EQ(got.dim(), want.dim());
+      for (size_t i = 0; i < want.vocabulary().size(); ++i) {
+        EXPECT_EQ(got.vocabulary().TokenOf(i), want.vocabulary().TokenOf(i));
+        EXPECT_EQ(std::memcmp(got.EmbeddingOf(i), want.EmbeddingOf(i),
+                              sizeof(float) * want.dim()),
+                  0)
+            << want.vocabulary().TokenOf(i);
+      }
+    }
+  }
+}
+
 TEST_F(PipelineFixture, ZeroCpuRecordIsQuarantinedAndTheRestTrains) {
   // The CPU label is log-scaled, so a zero would fail LabelTransform::Fit;
   // tolerant ingest quarantines that one record. Zero memory and input
@@ -439,36 +548,8 @@ TEST(PipelineIoTest, LoadRejectsGarbage) {
 }
 
 TEST(PipelineIoTest, LoadRejectsCrcValidArtifactWithBadModelConfig) {
-  workload::SchemaGenConfig schema_config;
-  schema_config.num_tables = 12;
-  schema_config.seed = 5;
-  workload::TraceConfig trace_config;
-  trace_config.num_queries = 24;
-  trace_config.seed = 6;
-  const std::vector<workload::QueryRecord> records =
-      GenerateGrabTrace(GenerateSchema(schema_config), trace_config)
-          .ValueOrDie();
-  std::vector<size_t> train_indices(records.size());
-  for (size_t i = 0; i < train_indices.size(); ++i) train_indices[i] = i;
-  auto saved_bytes = [&](bool use_subtrees) {
-    PipelineConfig config;
-    config.word2vec.dim = 8;
-    config.word2vec.min_count = 1;
-    config.word2vec.epochs = 1;
-    config.sampler.node_limit = 16;
-    config.num_subtrees = 3;
-    config.use_subtrees = use_subtrees;
-    config.conv_channels = {4, 4};
-    config.dense_units = {4};
-    const std::string path = ::testing::TempDir() + "/pipeline_io_bad.bin";
-    EXPECT_TRUE(PrestroidPipeline::Fit(records, train_indices, config)
-                    .ValueOrDie()
-                    ->SaveFile(path)
-                    .ok());
-    return ReadFileToString(path).ValueOrDie();
-  };
-  const std::string subtree = saved_bytes(true);
-  const std::string full = saved_bytes(false);
+  const std::string subtree = SmallArtifactBytes(true);
+  const std::string full = SmallArtifactBytes(false);
 
   // "config <use_subtrees> <pruning> <num_subtrees> <node_limit> ...".
   struct BadField {
@@ -477,22 +558,26 @@ TEST(PipelineIoTest, LoadRejectsCrcValidArtifactWithBadModelConfig) {
   };
   const BadField bad_fields[] = {
       {"num_subtrees 0",
-       EditMetaRecord(subtree, "config", [](Tokens* t) { (*t)[3] = "0"; })},
+       EditRecord(subtree, "meta", "config", [](Tokens* t) { (*t)[3] = "0"; })},
       {"node_limit 0",
-       EditMetaRecord(subtree, "config", [](Tokens* t) { (*t)[4] = "0"; })},
+       EditRecord(subtree, "meta", "config", [](Tokens* t) { (*t)[4] = "0"; })},
       {"unknown pruning",
-       EditMetaRecord(subtree, "config", [](Tokens* t) { (*t)[2] = "7"; })},
+       EditRecord(subtree, "meta", "config", [](Tokens* t) { (*t)[2] = "7"; })},
       {"negative pruning",
-       EditMetaRecord(subtree, "config", [](Tokens* t) { (*t)[2] = "-1"; })},
+       EditRecord(subtree, "meta", "config",
+                  [](Tokens* t) { (*t)[2] = "-1"; })},
       {"empty conv_channels",
-       EditMetaRecord(subtree, "conv_channels",
+       EditRecord(subtree, "meta", "conv_channels",
                       [](Tokens* t) { *t = {"conv_channels", "0"}; })},
       {"zero conv channel",
-       EditMetaRecord(full, "conv_channels", [](Tokens* t) { (*t)[2] = "0"; })},
+       EditRecord(full, "meta", "conv_channels",
+                  [](Tokens* t) { (*t)[2] = "0"; })},
       {"zero dense unit",
-       EditMetaRecord(subtree, "dense_units", [](Tokens* t) { (*t)[2] = "0"; })},
+       EditRecord(subtree, "meta", "dense_units",
+                  [](Tokens* t) { (*t)[2] = "0"; })},
       {"full_max_nodes 0",
-       EditMetaRecord(full, "full_max_nodes", [](Tokens* t) { (*t)[1] = "0"; })},
+       EditRecord(full, "meta", "full_max_nodes",
+                  [](Tokens* t) { (*t)[1] = "0"; })},
   };
   const std::string path = ::testing::TempDir() + "/pipeline_io_bad.bin";
   for (const BadField& bad : bad_fields) {
@@ -507,6 +592,88 @@ TEST(PipelineIoTest, LoadRejectsCrcValidArtifactWithBadModelConfig) {
   for (const std::string* bytes : {&subtree, &full}) {
     ASSERT_TRUE(AtomicWriteFile(path, *bytes).ok());
     EXPECT_TRUE(PrestroidPipeline::LoadFile(path).ok());
+  }
+}
+
+TEST(PipelineIoTest, LoadRejectsCrcValidArtifactWithOutOfRangeEmbedRecords) {
+  // Both records index memory at serve time: PredicateEncoder::Embed copies
+  // dim() floats out of a non-empty fallback, and OtpEncoder::EncodeNode
+  // writes 1.0f at a vocabulary id inside a block of n + 1 slots.
+  const std::string subtree = SmallArtifactBytes(true);
+  const std::string full = SmallArtifactBytes(false);
+  auto fallback_of = [](size_t size) {
+    return [size](Tokens* t) {
+      t->resize(2);
+      (*t)[1] = std::to_string(size);
+      for (size_t i = 0; i < size; ++i) t->push_back("0.5");
+    };
+  };
+  // "<vocab> <n> <label_0> <id_0> <label_1> <id_1> ...".
+  struct BadRecord {
+    const char* name;
+    std::string bytes;
+  };
+  const BadRecord bad_records[] = {
+      {"fallback shorter than dim",
+       EditRecord(subtree, "embed", "fallback", fallback_of(7))},
+      {"fallback of one float",
+       EditRecord(full, "embed", "fallback", fallback_of(1))},
+      {"fallback longer than dim",
+       EditRecord(subtree, "embed", "fallback", fallback_of(9))},
+      {"fallback count past its floats",
+       EditRecord(subtree, "embed", "fallback",
+                  [](Tokens* t) { (*t)[1] = "100000000000"; })},
+      {"operator id n",
+       EditRecord(subtree, "embed", "operators",
+                  [](Tokens* t) { (*t)[3] = (*t)[1]; })},
+      {"operator id past the row",
+       EditRecord(full, "embed", "operators",
+                  [](Tokens* t) { (*t)[3] = "4000000000"; })},
+      {"operator id twice",
+       EditRecord(subtree, "embed", "operators",
+                  [](Tokens* t) { (*t)[5] = (*t)[3]; })},
+      {"table id n",
+       EditRecord(subtree, "embed", "tables",
+                  [](Tokens* t) { (*t)[3] = (*t)[1]; })},
+      {"table label twice",
+       EditRecord(full, "embed", "tables",
+                  [](Tokens* t) { (*t)[4] = (*t)[2]; })},
+  };
+  const std::string path = ::testing::TempDir() + "/pipeline_io_embed.bin";
+  for (const BadRecord& bad : bad_records) {
+    ASSERT_TRUE(DecodeArtifact(bad.bytes).ok()) << bad.name;  // CRC-valid
+    ASSERT_TRUE(AtomicWriteFile(path, bad.bytes).ok());
+    auto loaded = PrestroidPipeline::LoadFile(path);
+    ASSERT_FALSE(loaded.ok()) << bad.name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataCorruption)
+        << bad.name << ": " << loaded.status().ToString();
+  }
+  // An empty fallback is valid: Embed then writes zeros.
+  const std::string no_fallback =
+      EditRecord(subtree, "embed", "fallback", fallback_of(0));
+  ASSERT_TRUE(AtomicWriteFile(path, no_fallback).ok());
+  EXPECT_TRUE(PrestroidPipeline::LoadFile(path).ok());
+}
+
+TEST(PipelineIoTest, LegacyBodyCutAnywhereNeverLoads) {
+  // The v1 body has no CRC, so a cut file reaches the parser. A cut inside
+  // the last weight ("0.51234" -> "0.5") still reads as a number; the
+  // cursor rejects it because every record ends in '\n'.
+  const std::string body = LegacyV1Body(SmallArtifactBytes(true));
+  const std::string path = ::testing::TempDir() + "/pipeline_io_cut.bin";
+  ASSERT_TRUE(AtomicWriteFile(path, body).ok());
+  ASSERT_TRUE(PrestroidPipeline::LoadFile(path).ok());
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len < body.size(); len += 97) lengths.push_back(len);
+  for (size_t cut = 1; cut <= 24; ++cut) lengths.push_back(body.size() - cut);
+  for (size_t len : lengths) {
+    ASSERT_TRUE(AtomicWriteFile(path, body.substr(0, len)).ok());
+    auto loaded = PrestroidPipeline::LoadFile(path);
+    ASSERT_FALSE(loaded.ok()) << "prefix length " << len;
+    const StatusCode code = loaded.status().code();
+    EXPECT_TRUE(code == StatusCode::kParseError ||
+                code == StatusCode::kDataCorruption)
+        << "prefix length " << len << ": " << loaded.status().ToString();
   }
 }
 

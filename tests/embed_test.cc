@@ -163,9 +163,10 @@ TEST(Word2VecTest, SerializeRestoreRoundTrip) {
 
   std::ostringstream os;
   model.Serialize(os);
-  std::istringstream is(os.str());
+  const std::string text = os.str();
+  TextCursor in(text);
   Word2Vec restored;
-  ASSERT_TRUE(restored.Restore(is).ok());
+  ASSERT_TRUE(restored.Restore(in).ok());
 
   EXPECT_EQ(restored.dim(), model.dim());
   EXPECT_EQ(restored.vocabulary().size(), model.vocabulary().size());
@@ -185,7 +186,7 @@ TEST(Word2VecTest, SerializeRestoreRoundTrip) {
 }
 
 TEST(Word2VecTest, RestoreRejectsGarbage) {
-  std::istringstream bad("NOT_W2V nope");
+  TextCursor bad("NOT_W2V nope\n");
   Word2Vec model;
   EXPECT_FALSE(model.Restore(bad).ok());
 }

@@ -3,8 +3,12 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/histogram.h"
@@ -13,6 +17,7 @@
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
+#include "util/text_cursor.h"
 
 namespace prestroid {
 namespace {
@@ -574,6 +579,152 @@ TEST(TablePrinterTest, DoubleRowFormatting) {
   std::ostringstream os;
   printer.PrintCsv(os);
   EXPECT_EQ(os.str(), "w,a,b\nr,1.235,2.000\n");
+}
+
+// What stream extraction (operator>>) made of `token` in the middle of a
+// numeric record: the value when it read the token whole, nothing when it
+// failed or stopped inside the token (the record's next read then failed on
+// the rest, as "0x1p3" leaves "x1p3").
+template <typename T>
+std::optional<T> StreamReads(const std::string& token) {
+  std::istringstream is(token + " ");
+  T value{};
+  is >> value;
+  if (is.fail() || is.peek() != ' ') return std::nullopt;
+  return value;
+}
+
+template <typename T>
+std::optional<T> CursorReads(const std::string& token) {
+  const std::string text = token + " ";
+  TextCursor in(text);
+  T value{};
+  if (!in.Number(&value)) return std::nullopt;
+  return value;
+}
+
+// The cursor accepts a token exactly when stream extraction did, with the
+// same bits (so -0 and 0 differ).
+template <typename T>
+void ExpectReadsAsStream(const std::string& token) {
+  const std::optional<T> stream = StreamReads<T>(token);
+  const std::optional<T> cursor = CursorReads<T>(token);
+  ASSERT_EQ(cursor.has_value(), stream.has_value()) << "'" << token << "'";
+  if (stream) {
+    EXPECT_EQ(std::memcmp(&*cursor, &*stream, sizeof(T)), 0)
+        << "'" << token << "'";
+  }
+}
+
+TEST(TextCursorTest, FloatTokensReadAsStreamExtractionReadsThem) {
+  struct Case {
+    const char* token;
+    bool float_accepted;
+  };
+  const Case cases[] = {
+      {"0.125", true},
+      {"-3.5e-2", true},
+      {"+1.5", true},
+      {"1.", true},
+      {".5", true},
+      {"-0", true},
+      {"1E5", true},
+      {"1e-45", true},   // the least subnormal float
+      {"1e-50", true},   // underflows: a zero of its sign
+      {"-1e-50", true},
+      {"1e-400", true},
+      {"0.00000000000000000000000000000000000000000000000000001", true},
+      {"1e-99999999999999999999", true},
+      {"nan", false},
+      {"-nan", false},
+      {"NaN", false},
+      {"nan(1)", false},
+      {"inf", false},
+      {"-inf", false},
+      {"infinity", false},
+      {"1e39", false},   // overflows float, not double
+      {"-1e39", false},
+      {"1e400", false},
+      {"123456789012345678901234567890123456789012", false},
+      {"1e99999999999999999999", false},
+      {"0x1p3", false},  // hex: from_chars reads "0", the stream "0" too
+      {"1.5abc", false},
+      {"1e", false},
+      {"1e+", false},
+      {".", false},
+      {"-", false},
+      {"+-1", false},
+      {"--1", false},
+      {"", false},
+  };
+  for (const Case& c : cases) {
+    ExpectReadsAsStream<float>(c.token);
+    ExpectReadsAsStream<double>(c.token);
+    EXPECT_EQ(CursorReads<float>(c.token).has_value(), c.float_accepted)
+        << "'" << c.token << "'";
+  }
+}
+
+TEST(TextCursorTest, SubnormalFloatsRoundTripBitExactly) {
+  const float least = std::numeric_limits<float>::denorm_min();
+  const float largest = std::nextafter(std::numeric_limits<float>::min(), 0.f);
+  for (float v : {least, -least, 3.0e-41f, largest, -largest}) {
+    ASSERT_TRUE(std::fpclassify(v) == FP_SUBNORMAL) << v;
+    std::ostringstream os;
+    os.precision(9);  // as SaveFile writes
+    os << v << "\n";
+    const std::string text = os.str();
+    TextCursor in(text);
+    float back = 0;
+    ASSERT_TRUE(in.Number(&back)) << text;
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof(float)), 0) << text;
+    ExpectReadsAsStream<float>(text.substr(0, text.size() - 1));
+  }
+}
+
+TEST(TextCursorTest, IntegerTokensReadAsStreamExtractionReadsThem) {
+  for (const char* token :
+       {"0", "42", "+7", "-0", "-1", "-18446744073709551615",
+        "18446744073709551615", "18446744073709551616", "2147483647",
+        "2147483648", "-2147483648", "-2147483649", "9223372036854775808",
+        "-9223372036854775808", "12x", "0x10", "1.5", "1e3", "", "+", "-",
+        "+-1", "--1"}) {
+    ExpectReadsAsStream<size_t>(token);
+    ExpectReadsAsStream<int>(token);
+    ExpectReadsAsStream<int64_t>(token);
+  }
+}
+
+TEST(TextCursorTest, WordsSplitOnEveryAsciiSpace) {
+  TextCursor in(" a\tbc\vd\fe\rf\n\ng ");
+  std::vector<std::string> words;
+  for (std::string_view word; in.Word(&word);) words.emplace_back(word);
+  EXPECT_EQ(words, (std::vector<std::string>{"a", "bc", "d", "e", "f", "g"}));
+  TextCursor tags("weights 2\n");
+  EXPECT_FALSE(tags.Expect("state"));
+  size_t count = 0;
+  EXPECT_TRUE(tags.Number(&count));
+  EXPECT_EQ(count, 2u);
+}
+
+TEST(TextCursorTest, ATokenCutByTheEndOfTheTextFailsToRead) {
+  // Every record the artifact writer emits ends in '\n', so a token that
+  // runs to the end of its section was cut, and "0.51234" cut to "0.5" is
+  // still a number. Stream extraction read it; the cursor does not.
+  size_t count = 0;
+  float a = 0, b = 0;
+  TextCursor whole("weights 2\n0.5 0.25\n");
+  EXPECT_TRUE(whole.Expect("weights") && whole.Number(&count) &&
+              whole.Number(&a) && whole.Number(&b));
+  EXPECT_EQ(b, 0.25f);
+  TextCursor cut("weights 2\n0.5 0.2");
+  EXPECT_TRUE(cut.Expect("weights") && cut.Number(&count) && cut.Number(&a));
+  EXPECT_FALSE(cut.Number(&b));
+  for (const char* empty : {"", " \n\t"}) {
+    TextCursor in(empty);
+    std::string_view word;
+    EXPECT_FALSE(in.Word(&word));
+  }
 }
 
 }  // namespace
