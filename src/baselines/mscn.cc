@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 
 #include "embed/predicate_tokenizer.h"
 #include "plan/planner.h"
@@ -35,28 +36,26 @@ struct AtomicPred {
   bool has_value = false;
 };
 
-void CollectAtomicPreds(const sql::Expr& expr, std::vector<AtomicPred>* out) {
+void CollectAtomicPreds(sql::ExprRef expr, std::vector<AtomicPred>* out) {
   if (!embed::IsAtomicClause(expr)) {
-    for (const sql::ExprPtr& child : expr.children) {
-      CollectAtomicPreds(*child, out);
-    }
+    for (sql::ExprRef child : expr.children()) CollectAtomicPreds(child, out);
     return;
   }
   AtomicPred pred;
   // First column reference names the predicate's column.
   std::vector<std::pair<std::string, std::string>> refs;
-  std::function<void(const sql::Expr&)> walk = [&](const sql::Expr& node) {
-    if (node.kind == sql::ExprKind::kColumn && node.name != "*") {
-      refs.emplace_back(node.table, node.name);
+  std::function<void(sql::ExprRef)> walk = [&](sql::ExprRef node) {
+    if (node.kind() == sql::ExprKind::kColumn && node.name() != "*") {
+      refs.emplace_back(node.table(), node.name());
     }
-    for (const sql::ExprPtr& child : node.children) walk(*child);
+    for (sql::ExprRef child : node.children()) walk(child);
   };
   walk(expr);
   if (refs.empty()) return;
   pred.column = refs[0].second;
-  switch (expr.kind) {
+  switch (expr.kind()) {
     case sql::ExprKind::kCompare:
-      pred.op = expr.op;
+      pred.op = expr.op();
       break;
     case sql::ExprKind::kIn:
       pred.op = "IN";
@@ -75,18 +74,18 @@ void CollectAtomicPreds(const sql::Expr& expr, std::vector<AtomicPred>* out) {
       break;
   }
   // First numeric literal (if any) becomes the normalized value feature.
-  std::function<const sql::Expr*(const sql::Expr&)> find_num =
-      [&](const sql::Expr& node) -> const sql::Expr* {
-    if (node.kind == sql::ExprKind::kNumberLit) return &node;
-    for (const sql::ExprPtr& child : node.children) {
-      const sql::Expr* hit = find_num(*child);
-      if (hit != nullptr) return hit;
+  std::function<std::optional<double>(sql::ExprRef)> find_num =
+      [&](sql::ExprRef node) -> std::optional<double> {
+    if (node.kind() == sql::ExprKind::kNumberLit) return node.number();
+    for (sql::ExprRef child : node.children()) {
+      const std::optional<double> hit = find_num(child);
+      if (hit.has_value()) return hit;
     }
-    return nullptr;
+    return std::nullopt;
   };
-  const sql::Expr* lit = find_num(expr);
-  if (lit != nullptr) {
-    pred.value = lit->number;
+  const std::optional<double> lit = find_num(expr);
+  if (lit.has_value()) {
+    pred.value = *lit;
     pred.has_value = true;
   }
   out->push_back(std::move(pred));

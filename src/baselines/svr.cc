@@ -100,9 +100,7 @@ std::vector<float> SvrPlanFeatures(const plan::PlanNode& plan,
                                    const std::string& sql) {
   plan::PlanStats stats = plan::ComputePlanStats(plan);
   auto type_count = [&stats](plan::PlanNodeType type) {
-    auto it = stats.per_type.find(type);
-    return it == stats.per_type.end() ? 0.0f
-                                      : static_cast<float>(it->second);
+    return static_cast<float>(stats.count(type));
   };
   std::vector<float> features = {
       std::log1p(static_cast<float>(stats.node_count)),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/logging.h"
 
@@ -12,12 +13,12 @@ namespace {
 double Clamp01(double s) { return std::clamp(s, 1e-6, 1.0); }
 
 /// Finds the column definition referenced on either side of a comparison.
-const plan::ColumnDef* FindComparisonColumn(const sql::Expr& predicate,
+const plan::ColumnDef* FindComparisonColumn(sql::ExprRef predicate,
                                             const plan::TableDef* table) {
   if (table == nullptr) return nullptr;
-  for (const sql::ExprPtr& child : predicate.children) {
-    if (child->kind == sql::ExprKind::kColumn) {
-      const plan::ColumnDef* col = table->FindColumn(child->name);
+  for (sql::ExprRef child : predicate.children()) {
+    if (child.kind() == sql::ExprKind::kColumn) {
+      const plan::ColumnDef* col = table->FindColumn(child.name());
       if (col != nullptr) return col;
     }
   }
@@ -25,14 +26,14 @@ const plan::ColumnDef* FindComparisonColumn(const sql::Expr& predicate,
 }
 
 /// Extracts the literal operand of a comparison, if any.
-const sql::Expr* FindLiteral(const sql::Expr& predicate) {
-  for (const sql::ExprPtr& child : predicate.children) {
-    if (child->kind == sql::ExprKind::kNumberLit ||
-        child->kind == sql::ExprKind::kStringLit) {
-      return child.get();
+std::optional<sql::ExprRef> FindLiteral(sql::ExprRef predicate) {
+  for (sql::ExprRef child : predicate.children()) {
+    if (child.kind() == sql::ExprKind::kNumberLit ||
+        child.kind() == sql::ExprKind::kStringLit) {
+      return child;
     }
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -42,22 +43,22 @@ CostModel::CostModel(const plan::Catalog* catalog, CostModelParams params)
   PRESTROID_CHECK(catalog != nullptr);
 }
 
-double CostModel::PredicateSelectivity(const sql::Expr& predicate,
+double CostModel::PredicateSelectivity(sql::ExprRef predicate,
                                        const plan::TableDef* table) const {
-  switch (predicate.kind) {
+  switch (predicate.kind()) {
     case sql::ExprKind::kAnd:
-      return Clamp01(PredicateSelectivity(*predicate.children[0], table) *
-                     PredicateSelectivity(*predicate.children[1], table));
+      return Clamp01(PredicateSelectivity(predicate.child(0), table) *
+                     PredicateSelectivity(predicate.child(1), table));
     case sql::ExprKind::kOr: {
-      double a = PredicateSelectivity(*predicate.children[0], table);
-      double b = PredicateSelectivity(*predicate.children[1], table);
+      double a = PredicateSelectivity(predicate.child(0), table);
+      double b = PredicateSelectivity(predicate.child(1), table);
       return Clamp01(a + b - a * b);
     }
     case sql::ExprKind::kNot:
-      return Clamp01(1.0 - PredicateSelectivity(*predicate.children[0], table));
+      return Clamp01(1.0 - PredicateSelectivity(predicate.child(0), table));
     case sql::ExprKind::kCompare: {
       const plan::ColumnDef* col = FindComparisonColumn(predicate, table);
-      const std::string& op = predicate.op;
+      const std::string_view op = predicate.op();
       if (op == "=") {
         if (col != nullptr && col->num_distinct > 0) {
           return Clamp01(1.0 / col->num_distinct);
@@ -71,11 +72,11 @@ double CostModel::PredicateSelectivity(const sql::Expr& predicate,
         return Clamp01(1.0 - params_.default_eq_selectivity);
       }
       // Range comparison: fraction of the column's value range.
-      const sql::Expr* lit = FindLiteral(predicate);
-      if (col != nullptr && lit != nullptr &&
-          lit->kind == sql::ExprKind::kNumberLit &&
+      const std::optional<sql::ExprRef> lit = FindLiteral(predicate);
+      if (col != nullptr && lit.has_value() &&
+          lit->kind() == sql::ExprKind::kNumberLit &&
           col->max_value > col->min_value) {
-        double fraction = (lit->number - col->min_value) /
+        double fraction = (lit->number() - col->min_value) /
                           (col->max_value - col->min_value);
         fraction = std::clamp(fraction, 0.0, 1.0);
         if (op == "<" || op == "<=") return Clamp01(fraction);
@@ -85,7 +86,7 @@ double CostModel::PredicateSelectivity(const sql::Expr& predicate,
     }
     case sql::ExprKind::kIn: {
       const plan::ColumnDef* col = FindComparisonColumn(predicate, table);
-      const double k = static_cast<double>(predicate.children.size()) - 1.0;
+      const double k = static_cast<double>(predicate.child_count()) - 1.0;
       if (col != nullptr && col->num_distinct > 0) {
         return Clamp01(k / col->num_distinct);
       }
@@ -93,13 +94,13 @@ double CostModel::PredicateSelectivity(const sql::Expr& predicate,
     }
     case sql::ExprKind::kBetween: {
       const plan::ColumnDef* col = FindComparisonColumn(predicate, table);
-      const sql::Expr* lo = predicate.children[1].get();
-      const sql::Expr* hi = predicate.children[2].get();
-      if (col != nullptr && lo->kind == sql::ExprKind::kNumberLit &&
-          hi->kind == sql::ExprKind::kNumberLit &&
+      const sql::ExprRef lo = predicate.child(1);
+      const sql::ExprRef hi = predicate.child(2);
+      if (col != nullptr && lo.kind() == sql::ExprKind::kNumberLit &&
+          hi.kind() == sql::ExprKind::kNumberLit &&
           col->max_value > col->min_value) {
         double fraction =
-            (hi->number - lo->number) / (col->max_value - col->min_value);
+            (hi.number() - lo.number()) / (col->max_value - col->min_value);
         return Clamp01(std::max(fraction, 0.0));
       }
       return params_.default_range_selectivity;
@@ -107,7 +108,7 @@ double CostModel::PredicateSelectivity(const sql::Expr& predicate,
     case sql::ExprKind::kLike:
       return params_.like_selectivity;
     case sql::ExprKind::kIsNull:
-      return predicate.op == "NOT" ? 0.95 : 0.05;
+      return predicate.op() == "NOT" ? 0.95 : 0.05;
     default:
       return params_.default_range_selectivity;
   }

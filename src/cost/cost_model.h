@@ -57,7 +57,7 @@ class CostModel {
   /// Estimates selectivity of a predicate applied to rows of `table`
   /// (nullptr table falls back to default selectivities). Returned value is
   /// clamped to [1e-6, 1].
-  double PredicateSelectivity(const sql::Expr& predicate,
+  double PredicateSelectivity(sql::ExprRef predicate,
                               const plan::TableDef* table) const;
 
   /// Annotates every node's `cardinality` and returns the noiseless total

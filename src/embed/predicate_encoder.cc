@@ -39,20 +39,20 @@ size_t AverageTokens(const Word2Vec& model,
 
 }  // namespace
 
-bool PredicateEncoder::TryEmbed(const sql::Expr& predicate, float* out) const {
+bool PredicateEncoder::TryEmbed(sql::ExprRef predicate, float* out) const {
   const size_t d = dim();
   if (IsAtomicClause(predicate)) {
     return AverageTokens(*model_, TokenizeClause(predicate), out) > 0;
   }
-  if (predicate.kind == sql::ExprKind::kNot) {
-    return TryEmbed(*predicate.children[0], out);
+  if (predicate.kind() == sql::ExprKind::kNot) {
+    return TryEmbed(predicate.child(0), out);
   }
   // AND -> MIN feature pooling over children; OR -> MAX.
-  const bool is_and = predicate.kind == sql::ExprKind::kAnd;
+  const bool is_and = predicate.kind() == sql::ExprKind::kAnd;
   std::vector<float> child(d);
   bool any = false;
-  for (const sql::ExprPtr& sub : predicate.children) {
-    if (!TryEmbed(*sub, child.data())) continue;
+  for (sql::ExprRef sub : predicate.children()) {
+    if (!TryEmbed(sub, child.data())) continue;
     if (!any) {
       std::memcpy(out, child.data(), sizeof(float) * d);
       any = true;

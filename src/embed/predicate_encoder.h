@@ -44,7 +44,7 @@ class PredicateEncoder : public otp::PredicateEmbedder {
 
   /// Returns false (and leaves `out` zero) when the predicate has no
   /// in-vocabulary token anywhere — the caller then applies the fallback.
-  bool TryEmbed(const sql::Expr& predicate, float* out) const;
+  bool TryEmbed(sql::ExprRef predicate, float* out) const;
 
  private:
   const Word2Vec* model_;

@@ -7,19 +7,17 @@ namespace prestroid::embed {
 namespace {
 
 /// Appends column-name tokens of a value expression (literals are dropped).
-void CollectColumnTokens(const sql::Expr& expr, std::vector<std::string>* out) {
-  if (expr.kind == sql::ExprKind::kColumn && expr.name != "*") {
-    out->push_back(ToLower(expr.name));
+void CollectColumnTokens(sql::ExprRef expr, std::vector<std::string>* out) {
+  if (expr.kind() == sql::ExprKind::kColumn && expr.name() != "*") {
+    out->push_back(ToLower(expr.name()));
   }
-  for (const sql::ExprPtr& child : expr.children) {
-    CollectColumnTokens(*child, out);
-  }
+  for (sql::ExprRef child : expr.children()) CollectColumnTokens(child, out);
 }
 
 }  // namespace
 
-bool IsAtomicClause(const sql::Expr& expr) {
-  switch (expr.kind) {
+bool IsAtomicClause(sql::ExprRef expr) {
+  switch (expr.kind()) {
     case sql::ExprKind::kAnd:
     case sql::ExprKind::kOr:
     case sql::ExprKind::kNot:
@@ -29,28 +27,28 @@ bool IsAtomicClause(const sql::Expr& expr) {
   }
 }
 
-std::vector<std::string> TokenizeClause(const sql::Expr& clause) {
+std::vector<std::string> TokenizeClause(sql::ExprRef clause) {
   std::vector<std::string> tokens;
-  switch (clause.kind) {
+  switch (clause.kind()) {
     case sql::ExprKind::kCompare:
       CollectColumnTokens(clause, &tokens);
-      tokens.push_back(clause.op);
+      tokens.emplace_back(clause.op());
       break;
     case sql::ExprKind::kIn:
-      CollectColumnTokens(*clause.children[0], &tokens);
+      CollectColumnTokens(clause.child(0), &tokens);
       tokens.push_back("IN");
       break;
     case sql::ExprKind::kBetween:
-      CollectColumnTokens(*clause.children[0], &tokens);
+      CollectColumnTokens(clause.child(0), &tokens);
       tokens.push_back("BETWEEN");
       break;
     case sql::ExprKind::kLike:
-      CollectColumnTokens(*clause.children[0], &tokens);
+      CollectColumnTokens(clause.child(0), &tokens);
       tokens.push_back("LIKE");
       break;
     case sql::ExprKind::kIsNull:
-      CollectColumnTokens(*clause.children[0], &tokens);
-      tokens.push_back(clause.op == "NOT" ? "IS_NOT_NULL" : "IS_NULL");
+      CollectColumnTokens(clause.child(0), &tokens);
+      tokens.push_back(clause.op() == "NOT" ? "IS_NOT_NULL" : "IS_NULL");
       break;
     default:
       // Bare columns / arithmetic in predicate position: keep the columns.
@@ -60,27 +58,27 @@ std::vector<std::string> TokenizeClause(const sql::Expr& clause) {
   return tokens;
 }
 
-std::vector<std::string> TokenizePredicate(const sql::Expr& predicate) {
+std::vector<std::string> TokenizePredicate(sql::ExprRef predicate) {
   std::vector<std::string> tokens;
   if (IsAtomicClause(predicate)) {
     return TokenizeClause(predicate);
   }
-  for (const sql::ExprPtr& child : predicate.children) {
-    for (std::string& token : TokenizePredicate(*child)) {
+  for (sql::ExprRef child : predicate.children()) {
+    for (std::string& token : TokenizePredicate(child)) {
       tokens.push_back(std::move(token));
     }
   }
   return tokens;
 }
 
-void CollectAtomicClauses(const sql::Expr& predicate,
-                          std::vector<const sql::Expr*>* clauses) {
+void CollectAtomicClauses(sql::ExprRef predicate,
+                          std::vector<sql::ExprRef>* clauses) {
   if (IsAtomicClause(predicate)) {
-    clauses->push_back(&predicate);
+    clauses->push_back(predicate);
     return;
   }
-  for (const sql::ExprPtr& child : predicate.children) {
-    CollectAtomicClauses(*child, clauses);
+  for (sql::ExprRef child : predicate.children()) {
+    CollectAtomicClauses(child, clauses);
   }
 }
 

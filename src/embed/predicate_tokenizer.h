@@ -12,19 +12,19 @@ namespace prestroid::embed {
 /// column names and the comparison operator, with all literal values omitted
 /// (paper Section 4.2 / Figure 4). E.g. `a.longitude > 103.8` ->
 /// ["longitude", ">"].
-std::vector<std::string> TokenizeClause(const sql::Expr& clause);
+std::vector<std::string> TokenizeClause(sql::ExprRef clause);
 
 /// Flattens a whole predicate tree into its token sequence, stripping the
 /// AND/OR conjunctions and every literal. This is the "sentence" a predicate
 /// contributes to Word2Vec training.
-std::vector<std::string> TokenizePredicate(const sql::Expr& predicate);
+std::vector<std::string> TokenizePredicate(sql::ExprRef predicate);
 
 /// True for the atomic clause kinds (everything except AND/OR/NOT).
-bool IsAtomicClause(const sql::Expr& expr);
+bool IsAtomicClause(sql::ExprRef expr);
 
-/// Collects pointers to the atomic clauses of a predicate tree in-order.
-void CollectAtomicClauses(const sql::Expr& predicate,
-                          std::vector<const sql::Expr*>* clauses);
+/// Collects the atomic clauses of a predicate tree in-order.
+void CollectAtomicClauses(sql::ExprRef predicate,
+                          std::vector<sql::ExprRef>* clauses);
 
 }  // namespace prestroid::embed
 

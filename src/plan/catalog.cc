@@ -18,7 +18,7 @@ const char* ColumnTypeToString(ColumnType type) {
   return "?";
 }
 
-const ColumnDef* TableDef::FindColumn(const std::string& column) const {
+const ColumnDef* TableDef::FindColumn(std::string_view column) const {
   for (const ColumnDef& col : columns) {
     if (col.name == column) return &col;
   }

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -35,7 +36,7 @@ struct TableDef {
   std::vector<ColumnDef> columns;
 
   /// Returns nullptr if the column is not present.
-  const ColumnDef* FindColumn(const std::string& column) const;
+  const ColumnDef* FindColumn(std::string_view column) const;
 };
 
 /// In-memory catalog of table definitions (the simulated data lake's

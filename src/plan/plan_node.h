@@ -24,6 +24,8 @@ enum class PlanNodeType {
   kExchange,    // 1 child; data shuffle/gather stage (`exchange_kind`)
   kDistinct,    // 1 child
 };
+constexpr size_t kPlanNodeTypeCount =
+    static_cast<size_t>(PlanNodeType::kDistinct) + 1;
 
 const char* PlanNodeTypeToString(PlanNodeType type);
 

@@ -11,12 +11,13 @@ PlanStats ComputePlanStats(const PlanNode& root) {
   // depth must be heap-bounded, not thread-stack-bounded.
   PlanStats stats;
   std::vector<std::pair<const PlanNode*, size_t>> stack;
+  stack.reserve(16);  // one allocation for the plans a trace holds
   stack.emplace_back(&root, 0);
   while (!stack.empty()) {
     auto [node, depth] = stack.back();
     stack.pop_back();
     ++stats.node_count;
-    ++stats.per_type[node->type];
+    ++stats.per_type[static_cast<size_t>(node->type)];
     if (node->type == PlanNodeType::kJoin) {
       ++stats.num_joins;
       if (node->predicate != nullptr) ++stats.num_predicates;

@@ -1,8 +1,8 @@
 #ifndef PRESTROID_PLAN_PLAN_STATS_H_
 #define PRESTROID_PLAN_PLAN_STATS_H_
 
+#include <array>
 #include <cstddef>
-#include <map>
 #include <string>
 
 #include "plan/plan_node.h"
@@ -15,9 +15,14 @@ struct PlanStats {
   size_t node_count = 0;
   /// Largest root-to-leaf edge distance (a single node has depth 0).
   size_t max_depth = 0;
-  std::map<PlanNodeType, size_t> per_type;
+  /// Nodes per type, indexed by PlanNodeType (see count()).
+  std::array<size_t, kPlanNodeTypeCount> per_type{};
   size_t num_joins = 0;
   size_t num_predicates = 0;  // Filter nodes + join conditions
+
+  size_t count(PlanNodeType type) const {
+    return per_type[static_cast<size_t>(type)];
+  }
 };
 
 /// Computes shape statistics of `root`.

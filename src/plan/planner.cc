@@ -20,43 +20,45 @@ struct Relation {
   std::set<std::string> columns;
 };
 
-bool ExprHasAggregate(const sql::Expr& expr) {
-  if (expr.kind == sql::ExprKind::kFuncCall) {
-    const std::string upper = ToUpper(expr.name);
+bool ExprHasAggregate(sql::ExprRef expr) {
+  if (expr.kind() == sql::ExprKind::kFuncCall) {
+    const std::string upper = ToUpper(expr.name());
     if (upper == "COUNT" || upper == "SUM" || upper == "AVG" ||
         upper == "MIN" || upper == "MAX") {
       return true;
     }
   }
-  for (const sql::ExprPtr& child : expr.children) {
-    if (ExprHasAggregate(*child)) return true;
+  for (sql::ExprRef child : expr.children()) {
+    if (ExprHasAggregate(child)) return true;
   }
   return false;
 }
 
 }  // namespace
 
-void CollectColumnRefs(const sql::Expr& expr,
+void CollectColumnRefs(sql::ExprRef expr,
                        std::vector<std::pair<std::string, std::string>>* refs) {
-  if (expr.kind == sql::ExprKind::kColumn) {
-    refs->emplace_back(expr.table, expr.name);
+  if (expr.kind() == sql::ExprKind::kColumn) {
+    refs->emplace_back(expr.table(), expr.name());
   }
-  for (const sql::ExprPtr& child : expr.children) {
-    CollectColumnRefs(*child, refs);
+  for (sql::ExprRef child : expr.children()) CollectColumnRefs(child, refs);
+}
+
+namespace {
+
+void AppendConjuncts(sql::ExprRef predicate, std::vector<sql::ExprPtr>* out) {
+  if (predicate.kind() == sql::ExprKind::kAnd) {
+    for (sql::ExprRef child : predicate.children()) AppendConjuncts(child, out);
+  } else {
+    out->push_back(predicate.Clone());
   }
 }
 
-std::vector<sql::ExprPtr> SplitConjuncts(const sql::Expr& predicate) {
+}  // namespace
+
+std::vector<sql::ExprPtr> SplitConjuncts(sql::ExprRef predicate) {
   std::vector<sql::ExprPtr> out;
-  if (predicate.kind == sql::ExprKind::kAnd) {
-    for (const sql::ExprPtr& child : predicate.children) {
-      for (sql::ExprPtr& part : SplitConjuncts(*child)) {
-        out.push_back(std::move(part));
-      }
-    }
-  } else {
-    out.push_back(predicate.Clone());
-  }
+  AppendConjuncts(predicate, &out);
   return out;
 }
 
@@ -82,8 +84,8 @@ Result<PlanNodePtr> Planner::Plan(const sql::SelectStmt& stmt) const {
       for (const sql::SelectItem& item : ref.subquery->items) {
         if (!item.alias.empty()) {
           rel.columns.insert(item.alias);
-        } else if (item.expr->kind == sql::ExprKind::kColumn) {
-          rel.columns.insert(item.expr->name);
+        } else if (item.expr->root().kind() == sql::ExprKind::kColumn) {
+          rel.columns.emplace(item.expr->root().name());
         }
       }
     } else {
@@ -118,7 +120,7 @@ Result<PlanNodePtr> Planner::Plan(const sql::SelectStmt& stmt) const {
   };
 
   // Which relations does a predicate touch?
-  auto referenced_relations = [&](const sql::Expr& expr) -> Result<std::set<size_t>> {
+  auto referenced_relations = [&](sql::ExprRef expr) -> Result<std::set<size_t>> {
     std::vector<std::pair<std::string, std::string>> refs;
     CollectColumnRefs(expr, &refs);
     std::set<size_t> out;
@@ -203,7 +205,7 @@ Result<PlanNodePtr> Planner::Plan(const sql::SelectStmt& stmt) const {
 
   // 7. Projection (omitted for a bare SELECT *).
   bool star_only = stmt.items.size() == 1 &&
-                   stmt.items[0].expr->kind == sql::ExprKind::kStar;
+                   stmt.items[0].expr->root().kind() == sql::ExprKind::kStar;
   if (!star_only && !has_aggregate) {
     std::vector<sql::ExprPtr> exprs;
     exprs.reserve(stmt.items.size());

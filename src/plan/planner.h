@@ -35,12 +35,13 @@ class Planner {
   PlannerOptions options_;
 };
 
-/// Splits a predicate into its top-level AND conjuncts (clones the parts).
-std::vector<sql::ExprPtr> SplitConjuncts(const sql::Expr& predicate);
+/// Splits a predicate into its top-level AND conjuncts (each part one range
+/// copy of its subtree).
+std::vector<sql::ExprPtr> SplitConjuncts(sql::ExprRef predicate);
 
 /// Collects the table qualifiers referenced by `expr` (empty string for
 /// unqualified columns).
-void CollectColumnRefs(const sql::Expr& expr,
+void CollectColumnRefs(sql::ExprRef expr,
                        std::vector<std::pair<std::string, std::string>>* refs);
 
 }  // namespace prestroid::plan

@@ -137,19 +137,28 @@ std::vector<plan::PlanNode*> CollectNodes(plan::PlanNode* root) {
   return nodes;
 }
 
-/// Every expression node of `root`, pre-order.
-std::vector<sql::Expr*> CollectExprs(sql::Expr* root) {
-  std::vector<sql::Expr*> exprs;
-  std::vector<sql::Expr*> stack = {root};
+/// One expression node a field mutation may write.
+struct ExprSite {
+  sql::Expr* expr;
+  uint32_t index;  // record index in `expr`
+};
+
+/// Every node of `expr`, pre-order, appended to `sites`.
+void CollectExprs(sql::Expr* expr, std::vector<ExprSite>* sites) {
+  const std::vector<sql::ExprNode>& records = expr->nodes();
+  std::vector<uint32_t> stack = {expr->root().index()};
   while (!stack.empty()) {
-    sql::Expr* expr = stack.back();
+    const uint32_t index = stack.back();
     stack.pop_back();
-    exprs.push_back(expr);
-    for (size_t i = expr->children.size(); i > 0; --i) {
-      stack.push_back(expr->children[i - 1].get());
+    sites->push_back({expr, index});
+    // Post-order: the last child ends right before its parent, each earlier
+    // one right before the next, so walking back pushes last to first.
+    uint32_t child = index - 1;
+    for (uint32_t i = records[index].arity; i > 0; --i) {
+      stack.push_back(child);
+      child -= records[child].size;
     }
   }
-  return exprs;
 }
 
 /// A pool entry other than `current`, or a fresh name when there is none.
@@ -207,49 +216,56 @@ bool NodeCarries(PlanField field, const plan::PlanNode& node) {
   }
 }
 
-bool ExprCarries(PlanField field, const sql::Expr& expr) {
+bool ExprCarries(PlanField field, sql::ExprRef expr) {
   switch (field) {
     case PlanField::kPredicateColumn:
     case PlanField::kPredicateQualifier:
-      return expr.kind == sql::ExprKind::kColumn;
+      return expr.kind() == sql::ExprKind::kColumn;
     case PlanField::kPredicateNumber:
-      return expr.kind == sql::ExprKind::kNumberLit;
+      return expr.kind() == sql::ExprKind::kNumberLit;
     case PlanField::kPredicateString:
-      return expr.kind == sql::ExprKind::kStringLit;
+      return expr.kind() == sql::ExprKind::kStringLit;
     case PlanField::kPredicateOperator:
-      return expr.kind == sql::ExprKind::kCompare ||
-             expr.kind == sql::ExprKind::kBinary;
+      return expr.kind() == sql::ExprKind::kCompare ||
+             expr.kind() == sql::ExprKind::kBinary;
     default:
       return false;  // node fields
   }
 }
 
-void MutateExprField(PlanField field, sql::Expr& expr,
+void MutateExprField(PlanField field, ExprSite site,
                      const FieldMutationPool& pool, Rng& rng) {
   static const char* const kCompareOps[] = {"=", "<>", "<", "<=", ">", ">="};
   static const char* const kBinaryOps[] = {"+", "-", "*", "/"};
+  sql::Expr& expr = *site.expr;
+  const sql::ExprRef ref(expr, site.index);
   switch (field) {
     case PlanField::kPredicateColumn:
-      expr.name = PickOther(pool.columns, expr.name, rng);
+      expr.SetName(site.index,
+                   PickOther(pool.columns, std::string(ref.name()), rng));
       break;
     case PlanField::kPredicateQualifier:
-      expr.table = PickOther(pool.tables, expr.table, rng);
+      expr.SetTable(site.index,
+                    PickOther(pool.tables, std::string(ref.table()), rng));
       break;
     case PlanField::kPredicateNumber:
-      expr.number += 1.0 + static_cast<double>(rng.NextUint64(1000));
+      expr.SetNumber(site.index,
+                     ref.number() +
+                         (1.0 + static_cast<double>(rng.NextUint64(1000))));
       break;
     case PlanField::kPredicateString:
-      expr.str = PickOther(pool.tables, expr.str, rng);
+      expr.SetString(site.index,
+                     PickOther(pool.tables, std::string(ref.str()), rng));
       break;
     case PlanField::kPredicateOperator: {
-      const std::string current = expr.op;
+      const std::string current(ref.op());
       std::string picked = current;
       while (picked == current) {
-        picked = expr.kind == sql::ExprKind::kCompare
+        picked = ref.kind() == sql::ExprKind::kCompare
                      ? kCompareOps[rng.NextUint64(std::size(kCompareOps))]
                      : kBinaryOps[rng.NextUint64(std::size(kBinaryOps))];
       }
-      expr.op = picked;
+      expr.SetOp(site.index, picked);
       break;
     }
     default:
@@ -377,15 +393,18 @@ plan::PlanNodePtr MutatePlanField(const plan::PlanNode& plan, PlanField field,
   plan::PlanNodePtr mutant = plan.Clone();
   const std::vector<plan::PlanNode*> nodes = CollectNodes(mutant.get());
 
-  std::vector<sql::Expr*> exprs;
+  std::vector<ExprSite> sites;
   for (plan::PlanNode* node : nodes) {
-    if (node->predicate == nullptr) continue;
-    for (sql::Expr* expr : CollectExprs(node->predicate.get())) {
-      if (ExprCarries(field, *expr)) exprs.push_back(expr);
+    if (node->predicate != nullptr) CollectExprs(node->predicate.get(), &sites);
+  }
+  std::vector<ExprSite> exprs;
+  for (const ExprSite& site : sites) {
+    if (ExprCarries(field, sql::ExprRef(*site.expr, site.index))) {
+      exprs.push_back(site);
     }
   }
   if (!exprs.empty()) {
-    MutateExprField(field, *exprs[rng.NextUint64(exprs.size())], pool, rng);
+    MutateExprField(field, exprs[rng.NextUint64(exprs.size())], pool, rng);
     return mutant;
   }
 

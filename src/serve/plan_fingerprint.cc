@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sql/ast.h"
@@ -18,7 +19,7 @@ void HashByte(uint64_t& h, uint8_t byte) {
   h *= kFnvPrime;
 }
 
-void HashString(uint64_t& h, const std::string& s) {
+void HashString(uint64_t& h, std::string_view s) {
   // Length-prefix so "ab"+"c" and "a"+"bc" cannot collide across fields.
   for (size_t len = s.size(); len != 0; len >>= 8) {
     HashByte(h, static_cast<uint8_t>(len & 0xff));
@@ -37,42 +38,43 @@ struct HashTask {
   Kind kind;
   const void* ptr = nullptr;  // PlanNode* or Expr*, per kind
   uint8_t byte = 0;
+  uint32_t index = 0;  // kExpr: the node's record index in its Expr
 };
 
 /// Hashes `expr`'s own payload (kind byte + per-kind fields), excluding
 /// children and delimiters.
-void HashExprPayload(uint64_t& h, const sql::Expr& expr) {
-  HashByte(h, static_cast<uint8_t>(expr.kind));
-  switch (expr.kind) {
+void HashExprPayload(uint64_t& h, sql::ExprRef expr) {
+  HashByte(h, static_cast<uint8_t>(expr.kind()));
+  switch (expr.kind()) {
     case sql::ExprKind::kColumn:
-      HashString(h, expr.table);
-      HashString(h, expr.name);
+      HashString(h, expr.table());
+      HashString(h, expr.name());
       break;
     case sql::ExprKind::kNumberLit: {
+      const double number = expr.number();
       uint64_t bits = 0;
-      static_assert(sizeof(bits) == sizeof(expr.number),
-                    "double must be 64-bit");
-      std::memcpy(&bits, &expr.number, sizeof(bits));
+      static_assert(sizeof(bits) == sizeof(number), "double must be 64-bit");
+      std::memcpy(&bits, &number, sizeof(bits));
       for (int i = 0; i < 8; ++i) {
         HashByte(h, static_cast<uint8_t>(bits >> (8 * i)));
       }
       break;
     }
     case sql::ExprKind::kStringLit:
-      HashString(h, expr.str);
+      HashString(h, expr.str());
       break;
     case sql::ExprKind::kBinary:
     case sql::ExprKind::kCompare:
-      HashString(h, expr.op);
+      HashString(h, expr.op());
       break;
     case sql::ExprKind::kIsNull:
-      // The negation marker lives in `name`/`op` depending on the factory;
-      // hash both so negated and plain IS NULL never collide.
-      HashString(h, expr.name);
-      HashString(h, expr.op);
+      // The empty name and the negation marker: the byte stream of the
+      // pointer-per-node layout, which hashed both fields.
+      HashString(h, expr.name());
+      HashString(h, expr.op());
       break;
     case sql::ExprKind::kFuncCall:
-      HashString(h, expr.name);
+      HashString(h, expr.name());
       break;
     default:
       // kNullLit/kStar/kAnd/kOr/kNot/kIn/kBetween/kLike carry no payload
@@ -100,14 +102,19 @@ uint64_t FingerprintPlan(const plan::PlanNode& plan) {
         HashByte(h, task.byte);
         break;
       case HashTask::Kind::kExpr: {
-        const auto& expr = *static_cast<const sql::Expr*>(task.ptr);
+        const auto* whole = static_cast<const sql::Expr*>(task.ptr);
+        const sql::ExprRef expr(*whole, task.index);
         HashExprPayload(h, expr);
-        // Emit: 0xf4, (child, 0xf5)..., 0xf6.
+        // Emit: 0xf4, (child, 0xf5)..., 0xf6. In post-order the last child
+        // ends right before its parent and each earlier one right before
+        // the next, so walking back pushes the children last to first.
         stack.push_back({HashTask::Kind::kByte, nullptr, 0xf6});
-        for (size_t i = expr.children.size(); i > 0; --i) {
+        const std::vector<sql::ExprNode>& records = whole->nodes();
+        uint32_t child = task.index - 1;
+        for (size_t i = expr.child_count(); i > 0; --i) {
           stack.push_back({HashTask::Kind::kByte, nullptr, 0xf5});
-          stack.push_back(
-              {HashTask::Kind::kExpr, expr.children[i - 1].get(), 0});
+          stack.push_back({HashTask::Kind::kExpr, whole, 0, child});
+          child -= records[child].size;
         }
         stack.push_back({HashTask::Kind::kByte, nullptr, 0xf4});
         break;
@@ -152,7 +159,8 @@ uint64_t FingerprintPlan(const plan::PlanNode& plan) {
         }
         stack.push_back({HashTask::Kind::kByte, nullptr, 0xf1});
         if (hash_predicate) {
-          stack.push_back({HashTask::Kind::kExpr, node.predicate.get(), 0});
+          stack.push_back({HashTask::Kind::kExpr, node.predicate.get(), 0,
+                           node.predicate->root().index()});
         }
         break;
       }

@@ -43,8 +43,12 @@ double ToDouble(std::string_view text) {
 ///   value     := term (('+'|'-') term)* ; term := factor (('*'|'/'|'%') factor)*
 ///   factor    := column | literal | func '(' args ')' | '(' value ')'
 ///
-/// Every Parse* returns null (a bool false for table refs) on failure after
-/// recording (message, offset) in the parser; callers pass the null up.
+/// Expressions are built flat: each top-level expression (a select item, a
+/// WHERE predicate, ...) gets its own Expr, and the expression Parse*
+/// functions append to it through one ExprBuilder, each leaving exactly one
+/// complete subtree behind on success. Every Parse* returns null or false on
+/// failure after recording (message, offset) in the parser; callers pass
+/// the failure up.
 class Parser {
  public:
   Parser(std::string_view text, const ParseLimits& limits)
@@ -65,14 +69,14 @@ class Parser {
     // Project) comes back from the predicate attempt as is; see
     // ParseComparison.
     bare_value_at_ = Peek().offset;
-    ExprPtr pred = ParsePredicate();
+    ExprPtr pred = Build(&Parser::ParsePredicate);
     bare_value_at_ = kNoBareValue;
     if (pred != nullptr && Peek().type == TokenType::kEnd) return pred;
     // Fall back to a bare value expression. Only malformed input gets here,
     // or a value nested so deep that the predicate attempt's two extra
     // frames crossed the depth limit.
     cursor_ = saved;
-    ExprPtr value = ParseValueExpr();
+    ExprPtr value = Build(&Parser::ParseValueExpr);
     if (value == nullptr) return nullptr;
     if (Peek().type != TokenType::kEnd) return Fail("trailing tokens");
     return value;
@@ -156,10 +160,29 @@ class Parser {
     }
     return false;
   }
-  std::nullptr_t Fail(const char* what) {
+  /// What Fail returns: a null pointer or false, whichever the failing
+  /// Parse* returns.
+  struct Failed {
+    template <typename T>
+    operator T() const {  // NOLINT(google-explicit-constructor)
+      return T();
+    }
+  };
+  Failed Fail(const char* what) {
     what_ = what;
     offset_ = Peek().offset;
-    return nullptr;
+    return {};
+  }
+
+  /// Parses one top-level expression with `parse` into a fresh Expr.
+  ExprPtr Build(bool (Parser::*parse)()) {
+    auto expr = std::make_unique<Expr>();
+    ExprBuilder builder(expr.get());
+    out_ = &builder;
+    const bool ok = (this->*parse)();
+    out_ = nullptr;
+    if (!ok) return nullptr;
+    return expr;
   }
 
   std::unique_ptr<SelectStmt> ParseSelectBody() {
@@ -172,7 +195,7 @@ class Parser {
     // Select list.
     while (true) {
       SelectItem item;
-      item.expr = ParseValueExpr();
+      item.expr = Build(&Parser::ParseValueExpr);
       if (item.expr == nullptr) return nullptr;
       if (MatchKeyword(Keyword::kAs)) {
         if (Peek().type != TokenType::kIdentifier) {
@@ -218,34 +241,34 @@ class Parser {
       if (!ParseTableRef(&join.ref)) return nullptr;
       if (type != JoinType::kCross) {
         if (!MatchKeyword(Keyword::kOn)) return Fail("expected ON");
-        join.condition = ParsePredicate();
+        join.condition = Build(&Parser::ParsePredicate);
         if (join.condition == nullptr) return nullptr;
       }
       stmt->joins.push_back(std::move(join));
     }
 
     if (MatchKeyword(Keyword::kWhere)) {
-      stmt->where = ParsePredicate();
+      stmt->where = Build(&Parser::ParsePredicate);
       if (stmt->where == nullptr) return nullptr;
     }
     if (MatchKeyword(Keyword::kGroup)) {
       if (!MatchKeyword(Keyword::kBy)) return Fail("expected BY after GROUP");
       while (true) {
-        ExprPtr expr = ParseValueExpr();
+        ExprPtr expr = Build(&Parser::ParseValueExpr);
         if (expr == nullptr) return nullptr;
         stmt->group_by.push_back(std::move(expr));
         if (!Match(TokenType::kComma)) break;
       }
     }
     if (MatchKeyword(Keyword::kHaving)) {
-      stmt->having = ParsePredicate();
+      stmt->having = Build(&Parser::ParsePredicate);
       if (stmt->having == nullptr) return nullptr;
     }
     if (MatchKeyword(Keyword::kOrder)) {
       if (!MatchKeyword(Keyword::kBy)) return Fail("expected BY after ORDER");
       while (true) {
         OrderItem item;
-        item.expr = ParseValueExpr();
+        item.expr = Build(&Parser::ParseValueExpr);
         if (item.expr == nullptr) return nullptr;
         if (MatchKeyword(Keyword::kDesc)) {
           item.descending = true;
@@ -303,52 +326,47 @@ class Parser {
     return true;
   }
 
-  ExprPtr ParsePredicate() { return ParseOr(); }
+  bool ParsePredicate() { return ParseOr(); }
 
-  ExprPtr ParseOr() {
-    ExprPtr result = ParseAnd();
-    if (result == nullptr) return nullptr;
+  bool ParseOr() {
+    if (!ParseAnd()) return false;
     while (MatchKeyword(Keyword::kOr)) {
-      ExprPtr rhs = ParseAnd();
-      if (rhs == nullptr) return nullptr;
-      result = MakeOr(std::move(result), std::move(rhs));
+      if (!ParseAnd()) return false;
+      out_->Node(ExprKind::kOr, 2);
     }
-    return result;
+    return true;
   }
 
-  ExprPtr ParseAnd() {
-    ExprPtr result = ParseUnary();
-    if (result == nullptr) return nullptr;
+  bool ParseAnd() {
+    if (!ParseUnary()) return false;
     while (MatchKeyword(Keyword::kAnd)) {
-      ExprPtr rhs = ParseUnary();
-      if (rhs == nullptr) return nullptr;
-      result = MakeAnd(std::move(result), std::move(rhs));
+      if (!ParseUnary()) return false;
+      out_->Node(ExprKind::kAnd, 2);
     }
-    return result;
+    return true;
   }
 
-  ExprPtr ParseUnary() {
+  bool ParseUnary() {
     DepthScope scope(this);
     if (TooDeep()) return Fail(kTooDeep);
     if (MatchKeyword(Keyword::kNot)) {
-      ExprPtr inner = ParseUnary();
-      if (inner == nullptr) return nullptr;
-      return MakeNot(std::move(inner));
+      if (!ParseUnary()) return false;
+      out_->Node(ExprKind::kNot, 1);
+      return true;
     }
     return ParsePrimaryPredicate();
   }
 
   // Lookahead to distinguish a parenthesized predicate from a parenthesized
   // value expression: both start with '('. We try the predicate first.
-  ExprPtr ParsePrimaryPredicate() {
+  bool ParsePrimaryPredicate() {
     DepthScope scope(this);
     if (TooDeep()) return Fail(kTooDeep);
     if (Peek().type == TokenType::kLeftParen && LooksLikeNestedPredicate()) {
       Advance();  // consume '('
-      ExprPtr inner = ParsePredicate();
-      if (inner == nullptr) return nullptr;
+      if (!ParsePredicate()) return false;
       if (!Match(TokenType::kRightParen)) return Fail("expected ')'");
-      return inner;
+      return true;
     }
     return ParseComparison();
   }
@@ -377,137 +395,134 @@ class Parser {
     return false;
   }
 
-  ExprPtr ParseComparison() {
+  bool ParseComparison() {
     const size_t start = Peek().offset;
-    ExprPtr value = ParseValueExpr();
-    if (value == nullptr) return nullptr;
+    if (!ParseValueExpr()) return false;
     // A standalone expression that is one value expression from its first
     // token to the end is that value: the predicate attempt would fail here
     // and the fallback would re-parse the same tokens into the same tree
     // (with two fewer nesting levels in use, so it cannot fail deeper).
     if (start == bare_value_at_ && Peek().type == TokenType::kEnd) {
-      return value;
+      return true;
     }
 
     if (Peek().type == TokenType::kOperator &&
         IsComparisonOperator(Peek().text)) {
       const std::string_view op = Advance().text;
-      ExprPtr rhs = ParseValueExpr();
-      if (rhs == nullptr) return nullptr;
-      return MakeCompare(std::string(op), std::move(value), std::move(rhs));
+      if (!ParseValueExpr()) return false;
+      out_->Operator(ExprKind::kCompare, op);
+      return true;
     }
     if (MatchKeyword(Keyword::kIn)) {
       if (!Match(TokenType::kLeftParen)) {
         return Fail("expected '(' after IN");
       }
-      std::vector<ExprPtr> values;
+      uint32_t arity = 1;
       while (true) {
-        ExprPtr v = ParseValueExpr();
-        if (v == nullptr) return nullptr;
-        values.push_back(std::move(v));
+        if (!ParseValueExpr()) return false;
+        ++arity;
         if (!Match(TokenType::kComma)) break;
       }
       if (!Match(TokenType::kRightParen)) return Fail("expected ')'");
-      return MakeIn(std::move(value), std::move(values));
+      out_->Node(ExprKind::kIn, arity);
+      return true;
     }
     if (MatchKeyword(Keyword::kBetween)) {
-      ExprPtr lo = ParseValueExpr();
-      if (lo == nullptr) return nullptr;
+      if (!ParseValueExpr()) return false;
       if (!MatchKeyword(Keyword::kAnd)) return Fail("expected AND in BETWEEN");
-      ExprPtr hi = ParseValueExpr();
-      if (hi == nullptr) return nullptr;
-      return MakeBetween(std::move(value), std::move(lo), std::move(hi));
+      if (!ParseValueExpr()) return false;
+      out_->Node(ExprKind::kBetween, 3);
+      return true;
     }
     if (MatchKeyword(Keyword::kLike)) {
-      ExprPtr pattern = ParseValueExpr();
-      if (pattern == nullptr) return nullptr;
-      return MakeLike(std::move(value), std::move(pattern));
+      if (!ParseValueExpr()) return false;
+      out_->Node(ExprKind::kLike, 2);
+      return true;
     }
     if (MatchKeyword(Keyword::kIs)) {
       const bool negated = MatchKeyword(Keyword::kNot);
       if (!MatchKeyword(Keyword::kNull)) return Fail("expected NULL after IS");
-      return MakeIsNull(std::move(value), negated);
+      out_->IsNull(negated);
+      return true;
     }
     // A bare value expression in predicate position. Treat as error to
     // surface bugs.
     return Fail("expected comparison operator");
   }
 
-  ExprPtr ParseValueExpr() { return ParseAdditive(); }
+  bool ParseValueExpr() { return ParseAdditive(); }
 
-  ExprPtr ParseAdditive() {
-    ExprPtr result = ParseMultiplicative();
-    if (result == nullptr) return nullptr;
+  bool ParseAdditive() {
+    if (!ParseMultiplicative()) return false;
     while (Peek().IsOperator("+") || Peek().IsOperator("-")) {
-      std::string op(Advance().text);
-      ExprPtr rhs = ParseMultiplicative();
-      if (rhs == nullptr) return nullptr;
-      result = MakeBinary(std::move(op), std::move(result), std::move(rhs));
-    }
-    return result;
-  }
-
-  ExprPtr ParseMultiplicative() {
-    ExprPtr result = ParseFactor();
-    if (result == nullptr) return nullptr;
-    while (Peek().IsOperator("*") || Peek().IsOperator("/") ||
-           Peek().IsOperator("%")) {
-      // A '*' in factor position is the star item, consumed by ParseFactor;
-      // one here is a multiplication.
-      std::string op(Advance().text);
-      ExprPtr rhs = ParseFactor();
-      if (rhs == nullptr) return nullptr;
-      result = MakeBinary(std::move(op), std::move(result), std::move(rhs));
-    }
-    return result;
-  }
-
-  /// Comma-separated value expressions up to the closing ')' (the '(' is
-  /// already consumed); `args` stays empty for "()".
-  bool ParseArguments(bool allow_distinct, std::vector<ExprPtr>* args) {
-    if (Match(TokenType::kRightParen)) return true;
-    if (allow_distinct) MatchKeyword(Keyword::kDistinct);  // not tracked
-    while (true) {
-      ExprPtr arg = ParseValueExpr();
-      if (arg == nullptr) return false;
-      args->push_back(std::move(arg));
-      if (!Match(TokenType::kComma)) break;
-    }
-    if (!Match(TokenType::kRightParen)) {
-      Fail("expected ')'");
-      return false;
+      const std::string_view op = Advance().text;
+      if (!ParseMultiplicative()) return false;
+      out_->Operator(ExprKind::kBinary, op);
     }
     return true;
   }
 
-  ExprPtr ParseFactor() {
+  bool ParseMultiplicative() {
+    if (!ParseFactor()) return false;
+    while (Peek().IsOperator("*") || Peek().IsOperator("/") ||
+           Peek().IsOperator("%")) {
+      // A '*' in factor position is the star item, consumed by ParseFactor;
+      // one here is a multiplication.
+      const std::string_view op = Advance().text;
+      if (!ParseFactor()) return false;
+      out_->Operator(ExprKind::kBinary, op);
+    }
+    return true;
+  }
+
+  /// Comma-separated value expressions up to the closing ')' (the '(' is
+  /// already consumed); counts them into `arity` (0 for "()").
+  bool ParseArguments(bool allow_distinct, uint32_t* arity) {
+    if (Match(TokenType::kRightParen)) return true;
+    if (allow_distinct) MatchKeyword(Keyword::kDistinct);  // not tracked
+    while (true) {
+      if (!ParseValueExpr()) return false;
+      ++*arity;
+      if (!Match(TokenType::kComma)) break;
+    }
+    if (!Match(TokenType::kRightParen)) return Fail("expected ')'");
+    return true;
+  }
+
+  bool ParseFactor() {
     DepthScope scope(this);
     if (TooDeep()) return Fail(kTooDeep);
     const Token t = Peek();
     if (t.IsOperator("*")) {
       Advance();
-      return MakeStar();
+      out_->Star();
+      return true;
     }
     if (t.IsOperator("-")) {
       Advance();
       if (Peek().type == TokenType::kNumber) {
-        return MakeNumber(-ToDouble(Advance().text));
+        out_->Number(-ToDouble(Advance().text));
+        return true;
       }
-      ExprPtr inner = ParseFactor();
-      if (inner == nullptr) return nullptr;
-      return MakeBinary("-", MakeNumber(0), std::move(inner));
+      out_->Number(0);  // 0 - inner
+      if (!ParseFactor()) return false;
+      out_->Operator(ExprKind::kBinary, "-");
+      return true;
     }
     if (t.type == TokenType::kNumber) {
       Advance();
-      return MakeNumber(ToDouble(t.text));
+      out_->Number(ToDouble(t.text));
+      return true;
     }
     if (t.type == TokenType::kString) {
       Advance();
-      return MakeString(UnescapeString(t.text));
+      out_->String(UnescapeString(t.text));
+      return true;
     }
     if (t.Is(Keyword::kNull)) {
       Advance();
-      return MakeNull();
+      out_->Null();
+      return true;
     }
     // Aggregate functions are keywords in this dialect.
     if ((t.Is(Keyword::kCount) || t.Is(Keyword::kSum) || t.Is(Keyword::kAvg) ||
@@ -515,35 +530,39 @@ class Parser {
         Peek(1).type == TokenType::kLeftParen) {
       Advance();  // name
       Advance();  // '('
-      std::vector<ExprPtr> args;
-      if (!ParseArguments(/*allow_distinct=*/true, &args)) return nullptr;
-      return MakeFuncCall(KeywordName(t.keyword), std::move(args));
+      uint32_t arity = 0;
+      if (!ParseArguments(/*allow_distinct=*/true, &arity)) return false;
+      out_->FuncCall(KeywordName(t.keyword), arity);
+      return true;
     }
     if (t.type == TokenType::kIdentifier) {
       Advance();
       if (Match(TokenType::kDot)) {
         if (Peek().type == TokenType::kIdentifier) {
-          return MakeColumn(std::string(t.text), std::string(Advance().text));
+          out_->Column(t.text, Advance().text);
+          return true;
         }
         if (Peek().IsOperator("*")) {
           Advance();
-          return MakeColumn(std::string(t.text), "*");
+          out_->Column(t.text, "*");
+          return true;
         }
         return Fail("expected column after '.'");
       }
       if (Match(TokenType::kLeftParen)) {
         // Non-aggregate scalar function call.
-        std::vector<ExprPtr> args;
-        if (!ParseArguments(/*allow_distinct=*/false, &args)) return nullptr;
-        return MakeFuncCall(std::string(t.text), std::move(args));
+        uint32_t arity = 0;
+        if (!ParseArguments(/*allow_distinct=*/false, &arity)) return false;
+        out_->FuncCall(t.text, arity);
+        return true;
       }
-      return MakeColumn("", std::string(t.text));
+      out_->Column("", t.text);
+      return true;
     }
     if (Match(TokenType::kLeftParen)) {
-      ExprPtr inner = ParseValueExpr();
-      if (inner == nullptr) return nullptr;
+      if (!ParseValueExpr()) return false;
       if (!Match(TokenType::kRightParen)) return Fail("expected ')'");
-      return inner;
+      return true;
     }
     return Fail("expected expression");
   }
@@ -553,6 +572,8 @@ class Parser {
   std::string_view text_;
   ParseLimits limits_;
   Cursor cursor_;
+  /// The expression being built (set by Build).
+  ExprBuilder* out_ = nullptr;
   size_t depth_ = 0;
   /// Offset of the first token of a standalone expression while its
   /// predicate attempt runs, else kNoBareValue.

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <string_view>
 
 #include "util/fault_injection.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 #include "util/text_cursor.h"
 
@@ -26,20 +28,30 @@ constexpr char kVersion[] = "v2";
 // largest single write(2) the kernel must accept.
 constexpr size_t kWriteChunk = 1 << 20;
 
-const uint32_t* Crc32Table() {
-  static uint32_t table[256];
-  static bool initialized = [] {
+/// Slicing-by-8 tables of the reflected CRC-32 polynomial 0xEDB88320:
+/// table[0] is the classic byte table, and table[k][b] is the CRC of byte b
+/// followed by k zero bytes, so eight bytes fold in with eight lookups that
+/// do not depend on each other.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
       }
-      table[i] = crc;
+      t[0][i] = crc;
     }
-    return true;
+    for (size_t k = 1; k < t.size(); ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
+    }
+    return t;
   }();
-  (void)initialized;
-  return table;
+  return tables;
 }
 
 /// Bounded exponential backoff between interrupted-syscall (EINTR) retries.
@@ -113,11 +125,21 @@ void SyncParentDir(const std::string& path) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& t = Crc32Table();
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  // Eight bytes per step, read byte by byte so neither alignment nor host
+  // byte order matters; the tail goes one byte at a time.
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const uint32_t lo = crc ^ (uint32_t{bytes[0]} | uint32_t{bytes[1]} << 8 |
+                               uint32_t{bytes[2]} << 16 |
+                               uint32_t{bytes[3]} << 24);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][bytes[4]] ^
+          t[2][bytes[5]] ^ t[1][bytes[6]] ^ t[0][bytes[7]];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   }
   return ~crc;
 }
@@ -206,6 +228,32 @@ Status AtomicWriteFile(const std::string& path, const std::string& payload) {
   return Status::OK();
 }
 
+namespace {
+
+/// One read(2) of up to `room` bytes with the EINTR policy of AtomicWriteFile:
+/// the byte count (0 at end of file) or the error, naming `path`.
+Result<size_t> ReadRetrying(int fd, char* dst, size_t room,
+                            const std::string& path, EintrBackoff& backoff) {
+  for (;;) {
+    ssize_t n = -1;
+    if (InjectedEintr()) {
+      errno = EINTR;
+    } else {
+      n = ::read(fd, dst, room);
+    }
+    if (n >= 0) return static_cast<size_t>(n);
+    if (errno == EINTR) {
+      if (backoff.Next()) continue;
+      return Status::IoError("read " + path + " interrupted " +
+                             std::to_string(EintrBackoff::kMaxRetries) +
+                             " times; giving up");
+    }
+    return Status::FromErrno("read " + path, errno);
+  }
+}
+
+}  // namespace
+
 Result<std::string> ReadFileToString(const std::string& path) {
   int fd = OpenWithRetry(path.c_str(), O_RDONLY, 0);
   if (fd < 0) return Status::IoError("cannot open for read: " + path);
@@ -224,35 +272,44 @@ Result<std::string> ReadFileToString(const std::string& path) {
     const bool direct = filled < expected;
     char* dst = direct ? out.data() + filled : buffer;
     const size_t room = direct ? expected - filled : sizeof(buffer);
-    ssize_t n = -1;
-    if (InjectedEintr()) {
-      errno = EINTR;
-    } else {
-      n = ::read(fd, dst, room);
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        if (backoff.Next()) continue;
-        ::close(fd);
-        return Status::IoError("read " + path + " interrupted " +
-                               std::to_string(EintrBackoff::kMaxRetries) +
-                               " times; giving up");
-      }
-      const int saved_errno = errno;
+    Result<size_t> n = ReadRetrying(fd, dst, room, path, backoff);
+    if (!n.ok()) {
       ::close(fd);
-      return Status::FromErrno("read " + path, saved_errno);
+      return n.status();
     }
-    if (n == 0) break;
+    if (*n == 0) break;
     if (direct) {
-      filled += static_cast<size_t>(n);
+      filled += *n;
     } else {
-      out.append(buffer, static_cast<size_t>(n));
+      out.append(buffer, *n);
       filled = out.size();
     }
   }
   ::close(fd);
   out.resize(filled);  // the file shrank after fstat
   return out;
+}
+
+FileReader::~FileReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status FileReader::Open(const std::string& path) {
+  PRESTROID_CHECK_LT(fd_, 0);
+  fd_ = OpenWithRetry(path.c_str(), O_RDONLY, 0);
+  if (fd_ < 0) return Status::IoError("cannot open for read: " + path);
+  path_ = path;
+  buffer_.resize(kPieceBytes);
+  return Status::OK();
+}
+
+Result<std::string_view> FileReader::Next() {
+  PRESTROID_CHECK_GE(fd_, 0);
+  EintrBackoff backoff;
+  PRESTROID_ASSIGN_OR_RETURN(
+      const size_t n,
+      ReadRetrying(fd_, buffer_.data(), buffer_.size(), path_, backoff));
+  return std::string_view(buffer_.data(), n);
 }
 
 Status ValidateArtifactFile(const std::string& path) {

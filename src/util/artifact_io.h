@@ -1,7 +1,9 @@
 #ifndef PRESTROID_UTIL_ARTIFACT_IO_H_
 #define PRESTROID_UTIL_ARTIFACT_IO_H_
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,6 +45,28 @@ Status AtomicWriteFile(const std::string& path, const std::string& payload);
 /// allocation, no intermediate copies). Interrupted syscalls (EINTR) are
 /// retried with a bounded exponential backoff, like AtomicWriteFile.
 Result<std::string> ReadFileToString(const std::string& path);
+
+/// Reads a file front to back in pieces of at most kPieceBytes, so a caller
+/// that consumes each piece as it arrives holds one piece, not the file.
+/// Open and read errors and EINTR retries are those of ReadFileToString.
+class FileReader {
+ public:
+  static constexpr size_t kPieceBytes = 64 << 10;
+
+  FileReader() = default;
+  ~FileReader();
+  FileReader(const FileReader&) = delete;
+  FileReader& operator=(const FileReader&) = delete;
+
+  Status Open(const std::string& path);
+  /// The next piece, valid until the next call; empty at end of file.
+  Result<std::string_view> Next();
+
+ private:
+  int fd_ = -1;
+  std::string path_;
+  std::string buffer_;
+};
 
 /// Full integrity check of a v2 artifact container on disk: reads the file
 /// and CRC-validates every section without deserializing any payload.

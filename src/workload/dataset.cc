@@ -194,9 +194,65 @@ QuarantineReason ClassifyFailure(std::string_view chunk, const Status& status) {
 
 }  // namespace
 
-Result<IngestStats> IngestTraceTolerant(std::string_view text,
-                                        const IngestOptions& options,
-                                        const RecordSink& sink) {
+Status TraceRecordCutter::Feed(std::string_view piece) {
+  // Drop what was cut already; only the unfinished chunk moves.
+  pending_.erase(0, chunk_);
+  line_ -= chunk_;
+  scanned_ -= chunk_;
+  chunk_ = 0;
+  pending_.append(piece);
+  return Scan(/*at_end=*/false);
+}
+
+Status TraceRecordCutter::Finish() {
+  PRESTROID_RETURN_NOT_OK(Scan(/*at_end=*/true));
+  return Emit(pending_.size());
+}
+
+Status TraceRecordCutter::Scan(bool at_end) {
+  constexpr std::string_view kMarker = "#QUERY ";
+  const std::string_view text = pending_;
+  while (line_ < text.size()) {
+    if (!line_judged_) {
+      const std::string_view rest = text.substr(line_);
+      // A short line start decides once its newline or the end arrives.
+      if (rest.size() < kMarker.size() && !at_end &&
+          rest.find('\n') == std::string_view::npos) {
+        return Status::OK();
+      }
+      if (StartsWith(rest, kMarker)) {
+        PRESTROID_RETURN_NOT_OK(Emit(line_));
+        chunk_ = line_;
+        in_record_ = true;
+      }
+      line_judged_ = true;
+    }
+    const size_t newline = text.find('\n', std::max(line_, scanned_));
+    if (newline == std::string_view::npos) {
+      scanned_ = text.size();
+      return Status::OK();
+    }
+    line_ = scanned_ = newline + 1;
+    line_judged_ = false;
+  }
+  return Status::OK();
+}
+
+Status TraceRecordCutter::Emit(size_t end) {
+  const std::string_view chunk =
+      std::string_view(pending_).substr(chunk_, end - chunk_);
+  // Junk before the first record is its own chunk unless it is blank.
+  if (!in_record_ && Trim(chunk).empty()) return Status::OK();
+  return on_chunk_(chunk);
+}
+
+namespace {
+
+/// The tolerant ingest over a text that `next_piece` hands out in pieces
+/// (an empty piece ends it).
+Result<IngestStats> IngestPieces(
+    const IngestOptions& options, const RecordSink& sink,
+    const std::function<Result<std::string_view>()>& next_piece) {
   IngestStats stats;
   QuarantineLog log;
   PRESTROID_RETURN_NOT_OK(
@@ -242,31 +298,29 @@ Result<IngestStats> IngestTraceTolerant(std::string_view text,
     return Status::OK();
   };
 
-  // Cut a chunk at each #QUERY line and ingest it before cutting the next.
-  size_t start = std::string_view::npos;
-  for (size_t line = 0; line < text.size();) {
-    if (StartsWith(text.substr(line), "#QUERY ")) {
-      if (start != std::string_view::npos) {
-        PRESTROID_RETURN_NOT_OK(
-            ingest_chunk(text.substr(start, line - start)));
-      } else if (!Trim(text.substr(0, line)).empty()) {
-        // Junk before the first record is its own quarantined chunk.
-        PRESTROID_RETURN_NOT_OK(ingest_chunk(text.substr(0, line)));
-      }
-      start = line;
-    }
-    const size_t newline = text.find('\n', line);
-    if (newline == std::string_view::npos) break;
-    line = newline + 1;
+  TraceRecordCutter cutter(ingest_chunk);
+  for (;;) {
+    PRESTROID_ASSIGN_OR_RETURN(const std::string_view piece, next_piece());
+    if (piece.empty()) break;
+    PRESTROID_RETURN_NOT_OK(cutter.Feed(piece));
   }
-  if (start != std::string_view::npos) {
-    PRESTROID_RETURN_NOT_OK(ingest_chunk(text.substr(start)));
-  } else if (!Trim(text).empty()) {
-    PRESTROID_RETURN_NOT_OK(ingest_chunk(text));
-  }
+  PRESTROID_RETURN_NOT_OK(cutter.Finish());
   stats.quarantine_rotations = log.rotations();
   stats.quarantine_dropped = log.dropped();
   return stats;
+}
+
+}  // namespace
+
+Result<IngestStats> IngestTraceTolerant(std::string_view text,
+                                        const IngestOptions& options,
+                                        const RecordSink& sink) {
+  size_t at = 0;
+  return IngestPieces(options, sink, [&]() -> Result<std::string_view> {
+    const std::string_view piece = text.substr(at, FileReader::kPieceBytes);
+    at += piece.size();
+    return piece;
+  });
 }
 
 Result<IngestResult> IngestTraceTolerant(std::string_view text,
@@ -283,14 +337,20 @@ Result<IngestResult> IngestTraceTolerant(std::string_view text,
 Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
                                           const IngestOptions& options,
                                           const RecordSink& sink) {
-  PRESTROID_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
-  return IngestTraceTolerant(text, options, sink);
+  FileReader reader;
+  PRESTROID_RETURN_NOT_OK(reader.Open(path));
+  return IngestPieces(options, sink, [&] { return reader.Next(); });
 }
 
 Result<IngestResult> ReadTraceFileTolerant(const std::string& path,
                                            const IngestOptions& options) {
-  PRESTROID_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
-  return IngestTraceTolerant(text, options);
+  IngestResult result;
+  PRESTROID_ASSIGN_OR_RETURN(
+      result.stats,
+      ReadTraceFileTolerant(path, options, [&](QueryRecord&& record) {
+        result.records.push_back(std::move(record));
+      }));
+  return result;
 }
 
 DatasetSplits SplitRandom(size_t num_records, double train_ratio,

@@ -5,10 +5,12 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "plan/plan_limits.h"
 #include "util/random.h"
+#include "util/status.h"
 #include "workload/trace.h"
 
 namespace prestroid::workload {
@@ -73,13 +75,48 @@ struct IngestResult {
 /// does not grow with the trace's plans.
 using RecordSink = std::function<void(QueryRecord&&)>;
 
+/// Cuts a serialized trace into per-record chunks. A chunk starts at each
+/// line that begins with "#QUERY " and runs to the next such line or the end
+/// of the text; bytes before the first record are one chunk of their own
+/// unless they are blank. The text arrives in pieces of any size: a record
+/// split across pieces is carried over, so the cutter holds the current
+/// record and the latest piece, never the whole text.
+class TraceRecordCutter {
+ public:
+  /// Receives each chunk, in text order; the view is valid for the call.
+  using ChunkFn = std::function<Status(std::string_view chunk)>;
+
+  explicit TraceRecordCutter(ChunkFn on_chunk)
+      : on_chunk_(std::move(on_chunk)) {}
+
+  /// Cuts every chunk `piece` completes. A failing ChunkFn stops the cut
+  /// and its Status is returned.
+  Status Feed(std::string_view piece);
+  /// Cuts the rest once the text has ended.
+  Status Finish();
+
+ private:
+  Status Scan(bool at_end);
+  /// Hands pending_[chunk_, end) to on_chunk_ (a blank prefix is skipped).
+  Status Emit(size_t end);
+
+  ChunkFn on_chunk_;
+  std::string pending_;  // the unfinished chunk's bytes from chunk_ on
+  size_t chunk_ = 0;     // start of the unfinished chunk
+  size_t line_ = 0;      // start of the line being cut
+  size_t scanned_ = 0;   // bytes before this hold no newline after line_
+  bool line_judged_ = false;  // line_ was checked for "#QUERY "
+  bool in_record_ = false;    // a "#QUERY " line has been seen
+};
+
 /// Parses a serialized trace, skipping (and counting) hostile records
 /// instead of failing the run: malformed headers/plans, over-limit plans,
 /// truncated tails, non-finite or negative labels and zero CPU labels are
 /// quarantined, and every accepted record goes to `sink`.
 /// Only environmental failures (e.g. an unwritable quarantine file) abort.
-/// Records are cut as views of `text` one at a time and parsed in place; a
-/// quarantined record's bytes are only read for its log snippet.
+/// The text goes through one TraceRecordCutter in FileReader::kPieceBytes
+/// pieces, and each record is parsed as soon as it is cut; a quarantined
+/// record's bytes are only read for its log snippet.
 Result<IngestStats> IngestTraceTolerant(std::string_view text,
                                         const IngestOptions& options,
                                         const RecordSink& sink);
@@ -88,8 +125,10 @@ Result<IngestStats> IngestTraceTolerant(std::string_view text,
 Result<IngestResult> IngestTraceTolerant(std::string_view text,
                                          const IngestOptions& options);
 
-/// File variants of IngestTraceTolerant: read the file once into a buffer
-/// of its size (ReadFileToString), freed when ingestion returns.
+/// File variants of IngestTraceTolerant: the file is read in
+/// FileReader::kPieceBytes pieces straight into the cutter, so the text is
+/// never held whole. A read error after the first piece returns its Status
+/// once the records before it have gone to the sink.
 Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
                                           const IngestOptions& options,
                                           const RecordSink& sink);

@@ -126,7 +126,8 @@ class Generation {
     if (roll < 0.90) {
       ExprPtr lo = Literal(col);
       ExprPtr hi = Literal(col);
-      if (lo->number > hi->number) std::swap(lo->number, hi->number);
+      // Both are literals of one column: swapping them swaps two numbers.
+      if (lo->root().number() > hi->root().number()) std::swap(lo, hi);
       return sql::MakeBetween(std::move(column), std::move(lo), std::move(hi));
     }
     std::vector<ExprPtr> values;

@@ -50,10 +50,10 @@ TEST(TokenizerTest, ColumnNamesLowercased) {
 
 TEST(TokenizerTest, CollectAtomicClauses) {
   auto pred = Pred("a = 1 AND (b = 2 OR NOT c = 3)");
-  std::vector<const sql::Expr*> clauses;
+  std::vector<sql::ExprRef> clauses;
   CollectAtomicClauses(*pred, &clauses);
   EXPECT_EQ(clauses.size(), 3u);
-  EXPECT_TRUE(IsAtomicClause(*clauses[0]));
+  EXPECT_TRUE(IsAtomicClause(clauses[0]));
 }
 
 TEST(VocabularyTest, MinCountCutoffAndFrequencyOrder) {

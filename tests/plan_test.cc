@@ -114,7 +114,7 @@ TEST(PlannerTest, ExchangesInserted) {
   EXPECT_EQ(plan->type, PlanNodeType::kExchange);
   EXPECT_EQ(plan->exchange_kind, ExchangeKind::kGather);
   PlanStats stats = ComputePlanStats(*plan);
-  EXPECT_EQ(stats.per_type[PlanNodeType::kExchange], 3u);  // gather + 2 reps
+  EXPECT_EQ(stats.count(PlanNodeType::kExchange), 3u);  // gather + 2 reps
 }
 
 TEST(PlannerTest, AggregationShape) {
@@ -159,8 +159,8 @@ TEST(PlannerTest, SubqueryPlansRecursively) {
       "WHERE s.f < 100",
       options);
   PlanStats stats = ComputePlanStats(*plan);
-  EXPECT_EQ(stats.per_type[PlanNodeType::kTableScan], 1u);
-  EXPECT_GE(stats.per_type[PlanNodeType::kFilter], 2u);
+  EXPECT_EQ(stats.count(PlanNodeType::kTableScan), 1u);
+  EXPECT_GE(stats.count(PlanNodeType::kFilter), 2u);
 }
 
 TEST(PlannerTest, UnknownTableFails) {

@@ -61,6 +61,55 @@ TEST(Crc32Test, DetectsSingleBitFlips) {
   }
 }
 
+/// Bit-at-a-time CRC-32 (reflected, polynomial 0xEDB88320): the definition
+/// the table-driven Crc32 must reproduce.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+/// 72 bytes covering every bit position with varied values.
+std::vector<unsigned char> CrcTestBytes() {
+  std::vector<unsigned char> bytes(72);
+  uint32_t x = 0x9e3779b9u;
+  for (unsigned char& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  bytes[5] = 0x00;
+  bytes[13] = 0xff;
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  const std::vector<unsigned char> bytes = CrcTestBytes();
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const unsigned char* p = bytes.data() + start;
+      EXPECT_EQ(Crc32(p, len), BitwiseCrc32(p, len, 0))
+          << "start " << start << " len " << len;
+      EXPECT_EQ(Crc32(p, len, 0x12345678u), BitwiseCrc32(p, len, 0x12345678u))
+          << "seeded, start " << start << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, IncrementalSplitAtEveryOffset) {
+  const std::vector<unsigned char> bytes = CrcTestBytes();
+  const uint32_t whole = BitwiseCrc32(bytes.data(), bytes.size(), 0);
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32(bytes.data(), split);
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split " << split;
+  }
+}
+
 std::vector<ArtifactSection> TestSections() {
   // Payloads deliberately exercise embedded newlines, NULs and high bytes.
   std::string binary = "line1\nline2\n";

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "plan/planner.h"
+#include "serve/plan_fingerprint.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "util/random.h"
@@ -75,7 +77,7 @@ TEST(LexerTest, StringLiteralWithEscape) {
   EXPECT_EQ(tokens[0].text, "it''s ok");  // escaped until the AST is built
   EXPECT_EQ(UnescapeString(tokens[0].text), "it's ok");
   auto parsed = ParseExpression("s = 'it''s ok'").ValueOrDie();
-  EXPECT_EQ(parsed->children[1]->str, "it's ok");
+  EXPECT_EQ(parsed->root().child(1).str(), "it's ok");
 }
 
 TEST(LexerTest, UnterminatedStringFails) {
@@ -167,7 +169,7 @@ TEST(ParserTest, LexicalErrorOutranksEarlierGrammarError) {
 TEST(ParserTest, MinimalSelect) {
   auto stmt = ParseSelect("SELECT * FROM trips").ValueOrDie();
   EXPECT_EQ(stmt->items.size(), 1u);
-  EXPECT_EQ(stmt->items[0].expr->kind, ExprKind::kStar);
+  EXPECT_EQ(stmt->items[0].expr->root().kind(), ExprKind::kStar);
   EXPECT_EQ(stmt->from.table, "trips");
   EXPECT_EQ(stmt->joins.size(), 0u);
   EXPECT_EQ(stmt->where, nullptr);
@@ -178,8 +180,8 @@ TEST(ParserTest, WherePredicatePrecedence) {
       ParseSelect("SELECT a FROM t WHERE x = 1 OR y = 2 AND z = 3").ValueOrDie();
   // AND binds tighter: OR(x=1, AND(y=2, z=3)).
   ASSERT_NE(stmt->where, nullptr);
-  EXPECT_EQ(stmt->where->kind, ExprKind::kOr);
-  EXPECT_EQ(stmt->where->children[1]->kind, ExprKind::kAnd);
+  EXPECT_EQ(stmt->where->root().kind(), ExprKind::kOr);
+  EXPECT_EQ(stmt->where->root().child(1).kind(), ExprKind::kAnd);
 }
 
 TEST(ParserTest, JoinVariants) {
@@ -249,34 +251,34 @@ TEST(ParserTest, InBetweenLikeIsNull) {
 
 TEST(ParserTest, ArithmeticPrecedence) {
   auto expr = ParseExpression("1 + 2 * 3").ValueOrDie();
-  EXPECT_EQ(expr->kind, ExprKind::kBinary);
-  EXPECT_EQ(expr->op, "+");
-  EXPECT_EQ(expr->children[1]->op, "*");
+  EXPECT_EQ(expr->root().kind(), ExprKind::kBinary);
+  EXPECT_EQ(expr->root().op(), "+");
+  EXPECT_EQ(expr->root().child(1).op(), "*");
 }
 
 TEST(ParserTest, NegativeNumbers) {
   auto expr = ParseExpression("x > -5").ValueOrDie();
-  EXPECT_EQ(expr->children[1]->number, -5.0);
+  EXPECT_EQ(expr->root().child(1).number(), -5.0);
 }
 
 TEST(ParserTest, NotPredicate) {
   auto expr = ParseExpression("NOT (a = 1 OR b = 2)").ValueOrDie();
-  EXPECT_EQ(expr->kind, ExprKind::kNot);
-  EXPECT_EQ(expr->children[0]->kind, ExprKind::kOr);
+  EXPECT_EQ(expr->root().kind(), ExprKind::kNot);
+  EXPECT_EQ(expr->root().child(0).kind(), ExprKind::kOr);
 }
 
 TEST(ParserTest, QualifiedColumns) {
   auto expr = ParseExpression("tbl.col = 4").ValueOrDie();
-  EXPECT_EQ(expr->children[0]->table, "tbl");
-  EXPECT_EQ(expr->children[0]->name, "col");
+  EXPECT_EQ(expr->root().child(0).table(), "tbl");
+  EXPECT_EQ(expr->root().child(0).name(), "col");
 }
 
 TEST(ParserTest, AggregateCalls) {
   auto stmt =
       ParseSelect("SELECT SUM(fare), AVG(t.dist), COUNT(*) FROM t").ValueOrDie();
   EXPECT_EQ(stmt->items.size(), 3u);
-  EXPECT_EQ(stmt->items[0].expr->name, "SUM");
-  EXPECT_EQ(stmt->items[2].expr->children[0]->kind, ExprKind::kStar);
+  EXPECT_EQ(stmt->items[0].expr->root().name(), "SUM");
+  EXPECT_EQ(stmt->items[2].expr->root().child(0).kind(), ExprKind::kStar);
 }
 
 TEST(ParserTest, ErrorsOnGarbage) {
@@ -311,11 +313,116 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT a FROM t WHERE NOT (x = 1 OR y LIKE '%z%') AND w IS NULL",
         "SELECT a + b * 2 AS v FROM t WHERE a - 1 >= 0"));
 
-TEST(ExprTest, CloneIsDeep) {
-  auto expr = ParseExpression("a = 1 AND b = 2").ValueOrDie();
+TEST(ExprTest, CloneIsIndependentOfItsSource) {
+  auto expr = ParseExpression("a = 1 AND t.b = 'x'").ValueOrDie();
+  const std::string text = expr->ToString();
   auto copy = expr->Clone();
-  expr->children[0]->children[1]->number = 99;
-  EXPECT_EQ(copy->children[0]->children[1]->number, 1.0);
+  auto right = expr->root().child(1).Clone();
+  // Write every field a setter reaches, then drop the source.
+  const ExprRef left = expr->root().child(0);
+  expr->SetNumber(left.child(1).index(), 99);
+  expr->SetName(left.child(0).index(), "zz");
+  expr->SetTable(expr->root().child(1).child(0).index(), "u");
+  expr->SetString(expr->root().child(1).child(1).index(), "y");
+  expr->SetOp(left.index(), "<>");
+  EXPECT_EQ(expr->ToString(), "((zz <> 99) AND (u.b = 'y'))");
+  expr.reset();
+  EXPECT_EQ(copy->root().child(0).child(1).number(), 1.0);
+  EXPECT_EQ(copy->ToString(), text);
+  EXPECT_EQ(right->ToString(), "(t.b = 'x')");
+  EXPECT_EQ(right->nodes().size(), 3u);
+}
+
+TEST(ExprTest, SplitConjunctPrintsAsInsideItsParent) {
+  auto where =
+      ParseExpression(
+          "(a.x > 1 AND s LIKE 'p''q%') AND (b.y IN (1, 2, 3) OR c IS NOT "
+          "NULL) AND SUM(d) - -2.5 BETWEEN 0 AND 9 AND NOT e.f = 'g'")
+          .ValueOrDie();
+  std::vector<std::string> inside;
+  std::vector<ExprRef> stack = {where->root()};
+  while (!stack.empty()) {
+    const ExprRef node = stack.back();
+    stack.pop_back();
+    if (node.kind() != ExprKind::kAnd) {
+      inside.push_back(node.ToString());
+      continue;
+    }
+    stack.push_back(node.child(1));
+    stack.push_back(node.child(0));
+  }
+  const std::vector<ExprPtr> parts = plan::SplitConjuncts(*where);
+  ASSERT_EQ(parts.size(), inside.size());
+  ASSERT_EQ(parts.size(), 5u);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    EXPECT_EQ(parts[i]->ToString(), inside[i]) << i;
+    // A part holds its own subtree's records and bytes, nothing more.
+    EXPECT_EQ(parts[i]->root().index() + 1, parts[i]->nodes().size());
+    EXPECT_LE(parts[i]->bytes().size(), inside[i].size());
+  }
+}
+
+TEST(ExprTest, MakeBuiltExpressionsReparseToTheSameText) {
+  std::vector<ExprPtr> built;
+  built.push_back(MakeCompare("<=", MakeColumn("t", "a"), MakeNumber(-3.25)));
+  built.push_back(MakeAnd(
+      MakeOr(MakeLike(MakeColumn("", "name"), MakeString("its%")),
+             MakeIsNull(MakeColumn("u", "v"), /*negated=*/true)),
+      MakeNot(MakeIsNull(MakeColumn("", "w"), /*negated=*/false))));
+  std::vector<ExprPtr> values;
+  values.push_back(MakeNumber(1));
+  values.push_back(MakeString("two"));
+  values.push_back(MakeNull());
+  built.push_back(MakeIn(MakeColumn("", "k"), std::move(values)));
+  built.push_back(MakeBetween(
+      MakeBinary("*", MakeColumn("", "p"), MakeNumber(2)), MakeNumber(0.5),
+      MakeBinary("+", MakeNumber(10), MakeColumn("q", "r"))));
+  std::vector<ExprPtr> args;
+  args.push_back(MakeStar());
+  built.push_back(MakeCompare(">", MakeFuncCall("COUNT", std::move(args)),
+                              MakeFuncCall("now", {})));
+  for (const ExprPtr& expr : built) {
+    const std::string text = expr->ToString();
+    auto reparsed = ParseExpression(text);
+    ASSERT_TRUE(reparsed.ok()) << text << ": " << reparsed.status().ToString();
+    EXPECT_EQ((*reparsed)->ToString(), text);
+    EXPECT_EQ((*reparsed)->nodes().size(), expr->nodes().size()) << text;
+  }
+  EXPECT_EQ(built[0]->ToString(), "(t.a <= -3.25)");
+  EXPECT_EQ(built[2]->ToString(), "k IN (1, 'two', NULL)");
+}
+
+TEST(ExprTest, DeepNestedPredicateParsesClonesPrintsAndFingerprints) {
+  // A right-nested conjunction 200 levels deep, and the same chain of 200
+  // NOTs; the parse budget admits both.
+  constexpr int kDepth = 200;
+  std::string nested;
+  for (int i = 0; i < kDepth; ++i) {
+    nested += "(c" + std::to_string(i) + " = " + std::to_string(i) + " AND ";
+  }
+  nested += "z = 'end'";
+  nested.append(kDepth, ')');
+  std::string nots;
+  for (int i = 0; i < kDepth; ++i) nots += "NOT ";
+  nots += "z IS NULL";
+  const ParseLimits limits{100000, 4 * kDepth + 8};
+  for (const std::string& text : {nested, nots}) {
+    auto parsed = ParseExpression(text, limits);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ExprPtr expr = std::move(parsed).value();
+    EXPECT_EQ(expr->nodes().back().size, expr->nodes().size());
+    const ExprPtr copy = expr->Clone();
+    const std::string printed = copy->ToString();
+    auto reparsed = ParseExpression(printed, limits);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+    EXPECT_EQ((*reparsed)->ToString(), printed);
+    const uint64_t fingerprint =
+        serve::FingerprintPlan(*plan::MakeFilter(std::move(expr),
+                                                 plan::MakeTableScan("t")));
+    EXPECT_EQ(serve::FingerprintPlan(*plan::MakeFilter(
+                  std::move(reparsed).value(), plan::MakeTableScan("t"))),
+              fingerprint);
+  }
 }
 
 // --- Fuzz-style robustness: the parser must return a Status on arbitrary

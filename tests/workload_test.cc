@@ -5,12 +5,16 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "plan/plan_stats.h"
 #include "plan/plan_text.h"
 #include "plan/planner.h"
 #include "sql/parser.h"
 #include "test_corpus.h"
+#include "util/artifact_io.h"
+#include "util/string_util.h"
 #include "workload/dataset.h"
 #include "workload/query_generator.h"
 #include "workload/schema_generator.h"
@@ -452,6 +456,162 @@ TEST(SinkIngestTest, SinkAndVectorFormsAgreeOnHostileTraces) {
   std::remove(sink_log.c_str());
   std::remove(vector_log.c_str());
   EXPECT_GT(quarantined, 0u);  // the corpus does exercise the quarantine
+}
+
+/// The record cut of the whole-text ingest the cutter replaced: a chunk
+/// starts at each "#QUERY " line, and a non-blank prefix is its own chunk.
+std::vector<std::string> ReferenceChunks(std::string_view text) {
+  constexpr size_t npos = std::string_view::npos;
+  std::vector<std::string> chunks;
+  size_t start = npos;
+  for (size_t line = 0; line < text.size();) {
+    if (StartsWith(text.substr(line), "#QUERY ")) {
+      if (start != npos) {
+        chunks.emplace_back(text.substr(start, line - start));
+      } else if (!Trim(text.substr(0, line)).empty()) {
+        chunks.emplace_back(text.substr(0, line));
+      }
+      start = line;
+    }
+    const size_t newline = text.find('\n', line);
+    if (newline == npos) break;
+    line = newline + 1;
+  }
+  if (start != npos) {
+    chunks.emplace_back(text.substr(start));
+  } else if (!Trim(text).empty()) {
+    chunks.emplace_back(text);
+  }
+  return chunks;
+}
+
+/// The chunks one TraceRecordCutter cuts from `pieces` fed in order.
+std::vector<std::string> CutPieces(const std::vector<std::string_view>& pieces) {
+  std::vector<std::string> chunks;
+  TraceRecordCutter cutter([&](std::string_view chunk) {
+    chunks.emplace_back(chunk);
+    return Status::OK();
+  });
+  for (std::string_view piece : pieces) EXPECT_TRUE(cutter.Feed(piece).ok());
+  EXPECT_TRUE(cutter.Finish().ok());
+  return chunks;
+}
+
+/// `text` cut into pieces of `size` bytes (the last may be shorter).
+std::vector<std::string_view> Pieces(std::string_view text, size_t size) {
+  std::vector<std::string_view> pieces;
+  for (size_t at = 0; at < text.size(); at += size) {
+    pieces.push_back(text.substr(at, size));
+  }
+  return pieces;
+}
+
+TEST(TraceRecordCutterTest, SplitAtEveryOffsetCutsTheSameChunks) {
+  std::vector<QueryRecord> clean;
+  for (size_t i = 0; i < 3; ++i) {
+    const QueryRecord& source = test::GrabCorpus().records[i];
+    QueryRecord copy;
+    copy.id = source.id;
+    copy.sql = source.sql;
+    copy.plan = source.plan->Clone();
+    copy.metrics = source.metrics;
+    clean.push_back(std::move(copy));
+  }
+  const std::string trace = SerializeTrace(clean);
+  // A junk prefix, a blank one, a last line that starts like a header, and
+  // a text with no record at all.
+  const std::string texts[] = {"junk before\n#QUER\n" + trace,
+                               "\n  \n" + trace + "#QUER", trace,
+                               "no record here\n#QUERY\n#QUERY"};
+  for (const std::string& text : texts) {
+    const std::vector<std::string> expected = ReferenceChunks(text);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(CutPieces({text}), expected);
+    for (size_t split = 0; split <= text.size(); ++split) {
+      const std::string_view view = text;
+      ASSERT_EQ(CutPieces({view.substr(0, split), view.substr(split)}),
+                expected)
+          << "split at " << split;
+    }
+  }
+}
+
+TEST(TraceRecordCutterTest, HostileTracesCutTheSameInAnyPieceSize) {
+  for (const std::string& trace : test::HostileTraces()) {
+    const std::vector<std::string> expected = ReferenceChunks(trace);
+    for (size_t size : {1, 2, 7, 64, 4096}) {
+      ASSERT_EQ(CutPieces(Pieces(trace, size)), expected) << "pieces of " << size;
+    }
+  }
+}
+
+TEST(TraceRecordCutterTest, FailingChunkStopsTheCut) {
+  size_t calls = 0;
+  TraceRecordCutter cutter([&](std::string_view) {
+    ++calls;
+    return Status::IoError("sink full");
+  });
+  EXPECT_TRUE(cutter.Feed("#QUERY 1\n").ok());
+  EXPECT_EQ(cutter.Feed("#QUERY 2\n").code(), StatusCode::kIoError);
+  EXPECT_EQ(calls, 1u);
+}
+
+TEST(StreamedIngestTest, FileAndMemoryIngestMatchPerRecordIngest) {
+  // Every hostile trace, then all of them back to back: megabytes, so the
+  // file is read in many pieces and records straddle piece boundaries.
+  std::vector<std::string> traces = test::HostileTraces();
+  std::string all;
+  for (const std::string& trace : traces) all += trace;
+  ASSERT_GT(all.size(), 8 * FileReader::kPieceBytes);
+  traces.push_back(all);
+  const std::string trace_path = QuarantineTempPath("streamed_trace.txt");
+  const std::string memory_log = QuarantineTempPath("streamed_memory.log");
+  const std::string file_log = QuarantineTempPath("streamed_file.log");
+  for (const std::string& trace : traces) {
+    // Reference: each chunk of the whole-text cut ingested on its own.
+    std::vector<QueryRecord> expected;
+    IngestStats expected_stats;
+    for (const std::string& chunk : ReferenceChunks(trace)) {
+      auto one = IngestTraceTolerant(chunk, IngestOptions{});
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      for (QueryRecord& record : one->records) {
+        expected.push_back(std::move(record));
+      }
+      expected_stats.accepted += one->stats.accepted;
+      expected_stats.quarantined += one->stats.quarantined;
+      for (size_t r = 0; r < expected_stats.by_reason.size(); ++r) {
+        expected_stats.by_reason[r] += one->stats.by_reason[r];
+      }
+    }
+
+    std::remove(memory_log.c_str());
+    std::remove(file_log.c_str());
+    IngestOptions options;
+    options.quarantine_path = memory_log;
+    auto in_memory = IngestTraceTolerant(trace, options);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+    {
+      std::ofstream out(trace_path, std::ios::binary | std::ios::trunc);
+      out << trace;
+    }
+    options.quarantine_path = file_log;
+    std::vector<QueryRecord> streamed;
+    auto from_file = ReadTraceFileTolerant(
+        trace_path, options,
+        [&](QueryRecord&& record) { streamed.push_back(std::move(record)); });
+    ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+
+    const std::string expected_text = SerializeTrace(expected);
+    EXPECT_EQ(SerializeTrace(in_memory->records), expected_text);
+    EXPECT_EQ(SerializeTrace(streamed), expected_text);
+    EXPECT_EQ(in_memory->stats.Summary(), expected_stats.Summary());
+    EXPECT_EQ(from_file->Summary(), expected_stats.Summary());
+    EXPECT_EQ(from_file->by_reason, expected_stats.by_reason);
+    EXPECT_EQ(FileBytes(file_log), FileBytes(memory_log));
+  }
+  std::remove(trace_path.c_str());
+  std::remove(memory_log.c_str());
+  std::remove(file_log.c_str());
 }
 
 }  // namespace
