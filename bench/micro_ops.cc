@@ -21,8 +21,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -32,6 +34,7 @@
 
 #include "bench_json.h"
 #include "core/featurizer.h"
+#include "cost/serving_estimator.h"
 #include "core/pipeline.h"
 #include "embed/word2vec.h"
 #include "nn/tree_conv.h"
@@ -50,6 +53,24 @@
 #include "workload/dataset.h"
 #include "workload/schema_generator.h"
 #include "workload/trace.h"
+
+/// Every heap block this process allocates, counted so front_end_parse can
+/// report blocks per parse. The aligned forms are not replaced.
+static std::atomic<uint64_t> g_heap_blocks{0};
+
+void* operator new(size_t size) {
+  g_heap_blocks.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler pairs each delete with the new above instead
+// of seeing free() meet operator new's pointer.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace prestroid {
 namespace {
@@ -424,7 +445,18 @@ struct FrontEndParseRecord {
   double sql_us_per_query = 0.0;
   double ingest_ms = 0.0;
   double plan_clone_us_per_plan = 0.0;
+  double heap_blocks_per_plan_parse = 0.0;
+  double heap_blocks_per_sql_parse = 0.0;
+  double serve_ingest_ms = 0.0;
 };
+
+/// Heap blocks `fn` allocates (operator new calls), over one run.
+template <typename Fn>
+uint64_t HeapBlocks(Fn&& fn) {
+  const uint64_t before = g_heap_blocks.load(std::memory_order_relaxed);
+  fn();
+  return g_heap_blocks.load(std::memory_order_relaxed) - before;
+}
 
 FrontEndParseRecord MeasureFrontEndParse(
     const std::vector<workload::QueryRecord>& trace) {
@@ -446,6 +478,21 @@ FrontEndParseRecord MeasureFrontEndParse(
     }
   });
   rec.plan_text_us_per_plan = plan_ns / n / 1e3;
+  rec.heap_blocks_per_plan_parse =
+      static_cast<double>(HeapBlocks([&] {
+        for (const std::string& text : plan_texts) {
+          benchmark::DoNotOptimize(plan::ParsePlanText(text).ValueOrDie().get());
+        }
+      })) /
+      n;
+  rec.heap_blocks_per_sql_parse =
+      static_cast<double>(HeapBlocks([&] {
+        for (const workload::QueryRecord& record : trace) {
+          benchmark::DoNotOptimize(
+              sql::ParseSelect(record.sql).ValueOrDie().get());
+        }
+      })) /
+      n;
   rec.plan_text_mb_s = static_cast<double>(plan_bytes) / (plan_ns / 1e3);
   rec.sql_us_per_query = MedianNs([&] {
                            for (const workload::QueryRecord& record : trace) {
@@ -460,6 +507,25 @@ FrontEndParseRecord MeasureFrontEndParse(
                     benchmark::DoNotOptimize(ingested->records.data());
                   }) /
                   1e6;
+  // What serve runs before it listens: the trace file read through the
+  // tolerant ingest, each record dropped into FallbackSamples.
+  const std::string trace_path =
+      (std::filesystem::temp_directory_path() / "micro_ops_front_end_trace.txt")
+          .string();
+  PRESTROID_CHECK(workload::WriteTraceFile(trace_path, trace).ok());
+  rec.serve_ingest_ms =
+      MedianNs([&] {
+        cost::FallbackSamples samples;
+        PRESTROID_CHECK(workload::ReadTraceFileTolerant(
+                            trace_path, workload::IngestOptions{},
+                            [&](workload::QueryRecord&& record) {
+                              samples.Add(record);
+                            })
+                            .ok());
+        benchmark::DoNotOptimize(samples.cpu_minutes.data());
+      }) /
+      1e6;
+  std::filesystem::remove(trace_path);
   // The allocation floor: a deep copy builds the same nodes and expressions
   // a parse must build, with no lexing or parsing at all.
   rec.plan_clone_us_per_plan = MedianNs([&] {
@@ -472,10 +538,12 @@ FrontEndParseRecord MeasureFrontEndParse(
                                n / 1e3;
   std::cout << StrFormat(
       "front_end_parse (%zu records, %.0f B mean plan text): plan text "
-      "%.1f us/plan (%.1f MB/s), SQL %.1f us/query, tolerant ingest %.1f ms, "
+      "%.1f us/plan (%.1f MB/s, %.1f heap blocks), SQL %.1f us/query (%.1f "
+      "heap blocks), tolerant ingest %.1f ms, serve-shaped ingest %.1f ms, "
       "PlanNode::Clone %.1f us/plan\n",
       rec.records, rec.mean_plan_text_bytes, rec.plan_text_us_per_plan,
-      rec.plan_text_mb_s, rec.sql_us_per_query, rec.ingest_ms,
+      rec.plan_text_mb_s, rec.heap_blocks_per_plan_parse, rec.sql_us_per_query,
+      rec.heap_blocks_per_sql_parse, rec.ingest_ms, rec.serve_ingest_ms,
       rec.plan_clone_us_per_plan);
   return rec;
 }
@@ -846,6 +914,11 @@ int RunJsonBench(const std::string& path) {
     json.FieldDouble("tolerant_ingest_ms", front_end.ingest_ms, "%.1f");
     json.FieldDouble("plan_clone_us_per_plan",
                      front_end.plan_clone_us_per_plan, "%.2f");
+    json.FieldDouble("heap_blocks_per_plan_parse",
+                     front_end.heap_blocks_per_plan_parse, "%.1f");
+    json.FieldDouble("heap_blocks_per_sql_parse",
+                     front_end.heap_blocks_per_sql_parse, "%.1f");
+    json.FieldDouble("serve_ingest_ms", front_end.serve_ingest_ms, "%.1f");
     json.EndObject();
     json.Key("artifact_load");
     json.BeginObject();

@@ -329,6 +329,18 @@ void ExprBuilder::FuncCall(std::string_view name, uint32_t arity) {
   Parent(ExprKind::kFuncCall, arity).text = expr_->Store(name);
 }
 
+void ExprBuilder::Clear() {
+  // A scratch Expr keeps its capacity between parses, up to a bound, so one
+  // hostile expression does not pin its buffers for the thread's life.
+  constexpr size_t kKeepNodes = 4096;
+  expr_->nodes_.clear();
+  expr_->bytes_.clear();
+  if (expr_->nodes_.capacity() > kKeepNodes) {
+    expr_->nodes_.shrink_to_fit();
+    expr_->bytes_.shrink_to_fit();
+  }
+}
+
 void ExprBuilder::Append(const Expr& other) {
   PRESTROID_CHECK(&other != expr_);
   const uint32_t shift = static_cast<uint32_t>(expr_->bytes_.size());

@@ -198,8 +198,8 @@ class ExprBuilder {
   /// Appends a copy of `other` as one subtree.
   void Append(const Expr& other);
 
-  /// Number of records appended so far.
-  uint32_t size() const { return static_cast<uint32_t>(expr_->nodes_.size()); }
+  /// Empties the Expr, keeping its buffers unless they have grown large.
+  void Clear();
 
  private:
   ExprNode& Leaf(ExprKind kind);

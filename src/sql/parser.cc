@@ -174,15 +174,18 @@ class Parser {
     return {};
   }
 
-  /// Parses one top-level expression with `parse` into a fresh Expr.
+  /// Parses one top-level expression with `parse`. It is built in a
+  /// per-thread scratch Expr and copied out at its exact size, so each of
+  /// its buffers is one allocation however the parse grew them.
   ExprPtr Build(bool (Parser::*parse)()) {
-    auto expr = std::make_unique<Expr>();
-    ExprBuilder builder(expr.get());
+    static thread_local Expr scratch;
+    ExprBuilder builder(&scratch);
+    builder.Clear();
     out_ = &builder;
     const bool ok = (this->*parse)();
     out_ = nullptr;
     if (!ok) return nullptr;
-    return expr;
+    return scratch.Clone();
   }
 
   std::unique_ptr<SelectStmt> ParseSelectBody() {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -331,6 +332,22 @@ TEST(ExprTest, CloneIsIndependentOfItsSource) {
   EXPECT_EQ(copy->ToString(), text);
   EXPECT_EQ(right->ToString(), "(t.b = 'x')");
   EXPECT_EQ(right->nodes().size(), 3u);
+}
+
+TEST(ExprTest, ParsedExpressionOwnsExactlySizedBuffers) {
+  // The Expr object, its record array and its byte buffer: each buffer is
+  // one allocation of exactly its contents, whatever the parse grew.
+  auto stmt = ParseSelect(
+                  "SELECT a FROM t WHERE a_long_column_name IN (1, 2, 3, 4, 5, "
+                  "6, 7, 8, 9) AND another_column LIKE 'some long pattern%'")
+                  .ValueOrDie();
+  for (const Expr* expr : {stmt->where.get(), stmt->items[0].expr.get()}) {
+    EXPECT_EQ(expr->nodes().capacity(), expr->nodes().size());
+    EXPECT_GE(expr->bytes().capacity(), expr->bytes().size());
+    EXPECT_LE(expr->bytes().capacity(),
+              std::max<size_t>(expr->bytes().size(), 15));
+  }
+  EXPECT_EQ(stmt->where->nodes().size(), 15u);
 }
 
 TEST(ExprTest, SplitConjunctPrintsAsInsideItsParent) {
