@@ -145,19 +145,14 @@ struct ExprSite {
 
 /// Every node of `expr`, pre-order, appended to `sites`.
 void CollectExprs(sql::Expr* expr, std::vector<ExprSite>* sites) {
-  const std::vector<sql::ExprNode>& records = expr->nodes();
-  std::vector<uint32_t> stack = {expr->root().index()};
+  std::vector<sql::ExprRef> stack = {expr->root()};
   while (!stack.empty()) {
-    const uint32_t index = stack.back();
+    const sql::ExprRef node = stack.back();
     stack.pop_back();
-    sites->push_back({expr, index});
-    // Post-order: the last child ends right before its parent, each earlier
-    // one right before the next, so walking back pushes last to first.
-    uint32_t child = index - 1;
-    for (uint32_t i = records[index].arity; i > 0; --i) {
-      stack.push_back(child);
-      child -= records[child].size;
-    }
+    sites->push_back({expr, node.index()});
+    const size_t run = stack.size();
+    for (sql::ExprRef child : node.children()) stack.push_back(child);
+    std::reverse(stack.begin() + static_cast<ptrdiff_t>(run), stack.end());
   }
 }
 

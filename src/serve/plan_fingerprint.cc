@@ -1,5 +1,7 @@
 #include "serve/plan_fingerprint.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -105,17 +107,15 @@ uint64_t FingerprintPlan(const plan::PlanNode& plan) {
         const auto* whole = static_cast<const sql::Expr*>(task.ptr);
         const sql::ExprRef expr(*whole, task.index);
         HashExprPayload(h, expr);
-        // Emit: 0xf4, (child, 0xf5)..., 0xf6. In post-order the last child
-        // ends right before its parent and each earlier one right before
-        // the next, so walking back pushes the children last to first.
+        // Emit: 0xf4, (child, 0xf5)..., 0xf6. The children are pushed in
+        // order and that run reversed, so they pop first to last.
         stack.push_back({HashTask::Kind::kByte, nullptr, 0xf6});
-        const std::vector<sql::ExprNode>& records = whole->nodes();
-        uint32_t child = task.index - 1;
-        for (size_t i = expr.child_count(); i > 0; --i) {
+        const size_t run = stack.size();
+        for (sql::ExprRef child : expr.children()) {
+          stack.push_back({HashTask::Kind::kExpr, whole, 0, child.index()});
           stack.push_back({HashTask::Kind::kByte, nullptr, 0xf5});
-          stack.push_back({HashTask::Kind::kExpr, whole, 0, child});
-          child -= records[child].size;
         }
+        std::reverse(stack.begin() + static_cast<ptrdiff_t>(run), stack.end());
         stack.push_back({HashTask::Kind::kByte, nullptr, 0xf4});
         break;
       }

@@ -159,7 +159,6 @@ class ExprRef {
 
   /// Record index of this node in its Expr.
   uint32_t index() const { return index_; }
-  const Expr& expr() const { return *expr_; }
 
   /// Deep copy of this subtree as its own Expr: one range copy of its
   /// records and of the bytes they point into.
