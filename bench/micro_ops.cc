@@ -447,7 +447,9 @@ struct FrontEndParseRecord {
   double plan_clone_us_per_plan = 0.0;
   double heap_blocks_per_plan_parse = 0.0;
   double heap_blocks_per_sql_parse = 0.0;
-  double serve_ingest_ms = 0.0;
+  double serve_ingest_ms = 0.0;  // one parsing lane
+  size_t lanes = 1;               // the hardware concurrency
+  double serve_ingest_ms_all_lanes = 0.0;
 };
 
 /// Heap blocks `fn` allocates (operator new calls), over one run.
@@ -507,24 +509,37 @@ FrontEndParseRecord MeasureFrontEndParse(
                     benchmark::DoNotOptimize(ingested->records.data());
                   }) /
                   1e6;
-  // What serve runs before it listens: the trace file read through the
-  // tolerant ingest, each record dropped into FallbackSamples.
+  // What serve --listen runs before it listens: the trace file read
+  // through the tolerant ingest, each record reduced to its FallbackSamples
+  // sample and dropped on the lane that parsed it; at one lane and at the
+  // hardware concurrency, as the CLI runs it.
   const std::string trace_path =
       (std::filesystem::temp_directory_path() / "micro_ops_front_end_trace.txt")
           .string();
   PRESTROID_CHECK(workload::WriteTraceFile(trace_path, trace).ok());
-  rec.serve_ingest_ms =
-      MedianNs([&] {
-        cost::FallbackSamples samples;
-        PRESTROID_CHECK(workload::ReadTraceFileTolerant(
-                            trace_path, workload::IngestOptions{},
-                            [&](workload::QueryRecord&& record) {
-                              samples.Add(record);
-                            })
-                            .ok());
-        benchmark::DoNotOptimize(samples.cpu_minutes.data());
-      }) /
-      1e6;
+  auto serve_ingest_ms = [&](size_t lanes) {
+    workload::IngestOptions options;
+    options.lanes = lanes;
+    return MedianNs([&] {
+             cost::FallbackSamples samples;
+             PRESTROID_CHECK(
+                 workload::ReadTraceFileTolerant(
+                     trace_path, options,
+                     workload::ReduceOnLanes(
+                         [](workload::QueryRecord&& record) {
+                           return cost::FallbackSamples::Of(record);
+                         },
+                         [&](cost::FallbackSamples::Sample&& sample) {
+                           samples.Add(sample);
+                         }))
+                     .ok());
+             benchmark::DoNotOptimize(samples.cpu_minutes.data());
+           }) /
+           1e6;
+  };
+  rec.serve_ingest_ms = serve_ingest_ms(1);
+  rec.lanes = ThreadPool::HardwareConcurrency();
+  rec.serve_ingest_ms_all_lanes = serve_ingest_ms(rec.lanes);
   std::filesystem::remove(trace_path);
   // The allocation floor: a deep copy builds the same nodes and expressions
   // a parse must build, with no lexing or parsing at all.
@@ -539,12 +554,12 @@ FrontEndParseRecord MeasureFrontEndParse(
   std::cout << StrFormat(
       "front_end_parse (%zu records, %.0f B mean plan text): plan text "
       "%.1f us/plan (%.1f MB/s, %.1f heap blocks), SQL %.1f us/query (%.1f "
-      "heap blocks), tolerant ingest %.1f ms, serve-shaped ingest %.1f ms, "
-      "PlanNode::Clone %.1f us/plan\n",
+      "heap blocks), tolerant ingest %.1f ms, serve-shaped ingest %.1f ms "
+      "(%zu lanes: %.1f ms), PlanNode::Clone %.1f us/plan\n",
       rec.records, rec.mean_plan_text_bytes, rec.plan_text_us_per_plan,
       rec.plan_text_mb_s, rec.heap_blocks_per_plan_parse, rec.sql_us_per_query,
       rec.heap_blocks_per_sql_parse, rec.ingest_ms, rec.serve_ingest_ms,
-      rec.plan_clone_us_per_plan);
+      rec.lanes, rec.serve_ingest_ms_all_lanes, rec.plan_clone_us_per_plan);
   return rec;
 }
 
@@ -919,6 +934,9 @@ int RunJsonBench(const std::string& path) {
     json.FieldDouble("heap_blocks_per_sql_parse",
                      front_end.heap_blocks_per_sql_parse, "%.1f");
     json.FieldDouble("serve_ingest_ms", front_end.serve_ingest_ms, "%.1f");
+    json.Field("serve_ingest_lanes", front_end.lanes);
+    json.FieldDouble("serve_ingest_ms_all_lanes",
+                     front_end.serve_ingest_ms_all_lanes, "%.1f");
     json.EndObject();
     json.Key("artifact_load");
     json.BeginObject();

@@ -74,6 +74,7 @@
 #include "plan/plan_text.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 #include "workload/dataset.h"
 #include "workload/trace.h"
 
@@ -173,15 +174,22 @@ plan::PlanLimits PlanLimitsFromFlags(const Flags& flags) {
   return limits;
 }
 
-/// Tolerant trace ingestion shared by train and serve: hostile records are
-/// quarantined (optionally to --quarantine-file) instead of failing the run,
-/// and each accepted record goes to `sink`.
-Result<workload::IngestStats> IngestTrace(const Flags& flags,
-                                          const std::string& trace_path,
-                                          const workload::RecordSink& sink) {
+/// The tolerant ingest of train and serve: limits from --max-plan-*, an
+/// optional --quarantine-file, and a parsing lane per hardware thread.
+workload::IngestOptions IngestOptionsFromFlags(const Flags& flags) {
   workload::IngestOptions options;
   options.plan_limits = PlanLimitsFromFlags(flags);
   options.quarantine_path = flags.Get("quarantine-file", "");
+  options.lanes = ThreadPool::HardwareConcurrency();
+  return options;
+}
+
+/// Tolerant trace ingestion shared by train and serve: hostile records are
+/// quarantined instead of failing the run, and each accepted record goes to
+/// `sink`. A trace with no accepted record is an error.
+Result<workload::IngestStats> IngestTrace(
+    const workload::IngestOptions& options, const std::string& trace_path,
+    const workload::LaneSink& sink) {
   auto stats = workload::ReadTraceFileTolerant(trace_path, options, sink);
   if (!stats.ok()) return stats.status();
   if (stats->quarantined > 0) {
@@ -236,10 +244,11 @@ int Train(const Flags& flags) {
     return 2;
   }
   std::vector<workload::QueryRecord> records;
-  auto ingested =
-      IngestTrace(flags, trace_path, [&](workload::QueryRecord&& record) {
+  auto ingested = IngestTrace(
+      IngestOptionsFromFlags(flags), trace_path,
+      workload::KeepRecords([&](workload::QueryRecord&& record) {
         records.push_back(std::move(record));
-      });
+      }));
   if (!ingested.ok()) return Fail(ingested.status());
   std::cout << "loaded " << records.size() << " queries from " << trace_path
             << "\n";
@@ -721,12 +730,21 @@ void PrintServeSummary(const serve::ShardedServingRuntime& runtime,
 
 /// Each serve shard loads its own copy of the model and runs a worker thread.
 constexpr size_t kMaxShards = 64;
+/// Caps on serve's other counts: far past any useful setting, and below
+/// where a per-shard cache, queue or batch, or the replay's tenant ids (a
+/// uint32), would outgrow the host or wrap.
+constexpr size_t kMaxCacheEntries = size_t{1} << 24;
+constexpr size_t kMaxQueueDepth = size_t{1} << 20;
+constexpr size_t kMaxBatch = 4096;
+constexpr size_t kMaxTenants = 65536;
 
 /// serve: one estimator and model instance per --shards shard behind the
 /// fingerprint-routed, tenant-quota'd ShardedServingRuntime, the optional
 /// continual loop, then either the HTTP service (--listen) or the offline
 /// replay of the trace, and one exit summary.
 int Serve(const Flags& flags) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point start = Clock::now();
   const std::string model_path = flags.Get("model", "");
   const std::string trace_path = flags.Get("trace", "");
   if (trace_path.empty()) {
@@ -742,71 +760,107 @@ int Serve(const Flags& flags) {
     if (!listen_spec.ok()) return Fail(listen_spec);
   }
 
-  // Every count is checked before any work, so a usage error exits 2 at
-  // once. Queue depth, batch size and the replay's tenant count are each at
-  // least one.
+  // Every flag the set-up reads is checked before any work, so a usage
+  // error exits 2 at once (and never while the model loader runs). Queue
+  // depth, batch size and the replay's tenant count are each at least one.
   serve::ShardedRuntimeConfig config;
   config.shards = flags.GetCount("shards", 1, 1, kMaxShards);
-  config.shard.queue_depth = flags.GetCount("queue-depth", 256, 1);
-  config.shard.max_batch = flags.GetCount("max-batch", 32, 1);
-  config.shard.cache_entries = flags.GetCount("cache-entries", 1024);
+  config.shard.queue_depth =
+      flags.GetCount("queue-depth", 256, 1, kMaxQueueDepth);
+  config.shard.max_batch = flags.GetCount("max-batch", 32, 1, kMaxBatch);
+  config.shard.cache_entries =
+      flags.GetCount("cache-entries", 1024, 0, kMaxCacheEntries);
   config.shard.plan_limits = PlanLimitsFromFlags(flags);
   config.memory_budget_bytes = flags.GetCount("memory-budget", 0);
-  const size_t tenants = flags.GetCount("tenants", 1, 1);
+  const size_t tenants = flags.GetCount("tenants", 1, 1, kMaxTenants);
   const size_t retrain_interval = flags.GetCount("retrain-interval", 0);
+  const workload::IngestOptions ingest_options = IngestOptionsFromFlags(flags);
+  cost::ServingLimits limits;
+  limits.default_deadline_ms =
+      static_cast<double>(flags.GetInt("deadline-ms", 50));
 
-  // The set-up line splits the start-up time: trace ingest, fallback fit and
-  // model load (both summed over shards), then runtime start.
-  using Clock = std::chrono::steady_clock;
-  auto ms_since = [](Clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+  // The set-up line gives each phase its own time: trace ingest, fallback
+  // fit (summed over shards), model load (summed over shards, on its own
+  // thread alongside the ingest), runtime start, and the wall time from
+  // here until serving.
+  auto ms_since = [](Clock::time_point from) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - from)
         .count();
   };
-  Clock::time_point phase = Clock::now();
 
-  // One pass over the trace feeds the fallback samples, and each plan is
-  // dropped once counted; only the offline replay keeps its records, to
-  // replay them. So a listening server holds the model and the samples, not
-  // the trace's plans.
+  // Each shard's model instance loads on the loader thread while the trace
+  // is ingested. The jthread joins on every way out of this function; the
+  // first corrupt load ends the loading.
+  std::vector<Result<std::unique_ptr<core::PrestroidPipeline>>> pipelines;
+  double load_ms = 0.0;
+  std::jthread loader;
+  if (!model_path.empty() && !flags.Has("no-model")) {
+    pipelines.reserve(config.shards);
+    loader = std::jthread([&] {
+      const Clock::time_point began = Clock::now();
+      for (size_t s = 0; s < config.shards; ++s) {
+        pipelines.push_back(core::PrestroidPipeline::LoadFile(model_path));
+        if (pipelines.back().status().code() == StatusCode::kDataCorruption) {
+          break;
+        }
+      }
+      load_ms = ms_since(began);
+    });
+  }
+
+  // One pass over the trace feeds the fallback samples. Each record's sample
+  // is taken on the lane that parsed it, and a listening server drops the
+  // record there; only the offline replay keeps its records, to replay
+  // them. So a listening server holds the model and the samples, not the
+  // trace's plans.
+  struct Reduced {
+    cost::FallbackSamples::Sample sample;
+    workload::QueryRecord record;
+  };
   cost::FallbackSamples samples;
   std::vector<workload::QueryRecord> records;
-  auto ingested =
-      IngestTrace(flags, trace_path, [&](workload::QueryRecord&& record) {
-        samples.Add(record);
-        if (!listen) records.push_back(std::move(record));
-      });
-  if (!ingested.ok()) return Fail(ingested.status());
+  Clock::time_point phase = Clock::now();
+  auto ingested = IngestTrace(
+      ingest_options, trace_path,
+      workload::ReduceOnLanes(
+          [listen](workload::QueryRecord&& record) {
+            Reduced reduced{cost::FallbackSamples::Of(record), {}};
+            if (!listen) reduced.record = std::move(record);
+            return reduced;
+          },
+          [&](Reduced&& reduced) {
+            samples.Add(reduced.sample);
+            if (!listen) records.push_back(std::move(reduced.record));
+          }));
   const double ingest_ms = ms_since(phase);
+  if (!ingested.ok()) return Fail(ingested.status());
+  if (loader.joinable()) loader.join();
 
   // One estimator per shard: fallbacks fitted from the shared samples plus
   // an independent model instance. A *missing* model artifact degrades
   // serving instead of killing it (the fallback tiers keep answering), but a
   // *corrupt* one fails fast: LoadFile CRC-validates the container, and
   // serving from an artifact store that corrupts data would hide real damage.
-  cost::ServingLimits limits;
-  limits.default_deadline_ms =
-      static_cast<double>(flags.GetInt("deadline-ms", 50));
+  if (!pipelines.empty() &&
+      pipelines.back().status().code() == StatusCode::kDataCorruption) {
+    return Fail(pipelines.back().status());
+  }
+  if (!pipelines.empty() && !pipelines.front().ok()) {
+    std::cerr << "warning: model tier unavailable ("
+              << pipelines.front().status().ToString()
+              << "); serving degraded\n";
+  }
   std::vector<std::unique_ptr<cost::ServingEstimator>> estimators;
   std::vector<cost::ServingEstimator*> raw_estimators;
-  double fit_ms = 0.0, load_ms = 0.0;
+  double fit_ms = 0.0;
   for (size_t s = 0; s < config.shards; ++s) {
     auto estimator = std::make_unique<cost::ServingEstimator>(limits);
     phase = Clock::now();
     Status fitted = estimator->FitFallbacks(samples);
     fit_ms += ms_since(phase);
     if (!fitted.ok()) return Fail(fitted);
-    if (!model_path.empty() && !flags.Has("no-model")) {
-      phase = Clock::now();
-      auto pipeline = core::PrestroidPipeline::LoadFile(model_path);
-      load_ms += ms_since(phase);
-      if (pipeline.ok()) {
-        estimator->AttachPipeline(std::move(*pipeline));
-      } else if (pipeline.status().code() == StatusCode::kDataCorruption) {
-        return Fail(pipeline.status());
-      } else if (s == 0) {
-        std::cerr << "warning: model tier unavailable ("
-                  << pipeline.status().ToString() << "); serving degraded\n";
-      }
+    if (s < pipelines.size() && pipelines[s].ok()) {
+      estimator->AttachPipeline(std::move(*pipelines[s]));
     }
     raw_estimators.push_back(estimator.get());
     estimators.push_back(std::move(estimator));
@@ -819,8 +873,9 @@ int Serve(const Flags& flags) {
   if (!started.ok()) return Fail(started);
   std::cout << StrFormat(
       "setup: ingest=%.1fms fallback-fit=%.1fms model-load=%.1fms "
-      "runtime-start=%.1fms (shards=%zu)\n",
-      ingest_ms, fit_ms, load_ms, ms_since(phase), config.shards);
+      "runtime-start=%.1fms ready=%.1fms (shards=%zu)\n",
+      ingest_ms, fit_ms, load_ms, ms_since(phase), ms_since(start),
+      config.shards);
 
   std::unique_ptr<ContinualLoop> loop;
   if (retrain_interval > 0) {

@@ -219,8 +219,12 @@ void ExprRef::AppendText(std::string* out) const {
       *out += FormatNumber(number());
       return;
     case ExprKind::kStringLit:
+      // An embedded quote doubles, as the lexer reads it back.
       *out += '\'';
-      *out += str();
+      for (const char c : str()) {
+        if (c == '\'') *out += '\'';
+        *out += c;
+      }
       *out += '\'';
       return;
     case ExprKind::kNullLit:

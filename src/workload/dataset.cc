@@ -1,6 +1,7 @@
 #include "workload/dataset.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -9,6 +10,7 @@
 #include "util/artifact_io.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace prestroid::workload {
 
@@ -248,63 +250,121 @@ Status TraceRecordCutter::Emit(size_t end) {
 
 namespace {
 
+/// What a lane found in one cut record.
+struct Verdict {
+  enum class Kind { kNothing, kAccepted, kQuarantined } kind = Kind::kNothing;
+  QuarantineReason reason = QuarantineReason::kMalformedHeader;
+};
+
+/// Parses and label-checks one cut record (a complete one-record mini-trace)
+/// in isolation, so one bad record can never poison its neighbours. Runs on
+/// a lane; an accepted record goes to `sink.take` there.
+Verdict JudgeRecord(std::string_view chunk, const plan::PlanLimits& limits,
+                    size_t slot, const LaneSink& sink) {
+  auto quarantined = [](QuarantineReason reason) {
+    return Verdict{Verdict::Kind::kQuarantined, reason};
+  };
+  auto parsed = DeserializeTrace(chunk, limits);
+  if (!parsed.ok()) {
+    return quarantined(ClassifyFailure(chunk, parsed.status()));
+  }
+  // A cut record starts at its only "#QUERY " line: at most one record.
+  if (parsed->empty()) return Verdict{};
+  PRESTROID_CHECK_EQ(parsed->size(), 1u);
+  QueryRecord& record = parsed->front();
+  if (!LabelsFinite(record)) {
+    return quarantined(QuarantineReason::kNonFiniteLabel);
+  }
+  if (!LabelsNonNegative(record)) {
+    return quarantined(QuarantineReason::kNegativeLabel);
+  }
+  // The CPU label is trained in log space (LabelTransform::Fit rejects
+  // v <= 0); zero memory and input metrics stay valid.
+  if (record.metrics.total_cpu_minutes == 0) {
+    return quarantined(QuarantineReason::kZeroCpuLabel);
+  }
+  sink.take(slot, std::move(record));
+  return Verdict{Verdict::Kind::kAccepted};
+}
+
 /// The tolerant ingest over a text that `next_piece` hands out in pieces
 /// (an empty piece ends it).
 Result<IngestStats> IngestPieces(
-    const IngestOptions& options, const RecordSink& sink,
+    const IngestOptions& options, const LaneSink& sink,
     const std::function<Result<std::string_view>()>& next_piece) {
   IngestStats stats;
   QuarantineLog log;
   PRESTROID_RETURN_NOT_OK(
       log.Open(options.quarantine_path, options.max_quarantine_bytes));
+  ThreadPool pool(std::max<size_t>(options.lanes, 1));
 
-  auto quarantine = [&](size_t ordinal, std::string_view chunk,
-                        QuarantineReason reason) -> Status {
-    ++stats.quarantined;
-    ++stats.by_reason[static_cast<size_t>(reason)];
-    return log.Append(reason, ordinal, chunk);
+  // The window: its cut records back to back in `text`, record i ending at
+  // ends[i]; `first` is the trace ordinal of its first record.
+  std::string text;
+  std::vector<size_t> ends;
+  std::vector<Verdict> verdicts;
+  size_t first = 0;
+  auto record_text = [&](size_t i) {
+    const size_t begin = i == 0 ? 0 : ends[i - 1];
+    return std::string_view(text).substr(begin, ends[i] - begin);
   };
 
-  // Judges one per-record chunk (a complete one-record mini-trace) in
-  // isolation, so one bad record can never poison its neighbours.
-  size_t ordinal = 0;
-  auto ingest_chunk = [&](std::string_view chunk) -> Status {
-    const size_t i = ordinal++;
-    auto parsed = DeserializeTrace(chunk, options.plan_limits);
-    if (!parsed.ok()) {
-      return quarantine(i, chunk, ClassifyFailure(chunk, parsed.status()));
+  // Parses the window on the lanes, each claiming records through one
+  // cursor, then judges it in order here.
+  auto flush = [&]() -> Status {
+    const size_t n = ends.size();
+    if (n == 0) return Status::OK();
+    sink.resize(n);
+    verdicts.assign(n, Verdict{});
+    std::atomic<size_t> cursor{0};
+    auto parse_on_lane = [&](size_t, size_t) {
+      for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < n;
+           i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        verdicts[i] = JudgeRecord(record_text(i), options.plan_limits, i, sink);
+      }
+    };
+    pool.ParallelFor(0, std::min(n, pool.num_threads()), 1, parse_on_lane);
+    for (size_t i = 0; i < n; ++i) {
+      const Verdict& verdict = verdicts[i];
+      if (verdict.kind == Verdict::Kind::kAccepted) {
+        ++stats.accepted;
+        sink.emit(i);
+      } else if (verdict.kind == Verdict::Kind::kQuarantined) {
+        ++stats.quarantined;
+        ++stats.by_reason[static_cast<size_t>(verdict.reason)];
+        PRESTROID_RETURN_NOT_OK(
+            log.Append(verdict.reason, first + i, record_text(i)));
+      }
     }
-    for (QueryRecord& record : *parsed) {
-      if (!LabelsFinite(record)) {
-        PRESTROID_RETURN_NOT_OK(
-            quarantine(i, chunk, QuarantineReason::kNonFiniteLabel));
-        continue;
-      }
-      if (!LabelsNonNegative(record)) {
-        PRESTROID_RETURN_NOT_OK(
-            quarantine(i, chunk, QuarantineReason::kNegativeLabel));
-        continue;
-      }
-      // The CPU label is trained in log space (LabelTransform::Fit rejects
-      // v <= 0); zero memory and input metrics stay valid.
-      if (record.metrics.total_cpu_minutes == 0) {
-        PRESTROID_RETURN_NOT_OK(
-            quarantine(i, chunk, QuarantineReason::kZeroCpuLabel));
-        continue;
-      }
-      ++stats.accepted;
-      sink(std::move(record));
-    }
+    first += n;
+    text.clear();
+    ends.clear();
     return Status::OK();
   };
 
-  TraceRecordCutter cutter(ingest_chunk);
+  // A full window is parsed before the next record would overflow it, so
+  // its buffer, reserved once, grows only for a record larger than a window.
+  text.reserve(options.window_bytes);
+  TraceRecordCutter cutter([&](std::string_view chunk) -> Status {
+    if (!ends.empty() && text.size() + chunk.size() > options.window_bytes) {
+      PRESTROID_RETURN_NOT_OK(flush());
+    }
+    text.append(chunk);
+    ends.push_back(text.size());
+    return Status::OK();
+  });
   for (;;) {
-    PRESTROID_ASSIGN_OR_RETURN(const std::string_view piece, next_piece());
-    if (piece.empty()) break;
-    PRESTROID_RETURN_NOT_OK(cutter.Feed(piece));
+    Result<std::string_view> piece = next_piece();
+    if (!piece.ok()) {
+      // The records cut before a read error still reach the sink.
+      PRESTROID_RETURN_NOT_OK(flush());
+      return piece.status();
+    }
+    if (piece->empty()) break;
+    PRESTROID_RETURN_NOT_OK(cutter.Feed(*piece));
   }
   PRESTROID_RETURN_NOT_OK(cutter.Finish());
+  PRESTROID_RETURN_NOT_OK(flush());
   stats.quarantine_rotations = log.rotations();
   stats.quarantine_dropped = log.dropped();
   return stats;
@@ -312,15 +372,26 @@ Result<IngestStats> IngestPieces(
 
 }  // namespace
 
+LaneSink KeepRecords(const RecordSink& sink) {
+  return ReduceOnLanes([](QueryRecord&& record) { return std::move(record); },
+                       sink);
+}
+
 Result<IngestStats> IngestTraceTolerant(std::string_view text,
                                         const IngestOptions& options,
-                                        const RecordSink& sink) {
+                                        const LaneSink& sink) {
   size_t at = 0;
   return IngestPieces(options, sink, [&]() -> Result<std::string_view> {
     const std::string_view piece = text.substr(at, FileReader::kPieceBytes);
     at += piece.size();
     return piece;
   });
+}
+
+Result<IngestStats> IngestTraceTolerant(std::string_view text,
+                                        const IngestOptions& options,
+                                        const RecordSink& sink) {
+  return IngestTraceTolerant(text, options, KeepRecords(sink));
 }
 
 Result<IngestResult> IngestTraceTolerant(std::string_view text,
@@ -336,10 +407,16 @@ Result<IngestResult> IngestTraceTolerant(std::string_view text,
 
 Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
                                           const IngestOptions& options,
-                                          const RecordSink& sink) {
+                                          const LaneSink& sink) {
   FileReader reader;
   PRESTROID_RETURN_NOT_OK(reader.Open(path));
   return IngestPieces(options, sink, [&] { return reader.Next(); });
+}
+
+Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
+                                          const IngestOptions& options,
+                                          const RecordSink& sink) {
+  return ReadTraceFileTolerant(path, options, KeepRecords(sink));
 }
 
 Result<IngestResult> ReadTraceFileTolerant(const std::string& path,

@@ -3,8 +3,10 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -61,6 +63,15 @@ struct IngestOptions {
   /// ~2x this many bytes on disk no matter how long ingestion runs.
   /// 0 = unlimited.
   size_t max_quarantine_bytes = 8u << 20;
+  /// Parsing lanes. The calling thread cuts the text into windows of
+  /// records; the lanes of a ThreadPool of this size parse and label-check
+  /// each window's records, then the calling thread judges them in trace
+  /// order. So the stats, the quarantine file and the sink's sequence are
+  /// the same at any lane count; 1 parses on the calling thread alone.
+  size_t lanes = 1;
+  /// Bytes of cut records one window holds at most; a record larger than
+  /// this is a window of its own, so 1 parses one record at a time.
+  size_t window_bytes = 128u << 10;
 };
 
 /// Tolerantly ingested trace: the clean records plus what was skipped.
@@ -74,6 +85,36 @@ struct IngestResult {
 /// numbers per record drops each plan once it has read them, so its memory
 /// does not grow with the trace's plans.
 using RecordSink = std::function<void(QueryRecord&&)>;
+
+/// A sink split across the ingest's threads. For each window of cut
+/// records, `resize(n)` runs first, on the calling thread. Then `take(slot,
+/// record)` runs for each accepted record of the window (slot < n), on the
+/// lane that parsed it: the record is the sink's from then on, and a record
+/// it drops is freed on that lane. Last, `emit(slot)` runs once for each
+/// accepted record, on the calling thread, in trace order.
+struct LaneSink {
+  std::function<void(size_t records)> resize;
+  std::function<void(size_t slot, QueryRecord&& record)> take;
+  std::function<void(size_t slot)> emit;
+};
+
+/// The LaneSink that reduces each accepted record with `reduce` on the lane
+/// that parsed it and hands the reductions to `sink` in trace order; `reduce`
+/// runs on several lanes at once.
+template <typename Reduce, typename Sink>
+LaneSink ReduceOnLanes(Reduce reduce, Sink sink) {
+  using Reduced = std::invoke_result_t<const Reduce&, QueryRecord&&>;
+  auto window = std::make_shared<std::vector<Reduced>>();
+  return LaneSink{
+      [window](size_t records) { window->resize(records); },
+      [window, reduce](size_t slot, QueryRecord&& record) {
+        (*window)[slot] = reduce(std::move(record));
+      },
+      [window, sink](size_t slot) { sink(std::move((*window)[slot])); }};
+}
+
+/// The LaneSink that hands each accepted record whole to `sink`.
+LaneSink KeepRecords(const RecordSink& sink);
 
 /// Cuts a serialized trace into per-record chunks. A chunk starts at each
 /// line that begins with "#QUERY " and runs to the next such line or the end
@@ -113,10 +154,17 @@ class TraceRecordCutter {
 /// instead of failing the run: malformed headers/plans, over-limit plans,
 /// truncated tails, non-finite or negative labels and zero CPU labels are
 /// quarantined, and every accepted record goes to `sink`.
-/// Only environmental failures (e.g. an unwritable quarantine file) abort.
-/// The text goes through one TraceRecordCutter in FileReader::kPieceBytes
-/// pieces, and each record is parsed as soon as it is cut; a quarantined
-/// record's bytes are only read for its log snippet.
+/// Only environmental failures (e.g. an unwritable quarantine file) abort,
+/// once every lane has finished its window. The text goes through one
+/// TraceRecordCutter in FileReader::kPieceBytes pieces into windows of
+/// IngestOptions::window_bytes, parsed on IngestOptions::lanes lanes; a
+/// quarantined record's bytes are only read for its log snippet.
+Result<IngestStats> IngestTraceTolerant(std::string_view text,
+                                        const IngestOptions& options,
+                                        const LaneSink& sink);
+
+/// IngestTraceTolerant with each accepted record handed whole to `sink`, in
+/// trace order, on the calling thread.
 Result<IngestStats> IngestTraceTolerant(std::string_view text,
                                         const IngestOptions& options,
                                         const RecordSink& sink);
@@ -129,6 +177,9 @@ Result<IngestResult> IngestTraceTolerant(std::string_view text,
 /// FileReader::kPieceBytes pieces straight into the cutter, so the text is
 /// never held whole. A read error after the first piece returns its Status
 /// once the records before it have gone to the sink.
+Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
+                                          const IngestOptions& options,
+                                          const LaneSink& sink);
 Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
                                           const IngestOptions& options,
                                           const RecordSink& sink);

@@ -244,7 +244,7 @@ TEST(ParseDigestTest, SqlTruncations) {
       AddSqlOutcome(query.substr(cut), &digest);
     }
   }
-  EXPECT_EQ(Hex(digest.value()), "0x0b47a40205c80ed7");
+  EXPECT_EQ(Hex(digest.value()), "0xba44a14ad181b8c1");
 }
 
 TEST(ParseDigestTest, SqlNesting) {

@@ -241,7 +241,25 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT t.fare FROM trips t JOIN drivers d ON t.id = d.id LIMIT 5",
         "SELECT city, COUNT(*) AS n FROM trips GROUP BY city ORDER BY n DESC",
         "SELECT DISTINCT city FROM trips WHERE city LIKE '%a%'",
-        "SELECT s.f FROM (SELECT fare AS f FROM trips) AS s WHERE s.f > 2"));
+        "SELECT s.f FROM (SELECT fare AS f FROM trips) AS s WHERE s.f > 2",
+        "SELECT fare FROM trips WHERE city = 'it''s' OR city LIKE '''%'''"));
+
+TEST(PlanTextTest, EmbeddedQuoteSurvivesSqlToPlanToTextToPlan) {
+  Catalog catalog = TestCatalog();
+  PlanNodePtr plan =
+      PlanQuery(catalog, "SELECT fare FROM trips WHERE city = 'it''s'");
+  const std::string text = PlanToText(*plan);
+  EXPECT_NE(text.find("'it''s'"), std::string::npos) << text;
+  auto parsed = ParsePlanText(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+  EXPECT_EQ(PlanToText(**parsed), text);
+  const PlanNode* filter = nullptr;
+  VisitPlan(**parsed, [&](const PlanNode& node) {
+    if (node.predicate != nullptr) filter = &node;
+  });
+  ASSERT_NE(filter, nullptr) << text;
+  EXPECT_EQ(filter->predicate->root().child(1).str(), "it's");
+}
 
 TEST(PlanTextTest, RejectsMalformed) {
   EXPECT_FALSE(ParsePlanText("").ok());

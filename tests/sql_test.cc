@@ -312,7 +312,17 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT COUNT(*) AS n FROM t GROUP BY c HAVING COUNT(*) > 3 LIMIT 7",
         "SELECT s.c FROM (SELECT a AS c FROM u WHERE a BETWEEN 0 AND 5) AS s",
         "SELECT a FROM t WHERE NOT (x = 1 OR y LIKE '%z%') AND w IS NULL",
-        "SELECT a + b * 2 AS v FROM t WHERE a - 1 >= 0"));
+        "SELECT a + b * 2 AS v FROM t WHERE a - 1 >= 0",
+        "SELECT a FROM t WHERE s = 'it''s' AND u IN ('''', 'x''''y')"));
+
+TEST(ExprTest, EmbeddedQuotePrintsDoubledAndReparses) {
+  auto expr = ParseExpression("s = 'it''s'");
+  ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+  EXPECT_EQ((*expr)->ToString(), "(s = 'it''s')");
+  auto again = ParseExpression((*expr)->ToString());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->root().child(1).str(), "it's");
+}
 
 TEST(ExprTest, CloneIsIndependentOfItsSource) {
   auto expr = ParseExpression("a = 1 AND t.b = 'x'").ValueOrDie();

@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
+#include "cost/serving_estimator.h"
 #include "plan/plan_stats.h"
 #include "plan/plan_text.h"
 #include "plan/planner.h"
@@ -612,6 +619,188 @@ TEST(StreamedIngestTest, FileAndMemoryIngestMatchPerRecordIngest) {
   std::remove(trace_path.c_str());
   std::remove(memory_log.c_str());
   std::remove(file_log.c_str());
+}
+
+// --------------------------------------------------------------------------
+// Lane parity: the lanes parse, the calling thread judges in trace order
+// --------------------------------------------------------------------------
+
+/// Everything one ingest configuration shows its caller, once through a
+/// sink that keeps each record and once through the serve-shaped reduction
+/// that takes each record's FallbackSamples sample on its lane.
+struct LaneOutcome {
+  std::string summary;
+  std::string quarantine;
+  std::vector<std::string> sequence;  // id, SQL and PlanToText per record
+  std::string reduced_summary;
+  std::string reduced_quarantine;
+  std::vector<uint64_t> sample_bits;  // node counts, then CPU minutes
+};
+
+std::vector<uint64_t> BitsOf(const cost::FallbackSamples& samples) {
+  std::vector<uint64_t> bits;
+  for (const std::vector<double>* values :
+       {&samples.node_counts, &samples.cpu_minutes}) {
+    for (double value : *values) {
+      uint64_t word = 0;
+      std::memcpy(&word, &value, sizeof(word));
+      bits.push_back(word);
+    }
+  }
+  return bits;
+}
+
+LaneOutcome IngestOnLanes(const std::string& trace, size_t lanes,
+                          size_t window_bytes) {
+  const std::string log = QuarantineTempPath("lane_parity.log");
+  IngestOptions options;
+  options.quarantine_path = log;
+  options.lanes = lanes;
+  options.window_bytes = window_bytes;
+  LaneOutcome out;
+
+  std::remove(log.c_str());
+  auto kept = IngestTraceTolerant(trace, options, [&](QueryRecord&& record) {
+    out.sequence.push_back(std::to_string(record.id) + "\n" + record.sql +
+                           "\n" + plan::PlanToText(*record.plan));
+  });
+  EXPECT_TRUE(kept.ok()) << kept.status().ToString();
+  if (kept.ok()) out.summary = kept->Summary();
+  out.quarantine = FileBytes(log);
+
+  std::remove(log.c_str());
+  cost::FallbackSamples samples;
+  auto reduced = IngestTraceTolerant(
+      trace, options,
+      ReduceOnLanes(
+          [](QueryRecord&& record) {
+            return cost::FallbackSamples::Of(record);
+          },
+          [&](cost::FallbackSamples::Sample&& sample) {
+            samples.Add(sample);
+          }));
+  EXPECT_TRUE(reduced.ok()) << reduced.status().ToString();
+  if (reduced.ok()) out.reduced_summary = reduced->Summary();
+  out.reduced_quarantine = FileBytes(log);
+  out.sample_bits = BitsOf(samples);
+  std::remove(log.c_str());
+  return out;
+}
+
+void ExpectSameOutcome(const LaneOutcome& want, const LaneOutcome& got,
+                       const std::string& what) {
+  EXPECT_EQ(got.summary, want.summary) << what;
+  EXPECT_EQ(got.quarantine, want.quarantine) << what;
+  EXPECT_EQ(got.sequence, want.sequence) << what;
+  EXPECT_EQ(got.reduced_summary, want.reduced_summary) << what;
+  EXPECT_EQ(got.reduced_quarantine, want.reduced_quarantine) << what;
+  EXPECT_EQ(got.sample_bits, want.sample_bits) << what;
+}
+
+/// Ingests `trace` at one lane, then at 2, 3 and 4 lanes and with a window
+/// of one record, and expects every run to show the caller the same.
+void ExpectLaneParity(const std::string& trace, const std::string& name) {
+  const LaneOutcome serial = IngestOnLanes(trace, 1, IngestOptions{}.window_bytes);
+  EXPECT_EQ(serial.sequence.size() * 2, serial.sample_bits.size()) << name;
+  for (size_t lanes : {2, 3, 4}) {
+    ExpectSameOutcome(serial,
+                      IngestOnLanes(trace, lanes, IngestOptions{}.window_bytes),
+                      name + " at " + std::to_string(lanes) + " lanes");
+  }
+  for (size_t lanes : {1, 4}) {
+    ExpectSameOutcome(serial, IngestOnLanes(trace, lanes, 1),
+                      name + " one record a window at " +
+                          std::to_string(lanes) + " lanes");
+  }
+}
+
+TEST(LaneParityTest, HostileTracesIngestTheSameAtAnyLaneCount) {
+  std::vector<std::string> traces = test::HostileTraces();
+  std::string all;
+  for (const std::string& trace : traces) all += trace;
+  // Back to back they fill several windows.
+  ASSERT_GT(all.size(), 4 * IngestOptions{}.window_bytes);
+  traces.push_back(all);
+  for (size_t i = 0; i < traces.size(); ++i) {
+    ExpectLaneParity(traces[i], "hostile trace " + std::to_string(i));
+  }
+}
+
+TEST(LaneParityTest, GeneratedTraceIngestsTheSameAtAnyLaneCount) {
+  SchemaGenConfig schema_config;
+  schema_config.num_tables = 40;
+  schema_config.num_days = 7;
+  schema_config.seed = 1;
+  const GeneratedSchema schema = GenerateSchema(schema_config);
+  TraceConfig config;
+  config.num_queries = 1200;
+  config.num_days = 7;
+  config.seed = 2;
+  auto records = GenerateGrabTrace(schema, config);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 1200u);
+  const std::string trace = SerializeTrace(*records);
+  ASSERT_GT(trace.size(), 4 * IngestOptions{}.window_bytes);
+  ExpectLaneParity(trace, "generated trace");
+}
+
+TEST(LaneParityTest, QuarantineWriteFailureMidWindowReturnsWithLanesJoined) {
+  // Good records with a malformed one after every second; the quarantine
+  // file's third line rotates it, and the rotation fails because "<path>.1"
+  // is a directory that is not empty. The whole trace is one window, so the
+  // lanes have parsed records past the failing one.
+  const test::TraceCorpus& grab = test::GrabCorpus();
+  std::string trace;
+  size_t good = 0;
+  for (size_t r = 0; r < 40; ++r) {
+    std::vector<QueryRecord> one;
+    QueryRecord copy;
+    copy.id = grab.records[r].id;
+    copy.sql = grab.records[r].sql;
+    copy.plan = grab.records[r].plan->Clone();
+    copy.metrics = grab.records[r].metrics;
+    one.push_back(std::move(copy));
+    trace += SerializeTrace(one);
+    ++good;
+    if (r % 2 == 1) trace += "#QUERY bogus record\n";
+  }
+  ASSERT_LT(trace.size(), IngestOptions{}.window_bytes);
+  const std::string log = QuarantineTempPath("lane_failure.log");
+  std::filesystem::remove_all(log);
+  std::filesystem::remove_all(log + ".1");
+  std::filesystem::create_directories(log + ".1");
+  { std::ofstream(log + ".1/keep") << "x"; }
+
+  for (size_t lanes : {1, 2, 3, 4}) {
+    std::filesystem::remove(log);
+    IngestOptions options;
+    options.quarantine_path = log;
+    options.max_quarantine_bytes = 100;
+    options.lanes = lanes;
+    std::atomic<size_t> taken{0};
+    size_t emitted = 0;
+    auto stats = IngestTraceTolerant(
+        trace, options,
+        ReduceOnLanes(
+            [&](QueryRecord&& record) {
+              taken.fetch_add(1);
+              return record.id;
+            },
+            [&](int64_t) { ++emitted; }));
+    ASSERT_FALSE(stats.ok()) << lanes << " lanes";
+    EXPECT_EQ(stats.status().code(), StatusCode::kIoError);
+    // The two good records before each malformed one were judged before it:
+    // the third malformed record fails, after six good ones. Every lane has
+    // finished: all good records of the window were taken, and no lane takes
+    // one after the ingest returned.
+    EXPECT_EQ(emitted, 6u) << lanes << " lanes";
+    const size_t taken_at_return = taken.load();
+    EXPECT_EQ(taken_at_return, good) << lanes << " lanes";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(taken.load(), taken_at_return) << lanes << " lanes";
+  }
+  std::filesystem::remove_all(log);
+  std::filesystem::remove_all(log + ".1");
 }
 
 }  // namespace
