@@ -448,7 +448,7 @@ struct FrontEndParseRecord {
   double heap_blocks_per_plan_parse = 0.0;
   double heap_blocks_per_sql_parse = 0.0;
   double serve_ingest_ms = 0.0;  // one parsing lane
-  size_t lanes = 1;               // the hardware concurrency
+  size_t lanes = 1;               // the CPUs the process may run on
   double serve_ingest_ms_all_lanes = 0.0;
 };
 
@@ -511,8 +511,8 @@ FrontEndParseRecord MeasureFrontEndParse(
                   1e6;
   // What serve --listen runs before it listens: the trace file read
   // through the tolerant ingest, each record reduced to its FallbackSamples
-  // sample and dropped on the lane that parsed it; at one lane and at the
-  // hardware concurrency, as the CLI runs it.
+  // sample and dropped on the lane that parsed it; at one lane and at a
+  // lane per CPU the process may run on, as serve runs it (up to 8).
   const std::string trace_path =
       (std::filesystem::temp_directory_path() / "micro_ops_front_end_trace.txt")
           .string();

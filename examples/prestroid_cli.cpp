@@ -175,12 +175,13 @@ plan::PlanLimits PlanLimitsFromFlags(const Flags& flags) {
 }
 
 /// The tolerant ingest of train and serve: limits from --max-plan-*, an
-/// optional --quarantine-file, and a parsing lane per hardware thread.
-workload::IngestOptions IngestOptionsFromFlags(const Flags& flags) {
+/// optional --quarantine-file, and `lanes` parsing lanes.
+workload::IngestOptions IngestOptionsFromFlags(const Flags& flags,
+                                               size_t lanes) {
   workload::IngestOptions options;
   options.plan_limits = PlanLimitsFromFlags(flags);
   options.quarantine_path = flags.Get("quarantine-file", "");
-  options.lanes = ThreadPool::HardwareConcurrency();
+  options.lanes = lanes;
   return options;
 }
 
@@ -237,15 +238,25 @@ int GenTrace(const Flags& flags) {
   return 0;
 }
 
+/// Train's --threads cap: far past any host's cores, and below where the
+/// pool's worker threads would exhaust a process's thread limit.
+constexpr size_t kMaxTrainThreads = 256;
+
 int Train(const Flags& flags) {
   const std::string trace_path = flags.Get("trace", "");
   if (trace_path.empty()) {
     std::cerr << "train requires --trace <file>\n";
     return 2;
   }
+  // --threads 1 (default) reproduces the single-threaded results exactly;
+  // --threads 0 uses all hardware threads. The ingest parses on as many.
+  const size_t threads = flags.GetCount("threads", 1, 0, kMaxTrainThreads);
   std::vector<workload::QueryRecord> records;
   auto ingested = IngestTrace(
-      IngestOptionsFromFlags(flags), trace_path,
+      IngestOptionsFromFlags(flags, threads == 0
+                                        ? ThreadPool::HardwareConcurrency()
+                                        : threads),
+      trace_path,
       workload::KeepRecords([&](workload::QueryRecord&& record) {
         records.push_back(std::move(record));
       }));
@@ -266,9 +277,7 @@ int Train(const Flags& flags) {
   config.conv_channels.assign(3, flags.GetCount("conv", 32, 1));
   config.dense_units = {flags.GetCount("conv", 32, 1), 16};
   config.learning_rate = 3e-3f;
-  // --threads 1 (default) reproduces the single-threaded results exactly;
-  // --threads 0 uses all hardware threads.
-  config.threads = flags.GetCount("threads", 1);
+  config.threads = threads;
   config.plan_limits = PlanLimitsFromFlags(flags);
   auto pipeline = core::PrestroidPipeline::Fit(records, splits.train, config);
   if (!pipeline.ok()) return Fail(pipeline.status());
@@ -737,6 +746,10 @@ constexpr size_t kMaxCacheEntries = size_t{1} << 24;
 constexpr size_t kMaxQueueDepth = size_t{1} << 20;
 constexpr size_t kMaxBatch = 4096;
 constexpr size_t kMaxTenants = 65536;
+/// serve parses its trace on a lane per CPU it may run on, up to this many:
+/// a window of records is parsed in about a millisecond, so more lanes
+/// would mostly start and wake threads.
+constexpr size_t kMaxIngestLanes = 8;
 
 /// serve: one estimator and model instance per --shards shard behind the
 /// fingerprint-routed, tenant-quota'd ShardedServingRuntime, the optional
@@ -760,9 +773,11 @@ int Serve(const Flags& flags) {
     if (!listen_spec.ok()) return Fail(listen_spec);
   }
 
-  // Every flag the set-up reads is checked before any work, so a usage
-  // error exits 2 at once (and never while the model loader runs). Queue
-  // depth, batch size and the replay's tenant count are each at least one.
+  // The flags read here are checked before any work, so a usage error
+  // exits 2 at once, and never while the model loader runs. The rest
+  // (--tenant-quota, --limit, the retrain and server flags) are read after
+  // the loader has been joined. Queue depth, batch size and the replay's
+  // tenant count are each at least one.
   serve::ShardedRuntimeConfig config;
   config.shards = flags.GetCount("shards", 1, 1, kMaxShards);
   config.shard.queue_depth =
@@ -774,7 +789,8 @@ int Serve(const Flags& flags) {
   config.memory_budget_bytes = flags.GetCount("memory-budget", 0);
   const size_t tenants = flags.GetCount("tenants", 1, 1, kMaxTenants);
   const size_t retrain_interval = flags.GetCount("retrain-interval", 0);
-  const workload::IngestOptions ingest_options = IngestOptionsFromFlags(flags);
+  const workload::IngestOptions ingest_options = IngestOptionsFromFlags(
+      flags, std::min(ThreadPool::HardwareConcurrency(), kMaxIngestLanes));
   cost::ServingLimits limits;
   limits.default_deadline_ms =
       static_cast<double>(flags.GetInt("deadline-ms", 50));

@@ -5,6 +5,10 @@
 #include <exception>
 #include <memory>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/logging.h"
 
 namespace prestroid {
@@ -41,6 +45,15 @@ struct CallState {
 }  // namespace
 
 size_t ThreadPool::HardwareConcurrency() {
+#ifdef __linux__
+  // The CPUs this process may run on, which a cpuset or taskset can make
+  // fewer than the host's.
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int count = CPU_COUNT(&allowed);
+    if (count > 0) return static_cast<size_t>(count);
+  }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }

@@ -47,6 +47,8 @@ class ThreadPool {
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
 
+  /// The CPUs this process may run on (its affinity mask on Linux, else
+  /// std::thread::hardware_concurrency()); at least 1.
   static size_t HardwareConcurrency();
 
  private:

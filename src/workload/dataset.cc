@@ -344,9 +344,9 @@ Result<IngestStats> IngestPieces(
 
   // A full window is parsed before the next record would overflow it, so
   // its buffer, reserved once, grows only for a record larger than a window.
-  text.reserve(options.window_bytes);
+  text.reserve(kIngestWindowBytes);
   TraceRecordCutter cutter([&](std::string_view chunk) -> Status {
-    if (!ends.empty() && text.size() + chunk.size() > options.window_bytes) {
+    if (!ends.empty() && text.size() + chunk.size() > kIngestWindowBytes) {
       PRESTROID_RETURN_NOT_OK(flush());
     }
     text.append(chunk);
@@ -372,11 +372,6 @@ Result<IngestStats> IngestPieces(
 
 }  // namespace
 
-LaneSink KeepRecords(const RecordSink& sink) {
-  return ReduceOnLanes([](QueryRecord&& record) { return std::move(record); },
-                       sink);
-}
-
 Result<IngestStats> IngestTraceTolerant(std::string_view text,
                                         const IngestOptions& options,
                                         const LaneSink& sink) {
@@ -388,20 +383,15 @@ Result<IngestStats> IngestTraceTolerant(std::string_view text,
   });
 }
 
-Result<IngestStats> IngestTraceTolerant(std::string_view text,
-                                        const IngestOptions& options,
-                                        const RecordSink& sink) {
-  return IngestTraceTolerant(text, options, KeepRecords(sink));
-}
-
 Result<IngestResult> IngestTraceTolerant(std::string_view text,
                                          const IngestOptions& options) {
   IngestResult result;
   PRESTROID_ASSIGN_OR_RETURN(
       result.stats,
-      IngestTraceTolerant(text, options, [&](QueryRecord&& record) {
-        result.records.push_back(std::move(record));
-      }));
+      IngestTraceTolerant(text, options,
+                          KeepRecords([&](QueryRecord&& record) {
+                            result.records.push_back(std::move(record));
+                          })));
   return result;
 }
 
@@ -413,20 +403,15 @@ Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
   return IngestPieces(options, sink, [&] { return reader.Next(); });
 }
 
-Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
-                                          const IngestOptions& options,
-                                          const RecordSink& sink) {
-  return ReadTraceFileTolerant(path, options, KeepRecords(sink));
-}
-
 Result<IngestResult> ReadTraceFileTolerant(const std::string& path,
                                            const IngestOptions& options) {
   IngestResult result;
   PRESTROID_ASSIGN_OR_RETURN(
       result.stats,
-      ReadTraceFileTolerant(path, options, [&](QueryRecord&& record) {
-        result.records.push_back(std::move(record));
-      }));
+      ReadTraceFileTolerant(path, options,
+                          KeepRecords([&](QueryRecord&& record) {
+                            result.records.push_back(std::move(record));
+                          })));
   return result;
 }
 

@@ -69,10 +69,13 @@ struct IngestOptions {
   /// order. So the stats, the quarantine file and the sink's sequence are
   /// the same at any lane count; 1 parses on the calling thread alone.
   size_t lanes = 1;
-  /// Bytes of cut records one window holds at most; a record larger than
-  /// this is a window of its own, so 1 parses one record at a time.
-  size_t window_bytes = 128u << 10;
 };
+
+/// Bytes of cut records one ingest window holds at most (a record larger
+/// than this is a window of its own). Every window ends in a barrier, so a
+/// smaller one costs wall time; its bytes add to a server's peak memory, so
+/// a larger one costs memory.
+inline constexpr size_t kIngestWindowBytes = 128u << 10;
 
 /// Tolerantly ingested trace: the clean records plus what was skipped.
 struct IngestResult {
@@ -80,18 +83,14 @@ struct IngestResult {
   IngestStats stats;
 };
 
-/// Receives each accepted record of a tolerant ingest, in trace order. The
-/// record is the sink's to keep or drop: a caller that needs only a few
-/// numbers per record drops each plan once it has read them, so its memory
-/// does not grow with the trace's plans.
-using RecordSink = std::function<void(QueryRecord&&)>;
-
-/// A sink split across the ingest's threads. For each window of cut
-/// records, `resize(n)` runs first, on the calling thread. Then `take(slot,
-/// record)` runs for each accepted record of the window (slot < n), on the
-/// lane that parsed it: the record is the sink's from then on, and a record
-/// it drops is freed on that lane. Last, `emit(slot)` runs once for each
-/// accepted record, on the calling thread, in trace order.
+/// The sink of a tolerant ingest, split across its threads. For each window
+/// of cut records, `resize(n)` runs first, on the calling thread. Then
+/// `take(slot, record)` runs for each accepted record of the window (slot <
+/// n), on the lane that parsed it: the record is the sink's from then on,
+/// and a record it drops is freed on that lane, so a caller that needs only
+/// a few numbers per record never holds the trace's plans. Last,
+/// `emit(slot)` runs once for each accepted record, on the calling thread,
+/// in trace order.
 struct LaneSink {
   std::function<void(size_t records)> resize;
   std::function<void(size_t slot, QueryRecord&& record)> take;
@@ -113,8 +112,13 @@ LaneSink ReduceOnLanes(Reduce reduce, Sink sink) {
       [window, sink](size_t slot) { sink(std::move((*window)[slot])); }};
 }
 
-/// The LaneSink that hands each accepted record whole to `sink`.
-LaneSink KeepRecords(const RecordSink& sink);
+/// The LaneSink that hands each accepted record whole to `sink(QueryRecord&&)`
+/// in trace order, on the calling thread.
+template <typename Sink>
+LaneSink KeepRecords(Sink sink) {
+  return ReduceOnLanes([](QueryRecord&& record) { return std::move(record); },
+                       std::move(sink));
+}
 
 /// Cuts a serialized trace into per-record chunks. A chunk starts at each
 /// line that begins with "#QUERY " and runs to the next such line or the end
@@ -157,17 +161,11 @@ class TraceRecordCutter {
 /// Only environmental failures (e.g. an unwritable quarantine file) abort,
 /// once every lane has finished its window. The text goes through one
 /// TraceRecordCutter in FileReader::kPieceBytes pieces into windows of
-/// IngestOptions::window_bytes, parsed on IngestOptions::lanes lanes; a
-/// quarantined record's bytes are only read for its log snippet.
+/// kIngestWindowBytes, parsed on IngestOptions::lanes lanes; a quarantined
+/// record's bytes are only read for its log snippet.
 Result<IngestStats> IngestTraceTolerant(std::string_view text,
                                         const IngestOptions& options,
                                         const LaneSink& sink);
-
-/// IngestTraceTolerant with each accepted record handed whole to `sink`, in
-/// trace order, on the calling thread.
-Result<IngestStats> IngestTraceTolerant(std::string_view text,
-                                        const IngestOptions& options,
-                                        const RecordSink& sink);
 
 /// IngestTraceTolerant with a sink that keeps every accepted record.
 Result<IngestResult> IngestTraceTolerant(std::string_view text,
@@ -180,9 +178,6 @@ Result<IngestResult> IngestTraceTolerant(std::string_view text,
 Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
                                           const IngestOptions& options,
                                           const LaneSink& sink);
-Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
-                                          const IngestOptions& options,
-                                          const RecordSink& sink);
 Result<IngestResult> ReadTraceFileTolerant(const std::string& path,
                                            const IngestOptions& options);
 

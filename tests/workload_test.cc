@@ -441,9 +441,10 @@ TEST(SinkIngestTest, SinkAndVectorFormsAgreeOnHostileTraces) {
     IngestOptions options;
     options.quarantine_path = sink_log;
     std::vector<QueryRecord> streamed;
-    auto stats = IngestTraceTolerant(trace, options, [&](QueryRecord&& record) {
-      streamed.push_back(std::move(record));
-    });
+    auto stats = IngestTraceTolerant(
+        trace, options, KeepRecords([&](QueryRecord&& record) {
+          streamed.push_back(std::move(record));
+        }));
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     options.quarantine_path = vector_log;
     auto collected = IngestTraceTolerant(trace, options);
@@ -604,8 +605,9 @@ TEST(StreamedIngestTest, FileAndMemoryIngestMatchPerRecordIngest) {
     options.quarantine_path = file_log;
     std::vector<QueryRecord> streamed;
     auto from_file = ReadTraceFileTolerant(
-        trace_path, options,
-        [&](QueryRecord&& record) { streamed.push_back(std::move(record)); });
+        trace_path, options, KeepRecords([&](QueryRecord&& record) {
+          streamed.push_back(std::move(record));
+        }));
     ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
 
     const std::string expected_text = SerializeTrace(expected);
@@ -650,20 +652,19 @@ std::vector<uint64_t> BitsOf(const cost::FallbackSamples& samples) {
   return bits;
 }
 
-LaneOutcome IngestOnLanes(const std::string& trace, size_t lanes,
-                          size_t window_bytes) {
+LaneOutcome IngestOnLanes(const std::string& trace, size_t lanes) {
   const std::string log = QuarantineTempPath("lane_parity.log");
   IngestOptions options;
   options.quarantine_path = log;
   options.lanes = lanes;
-  options.window_bytes = window_bytes;
   LaneOutcome out;
 
   std::remove(log.c_str());
-  auto kept = IngestTraceTolerant(trace, options, [&](QueryRecord&& record) {
-    out.sequence.push_back(std::to_string(record.id) + "\n" + record.sql +
-                           "\n" + plan::PlanToText(*record.plan));
-  });
+  auto kept = IngestTraceTolerant(
+      trace, options, KeepRecords([&](QueryRecord&& record) {
+        out.sequence.push_back(std::to_string(record.id) + "\n" + record.sql +
+                               "\n" + plan::PlanToText(*record.plan));
+      }));
   EXPECT_TRUE(kept.ok()) << kept.status().ToString();
   if (kept.ok()) out.summary = kept->Summary();
   out.quarantine = FileBytes(log);
@@ -697,20 +698,14 @@ void ExpectSameOutcome(const LaneOutcome& want, const LaneOutcome& got,
   EXPECT_EQ(got.sample_bits, want.sample_bits) << what;
 }
 
-/// Ingests `trace` at one lane, then at 2, 3 and 4 lanes and with a window
-/// of one record, and expects every run to show the caller the same.
+/// Ingests `trace` at one lane, then at 2, 3 and 4 lanes, and expects every
+/// run to show the caller the same.
 void ExpectLaneParity(const std::string& trace, const std::string& name) {
-  const LaneOutcome serial = IngestOnLanes(trace, 1, IngestOptions{}.window_bytes);
+  const LaneOutcome serial = IngestOnLanes(trace, 1);
   EXPECT_EQ(serial.sequence.size() * 2, serial.sample_bits.size()) << name;
   for (size_t lanes : {2, 3, 4}) {
-    ExpectSameOutcome(serial,
-                      IngestOnLanes(trace, lanes, IngestOptions{}.window_bytes),
+    ExpectSameOutcome(serial, IngestOnLanes(trace, lanes),
                       name + " at " + std::to_string(lanes) + " lanes");
-  }
-  for (size_t lanes : {1, 4}) {
-    ExpectSameOutcome(serial, IngestOnLanes(trace, lanes, 1),
-                      name + " one record a window at " +
-                          std::to_string(lanes) + " lanes");
   }
 }
 
@@ -719,7 +714,7 @@ TEST(LaneParityTest, HostileTracesIngestTheSameAtAnyLaneCount) {
   std::string all;
   for (const std::string& trace : traces) all += trace;
   // Back to back they fill several windows.
-  ASSERT_GT(all.size(), 4 * IngestOptions{}.window_bytes);
+  ASSERT_GT(all.size(), 4 * kIngestWindowBytes);
   traces.push_back(all);
   for (size_t i = 0; i < traces.size(); ++i) {
     ExpectLaneParity(traces[i], "hostile trace " + std::to_string(i));
@@ -740,7 +735,7 @@ TEST(LaneParityTest, GeneratedTraceIngestsTheSameAtAnyLaneCount) {
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 1200u);
   const std::string trace = SerializeTrace(*records);
-  ASSERT_GT(trace.size(), 4 * IngestOptions{}.window_bytes);
+  ASSERT_GT(trace.size(), 4 * kIngestWindowBytes);
   ExpectLaneParity(trace, "generated trace");
 }
 
@@ -764,7 +759,7 @@ TEST(LaneParityTest, QuarantineWriteFailureMidWindowReturnsWithLanesJoined) {
     ++good;
     if (r % 2 == 1) trace += "#QUERY bogus record\n";
   }
-  ASSERT_LT(trace.size(), IngestOptions{}.window_bytes);
+  ASSERT_LT(trace.size(), kIngestWindowBytes);
   const std::string log = QuarantineTempPath("lane_failure.log");
   std::filesystem::remove_all(log);
   std::filesystem::remove_all(log + ".1");
