@@ -448,7 +448,7 @@ struct FrontEndParseRecord {
   double heap_blocks_per_plan_parse = 0.0;
   double heap_blocks_per_sql_parse = 0.0;
   double serve_ingest_ms = 0.0;  // one parsing lane
-  size_t lanes = 1;               // the CPUs the process may run on
+  size_t lanes = 1;               // as serve: allowed CPUs, up to 8
   double serve_ingest_ms_all_lanes = 0.0;
 };
 
@@ -510,8 +510,8 @@ FrontEndParseRecord MeasureFrontEndParse(
                   }) /
                   1e6;
   // What serve --listen runs before it listens: the trace file read
-  // through the tolerant ingest, each record reduced to its FallbackSamples
-  // sample and dropped on the lane that parsed it; at one lane and at a
+  // through the tolerant ingest, which checks each plan without building
+  // it, and each record dropped into FallbackSamples; at one lane and at a
   // lane per CPU the process may run on, as serve runs it (up to 8).
   const std::string trace_path =
       (std::filesystem::temp_directory_path() / "micro_ops_front_end_trace.txt")
@@ -520,25 +520,21 @@ FrontEndParseRecord MeasureFrontEndParse(
   auto serve_ingest_ms = [&](size_t lanes) {
     workload::IngestOptions options;
     options.lanes = lanes;
+    options.build_plans = false;
     return MedianNs([&] {
              cost::FallbackSamples samples;
-             PRESTROID_CHECK(
-                 workload::ReadTraceFileTolerant(
-                     trace_path, options,
-                     workload::ReduceOnLanes(
-                         [](workload::QueryRecord&& record) {
-                           return cost::FallbackSamples::Of(record);
-                         },
-                         [&](cost::FallbackSamples::Sample&& sample) {
-                           samples.Add(sample);
-                         }))
-                     .ok());
+             PRESTROID_CHECK(workload::ReadTraceFileTolerant(
+                                 trace_path, options,
+                                 [&](workload::QueryRecord&& record) {
+                                   samples.Add(record);
+                                 })
+                                 .ok());
              benchmark::DoNotOptimize(samples.cpu_minutes.data());
            }) /
            1e6;
   };
   rec.serve_ingest_ms = serve_ingest_ms(1);
-  rec.lanes = ThreadPool::HardwareConcurrency();
+  rec.lanes = std::min<size_t>(ThreadPool::HardwareConcurrency(), 8);
   rec.serve_ingest_ms_all_lanes = serve_ingest_ms(rec.lanes);
   std::filesystem::remove(trace_path);
   // The allocation floor: a deep copy builds the same nodes and expressions

@@ -190,7 +190,7 @@ workload::IngestOptions IngestOptionsFromFlags(const Flags& flags,
 /// `sink`. A trace with no accepted record is an error.
 Result<workload::IngestStats> IngestTrace(
     const workload::IngestOptions& options, const std::string& trace_path,
-    const workload::LaneSink& sink) {
+    const workload::RecordSink& sink) {
   auto stats = workload::ReadTraceFileTolerant(trace_path, options, sink);
   if (!stats.ok()) return stats.status();
   if (stats->quarantined > 0) {
@@ -256,10 +256,9 @@ int Train(const Flags& flags) {
       IngestOptionsFromFlags(flags, threads == 0
                                         ? ThreadPool::HardwareConcurrency()
                                         : threads),
-      trace_path,
-      workload::KeepRecords([&](workload::QueryRecord&& record) {
+      trace_path, [&](workload::QueryRecord&& record) {
         records.push_back(std::move(record));
-      }));
+      });
   if (!ingested.ok()) return Fail(ingested.status());
   std::cout << "loaded " << records.size() << " queries from " << trace_path
             << "\n";
@@ -789,8 +788,12 @@ int Serve(const Flags& flags) {
   config.memory_budget_bytes = flags.GetCount("memory-budget", 0);
   const size_t tenants = flags.GetCount("tenants", 1, 1, kMaxTenants);
   const size_t retrain_interval = flags.GetCount("retrain-interval", 0);
-  const workload::IngestOptions ingest_options = IngestOptionsFromFlags(
+  workload::IngestOptions ingest_options = IngestOptionsFromFlags(
       flags, std::min(ThreadPool::HardwareConcurrency(), kMaxIngestLanes));
+  // A listening server needs only each plan's node count, so its ingest
+  // checks the plans without building them; the offline replay replays
+  // them.
+  ingest_options.build_plans = !listen;
   cost::ServingLimits limits;
   limits.default_deadline_ms =
       static_cast<double>(flags.GetInt("deadline-ms", 50));
@@ -824,30 +827,18 @@ int Serve(const Flags& flags) {
     });
   }
 
-  // One pass over the trace feeds the fallback samples. Each record's sample
-  // is taken on the lane that parsed it, and a listening server drops the
-  // record there; only the offline replay keeps its records, to replay
-  // them. So a listening server holds the model and the samples, not the
-  // trace's plans.
-  struct Reduced {
-    cost::FallbackSamples::Sample sample;
-    workload::QueryRecord record;
-  };
+  // One pass over the trace feeds the fallback samples; only the offline
+  // replay keeps its records, to replay them. So a listening server holds
+  // the model and the samples, never the trace's plans.
   cost::FallbackSamples samples;
   std::vector<workload::QueryRecord> records;
   Clock::time_point phase = Clock::now();
-  auto ingested = IngestTrace(
-      ingest_options, trace_path,
-      workload::ReduceOnLanes(
-          [listen](workload::QueryRecord&& record) {
-            Reduced reduced{cost::FallbackSamples::Of(record), {}};
-            if (!listen) reduced.record = std::move(record);
-            return reduced;
-          },
-          [&](Reduced&& reduced) {
-            samples.Add(reduced.sample);
-            if (!listen) records.push_back(std::move(reduced.record));
-          }));
+  auto ingested =
+      IngestTrace(ingest_options, trace_path,
+                  [&](workload::QueryRecord&& record) {
+                    samples.Add(record);
+                    if (!listen) records.push_back(std::move(record));
+                  });
   const double ingest_ms = ms_since(phase);
   if (!ingested.ok()) return Fail(ingested.status());
   if (loader.joinable()) loader.join();

@@ -41,15 +41,12 @@ void ServingEstimator::AttachPipeline(
   pipeline_ = std::move(pipeline);
 }
 
-FallbackSamples::Sample FallbackSamples::Of(
-    const workload::QueryRecord& record) {
-  return {static_cast<double>(plan::ComputePlanStats(*record.plan).node_count),
-          record.metrics.total_cpu_minutes};
-}
-
-void FallbackSamples::Add(const Sample& sample) {
-  node_counts.push_back(sample.node_count);
-  cpu_minutes.push_back(sample.cpu_minutes);
+void FallbackSamples::Add(const workload::QueryRecord& record) {
+  const size_t nodes = record.plan != nullptr
+                           ? plan::ComputePlanStats(*record.plan).node_count
+                           : record.plan_nodes;
+  node_counts.push_back(static_cast<double>(nodes));
+  cpu_minutes.push_back(record.metrics.total_cpu_minutes);
 }
 
 Status ServingEstimator::FitFallbacks(const FallbackSamples& samples) {

@@ -55,19 +55,12 @@ struct ServingEstimate {
 /// instead of the records, so its memory does not grow with the trace's
 /// plans, and one set fits every shard's estimator.
 struct FallbackSamples {
-  /// One record's sample.
-  struct Sample {
-    double node_count = 0.0;
-    double cpu_minutes = 0.0;
-  };
-
   std::vector<double> node_counts;
   std::vector<double> cpu_minutes;
 
-  static Sample Of(const workload::QueryRecord& record);
-  void Add(const Sample& sample);
-  /// Appends one record's sample; the record's plan is not kept.
-  void Add(const workload::QueryRecord& record) { Add(Of(record)); }
+  /// Appends one record's sample; the record's plan is not kept. A record
+  /// whose plan was checked but not built gives its `plan_nodes`.
+  void Add(const workload::QueryRecord& record);
   size_t size() const { return cpu_minutes.size(); }
 };
 

@@ -58,12 +58,20 @@ Status CutLine(std::string_view line, size_t indent, const PlanLimits& limits,
   return Status::OK();
 }
 
+/// Parses `text` into `*out`, or only checks it when `out` is null.
+Status ParseExpressionInto(std::string_view text,
+                           const sql::ParseLimits& limits, sql::ExprPtr* out) {
+  if (out == nullptr) return sql::CheckExpression(text, limits);
+  PRESTROID_ASSIGN_OR_RETURN(*out, sql::ParseExpression(text, limits));
+  return Status::OK();
+}
+
 /// Parses each ';'-separated item of `list` (trimmed, empty ones skipped)
-/// into node->expressions. Sort keys also carry an optional " DESC" suffix
-/// into node->sort_descending.
+/// into node->expressions, or only checks them unless `build`. Sort keys
+/// also carry an optional " DESC" suffix into node->sort_descending.
 Status ParseExpressionList(std::string_view list,
                            const sql::ParseLimits& limits, bool sort_keys,
-                           PlanNode* node) {
+                           bool build, PlanNode* node) {
   for (size_t begin = 0;;) {
     const size_t end = list.find(';', begin);
     std::string_view item = Trim(list.substr(
@@ -74,18 +82,23 @@ Status ParseExpressionList(std::string_view list,
         desc = true;
         item.remove_suffix(5);
       }
-      auto expr = sql::ParseExpression(item, limits);
-      if (!expr.ok()) return expr.status();
-      node->expressions.push_back(std::move(expr).value());
-      if (sort_keys) node->sort_descending.push_back(desc);
+      if (build) {
+        PRESTROID_RETURN_NOT_OK(ParseExpressionInto(
+            item, limits, &node->expressions.emplace_back()));
+        if (sort_keys) node->sort_descending.push_back(desc);
+      } else {
+        PRESTROID_RETURN_NOT_OK(sql::CheckExpression(item, limits));
+      }
     }
     if (end == std::string_view::npos) return Status::OK();
     begin = end + 1;
   }
 }
 
-/// Fills `node` from one line's kind and payload.
-Status FillNode(const PlanLine& line, const PlanLimits& limits,
+/// Fills `node` from one line's kind and payload. Unless `build`, the line
+/// is only checked: `node` gets no table, group keys or expressions, so
+/// nothing is allocated.
+Status FillNode(const PlanLine& line, const PlanLimits& limits, bool build,
                 PlanNode* node) {
   const sql::ParseLimits expr_limits{limits.max_predicate_tokens,
                                      limits.max_predicate_depth};
@@ -93,18 +106,17 @@ Status FillNode(const PlanLine& line, const PlanLimits& limits,
   const std::string_view payload = line.payload;
   if (kind == "TableScan") {
     node->type = PlanNodeType::kTableScan;
-    node->table = payload;
+    if (build) node->table = payload;
   } else if (kind == "Filter") {
     node->type = PlanNodeType::kFilter;
-    auto pred = sql::ParseExpression(payload, expr_limits);
-    if (!pred.ok()) return pred.status();
-    node->predicate = std::move(pred).value();
+    return ParseExpressionInto(payload, expr_limits,
+                               build ? &node->predicate : nullptr);
   } else if (kind == "Project") {
     node->type = PlanNodeType::kProject;
-    return ParseExpressionList(payload, expr_limits, false, node);
+    return ParseExpressionList(payload, expr_limits, false, build, node);
   } else if (kind == "Join") {
     node->type = PlanNodeType::kJoin;
-    node->children.reserve(2);
+    if (build) node->children.reserve(2);
     std::string_view head = payload;
     std::string_view cond;
     const size_t colon = payload.find(": ");
@@ -126,9 +138,8 @@ Status FillNode(const PlanLine& line, const PlanLimits& limits,
       return Status::ParseError("unknown join type: " + std::string(head));
     }
     if (!cond.empty()) {
-      auto pred = sql::ParseExpression(cond, expr_limits);
-      if (!pred.ok()) return pred.status();
-      node->predicate = std::move(pred).value();
+      return ParseExpressionInto(cond, expr_limits,
+                                 build ? &node->predicate : nullptr);
     }
   } else if (kind == "Aggregate") {
     node->type = PlanNodeType::kAggregate;
@@ -142,15 +153,15 @@ Status FillNode(const PlanLine& line, const PlanLimits& limits,
       const size_t end = keys.find(';', begin);
       const std::string_view key = Trim(keys.substr(
           begin, end == std::string_view::npos ? end : end - begin));
-      if (!key.empty()) node->group_keys.emplace_back(key);
+      if (build && !key.empty()) node->group_keys.emplace_back(key);
       if (end == std::string_view::npos) break;
       begin = end + 1;
     }
     return ParseExpressionList(payload.substr(bar + 9), expr_limits, false,
-                               node);
+                               build, node);
   } else if (kind == "Sort") {
     node->type = PlanNodeType::kSort;
-    return ParseExpressionList(payload, expr_limits, true, node);
+    return ParseExpressionList(payload, expr_limits, true, build, node);
   } else if (kind == "Limit") {
     node->type = PlanNodeType::kLimit;
     // strtoll silently accepts trailing garbage and saturates on overflow;
@@ -181,26 +192,29 @@ Status FillNode(const PlanLine& line, const PlanLimits& limits,
 
 /// Builds line number `index` (0-based) into the tree: the root for line 0,
 /// else a child of the node one level up the depth-indexed `stack` (the
-/// current root-to-node path).
+/// current root-to-node path). With a null `root` the line is only checked:
+/// the stack holds nulls, and the node is filled without its expressions
+/// and dropped.
 Status AttachLine(const PlanLine& line, size_t index, const PlanLimits& limits,
                   PlanNodePtr* root, std::vector<PlanNode*>* stack) {
-  if (index == 0) {
-    if (line.depth != 0) {
-      return Status::ParseError("plan text must start at depth 0");
-    }
-    *root = std::make_unique<PlanNode>();
-    stack->push_back(root->get());
-    return FillNode(line, limits, root->get());
+  if (index == 0 && line.depth != 0) {
+    return Status::ParseError("plan text must start at depth 0");
   }
-  if (line.depth < 1 || line.depth > stack->size()) {
+  if (index > 0 && (line.depth < 1 || line.depth > stack->size())) {
     return Status::ParseError(
         StrFormat("bad indentation at plan line %zu", index));
   }
   stack->resize(line.depth);
-  PlanNode* parent = stack->back();
-  parent->children.push_back(std::make_unique<PlanNode>());
-  stack->push_back(parent->children.back().get());
-  return FillNode(line, limits, stack->back());
+  if (root == nullptr) {
+    stack->push_back(nullptr);
+    PlanNode checked;
+    return FillNode(line, limits, /*build=*/false, &checked);
+  }
+  PlanNodePtr& slot =
+      index == 0 ? *root : stack->back()->children.emplace_back();
+  slot = std::make_unique<PlanNode>();
+  stack->push_back(slot.get());
+  return FillNode(line, limits, /*build=*/true, slot.get());
 }
 
 }  // namespace
@@ -223,8 +237,12 @@ std::string PlanToText(const PlanNode& root) {
   return os.str();
 }
 
-Result<PlanNodePtr> ParsePlanText(std::string_view text,
-                                  const PlanLimits& limits) {
+namespace {
+
+/// ParsePlanText's pass over the lines: builds the tree into `*root`, or
+/// only checks the text when `root` is null. Returns the node count.
+Result<size_t> ReadPlanText(std::string_view text, const PlanLimits& limits,
+                            PlanNodePtr* root) {
   if (text.size() > limits.max_plan_bytes) {
     return Status::ResourceExhausted(
         StrFormat("plan text exceeds byte limit (%zu bytes > %zu)",
@@ -236,7 +254,6 @@ Result<PlanNodePtr> ParsePlanText(std::string_view text,
   // the remaining lines are still cut, because any line-level error outranks
   // it. The StatusCode is thus the same as if every line were cut before the
   // first node was built.
-  PlanNodePtr root;
   std::vector<PlanNode*> stack;
   stack.reserve(64);  // deeper plans grow it
   Status deferred;
@@ -258,7 +275,7 @@ Result<PlanNodePtr> ParsePlanText(std::string_view text,
       PlanLine line;
       PRESTROID_RETURN_NOT_OK(CutLine(raw, indent, limits, &line));
       if (deferred.ok()) {
-        deferred = AttachLine(line, lines, limits, &root, &stack);
+        deferred = AttachLine(line, lines, limits, root, &stack);
       }
       ++lines;
     }
@@ -267,7 +284,20 @@ Result<PlanNodePtr> ParsePlanText(std::string_view text,
   }
   if (lines == 0) return Status::ParseError("empty plan text");
   if (!deferred.ok()) return deferred;
+  return lines;
+}
+
+}  // namespace
+
+Result<PlanNodePtr> ParsePlanText(std::string_view text,
+                                  const PlanLimits& limits) {
+  PlanNodePtr root;
+  PRESTROID_RETURN_NOT_OK(ReadPlanText(text, limits, &root).status());
   return root;
+}
+
+Result<size_t> CheckPlanText(std::string_view text, const PlanLimits& limits) {
+  return ReadPlanText(text, limits, nullptr);
 }
 
 }  // namespace prestroid::plan

@@ -34,6 +34,13 @@ std::string PlanToText(const PlanNode& root);
 Result<PlanNodePtr> ParsePlanText(std::string_view text,
                                   const PlanLimits& limits = PlanLimits());
 
+/// ParsePlanText's verdict without the tree: the same Status for the same
+/// text and limits, or the number of nodes the tree would have. It checks
+/// every line and expression as ParsePlanText does, but builds no node and
+/// copies out no expression.
+Result<size_t> CheckPlanText(std::string_view text,
+                             const PlanLimits& limits = PlanLimits());
+
 }  // namespace prestroid::plan
 
 #endif  // PRESTROID_PLAN_PLAN_TEXT_H_

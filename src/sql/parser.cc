@@ -63,23 +63,31 @@ class Parser {
     return stmt;
   }
 
-  ExprPtr ParseStandaloneExpression() {
+  /// Parses the whole input as one expression into the per-thread scratch
+  /// Expr (see Scratch), where it stays until the next parse on this thread.
+  bool ParseStandaloneExpression() {
     const Cursor saved = cursor_;
     // A bare value expression spanning the whole input (e.g. "AVG(x)" in a
     // Project) comes back from the predicate attempt as is; see
     // ParseComparison.
     bare_value_at_ = Peek().offset;
-    ExprPtr pred = Build(&Parser::ParsePredicate);
+    const bool pred = BuildInScratch(&Parser::ParsePredicate);
     bare_value_at_ = kNoBareValue;
-    if (pred != nullptr && Peek().type == TokenType::kEnd) return pred;
+    if (pred && Peek().type == TokenType::kEnd) return true;
     // Fall back to a bare value expression. Only malformed input gets here,
     // or a value nested so deep that the predicate attempt's two extra
     // frames crossed the depth limit.
     cursor_ = saved;
-    ExprPtr value = Build(&Parser::ParseValueExpr);
-    if (value == nullptr) return nullptr;
+    if (!BuildInScratch(&Parser::ParseValueExpr)) return false;
     if (Peek().type != TokenType::kEnd) return Fail("trailing tokens");
-    return value;
+    return true;
+  }
+
+  /// This thread's scratch Expr: each top-level expression is built here,
+  /// so its buffers grow once per thread, not once per expression.
+  static Expr& Scratch() {
+    static thread_local Expr scratch;
+    return scratch;
   }
 
   /// The Status of a failed parse. The lexer scans on from where the parser
@@ -174,18 +182,21 @@ class Parser {
     return {};
   }
 
-  /// Parses one top-level expression with `parse`. It is built in a
-  /// per-thread scratch Expr and copied out at its exact size, so each of
-  /// its buffers is one allocation however the parse grew them.
-  ExprPtr Build(bool (Parser::*parse)()) {
-    static thread_local Expr scratch;
-    ExprBuilder builder(&scratch);
+  /// Parses one top-level expression with `parse` into Scratch().
+  bool BuildInScratch(bool (Parser::*parse)()) {
+    ExprBuilder builder(&Scratch());
     builder.Clear();
     out_ = &builder;
     const bool ok = (this->*parse)();
     out_ = nullptr;
-    if (!ok) return nullptr;
-    return scratch.Clone();
+    return ok;
+  }
+
+  /// BuildInScratch, copied out at its exact size, so each of the
+  /// expression's buffers is one allocation however the parse grew them.
+  ExprPtr Build(bool (Parser::*parse)()) {
+    if (!BuildInScratch(parse)) return nullptr;
+    return Scratch().Clone();
   }
 
   std::unique_ptr<SelectStmt> ParseSelectBody() {
@@ -598,9 +609,14 @@ Result<std::unique_ptr<SelectStmt>> ParseSelect(std::string_view sql,
 Result<ExprPtr> ParseExpression(std::string_view text,
                                 const ParseLimits& limits) {
   Parser parser(text, limits);
-  ExprPtr expr = parser.ParseStandaloneExpression();
-  if (expr == nullptr) return parser.Failure();
-  return expr;
+  if (!parser.ParseStandaloneExpression()) return parser.Failure();
+  return Parser::Scratch().Clone();
+}
+
+Status CheckExpression(std::string_view text, const ParseLimits& limits) {
+  Parser parser(text, limits);
+  if (!parser.ParseStandaloneExpression()) return parser.Failure();
+  return Status::OK();
 }
 
 }  // namespace prestroid::sql

@@ -38,6 +38,12 @@ Result<std::unique_ptr<SelectStmt>> ParseSelect(
 Result<ExprPtr> ParseExpression(std::string_view text,
                                 const ParseLimits& limits = ParseLimits());
 
+/// ParseExpression's verdict without the expression: the same Status for the
+/// same text and limits, and no allocation once this thread has parsed an
+/// expression as large.
+Status CheckExpression(std::string_view text,
+                       const ParseLimits& limits = ParseLimits());
+
 }  // namespace prestroid::sql
 
 #endif  // PRESTROID_SQL_PARSER_H_

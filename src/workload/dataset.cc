@@ -258,13 +258,14 @@ struct Verdict {
 
 /// Parses and label-checks one cut record (a complete one-record mini-trace)
 /// in isolation, so one bad record can never poison its neighbours. Runs on
-/// a lane; an accepted record goes to `sink.take` there.
-Verdict JudgeRecord(std::string_view chunk, const plan::PlanLimits& limits,
-                    size_t slot, const LaneSink& sink) {
+/// a lane; an accepted record is moved to `*accepted`.
+Verdict JudgeRecord(std::string_view chunk, const IngestOptions& options,
+                    QueryRecord* accepted) {
   auto quarantined = [](QuarantineReason reason) {
     return Verdict{Verdict::Kind::kQuarantined, reason};
   };
-  auto parsed = DeserializeTrace(chunk, limits);
+  auto parsed =
+      DeserializeTrace(chunk, options.plan_limits, options.build_plans);
   if (!parsed.ok()) {
     return quarantined(ClassifyFailure(chunk, parsed.status()));
   }
@@ -283,14 +284,14 @@ Verdict JudgeRecord(std::string_view chunk, const plan::PlanLimits& limits,
   if (record.metrics.total_cpu_minutes == 0) {
     return quarantined(QuarantineReason::kZeroCpuLabel);
   }
-  sink.take(slot, std::move(record));
+  *accepted = std::move(record);
   return Verdict{Verdict::Kind::kAccepted};
 }
 
 /// The tolerant ingest over a text that `next_piece` hands out in pieces
 /// (an empty piece ends it).
 Result<IngestStats> IngestPieces(
-    const IngestOptions& options, const LaneSink& sink,
+    const IngestOptions& options, const RecordSink& sink,
     const std::function<Result<std::string_view>()>& next_piece) {
   IngestStats stats;
   QuarantineLog log;
@@ -299,10 +300,12 @@ Result<IngestStats> IngestPieces(
   ThreadPool pool(std::max<size_t>(options.lanes, 1));
 
   // The window: its cut records back to back in `text`, record i ending at
-  // ends[i]; `first` is the trace ordinal of its first record.
+  // ends[i] and, once parsed, judged verdicts[i] (and records[i] if
+  // accepted); `first` is the trace ordinal of its first record.
   std::string text;
   std::vector<size_t> ends;
   std::vector<Verdict> verdicts;
+  std::vector<QueryRecord> records;
   size_t first = 0;
   auto record_text = [&](size_t i) {
     const size_t begin = i == 0 ? 0 : ends[i - 1];
@@ -314,13 +317,13 @@ Result<IngestStats> IngestPieces(
   auto flush = [&]() -> Status {
     const size_t n = ends.size();
     if (n == 0) return Status::OK();
-    sink.resize(n);
     verdicts.assign(n, Verdict{});
+    records.resize(n);
     std::atomic<size_t> cursor{0};
     auto parse_on_lane = [&](size_t, size_t) {
       for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < n;
            i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        verdicts[i] = JudgeRecord(record_text(i), options.plan_limits, i, sink);
+        verdicts[i] = JudgeRecord(record_text(i), options, &records[i]);
       }
     };
     pool.ParallelFor(0, std::min(n, pool.num_threads()), 1, parse_on_lane);
@@ -328,7 +331,7 @@ Result<IngestStats> IngestPieces(
       const Verdict& verdict = verdicts[i];
       if (verdict.kind == Verdict::Kind::kAccepted) {
         ++stats.accepted;
-        sink.emit(i);
+        sink(std::move(records[i]));
       } else if (verdict.kind == Verdict::Kind::kQuarantined) {
         ++stats.quarantined;
         ++stats.by_reason[static_cast<size_t>(verdict.reason)];
@@ -339,6 +342,7 @@ Result<IngestStats> IngestPieces(
     first += n;
     text.clear();
     ends.clear();
+    records.clear();
     return Status::OK();
   };
 
@@ -374,7 +378,7 @@ Result<IngestStats> IngestPieces(
 
 Result<IngestStats> IngestTraceTolerant(std::string_view text,
                                         const IngestOptions& options,
-                                        const LaneSink& sink) {
+                                        const RecordSink& sink) {
   size_t at = 0;
   return IngestPieces(options, sink, [&]() -> Result<std::string_view> {
     const std::string_view piece = text.substr(at, FileReader::kPieceBytes);
@@ -388,16 +392,15 @@ Result<IngestResult> IngestTraceTolerant(std::string_view text,
   IngestResult result;
   PRESTROID_ASSIGN_OR_RETURN(
       result.stats,
-      IngestTraceTolerant(text, options,
-                          KeepRecords([&](QueryRecord&& record) {
-                            result.records.push_back(std::move(record));
-                          })));
+      IngestTraceTolerant(text, options, [&](QueryRecord&& record) {
+        result.records.push_back(std::move(record));
+      }));
   return result;
 }
 
 Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
                                           const IngestOptions& options,
-                                          const LaneSink& sink) {
+                                          const RecordSink& sink) {
   FileReader reader;
   PRESTROID_RETURN_NOT_OK(reader.Open(path));
   return IngestPieces(options, sink, [&] { return reader.Next(); });
@@ -408,10 +411,9 @@ Result<IngestResult> ReadTraceFileTolerant(const std::string& path,
   IngestResult result;
   PRESTROID_ASSIGN_OR_RETURN(
       result.stats,
-      ReadTraceFileTolerant(path, options,
-                          KeepRecords([&](QueryRecord&& record) {
-                            result.records.push_back(std::move(record));
-                          })));
+      ReadTraceFileTolerant(path, options, [&](QueryRecord&& record) {
+        result.records.push_back(std::move(record));
+      }));
   return result;
 }
 

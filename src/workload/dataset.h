@@ -3,10 +3,8 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -69,6 +67,12 @@ struct IngestOptions {
   /// order. So the stats, the quarantine file and the sink's sequence are
   /// the same at any lane count; 1 parses on the calling thread alone.
   size_t lanes = 1;
+  /// When false, each record's plan is checked as it would be parsed (the
+  /// same verdicts, stats and quarantine lines; plan::CheckPlanText) but
+  /// not built: accepted records reach the sink with a null `plan` and its
+  /// node count in `plan_nodes`. For callers that need only each plan's
+  /// size, such as serve's fallback fit.
+  bool build_plans = true;
 };
 
 /// Bytes of cut records one ingest window holds at most (a record larger
@@ -83,42 +87,9 @@ struct IngestResult {
   IngestStats stats;
 };
 
-/// The sink of a tolerant ingest, split across its threads. For each window
-/// of cut records, `resize(n)` runs first, on the calling thread. Then
-/// `take(slot, record)` runs for each accepted record of the window (slot <
-/// n), on the lane that parsed it: the record is the sink's from then on,
-/// and a record it drops is freed on that lane, so a caller that needs only
-/// a few numbers per record never holds the trace's plans. Last,
-/// `emit(slot)` runs once for each accepted record, on the calling thread,
-/// in trace order.
-struct LaneSink {
-  std::function<void(size_t records)> resize;
-  std::function<void(size_t slot, QueryRecord&& record)> take;
-  std::function<void(size_t slot)> emit;
-};
-
-/// The LaneSink that reduces each accepted record with `reduce` on the lane
-/// that parsed it and hands the reductions to `sink` in trace order; `reduce`
-/// runs on several lanes at once.
-template <typename Reduce, typename Sink>
-LaneSink ReduceOnLanes(Reduce reduce, Sink sink) {
-  using Reduced = std::invoke_result_t<const Reduce&, QueryRecord&&>;
-  auto window = std::make_shared<std::vector<Reduced>>();
-  return LaneSink{
-      [window](size_t records) { window->resize(records); },
-      [window, reduce](size_t slot, QueryRecord&& record) {
-        (*window)[slot] = reduce(std::move(record));
-      },
-      [window, sink](size_t slot) { sink(std::move((*window)[slot])); }};
-}
-
-/// The LaneSink that hands each accepted record whole to `sink(QueryRecord&&)`
-/// in trace order, on the calling thread.
-template <typename Sink>
-LaneSink KeepRecords(Sink sink) {
-  return ReduceOnLanes([](QueryRecord&& record) { return std::move(record); },
-                       std::move(sink));
-}
+/// Receives each accepted record of a tolerant ingest, in trace order, on
+/// the calling thread. The record is the sink's to keep or drop.
+using RecordSink = std::function<void(QueryRecord&&)>;
 
 /// Cuts a serialized trace into per-record chunks. A chunk starts at each
 /// line that begins with "#QUERY " and runs to the next such line or the end
@@ -165,7 +136,7 @@ class TraceRecordCutter {
 /// record's bytes are only read for its log snippet.
 Result<IngestStats> IngestTraceTolerant(std::string_view text,
                                         const IngestOptions& options,
-                                        const LaneSink& sink);
+                                        const RecordSink& sink);
 
 /// IngestTraceTolerant with a sink that keeps every accepted record.
 Result<IngestResult> IngestTraceTolerant(std::string_view text,
@@ -177,7 +148,7 @@ Result<IngestResult> IngestTraceTolerant(std::string_view text,
 /// once the records before it have gone to the sink.
 Result<IngestStats> ReadTraceFileTolerant(const std::string& path,
                                           const IngestOptions& options,
-                                          const LaneSink& sink);
+                                          const RecordSink& sink);
 Result<IngestResult> ReadTraceFileTolerant(const std::string& path,
                                            const IngestOptions& options);
 

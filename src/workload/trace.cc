@@ -88,7 +88,7 @@ std::string SerializeTrace(const std::vector<QueryRecord>& records) {
 }
 
 Result<std::vector<QueryRecord>> DeserializeTrace(
-    std::string_view text, const plan::PlanLimits& limits) {
+    std::string_view text, const plan::PlanLimits& limits, bool build_plans) {
   std::vector<QueryRecord> records;
   QueryRecord current;
   size_t plan_begin = 0;  // offset of the current record's first plan line
@@ -137,10 +137,15 @@ Result<std::vector<QueryRecord>> DeserializeTrace(
       }
       // The plan lines sit contiguously between "#PLAN\n" and this line,
       // each ending in '\n': parse that slice of the buffer in place.
-      auto parsed = plan::ParsePlanText(
-          text.substr(plan_begin, line_begin - plan_begin), limits);
-      if (!parsed.ok()) return parsed.status();
-      current.plan = std::move(parsed).value();
+      const std::string_view plan_text =
+          text.substr(plan_begin, line_begin - plan_begin);
+      if (build_plans) {
+        PRESTROID_ASSIGN_OR_RETURN(current.plan,
+                                   plan::ParsePlanText(plan_text, limits));
+      } else {
+        PRESTROID_ASSIGN_OR_RETURN(current.plan_nodes,
+                                   plan::CheckPlanText(plan_text, limits));
+      }
       records.push_back(std::move(current));
       current = QueryRecord();
       state = State::kIdle;

@@ -24,6 +24,9 @@ struct QueryRecord {
   int template_id = -1;
   std::string sql;
   plan::PlanNodePtr plan;
+  /// The plan's node count when it was checked but not built (`plan` is
+  /// then null; DeserializeTrace with build_plans false), else 0.
+  size_t plan_nodes = 0;
   cost::ExecutionMetrics metrics;
 
   QueryRecord() = default;
@@ -66,9 +69,12 @@ std::string SerializeTrace(const std::vector<QueryRecord>& records);
 /// workload/dataset.h). Each record's #PLAN...#END lines are handed to
 /// plan::ParsePlanText as one slice of `text`, checked against `limits`
 /// while parsing; nothing but the SQL, the plan tree and the metrics is
-/// copied out of `text`.
+/// copied out of `text`. Unless `build_plans`, each plan goes to
+/// plan::CheckPlanText instead: the same verdicts, and each record carries
+/// a null plan and its node count in `plan_nodes`.
 Result<std::vector<QueryRecord>> DeserializeTrace(
-    std::string_view text, const plan::PlanLimits& limits = plan::PlanLimits());
+    std::string_view text, const plan::PlanLimits& limits = plan::PlanLimits(),
+    bool build_plans = true);
 
 /// Convenience file I/O. ReadTraceFile reads the file once into a buffer of
 /// its size (ReadFileToString) and parses it in place.

@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "plan/plan_stats.h"
 #include "plan/plan_text.h"
 #include "plan/planner.h"
 #include "serve/ingest_fuzz.h"
@@ -306,6 +307,96 @@ TEST(ParseDigestTest, TolerantIngestOfHostileTraces) {
             "truncated-record=6 malformed-plan=56 over-limit-plan=12 "
             "nan-label=11 negative-label=11)");
   EXPECT_EQ(Hex(digest.value()), "0x32e0b0b7a1eaa509");
+}
+
+// --- Checking without building --------------------------------------------
+//
+// serve's ingest checks each plan (plan::CheckPlanText, sql::CheckExpression)
+// instead of building it, so a check must reach the parse's verdict, with
+// the same message, on every input.
+
+/// Expects CheckPlanText to give ParsePlanText's Status on `text`, and on
+/// success the parsed tree's node count; counts the outcome in `codes`.
+void ExpectPlanCheckAgrees(const std::string& text,
+                           const plan::PlanLimits& limits,
+                           std::set<StatusCode>* codes) {
+  auto parsed = plan::ParsePlanText(text, limits);
+  auto checked = plan::CheckPlanText(text, limits);
+  codes->insert(parsed.status().code());
+  ASSERT_EQ(checked.status().ToString(), parsed.status().ToString()) << text;
+  if (parsed.ok()) {
+    EXPECT_EQ(*checked, plan::ComputePlanStats(**parsed).node_count) << text;
+  }
+}
+
+TEST(CheckParityTest, PlanTextCheckGivesTheParseVerdictAndNodeCount) {
+  // The fuzz_ingest seeds under the default limits and under limits tight
+  // enough that the corpus crosses each of them.
+  plan::PlanLimits tight;
+  tight.max_nodes = 12;
+  tight.max_depth = 5;
+  tight.max_predicate_tokens = 20;
+  tight.max_predicate_depth = 4;
+  tight.max_line_bytes = 120;
+  std::set<StatusCode> codes;
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    const std::string base = serve::FuzzBasePlanText(seed);
+    const std::string mutated = serve::MutatePlanText(base, seed);
+    for (const plan::PlanLimits& limits : {plan::PlanLimits(), tight}) {
+      ExpectPlanCheckAgrees(base, limits, &codes);
+      ExpectPlanCheckAgrees(mutated, limits, &codes);
+    }
+  }
+  for (const TraceCorpus* corpus : {&GrabCorpus(), &TpcdsCorpus()}) {
+    for (const workload::QueryRecord& record : corpus->records) {
+      ExpectPlanCheckAgrees(plan::PlanToText(*record.plan), tight, &codes);
+    }
+  }
+  EXPECT_EQ(codes, (std::set<StatusCode>{StatusCode::kOk,
+                                         StatusCode::kInvalidArgument,
+                                         StatusCode::kParseError,
+                                         StatusCode::kResourceExhausted}));
+}
+
+TEST(CheckParityTest, ExpressionCheckGivesTheParseVerdict) {
+  std::set<StatusCode> codes;
+  auto expect_agrees = [&](const std::string& input,
+                           const sql::ParseLimits& limits) {
+    const Status parsed = sql::ParseExpression(input, limits).status();
+    codes.insert(parsed.code());
+    EXPECT_EQ(sql::CheckExpression(input, limits).ToString(),
+              parsed.ToString())
+        << input;
+  };
+  const sql::ParseLimits tight{16, 5};
+  Rng rng(11);
+  const std::string alphabet =
+      "ANDORNOTINLIKEBETWEENISNULL()*,.<>=!'%+-/ 0123456789abcxyz_";
+  for (int round = 0; round < 4000; ++round) {
+    const size_t length = static_cast<size_t>(rng.UniformInt(1, 60));
+    std::string input;
+    for (size_t i = 0; i < length; ++i) {
+      input.push_back(
+          alphabet[static_cast<size_t>(rng.UniformInt(0, alphabet.size() - 1))]);
+    }
+    expect_agrees(input, sql::ParseLimits());
+    expect_agrees(input, tight);
+  }
+  // Every prefix and suffix of predicates and values that parse.
+  for (const std::string& expr :
+       {std::string("(a.k = b.k AND a.s <> 'it''s') OR NOT (x IN (1, 2))"),
+        std::string("SUM(t.fare * (1 - t.discount)) / 100"),
+        std::string("c BETWEEN -2.5e3 AND .5 AND d LIKE '%z%' AND e IS NULL")}) {
+    for (size_t cut = 0; cut <= expr.size(); ++cut) {
+      for (const sql::ParseLimits& limits : {sql::ParseLimits(), tight}) {
+        expect_agrees(expr.substr(0, cut), limits);
+        expect_agrees(expr.substr(cut), limits);
+      }
+    }
+  }
+  EXPECT_EQ(codes, (std::set<StatusCode>{StatusCode::kOk,
+                                         StatusCode::kParseError,
+                                         StatusCode::kResourceExhausted}));
 }
 
 }  // namespace

@@ -110,9 +110,7 @@ TEST_F(ServingFixture, SampleFitMatchesRecordFitOnEveryFallbackTier) {
 
   FallbackSamples samples;
   auto streamed = workload::IngestTraceTolerant(
-      trace, {}, workload::KeepRecords([&](workload::QueryRecord&& record) {
-        samples.Add(record);
-      }));
+      trace, {}, [&](workload::QueryRecord&& record) { samples.Add(record); });
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   auto collected = workload::IngestTraceTolerant(trace, {});
   ASSERT_TRUE(collected.ok()) << collected.status().ToString();
