@@ -82,12 +82,13 @@ Status ParseExpressionList(std::string_view list,
         desc = true;
         item.remove_suffix(5);
       }
-      if (build) {
-        PRESTROID_RETURN_NOT_OK(ParseExpressionInto(
-            item, limits, &node->expressions.emplace_back()));
-        if (sort_keys) node->sort_descending.push_back(desc);
-      } else {
+      if (!build) {
         PRESTROID_RETURN_NOT_OK(sql::CheckExpression(item, limits));
+      } else {
+        PRESTROID_ASSIGN_OR_RETURN(sql::ExprPtr expr,
+                                   sql::ParseExpression(item, limits));
+        node->expressions.push_back(std::move(expr));
+        if (sort_keys) node->sort_descending.push_back(desc);
       }
     }
     if (end == std::string_view::npos) return Status::OK();
@@ -192,9 +193,8 @@ Status FillNode(const PlanLine& line, const PlanLimits& limits, bool build,
 
 /// Builds line number `index` (0-based) into the tree: the root for line 0,
 /// else a child of the node one level up the depth-indexed `stack` (the
-/// current root-to-node path). With a null `root` the line is only checked:
-/// the stack holds nulls, and the node is filled without its expressions
-/// and dropped.
+/// current root-to-node path). With a null `root` the line is only checked
+/// (see FillNode): the stack holds nulls, and the node is dropped.
 Status AttachLine(const PlanLine& line, size_t index, const PlanLimits& limits,
                   PlanNodePtr* root, std::vector<PlanNode*>* stack) {
   if (index == 0 && line.depth != 0) {
